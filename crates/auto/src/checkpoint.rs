@@ -7,7 +7,9 @@
 //! counters. Because the search is deterministic given that state, a
 //! resumed run replays exactly the suffix an uninterrupted run would have
 //! executed — verdict, certificate, and counters come out bit-identical at
-//! every thread count (property-tested in `tests/checkpoint.rs`).
+//! every thread count (tested by `search.rs`'s
+//! `budget_cut_then_resume_matches_the_uninterrupted_run_exactly` and, for
+//! killed processes, by `tests/crash_recovery.rs`).
 //!
 //! ## On-disk format
 //!

@@ -22,7 +22,8 @@
 //! and `exec.steals` counters are always live; the `exec.worker_idle_ns`
 //! histogram (per-worker wall time not spent inside tasks) records only
 //! while [`roundelim_obs::armed`] — an unobserved run never reads the
-//! clock here.
+//! clock here. Every worker drains its trace buffer before it returns, so
+//! a trace finished right after a parallel call still holds its spans.
 
 use roundelim_obs as obs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -131,6 +132,9 @@ where
                         }
                     }
                 }
+                // `scope` may return before this thread's TLS destructor
+                // drains its trace buffer; drain it while still joined.
+                obs::trace::flush_thread();
             });
         }
     });

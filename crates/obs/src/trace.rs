@@ -126,22 +126,29 @@ thread_local! {
     static LOCAL: RefCell<Local> = const { RefCell::new(Local::new()) };
 }
 
+/// Registry counter of events that reached the sink after their trace
+/// finished: they cannot enter the written file, but they are counted.
+const LATE_COUNTER: &str = "trace.dropped_late";
+
 fn flush_into_sink(local: &mut Local) {
     if local.events.is_empty() {
         return;
     }
     let mut guard = lock_sink();
     match guard.as_mut() {
-        Some(s) => {
+        Some(s) if local.generation == GENERATION.load(Ordering::Relaxed) => {
             let room = MAX_EVENTS.saturating_sub(s.events.len());
             let take = local.events.len().min(room);
             s.dropped += (local.events.len() - take) as u64;
             s.events.extend(local.events.drain(..take));
             local.events.clear();
         }
-        // The trace finished while this thread still buffered events from
-        // it (or from an earlier generation): nothing to attach them to.
-        None => local.events.clear(),
+        // The trace these events belong to has finished (or was replaced
+        // by a newer one): nothing to attach them to, so count the loss.
+        _ => {
+            metrics::counter(LATE_COUNTER).add(local.events.len() as u64);
+            local.events.clear();
+        }
     }
 }
 
@@ -256,10 +263,13 @@ pub fn span_v(name: &'static str, value: u64) -> SpanGuard {
     SpanGuard { token: enter(name, Some(value)) }
 }
 
-/// Drains this thread's buffered events into the global sink. Called
-/// automatically at thread exit and at [`finish`] (for the finishing
-/// thread); long-lived threads that outlive a trace — daemon workers —
-/// call it at request boundaries so their events are not stranded.
+/// Drains this thread's buffered events into the global sink; a no-op
+/// when the buffer is empty. Called automatically at thread exit and at
+/// [`finish`] (for the finishing thread). Scoped workers call it before
+/// their closure returns — `std::thread::scope` does not wait for TLS
+/// destructors — and long-lived threads that outlive a trace (daemon
+/// workers) call it at request boundaries so their events are not
+/// stranded.
 pub fn flush_thread() {
     let _ = LOCAL.try_with(|cell| flush_into_sink(&mut cell.borrow_mut()));
 }
@@ -290,8 +300,8 @@ pub fn install(path: PathBuf, writer: WriterFn) -> Result<(), String> {
 /// Disarms tracing, drains the finishing thread's buffer, renders the
 /// trace document, and writes it via the installed writer. Returns the
 /// written path, or `Ok(None)` when no trace was installed. Spawned
-/// threads must be joined first or their tail events may be lost (they
-/// are counted nowhere — join before finishing).
+/// threads must flush (or be joined) first: events they flush later are
+/// counted in the `trace.dropped_late` registry counter, not written.
 ///
 /// # Errors
 ///
@@ -433,7 +443,9 @@ mod tests {
             let _outer = span("test.main");
             std::thread::scope(|scope| {
                 scope.spawn(|| {
-                    let _w = span("test.worker");
+                    drop(span("test.worker"));
+                    // `scope` may return before the TLS destructor runs.
+                    flush_thread();
                 });
             });
         }
@@ -445,6 +457,36 @@ mod tests {
         assert!(worker_line.contains("\"th\": 1"), "{text}");
         // The worker span opened on a fresh thread: no cross-thread parent.
         assert!(worker_line.contains("\"par\": 0"), "{text}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn events_flushed_after_finish_are_counted_as_late() {
+        let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let late = metrics::counter(LATE_COUNTER);
+        let path = tmp("late");
+        install(path.clone(), test_writer).unwrap();
+        let (to_worker, from_main) = std::sync::mpsc::channel::<()>();
+        let (to_main, from_worker) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            drop(span("test.late")); // one enter + one exit, buffered
+            to_main.send(()).unwrap();
+            from_main.recv().unwrap();
+            let before = late.get();
+            flush_thread();
+            let after = late.get();
+            flush_thread(); // empty buffer: a no-op
+            (before, after, late.get())
+        });
+        // The worker has buffered its span; finish the trace first.
+        from_worker.recv().unwrap();
+        let _ = finish().unwrap();
+        to_worker.send(()).unwrap();
+        let (before, after, again) = worker.join().unwrap();
+        assert_eq!(after - before, 2, "both events of the late span are counted");
+        assert_eq!(again, after);
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(!text.contains("test.late"), "{text}");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -26,10 +26,11 @@
 use crate::checker::{check_stream, CheckOptions, CheckReport};
 use crate::generate::{cycle, random_permutation, random_regular_seeded};
 use crate::graph::PortGraph;
-use crate::runner::{run_adaptive, run_flat, FlatOutputs, NodeInput};
+use crate::runner::{run_core, FlatOutputs, NodeInput};
 use crate::{algos, par};
 use roundelim_auto::json::Json;
 use roundelim_auto::search::{autolb, autoub, SearchOptions, Verdict};
+use roundelim_obs as obs;
 use roundelim_problems::registry::{crossval_specs, family, CrossvalSpec};
 
 /// Options for [`run_crossval`].
@@ -227,53 +228,49 @@ fn case_inputs(
     seed: u64,
     threads: usize,
 ) -> Vec<NodeInput> {
-    let n = graph.node_count();
-    let ids = random_permutation(n, seed ^ 0x1d5_0f00d, threads);
-    (0..n)
-        .map(|v| {
-            let oriented_away = if spec.algorithm == "cole-vishkin" {
-                // cycle(n) port convention: node 0 reaches its successor 1
-                // through port 0; every other node reaches v + 1 through
-                // port 1.
-                if v == 0 {
-                    vec![true, false]
-                } else {
-                    vec![false, true]
-                }
-            } else {
-                Vec::new()
-            };
-            NodeInput { id: Some(u64::from(ids[v])), color: None, oriented_away }
-        })
-        .collect()
+    let ids = random_permutation(graph.node_count(), seed ^ 0x1d5_0f00d, threads);
+    let ring = spec.algorithm == "cole-vishkin";
+    par::fill_indexed(ids.len(), threads, |v| {
+        let oriented_away = if !ring {
+            Vec::new()
+        } else if v == 0 {
+            // cycle(n) port convention: node 0 reaches its successor 1
+            // through port 0; every other node reaches v + 1 through port 1.
+            vec![true, false]
+        } else {
+            vec![false, true]
+        };
+        NodeInput { id: Some(u64::from(ids[v])), color: None, oriented_away }
+    })
 }
 
-/// Runs the case's simulator algorithm; returns flat outputs and the
-/// number of rounds executed.
+/// Runs the case's simulator algorithm on `threads` workers; returns flat
+/// outputs and the number of rounds executed.
 fn simulate(
     spec: &CrossvalSpec,
     graph: &PortGraph,
     inputs: &[NodeInput],
+    threads: usize,
 ) -> Result<(FlatOutputs, usize), String> {
     let n = graph.node_count();
     match spec.algorithm {
         "cole-vishkin" => {
-            let rounds = algos::cole_vishkin::total_rounds(n);
             let algo = algos::cole_vishkin::ColeVishkin::for_n(n);
-            Ok((run_flat(graph, inputs, &algo, rounds), rounds))
+            let rounds = algos::cole_vishkin::total_rounds(n);
+            Ok(run_core(graph, inputs, &algo, rounds, false, threads))
         }
         "weak2" => {
-            let rounds = algos::weak2::total_rounds(n);
             let algo = algos::weak2::WeakTwoColoring::for_n(n);
-            Ok((run_flat(graph, inputs, &algo, rounds), rounds))
+            let rounds = algos::weak2::total_rounds(n);
+            Ok(run_core(graph, inputs, &algo, rounds, false, threads))
         }
         "greedy-mis" => {
             let budget = algos::greedy::mis_rounds(n);
-            Ok(run_adaptive(graph, inputs, &algos::greedy::GreedyMis, budget))
+            Ok(run_core(graph, inputs, &algos::greedy::GreedyMis, budget, true, threads))
         }
         "greedy-matching" => {
             let budget = algos::greedy::matching_rounds(n);
-            Ok(run_adaptive(graph, inputs, &algos::greedy::GreedyMatching, budget))
+            Ok(run_core(graph, inputs, &algos::greedy::GreedyMatching, budget, true, threads))
         }
         other => Err(format!("unknown algorithm `{other}`")),
     }
@@ -286,21 +283,34 @@ fn run_case(spec: &CrossvalSpec, opts: &CrossvalOptions) -> Result<CaseResult, S
         .map_err(|e| format!("{}: {e}", spec.family))?;
     let mut search = opts.search.clone();
     search.threads = opts.threads;
-    let lb = autolb(&problem, &search).map_err(|e| format!("autolb {}: {e}", spec.family))?;
-    let ub = autoub(&problem, &search).map_err(|e| format!("autoub {}: {e}", spec.family))?;
+    let (lb, ub) = {
+        let _span = obs::trace::span("sim.search");
+        let lb = autolb(&problem, &search).map_err(|e| format!("autolb {}: {e}", spec.family))?;
+        let ub = autoub(&problem, &search).map_err(|e| format!("autoub {}: {e}", spec.family))?;
+        (lb, ub)
+    };
     let lower = Bound::from_verdict(&lb.verdict);
     let upper = Bound::from_verdict(&ub.verdict);
 
     let seed = case_seed(opts.seed, spec);
-    let graph = case_graph(spec, opts.n, seed, opts.threads)?;
-    let inputs = case_inputs(spec, &graph, seed, opts.threads);
-    let (outputs, rounds_used) = simulate(spec, &graph, &inputs)?;
-    let report = check_stream(
-        &problem,
-        &graph,
-        &outputs,
-        &CheckOptions { max_witnesses: opts.max_witnesses, threads: opts.threads },
-    );
+    let graph = {
+        let _span = obs::trace::span("sim.generate");
+        case_graph(spec, opts.n, seed, opts.threads)?
+    };
+    let inputs = {
+        let _span = obs::trace::span("sim.inputs");
+        case_inputs(spec, &graph, seed, opts.threads)
+    };
+    let (outputs, rounds_used) = simulate(spec, &graph, &inputs, opts.threads)?;
+    let report = {
+        let _span = obs::trace::span("sim.check");
+        check_stream(
+            &problem,
+            &graph,
+            &outputs,
+            &CheckOptions { max_witnesses: opts.max_witnesses, threads: opts.threads },
+        )
+    };
 
     let mut consistent = true;
     let mut notes = Vec::new();

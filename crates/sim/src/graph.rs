@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 /// One endpoint of an edge as seen from a node: the neighbor and the
 /// neighbor's port number for the connecting edge. Fields are `u32` so the
 /// CSR arena stays at 8 bytes per port; cast to `usize` for indexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct PortTarget {
     /// The neighbor node id.
     pub node: u32,
@@ -127,6 +127,30 @@ impl PortGraph {
             cursor[ui] += 1;
             cursor[vi] += 1;
         }
+        Some(PortGraph { offsets, targets })
+    }
+
+    /// Builds the union of `d` perfect matchings on `n` nodes from their
+    /// partner table: `partners[m·n + v]` is `v`'s partner in matching
+    /// `m`, reached through port `m` at both endpoints. That is the port
+    /// order [`PortGraph::from_edge_pairs`] assigns when the matchings'
+    /// edges are listed matching by matching. The caller guarantees that
+    /// every row is a perfect matching and that no edge repeats.
+    pub(crate) fn from_matchings(
+        n: usize,
+        d: usize,
+        partners: &[u32],
+        threads: usize,
+    ) -> Option<PortGraph> {
+        assert_eq!(partners.len(), n * d, "one partner per node and matching");
+        if n.checked_mul(d)? > u32::MAX as usize {
+            return None;
+        }
+        let offsets: Vec<u32> = (0..=n).map(|v| (v * d) as u32).collect();
+        let targets = crate::par::fill_indexed(n * d, threads, |i| {
+            let (v, m) = (i / d, i % d);
+            PortTarget { node: partners[m * n + v], port: m as u32 }
+        });
         Some(PortGraph { offsets, targets })
     }
 

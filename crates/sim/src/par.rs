@@ -20,7 +20,7 @@ const PAR_MIN_ITEMS: usize = 4096;
 
 /// Chunks cut per worker: oversubscribing the executor lets stealing
 /// absorb per-chunk cost skew (e.g. high-degree regions of a graph).
-const OVERSUB: usize = 4;
+pub(crate) const OVERSUB: usize = 4;
 
 /// Builds `vec![f(0), f(1), …, f(len - 1)]`, computing disjoint contiguous
 /// chunks in place on executor workers. The result depends only on `f`

@@ -9,13 +9,26 @@
 //!
 //! Two execution surfaces share one core:
 //! - [`run`] keeps the seed-era `Vec<Vec<Label>>` shape for small tests;
-//! - [`run_flat`] / [`run_adaptive`] use flat per-port message arenas
-//!   aligned with the CSR [`PortGraph`] layout ([`FlatOutputs`]), which is
-//!   what makes million-node executions fit in two allocations per round
-//!   and feeds the streaming checker without re-materializing rows.
+//! - [`run_flat`] / [`run_adaptive`] return flat per-port outputs aligned
+//!   with the CSR [`PortGraph`] layout ([`FlatOutputs`]), which feeds the
+//!   streaming checker without re-materializing rows.
+//!
+//! Every send and every receive of a round is independent, so the core
+//! runs each round on the workspace executor: nodes split into contiguous
+//! chunks (whose ports are contiguous in the CSR layout), a send phase
+//! fills one flat per-port `outgoing` arena, and a receive phase gathers
+//! each chunk's inbox into a buffer the chunk keeps across rounds. Node
+//! states stay in their chunks from `init` to `output`. Each node's update
+//! reads only the round's `outgoing` arena and its own state, so outputs
+//! and round counts are bit-identical for every thread count.
 
 use crate::graph::PortGraph;
+use crate::par;
 use roundelim_core::label::Label;
+use roundelim_obs as obs;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 /// Per-node input information available at round 0.
 #[derive(Debug, Clone, Default)]
@@ -44,11 +57,14 @@ pub struct NodeCtx<'a> {
 }
 
 /// A synchronous distributed algorithm in the port-numbering model.
-pub trait Distributed {
+///
+/// The runner calls these methods from executor workers, hence the
+/// `Sync`/`Send` bounds; the methods themselves stay node-local.
+pub trait Distributed: Sync {
     /// Messages exchanged along edges.
-    type Message: Clone;
+    type Message: Clone + Send + Sync;
     /// Node-local state.
-    type State;
+    type State: Send;
 
     /// Initializes a node's state from its radius-0 view.
     fn init(&self, ctx: &NodeCtx<'_>) -> Self::State;
@@ -109,58 +125,190 @@ impl FlatOutputs {
     }
 }
 
-/// Shared synchronous core: flat message arenas, optional early stop.
-fn run_core<A: Distributed>(
+/// Chunks are never cut below this many nodes: a smaller chunk costs more
+/// in executor bookkeeping than its sends and receives.
+const MIN_CHUNK_NODES: usize = 1 << 12;
+
+/// Nodes whose inbox the receive phase gathers at once: the buffer stays
+/// cache-resident, and the gather still issues many independent loads.
+const INBOX_NODES: usize = 1 << 10;
+
+/// A contiguous node range with the states of its nodes and the inbox
+/// buffer its receive phase reuses every round.
+struct Chunk<A: Distributed> {
+    nodes: Range<usize>,
+    /// Index range of the chunk's ports in flat per-port arenas.
+    ports: Range<usize>,
+    states: Vec<A::State>,
+    inbox: Vec<A::Message>,
+}
+
+/// Cuts `0..n` into at most `threads · OVERSUB` contiguous ranges of at
+/// least [`MIN_CHUNK_NODES`] nodes each (one range at one thread).
+fn node_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
+    let count = if threads <= 1 {
+        1
+    } else {
+        (threads * par::OVERSUB).min(n.div_ceil(MIN_CHUNK_NODES)).max(1)
+    };
+    let per = n.div_ceil(count).max(1);
+    (0..n.div_ceil(per).max(1)).map(|c| c * per..((c + 1) * per).min(n)).collect()
+}
+
+/// Runs `f` on every item and returns the results in item order: inline
+/// for a single item, else as executor tasks, each claiming its item.
+fn each<I: Send, R: Send>(items: Vec<I>, threads: usize, f: impl Fn(I) -> R + Sync) -> Vec<R> {
+    if items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    roundelim_core::par::par_map(&slots, threads, |slot| {
+        f(slot.lock().expect("chunk slot").take().expect("claimed once"))
+    })
+}
+
+/// Splits a flat per-port arena into consecutive parts of `lens` ports.
+fn split_ports<'a, T>(mut arena: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
+    lens.iter()
+        .map(|&len| {
+            let (part, rest) = std::mem::take(&mut arena).split_at_mut(len);
+            arena = rest;
+            part
+        })
+        .collect()
+}
+
+/// Calls `emit` with every message the chunk's nodes send in `round`, in
+/// port order.
+fn send_chunk<A: Distributed>(
+    graph: &PortGraph,
+    algo: &A,
+    chunk: &Chunk<A>,
+    round: usize,
+    mut emit: impl FnMut(A::Message),
+) {
+    for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
+        for p in 0..graph.degree(v) {
+            emit(algo.send(state, round, p));
+        }
+    }
+}
+
+/// Gathers the chunk's inbox from `outgoing` and delivers it, a block of
+/// [`INBOX_NODES`] nodes at a time. When `check_done` is set, probes
+/// [`Distributed::done`] after each receive until the first node that is
+/// not done, and raises `not_done` then.
+fn receive_chunk<A: Distributed>(
+    graph: &PortGraph,
+    algo: &A,
+    chunk: &mut Chunk<A>,
+    round: usize,
+    outgoing: &[A::Message],
+    mut check_done: bool,
+    not_done: &AtomicBool,
+) {
+    let Chunk { nodes, states, inbox, .. } = chunk;
+    for (start, states) in nodes.clone().step_by(INBOX_NODES).zip(states.chunks_mut(INBOX_NODES)) {
+        let block = start..start + states.len();
+        inbox.clear();
+        for v in block.clone() {
+            for t in graph.ports(v) {
+                inbox.push(outgoing[graph.port_offset(t.node_ix()) + t.port_ix()].clone());
+            }
+        }
+        let base = graph.port_offset(start);
+        for (v, state) in block.zip(states) {
+            let lo = graph.port_offset(v) - base;
+            algo.receive(state, round, &inbox[lo..lo + graph.degree(v)]);
+            if check_done && !algo.done(state) {
+                not_done.store(true, Ordering::Relaxed);
+                check_done = false;
+            }
+        }
+    }
+}
+
+/// Shared synchronous core on `threads` executor workers: one flat
+/// outgoing arena, per-chunk inboxes, optional early stop.
+pub(crate) fn run_core<A: Distributed>(
     graph: &PortGraph,
     inputs: &[NodeInput],
     algo: &A,
     max_rounds: usize,
     adaptive: bool,
+    threads: usize,
 ) -> (FlatOutputs, usize) {
     assert_eq!(inputs.len(), graph.node_count(), "one input per node");
+    let _run_span = obs::trace::span("sim.run");
     let n = graph.node_count();
     let delta = graph.max_degree();
     let total = graph.total_ports();
-    let mut states: Vec<A::State> = (0..n)
-        .map(|v| {
-            let ctx = NodeCtx { n, delta, degree: graph.degree(v), input: &inputs[v] };
-            algo.init(&ctx)
-        })
-        .collect();
+    // Raised when some node is not done; the adaptive stop reads it at
+    // the top of each round. Chunks probe `done` only until the first
+    // node that is not, and skip probing once another chunk raised it.
+    let not_done = AtomicBool::new(false);
+    let probe = || adaptive && !not_done.load(Ordering::Relaxed);
+    let mut chunks: Vec<Chunk<A>> = each(node_ranges(n, threads), threads, |nodes| {
+        let states: Vec<A::State> = nodes
+            .clone()
+            .map(|v| algo.init(&NodeCtx { n, delta, degree: graph.degree(v), input: &inputs[v] }))
+            .collect();
+        if probe() && !states.iter().all(|s| algo.done(s)) {
+            not_done.store(true, Ordering::Relaxed);
+        }
+        let ports = graph.port_offset(nodes.start)..graph.port_offset(nodes.end);
+        Chunk { nodes, ports, states, inbox: Vec::new() }
+    });
+    let port_lens: Vec<usize> = chunks.iter().map(|c| c.ports.len()).collect();
 
-    let mut outgoing: Vec<A::Message> = Vec::with_capacity(total);
-    let mut incoming: Vec<A::Message> = Vec::with_capacity(total);
+    let mut outgoing: Vec<A::Message> = Vec::new();
     let mut rounds_used = 0;
     for round in 0..max_rounds {
-        if adaptive && states.iter().all(|s| algo.done(s)) {
+        if adaptive && !not_done.swap(false, Ordering::Relaxed) {
             break;
         }
-        // All sends happen before any receive (synchronous rounds).
-        outgoing.clear();
-        for (v, state) in states.iter().enumerate() {
-            for p in 0..graph.degree(v) {
-                outgoing.push(algo.send(state, round, p));
-            }
+        let _round_span = obs::trace::span_v("sim.round", round as u64);
+        // All sends happen before any receive (synchronous rounds). The
+        // first round allocates the arena; later rounds overwrite it.
+        if outgoing.is_empty() {
+            let parts = each(chunks.iter_mut().collect(), threads, |chunk| {
+                let mut part = Vec::with_capacity(chunk.ports.len());
+                send_chunk(graph, algo, chunk, round, |m| part.push(m));
+                part
+            });
+            // Appending part by part frees each part as it is moved.
+            let mut parts = parts.into_iter();
+            outgoing = parts.next().unwrap_or_default();
+            outgoing.reserve_exact(total - outgoing.len());
+            parts.for_each(|part| outgoing.extend(part));
+        } else {
+            let items: Vec<_> =
+                chunks.iter_mut().zip(split_ports(&mut outgoing, &port_lens)).collect();
+            each(items, threads, |(chunk, part)| {
+                let mut slots = part.iter_mut();
+                send_chunk(graph, algo, chunk, round, |m| {
+                    *slots.next().expect("one slot per port") = m;
+                });
+            });
         }
-        incoming.clear();
-        for v in 0..n {
-            for t in graph.ports(v) {
-                incoming.push(outgoing[graph.port_offset(t.node_ix()) + t.port_ix()].clone());
-            }
-        }
-        for (v, state) in states.iter_mut().enumerate() {
-            let lo = graph.port_offset(v);
-            algo.receive(state, round, &incoming[lo..lo + graph.degree(v)]);
-        }
+        let outgoing = &outgoing;
+        each(chunks.iter_mut().collect(), threads, |chunk| {
+            receive_chunk(graph, algo, chunk, round, outgoing, probe(), &not_done);
+        });
         rounds_used = round + 1;
     }
+    drop(outgoing);
 
-    let mut labels = Vec::with_capacity(total);
-    for (v, state) in states.iter().enumerate() {
-        let out = algo.output(state);
-        assert_eq!(out.len(), graph.degree(v), "one output label per port");
-        labels.extend_from_slice(&out);
-    }
+    let mut labels = vec![Label::from_index(0); total];
+    let items: Vec<_> = chunks.iter_mut().zip(split_ports(&mut labels, &port_lens)).collect();
+    each(items, threads, |(chunk, part)| {
+        for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
+            let out = algo.output(state);
+            assert_eq!(out.len(), graph.degree(v), "one output label per port");
+            let lo = graph.port_offset(v) - chunk.ports.start;
+            part[lo..lo + out.len()].copy_from_slice(&out);
+        }
+    });
     (FlatOutputs { labels }, rounds_used)
 }
 
@@ -181,7 +329,8 @@ pub fn run<A: Distributed>(
 }
 
 /// Runs `algo` for exactly `rounds` rounds, returning flat per-port
-/// outputs — the million-node entry point.
+/// outputs — the million-node entry point. Runs on the executor with the
+/// thread count `ROUNDELIM_THREADS` resolves to (all cores when unset).
 ///
 /// # Panics
 ///
@@ -192,7 +341,7 @@ pub fn run_flat<A: Distributed>(
     algo: &A,
     rounds: usize,
 ) -> FlatOutputs {
-    run_core(graph, inputs, algo, rounds, false).0
+    run_core(graph, inputs, algo, rounds, false, par::resolve_threads(0)).0
 }
 
 /// Runs `algo` for at most `max_rounds` rounds, stopping as soon as every
@@ -209,7 +358,7 @@ pub fn run_adaptive<A: Distributed>(
     algo: &A,
     max_rounds: usize,
 ) -> (FlatOutputs, usize) {
-    run_core(graph, inputs, algo, max_rounds, true)
+    run_core(graph, inputs, algo, max_rounds, true, par::resolve_threads(0))
 }
 
 /// Builds default (empty) inputs for a graph.
@@ -295,6 +444,57 @@ mod tests {
         // The budget still caps non-converging runs.
         let (_, capped) = run_adaptive(&g, &id_inputs(&g), &FloodMax, 2);
         assert_eq!(capped, 2);
+    }
+
+    /// Runs `algo` at threads {1, 2, 4, 7} and asserts bit-identical
+    /// outputs and round counts; returns the rounds used.
+    fn thread_invariant_rounds<A: Distributed>(
+        g: &PortGraph,
+        inputs: &[NodeInput],
+        algo: &A,
+        rounds: usize,
+        adaptive: bool,
+    ) -> usize {
+        let one = run_core(g, inputs, algo, rounds, adaptive, 1);
+        for threads in [2, 4, 7] {
+            assert!(node_ranges(g.node_count(), threads).len() > 1, "the run is chunked");
+            let many = run_core(g, inputs, algo, rounds, adaptive, threads);
+            assert!(many == one, "threads={threads} diverged from threads=1");
+        }
+        one.1
+    }
+
+    #[test]
+    fn runs_are_thread_invariant_on_chunked_graphs() {
+        use crate::algos::{cole_vishkin, greedy, weak2};
+        use crate::generate::{random_permutation, random_regular_seeded};
+        let n = 1 << 16;
+        let ids = random_permutation(n, 5, 0);
+        let ring_inputs: Vec<NodeInput> = (0..n)
+            .map(|v| NodeInput {
+                id: Some(u64::from(ids[v])),
+                color: None,
+                // cycle(n): node 0 reaches its successor through port 0,
+                // every other node through port 1.
+                oriented_away: vec![v == 0, v != 0],
+            })
+            .collect();
+        let cv = cole_vishkin::ColeVishkin::for_n(n);
+        let rounds = cole_vishkin::total_rounds(n);
+        assert_eq!(thread_invariant_rounds(&cycle(n), &ring_inputs, &cv, rounds, false), rounds);
+
+        let g = random_regular_seeded(n, 3, 64, 11, 0).expect("a cubic graph");
+        let inputs: Vec<NodeInput> = (0..n)
+            .map(|v| NodeInput { id: Some(u64::from(ids[v])), ..NodeInput::default() })
+            .collect();
+        let weak = weak2::WeakTwoColoring::for_n(n);
+        let rounds = weak2::total_rounds(n);
+        assert_eq!(thread_invariant_rounds(&g, &inputs, &weak, rounds, false), rounds);
+        // The greedy algorithms stop early, far below their budgets.
+        let budget = greedy::mis_rounds(n);
+        assert!(thread_invariant_rounds(&g, &inputs, &greedy::GreedyMis, budget, true) < 64);
+        let budget = greedy::matching_rounds(n);
+        assert!(thread_invariant_rounds(&g, &inputs, &greedy::GreedyMatching, budget, true) < 64);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //!                                        (--fast skips the full_step replay)
 //! roundelim sim-vs-bound [--n N] [--seed S] [--threads N] [--family NAME]
 //!                  [--steps N] [--beam N] [--max-labels N] [--out FILE] [--json]
+//!                  [--trace FILE]
 //!                                        run zoo algorithms on huge graphs and
 //!                                        cross-check rounds against certificates
 //! roundelim zero-round <file|family:k:Δ> both 0-round deciders
@@ -182,7 +183,7 @@ fn usage() -> ExitCode {
          roundelim autoub <file|family:k:Δ> [autolb flags]\n  \
          roundelim cert verify <file> [--fast] [--json]\n  \
          roundelim sim-vs-bound [--n N] [--seed S] [--threads N] [--family NAME] \
-         [--steps N] [--beam N] [--max-labels N] [--out FILE] [--json]\n  \
+         [--steps N] [--beam N] [--max-labels N] [--out FILE] [--json] [--trace FILE]\n  \
          roundelim zero-round <file|family:k:Δ>\n  \
          roundelim iso <fileA> <fileB>\n  roundelim relax <fileA> <fileB>\n  \
          roundelim serve --store DIR [--addr HOST:PORT] [--workers N] [--threads N] [--trace FILE]\n  \
@@ -287,7 +288,7 @@ fn main() -> ExitCode {
             with_trace(&args[1..], || with_profile(&args[1..], || cmd_auto(&args[1..], false)))
         }
         "cert" => cmd_cert(&args[1..]),
-        "sim-vs-bound" => cmd_sim_vs_bound(&args[1..]),
+        "sim-vs-bound" => with_trace(&args[1..], || cmd_sim_vs_bound(&args[1..])),
         "zero-round" => cmd_zero_round(&args[1..]),
         "iso" => cmd_iso(&args[1..]),
         "relax" => cmd_relax(&args[1..]),

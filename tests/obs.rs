@@ -1,7 +1,10 @@
 //! End-to-end observability tests: trace determinism across single-thread
-//! re-runs, and the `roundelim trace` read-back subcommands.
+//! re-runs, worker spans at two threads, and the `roundelim trace`
+//! read-back subcommands.
 
+use roundelim::auto::json::Json;
 use roundelim::obs::summary;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -113,4 +116,53 @@ fn trace_subcommand_rejects_garbage() {
     let out = cli().args(["trace", "summarize"]).arg(&path).output().expect("spawn");
     assert_eq!(out.status.code(), Some(2), "bad input is a usage error");
     let _ = std::fs::remove_file(&path);
+}
+
+/// Runs a small traced `sim-vs-bound` at `threads`; returns the report and
+/// the trace's enter count per span name.
+fn traced_sim(threads: &str) -> (String, BTreeMap<String, u64>) {
+    let (report, trace) = (tmp(&format!("sim-t{threads}.json")), tmp(&format!("sim-t{threads}")));
+    let out = cli()
+        .args(["sim-vs-bound", "--n", "20000", "--seed", "3", "--family", "maximal-matching"])
+        .args(["--threads", threads, "--out"])
+        .arg(&report)
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .expect("spawn roundelim");
+    assert!(out.status.success(), "sim-vs-bound failed: {}", String::from_utf8_lossy(&out.stderr));
+    let text = std::fs::read_to_string(&trace).expect("trace file written");
+    let parsed = summary::parse(&text).expect("trace parses");
+    assert_eq!(parsed.dropped, 0);
+    let counts =
+        summary::summarize(&parsed).spans.iter().map(|s| (s.name.clone(), s.count)).collect();
+    let doc = std::fs::read_to_string(&report).expect("report written");
+    let _ = std::fs::remove_file(&report);
+    let _ = std::fs::remove_file(&trace);
+    (doc, counts)
+}
+
+#[test]
+fn two_thread_traces_keep_every_worker_span() {
+    // Executor workers drain their trace buffers before they return, so a
+    // two-thread trace holds every span of the one-thread trace: the
+    // embedded searches' `stage.*` spans (many recorded on workers) and
+    // the simulator's stage spans.
+    let (one_report, one) = traced_sim("1");
+    let (two_report, two) = traced_sim("2");
+    assert_eq!(one_report, two_report, "the report is thread-invariant");
+    assert_eq!(one, two, "span counts per name");
+    assert!(one.keys().any(|k| k.starts_with("stage.")), "{one:?}");
+    for name in ["sim.search", "sim.generate", "sim.inputs", "sim.run", "sim.check"] {
+        assert_eq!(one.get(name), Some(&1), "{name}: {one:?}");
+    }
+    let doc = Json::parse(&one_report).expect("report parses");
+    let rounds = doc
+        .get("cases")
+        .and_then(Json::as_arr)
+        .and_then(|c| c.first())
+        .and_then(|c| c.get("rounds_used"))
+        .and_then(Json::as_u64)
+        .expect("rounds_used");
+    assert_eq!(one.get("sim.round"), Some(&rounds), "one sim.round span per round");
 }
