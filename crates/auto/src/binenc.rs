@@ -412,8 +412,8 @@ mod tests {
         let mut cache = CanonCache::new();
         let (a, _) = cache.intern(sinkless());
         let stepped = roundelim_core::speedup::full_step(&sinkless()).unwrap().problem().clone();
-        let key = crate::cache::cache_key(&stepped);
-        cache.record_step(a, stepped, key);
+        let fp = crate::cache::fingerprint(&stepped);
+        cache.record_step(a, stepped, fp);
         let snap = cache.snapshot();
         let bytes = snapshot_to_bytes(&snap);
         let back = snapshot_from_bytes(&bytes).unwrap();

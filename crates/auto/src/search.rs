@@ -1,5 +1,5 @@
 //! The automated bound search: best-first beam exploration of the graph
-//! whose nodes are problems (deduplicated by canonical form) and whose
+//! whose nodes are problems (deduplicated up to isomorphism) and whose
 //! edges are speedup steps and candidate relaxations/hardenings.
 //!
 //! ## Lower bounds ([`autolb`])
@@ -29,16 +29,13 @@
 //!
 //! Frontier expansion fans out across cores with [`std::thread::scope`]
 //! (the PR 2 merge-closure pattern): the *pure* per-node work — speedup
-//! steps, candidate generation, canonicalization — runs on workers in
-//! contiguous chunks, and results are folded into the cache sequentially
-//! in item order. The outcome is identical for every thread count; the
-//! `threads` option (0 = the `ROUNDELIM_THREADS` variable, else all
-//! cores) only sets how fast it arrives.
+//! steps, candidate generation, isomorphism and goal checks — runs on
+//! workers in contiguous chunks, and results are folded into the cache
+//! sequentially in item order. The outcome is identical for every thread
+//! count; the `threads` option (0 = the `ROUNDELIM_THREADS` variable,
+//! else all cores) only sets how fast it arrives.
 
-use crate::cache::{
-    cache_key, fingerprint, full_step_cached, CacheKey, CacheSnapshot, CacheStats, CanonCache,
-    NodeId,
-};
+use crate::cache::{fingerprint, full_step_cached, CacheSnapshot, CacheStats, CanonCache, NodeId};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
 use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
@@ -462,8 +459,8 @@ impl Search {
             }
         }
         let mut s = Search::new(opts);
-        let key = cache_key(p);
-        let (root, _) = s.intern(p.clone(), key, None, 0);
+        let (root, _) = s.cache.intern(p.clone());
+        s.meta.push(Meta { depth: 0, parent: None });
         debug_assert_eq!(root, NodeId(0));
         let st =
             LoopState { depth: 0, frontier: vec![root], goals: Vec::new(), deepest: (0, root) };
@@ -696,22 +693,6 @@ impl Search {
         }
     }
 
-    fn intern(
-        &mut self,
-        p: Problem,
-        key: CacheKey,
-        parent: Option<(NodeId, Edge)>,
-        depth: usize,
-    ) -> (NodeId, bool) {
-        let (id, back) = self.cache.intern_keyed(key, p);
-        let new = back.is_none();
-        if new {
-            self.meta.push(Meta { depth, parent });
-            debug_assert_eq!(self.meta.len(), self.cache.len());
-        }
-        (id, new)
-    }
-
     /// Problems above this label count are not interned at all: they are
     /// too symmetric to canonicalize affordably and too far from the beam
     /// to ever be relaxed back under [`SearchOptions::max_labels`] by
@@ -803,11 +784,9 @@ impl Search {
                 return None;
             }
             // Generate candidates (and their invariant fingerprints) in
-            // parallel; the per-candidate work is pure. Canonical keys are
-            // *not* computed here: the wave interner resolves re-derived
-            // classes with one short isomorphism check in its parallel
-            // shard phase and computes a canonical key (also on workers)
-            // only for genuinely new classes.
+            // parallel; the per-candidate work is pure. The wave interner
+            // resolves re-derived classes with short isomorphism checks in
+            // its parallel shard phase.
             let sources: Vec<(NodeId, Problem)> =
                 wave.iter().map(|&n| (n, self.cache.problem(n).clone())).collect();
             let cap = self.intern_cap();
@@ -871,13 +850,18 @@ impl Search {
                 }
             }
             let resolved = self.cache.intern_wave(flat, self.threads, self.shards);
+            // Goal-check the wave's new classes on the executor; the loop
+            // below only reads the memos.
+            let new: Vec<NodeId> =
+                resolved.iter().filter(|(_, back)| back.is_none()).map(|(id, _)| *id).collect();
+            self.cache.fill_zero_round(&new, self.opts.model, self.threads);
             let mut next_wave = Vec::new();
             let mut hit: Option<CycleHit> = None;
             for ((n, edge), (c, returned)) in origin.into_iter().zip(resolved) {
                 match returned {
                     None => {
-                        // A new class: goal-check it, else it joins the
-                        // pool and the next wave.
+                        // A new class: a goal if 0-round, else it joins
+                        // the pool and the next wave.
                         // The wave's classes were already committed in item
                         // order, so the k-th new item here carries the k-th
                         // freshly assigned id — meta stays in id lockstep.
@@ -945,7 +929,7 @@ impl Search {
         }
         let cap = self.intern_cap();
         // Inner Option: resource dead end. Outer (from par_map): panic.
-        type StepResult = Option<(Problem, CacheKey)>;
+        type StepResult = Option<(Problem, u64)>;
         let (computed, panics): (Vec<Option<StepResult>>, usize) =
             par_map(&todo, self.threads, |(_, p)| {
                 // The process-wide memo makes repeated searches (sweeps, bench
@@ -961,9 +945,8 @@ impl Search {
                     // end the path here.
                     return None;
                 }
-                let _sp = span(Stage::Canon);
-                let key = cache_key(&derived);
-                Some((derived, key))
+                let fp = fingerprint(&derived);
+                Some((derived, fp))
             });
         self.stats.worker_panics += panics;
         let mut computed_iter = computed.into_iter();
@@ -976,13 +959,13 @@ impl Search {
                 None => {
                     // Outer `None` is a captured worker panic, inner `None`
                     // a resource dead end; both end the path here.
-                    let Some((derived, key)) =
+                    let Some((derived, fp)) =
                         computed_iter.next().expect("one result per todo item").flatten()
                     else {
                         self.stats.step_failures += 1;
                         continue; // dead end: overflow, over-cap child, or panic
                     };
-                    let (succ, new) = self.cache.record_step(n, derived, key);
+                    let (succ, new) = self.cache.record_step(n, derived, fp);
                     if new {
                         self.meta.push(Meta { depth: depth + 1, parent: Some((n, Edge::Step)) });
                         debug_assert_eq!(self.meta.len(), self.cache.len());
@@ -1023,7 +1006,7 @@ impl Search {
         edges.push(hit.edge.clone());
         problems.push(hit.problem.clone());
         let iso_map = isomorphism(&hit.problem, &problems[cycle_start])
-            .expect("same canonical key implies isomorphic");
+            .expect("same class implies isomorphic");
         Certificate {
             direction: Direction::Lower,
             model: self.opts.model,

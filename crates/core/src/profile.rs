@@ -2,9 +2,10 @@
 //!
 //! The speedup engine and the automated bound search are dominated by a
 //! handful of stages (merge emission, componentwise closure, domination
-//! filtering, canonical keys, the relax closure). This module gives them a
-//! shared, allocation-free accounting surface: stages are a fixed enum and
-//! a [`span`] guard accounts its elapsed time to its stage on drop.
+//! filtering, isomorphism checks, the relax closure). This module gives
+//! them a shared, allocation-free accounting surface: stages are a fixed
+//! enum and a [`span`] guard accounts its elapsed time to its stage on
+//! drop.
 //!
 //! Storage lives in the `roundelim-obs` metrics registry — each stage is
 //! the histogram `stage.<name>`, so `--profile` totals, the daemon's
@@ -32,11 +33,13 @@ pub enum Stage {
     /// Domination queries against the antichain (pre-filters, installs,
     /// evictions, and the final maximality pass).
     Domination,
-    /// Canonical keys (`iso::dedup_key`) computed by the bound search.
+    /// Isomorphism checks the bound search runs against the classes in a
+    /// fingerprint bucket (the search computes no canonical keys).
     Canon,
     /// The relax/harden closure of the bound search (move generation,
-    /// sibling pruning, interning). Canonical-key time spent inside the
-    /// closure is *also* counted under [`Stage::Canon`].
+    /// sibling pruning, interning, goal checks). Isomorphism checks and
+    /// 0-round checks inside the closure are *also* counted under
+    /// [`Stage::Canon`] and [`Stage::ZeroRound`].
     RelaxClosure,
     /// `full_step` computations taken by the bound search's step stage.
     Step,

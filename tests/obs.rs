@@ -1,6 +1,6 @@
 //! End-to-end observability tests: trace determinism across single-thread
-//! re-runs, worker spans at two threads, and the `roundelim trace`
-//! read-back subcommands.
+//! re-runs, worker spans at two threads (searches and the simulator), and
+//! the `roundelim trace` read-back subcommands.
 
 use roundelim::auto::json::Json;
 use roundelim::obs::summary;
@@ -165,4 +165,40 @@ fn two_thread_traces_keep_every_worker_span() {
         .and_then(Json::as_u64)
         .expect("rounds_used");
     assert_eq!(one.get("sim.round"), Some(&rounds), "one sim.round span per round");
+}
+
+/// Runs a traced `autolb maximal-matching::3` at `threads`; returns the
+/// trace's enter count per `stage.*` span name.
+fn traced_autolb_stages(threads: &str) -> BTreeMap<String, u64> {
+    let trace = tmp(&format!("autolb-t{threads}"));
+    let out = cli()
+        .args(["autolb", "maximal-matching::3", "--steps", "6", "--beam", "6"])
+        .args(["--max-labels", "10", "--threads", threads, "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("spawn roundelim");
+    assert!(out.status.success(), "autolb failed: {}", String::from_utf8_lossy(&out.stderr));
+    let parsed = summary::parse(&std::fs::read_to_string(&trace).expect("trace written"))
+        .expect("trace parses");
+    let _ = std::fs::remove_file(&trace);
+    assert_eq!(parsed.dropped, 0);
+    summary::summarize(&parsed)
+        .spans
+        .iter()
+        .filter(|s| s.name.starts_with("stage."))
+        .map(|s| (s.name.clone(), s.count))
+        .collect()
+}
+
+#[test]
+fn autolb_stage_span_counts_match_across_threads() {
+    // At two threads the wave interner's isomorphism checks and the new
+    // classes' zero-round checks run on executor workers; every one of
+    // their spans must reach the trace.
+    let one = traced_autolb_stages("1");
+    let two = traced_autolb_stages("2");
+    assert_eq!(one, two, "stage span counts per name");
+    for name in ["stage.canon", "stage.zero-round", "stage.relax-closure", "stage.step"] {
+        assert!(one.get(name).is_some_and(|&n| n > 0), "{name}: {one:?}");
+    }
 }
