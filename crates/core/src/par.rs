@@ -18,8 +18,9 @@
 //! panicking task, never a whole chunk. [`par_map`] is the strict
 //! variant for callers whose tasks must not panic.
 //!
-//! The executor reports into the `roundelim-obs` registry: `exec.tasks`
-//! and `exec.steals` counters are always live; the `exec.worker_idle_ns`
+//! The executor reports into the `roundelim-obs` registry: `exec.tasks`,
+//! `exec.steals` and `exec.spawns` (worker threads started) counters are
+//! always live; the `exec.worker_idle_ns`
 //! histogram (per-worker wall time not spent inside tasks) records only
 //! while [`roundelim_obs::armed`] — an unobserved run never reads the
 //! clock here. Every worker drains its trace buffer before it returns, so
@@ -53,6 +54,7 @@ pub fn resolve_threads(opt: usize) -> usize {
 struct ExecMetrics {
     tasks: &'static obs::metrics::Counter,
     steals: &'static obs::metrics::Counter,
+    spawns: &'static obs::metrics::Counter,
     idle_ns: &'static obs::metrics::Histogram,
 }
 
@@ -61,6 +63,7 @@ fn exec_metrics() -> &'static ExecMetrics {
     M.get_or_init(|| ExecMetrics {
         tasks: obs::metrics::counter("exec.tasks"),
         steals: obs::metrics::counter("exec.steals"),
+        spawns: obs::metrics::counter("exec.spawns"),
         idle_ns: obs::metrics::histogram("exec.worker_idle_ns"),
     })
 }
@@ -94,6 +97,7 @@ where
         return (out, panics);
     }
     let workers = threads.min(n);
+    metrics.spawns.add(workers as u64);
     let per = n.div_ceil(workers);
     // Worker `w` owns tasks `bounds[w]..bounds[w + 1]` behind `cursors[w]`.
     let bounds: Vec<usize> = (0..=workers).map(|w| (w * per).min(n)).collect();
@@ -261,6 +265,18 @@ mod tests {
         }
         let expect: Vec<u32> = (0..100).collect();
         assert_eq!(data, expect);
+    }
+
+    #[test]
+    fn spawns_count_the_workers_of_each_call() {
+        // The registry is process-global and other tests run alongside,
+        // so only a lower bound on the delta is exact.
+        let spawns = obs::metrics::counter("exec.spawns");
+        let before = spawns.get();
+        let items: Vec<u32> = (0..100).collect();
+        par_map(&items, 3, |&x| x);
+        par_map(&items[..2], 8, |&x| x);
+        assert!(spawns.get() - before >= 5, "3 workers, then one per item");
     }
 
     #[test]

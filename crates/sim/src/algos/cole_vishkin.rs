@@ -91,9 +91,8 @@ impl Distributed for ColeVishkin {
             // Phase 2: eliminate color c = 5, 4, 3 in successive rounds.
             let c = (5 - (round - self.phase1)) as u64;
             if state.color == c {
-                let used: Vec<u64> = messages.to_vec();
                 state.color =
-                    (0..c).find(|k| !used.contains(k)).expect("degree 2 < c available colors");
+                    (0..c).find(|k| !messages.contains(k)).expect("degree 2 < c available colors");
             }
         }
     }

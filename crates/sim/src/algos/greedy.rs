@@ -129,15 +129,19 @@ impl Distributed for GreedyMis {
 #[derive(Debug, Clone, Default)]
 pub struct GreedyMatching;
 
-/// State for [`GreedyMatching`].
+/// State for [`GreedyMatching`]. Ports and the degree are `u32` so the
+/// state stays at 80 bytes with the cached proposal.
 #[derive(Debug, Clone)]
 pub struct MatchState {
     id: u64,
     neighbor_ids: Vec<u64>,
-    matched_port: Option<usize>,
+    matched_port: Option<u32>,
     /// Ports whose neighbor is known to be matched (to someone).
     neighbor_matched: Vec<bool>,
-    degree: usize,
+    /// [`GreedyMatching::proposal_port`], cached: set once the neighbor
+    /// ids arrive and kept current as neighbors become known-matched.
+    proposal: Option<u32>,
+    degree: u32,
 }
 
 /// Message: `(id, proposes_on_this_port, i_am_matched)`.
@@ -158,7 +162,8 @@ impl Distributed for GreedyMatching {
             neighbor_ids: Vec::new(),
             matched_port: None,
             neighbor_matched: vec![false; ctx.degree],
-            degree: ctx.degree,
+            proposal: None,
+            degree: ctx.degree as u32,
         }
     }
 
@@ -166,29 +171,36 @@ impl Distributed for GreedyMatching {
         if round == 0 {
             return (state.id, false, false);
         }
-        let proposes = state.matched_port.is_none() && Some(port) == self.proposal_port(state);
+        let proposes = state.matched_port.is_none() && state.proposal == Some(port as u32);
         (state.id, proposes, state.matched_port.is_some())
     }
 
     fn receive(&self, state: &mut MatchState, round: usize, messages: &[MatchMsg]) {
         if round == 0 {
             state.neighbor_ids = messages.iter().map(|&(id, _, _)| id).collect();
+            state.proposal = self.proposal_port(state);
             return;
         }
+        debug_assert_eq!(state.proposal, self.proposal_port(state), "stale proposal port");
         // Evaluate mutuality against the proposal we actually *sent* this
         // round, i.e. with the pre-update knowledge `send` used.
         if state.matched_port.is_none() {
-            if let Some(my_target) = self.proposal_port(state) {
+            if let Some(my_target) = state.proposal {
                 // Mutual proposal ⇒ matched.
-                if messages[my_target].1 {
+                if messages[my_target as usize].1 {
                     state.matched_port = Some(my_target);
                 }
             }
         }
         for (p, &(_, _, matched)) in messages.iter().enumerate() {
-            if matched && state.matched_port != Some(p) {
+            if matched && state.matched_port != Some(p as u32) {
                 state.neighbor_matched[p] = true;
             }
+        }
+        // Marking a port other than the proposal's leaves the minimum
+        // where it was; only a known-matched proposal target moves it.
+        if state.proposal.is_some_and(|q| state.neighbor_matched[q as usize]) {
+            state.proposal = self.proposal_port(state);
         }
     }
 
@@ -196,9 +208,10 @@ impl Distributed for GreedyMatching {
         let m = Label::from_index(0);
         let o = Label::from_index(1);
         let p = Label::from_index(2);
+        let degree = state.degree as usize;
         match state.matched_port {
-            Some(mp) => (0..state.degree).map(|q| if q == mp { m } else { o }).collect(),
-            None => vec![p; state.degree],
+            Some(mp) => (0..degree).map(|q| if q == mp as usize { m } else { o }).collect(),
+            None => vec![p; degree],
         }
     }
 
@@ -214,10 +227,10 @@ impl Distributed for GreedyMatching {
 impl GreedyMatching {
     /// The port an unmatched node proposes on: its smallest-ID neighbor
     /// not known to be matched.
-    fn proposal_port(&self, state: &MatchState) -> Option<usize> {
+    fn proposal_port(&self, state: &MatchState) -> Option<u32> {
         (0..state.degree)
-            .filter(|&q| !state.neighbor_matched[q])
-            .min_by_key(|&q| state.neighbor_ids[q])
+            .filter(|&q| !state.neighbor_matched[q as usize])
+            .min_by_key(|&q| state.neighbor_ids[q as usize])
     }
 }
 
@@ -261,6 +274,12 @@ mod tests {
             let p = maximal_matching(d).unwrap();
             assert!(is_valid(&p, &g, &out), "n={n}, d={d}");
         }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn match_state_stays_at_80_bytes() {
+        assert_eq!(std::mem::size_of::<MatchState>(), 80);
     }
 
     #[test]

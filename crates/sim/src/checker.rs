@@ -245,7 +245,7 @@ fn check_chunk(
             if (v as u32) < t.node {
                 report.edges_checked += 1;
                 let a = outputs.labels[off + p];
-                let b = outputs.labels[graph.port_offset(t.node_ix()) + t.port_ix()];
+                let b = outputs.labels[graph.mate(off + p)];
                 if !problem.edge_ok(a, b) {
                     report.edge_violations += 1;
                     if report.witnesses.len() < max_witnesses {

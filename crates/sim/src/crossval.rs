@@ -220,28 +220,20 @@ fn case_graph(
     }
 }
 
-/// Shuffled unique-id inputs (plus, for rings, the consistent successor
-/// orientation Cole–Vishkin needs).
-fn case_inputs(
-    spec: &CrossvalSpec,
-    graph: &PortGraph,
-    seed: u64,
-    threads: usize,
-) -> Vec<NodeInput> {
-    let ids = random_permutation(graph.node_count(), seed ^ 0x1d5_0f00d, threads);
-    let ring = spec.algorithm == "cole-vishkin";
-    par::fill_indexed(ids.len(), threads, |v| {
-        let oriented_away = if !ring {
-            Vec::new()
-        } else if v == 0 {
-            // cycle(n) port convention: node 0 reaches its successor 1
-            // through port 0; every other node reaches v + 1 through port 1.
-            vec![true, false]
-        } else {
-            vec![false, true]
-        };
-        NodeInput { id: Some(u64::from(ids[v])), color: None, oriented_away }
-    })
+/// Node `v`'s input: its shuffled unique id `ids[v]` plus, for rings, the
+/// consistent successor orientation Cole–Vishkin needs. Built on demand in
+/// the runner's `init`, so only the `u32` id permutation stays resident.
+fn case_input(spec: &CrossvalSpec, ids: &[u32], v: usize) -> NodeInput {
+    let oriented_away = if spec.algorithm != "cole-vishkin" {
+        Vec::new()
+    } else if v == 0 {
+        // cycle(n) port convention: node 0 reaches its successor 1
+        // through port 0; every other node reaches v + 1 through port 1.
+        vec![true, false]
+    } else {
+        vec![false, true]
+    };
+    NodeInput { id: Some(u64::from(ids[v])), color: None, oriented_away }
 }
 
 /// Runs the case's simulator algorithm on `threads` workers; returns flat
@@ -249,28 +241,29 @@ fn case_inputs(
 fn simulate(
     spec: &CrossvalSpec,
     graph: &PortGraph,
-    inputs: &[NodeInput],
+    ids: &[u32],
     threads: usize,
 ) -> Result<(FlatOutputs, usize), String> {
     let n = graph.node_count();
+    let input = |v| case_input(spec, ids, v);
     match spec.algorithm {
         "cole-vishkin" => {
             let algo = algos::cole_vishkin::ColeVishkin::for_n(n);
             let rounds = algos::cole_vishkin::total_rounds(n);
-            Ok(run_core(graph, inputs, &algo, rounds, false, threads))
+            Ok(run_core(graph, input, &algo, rounds, false, threads))
         }
         "weak2" => {
             let algo = algos::weak2::WeakTwoColoring::for_n(n);
             let rounds = algos::weak2::total_rounds(n);
-            Ok(run_core(graph, inputs, &algo, rounds, false, threads))
+            Ok(run_core(graph, input, &algo, rounds, false, threads))
         }
         "greedy-mis" => {
             let budget = algos::greedy::mis_rounds(n);
-            Ok(run_core(graph, inputs, &algos::greedy::GreedyMis, budget, true, threads))
+            Ok(run_core(graph, input, &algos::greedy::GreedyMis, budget, true, threads))
         }
         "greedy-matching" => {
             let budget = algos::greedy::matching_rounds(n);
-            Ok(run_core(graph, inputs, &algos::greedy::GreedyMatching, budget, true, threads))
+            Ok(run_core(graph, input, &algos::greedy::GreedyMatching, budget, true, threads))
         }
         other => Err(format!("unknown algorithm `{other}`")),
     }
@@ -297,11 +290,12 @@ fn run_case(spec: &CrossvalSpec, opts: &CrossvalOptions) -> Result<CaseResult, S
         let _span = obs::trace::span("sim.generate");
         case_graph(spec, opts.n, seed, opts.threads)?
     };
-    let inputs = {
+    let ids = {
         let _span = obs::trace::span("sim.inputs");
-        case_inputs(spec, &graph, seed, opts.threads)
+        random_permutation(graph.node_count(), seed ^ 0x1d5_0f00d, opts.threads)
     };
-    let (outputs, rounds_used) = simulate(spec, &graph, &inputs, opts.threads)?;
+    let (outputs, rounds_used) = simulate(spec, &graph, &ids, opts.threads)?;
+    drop(ids);
     let report = {
         let _span = obs::trace::span("sim.check");
         check_stream(

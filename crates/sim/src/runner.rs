@@ -17,10 +17,13 @@
 //! runs each round on the workspace executor: nodes split into contiguous
 //! chunks (whose ports are contiguous in the CSR layout), a send phase
 //! fills one flat per-port `outgoing` arena, and a receive phase gathers
-//! each chunk's inbox into a buffer the chunk keeps across rounds. Node
-//! states stay in their chunks from `init` to `output`. Each node's update
-//! reads only the round's `outgoing` arena and its own state, so outputs
-//! and round counts are bit-identical for every thread count.
+//! each chunk's inbox through the graph's mate table
+//! ([`PortGraph::mates`]) into a buffer the chunk keeps across rounds.
+//! Node states stay in their chunks from `init` to `output`; node inputs
+//! are produced on demand, once per node in `init`, and never held. Each
+//! node's update reads only the round's `outgoing` arena and its own
+//! state, so outputs and round counts are bit-identical for every thread
+//! count.
 
 use crate::graph::PortGraph;
 use crate::par;
@@ -195,7 +198,9 @@ fn send_chunk<A: Distributed>(
 }
 
 /// Gathers the chunk's inbox from `outgoing` and delivers it, a block of
-/// [`INBOX_NODES`] nodes at a time. When `check_done` is set, probes
+/// [`INBOX_NODES`] nodes at a time: the block's ports are contiguous, so
+/// the gather walks their slice of the mate table, one independent read
+/// of `outgoing` per port. When `check_done` is set, probes
 /// [`Distributed::done`] after each receive until the first node that is
 /// not done, and raises `not_done` then.
 fn receive_chunk<A: Distributed>(
@@ -210,13 +215,10 @@ fn receive_chunk<A: Distributed>(
     let Chunk { nodes, states, inbox, .. } = chunk;
     for (start, states) in nodes.clone().step_by(INBOX_NODES).zip(states.chunks_mut(INBOX_NODES)) {
         let block = start..start + states.len();
-        inbox.clear();
-        for v in block.clone() {
-            for t in graph.ports(v) {
-                inbox.push(outgoing[graph.port_offset(t.node_ix()) + t.port_ix()].clone());
-            }
-        }
         let base = graph.port_offset(start);
+        let mates = &graph.mates()[base..graph.port_offset(block.end)];
+        inbox.clear();
+        inbox.extend(mates.iter().map(|&j| outgoing[j as usize].clone()));
         for (v, state) in block.zip(states) {
             let lo = graph.port_offset(v) - base;
             algo.receive(state, round, &inbox[lo..lo + graph.degree(v)]);
@@ -229,16 +231,17 @@ fn receive_chunk<A: Distributed>(
 }
 
 /// Shared synchronous core on `threads` executor workers: one flat
-/// outgoing arena, per-chunk inboxes, optional early stop.
+/// outgoing arena, per-chunk inboxes, optional early stop. `input(v)` is
+/// called once per node, in `init`, so no input outlives its node's
+/// initialization.
 pub(crate) fn run_core<A: Distributed>(
     graph: &PortGraph,
-    inputs: &[NodeInput],
+    input: impl Fn(usize) -> NodeInput + Sync,
     algo: &A,
     max_rounds: usize,
     adaptive: bool,
     threads: usize,
 ) -> (FlatOutputs, usize) {
-    assert_eq!(inputs.len(), graph.node_count(), "one input per node");
     let _run_span = obs::trace::span("sim.run");
     let n = graph.node_count();
     let delta = graph.max_degree();
@@ -251,7 +254,7 @@ pub(crate) fn run_core<A: Distributed>(
     let mut chunks: Vec<Chunk<A>> = each(node_ranges(n, threads), threads, |nodes| {
         let states: Vec<A::State> = nodes
             .clone()
-            .map(|v| algo.init(&NodeCtx { n, delta, degree: graph.degree(v), input: &inputs[v] }))
+            .map(|v| algo.init(&NodeCtx { n, delta, degree: graph.degree(v), input: &input(v) }))
             .collect();
         if probe() && !states.iter().all(|s| algo.done(s)) {
             not_done.store(true, Ordering::Relaxed);
@@ -341,7 +344,8 @@ pub fn run_flat<A: Distributed>(
     algo: &A,
     rounds: usize,
 ) -> FlatOutputs {
-    run_core(graph, inputs, algo, rounds, false, par::resolve_threads(0)).0
+    assert_eq!(inputs.len(), graph.node_count(), "one input per node");
+    run_core(graph, |v| inputs[v].clone(), algo, rounds, false, par::resolve_threads(0)).0
 }
 
 /// Runs `algo` for at most `max_rounds` rounds, stopping as soon as every
@@ -358,7 +362,8 @@ pub fn run_adaptive<A: Distributed>(
     algo: &A,
     max_rounds: usize,
 ) -> (FlatOutputs, usize) {
-    run_core(graph, inputs, algo, max_rounds, true, par::resolve_threads(0))
+    assert_eq!(inputs.len(), graph.node_count(), "one input per node");
+    run_core(graph, |v| inputs[v].clone(), algo, max_rounds, true, par::resolve_threads(0))
 }
 
 /// Builds default (empty) inputs for a graph.
@@ -446,55 +451,138 @@ mod tests {
         assert_eq!(capped, 2);
     }
 
-    /// Runs `algo` at threads {1, 2, 4, 7} and asserts bit-identical
-    /// outputs and round counts; returns the rounds used.
-    fn thread_invariant_rounds<A: Distributed>(
+    /// The naive sequential runner `run_core` must agree with: per-node
+    /// outboxes, and per-node inboxes gathered by following
+    /// [`PortGraph::neighbor`] — no chunks, no flat arenas, no mate table.
+    fn reference_run<A: Distributed>(
+        g: &PortGraph,
+        inputs: &[NodeInput],
+        algo: &A,
+        max_rounds: usize,
+        adaptive: bool,
+    ) -> (FlatOutputs, usize) {
+        let (n, delta) = (g.node_count(), g.max_degree());
+        let mut states: Vec<A::State> = (0..n)
+            .map(|v| algo.init(&NodeCtx { n, delta, degree: g.degree(v), input: &inputs[v] }))
+            .collect();
+        let mut rounds_used = 0;
+        for round in 0..max_rounds {
+            if adaptive && states.iter().all(|s| algo.done(s)) {
+                break;
+            }
+            let outboxes: Vec<Vec<A::Message>> = (0..n)
+                .map(|v| (0..g.degree(v)).map(|p| algo.send(&states[v], round, p)).collect())
+                .collect();
+            for (v, state) in states.iter_mut().enumerate() {
+                let inbox: Vec<A::Message> = (0..g.degree(v))
+                    .map(|p| {
+                        let t = g.neighbor(v, p);
+                        outboxes[t.node_ix()][t.port_ix()].clone()
+                    })
+                    .collect();
+                algo.receive(state, round, &inbox);
+            }
+            rounds_used = round + 1;
+        }
+        let rows: Vec<Vec<Label>> = states.iter().map(|s| algo.output(s)).collect();
+        (FlatOutputs::from_rows(g, &rows), rounds_used)
+    }
+
+    /// Runs `algo` through `run_core` at threads {1, 2, 4} and asserts
+    /// outputs and round counts equal the reference runner's; returns the
+    /// rounds used.
+    fn matches_reference<A: Distributed>(
         g: &PortGraph,
         inputs: &[NodeInput],
         algo: &A,
         rounds: usize,
         adaptive: bool,
     ) -> usize {
-        let one = run_core(g, inputs, algo, rounds, adaptive, 1);
-        for threads in [2, 4, 7] {
-            assert!(node_ranges(g.node_count(), threads).len() > 1, "the run is chunked");
-            let many = run_core(g, inputs, algo, rounds, adaptive, threads);
-            assert!(many == one, "threads={threads} diverged from threads=1");
+        let expect = reference_run(g, inputs, algo, rounds, adaptive);
+        for threads in [1, 2, 4] {
+            assert_eq!(node_ranges(g.node_count(), threads).len() > 1, threads > 1);
+            let got = run_core(g, |v| inputs[v].clone(), algo, rounds, adaptive, threads);
+            assert!(got == expect, "threads={threads} diverged from the reference runner");
         }
-        one.1
+        expect.1
     }
 
-    #[test]
-    fn runs_are_thread_invariant_on_chunked_graphs() {
+    /// Runs Cole–Vishkin on the oriented ring `ring` (node `v`'s successor
+    /// port is `successor(v)`) and weak 2-coloring, greedy MIS and greedy
+    /// matching on the cubic graph `g`, each against the reference.
+    fn all_algorithms_match_reference(
+        ring: &PortGraph,
+        successor: impl Fn(usize) -> usize,
+        g: &PortGraph,
+    ) {
         use crate::algos::{cole_vishkin, greedy, weak2};
-        use crate::generate::{random_permutation, random_regular_seeded};
-        let n = 1 << 16;
+        use crate::generate::random_permutation;
+        let n = g.node_count();
         let ids = random_permutation(n, 5, 0);
+        let id_input = |v: usize| NodeInput { id: Some(u64::from(ids[v])), ..NodeInput::default() };
         let ring_inputs: Vec<NodeInput> = (0..n)
             .map(|v| NodeInput {
-                id: Some(u64::from(ids[v])),
-                color: None,
-                // cycle(n): node 0 reaches its successor through port 0,
-                // every other node through port 1.
-                oriented_away: vec![v == 0, v != 0],
+                oriented_away: (0..2).map(|p| p == successor(v)).collect(),
+                ..id_input(v)
             })
             .collect();
         let cv = cole_vishkin::ColeVishkin::for_n(n);
         let rounds = cole_vishkin::total_rounds(n);
-        assert_eq!(thread_invariant_rounds(&cycle(n), &ring_inputs, &cv, rounds, false), rounds);
+        assert_eq!(matches_reference(ring, &ring_inputs, &cv, rounds, false), rounds);
 
-        let g = random_regular_seeded(n, 3, 64, 11, 0).expect("a cubic graph");
-        let inputs: Vec<NodeInput> = (0..n)
-            .map(|v| NodeInput { id: Some(u64::from(ids[v])), ..NodeInput::default() })
-            .collect();
+        let inputs: Vec<NodeInput> = (0..n).map(id_input).collect();
         let weak = weak2::WeakTwoColoring::for_n(n);
         let rounds = weak2::total_rounds(n);
-        assert_eq!(thread_invariant_rounds(&g, &inputs, &weak, rounds, false), rounds);
+        assert_eq!(matches_reference(g, &inputs, &weak, rounds, false), rounds);
         // The greedy algorithms stop early, far below their budgets.
         let budget = greedy::mis_rounds(n);
-        assert!(thread_invariant_rounds(&g, &inputs, &greedy::GreedyMis, budget, true) < 64);
+        assert!(matches_reference(g, &inputs, &greedy::GreedyMis, budget, true) < 64);
         let budget = greedy::matching_rounds(n);
-        assert!(thread_invariant_rounds(&g, &inputs, &greedy::GreedyMatching, budget, true) < 64);
+        assert!(matches_reference(g, &inputs, &greedy::GreedyMatching, budget, true) < 64);
+    }
+
+    #[test]
+    fn runs_are_thread_invariant_on_chunked_graphs() {
+        use crate::generate::random_regular_seeded;
+        let n = 1 << 16;
+        let g = random_regular_seeded(n, 3, 64, 11, 0).expect("a cubic graph");
+        // cycle(n): node 0 reaches its successor through port 0, every
+        // other node through port 1.
+        all_algorithms_match_reference(&cycle(n), |v| usize::from(v != 0), &g);
+    }
+
+    #[test]
+    fn runs_match_the_reference_on_port_permuted_graphs() {
+        use crate::generate::random_regular_seeded;
+        // A pseudorandom permutation (new port → old port) per node.
+        let shuffle = |g: &PortGraph, seed: u64| -> Vec<Vec<usize>> {
+            (0..g.node_count())
+                .map(|v| {
+                    let mut state = seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let mut perm: Vec<usize> = (0..g.degree(v)).collect();
+                    for i in (1..perm.len()).rev() {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                        perm.swap(i, (state >> 33) as usize % (i + 1));
+                    }
+                    perm
+                })
+                .collect()
+        };
+        let n = 1 << 16;
+        let ring = cycle(n);
+        let ring_perms = shuffle(&ring, 3);
+        let g = random_regular_seeded(n, 3, 64, 11, 0).expect("a cubic graph");
+        // The successor keeps its edge; its port is wherever the
+        // permutation moved the old successor port.
+        let successor = |v: usize| {
+            let old = usize::from(v != 0);
+            ring_perms[v].iter().position(|&p| p == old).expect("a permutation")
+        };
+        all_algorithms_match_reference(
+            &ring.with_port_permutations(&ring_perms),
+            successor,
+            &g.with_port_permutations(&shuffle(&g, 4)),
+        );
     }
 
     #[test]

@@ -312,7 +312,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use roundelim::sim::checker::{check, check_stream, CheckOptions, Violation};
-use roundelim::sim::generate::random_regular_seeded;
+use roundelim::sim::generate::{cycle, random_regular_seeded, regular_tree};
 use roundelim::sim::graph::PortGraph;
 use roundelim::sim::runner::FlatOutputs;
 
@@ -403,6 +403,41 @@ fn lcg_rows(g: &PortGraph, n_labels: usize, seed: u64) -> Vec<Vec<Label>> {
         .collect()
 }
 
+/// A random port permutation per node (new port → old port), derived
+/// from an LCG.
+fn lcg_perms(g: &PortGraph, seed: u64) -> Vec<Vec<usize>> {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 33) as usize
+    };
+    (0..g.node_count())
+        .map(|v| {
+            let mut perm: Vec<usize> = (0..g.degree(v)).collect();
+            for i in (1..perm.len()).rev() {
+                perm.swap(i, next() % (i + 1));
+            }
+            perm
+        })
+        .collect()
+}
+
+/// The mate table pairs every port with the other end of its edge: an
+/// involution without fixed points that agrees with the port targets.
+fn check_mates(g: &PortGraph) -> Result<(), TestCaseError> {
+    prop_assert_eq!(g.mates().len(), g.total_ports());
+    for i in 0..g.total_ports() {
+        prop_assert_ne!(g.mate(i), i);
+        prop_assert_eq!(g.mate(g.mate(i)), i);
+    }
+    for v in 0..g.node_count() {
+        for (p, t) in g.ports(v).iter().enumerate() {
+            prop_assert_eq!(g.mate(g.port_offset(v) + p), g.port_offset(t.node_ix()) + t.port_ix());
+        }
+    }
+    Ok(())
+}
+
 /// Count `check()` violations by the categories the streaming report keeps.
 fn categorize(violations: &[Violation]) -> (u64, u64, u64) {
     let mut counts = (0u64, 0u64, 0u64);
@@ -489,21 +524,7 @@ proptest! {
     ) {
         let g = PortGraph::from_edges(n, &edges).expect("valid simple graph");
         let rows = lcg_rows(&g, p.alphabet().len(), seed);
-        let mut state = seed ^ 0x9E3779B97F4A7C15;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as usize
-        };
-        // A random permutation per node (new port → old port).
-        let perms: Vec<Vec<usize>> = (0..n)
-            .map(|v| {
-                let mut perm: Vec<usize> = (0..g.degree(v)).collect();
-                for i in (1..perm.len()).rev() {
-                    perm.swap(i, next() % (i + 1));
-                }
-                perm
-            })
-            .collect();
+        let perms = lcg_perms(&g, seed ^ 0x9E3779B97F4A7C15);
         let g2 = g.with_port_permutations(&perms);
         let rows2: Vec<Vec<Label>> = perms
             .iter()
@@ -519,6 +540,33 @@ proptest! {
             (base.degree_violations, base.node_violations, base.edge_violations),
             (permuted.degree_violations, permuted.node_violations, permuted.edge_violations)
         );
+    }
+
+    /// Every constructor builds a consistent mate table: edge lists,
+    /// rings, regular trees, seeded random-regular graphs (the partner
+    /// table path for even `n`, the stub path for odd `n`), and their port
+    /// permutations.
+    #[test]
+    fn mate_table_matches_port_targets(
+        (n, edges) in arb_edge_list(),
+        ring in 3usize..=40,
+        (depth, branching) in (0usize..=4, 2usize..=4),
+        (half, d, seed) in (4usize..=24, 1usize..=5, any::<u64>()),
+    ) {
+        let mut graphs = vec![
+            PortGraph::from_edges(n, &edges).expect("valid simple graph"),
+            cycle(ring),
+            regular_tree(depth, branching),
+        ];
+        // Odd n needs an even degree.
+        let sizes = if d % 2 == 0 { vec![2 * half, 2 * half + 1] } else { vec![2 * half] };
+        for n in sizes {
+            graphs.extend(random_regular_seeded(n, d, 64, seed, 1));
+        }
+        for g in graphs {
+            check_mates(&g)?;
+            check_mates(&g.with_port_permutations(&lcg_perms(&g, seed)))?;
+        }
     }
 
     /// Seeded random-regular generation is a pure function of the seed:
