@@ -159,9 +159,10 @@ impl PortGraph {
             let (v, m) = (i / d, i % d);
             PortTarget { node: partners[m * n + v], port: m as u32 }
         });
+        // Every node's port offset is `node · d`, so the mates follow from
+        // `targets` in one sequential read.
         let mates = crate::par::fill_indexed(n * d, threads, |i| {
-            let (v, m) = (i / d, i % d);
-            (partners[m * n + v] as usize * d + m) as u32
+            targets[i].node * d as u32 + targets[i].port
         });
         Some(PortGraph { offsets, targets, mates })
     }

@@ -488,9 +488,10 @@ mod tests {
         (FlatOutputs::from_rows(g, &rows), rounds_used)
     }
 
-    /// Runs `algo` through `run_core` at threads {1, 2, 4} and asserts
+    /// Runs `algo` through `run_core` at threads {1, 2, 4, 7} and asserts
     /// outputs and round counts equal the reference runner's; returns the
-    /// rounds used.
+    /// rounds used. Seven workers do not divide the chunk count, so one
+    /// worker's range is empty and the others steal.
     fn matches_reference<A: Distributed>(
         g: &PortGraph,
         inputs: &[NodeInput],
@@ -499,7 +500,7 @@ mod tests {
         adaptive: bool,
     ) -> usize {
         let expect = reference_run(g, inputs, algo, rounds, adaptive);
-        for threads in [1, 2, 4] {
+        for threads in [1, 2, 4, 7] {
             assert_eq!(node_ranges(g.node_count(), threads).len() > 1, threads > 1);
             let got = run_core(g, |v| inputs[v].clone(), algo, rounds, adaptive, threads);
             assert!(got == expect, "threads={threads} diverged from the reference runner");
