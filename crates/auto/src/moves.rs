@@ -318,10 +318,16 @@ fn swap_is_automorphism(p: &Problem, a: usize, b: usize) -> bool {
             l
         }
     };
-    let invariant = |c: &roundelim_core::constraint::Constraint| {
-        c.iter()
-            .filter(|cfg| cfg.contains(la) || cfg.contains(lb))
-            .all(|cfg| c.contains(&cfg.map(swap)))
+    // One reused image buffer: the swapped configuration, sorted, probes
+    // the constraint by slice.
+    let mut image: Vec<Label> = Vec::with_capacity(p.delta());
+    let mut invariant = |c: &roundelim_core::constraint::Constraint| {
+        c.iter().filter(|cfg| cfg.contains(la) || cfg.contains(lb)).all(|cfg| {
+            image.clear();
+            image.extend(cfg.labels().iter().map(|&l| swap(l)));
+            image.sort_unstable();
+            c.contains_slice(&image)
+        })
     };
     invariant(p.node()) && invariant(p.edge())
 }

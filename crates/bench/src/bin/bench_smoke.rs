@@ -21,6 +21,11 @@
 //!   probes disarmed (param 0; must stay within 2% + 250 µs of the bare
 //!   E3/9 number measured in the same run) and with a trace actively
 //!   recording (param 1, the armed cost: clock reads + event buffering)
+//! * `K1_search_kernels`     — the search's per-class kernels, ns per
+//!   call over a fixed candidate set (the relax candidates of
+//!   coloring:3:3 and of its first speedup step): param 0
+//!   `iso::fingerprint`, 1 `iso::isomorphism` against a label-reversed
+//!   copy, 2 `zero_round::zero_round_oriented`
 //! * `S1_generate_regular`   — seeded random Δ-regular graph at n = 10⁵,
 //!   Δ = 3, 4 (single worker: the CSR build + matching-union hot path)
 //! * `S2_stream_check`       — streaming checker over a valid 2-coloring
@@ -36,10 +41,14 @@
 //! statistics job. Set `BENCH_SMOKE_OUT` to change the output path.
 
 use roundelim_auto::certificate::Direction;
+use roundelim_auto::moves::relax_moves;
 use roundelim_auto::search::{autolb, SearchOptions, Verdict};
 use roundelim_bench::{calibrate_iters, measure, to_json, Measurement};
-use roundelim_core::label::Label;
+use roundelim_core::iso::{fingerprint, isomorphism};
+use roundelim_core::label::{Alphabet, Label};
+use roundelim_core::problem::Problem;
 use roundelim_core::speedup::{full_step, half_step_edge};
+use roundelim_core::zero_round::zero_round_oriented;
 use roundelim_daemon::ProofStore;
 use roundelim_problems::coloring::coloring;
 use roundelim_problems::sinkless::{sinkless_coloring, sinkless_orientation};
@@ -59,6 +68,34 @@ fn case(out: &mut Vec<Measurement>, family: &str, param: usize, mut f: impl FnMu
     let median_ns = measure(SAMPLES, iters, &mut f);
     println!("bench-smoke {family}/{param}: {median_ns} ns/iter ({iters} iters)");
     out.push(Measurement { family: family.to_owned(), param, median_ns, iters });
+}
+
+/// Like [`case`], but each iteration runs `f` over all of `items` and the
+/// recorded figure is per item (per call).
+fn case_per_item<T>(
+    out: &mut Vec<Measurement>,
+    family: &str,
+    param: usize,
+    items: &[T],
+    mut f: impl FnMut(&T),
+) {
+    let mut all = || items.iter().for_each(&mut f);
+    let iters = calibrate_iters(BUDGET_NS, &mut all);
+    let median_ns = measure(SAMPLES, iters, &mut all) / items.len() as u64;
+    let calls = iters * items.len() as u32;
+    println!("bench-smoke {family}/{param}: {median_ns} ns/call ({calls} calls)");
+    out.push(Measurement { family: family.to_owned(), param, median_ns, iters: calls });
+}
+
+/// `p` with label `l` renamed to `n - 1 - l`: isomorphic to `p`, with the
+/// label order (and so every configuration's sorted form) scrambled.
+fn reversed(p: &Problem) -> Problem {
+    let n = p.alphabet().len();
+    let flip = |l: Label| Label::from_index(n - 1 - l.index());
+    let names = (0..n).map(|i| p.alphabet().name(flip(Label::from_index(i))).to_owned());
+    let alphabet = Alphabet::from_names(names).expect("distinct names stay distinct");
+    Problem::new(p.name(), alphabet, p.node().map_labels(flip), p.edge().map_labels(flip))
+        .expect("a renaming keeps the problem well formed")
 }
 
 fn main() {
@@ -121,6 +158,28 @@ fn main() {
         });
         roundelim_obs::trace::finish().expect("finish the O1 trace");
         let _ = std::fs::remove_file(&trace_path);
+    }
+
+    // The three kernels every search class pays for (fingerprint interning,
+    // fixed-point isomorphism checks, 0-round goal checks), on the problems
+    // a coloring:3:3 search actually meets at its first two depths.
+    {
+        let c33 = coloring(3, 3).expect("valid k");
+        let step = full_step(&c33).expect("no overflow");
+        let candidates: Vec<Problem> = [&c33, step.problem()]
+            .into_iter()
+            .flat_map(|p| relax_moves(p).into_iter().map(|mv| mv.result))
+            .collect();
+        case_per_item(&mut results, "K1_search_kernels", 0, &candidates, |p| {
+            black_box(fingerprint(p));
+        });
+        let pairs: Vec<(&Problem, Problem)> = candidates.iter().map(|p| (p, reversed(p))).collect();
+        case_per_item(&mut results, "K1_search_kernels", 1, &pairs, |(p, q)| {
+            assert!(black_box(isomorphism(p, q)).is_some(), "a renamed copy is isomorphic");
+        });
+        case_per_item(&mut results, "K1_search_kernels", 2, &candidates, |p| {
+            black_box(zero_round_oriented(p));
+        });
     }
 
     // The autolb hot path end to end: search (cache + relax closure +

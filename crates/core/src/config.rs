@@ -9,6 +9,7 @@
 use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A multiset of labels (one configuration of a constraint).
@@ -131,6 +132,16 @@ impl Config {
             }
         }
         Ok(())
+    }
+}
+
+/// A configuration borrows as its sorted label slice, so ordered and hashed
+/// sets of configurations can be probed with a sorted `&[Label]` without
+/// building a `Config`. The derived `Ord`, `Eq` and `Hash` of `Config`
+/// are those of its label vector, which agree with the slice's.
+impl Borrow<[Label]> for Config {
+    fn borrow(&self) -> &[Label] {
+        &self.labels
     }
 }
 

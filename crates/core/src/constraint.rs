@@ -130,6 +130,14 @@ impl Constraint {
         self.configs.contains(cfg)
     }
 
+    /// Membership test of an already-sorted label slice against the
+    /// ordered set itself: no allocation and, unlike
+    /// [`Constraint::contains_sorted`], no trie built or cached on `self`.
+    pub fn contains_slice(&self, labels: &[Label]) -> bool {
+        debug_assert!(labels.windows(2).all(|w| w[0] <= w[1]), "labels must be sorted");
+        self.configs.contains(labels)
+    }
+
     /// Membership test of an already-sorted label slice via the cached
     /// trie index: no allocation, no per-probe `Config` construction.
     ///

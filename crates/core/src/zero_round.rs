@@ -56,9 +56,18 @@ pub struct ZeroRoundWitness {
 /// ```
 pub fn zero_round_pn(p: &Problem) -> Option<ZeroRoundWitness> {
     'cfg: for cfg in p.node().iter() {
-        let support: Vec<Label> = cfg.support().iter().collect();
-        for (i, &a) in support.iter().enumerate() {
-            for &b in &support[i..] {
+        // Every unordered pair of the support, walked over the sorted
+        // labels in place: `a` skips repeats, and `b` starts at `a`'s
+        // position so the pair {a, a} is checked too.
+        let labels = cfg.labels();
+        for (i, &a) in labels.iter().enumerate() {
+            if i > 0 && labels[i - 1] == a {
+                continue;
+            }
+            for (j, &b) in labels.iter().enumerate().skip(i) {
+                if j > i && labels[j - 1] == b {
+                    continue;
+                }
                 if !p.edge_ok(a, b) {
                     continue 'cfg;
                 }
@@ -98,121 +107,186 @@ pub struct OrientedZeroRoundWitness {
 /// precomputed edge-compatibility rows. The automated bound search runs
 /// this decider on every new canonical class, so it sits on the autolb
 /// hot path.
+///
+/// # Panics
+///
+/// Panics if Δ exceeds 64: splits are `u64` position masks.
 pub fn zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
     let delta = p.delta();
+    assert!(
+        delta <= MAX_SPLIT_ARITY,
+        "zero_round_oriented supports Δ ≤ {MAX_SPLIT_ARITY}, got Δ = {delta}"
+    );
     let n = p.alphabet().len();
     // Per-label edge-compatibility rows: every cross condition reduces to
     // bitset subset tests against these.
     let row = p.edge_rows();
-    // cl(S) = labels compatible with every label of S.
-    let cl = |s: &LabelSet| -> LabelSet {
-        let mut out = LabelSet::first_n(n);
-        for l in s.iter() {
-            out = out.intersection(&row[l.index()]);
-        }
-        out
-    };
 
     // Candidate views per indegree. Correctness depends only on the label
     // *supports* of a view (the adversary wires ports by label, not by
     // multiplicity), so splits are deduplicated by their (in, out) support
-    // pair — one representative multiset is kept for the witness — and
-    // Pareto-pruned: a view whose supports contain another view's supports
-    // imposes strictly more cross constraints and can never help. The old
-    // decider backtracked over every multiset split of every configuration,
-    // which made 0-round checks the dominant cost of the automated bound
-    // search on derived problems.
-    let mut options: Vec<Vec<View>> = Vec::with_capacity(delta + 1);
-    let mut splits: Vec<(Vec<Label>, Vec<Label>)> = Vec::new();
+    // pair — the first split seen keeps its configuration and position
+    // mask for the witness — and Pareto-pruned: a view whose supports
+    // contain another view's supports imposes strictly more cross
+    // constraints and can never help. Only canonical masks are visited
+    // (one per distinct multiset split, see [`canonical_splits`]), in the
+    // lexicographic order of their positions, so the first split seen per
+    // support pair is the one a plain k-subset enumeration sees first.
+    let mut options: Vec<Vec<View<(&Config, u64)>>> = Vec::with_capacity(delta + 1);
     for k in 0..=delta {
-        splits.clear();
+        let mut views = Vec::new();
         for cfg in p.node().iter() {
-            splits_of(cfg, k, &mut splits);
+            let labels = cfg.labels();
+            canonical_splits(labels, k, &mut |mask| {
+                let mut ins_set = LabelSet::empty();
+                let mut outs_set = LabelSet::empty();
+                for (i, &l) in labels.iter().enumerate() {
+                    if mask >> i & 1 == 1 {
+                        ins_set.insert(l);
+                    } else {
+                        outs_set.insert(l);
+                    }
+                }
+                push_view(&mut views, ins_set, outs_set, (cfg, mask), &row, n);
+            });
         }
-        let mut views: Vec<View> = Vec::new();
-        for (ins, outs) in splits.drain(..) {
-            let ins_set = LabelSet::from_labels(ins.iter().copied());
-            let outs_set = LabelSet::from_labels(outs.iter().copied());
-            if views.iter().any(|v| v.ins_set == ins_set && v.outs_set == outs_set) {
-                continue;
-            }
-            let cl_out = cl(&outs_set);
-            // Self cross condition: any out-port may face any in-port of
-            // the same view (the adversary can pair a node with a copy of
-            // itself).
-            if !ins_set.is_subset(&cl_out) {
-                continue;
-            }
-            views.push(View { ins_set, outs_set, cl_out, ins, outs });
-        }
-        // Pareto prune (quadratic in the deduplicated view count); ties on
-        // equal support pairs cannot occur after the dedup above.
-        let dominated: Vec<bool> = (0..views.len())
-            .map(|i| {
-                views.iter().enumerate().any(|(j, w)| {
-                    j != i
-                        && w.ins_set.is_subset(&views[i].ins_set)
-                        && w.outs_set.is_subset(&views[i].outs_set)
-                })
-            })
-            .collect();
-        let mut it = dominated.iter();
-        views.retain(|_| !*it.next().expect("one flag per view"));
+        prune_dominated(&mut views);
         if views.is_empty() {
             return None;
         }
         options.push(views);
     }
+    let chosen = choose_views(&options, n)?;
+    let plans = chosen
+        .iter()
+        .enumerate()
+        .map(|(k, &ix)| {
+            let (cfg, mask) = options[k][ix].split;
+            split_at_mask(cfg.labels(), mask)
+        })
+        .collect();
+    Some(OrientedZeroRoundWitness { plans })
+}
 
-    // Choose one view per indegree. The only global state that matters is
-    // `(ins_all, cap_in)`: the union of chosen in-supports and the set of
-    // labels still usable on in-ports (compatible with every chosen
-    // out-label). Adding a view requires `ins_all ⊆ cl(view.outs)` and
-    // `view.ins ⊆ cap_in`; failed states are memoized, which turns the
-    // exponential split search into a walk over distinct set pairs.
-    let mut order: Vec<usize> = (0..=delta).collect();
-    order.sort_by_key(|&k| options[k].len());
-    let mut chosen: Vec<usize> = vec![usize::MAX; delta + 1];
-    let mut failed: std::collections::HashSet<(usize, LabelSet, LabelSet)> =
-        std::collections::HashSet::new();
-    if choose(
-        &options,
-        &order,
-        0,
-        LabelSet::empty(),
-        LabelSet::first_n(n),
-        &mut chosen,
-        &mut failed,
-    ) {
-        let plans = chosen
-            .iter()
-            .enumerate()
-            .map(|(k, &ix)| (options[k][ix].ins.clone(), options[k][ix].outs.clone()))
-            .collect();
-        return Some(OrientedZeroRoundWitness { plans });
+/// The `(in-port, out-port)` label multisets of the split whose in-port
+/// positions are the set bits of `mask`.
+fn split_at_mask(labels: &[Label], mask: u64) -> (Vec<Label>, Vec<Label>) {
+    let in_port = |i: usize| mask >> i & 1 == 1;
+    let pick = |keep: bool| {
+        labels.iter().enumerate().filter(|&(i, _)| in_port(i) == keep).map(|(_, &l)| l).collect()
+    };
+    (pick(true), pick(false))
+}
+
+/// Largest node arity [`zero_round_oriented`] handles: a split is a `u64`
+/// mask of in-port positions.
+const MAX_SPLIT_ARITY: usize = u64::BITS as usize;
+
+/// Calls `f` with the position mask of every *canonical* `k`-subset of
+/// `labels` (sorted), in the lexicographic order of the subsets' sorted
+/// positions. A subset is canonical when, within every run of equal
+/// labels, its positions are a prefix of the run: each distinct
+/// `(in, out)` multiset split has exactly one canonical mask, and it is
+/// the split's lexicographically first subset. A non-canonical choice is
+/// cut where it is made — a run-continuing position whose predecessor is
+/// left out — since no completion of it is canonical.
+fn canonical_splits(labels: &[Label], k: usize, f: &mut impl FnMut(u64)) {
+    fn rec(labels: &[Label], k: usize, from: usize, mask: u64, f: &mut impl FnMut(u64)) {
+        if k == 0 {
+            f(mask);
+            return;
+        }
+        for i in from..=labels.len() - k {
+            if i > from && labels[i - 1] == labels[i] {
+                // Position `i - 1`, of the same run, stays out while `i`
+                // would go in.
+                continue;
+            }
+            rec(labels, k - 1, i + 1, mask | 1 << i, f);
+        }
     }
-    None
+    if k <= labels.len() {
+        rec(labels, k, 0, 0, f);
+    }
 }
 
 /// One candidate 0-round view: a split of a node configuration into
 /// in-port and out-port labels, reduced to the sets the search needs.
-struct View {
+/// `S` identifies the split itself, for the witness.
+struct View<S> {
     /// Support of the in-port labels.
     ins_set: LabelSet,
     /// Support of the out-port labels.
     outs_set: LabelSet,
     /// Labels compatible with every out-label of this view.
     cl_out: LabelSet,
-    /// Representative in-port multiset (for the witness).
-    ins: Vec<Label>,
-    /// Representative out-port multiset (for the witness).
-    outs: Vec<Label>,
+    /// The split this view stands for.
+    split: S,
 }
 
-/// Backtracking view choice for [`zero_round_oriented`], with failure
+/// Appends the view of one split unless an earlier view has the same
+/// support pair or the split fails the self cross condition: any out-port
+/// may face any in-port of the same view (the adversary can pair a node
+/// with a copy of itself).
+fn push_view<S>(
+    views: &mut Vec<View<S>>,
+    ins_set: LabelSet,
+    outs_set: LabelSet,
+    split: S,
+    row: &[LabelSet],
+    n: usize,
+) {
+    if views.iter().any(|v| v.ins_set == ins_set && v.outs_set == outs_set) {
+        return;
+    }
+    // cl(outs) = labels compatible with every out-label.
+    let mut cl_out = LabelSet::first_n(n);
+    for l in outs_set.iter() {
+        cl_out = cl_out.intersection(&row[l.index()]);
+    }
+    if ins_set.is_subset(&cl_out) {
+        views.push(View { ins_set, outs_set, cl_out, split });
+    }
+}
+
+/// Drops every view whose supports contain another view's (quadratic in
+/// the deduplicated view count); ties on equal support pairs cannot occur
+/// after [`push_view`]'s dedup.
+fn prune_dominated<S>(views: &mut Vec<View<S>>) {
+    let dominated: Vec<bool> = (0..views.len())
+        .map(|i| {
+            views.iter().enumerate().any(|(j, w)| {
+                j != i
+                    && w.ins_set.is_subset(&views[i].ins_set)
+                    && w.outs_set.is_subset(&views[i].outs_set)
+            })
+        })
+        .collect();
+    let mut it = dominated.iter();
+    views.retain(|_| !*it.next().expect("one flag per view"));
+}
+
+/// Chooses one view per indegree (`options[k]`), returning the chosen
+/// indices. The only global state that matters is `(ins_all, cap_in)`:
+/// the union of chosen in-supports and the set of labels still usable on
+/// in-ports (compatible with every chosen out-label). Adding a view
+/// requires `ins_all ⊆ cl(view.outs)` and `view.ins ⊆ cap_in`; failed
+/// states are memoized, which turns the exponential split search into a
+/// walk over distinct set pairs.
+fn choose_views<S>(options: &[Vec<View<S>>], n: usize) -> Option<Vec<usize>> {
+    let mut order: Vec<usize> = (0..options.len()).collect();
+    order.sort_by_key(|&k| options[k].len());
+    let mut chosen: Vec<usize> = vec![usize::MAX; options.len()];
+    let mut failed: std::collections::HashSet<(usize, LabelSet, LabelSet)> =
+        std::collections::HashSet::new();
+    choose(options, &order, 0, LabelSet::empty(), LabelSet::first_n(n), &mut chosen, &mut failed)
+        .then_some(chosen)
+}
+
+/// Backtracking view choice for [`choose_views`], with failure
 /// memoization on the `(level, ins_all, cap_in)` state.
-fn choose(
-    options: &[Vec<View>],
+fn choose<S>(
+    options: &[Vec<View<S>>],
     order: &[usize],
     level: usize,
     ins_all: LabelSet,
@@ -242,61 +316,134 @@ fn choose(
     false
 }
 
-fn splits_of(cfg: &Config, k: usize, out: &mut Vec<(Vec<Label>, Vec<Label>)>) {
-    let labels = cfg.labels();
-    let n = labels.len();
-    if k > n {
-        return;
-    }
-    // Enumerate k-subsets of positions; dedupe identical splits.
-    let mut seen = std::collections::HashSet::new();
-    let mut idx: Vec<usize> = (0..k).collect();
-    loop {
-        let mut ins = Vec::with_capacity(k);
-        let mut outs = Vec::with_capacity(n - k);
-        let mut which = vec![false; n];
-        for &i in &idx {
-            which[i] = true;
-        }
-        for i in 0..n {
-            if which[i] {
-                ins.push(labels[i]);
-            } else {
-                outs.push(labels[i]);
-            }
-        }
-        ins.sort_unstable();
-        outs.sort_unstable();
-        if seen.insert((ins.clone(), outs.clone())) {
-            out.push((ins, outs));
-        }
-        // next combination
-        if k == 0 {
-            break;
-        }
-        let mut i = k;
-        loop {
-            if i == 0 {
-                return;
-            }
-            i -= 1;
-            if idx[i] != i + n - k {
-                break;
-            }
-        }
-        if idx[i] == i + n - k {
-            return;
-        }
-        idx[i] += 1;
-        for j in i + 1..k {
-            idx[j] = idx[j - 1] + 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Every distinct `(in, out)` multiset split of `cfg` with `k`
+    /// in-ports, in the order a plain lexicographic `k`-subset enumeration
+    /// first meets them: the reference for [`canonical_splits`].
+    fn splits_of(cfg: &Config, k: usize, out: &mut Vec<(Vec<Label>, Vec<Label>)>) {
+        let labels = cfg.labels();
+        let n = labels.len();
+        if k > n {
+            return;
+        }
+        let mut seen = std::collections::HashSet::new();
+        let mut idx: Vec<usize> = (0..k).collect();
+        loop {
+            let mut ins = Vec::with_capacity(k);
+            let mut outs = Vec::with_capacity(n - k);
+            let mut which = vec![false; n];
+            for &i in &idx {
+                which[i] = true;
+            }
+            for i in 0..n {
+                if which[i] {
+                    ins.push(labels[i]);
+                } else {
+                    outs.push(labels[i]);
+                }
+            }
+            ins.sort_unstable();
+            outs.sort_unstable();
+            if seen.insert((ins.clone(), outs.clone())) {
+                out.push((ins, outs));
+            }
+            if k == 0 {
+                break;
+            }
+            let mut i = k;
+            loop {
+                if i == 0 {
+                    return;
+                }
+                i -= 1;
+                if idx[i] != i + n - k {
+                    break;
+                }
+            }
+            if idx[i] == i + n - k {
+                return;
+            }
+            idx[i] += 1;
+            for j in i + 1..k {
+                idx[j] = idx[j - 1] + 1;
+            }
+        }
+    }
+
+    /// The decider over [`splits_of`]'s splits, each carried as its
+    /// multiset pair: the reference for the mask-enumerated views.
+    fn reference_zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
+        let n = p.alphabet().len();
+        let row = p.edge_rows();
+        let mut options = Vec::new();
+        let mut splits = Vec::new();
+        for k in 0..=p.delta() {
+            splits.clear();
+            for cfg in p.node().iter() {
+                splits_of(cfg, k, &mut splits);
+            }
+            let mut views = Vec::new();
+            for (ins, outs) in splits.drain(..) {
+                let ins_set = LabelSet::from_labels(ins.iter().copied());
+                let outs_set = LabelSet::from_labels(outs.iter().copied());
+                push_view(&mut views, ins_set, outs_set, (ins, outs), &row, n);
+            }
+            prune_dominated(&mut views);
+            if views.is_empty() {
+                return None;
+            }
+            options.push(views);
+        }
+        let chosen = choose_views(&options, n)?;
+        let plans =
+            chosen.iter().enumerate().map(|(k, &ix)| options[k][ix].split.clone()).collect();
+        Some(OrientedZeroRoundWitness { plans })
+    }
+
+    #[test]
+    fn canonical_masks_are_the_first_split_of_each_multiset_pair() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0004);
+        for _ in 0..500 {
+            let arity = rng.gen_range(1..=7);
+            let n = rng.gen_range(1..=4);
+            let cfg =
+                Config::new((0..arity).map(|_| Label::from_index(rng.gen_range(0..n))).collect());
+            for k in 0..=arity {
+                let mut expected = Vec::new();
+                splits_of(&cfg, k, &mut expected);
+                let mut got = Vec::new();
+                canonical_splits(cfg.labels(), k, &mut |mask| {
+                    got.push(split_at_mask(cfg.labels(), mask));
+                });
+                assert_eq!(got, expected, "{cfg:?} with {k} in-ports");
+            }
+        }
+    }
+
+    #[test]
+    fn mask_views_give_the_reference_witness() {
+        let mut rng = StdRng::seed_from_u64(0x5EED_0005);
+        let mut solvable = 0;
+        for i in 0..600 {
+            let n = rng.gen_range(1..=5);
+            let delta = rng.gen_range(1..=4);
+            // Dense edge constraints make some problems 0-round solvable.
+            let sizes = (rng.gen_range(1..=10), rng.gen_range(1..=n * (n + 1) / 2));
+            let p = crate::iso::tests::random_problem(&mut rng, n, (delta, 2), sizes, i % 3 == 0);
+            let got = zero_round_oriented(&p);
+            assert_eq!(got, reference_zero_round_oriented(&p), "problem {i}:\n{}", p.to_text());
+            solvable += usize::from(got.is_some());
+        }
+        assert!(
+            (100..500).contains(&solvable),
+            "too few of one verdict: {solvable} of 600 solvable"
+        );
+    }
 
     #[test]
     fn trivial_problem_zero_round_both_models() {

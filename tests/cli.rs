@@ -125,6 +125,27 @@ fn autolb_json_embeds_the_certificate() {
     assert!(out.contains("\"classes\""), "{out}");
 }
 
+/// The `coloring:3:3` certificate at the acceptance budget, pinned by its
+/// FNV-1a digest at 1 and 2 worker threads. Isomorphism maps, 0-round
+/// verdicts and the classes a search visits all reach these bytes, so any
+/// kernel change that picks a different `iso_map` or witness, or moves a
+/// fingerprint, fails here even when it stays thread-invariant.
+#[test]
+fn coloring_certificate_bytes_are_pinned() {
+    const GOLDEN: u64 = 0xc8fe_075d_8e20_380f;
+    for threads in ["1", "2"] {
+        let cert = tmp_dir().join(format!("golden-c33-{threads}.json"));
+        let budget = ["--steps", "6", "--beam", "6", "--max-labels", "10"];
+        let mut args = vec!["autolb", "coloring:3:3"];
+        args.extend(budget);
+        args.extend(["--threads", threads, "--cert", cert.to_str().unwrap()]);
+        run_ok(&args);
+        let bytes = std::fs::read(&cert).unwrap();
+        let digest = roundelim_core::binenc::fnv1a64(&bytes);
+        assert_eq!(digest, GOLDEN, "threads={threads}: certificate digest {digest:#x}");
+    }
+}
+
 #[test]
 fn autolb_sweep_covers_the_registry_batch() {
     let out = run_ok(&["autolb", "--sweep", "--steps", "3", "--beam", "4", "--max-labels", "8"]);
