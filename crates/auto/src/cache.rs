@@ -6,8 +6,15 @@
 //! **every class registers its fingerprint when it is created**: the root,
 //! step children, and every wave commit. Isomorphic problems share a
 //! fingerprint, so a fingerprint miss proves a problem new, and a hit costs
-//! one [`are_isomorphic`] check per class in the bucket. No canonical form
-//! is ever enumerated, at any alphabet size.
+//! one isomorphism check per class in the bucket. No canonical form is ever
+//! enumerated, at any alphabet size.
+//!
+//! A class is stored as a [`PackedProblem`] (its constraints as sorted
+//! label rows) plus `u32` ids into one name table per cache, so a class
+//! costs about its packed size, not a tree of owned configurations. The
+//! kernels the cache runs — fingerprints, isomorphism checks, 0-round
+//! deciders — read the packed form; [`CanonCache::materialize`] rebuilds
+//! a full [`Problem`] for the few callers that need one.
 //!
 //! Two entry points intern: [`CanonCache::intern_wave`] resolves a whole
 //! relaxation wave in parallel across fingerprint shards, and
@@ -26,16 +33,18 @@
 //! solvability per model.
 
 use crate::failpoint;
+use crate::score::Score;
 use roundelim_core::error::{Error, Result};
-use roundelim_core::iso::are_isomorphic;
+use roundelim_core::iso::{fingerprint_packed, isomorphism_packed};
+use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
 use roundelim_core::profile::{span, Stage};
 use roundelim_core::sequence::ZeroRoundModel;
 use roundelim_core::speedup::full_step;
-use roundelim_core::zero_round::{zero_round_oriented, zero_round_pn};
+use roundelim_core::zero_round::{zero_round_oriented_packed, zero_round_pn_packed};
 use roundelim_obs as obs;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Identifier of an interned problem (an isomorphism class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -50,12 +59,15 @@ impl NodeId {
 
 #[derive(Debug, Clone)]
 struct Entry {
-    /// The first concrete representative that reached this class.
-    problem: Problem,
+    /// The first concrete representative that reached this class, packed.
+    packed: PackedProblem,
+    /// The representative's names as ids into the cache's [`NameTable`]:
+    /// the problem name, then the label names in index order.
+    names: Box<[u32]>,
     /// Memoized [`full_step`] successor (and the derived problem itself,
     /// which may differ from the successor class representative by a label
     /// renaming — certificates need the concrete derived problem).
-    step: Option<(NodeId, Problem)>,
+    step: Option<(NodeId, Box<Problem>)>,
     /// Memoized 0-round verdicts, one slot per [`ZeroRoundModel`].
     zero_round: [Option<bool>; 2],
 }
@@ -79,6 +91,62 @@ pub struct CacheStats {
 /// which owns the refined-hash machinery it must stay in lockstep with).
 pub use roundelim_core::iso::fingerprint;
 
+/// A problem in the form the cache interns: its packed constraints, plus
+/// the names it takes if it becomes a new class. Dedup probes never touch
+/// the names, so they are moved out of the problem, not copied.
+#[derive(Debug)]
+pub struct Probe {
+    packed: PackedProblem,
+    name: String,
+    labels: Vec<String>,
+}
+
+impl Probe {
+    /// Packs a problem for interning.
+    pub fn new(p: Problem) -> Probe {
+        let packed = PackedProblem::pack(&p);
+        let (name, labels) = p.into_names();
+        Probe { packed, name, labels }
+    }
+
+    /// The [`fingerprint`] of the problem.
+    pub fn fingerprint(&self) -> u64 {
+        fingerprint_packed(&self.packed)
+    }
+
+    /// Rebuilds the problem this probe was made from.
+    pub fn into_problem(self) -> Problem {
+        self.packed.unpack(self.name, self.labels)
+    }
+}
+
+/// The problem and label names of a cache, each distinct name stored once
+/// and referred to by a dense `u32` id.
+#[derive(Debug, Default)]
+struct NameTable {
+    names: Vec<Arc<str>>,
+    ids: HashMap<Arc<str>, u32>,
+}
+
+impl NameTable {
+    /// The id of `name`, adding it to the table if new.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.names.len()).expect("name count fits u32");
+        let name: Arc<str> = name.into();
+        packed_bytes().add(name.len() as u64);
+        self.names.push(Arc::clone(&name));
+        self.ids.insert(name, id);
+        id
+    }
+
+    fn get(&self, id: u32) -> &str {
+        &self.names[id as usize]
+    }
+}
+
 /// The canonical-form cache (see module docs).
 #[derive(Debug, Default)]
 pub struct CanonCache {
@@ -86,6 +154,7 @@ pub struct CanonCache {
     /// within a bucket (collisions resolved by isomorphism).
     fps: HashMap<u64, Vec<NodeId>>,
     entries: Vec<Entry>,
+    names: NameTable,
     /// Hit/miss counters.
     pub stats: CacheStats,
 }
@@ -109,37 +178,48 @@ impl CanonCache {
     /// Interns a problem, returning its class id and whether the class is
     /// new. The first problem to reach a class stays its representative.
     pub fn intern(&mut self, p: Problem) -> (NodeId, bool) {
-        let fp = fingerprint(&p);
-        let (id, back) = self.intern_fp(fp, p);
+        let probe = Probe::new(p);
+        let (id, back) = self.intern_fp(probe.fingerprint(), probe);
         (id, back.is_none())
     }
 
-    /// Interns `p` under its fingerprint `fp`: the bucket's classes are
+    /// Interns `probe` under its fingerprint `fp`: the bucket's classes are
     /// checked in creation order, and a miss creates a class. On dedup the
-    /// problem is handed back (`Some`); a new class consumes it (`None`).
-    fn intern_fp(&mut self, fp: u64, p: Problem) -> (NodeId, Option<Problem>) {
+    /// probe is handed back (`Some`); a new class consumes it (`None`).
+    fn intern_fp(&mut self, fp: u64, probe: Probe) -> (NodeId, Option<Probe>) {
         for &id in self.fps.get(&fp).map(Vec::as_slice).unwrap_or_default() {
             self.stats.iso_resolutions += 1;
-            let iso = {
-                let _sp = span(Stage::Canon);
-                are_isomorphic(&self.entries[id.index()].problem, &p)
-            };
-            if iso {
+            if same_class(&self.entries[id.index()].packed, &probe.packed) {
                 self.stats.dedup_hits += 1;
-                return (id, Some(p));
+                return (id, Some(probe));
             }
         }
-        (self.push_class(fp, p), None)
+        (self.push_class(fp, probe), None)
     }
 
     /// Creates a class for a problem known to be new and registers its
     /// fingerprint.
-    fn push_class(&mut self, fp: u64, problem: Problem) -> NodeId {
+    fn push_class(&mut self, fp: u64, probe: Probe) -> NodeId {
         failpoint::hit("cache-insert");
-        let id = NodeId(u32::try_from(self.entries.len()).expect("node count fits u32"));
-        self.entries.push(Entry { problem, step: None, zero_round: [None, None] });
+        let id = self.push_entry(probe, None, [None, None]);
         self.stats.classes += 1;
         self.fps.entry(fp).or_default().push(id);
+        id
+    }
+
+    /// Stores a class: its packed rows and its names as table ids.
+    fn push_entry(
+        &mut self,
+        probe: Probe,
+        step: Option<(NodeId, Box<Problem>)>,
+        zero_round: [Option<bool>; 2],
+    ) -> NodeId {
+        let id = NodeId(u32::try_from(self.entries.len()).expect("node count fits u32"));
+        let Probe { packed, name, labels } = probe;
+        let names: Box<[u32]> =
+            std::iter::once(&name).chain(&labels).map(|n| self.names.intern(n)).collect();
+        packed_bytes().add((packed.heap_bytes() + std::mem::size_of_val(&*names)) as u64);
+        self.entries.push(Entry { packed, names, step, zero_round });
         id
     }
 
@@ -155,18 +235,18 @@ impl CanonCache {
     /// candidates has found a new class, and the dup/new decision for every
     /// item is independent of both the shard count and the schedule. The
     /// commit pass then creates the new classes in item order, so the
-    /// resulting cache — ids, bucket order, `cache-insert` failpoints,
-    /// counters — is bit-identical to [`CanonCache::intern`]ing the items
-    /// one by one on one thread.
+    /// resulting cache — ids, bucket order, name ids, `cache-insert`
+    /// failpoints, counters — is bit-identical to [`CanonCache::intern`]ing
+    /// the items one by one on one thread.
     ///
-    /// Per item, a dup hands the probe problem back (`Some`) and a new
-    /// class consumes it (`None`).
+    /// Per item, a dup hands the probe back (`Some`) and a new class
+    /// consumes it (`None`).
     pub fn intern_wave(
         &mut self,
-        items: Vec<(u64, Problem)>,
+        items: Vec<(u64, Probe)>,
         threads: usize,
         shards: usize,
-    ) -> Vec<(NodeId, Option<Problem>)> {
+    ) -> Vec<(NodeId, Option<Probe>)> {
         let n = items.len();
         if n == 0 {
             return Vec::new();
@@ -174,15 +254,15 @@ impl CanonCache {
         let shards = shards.max(1);
         // Partition by fingerprint shard; item order is preserved within a
         // shard, so each shard worker sees its items in global item order.
-        let mut split: Vec<Vec<(usize, u64, Problem)>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut split: Vec<Vec<(usize, u64, Probe)>> = (0..shards).map(|_| Vec::new()).collect();
         for (idx, (fp, p)) in items.into_iter().enumerate() {
             split[(fp % shards as u64) as usize].push((idx, fp, p));
         }
         // Phase 1 (parallel): resolve every shard against the frozen cache.
-        // Tasks own their item lists behind a claim Mutex so the problems
-        // can be moved, not cloned, into the resolution.
+        // Tasks own their item lists behind a claim Mutex so the probes can
+        // be moved, not cloned, into the resolution.
         let frozen = &*self;
-        type ShardTask = Mutex<Option<Vec<(usize, u64, Problem)>>>;
+        type ShardTask = Mutex<Option<Vec<(usize, u64, Probe)>>>;
         let tasks: Vec<ShardTask> = split.into_iter().map(|list| Mutex::new(Some(list))).collect();
         let resolved = roundelim_core::par::par_map(&tasks, threads, |task| {
             let list = task.lock().expect("shard task slot").take().expect("claimed once");
@@ -207,11 +287,11 @@ impl CanonCache {
         for slot in per_item {
             let (s, res) = slot.expect("every wave item resolves");
             out.push(match res {
-                Some((WaveRef::Global(id), problem)) => (id, Some(problem)),
-                Some((WaveRef::Fresh(f), problem)) => (assigned[s][f], Some(problem)),
+                Some((WaveRef::Global(id), probe)) => (id, Some(probe)),
+                Some((WaveRef::Fresh(f), probe)) => (assigned[s][f], Some(probe)),
                 None => {
-                    let (problem, fp) = fresh[s].next().expect("one new item per fresh class");
-                    let id = self.push_class(fp, problem);
+                    let (probe, fp) = fresh[s].next().expect("one new item per fresh class");
+                    let id = self.push_class(fp, probe);
                     assigned[s].push(id);
                     (id, None)
                 }
@@ -220,9 +300,21 @@ impl CanonCache {
         out
     }
 
-    /// The representative problem of a class.
-    pub fn problem(&self, id: NodeId) -> &Problem {
-        &self.entries[id.index()].problem
+    /// Rebuilds the representative problem of a class, names included.
+    pub fn materialize(&self, id: NodeId) -> Problem {
+        let e = &self.entries[id.index()];
+        let name = |&n: &u32| self.names.get(n);
+        e.packed.unpack(name(&e.names[0]), e.names[1..].iter().map(name))
+    }
+
+    /// The beam priority of a class ([`crate::score::score`]).
+    pub fn score(&self, id: NodeId) -> Score {
+        crate::score::score(&self.entries[id.index()].packed)
+    }
+
+    /// The alphabet size of a class.
+    pub fn label_count(&self, id: NodeId) -> usize {
+        self.entries[id.index()].packed.label_count()
     }
 
     /// Memoized 0-round solvability of a class under `model`. Sound across
@@ -232,7 +324,7 @@ impl CanonCache {
         if let Some(v) = self.entries[id.index()].zero_round[slot] {
             return v;
         }
-        let v = zero_round_check(&self.entries[id.index()].problem, model);
+        let v = zero_round_check(&self.entries[id.index()].packed, model);
         self.entries[id.index()].zero_round[slot] = Some(v);
         v
     }
@@ -250,7 +342,7 @@ impl CanonCache {
             .collect();
         let entries = &self.entries;
         let verdicts = roundelim_core::par::par_map(&todo, threads, |id| {
-            zero_round_check(&entries[id.index()].problem, model)
+            zero_round_check(&entries[id.index()].packed, model)
         });
         for (id, v) in todo.into_iter().zip(verdicts) {
             self.entries[id.index()].zero_round[slot] = Some(v);
@@ -258,8 +350,9 @@ impl CanonCache {
     }
 
     /// Memoized speedup: the [`full_step`] successor class of `id`, plus
-    /// the concrete derived problem (exactly `full_step(problem(id))`,
-    /// recorded so certificate chains can splice it in verbatim).
+    /// the concrete derived problem (exactly `full_step` of the class
+    /// representative, recorded so certificate chains can splice it in
+    /// verbatim).
     ///
     /// # Errors
     ///
@@ -269,7 +362,7 @@ impl CanonCache {
             let derived = self.step_derived(id).expect("memo present").clone();
             return Ok((succ, derived));
         }
-        let derived = full_step_cached(&self.entries[id.index()].problem)?;
+        let derived = full_step_cached(&self.materialize(id))?;
         let fp = fingerprint(&derived);
         let (succ, _) = self.record_step(id, derived.clone(), fp);
         Ok((succ, derived))
@@ -288,7 +381,7 @@ impl CanonCache {
 
     /// The memoized concrete derived problem of `id`'s step, if computed.
     pub fn step_derived(&self, id: NodeId) -> Option<&Problem> {
-        self.entries[id.index()].step.as_ref().map(|(_, derived)| derived)
+        self.entries[id.index()].step.as_ref().map(|(_, derived)| &**derived)
     }
 
     /// Records a step result the caller computed (with its fingerprint) on
@@ -296,8 +389,8 @@ impl CanonCache {
     /// Returns the successor class and whether it is new.
     pub fn record_step(&mut self, id: NodeId, derived: Problem, fp: u64) -> (NodeId, bool) {
         self.stats.step_misses += 1;
-        let (succ, back) = self.intern_fp(fp, derived.clone());
-        self.entries[id.index()].step = Some((succ, derived));
+        let (succ, back) = self.intern_fp(fp, Probe::new(derived.clone()));
+        self.entries[id.index()].step = Some((succ, Box::new(derived)));
         (succ, back.is_none())
     }
 
@@ -307,7 +400,11 @@ impl CanonCache {
         let entries = self
             .entries
             .iter()
-            .map(|e| (e.problem.clone(), e.step.clone(), e.zero_round))
+            .enumerate()
+            .map(|(i, e)| {
+                let step = e.step.as_ref().map(|(succ, derived)| (*succ, (**derived).clone()));
+                (self.materialize(NodeId(i as u32)), step, e.zero_round)
+            })
             .collect();
         // The fingerprint index is exported verbatim (sorted by fingerprint
         // for stable serialization bytes), so a restored cache probes its
@@ -345,7 +442,8 @@ impl CanonCache {
                     )));
                 }
             }
-            cache.entries.push(Entry { problem, step, zero_round });
+            let step = step.map(|(succ, derived)| (succ, Box::new(derived)));
+            cache.push_entry(Probe::new(problem), step, zero_round);
         }
         let mut indexed = vec![false; n];
         for (fp, ids) in snap.fps {
@@ -362,11 +460,18 @@ impl CanonCache {
         }
         for (i, e) in cache.entries.iter().enumerate() {
             if !indexed[i] {
-                cache.fps.entry(fingerprint(&e.problem)).or_default().push(NodeId(i as u32));
+                cache.fps.entry(fingerprint_packed(&e.packed)).or_default().push(NodeId(i as u32));
             }
         }
         Ok(cache)
     }
+}
+
+/// One isomorphism check between a cached class and a probe, timed as a
+/// `stage.canon` span.
+fn same_class(class: &PackedProblem, probe: &PackedProblem) -> bool {
+    let _sp = span(Stage::Canon);
+    isomorphism_packed(class, probe).is_some()
 }
 
 /// The memo slot of a [`ZeroRoundModel`].
@@ -378,11 +483,11 @@ fn zero_slot(model: ZeroRoundModel) -> usize {
 }
 
 /// One 0-round solvability check, timed as a `stage.zero-round` span.
-fn zero_round_check(p: &Problem, model: ZeroRoundModel) -> bool {
+fn zero_round_check(p: &PackedProblem, model: ZeroRoundModel) -> bool {
     let _sp = span(Stage::ZeroRound);
     match model {
-        ZeroRoundModel::PlainPn => zero_round_pn(p).is_some(),
-        ZeroRoundModel::Oriented => zero_round_oriented(p).is_some(),
+        ZeroRoundModel::PlainPn => zero_round_pn_packed(p).is_some(),
+        ZeroRoundModel::Oriented => zero_round_oriented_packed(p).is_some(),
     }
 }
 
@@ -397,17 +502,17 @@ enum WaveRef {
 /// Per-item resolution of a wave candidate (see [`CanonCache::intern_wave`]):
 /// a dup of a pre-wave class, or of a class first created by an earlier
 /// item of this wave (same shard by fingerprint invariance), hands the
-/// probe problem back; `None` is a brand-new class, parked in the shard's
-/// `fresh` table until the commit pass assigns its id.
-type WaveRes = Option<(WaveRef, Problem)>;
+/// probe back; `None` is a brand-new class, parked in the shard's `fresh`
+/// table until the commit pass assigns its id.
+type WaveRes = Option<(WaveRef, Probe)>;
 
 /// Working state of one shard's resolution: the classes first seen in this
 /// wave and the stat deltas, summed into [`CacheStats`] at commit (sums are
 /// order-independent, so the totals stay deterministic).
 #[derive(Default)]
 struct ShardState {
-    /// `(problem, fingerprint)` of each fresh class, in creation order.
-    fresh: Vec<(Problem, u64)>,
+    /// `(probe, fingerprint)` of each fresh class, in creation order.
+    fresh: Vec<(Probe, u64)>,
     /// Fingerprint buckets of the fresh classes (indexes into `fresh`).
     new_fps: HashMap<u64, Vec<usize>>,
     iso_resolutions: usize,
@@ -418,26 +523,25 @@ impl ShardState {
     /// Resolves one candidate with the probe sequence of
     /// [`CanonCache::intern`]: the fingerprint bucket's frozen members in
     /// creation order, then this wave's. A miss is a new class.
-    fn resolve(&mut self, cache: &CanonCache, fp: u64, p: Problem) -> WaveRes {
+    fn resolve(&mut self, cache: &CanonCache, fp: u64, probe: Probe) -> WaveRes {
         let frozen = cache.fps.get(&fp).into_iter().flatten().map(|&id| WaveRef::Global(id));
         let local = self.new_fps.get(&fp).into_iter().flatten().map(|&f| WaveRef::Fresh(f));
         let mut checks = 0;
         let found = frozen.chain(local).find(|&r| {
             checks += 1;
             let target = match r {
-                WaveRef::Global(id) => &cache.entries[id.index()].problem,
-                WaveRef::Fresh(f) => &self.fresh[f].0,
+                WaveRef::Global(id) => &cache.entries[id.index()].packed,
+                WaveRef::Fresh(f) => &self.fresh[f].0.packed,
             };
-            let _sp = span(Stage::Canon);
-            are_isomorphic(target, &p)
+            same_class(target, &probe.packed)
         });
         self.iso_resolutions += checks;
         if let Some(to) = found {
             self.dedup_hits += 1;
-            return Some((to, p));
+            return Some((to, probe));
         }
         self.new_fps.entry(fp).or_default().push(self.fresh.len());
-        self.fresh.push((p, fp));
+        self.fresh.push((probe, fp));
         None
     }
 }
@@ -448,7 +552,7 @@ impl ShardState {
 /// final state.
 fn resolve_wave_shard(
     cache: &CanonCache,
-    items: Vec<(usize, u64, Problem)>,
+    items: Vec<(usize, u64, Probe)>,
 ) -> (Vec<(usize, WaveRes)>, ShardState) {
     let metrics = intern_metrics();
     let mut st = ShardState::default();
@@ -512,6 +616,14 @@ fn intern_metrics() -> &'static CacheMetrics {
         hit_ns: obs::metrics::histogram("cache.intern_hit_ns"),
         miss_ns: obs::metrics::histogram("cache.intern_miss_ns"),
     })
+}
+
+/// `cache.packed_bytes`: the bytes a cache stores per class (packed rows
+/// and name ids) and per distinct name (its name-table string), added as
+/// each is created.
+fn packed_bytes() -> &'static obs::metrics::Counter {
+    static C: OnceLock<&'static obs::metrics::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::metrics::counter("cache.packed_bytes"))
 }
 
 fn step_memo_metrics() -> &'static CacheMetrics {
@@ -591,7 +703,7 @@ mod tests {
     use super::*;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
-    use roundelim_core::iso::{dedup_key, DedupKey};
+    use roundelim_core::iso::{are_isomorphic, dedup_key, DedupKey};
 
     fn sc() -> Problem {
         Problem::parse("name: sc\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap()
@@ -674,7 +786,8 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats.dedup_hits, 1);
         // The representative is the first problem interned.
-        assert_eq!(cache.problem(a).name(), "sc");
+        assert_eq!(cache.materialize(a).name(), "sc");
+        assert_eq!(cache.materialize(a), sc());
     }
 
     #[test]
@@ -751,7 +864,7 @@ mod tests {
                 let (r, _) = cache.intern(root.clone());
                 cache.record_step(r, child.clone(), fingerprint(&child));
                 for (w, want) in waves.iter().zip(&expect) {
-                    let items = w.iter().map(|p| (fingerprint(p), p.clone())).collect();
+                    let items = w.iter().map(|p| (fingerprint(p), Probe::new(p.clone()))).collect();
                     let got: Vec<(NodeId, bool)> = cache
                         .intern_wave(items, threads, shards)
                         .into_iter()
@@ -774,8 +887,8 @@ mod tests {
         // thread and shard count.
         let wave: Vec<Problem> =
             vec![sc(), trivial(), renamed_sc(), two(), trivial(), sc(), renamed_sc(), two()];
-        let items = |w: &[Problem]| -> Vec<(u64, Problem)> {
-            w.iter().map(|p| (fingerprint(p), p.clone())).collect()
+        let items = |w: &[Problem]| -> Vec<(u64, Probe)> {
+            w.iter().map(|p| (fingerprint(p), Probe::new(p.clone()))).collect()
         };
 
         // Reference: sequential interning into a pre-seeded cache (one
@@ -839,7 +952,7 @@ mod tests {
         let (id, _) = cache.intern(sc());
         cache.step(id).unwrap();
         assert!(!cache.is_zero_round(id, ZeroRoundModel::Oriented));
-        cache.intern_wave(vec![(fingerprint(&trivial()), trivial())], 1, 1);
+        cache.intern_wave(vec![(fingerprint(&trivial()), Probe::new(trivial()))], 1, 1);
 
         let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
         assert_eq!(restored.len(), cache.len());
@@ -848,7 +961,8 @@ mod tests {
         let (rid, new) = restored.intern(renamed_sc());
         assert_eq!(rid, id);
         assert!(!new);
-        let got = restored.intern_wave(vec![(fingerprint(&trivial()), trivial())], 2, 4);
+        let got =
+            restored.intern_wave(vec![(fingerprint(&trivial()), Probe::new(trivial()))], 2, 4);
         assert_eq!(got[0].0.index(), 1);
         assert!(got[0].1.is_some());
         // The step memo came along: no recomputation.

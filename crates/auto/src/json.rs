@@ -1,8 +1,8 @@
 //! A minimal JSON value type with a writer and a parser.
 //!
-//! The workspace's offline `serde` stand-in ships trait bounds but no data
-//! format, so the certificate files and the CLI's `--json` output are
-//! produced by this hand-rolled implementation. It covers exactly the JSON
+//! The workspace takes no registry dependencies, so the certificate files
+//! and the CLI's `--json` output are produced by this hand-rolled
+//! implementation. It covers exactly the JSON
 //! subset the subsystem emits: objects, arrays, strings, booleans, `null`,
 //! and non-negative integers (every number in a certificate is an index or
 //! a count).

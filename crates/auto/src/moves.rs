@@ -84,16 +84,19 @@ fn quotient(p: &Problem, rep: &[usize], what: String) -> Option<RelaxMove> {
 /// pair; merging `{a, b}` either way yields the same quotient up to
 /// renaming, so the smaller index is kept as representative).
 pub fn merge_moves(p: &Problem) -> Vec<RelaxMove> {
-    pairwise_merges(p, &std::collections::HashSet::new())
+    let mut out = Vec::new();
+    pairwise_merges(p, &std::collections::HashSet::new(), &mut |mv| out.push(mv));
+    out
 }
 
-/// [`merge_moves`] minus the unordered pairs in `skip`.
+/// [`merge_moves`] minus the unordered pairs in `skip`, each passed to
+/// `emit` as it is built.
 fn pairwise_merges(
     p: &Problem,
     skip: &std::collections::HashSet<(usize, usize)>,
-) -> Vec<RelaxMove> {
+    emit: &mut impl FnMut(RelaxMove),
+) {
     let n = p.alphabet().len();
-    let mut out = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             if skip.contains(&(a, b)) {
@@ -107,11 +110,10 @@ fn pairwise_merges(
                 p.alphabet().name(Label::from_index(b))
             );
             if let Some(mv) = quotient(p, &rep, what) {
-                out.push(mv);
+                emit(mv);
             }
         }
     }
-    out
 }
 
 /// Dominated-label merges: merge `a` into `b` whenever *every*
@@ -367,7 +369,9 @@ fn class_members(rep: &[usize]) -> Vec<Vec<usize>> {
 /// either way, and every duplicate candidate would cost a full cache key
 /// downstream.
 pub fn relax_moves(p: &Problem) -> Vec<RelaxMove> {
-    relax_moves_impl(p, false, false)
+    let mut out = Vec::new();
+    for_each_relax_move(p, false, false, |mv| out.push(mv));
+    out
 }
 
 /// [`relax_moves`] with sibling-orbit pruning: merge pairs that another
@@ -390,13 +394,23 @@ pub fn relax_moves(p: &Problem) -> Vec<RelaxMove> {
 /// whose problems stay inside the step bound explore the identical class
 /// set.
 pub fn relax_moves_pruned(p: &Problem, subset_rows_only: bool) -> Vec<RelaxMove> {
-    relax_moves_impl(p, true, subset_rows_only)
+    let mut out = Vec::new();
+    for_each_relax_move(p, true, subset_rows_only, |mv| out.push(mv));
+    out
 }
 
-fn relax_moves_impl(p: &Problem, prune: bool, subset_rows_only: bool) -> Vec<RelaxMove> {
-    let mut out = Vec::new();
+/// Calls `emit` with each relaxation candidate of `p` as soon as it is
+/// built, in [`relax_moves`] order (with `prune`, [`relax_moves_pruned`]'s
+/// candidates and order). A caller that keeps only a compact form of each
+/// candidate never holds more than one quotient problem at a time.
+pub fn for_each_relax_move(
+    p: &Problem,
+    prune: bool,
+    subset_rows_only: bool,
+    mut emit: impl FnMut(RelaxMove),
+) {
     if let Some(mv) = simplify_move(p) {
-        out.push(mv);
+        emit(mv);
     }
     let orbit = if prune {
         let rep = twin_classes(p);
@@ -427,18 +441,18 @@ fn relax_moves_impl(p: &Problem, prune: bool, subset_rows_only: bool) -> Vec<Rel
                 p.alphabet().name(Label::from_index(b))
             );
             if let Some(mv) = quotient(p, &rep_map, what) {
-                out.push(mv);
+                emit(mv);
             }
         }
     }
     if let Some(mv) = coarsen_move(p) {
-        out.push(mv);
+        emit(mv);
     }
     let dominated: std::collections::HashSet<(usize, usize)> =
         dominated_list.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
     let rows = if subset_rows_only { Some(p.edge_rows()) } else { None };
     match &orbit {
-        None => out.extend(pairwise_merges(p, &dominated)),
+        None => pairwise_merges(p, &dominated, &mut emit),
         Some((rep, members)) => {
             for a in 0..n {
                 for b in (a + 1)..n {
@@ -458,13 +472,12 @@ fn relax_moves_impl(p: &Problem, prune: bool, subset_rows_only: bool) -> Vec<Rel
                         p.alphabet().name(Label::from_index(b))
                     );
                     if let Some(mv) = quotient(p, &rep_map, what) {
-                        out.push(mv);
+                        emit(mv);
                     }
                 }
             }
         }
     }
-    out
 }
 
 /// Node-configuration count above which per-configuration drop moves are
@@ -476,7 +489,9 @@ const MAX_CONFIG_DROPS: usize = 24;
 /// Results with an empty node or edge constraint are unsolvable and are
 /// not emitted.
 pub fn harden_moves(p: &Problem) -> Vec<HardenMove> {
-    harden_moves_impl(p, None)
+    let mut out = Vec::new();
+    for_each_harden_move(p, false, |mv| out.push(mv));
+    out
 }
 
 /// [`harden_moves`] with sibling-orbit pruning: dropping a label produces
@@ -485,12 +500,17 @@ pub fn harden_moves(p: &Problem) -> Vec<HardenMove> {
 /// class set is unchanged (every pruned candidate is isomorphic to an
 /// earlier emitted one); configuration drops are not pruned.
 pub fn harden_moves_pruned(p: &Problem) -> Vec<HardenMove> {
-    harden_moves_impl(p, Some(twin_classes(p)))
+    let mut out = Vec::new();
+    for_each_harden_move(p, true, |mv| out.push(mv));
+    out
 }
 
-fn harden_moves_impl(p: &Problem, twins: Option<Vec<usize>>) -> Vec<HardenMove> {
+/// Calls `emit` with each hardening candidate of `p` as soon as it is
+/// built, in [`harden_moves`] order (with `prune`, [`harden_moves_pruned`]'s
+/// candidates).
+pub fn for_each_harden_move(p: &Problem, prune: bool, mut emit: impl FnMut(HardenMove)) {
     let n = p.alphabet().len();
-    let mut out = Vec::new();
+    let twins = prune.then(|| twin_classes(p));
     for dropped in 0..n {
         if let Some(rep) = &twins {
             if rep[dropped] != dropped {
@@ -519,7 +539,7 @@ fn harden_moves_impl(p: &Problem, twins: Option<Vec<usize>>) -> Vec<HardenMove> 
         let Ok(result) = Problem::new(format!("{}*", p.name()), alphabet, node, edge) else {
             continue;
         };
-        out.push(HardenMove {
+        emit(HardenMove {
             what: format!("drop label {}", p.alphabet().name(Label::from_index(dropped))),
             map: back,
             result,
@@ -544,14 +564,13 @@ fn harden_moves_impl(p: &Problem, twins: Option<Vec<usize>>) -> Vec<HardenMove> 
             ) else {
                 continue;
             };
-            out.push(HardenMove {
+            emit(HardenMove {
                 what: format!("drop node config #{ix}"),
                 map: identity.clone(),
                 result,
             });
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! grows). Lower scores are better; ties are broken deterministically by
 //! the caller (node id order).
 
-use roundelim_core::problem::Problem;
+use roundelim_core::packed::PackedProblem;
 
 /// A problem's search priority, ordered lexicographically: alphabet size
 /// dominates (it drives every downstream cost — speedup, canonicalization,
@@ -20,13 +20,18 @@ pub struct Score {
 }
 
 /// Scores a problem (lower is better).
-pub fn score(p: &Problem) -> Score {
-    Score { labels: p.alphabet().len(), configs: p.node().len() + p.edge().len() }
+pub fn score(p: &PackedProblem) -> Score {
+    Score { labels: p.label_count(), configs: p.node().len() + p.edge().len() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use roundelim_core::problem::Problem;
+
+    fn score(p: &Problem) -> Score {
+        super::score(&PackedProblem::pack(p))
+    }
 
     #[test]
     fn fewer_labels_beats_fewer_configs() {

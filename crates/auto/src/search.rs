@@ -35,17 +35,19 @@
 //! count; the `threads` option (0 = the `ROUNDELIM_THREADS` variable,
 //! else all cores) only sets how fast it arrives.
 
-use crate::cache::{fingerprint, full_step_cached, CacheSnapshot, CacheStats, CanonCache, NodeId};
+use crate::cache::{
+    fingerprint, full_step_cached, CacheSnapshot, CacheStats, CanonCache, NodeId, Probe,
+};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
 use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
-use crate::moves::{harden_moves, harden_moves_pruned, relax_moves, relax_moves_pruned};
-use crate::score::score;
+use crate::moves::{for_each_harden_move, for_each_relax_move};
 use roundelim_core::error::{Error, Result};
 use roundelim_core::iso::isomorphism;
 use roundelim_core::problem::Problem;
 use roundelim_core::profile::{span, Stage};
 use roundelim_core::sequence::ZeroRoundModel;
+use roundelim_core::zero_round::check_oriented_delta;
 use roundelim_obs as obs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -448,6 +450,9 @@ impl Search {
         opts: &SearchOptions,
         direction: Direction,
     ) -> Result<(Search, LoopState, bool)> {
+        if opts.model == ZeroRoundModel::Oriented {
+            check_oriented_delta(p.delta())?;
+        }
         if let Some(conf) = &opts.checkpoint {
             if conf.resume {
                 let path = checkpoint_file(&conf.dir);
@@ -730,13 +735,13 @@ impl Search {
         }
         ids.reverse();
         edges.reverse();
-        let problems = ids.iter().map(|&id| self.cache.problem(id).clone()).collect();
+        let problems = ids.iter().map(|&id| self.cache.materialize(id)).collect();
         (problems, edges, ids)
     }
 
     /// Orders `pool` by (score, id) and truncates to the beam width.
     fn select_beam(&self, pool: &mut Vec<NodeId>) {
-        pool.sort_by_key(|&id| (score(self.cache.problem(id)), id));
+        pool.sort_by_key(|&id| (self.cache.score(id), id));
         pool.truncate(self.opts.beam_width);
     }
 
@@ -748,7 +753,7 @@ impl Search {
         let mut beam: Vec<NodeId> = pool
             .iter()
             .copied()
-            .filter(|&id| self.cache.problem(id).alphabet().len() <= self.opts.max_labels)
+            .filter(|&id| self.cache.label_count(id) <= self.opts.max_labels)
             .collect();
         self.select_beam(&mut beam);
         beam
@@ -783,47 +788,41 @@ impl Search {
             if self.soft_stop() {
                 return None;
             }
-            // Generate candidates (and their invariant fingerprints) in
-            // parallel; the per-candidate work is pure. The wave interner
-            // resolves re-derived classes with short isomorphism checks in
-            // its parallel shard phase.
+            // Generate candidates (packed, with their invariant
+            // fingerprints) in parallel; the per-candidate work is pure.
+            // The wave interner resolves re-derived classes with short
+            // isomorphism checks in its parallel shard phase.
             let sources: Vec<(NodeId, Problem)> =
-                wave.iter().map(|&n| (n, self.cache.problem(n).clone())).collect();
+                wave.iter().map(|&n| (n, self.cache.materialize(n))).collect();
             let cap = self.intern_cap();
             // Oversized sources (above the step bound) only exist to be
             // relaxed back under it; their quadratic pairwise-merge fan-out
             // is restricted to ⊆-comparable edge rows (see
             // `relax_moves_pruned`).
             let max_labels = self.opts.max_labels;
-            type CandList = Vec<(Vec<roundelim_core::label::Label>, Problem, u64)>;
+            type CandList = Vec<(Vec<roundelim_core::label::Label>, Probe, u64)>;
             let (cands, panics): (Vec<Option<CandList>>, usize) =
                 par_map(&sources, self.threads, |(_, p)| {
-                    let moves: Vec<_> = match (direction, prune) {
-                        (Direction::Lower, true) => {
-                            let subset_only = p.alphabet().len() > max_labels;
-                            relax_moves_pruned(p, subset_only)
-                                .into_iter()
-                                .map(|m| (m.map, m.result))
-                                .collect()
-                        }
-                        (Direction::Lower, false) => {
-                            relax_moves(p).into_iter().map(|m| (m.map, m.result)).collect()
-                        }
-                        (Direction::Upper, true) => {
-                            harden_moves_pruned(p).into_iter().map(|m| (m.map, m.result)).collect()
-                        }
-                        (Direction::Upper, false) => {
-                            harden_moves(p).into_iter().map(|m| (m.map, m.result)).collect()
+                    // Each candidate is packed as soon as its quotient is
+                    // built, so a worker holds one full problem at a time.
+                    let mut list = CandList::new();
+                    let mut keep = |map, r: Problem| {
+                        if r.alphabet().len() <= cap {
+                            let probe = Probe::new(r);
+                            let fp = probe.fingerprint();
+                            list.push((map, probe, fp));
                         }
                     };
-                    moves
-                        .into_iter()
-                        .filter(|(_, r)| r.alphabet().len() <= cap)
-                        .map(|(map, r)| {
-                            let fp = fingerprint(&r);
-                            (map, r, fp)
-                        })
-                        .collect()
+                    match direction {
+                        Direction::Lower => {
+                            let subset_only = prune && p.alphabet().len() > max_labels;
+                            for_each_relax_move(p, prune, subset_only, |m| keep(m.map, m.result));
+                        }
+                        Direction::Upper => {
+                            for_each_harden_move(p, prune, |m| keep(m.map, m.result));
+                        }
+                    }
+                    list
                 });
             // Flatten the surviving candidates in item order and resolve
             // the whole wave against the sharded cache at once: dedup runs
@@ -832,7 +831,7 @@ impl Search {
             // order the old one-at-a-time fold used — ids, buckets, and
             // counters are bit-identical to it at every thread count.
             self.stats.worker_panics += panics;
-            let mut flat: Vec<(u64, Problem)> = Vec::new();
+            let mut flat: Vec<(u64, Probe)> = Vec::new();
             let mut origin: Vec<(NodeId, Edge)> = Vec::new();
             for ((n, _), list) in sources.iter().zip(cands) {
                 // A captured worker panic loses this source's candidates;
@@ -840,13 +839,13 @@ impl Search {
                 let Some(list) = list else {
                     continue;
                 };
-                for (map, result, fp) in list {
+                for (map, probe, fp) in list {
                     let edge = match direction {
                         Direction::Lower => Edge::Relax { map },
                         Direction::Upper => Edge::Harden { map },
                     };
                     origin.push((*n, edge));
-                    flat.push((fp, result));
+                    flat.push((fp, probe));
                 }
             }
             let resolved = self.cache.intern_wave(flat, self.threads, self.shards);
@@ -874,7 +873,7 @@ impl Search {
                             next_wave.push(c);
                         }
                     }
-                    Some(result) => {
+                    Some(probe) => {
                         if hit.is_none()
                             && detect_cycles
                             && self.is_ancestor(c, n)
@@ -884,7 +883,8 @@ impl Search {
                             // at least one step edge in between. Keep
                             // scanning so the wave commits whole (the first
                             // hit in item order is returned either way).
-                            hit = Some(CycleHit { from: n, edge, problem: result, back_to: c });
+                            let problem = probe.into_problem();
+                            hit = Some(CycleHit { from: n, edge, problem, back_to: c });
                         }
                     }
                 }
@@ -922,7 +922,7 @@ impl Search {
             match self.cache.step_succ(n) {
                 Some(succ) => resolved.push((n, Some(succ))),
                 None => {
-                    todo.push((n, self.cache.problem(n).clone()));
+                    todo.push((n, self.cache.materialize(n)));
                     resolved.push((n, None));
                 }
             }

@@ -55,8 +55,8 @@ pub fn calibrate_iters<F: FnMut()>(budget_ns: u64, mut f: F) -> u32 {
 
 /// Renders measurements as the `BENCH_speedup.json` document.
 ///
-/// Hand-rolled writer: the workspace's offline serde stub ships no data
-/// format, and the schema is a flat list of records.
+/// Hand-rolled writer: the workspace takes no registry dependencies, and
+/// the schema is a flat list of records.
 pub fn to_json(measurements: &[Measurement]) -> String {
     let mut out = String::from("{\n  \"schema\": \"roundelim-bench-v1\",\n  \"results\": [\n");
     for (i, m) in measurements.iter().enumerate() {

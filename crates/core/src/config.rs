@@ -8,7 +8,6 @@
 
 use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 
@@ -23,7 +22,7 @@ use std::fmt;
 /// let l = Label::from_index;
 /// assert_eq!(Config::new(vec![l(2), l(0), l(2)]), Config::new(vec![l(2), l(2), l(0)]));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Config {
     labels: Vec<Label>,
 }

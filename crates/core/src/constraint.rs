@@ -9,7 +9,6 @@ use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
 use crate::labelset::LabelSet;
 use crate::trie::ConfigTrie;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
@@ -19,7 +18,7 @@ use std::sync::OnceLock;
 /// builds and caches a [`ConfigTrie`] index (see [`Constraint::trie`]): the
 /// speedup engine's universal checks walk the trie instead of probing the
 /// set per candidate choice. The cache is invalidated on mutation and is
-/// invisible to equality, hashing, and serialization.
+/// invisible to equality and hashing.
 ///
 /// ```
 /// use roundelim_core::constraint::Constraint;
@@ -30,7 +29,7 @@ use std::sync::OnceLock;
 /// g.insert(Config::new(vec![l(0), l(1)])).unwrap();
 /// assert!(g.contains(&Config::new(vec![l(1), l(0)])));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Constraint {
     arity: usize,
     configs: BTreeSet<Config>,

@@ -7,9 +7,9 @@
 //! sinkless coloring), which certifies that the speedup sequence never
 //! reaches a 0-round-solvable problem.
 
-use crate::config::Config;
 use crate::constraint::Constraint;
 use crate::label::Label;
+use crate::packed::{PackedConstraint, PackedProblem};
 use crate::problem::Problem;
 
 /// The canonical `(node, edge)` image computed by [`canonical_key`].
@@ -45,7 +45,12 @@ fn fold(h: u64, w: u64) -> u64 {
 /// enumerations and coarse-bucket collision chains short on the derived
 /// problems the speedup engine produces.
 pub fn refined_label_hashes(p: &Problem) -> Vec<u64> {
-    let n = p.alphabet().len();
+    refined_hashes(&PackedProblem::pack(p))
+}
+
+/// [`refined_label_hashes`] of a packed problem.
+fn refined_hashes(p: &PackedProblem) -> Vec<u64> {
+    let n = p.label_count();
     let flat = FlatRuns::new(p);
     // Seed with a constant: round 1 then separates labels by their
     // configuration-shape profile (the classic signature), later rounds by
@@ -126,13 +131,13 @@ struct RefineScratch {
 }
 
 impl FlatRuns {
-    fn new(p: &Problem) -> FlatRuns {
+    fn new(p: &PackedProblem) -> FlatRuns {
         let mut runs: Vec<(u32, u32)> = Vec::new();
         let mut ends: Vec<u32> = Vec::with_capacity(p.node().len() + p.edge().len());
-        let mut offsets = vec![0u32; p.alphabet().len() + 1];
+        let mut offsets = vec![0u32; p.label_count() + 1];
         for cfg in p.node().iter().chain(p.edge().iter()) {
             let start = runs.len();
-            for &l in cfg.labels() {
+            for &l in cfg {
                 let x = l.index() as u32;
                 match runs[start..].last_mut() {
                     Some((last, m)) if *last == x => *m += 1,
@@ -203,6 +208,11 @@ impl FlatRuns {
 /// assert!(isomorphism(&p, &q).is_some());
 /// ```
 pub fn isomorphism(a: &Problem, b: &Problem) -> Option<Vec<Label>> {
+    isomorphism_packed(&PackedProblem::pack(a), &PackedProblem::pack(b))
+}
+
+/// [`isomorphism`] of two packed problems.
+pub fn isomorphism_packed(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<Label>> {
     let (candidates, order) = candidates_and_order(a, b)?;
     let n = order.len();
     let mut probe = ClosingProbe::new(a, b, &order);
@@ -218,8 +228,11 @@ pub fn isomorphism(a: &Problem, b: &Problem) -> Option<Vec<Label>> {
 /// The isomorphism search's candidate targets per source label and its
 /// label order, or `None` when a cheap invariant already rules an
 /// isomorphism out.
-fn candidates_and_order(a: &Problem, b: &Problem) -> Option<(Vec<Vec<Label>>, Vec<usize>)> {
-    if a.alphabet().len() != b.alphabet().len()
+fn candidates_and_order(
+    a: &PackedProblem,
+    b: &PackedProblem,
+) -> Option<(Vec<Vec<Label>>, Vec<usize>)> {
+    if a.label_count() != b.label_count()
         || a.node().len() != b.node().len()
         || a.edge().len() != b.edge().len()
         || a.delta() != b.delta()
@@ -227,12 +240,12 @@ fn candidates_and_order(a: &Problem, b: &Problem) -> Option<(Vec<Vec<Label>>, Ve
     {
         return None;
     }
-    let n = a.alphabet().len();
+    let n = a.label_count();
     // Candidate targets per source label, filtered by the refined invariant
     // hashes (a necessary condition: any isomorphism maps a label onto one
     // with identical invariants).
-    let ha = refined_label_hashes(a);
-    let hb = refined_label_hashes(b);
+    let ha = refined_hashes(a);
+    let hb = refined_hashes(b);
     {
         let mut sa = ha.clone();
         let mut sb = hb.clone();
@@ -243,9 +256,8 @@ fn candidates_and_order(a: &Problem, b: &Problem) -> Option<(Vec<Vec<Label>>, Ve
         }
     }
     let mut candidates: Vec<Vec<Label>> = Vec::with_capacity(n);
-    for l in a.alphabet().labels() {
-        let cands: Vec<Label> =
-            b.alphabet().labels().filter(|&m| hb[m.index()] == ha[l.index()]).collect();
+    for &h in &ha {
+        let cands: Vec<Label> = (0..n).filter(|&m| hb[m] == h).map(Label::from_index).collect();
         if cands.is_empty() {
             return None;
         }
@@ -265,7 +277,7 @@ fn candidates_and_order(a: &Problem, b: &Problem) -> Option<(Vec<Vec<Label>>, Ve
 /// images are new facts to probe.
 struct ClosingProbe<'a> {
     /// `(configuration of a, constraint of b)`, by closing depth.
-    closing: Vec<(&'a Config, &'a Constraint)>,
+    closing: Vec<(&'a [Label], &'a PackedConstraint)>,
     /// `ends[d]`: one past the last configuration closed at depth `d`.
     ends: Vec<usize>,
     /// Reused image buffer: one configuration mapped and sorted.
@@ -273,20 +285,16 @@ struct ClosingProbe<'a> {
 }
 
 impl<'a> ClosingProbe<'a> {
-    fn new(a: &'a Problem, b: &'a Problem, order: &[usize]) -> ClosingProbe<'a> {
+    fn new(a: &'a PackedProblem, b: &'a PackedProblem, order: &[usize]) -> ClosingProbe<'a> {
         let n = order.len();
         let mut depth_of = vec![0usize; n];
         for (d, &l) in order.iter().enumerate() {
             depth_of[l] = d;
         }
-        let closing_depth = |cfg: &Config| {
-            cfg.labels()
-                .iter()
-                .map(|l| depth_of[l.index()])
-                .max()
-                .expect("configurations are non-empty")
+        let closing_depth = |cfg: &[Label]| {
+            cfg.iter().map(|l| depth_of[l.index()]).max().expect("configurations are non-empty")
         };
-        let mut keyed: Vec<(usize, &Config, &Constraint)> =
+        let mut keyed: Vec<(usize, &[Label], &PackedConstraint)> =
             Vec::with_capacity(a.node().len() + a.edge().len());
         for (ca, cb) in [(a.node(), b.node()), (a.edge(), b.edge())] {
             keyed.extend(ca.iter().map(|cfg| (closing_depth(cfg), cfg, cb)));
@@ -305,12 +313,10 @@ impl<'a> ClosingProbe<'a> {
         for &(cfg, target) in &self.closing[start..self.ends[depth]] {
             self.image.clear();
             self.image.extend(
-                cfg.labels()
-                    .iter()
-                    .map(|l| mapping[l.index()].expect("closed configurations are mapped")),
+                cfg.iter().map(|l| mapping[l.index()].expect("closed configurations are mapped")),
             );
             self.image.sort_unstable();
-            if !target.contains_slice(&self.image) {
+            if !target.contains(&self.image) {
                 return false;
             }
         }
@@ -395,11 +401,16 @@ pub fn check_isomorphism(a: &Problem, b: &Problem, map: &[Label]) -> bool {
 /// search's fingerprint interning and process-wide step memo are built on
 /// it.
 pub fn fingerprint(p: &Problem) -> u64 {
-    let mut h = fold(0xCBF2_9CE4_8422_2325u64, p.alphabet().len() as u64);
+    fingerprint_packed(&PackedProblem::pack(p))
+}
+
+/// [`fingerprint`] of a packed problem (the same value).
+pub fn fingerprint_packed(p: &PackedProblem) -> u64 {
+    let mut h = fold(0xCBF2_9CE4_8422_2325u64, p.label_count() as u64);
     h = fold(h, p.delta() as u64);
     h = fold(h, p.edge().arity() as u64);
     h = fold(h, ((p.node().len() as u64) << 32) | p.edge().len() as u64);
-    let mut hashes = refined_label_hashes(p);
+    let mut hashes = refined_hashes(p);
     hashes.sort_unstable();
     for w in hashes {
         h = fold(h, w);
@@ -573,6 +584,7 @@ pub fn canonical_key(p: &Problem) -> CanonicalKey {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::label::Alphabet;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -740,7 +752,8 @@ pub(crate) mod tests {
             }
             false
         }
-        let (candidates, order) = candidates_and_order(a, b)?;
+        let (candidates, order) =
+            candidates_and_order(&PackedProblem::pack(a), &PackedProblem::pack(b))?;
         let n = order.len();
         let mut mapping = vec![None; n];
         let mut used = vec![false; n];
@@ -763,15 +776,29 @@ pub(crate) mod tests {
             .collect()
     }
 
+    /// The fingerprint folded from the reference hashes.
+    fn reference_fingerprint(p: &Problem) -> u64 {
+        let mut h = fold(0xCBF2_9CE4_8422_2325u64, p.alphabet().len() as u64);
+        h = fold(h, p.delta() as u64);
+        h = fold(h, p.edge().arity() as u64);
+        h = fold(h, ((p.node().len() as u64) << 32) | p.edge().len() as u64);
+        let mut hashes = reference_refined_label_hashes(p);
+        hashes.sort_unstable();
+        hashes.into_iter().fold(h, fold)
+    }
+
     #[test]
     fn flat_refinement_matches_the_per_label_reference() {
         for (i, p) in random_problems(0x5EED_0001, 400).iter().enumerate() {
+            let packed = PackedProblem::pack(p);
             assert_eq!(
-                refined_label_hashes(p),
+                refined_hashes(&packed),
                 reference_refined_label_hashes(p),
                 "problem {i}:\n{}",
                 p.to_text()
             );
+            assert_eq!(fingerprint_packed(&packed), reference_fingerprint(p), "problem {i}");
+            assert_eq!(fingerprint(p), fingerprint_packed(&packed), "problem {i}");
         }
     }
 
@@ -779,16 +806,17 @@ pub(crate) mod tests {
     fn closing_probes_find_the_reference_mapping() {
         let mut rng = StdRng::seed_from_u64(0x5EED_0002);
         let (mut searched, mut rejected) = (0, 0);
-        for (i, p) in random_problems(0x5EED_0003, 300).iter().enumerate() {
+        for (i, p) in random_problems(0x5EED_0003, 400).iter().enumerate() {
             let n = p.alphabet().len();
             let mut perm: Vec<usize> = (0..n).collect();
             perm.shuffle(&mut rng);
             let q = renamed(p, &perm, &mut rng);
-            let map = isomorphism(p, &q);
+            let (pp, qp) = (PackedProblem::pack(p), PackedProblem::pack(&q));
+            let map = isomorphism_packed(&pp, &qp);
             assert_eq!(map, reference_isomorphism(p, &q), "problem {i}:\n{}", p.to_text());
             let map = map.expect("a renaming is an isomorphism");
             assert!(check_isomorphism(p, &q, &map), "problem {i}");
-            let (candidates, _) = candidates_and_order(p, &q).expect("invariants agree");
+            let (candidates, _) = candidates_and_order(&pp, &qp).expect("invariants agree");
             if candidates.iter().any(|c| c.len() > 1) {
                 searched += 1; // the invariants leave a choice to the search
             }
@@ -805,7 +833,7 @@ pub(crate) mod tests {
                 let swapped =
                     Problem::new_general("swapped", q.alphabet().clone(), node, q.edge().clone())
                         .unwrap();
-                let map = isomorphism(p, &swapped);
+                let map = isomorphism_packed(&pp, &PackedProblem::pack(&swapped));
                 assert_eq!(map, reference_isomorphism(p, &swapped), "swapped problem {i}");
                 match map {
                     Some(map) => assert!(check_isomorphism(p, &swapped, &map)),

@@ -7,7 +7,6 @@
 //! [`crate::labelset::LabelSet`] cheap.
 
 use crate::error::{Error, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -22,7 +21,7 @@ use std::fmt;
 /// let x: Label = a.intern("X").unwrap();
 /// assert_eq!(a.name(x), "X");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label(pub(crate) u16);
 
 impl Label {
@@ -60,14 +59,13 @@ impl fmt::Display for Label {
 /// assert_eq!(a.len(), 3);
 /// assert_eq!(a.name(a.lookup("B").unwrap()), "B");
 /// ```
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Alphabet {
     names: Vec<String>,
     /// Name → label lookup, built lazily on first use: the speedup
     /// transform constructs many short-lived alphabets that are never
     /// queried by name, so eager index building (one hash + one `String`
     /// clone per label) would dominate their construction cost.
-    #[serde(skip)]
     index: std::sync::OnceLock<HashMap<String, Label>>,
 }
 
@@ -82,20 +80,6 @@ impl Eq for Alphabet {}
 impl std::hash::Hash for Alphabet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.names.hash(state);
-    }
-}
-
-impl<'de> Deserialize<'de> for Alphabet {
-    fn deserialize<D>(deserializer: D) -> std::result::Result<Alphabet, D::Error>
-    where
-        D: serde::Deserializer<'de>,
-    {
-        #[derive(Deserialize)]
-        struct Raw {
-            names: Vec<String>,
-        }
-        let raw = Raw::deserialize(deserializer)?;
-        Ok(Alphabet { names: raw.names, index: std::sync::OnceLock::new() })
     }
 }
 
@@ -215,6 +199,11 @@ impl Alphabet {
     /// All names, in index order.
     pub fn names(&self) -> &[String] {
         &self.names
+    }
+
+    /// Consumes the alphabet, returning its names in index order.
+    pub fn into_names(self) -> Vec<String> {
+        self.names
     }
 }
 

@@ -6,7 +6,6 @@
 //! the merge-closure engine branch-light.
 
 use crate::label::Label;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{BitAnd, BitOr, Sub};
 
@@ -30,7 +29,7 @@ const WORDS: usize = MAX_LABELS / 64;
 /// assert!(s.contains(Label::from_index(3)));
 /// assert_eq!(s.len(), 2);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelSet {
     words: [u64; WORDS],
 }

@@ -50,6 +50,7 @@ pub mod io;
 pub mod iso;
 pub mod label;
 pub mod labelset;
+pub mod packed;
 pub mod par;
 pub mod parser;
 pub mod problem;

@@ -16,7 +16,6 @@ use crate::constraint::Constraint;
 use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
 use crate::labelset::LabelSet;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A locally checkable problem in edge-checkable normal form, at fixed Δ.
@@ -34,7 +33,7 @@ use std::fmt;
 /// assert_eq!(p.delta(), 3);
 /// assert_eq!(p.alphabet().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Problem {
     name: String,
     alphabet: Alphabet,
@@ -83,6 +82,18 @@ impl Problem {
         Problem { name, alphabet, node, edge }
     }
 
+    /// Assembles a problem from parts with no checks at all, whatever the
+    /// edge arity: for rebuilding a problem from a form it was taken from
+    /// (see [`crate::packed::PackedProblem::unpack`]).
+    pub(crate) fn from_parts_unchecked(
+        name: String,
+        alphabet: Alphabet,
+        node: Constraint,
+        edge: Constraint,
+    ) -> Problem {
+        Problem { name, alphabet, node, edge }
+    }
+
     /// Assembles a problem whose edge side has arbitrary arity (hypergraph
     /// generalization used by some tests/oracles). Most callers want
     /// [`Problem::new`].
@@ -113,6 +124,12 @@ impl Problem {
     /// A human-readable name (carried through transforms for provenance).
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// Consumes the problem, returning its name and its label names in
+    /// index order.
+    pub fn into_names(self) -> (String, Vec<String>) {
+        (self.name, self.alphabet.into_names())
     }
 
     /// Replaces the name, returning the problem (builder-style).
@@ -240,16 +257,8 @@ impl Problem {
     /// constraint is not arity 2 (the hypergraph generalization has no
     /// pairwise compatibility notion). Shared by the 0-round deciders and
     /// the bound search's row-structure pruning.
-    pub fn edge_rows(&self) -> Vec<crate::labelset::LabelSet> {
-        let mut rows = vec![crate::labelset::LabelSet::empty(); self.alphabet.len()];
-        if self.edge.arity() == 2 {
-            for cfg in self.edge.iter() {
-                let ls = cfg.labels();
-                rows[ls[0].index()].insert(ls[1]);
-                rows[ls[1].index()].insert(ls[0]);
-            }
-        }
-        rows
+    pub fn edge_rows(&self) -> Vec<LabelSet> {
+        edge_rows(self.alphabet.len(), self.edge.arity(), self.edge.iter().map(Config::labels))
     }
 
     /// Renders the problem in the same text format [`Problem::parse`] reads.
@@ -292,6 +301,23 @@ impl Problem {
             self.edge.len()
         )
     }
+}
+
+/// The edge-compatibility rows of `n` labels from the edge configurations
+/// (sorted label slices): see [`Problem::edge_rows`].
+pub(crate) fn edge_rows<'a>(
+    n: usize,
+    arity: usize,
+    configs: impl Iterator<Item = &'a [Label]>,
+) -> Vec<LabelSet> {
+    let mut rows = vec![LabelSet::empty(); n];
+    if arity == 2 {
+        for ls in configs {
+            rows[ls[0].index()].insert(ls[1]);
+            rows[ls[1].index()].insert(ls[0]);
+        }
+    }
+    rows
 }
 
 impl fmt::Display for Problem {

@@ -300,14 +300,6 @@ struct MergeScratch {
 /// loop. The forced singleton rides as its own trailing group — two groups
 /// with equal sets enumerate the same choice multisets as one merged
 /// group, so coverage is unchanged.
-///
-/// Probes run the **plain** DFS, not the memoized one
-/// ([`ConfigTrie::all_choices_contained_memo`]): measured across the bench
-/// sweep (weak2 Δ=3..13, coloring k≤7, the autolb families), the
-/// completeness-annotated trie DFS answers probes faster than the memo's
-/// canonicalize-and-hash per state — at Δ=13 the memoized close stage
-/// costs 3× the plain one. The memo stays available (and property-tested)
-/// for workloads with heavier probe repetition.
 fn can_extend_grouped(l: Label, trie: &ConfigTrie, scratch: &mut CloseScratch) -> bool {
     scratch.groups.push((LabelSet::singleton(l), 1));
     let CloseScratch { groups, dfs } = scratch;

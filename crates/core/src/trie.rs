@@ -28,7 +28,6 @@
 use crate::config::Config;
 use crate::label::Label;
 use crate::labelset::LabelSet;
-use std::collections::HashMap;
 
 /// A trie over the sorted label sequences of a constraint's configurations.
 ///
@@ -70,58 +69,6 @@ struct Node {
 pub struct DfsScratch {
     rem: Vec<usize>,
     eligible: Vec<usize>,
-}
-
-/// Memo for the all-choices DFS, shared across probes against **one**
-/// trie (callers own one per engine run; results are only valid for the
-/// trie they were computed against).
-///
-/// Two tables make probes share work:
-///
-/// * grouped-set vectors (sorted, duplicate sets merged) are interned to a
-///   small id, so the per-state key below stays a few machine words;
-/// * DFS states are memoized as `(groups-id, trie node, next label,
-///   remaining-multiplicity signature)` → verdict, where the signature
-///   packs each group's remaining count into a byte.
-///
-/// The componentwise closure probes every missing label of every position
-/// of thousands of candidate lines per round, and candidates funnel onto
-/// few distinct closed lines — so whole probes (and subtrees of partially
-/// distinct probes) repeat verbatim across candidates. The memo answers a
-/// repeat at its first DFS state. Buffers are reused across probes (the
-/// scratch-arena property: steady-state probing allocates only on genuine
-/// table growth).
-#[derive(Debug, Default)]
-pub struct DfsMemo {
-    /// Canonical (sorted) set vector → dense id. Counts are *not* part of
-    /// the id: they live in the per-state remaining-multiplicity
-    /// signature, so probes over the same sets with different
-    /// multiplicities share every common DFS state.
-    group_ids: HashMap<Vec<LabelSet>, u32>,
-    /// `(groups-id, node, next-label, packed remaining counts)` → verdict.
-    results: HashMap<(u32, u32, u32, u128), bool>,
-    /// Probe-canonicalization buffer.
-    canon: Vec<(LabelSet, usize)>,
-    /// Set-vector lookup buffer (avoids a per-probe key allocation).
-    sets_buf: Vec<LabelSet>,
-}
-
-/// Groups above this count skip memoization (their remaining-multiplicity
-/// signature would not fit the packed key); the plain DFS handles them.
-const MEMO_MAX_GROUPS: usize = 16;
-
-impl DfsMemo {
-    /// Packs the remaining counts (each < 256 — counts are bounded by the
-    /// constraint arity) into the state key.
-    fn pack(rem: &[usize]) -> u128 {
-        debug_assert!(rem.len() <= MEMO_MAX_GROUPS);
-        let mut packed = 0u128;
-        for (i, &r) in rem.iter().enumerate() {
-            debug_assert!(r < 256);
-            packed |= (r as u128) << (8 * i);
-        }
-        packed
-    }
 }
 
 impl ConfigTrie {
@@ -286,171 +233,6 @@ impl ConfigTrie {
         self.all_choices_rec(0, 0, groups, rem, eligible)
     }
 
-    /// Memoized [`ConfigTrie::all_choices_contained_scratch`]: the grouped
-    /// line is canonicalized (sorted by set, duplicate sets merged — group
-    /// order and splitting are irrelevant to the answer), interned in the
-    /// memo, and the DFS consults/extends the memo at every branch state.
-    /// `memo` must only ever be used with one trie; results are undefined
-    /// otherwise (callers tie one [`DfsMemo`] to one engine run).
-    pub fn all_choices_contained_memo(
-        &self,
-        groups: &[(LabelSet, usize)],
-        scratch: &mut DfsScratch,
-        memo: &mut DfsMemo,
-    ) -> bool {
-        let total: usize = groups.iter().map(|&(_, n)| n).sum();
-        if total != self.arity || groups.iter().any(|(s, _)| s.is_empty()) {
-            return false;
-        }
-        if groups.iter().any(|(s, _)| !s.is_subset(&self.universe)) {
-            return false;
-        }
-        // Canonicalize: sort by set, merge runs of equal sets.
-        memo.canon.clear();
-        memo.canon.extend_from_slice(groups);
-        memo.canon.sort_unstable_by_key(|&(s, _)| s);
-        memo.canon.dedup_by(|next, prev| {
-            if next.0 == prev.0 {
-                prev.1 += next.1;
-                true
-            } else {
-                false
-            }
-        });
-        if memo.canon.len() > MEMO_MAX_GROUPS {
-            // Signature does not fit the packed key: plain DFS.
-            scratch.rem.clear();
-            scratch.rem.extend(memo.canon.iter().map(|&(_, n)| n));
-            scratch.eligible.clear();
-            let DfsScratch { rem, eligible } = scratch;
-            return self.all_choices_rec(0, 0, &memo.canon, rem, eligible);
-        }
-        memo.sets_buf.clear();
-        memo.sets_buf.extend(memo.canon.iter().map(|&(s, _)| s));
-        let gid = match memo.group_ids.get(memo.sets_buf.as_slice()) {
-            Some(&gid) => gid,
-            None => {
-                let gid = memo.group_ids.len() as u32;
-                memo.group_ids.insert(memo.sets_buf.clone(), gid);
-                gid
-            }
-        };
-        scratch.rem.clear();
-        scratch.rem.extend(memo.canon.iter().map(|&(_, n)| n));
-        scratch.eligible.clear();
-        // Split borrows: the canonical groups are moved into a local so the
-        // memo tables can be borrowed mutably during the DFS.
-        let canon = std::mem::take(&mut memo.canon);
-        let DfsScratch { rem, eligible } = scratch;
-        let ok = self.rec_memo(0, 0, gid, &canon, rem, eligible, &mut memo.results);
-        memo.canon = canon;
-        ok
-    }
-
-    /// Memoized variant of [`ConfigTrie::all_choices_rec`].
-    #[allow(clippy::too_many_arguments)]
-    fn rec_memo(
-        &self,
-        node: u32,
-        cursor: usize,
-        gid: u32,
-        groups: &[(LabelSet, usize)],
-        rem: &mut [usize],
-        scratch: &mut Vec<usize>,
-        results: &mut HashMap<(u32, u32, u32, u128), bool>,
-    ) -> bool {
-        if self.nodes[node as usize].complete {
-            return true;
-        }
-        let mut next: Option<Label> = None;
-        for (gi, &(set, _)) in groups.iter().enumerate() {
-            if rem[gi] > 0 {
-                let m = set.min_label_at_least(cursor);
-                debug_assert!(m.is_some(), "group exhausted its set before its count");
-                if let Some(l) = m {
-                    next = Some(next.map_or(l, |n: Label| n.min(l)));
-                }
-            }
-        }
-        let Some(l) = next else {
-            return true;
-        };
-        // The state is keyed on the *computed* next label, which
-        // normalizes cursors that skip over unassignable labels.
-        let key = (gid, node, l.index() as u32, DfsMemo::pack(rem));
-        if let Some(&v) = results.get(&key) {
-            return v;
-        }
-        let eligible_from = scratch.len();
-        for (gi, &(set, _)) in groups.iter().enumerate() {
-            if rem[gi] > 0 && set.contains(l) {
-                scratch.push(gi);
-            }
-        }
-        let ok = self.combos_memo(node, l, eligible_from, gid, groups, rem, scratch, results);
-        scratch.truncate(eligible_from);
-        results.insert(key, ok);
-        ok
-    }
-
-    /// Memoized variant of [`ConfigTrie::combos`].
-    #[allow(clippy::too_many_arguments)]
-    fn combos_memo(
-        &self,
-        node: u32,
-        l: Label,
-        idx: usize,
-        gid: u32,
-        groups: &[(LabelSet, usize)],
-        rem: &mut [usize],
-        scratch: &mut Vec<usize>,
-        results: &mut HashMap<(u32, u32, u32, u128), bool>,
-    ) -> bool {
-        if self.nodes[node as usize].complete {
-            return true;
-        }
-        if idx == scratch.len() {
-            return self.rec_memo(node, l.index() + 1, gid, groups, rem, scratch, results);
-        }
-        let gi = scratch[idx];
-        let saved = rem[gi];
-        let forced = groups[gi].0.min_label_at_least(l.index() + 1).is_none();
-        let lo = if forced { saved } else { 0 };
-        let mut node = node;
-        for _ in 0..lo {
-            match self.step(node, l) {
-                Some(next) if self.nodes[next as usize].complete => return true,
-                Some(next) => node = next,
-                None => return false,
-            }
-        }
-        let mut take = lo;
-        loop {
-            rem[gi] = saved - take;
-            if !self.combos_memo(node, l, idx + 1, gid, groups, rem, scratch, results) {
-                rem[gi] = saved;
-                return false;
-            }
-            if take == saved {
-                break;
-            }
-            take += 1;
-            match self.step(node, l) {
-                Some(next) if self.nodes[next as usize].complete => {
-                    rem[gi] = saved;
-                    return true;
-                }
-                Some(next) => node = next,
-                None => {
-                    rem[gi] = saved;
-                    return false;
-                }
-            }
-        }
-        rem[gi] = saved;
-        true
-    }
-
     /// Branches over the multiplicity of the smallest still-assignable
     /// label, advancing the trie along the chosen run.
     fn all_choices_rec(
@@ -605,65 +387,6 @@ mod tests {
         assert!(!trie.all_choices_contained(&[(set(&[1]), 2)]));
         // Empty component.
         assert!(!trie.all_choices_contained(&[(LabelSet::empty(), 1), (set(&[1]), 2)]));
-    }
-
-    #[test]
-    fn memoized_dfs_matches_unmemoized_oracle() {
-        use rand::{Rng, SeedableRng};
-        // One memo shared across every probe of a trie (the engine's usage
-        // pattern): repeated and permuted groupings must keep answering
-        // exactly like the memo-free DFS. ≤6 labels, arity 4 per the
-        // engine's property-test contract.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0x3E30);
-        for _ in 0..120 {
-            let n = rng.gen_range(2..=6);
-            let arity = 4;
-            let mut c = Constraint::new(arity).unwrap();
-            for m in crate::config::all_multisets(n, arity) {
-                if rng.gen_bool(0.45) {
-                    c.insert(m).unwrap();
-                }
-            }
-            let trie = ConfigTrie::build(arity, c.iter());
-            let mut memo = DfsMemo::default();
-            let mut scratch = DfsScratch::default();
-            let mut probes: Vec<Vec<(LabelSet, usize)>> = Vec::new();
-            for _ in 0..40 {
-                let mut groups: Vec<(LabelSet, usize)> = Vec::new();
-                let mut left = arity;
-                while left > 0 {
-                    let count = rng.gen_range(1..=left);
-                    let mut s = LabelSet::empty();
-                    for i in 0..n {
-                        if rng.gen_bool(0.5) {
-                            s.insert(l(i));
-                        }
-                    }
-                    if s.is_empty() {
-                        s.insert(l(rng.gen_range(0..n)));
-                    }
-                    groups.push((s, count));
-                    left -= count;
-                }
-                probes.push(groups);
-            }
-            // Probe twice (second pass hits the memo) plus shuffled copies
-            // (canonicalization must make order irrelevant).
-            for round in 0..2 {
-                for groups in &probes {
-                    let plain = trie.all_choices_contained(groups);
-                    let memoized = trie.all_choices_contained_memo(groups, &mut scratch, &mut memo);
-                    assert_eq!(memoized, plain, "round {round}: {groups:?} vs {c:?}");
-                    let mut rev: Vec<(LabelSet, usize)> = groups.clone();
-                    rev.reverse();
-                    assert_eq!(
-                        trie.all_choices_contained_memo(&rev, &mut scratch, &mut memo),
-                        plain,
-                        "reversed grouping must agree: {groups:?}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

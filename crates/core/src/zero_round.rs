@@ -26,8 +26,10 @@
 //! out-port of any view to any in-port of any view.
 
 use crate::config::Config;
+use crate::error::{Error, Result};
 use crate::label::Label;
 use crate::labelset::LabelSet;
+use crate::packed::PackedProblem;
 use crate::problem::Problem;
 
 /// A witness that a problem is 0-round solvable in the plain PN model: the
@@ -55,11 +57,15 @@ pub struct ZeroRoundWitness {
 /// assert!(zero_round_pn(&triv).is_some());
 /// ```
 pub fn zero_round_pn(p: &Problem) -> Option<ZeroRoundWitness> {
-    'cfg: for cfg in p.node().iter() {
+    zero_round_pn_packed(&PackedProblem::pack(p))
+}
+
+/// [`zero_round_pn`] of a packed problem.
+pub fn zero_round_pn_packed(p: &PackedProblem) -> Option<ZeroRoundWitness> {
+    'cfg: for labels in p.node().iter() {
         // Every unordered pair of the support, walked over the sorted
         // labels in place: `a` skips repeats, and `b` starts at `a`'s
         // position so the pair {a, a} is checked too.
-        let labels = cfg.labels();
         for (i, &a) in labels.iter().enumerate() {
             if i > 0 && labels[i - 1] == a {
                 continue;
@@ -68,12 +74,12 @@ pub fn zero_round_pn(p: &Problem) -> Option<ZeroRoundWitness> {
                 if j > i && labels[j - 1] == b {
                     continue;
                 }
-                if !p.edge_ok(a, b) {
+                if !p.edge().contains(&[a, b]) {
                     continue 'cfg;
                 }
             }
         }
-        return Some(ZeroRoundWitness { config: cfg.clone() });
+        return Some(ZeroRoundWitness { config: Config::new(labels.to_vec()) });
     }
     None
 }
@@ -110,14 +116,25 @@ pub struct OrientedZeroRoundWitness {
 ///
 /// # Panics
 ///
-/// Panics if Δ exceeds 64: splits are `u64` position masks.
+/// Panics if Δ exceeds [`MAX_ORIENTED_DELTA`]: splits are `u64` position
+/// masks. Callers holding untrusted input reject such problems first with
+/// [`check_oriented_delta`].
 pub fn zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
+    zero_round_oriented_packed(&PackedProblem::pack(p))
+}
+
+/// [`zero_round_oriented`] of a packed problem.
+///
+/// # Panics
+///
+/// Panics if Δ exceeds [`MAX_ORIENTED_DELTA`].
+pub fn zero_round_oriented_packed(p: &PackedProblem) -> Option<OrientedZeroRoundWitness> {
     let delta = p.delta();
     assert!(
-        delta <= MAX_SPLIT_ARITY,
-        "zero_round_oriented supports Δ ≤ {MAX_SPLIT_ARITY}, got Δ = {delta}"
+        delta <= MAX_ORIENTED_DELTA,
+        "zero_round_oriented supports Δ ≤ {MAX_ORIENTED_DELTA}, got Δ = {delta}"
     );
-    let n = p.alphabet().len();
+    let n = p.label_count();
     // Per-label edge-compatibility rows: every cross condition reduces to
     // bitset subset tests against these.
     let row = p.edge_rows();
@@ -132,11 +149,10 @@ pub fn zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
     // (one per distinct multiset split, see [`canonical_splits`]), in the
     // lexicographic order of their positions, so the first split seen per
     // support pair is the one a plain k-subset enumeration sees first.
-    let mut options: Vec<Vec<View<(&Config, u64)>>> = Vec::with_capacity(delta + 1);
+    let mut options: Vec<Vec<View<Split<'_>>>> = Vec::with_capacity(delta + 1);
     for k in 0..=delta {
         let mut views = Vec::new();
-        for cfg in p.node().iter() {
-            let labels = cfg.labels();
+        for labels in p.node().iter() {
             canonical_splits(labels, k, &mut |mask| {
                 let mut ins_set = LabelSet::empty();
                 let mut outs_set = LabelSet::empty();
@@ -147,7 +163,7 @@ pub fn zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
                         outs_set.insert(l);
                     }
                 }
-                push_view(&mut views, ins_set, outs_set, (cfg, mask), &row, n);
+                push_view(&mut views, ins_set, outs_set, (labels, mask), &row, n);
             });
         }
         prune_dominated(&mut views);
@@ -161,8 +177,8 @@ pub fn zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
         .iter()
         .enumerate()
         .map(|(k, &ix)| {
-            let (cfg, mask) = options[k][ix].split;
-            split_at_mask(cfg.labels(), mask)
+            let (labels, mask) = options[k][ix].split;
+            split_at_mask(labels, mask)
         })
         .collect();
     Some(OrientedZeroRoundWitness { plans })
@@ -178,9 +194,25 @@ fn split_at_mask(labels: &[Label], mask: u64) -> (Vec<Label>, Vec<Label>) {
     (pick(true), pick(false))
 }
 
-/// Largest node arity [`zero_round_oriented`] handles: a split is a `u64`
-/// mask of in-port positions.
-const MAX_SPLIT_ARITY: usize = u64::BITS as usize;
+/// Largest node arity Δ [`zero_round_oriented`] decides: a split is a
+/// `u64` mask of in-port positions.
+pub const MAX_ORIENTED_DELTA: usize = u64::BITS as usize;
+
+/// Rejects a node arity [`zero_round_oriented`] cannot decide.
+///
+/// # Errors
+///
+/// Returns [`Error::Unsupported`] for Δ above [`MAX_ORIENTED_DELTA`].
+pub fn check_oriented_delta(delta: usize) -> Result<()> {
+    if delta > MAX_ORIENTED_DELTA {
+        return Err(Error::Unsupported {
+            reason: format!(
+                "the oriented 0-round decider supports Δ ≤ {MAX_ORIENTED_DELTA}, got Δ = {delta}"
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// Calls `f` with the position mask of every *canonical* `k`-subset of
 /// `labels` (sorted), in the lexicographic order of the subsets' sorted
@@ -209,6 +241,10 @@ fn canonical_splits(labels: &[Label], k: usize, f: &mut impl FnMut(u64)) {
         rec(labels, k, 0, 0, f);
     }
 }
+
+/// A split of a node configuration: its labels and the position mask of
+/// its in-ports.
+type Split<'a> = (&'a [Label], u64);
 
 /// One candidate 0-round view: a split of a node configuration into
 /// in-port and out-port labels, reduced to the sets the search needs.
@@ -425,24 +461,45 @@ mod tests {
         }
     }
 
+    /// The plain-PN decider probing pairs through [`Problem::edge_ok`]:
+    /// the reference for the packed pass.
+    fn reference_zero_round_pn(p: &Problem) -> Option<ZeroRoundWitness> {
+        p.node()
+            .iter()
+            .find(|cfg| cfg.iter().all(|a| cfg.iter().all(|b| p.edge_ok(a, b))))
+            .map(|cfg| ZeroRoundWitness { config: cfg.clone() })
+    }
+
     #[test]
     fn mask_views_give_the_reference_witness() {
         let mut rng = StdRng::seed_from_u64(0x5EED_0005);
-        let mut solvable = 0;
+        let (mut solvable, mut pn_solvable) = (0, 0);
         for i in 0..600 {
             let n = rng.gen_range(1..=5);
             let delta = rng.gen_range(1..=4);
             // Dense edge constraints make some problems 0-round solvable.
             let sizes = (rng.gen_range(1..=10), rng.gen_range(1..=n * (n + 1) / 2));
             let p = crate::iso::tests::random_problem(&mut rng, n, (delta, 2), sizes, i % 3 == 0);
-            let got = zero_round_oriented(&p);
+            let packed = PackedProblem::pack(&p);
+            let got = zero_round_oriented_packed(&packed);
             assert_eq!(got, reference_zero_round_oriented(&p), "problem {i}:\n{}", p.to_text());
             solvable += usize::from(got.is_some());
+            let pn = zero_round_pn_packed(&packed);
+            assert_eq!(pn, reference_zero_round_pn(&p), "problem {i}:\n{}", p.to_text());
+            pn_solvable += usize::from(pn.is_some());
         }
         assert!(
             (100..500).contains(&solvable),
             "too few of one verdict: {solvable} of 600 solvable"
         );
+        assert!(pn_solvable >= 50, "too few plain-PN solvable problems: {pn_solvable}");
+    }
+
+    #[test]
+    fn oriented_arity_limit_is_a_structured_error() {
+        assert!(check_oriented_delta(MAX_ORIENTED_DELTA).is_ok());
+        let err = check_oriented_delta(MAX_ORIENTED_DELTA + 1).unwrap_err();
+        assert!(matches!(err, Error::Unsupported { .. }), "{err:?}");
     }
 
     #[test]

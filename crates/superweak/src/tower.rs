@@ -6,7 +6,6 @@
 //! of a `u128`), which is closed under the paper's `F(x) = 2^x` and admits
 //! exact comparison, log₂, and log*.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -23,7 +22,7 @@ use std::fmt;
 /// assert!(y > Tower::from_u128(u128::MAX));
 /// assert_eq!(y.log2().unwrap(), x.pow2());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Tower {
     height: u32,
     top: u128,

@@ -8,7 +8,6 @@
 //! (complementarity) and the node constraint becomes a counting condition
 //! per position.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A sequence of trits (values 0, 1, 2) of length `k`.
@@ -19,7 +18,7 @@ use std::fmt;
 /// let b = TritSeq::new(vec![2, 0]).unwrap();
 /// assert!(a.complementary(&b)); // 0+2 = 2, 2+0 = 2
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TritSeq(Vec<u8>);
 
 impl TritSeq {
@@ -118,7 +117,7 @@ pub fn all_trit_seqs(k: usize) -> Vec<TritSeq> {
 ///
 /// Stored as a sorted, deduplicated vector; two `TritSet`s are equal iff
 /// they contain the same sequences.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TritSet(Vec<TritSeq>);
 
 impl TritSet {

@@ -73,7 +73,7 @@ use roundelim::core::problem::Problem;
 use roundelim::core::relax::relaxation_map;
 use roundelim::core::sequence::{iterate, iterate_relaxed, StopReason, ZeroRoundModel};
 use roundelim::core::speedup::full_step;
-use roundelim::core::zero_round::{zero_round_oriented, zero_round_pn};
+use roundelim::core::zero_round::{check_oriented_delta, zero_round_oriented, zero_round_pn};
 use roundelim::obs;
 use roundelim::problems::registry::{families, family, sweep_specs};
 use std::path::{Path, PathBuf};
@@ -872,6 +872,7 @@ fn cmd_sim_vs_bound(args: &[String]) -> CliResult {
 fn cmd_zero_round(args: &[String]) -> CliResult {
     let spec = args.first().ok_or("zero-round: missing problem spec")?;
     let p = load(spec)?;
+    check_oriented_delta(p.delta()).map_err(|e| usage_err(format!("{spec}: {e}")))?;
     match zero_round_pn(&p) {
         Some(w) => {
             println!("plain PN:  SOLVABLE — every node outputs {}", w.config.display(p.alphabet()))

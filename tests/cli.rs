@@ -130,6 +130,9 @@ fn autolb_json_embeds_the_certificate() {
 /// verdicts and the classes a search visits all reach these bytes, so any
 /// kernel change that picks a different `iso_map` or witness, or moves a
 /// fingerprint, fails here even when it stays thread-invariant.
+///
+/// The same runs bound the class store: `cache.packed_bytes` (packed rows,
+/// name ids and the name table) stays under 1 KiB per interned class.
 #[test]
 fn coloring_certificate_bytes_are_pinned() {
     const GOLDEN: u64 = 0xc8fe_075d_8e20_380f;
@@ -138,11 +141,37 @@ fn coloring_certificate_bytes_are_pinned() {
         let budget = ["--steps", "6", "--beam", "6", "--max-labels", "10"];
         let mut args = vec!["autolb", "coloring:3:3"];
         args.extend(budget);
-        args.extend(["--threads", threads, "--cert", cert.to_str().unwrap()]);
-        run_ok(&args);
+        args.extend(["--threads", threads, "--cert", cert.to_str().unwrap(), "--json"]);
+        let report = roundelim::auto::json::Json::parse(&run_ok(&args)).expect("JSON report");
         let bytes = std::fs::read(&cert).unwrap();
         let digest = roundelim_core::binenc::fnv1a64(&bytes);
         assert_eq!(digest, GOLDEN, "threads={threads}: certificate digest {digest:#x}");
+
+        let classes = report.get("stats").and_then(|s| s.get("classes")).and_then(|c| c.as_u64());
+        let packed = report
+            .get("obs")
+            .and_then(|o| o.get("counters"))
+            .and_then(|c| c.get("cache.packed_bytes"))
+            .and_then(|b| b.as_u64());
+        let (classes, packed) = (classes.expect("classes"), packed.expect("packed bytes"));
+        assert_eq!(classes, 5102, "threads={threads}");
+        assert!(packed <= 1024 * classes, "threads={threads}: {packed} B for {classes} classes");
+    }
+}
+
+/// Δ above the oriented 0-round decider's limit is rejected up front with
+/// a diagnostic, by `zero-round` and by the bound search alike.
+#[test]
+fn oversized_delta_is_an_error_not_a_panic() {
+    let file = tmp_dir().join("delta65.problem");
+    std::fs::write(&file, "name: big\nlabels: A B\nnode: A^65\nedge: A A\n").unwrap();
+    for cmd in ["zero-round", "autolb"] {
+        let out = cli().args([cmd, file.to_str().unwrap()]).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let code = out.status.code().expect("exits with a code, not a signal");
+        assert!(code != 0 && code != 101, "{cmd}: exit {code}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+        assert!(stderr.contains("supports Δ ≤ 64, got Δ = 65"), "{cmd}: {stderr}");
     }
 }
 

@@ -273,6 +273,23 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Problem → PackedProblem → Problem` is the identity: names, label
+    /// order and both constraints come back exactly, and packing the
+    /// rebuilt problem gives the same rows.
+    #[test]
+    fn packed_round_trip_is_exact(p in arb_problem()) {
+        use roundelim::core::packed::PackedProblem;
+        let packed = PackedProblem::pack(&p);
+        let back = packed.unpack(p.name(), p.alphabet().names().iter().map(String::as_str));
+        prop_assert_eq!(&back, &p);
+        prop_assert_eq!(&PackedProblem::pack(&back), &packed);
+        prop_assert_eq!(back.to_text(), p.to_text());
+    }
+}
+
+proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Tower arithmetic: pow2 is strictly monotone and log2 inverts it.
