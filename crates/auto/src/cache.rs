@@ -33,9 +33,11 @@
 //! solvability per model.
 
 use crate::failpoint;
+use crate::moves::MoveKind;
 use crate::score::Score;
 use roundelim_core::error::{Error, Result};
 use roundelim_core::iso::{fingerprint_packed, isomorphism_packed};
+use roundelim_core::label::Label;
 use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
 use roundelim_core::profile::{span, Stage};
@@ -92,13 +94,22 @@ pub struct CacheStats {
 pub use roundelim_core::iso::fingerprint;
 
 /// A problem in the form the cache interns: its packed constraints, plus
-/// the names it takes if it becomes a new class. Dedup probes never touch
-/// the names, so they are moved out of the problem, not copied.
+/// what it is named if it becomes a new class. Dedup probes never touch the
+/// names, and a move's result carries no name strings at all: the cache
+/// builds them when the result commits as a new class.
 #[derive(Debug)]
 pub struct Probe {
     packed: PackedProblem,
-    name: String,
-    labels: Vec<String>,
+    names: ProbeNames,
+}
+
+#[derive(Debug)]
+enum ProbeNames {
+    /// A problem's own names, moved out of it.
+    Own { name: String, labels: Vec<String> },
+    /// A move's result, named after the class it was generated from:
+    /// `kept[i]` is the source label that names label `i`.
+    Derived { source: NodeId, kind: MoveKind, kept: Vec<Label> },
 }
 
 impl Probe {
@@ -106,17 +117,24 @@ impl Probe {
     pub fn new(p: Problem) -> Probe {
         let packed = PackedProblem::pack(&p);
         let (name, labels) = p.into_names();
-        Probe { packed, name, labels }
+        Probe { packed, names: ProbeNames::Own { name, labels } }
+    }
+
+    /// A move's result for interning, named (if it becomes a class) after
+    /// the class `source` the move was generated from
+    /// ([`crate::moves::Move::unpack`] names it the same way).
+    pub fn derived(
+        source: NodeId,
+        kind: MoveKind,
+        kept: Vec<Label>,
+        packed: PackedProblem,
+    ) -> Probe {
+        Probe { packed, names: ProbeNames::Derived { source, kind, kept } }
     }
 
     /// The [`fingerprint`] of the problem.
     pub fn fingerprint(&self) -> u64 {
         fingerprint_packed(&self.packed)
-    }
-
-    /// Rebuilds the problem this probe was made from.
-    pub fn into_problem(self) -> Problem {
-        self.packed.unpack(self.name, self.labels)
     }
 }
 
@@ -215,9 +233,19 @@ impl CanonCache {
         zero_round: [Option<bool>; 2],
     ) -> NodeId {
         let id = NodeId(u32::try_from(self.entries.len()).expect("node count fits u32"));
-        let Probe { packed, name, labels } = probe;
-        let names: Box<[u32]> =
-            std::iter::once(&name).chain(&labels).map(|n| self.names.intern(n)).collect();
+        let Probe { packed, names } = probe;
+        let names: Box<[u32]> = match names {
+            ProbeNames::Own { name, labels } => {
+                std::iter::once(&name).chain(&labels).map(|n| self.names.intern(n)).collect()
+            }
+            // The labels are the source's, so their names are in the table
+            // already; only the problem name is new text.
+            ProbeNames::Derived { source, kind, kept } => {
+                let src = &self.entries[source.index()].names;
+                let name = self.names.intern(&kind.result_name(self.names.get(src[0])));
+                std::iter::once(name).chain(kept.iter().map(|l| src[1 + l.index()])).collect()
+            }
+        };
         packed_bytes().add((packed.heap_bytes() + std::mem::size_of_val(&*names)) as u64);
         self.entries.push(Entry { packed, names, step, zero_round });
         id
@@ -305,6 +333,20 @@ impl CanonCache {
         let e = &self.entries[id.index()];
         let name = |&n: &u32| self.names.get(n);
         e.packed.unpack(name(&e.names[0]), e.names[1..].iter().map(name))
+    }
+
+    /// Rebuilds the problem a probe stands for, names included: a move's
+    /// result comes out exactly as [`crate::moves::Move::unpack`] of its
+    /// source would build it.
+    pub fn unpack(&self, probe: Probe) -> Problem {
+        match probe.names {
+            ProbeNames::Own { name, labels } => probe.packed.unpack(name, labels),
+            ProbeNames::Derived { source, kind, kept } => {
+                let src = &self.entries[source.index()].names;
+                let labels = kept.iter().map(|l| self.names.get(src[1 + l.index()]));
+                probe.packed.unpack(kind.result_name(self.names.get(src[0])), labels)
+            }
+        }
     }
 
     /// The beam priority of a class ([`crate::score::score`]).
@@ -921,6 +963,41 @@ mod tests {
                 assert_eq!(snap.stats, expect_snap.stats);
             }
         }
+    }
+
+    #[test]
+    fn move_probes_are_named_after_their_source() {
+        use crate::moves::{for_each_harden_move, for_each_relax_move};
+        // The three merges of 3-coloring are isomorphic: the first commits
+        // a class, the other two dedup onto it.
+        let c3 = Problem::parse("name: c3\nnode: 1 1 | 2 2 | 3 3\nedge: 1 2 | 1 3 | 2 3").unwrap();
+        let mut cache = CanonCache::new();
+        let (src, _) = cache.intern(c3.clone());
+        let mut moves = Vec::new();
+        for_each_relax_move(&c3, false, false, |mv| moves.push(mv));
+        for_each_harden_move(&c3, false, |mv| moves.push(mv));
+        let want: Vec<Problem> = moves.iter().map(|mv| mv.unpack(&c3)).collect();
+        let items = moves
+            .into_iter()
+            .map(|mv| {
+                (fingerprint_packed(&mv.result), Probe::derived(src, mv.kind, mv.kept, mv.result))
+            })
+            .collect();
+        let (mut new, mut dups) = (0, 0);
+        for ((id, back), want) in cache.intern_wave(items, 2, 4).into_iter().zip(&want) {
+            match back {
+                None => {
+                    new += 1;
+                    assert_eq!(&cache.materialize(id), want);
+                }
+                Some(probe) => {
+                    dups += 1;
+                    assert_eq!(&cache.unpack(probe), want);
+                }
+            }
+        }
+        assert!(new > 0 && dups > 0, "{new} new, {dups} dups");
+        assert_eq!(cache.materialize(NodeId(1)).name(), "c3″");
     }
 
     #[test]

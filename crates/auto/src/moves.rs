@@ -21,11 +21,18 @@
 //! Every move carries its witness label map; the search emits these maps
 //! into certificates, and [`crate::certificate::Certificate::verify`]
 //! replays them with `roundelim_core::relax::check_relaxation`.
+//!
+//! One generator builds every move as a packed [`Move`]: a
+//! [`PackedProblem::quotient`] (or label/configuration drop) of the packed
+//! source, with no names. The search interns moves in that form; the
+//! functions returning [`RelaxMove`]s and [`HardenMove`]s unpack them.
 
 use roundelim_core::iso::refined_label_hashes;
-use roundelim_core::label::{Alphabet, Label};
+use roundelim_core::label::Label;
 use roundelim_core::labelset::LabelSet;
+use roundelim_core::packed::{PackedConstraint, PackedProblem};
 use roundelim_core::problem::Problem;
+use std::collections::HashSet;
 
 /// A relaxation candidate: `result` is easier than the source problem, as
 /// witnessed by `map` (source label → result label).
@@ -51,69 +58,136 @@ pub struct HardenMove {
     pub result: Problem,
 }
 
-/// Builds the quotient of `p` under a partition of its labels.
-///
-/// `rep[i]` names the representative (an old label index) of old label `i`;
-/// representatives must map to themselves. Returns the quotient problem and
-/// the witness map, or `None` if the construction fails (it cannot for a
-/// well-formed partition, but the guard keeps candidate generation total).
-fn quotient(p: &Problem, rep: &[usize], what: String) -> Option<RelaxMove> {
-    debug_assert!(rep.iter().all(|&r| rep[r] == r), "representatives must be fixed points");
-    // New alphabet: representatives in old-index order keep their names.
-    let mut new_index = vec![usize::MAX; p.alphabet().len()];
-    let mut names: Vec<&str> = Vec::new();
-    for i in 0..p.alphabet().len() {
-        if rep[i] == i {
-            new_index[i] = names.len();
-            names.push(p.alphabet().name(Label::from_index(i)));
+/// What a [`Move`] does to its source problem.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MoveKind {
+    /// Dominated labels absorbed one at a time until none is left; the
+    /// count of absorptions.
+    Simplify(usize),
+    /// Label `.0` absorbed into label `.1`, which dominates it.
+    Absorb(Label, Label),
+    /// Every group of edge-equal labels merged.
+    Coarsen,
+    /// Label `.1` merged into label `.0`.
+    Merge(Label, Label),
+    /// A label dropped with every configuration that uses it.
+    DropLabel(Label),
+    /// One node configuration dropped (its index in row order).
+    DropNodeConfig(usize),
+}
+
+impl MoveKind {
+    /// The result's name given its source's: every quotient appends `″`
+    /// (a simplification one per absorption), a hardening appends `*`.
+    pub(crate) fn result_name(self, source: &str) -> String {
+        match self {
+            MoveKind::Simplify(absorbed) => format!("{source}{}", "″".repeat(absorbed)),
+            MoveKind::Absorb(..) | MoveKind::Coarsen | MoveKind::Merge(..) => format!("{source}″"),
+            MoveKind::DropLabel(_) | MoveKind::DropNodeConfig(_) => format!("{source}*"),
         }
     }
-    let alphabet = Alphabet::from_names(names).ok()?;
-    let map: Vec<Label> =
-        (0..p.alphabet().len()).map(|i| Label::from_index(new_index[rep[i]])).collect();
-    let node = p.node().map_labels(|l| map[l.index()]);
-    let edge = p.edge().map_labels(|l| map[l.index()]);
-    // The quotient maps labels into the fresh alphabet by construction and
-    // preserves the edge arity: skip per-candidate validation (this runs
-    // for every relax candidate of every expanded node).
-    let result = Problem::new_unchecked(format!("{}″", p.name()), alphabet, node, edge);
-    Some(RelaxMove { what, map, result })
+
+    /// A human-readable description in `source`'s label names, e.g.
+    /// `merge A←B`.
+    pub(crate) fn describe(self, source: &Problem) -> String {
+        let name = |l: Label| source.alphabet().name(l);
+        match self {
+            MoveKind::Simplify(absorbed) => {
+                format!("simplify (absorb {absorbed} dominated labels)")
+            }
+            MoveKind::Absorb(a, b) => format!("absorb {}→{}", name(a), name(b)),
+            MoveKind::Coarsen => "coarsen edge-equal labels".to_owned(),
+            MoveKind::Merge(a, b) => format!("merge {}←{}", name(a), name(b)),
+            MoveKind::DropLabel(l) => format!("drop label {}", name(l)),
+            MoveKind::DropNodeConfig(ix) => format!("drop node config #{ix}"),
+        }
+    }
+}
+
+/// A candidate move as the search interns it: the packed result, its
+/// witness map, and which source label names each result label. Names
+/// are only built when a problem is rebuilt ([`Move::unpack`], or the
+/// cache when the result is a new class).
+#[derive(Debug, Clone)]
+pub struct Move {
+    /// What the move does.
+    pub kind: MoveKind,
+    /// Witness label map: a relaxation's is indexed by source label
+    /// (source → result), a hardening's by result label (result → source).
+    pub map: Vec<Label>,
+    /// `kept[i]` is the source label whose name result label `i` takes.
+    pub kept: Vec<Label>,
+    /// The result's constraints.
+    pub result: PackedProblem,
+}
+
+impl Move {
+    /// Rebuilds the result problem, named after `source`.
+    pub fn unpack(&self, source: &Problem) -> Problem {
+        let labels = self.kept.iter().map(|&l| source.alphabet().name(l));
+        self.result.unpack(self.kind.result_name(source.name()), labels)
+    }
+
+    fn into_relax(self, source: &Problem) -> RelaxMove {
+        RelaxMove { what: self.kind.describe(source), result: self.unpack(source), map: self.map }
+    }
+
+    fn into_harden(self, source: &Problem) -> HardenMove {
+        HardenMove { what: self.kind.describe(source), result: self.unpack(source), map: self.map }
+    }
+}
+
+/// The quotient of `src` under a partition of its labels.
+///
+/// `rep[i]` names the representative (an old label index) of old label `i`;
+/// representatives must map to themselves and keep their names, in
+/// old-index order.
+fn quotient(src: &PackedProblem, rep: &[usize], kind: MoveKind) -> Move {
+    debug_assert!(rep.iter().all(|&r| rep[r] == r), "representatives must be fixed points");
+    let mut new_index = vec![usize::MAX; rep.len()];
+    let mut kept = Vec::new();
+    for (i, &r) in rep.iter().enumerate() {
+        if r == i {
+            new_index[i] = kept.len();
+            kept.push(Label::from_index(i));
+        }
+    }
+    let map: Vec<Label> = rep.iter().map(|&r| Label::from_index(new_index[r])).collect();
+    let result = src.quotient(&map);
+    Move { kind, map, kept, result }
+}
+
+/// The quotient identifying label `from` with label `into` (which keeps
+/// its name).
+fn collapse(src: &PackedProblem, from: usize, into: usize, kind: MoveKind) -> Move {
+    let mut rep: Vec<usize> = (0..src.label_count()).collect();
+    rep[from] = into;
+    quotient(src, &rep, kind)
 }
 
 /// All pairwise label-merge relaxations of `p` (one per unordered label
 /// pair; merging `{a, b}` either way yields the same quotient up to
 /// renaming, so the smaller index is kept as representative).
 pub fn merge_moves(p: &Problem) -> Vec<RelaxMove> {
+    let src = PackedProblem::pack(p);
+    let n = src.label_count();
     let mut out = Vec::new();
-    pairwise_merges(p, &std::collections::HashSet::new(), &mut |mv| out.push(mv));
+    for a in 0..n {
+        for b in (a + 1)..n {
+            out.push(merge(&src, a, b).into_relax(p));
+        }
+    }
     out
 }
 
-/// [`merge_moves`] minus the unordered pairs in `skip`, each passed to
-/// `emit` as it is built.
-fn pairwise_merges(
-    p: &Problem,
-    skip: &std::collections::HashSet<(usize, usize)>,
-    emit: &mut impl FnMut(RelaxMove),
-) {
-    let n = p.alphabet().len();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if skip.contains(&(a, b)) {
-                continue;
-            }
-            let mut rep: Vec<usize> = (0..n).collect();
-            rep[b] = a;
-            let what = format!(
-                "merge {}←{}",
-                p.alphabet().name(Label::from_index(a)),
-                p.alphabet().name(Label::from_index(b))
-            );
-            if let Some(mv) = quotient(p, &rep, what) {
-                emit(mv);
-            }
-        }
-    }
+/// The merge of label `b` into label `a`.
+fn merge(src: &PackedProblem, a: usize, b: usize) -> Move {
+    collapse(src, b, a, MoveKind::Merge(Label::from_index(a), Label::from_index(b)))
+}
+
+/// The absorption of label `a` into the label `b` dominating it.
+fn absorb(src: &PackedProblem, a: usize, b: usize) -> Move {
+    collapse(src, a, b, MoveKind::Absorb(Label::from_index(a), Label::from_index(b)))
 }
 
 /// Dominated-label merges: merge `a` into `b` whenever *every*
@@ -126,38 +200,23 @@ fn pairwise_merges(
 /// fixed-point shapes, so they are generated before the generic pairwise
 /// merges.
 pub fn dominated_merge_moves(p: &Problem) -> Vec<RelaxMove> {
-    let n = p.alphabet().len();
-    let mut out = Vec::new();
-    for (a, b) in dominated_pairs(p) {
-        let mut rep: Vec<usize> = (0..n).collect();
-        rep[a] = b;
-        // `quotient` wants representatives to be fixed points; b is.
-        let what = format!(
-            "absorb {}→{}",
-            p.alphabet().name(Label::from_index(a)),
-            p.alphabet().name(Label::from_index(b))
-        );
-        if let Some(mv) = quotient(p, &rep, what) {
-            out.push(mv);
-        }
-    }
-    out
+    let src = PackedProblem::pack(p);
+    dominated_pairs(&src).into_iter().map(|(a, b)| absorb(&src, a, b).into_relax(p)).collect()
 }
 
 /// Whether replacing `a` by `b` keeps every configuration of `c` inside
-/// `c`: an allocation-free trie probe per configuration containing `a`.
+/// `c`: a binary search per configuration containing `a`.
 fn replacement_stays_inside(
-    c: &roundelim_core::constraint::Constraint,
+    c: &PackedConstraint,
     a: Label,
     b: Label,
     buf: &mut Vec<Label>,
 ) -> bool {
-    let trie = c.trie();
-    c.iter().filter(|cfg| cfg.contains(a)).all(|cfg| {
+    c.iter().filter(|row| row.contains(&a)).all(|row| {
         buf.clear();
-        buf.extend(cfg.labels().iter().map(|&l| if l == a { b } else { l }));
+        buf.extend(row.iter().map(|&l| if l == a { b } else { l }));
         buf.sort_unstable();
-        trie.contains_sorted(buf)
+        c.contains(buf)
     })
 }
 
@@ -178,10 +237,10 @@ fn edge_dominates(rows: &[LabelSet], a: usize, b: usize) -> bool {
 /// returns `true`. The edge side is decided by the O(1) row test
 /// ([`edge_dominates`]); the node-side configuration scan only runs for
 /// pairs that pass it. Single source of truth for the dominance condition
-/// ([`dominated_pairs`] and [`simplify_move`]'s early-exit scan must never
+/// ([`dominated_pairs`] and [`simplify`]'s early-exit scan must never
 /// disagree).
-fn scan_dominated_pairs<F: FnMut(usize, usize) -> bool>(p: &Problem, mut visit: F) {
-    let n = p.alphabet().len();
+fn scan_dominated_pairs<F: FnMut(usize, usize) -> bool>(p: &PackedProblem, mut visit: F) {
+    let n = p.label_count();
     let mut buf: Vec<Label> = Vec::new();
     let rows = (p.edge().arity() == 2).then(|| p.edge_rows());
     for a in 0..n {
@@ -204,7 +263,7 @@ fn scan_dominated_pairs<F: FnMut(usize, usize) -> bool>(p: &Problem, mut visit: 
 
 /// All ordered pairs `(a, b)` where `b` dominates `a` (see
 /// [`dominated_merge_moves`]), in lexicographic order.
-fn dominated_pairs(p: &Problem) -> Vec<(usize, usize)> {
+fn dominated_pairs(p: &PackedProblem) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     scan_dominated_pairs(p, |a, b| {
         out.push((a, b));
@@ -219,38 +278,35 @@ fn dominated_pairs(p: &Problem) -> Vec<(usize, usize)> {
 /// the round-eliminator "simplify" pass as a single search edge; `None`
 /// when no label is dominated.
 pub fn simplify_move(p: &Problem) -> Option<RelaxMove> {
-    let mut current = p.clone();
-    let mut map: Vec<Label> = (0..p.alphabet().len()).map(Label::from_index).collect();
+    simplify(&PackedProblem::pack(p)).map(|mv| mv.into_relax(p))
+}
+
+/// [`simplify_move`] on the packed form: every absorption is a packed
+/// quotient of the previous one.
+fn simplify(src: &PackedProblem) -> Option<Move> {
+    let identity: Vec<Label> = (0..src.label_count()).map(Label::from_index).collect();
+    let (mut map, mut kept) = (identity.clone(), identity);
+    let mut current: Option<PackedProblem> = None;
     let mut absorbed = 0usize;
-    while let Some((a, b)) = first_dominated_pair(&current) {
-        // Only the lexicographically first absorption is applied, so the
-        // pair scan stops at the first hit instead of materializing every
-        // dominated-merge quotient.
-        let n = current.alphabet().len();
-        let mut rep: Vec<usize> = (0..n).collect();
-        rep[a] = b;
-        let what = String::new(); // composed move carries its own description
-        let Some(mv) = quotient(&current, &rep, what) else { break };
+    // Only the lexicographically first absorption is applied, so the pair
+    // scan stops at the first hit.
+    while let Some((a, b)) = first_dominated_pair(current.as_ref().unwrap_or(src)) {
+        let step = absorb(current.as_ref().unwrap_or(src), a, b);
         for slot in map.iter_mut() {
-            *slot = mv.map[slot.index()];
+            *slot = step.map[slot.index()];
         }
-        current = mv.result;
+        kept = step.kept.iter().map(|l| kept[l.index()]).collect();
+        current = Some(step.result);
         absorbed += 1;
     }
-    if absorbed == 0 {
-        return None;
-    }
-    Some(RelaxMove {
-        what: format!("simplify (absorb {absorbed} dominated labels)"),
-        map,
-        result: current,
-    })
+    let result = current?;
+    Some(Move { kind: MoveKind::Simplify(absorbed), map, kept, result })
 }
 
 /// The lexicographically first ordered pair `(a, b)` with `b` dominating
-/// `a`, if any (early-exit [`scan_dominated_pairs`] for
-/// [`simplify_move`]'s absorb-one-at-a-time loop).
-fn first_dominated_pair(p: &Problem) -> Option<(usize, usize)> {
+/// `a`, if any (early-exit [`scan_dominated_pairs`] for [`simplify`]'s
+/// absorb-one-at-a-time loop).
+fn first_dominated_pair(p: &PackedProblem) -> Option<(usize, usize)> {
     let mut hit = None;
     scan_dominated_pairs(p, |a, b| {
         hit = Some((a, b));
@@ -264,8 +320,17 @@ fn first_dominated_pair(p: &Problem) -> Option<(usize, usize)> {
 /// tell apart). Returns `None` when the grouping is trivial (all groups are
 /// singletons) — then the move would be the identity.
 pub fn coarsen_move(p: &Problem) -> Option<RelaxMove> {
-    let n = p.alphabet().len();
-    let rows = p.edge().compatibility_matrix(n).ok()?;
+    coarsen(&PackedProblem::pack(p)).map(|mv| mv.into_relax(p))
+}
+
+/// [`coarsen_move`] on the packed form; compatibility rows exist for
+/// arity-2 edge constraints only.
+fn coarsen(src: &PackedProblem) -> Option<Move> {
+    if src.edge().arity() != 2 {
+        return None;
+    }
+    let n = src.label_count();
+    let rows = src.edge_rows();
     let mut rep: Vec<usize> = (0..n).collect();
     let mut merged = false;
     for i in 0..n {
@@ -277,10 +342,7 @@ pub fn coarsen_move(p: &Problem) -> Option<RelaxMove> {
             }
         }
     }
-    if !merged {
-        return None;
-    }
-    quotient(p, &rep, "coarsen edge-equal labels".to_owned())
+    merged.then(|| quotient(src, &rep, MoveKind::Coarsen))
 }
 
 /// Labels grouped into *verified interchangeability classes*: `rep[l]` is
@@ -370,7 +432,7 @@ fn class_members(rep: &[usize]) -> Vec<Vec<usize>> {
 /// downstream.
 pub fn relax_moves(p: &Problem) -> Vec<RelaxMove> {
     let mut out = Vec::new();
-    for_each_relax_move(p, false, false, |mv| out.push(mv));
+    for_each_relax_move(p, false, false, |mv| out.push(mv.into_relax(p)));
     out
 }
 
@@ -395,87 +457,61 @@ pub fn relax_moves(p: &Problem) -> Vec<RelaxMove> {
 /// set.
 pub fn relax_moves_pruned(p: &Problem, subset_rows_only: bool) -> Vec<RelaxMove> {
     let mut out = Vec::new();
-    for_each_relax_move(p, true, subset_rows_only, |mv| out.push(mv));
+    for_each_relax_move(p, true, subset_rows_only, |mv| out.push(mv.into_relax(p)));
     out
 }
 
-/// Calls `emit` with each relaxation candidate of `p` as soon as it is
-/// built, in [`relax_moves`] order (with `prune`, [`relax_moves_pruned`]'s
-/// candidates and order). A caller that keeps only a compact form of each
-/// candidate never holds more than one quotient problem at a time.
+/// Calls `emit` with each relaxation candidate of `p` as a packed
+/// [`Move`], in [`relax_moves`] order (with `prune`,
+/// [`relax_moves_pruned`]'s candidates and order). No candidate is
+/// materialized as a [`Problem`]: each is a packed quotient of `p`.
 pub fn for_each_relax_move(
     p: &Problem,
     prune: bool,
     subset_rows_only: bool,
-    mut emit: impl FnMut(RelaxMove),
+    mut emit: impl FnMut(Move),
 ) {
-    if let Some(mv) = simplify_move(p) {
+    let src = PackedProblem::pack(p);
+    if let Some(mv) = simplify(&src) {
         emit(mv);
     }
-    let orbit = if prune {
+    let orbit = prune.then(|| {
         let rep = twin_classes(p);
         let members = class_members(&rep);
-        Some((rep, members))
-    } else {
-        None
+        (rep, members)
+    });
+    let is_orbit_rep = |a: usize, b: usize| {
+        orbit.as_ref().is_none_or(|(rep, members)| pair_is_orbit_rep(a, b, rep, members))
     };
-    let n = p.alphabet().len();
-    let dominated_list = dominated_pairs(p);
+    let dominated_list = dominated_pairs(&src);
     // Oversized sources skip the individual absorptions: the composite
     // simplify move (already emitted) applies them all at once, and each
     // skipped quotient is a full constraint rebuild on a big alphabet.
+    // Ordered absorptions (a→b) share the orbit-representative rule with
+    // the unordered merges.
     if !subset_rows_only {
-        for &(a, b) in &dominated_list {
-            if let Some((rep, members)) = &orbit {
-                // Ordered absorptions (a→b) share the orbit-representative
-                // rule with the unordered merges.
-                if !pair_is_orbit_rep(a, b, rep, members) {
-                    continue;
-                }
-            }
-            let mut rep_map: Vec<usize> = (0..n).collect();
-            rep_map[a] = b;
-            let what = format!(
-                "absorb {}→{}",
-                p.alphabet().name(Label::from_index(a)),
-                p.alphabet().name(Label::from_index(b))
-            );
-            if let Some(mv) = quotient(p, &rep_map, what) {
-                emit(mv);
-            }
+        for &(a, b) in dominated_list.iter().filter(|&&(a, b)| is_orbit_rep(a, b)) {
+            emit(absorb(&src, a, b));
         }
     }
-    if let Some(mv) = coarsen_move(p) {
+    if let Some(mv) = coarsen(&src) {
         emit(mv);
     }
-    let dominated: std::collections::HashSet<(usize, usize)> =
+    let dominated: HashSet<(usize, usize)> =
         dominated_list.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
-    let rows = if subset_rows_only { Some(p.edge_rows()) } else { None };
-    match &orbit {
-        None => pairwise_merges(p, &dominated, &mut emit),
-        Some((rep, members)) => {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if dominated.contains(&(a, b)) || !pair_is_orbit_rep(a, b, rep, members) {
-                        continue;
-                    }
-                    if let Some(rows) = &rows {
-                        if !rows[a].is_subset(&rows[b]) && !rows[b].is_subset(&rows[a]) {
-                            continue; // incomparable rows: see fn docs
-                        }
-                    }
-                    let mut rep_map: Vec<usize> = (0..n).collect();
-                    rep_map[b] = a;
-                    let what = format!(
-                        "merge {}←{}",
-                        p.alphabet().name(Label::from_index(a)),
-                        p.alphabet().name(Label::from_index(b))
-                    );
-                    if let Some(mv) = quotient(p, &rep_map, what) {
-                        emit(mv);
-                    }
+    let rows = subset_rows_only.then(|| src.edge_rows());
+    let n = src.label_count();
+    for a in 0..n {
+        for b in (a + 1)..n {
+            if dominated.contains(&(a, b)) || !is_orbit_rep(a, b) {
+                continue;
+            }
+            if let Some(rows) = &rows {
+                if !rows[a].is_subset(&rows[b]) && !rows[b].is_subset(&rows[a]) {
+                    continue; // incomparable rows: see `relax_moves_pruned`
                 }
             }
+            emit(merge(&src, a, b));
         }
     }
 }
@@ -490,7 +526,7 @@ const MAX_CONFIG_DROPS: usize = 24;
 /// not emitted.
 pub fn harden_moves(p: &Problem) -> Vec<HardenMove> {
     let mut out = Vec::new();
-    for_each_harden_move(p, false, |mv| out.push(mv));
+    for_each_harden_move(p, false, |mv| out.push(mv.into_harden(p)));
     out
 }
 
@@ -501,81 +537,57 @@ pub fn harden_moves(p: &Problem) -> Vec<HardenMove> {
 /// earlier emitted one); configuration drops are not pruned.
 pub fn harden_moves_pruned(p: &Problem) -> Vec<HardenMove> {
     let mut out = Vec::new();
-    for_each_harden_move(p, true, |mv| out.push(mv));
+    for_each_harden_move(p, true, |mv| out.push(mv.into_harden(p)));
     out
 }
 
-/// Calls `emit` with each hardening candidate of `p` as soon as it is
-/// built, in [`harden_moves`] order (with `prune`, [`harden_moves_pruned`]'s
-/// candidates).
-pub fn for_each_harden_move(p: &Problem, prune: bool, mut emit: impl FnMut(HardenMove)) {
-    let n = p.alphabet().len();
+/// Calls `emit` with each hardening candidate of `p` as a packed
+/// [`Move`], in [`harden_moves`] order (with `prune`,
+/// [`harden_moves_pruned`]'s candidates).
+pub fn for_each_harden_move(p: &Problem, prune: bool, mut emit: impl FnMut(Move)) {
+    let src = PackedProblem::pack(p);
+    if src.edge().arity() != 2 {
+        return; // a hardened problem must be a (graph) problem again
+    }
+    let n = src.label_count();
     let twins = prune.then(|| twin_classes(p));
     for dropped in 0..n {
-        if let Some(rep) = &twins {
-            if rep[dropped] != dropped {
-                continue; // drop(l) ≅ drop(rep[l]), which was emitted first
-            }
+        if twins.as_ref().is_some_and(|rep| rep[dropped] != dropped) {
+            continue; // drop(l) ≅ drop(rep[l]), which was emitted first
         }
-        let keep = LabelSet::from_labels((0..n).filter(|&i| i != dropped).map(Label::from_index));
-        let node = p.node().restrict(&keep);
-        let edge = p.edge().restrict(&keep);
-        if node.is_empty() || edge.is_empty() {
+        let l = Label::from_index(dropped);
+        let result = src.without_label(l);
+        if result.node().is_empty() || result.edge().is_empty() {
             continue;
         }
-        // Result alphabet: surviving labels keep their names; the witness
-        // map is the identity embedding back into `p`'s alphabet.
-        let names =
-            (0..n).filter(|&i| i != dropped).map(|i| p.alphabet().name(Label::from_index(i)));
-        let Ok(alphabet) = Alphabet::from_names(names) else { continue };
-        let mut back = Vec::with_capacity(n - 1);
-        let mut fwd = vec![Label::from_index(0); n];
-        for (new_ix, old_ix) in (0..n).filter(|&i| i != dropped).enumerate() {
-            back.push(Label::from_index(old_ix));
-            fwd[old_ix] = Label::from_index(new_ix);
-        }
-        let node = node.map_labels(|l| fwd[l.index()]);
-        let edge = edge.map_labels(|l| fwd[l.index()]);
-        let Ok(result) = Problem::new(format!("{}*", p.name()), alphabet, node, edge) else {
-            continue;
-        };
-        emit(HardenMove {
-            what: format!("drop label {}", p.alphabet().name(Label::from_index(dropped))),
-            map: back,
-            result,
-        });
+        // Surviving labels keep their names; the witness map is the
+        // identity embedding back into `p`'s alphabet.
+        let back: Vec<Label> = (0..n).filter(|&i| i != dropped).map(Label::from_index).collect();
+        emit(Move { kind: MoveKind::DropLabel(l), kept: back.clone(), map: back, result });
     }
-    if p.node().len() <= MAX_CONFIG_DROPS {
+    let configs = src.node().len();
+    if (2..=MAX_CONFIG_DROPS).contains(&configs) {
         let identity: Vec<Label> = (0..n).map(Label::from_index).collect();
-        for (ix, dropped_cfg) in p.node().iter().enumerate() {
-            if p.node().len() < 2 {
-                break;
-            }
-            let node = roundelim_core::constraint::Constraint::from_configs(
-                p.node().arity(),
-                p.node().iter().filter(|c| *c != dropped_cfg).cloned(),
-            );
-            let Ok(node) = node else { continue };
-            let Ok(result) = Problem::new(
-                format!("{}*", p.name()),
-                p.alphabet().clone(),
-                node,
-                p.edge().clone(),
-            ) else {
-                continue;
-            };
-            emit(HardenMove {
-                what: format!("drop node config #{ix}"),
+        for ix in 0..configs {
+            emit(Move {
+                kind: MoveKind::DropNodeConfig(ix),
                 map: identity.clone(),
-                result,
+                kept: identity.clone(),
+                result: src.without_node_config(ix),
             });
         }
     }
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use roundelim_core::label::Alphabet;
     use roundelim_core::relax::check_relaxation;
 
     fn sc() -> Problem {
@@ -664,7 +676,6 @@ mod tests {
 
     #[test]
     fn orbit_pruning_only_drops_isomorphic_duplicates() {
-        use rand::{Rng, SeedableRng};
         use roundelim_core::iso::are_isomorphic;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x0B17);
         let mut pruned_any = false;
@@ -743,5 +754,123 @@ mod tests {
         assert_eq!(twin_classes(&c3), vec![0, 0, 0]);
         // sc's labels have different roles: all classes singleton.
         assert_eq!(twin_classes(&sc()), vec![0, 1]);
+    }
+
+    /// The zoo's sweep instances and coloring:3:3, each with its first
+    /// speedup step and the step of that step's first relaxation inside
+    /// the search's step bound, where they stay within the search's intern
+    /// cap of 40 labels: the shapes the search relaxes, oversized
+    /// alphabets included.
+    fn zoo_sources() -> Vec<Problem> {
+        use roundelim_core::speedup::full_step;
+        use roundelim_problems::registry::{family, sweep_specs};
+        let mut specs: Vec<(&str, usize, usize)> =
+            sweep_specs().iter().map(|s| (s.family, s.k, s.delta)).collect();
+        specs.push(("coloring", 3, 3));
+        let mut out = Vec::new();
+        for (name, k, delta) in specs {
+            let p = family(name).unwrap().instantiate(k, delta).unwrap();
+            let step = full_step(&p).unwrap().problem().clone();
+            out.push(p);
+            if step.alphabet().len() > 40 {
+                continue;
+            }
+            let small = relax_moves(&step).into_iter().find(|m| m.result.alphabet().len() <= 10);
+            out.push(step);
+            if let Some(Ok(next)) = small.map(|m| full_step(&m.result)) {
+                if next.problem().alphabet().len() <= 40 {
+                    out.push(next.problem().clone());
+                }
+            }
+        }
+        assert!(out.iter().any(|p| p.alphabet().len() > 10), "an oversized source is covered");
+        // Two labels to absorb, so the simplification composes quotients.
+        out.push(Problem::parse("name: p\nnode: A A | A B | A C\nedge: A A | A B | A C").unwrap());
+        out
+    }
+
+    #[test]
+    fn packed_generators_emit_the_old_generators_moves_in_order() {
+        let mut composed = false;
+        for p in zoo_sources() {
+            for (prune, subset_rows_only) in [(false, false), (true, false), (true, true)] {
+                let mut new = Vec::new();
+                for_each_relax_move(&p, prune, subset_rows_only, |mv| {
+                    composed |= matches!(mv.kind, MoveKind::Simplify(2..));
+                    new.push(mv.into_relax(&p));
+                });
+                let old = oracle::relax_moves(&p, prune, subset_rows_only);
+                assert_eq!(
+                    new.len(),
+                    old.len(),
+                    "{}: prune={prune} rows={subset_rows_only}",
+                    p.name()
+                );
+                for (n, o) in new.iter().zip(&old) {
+                    assert_eq!((&n.what, &n.map), (&o.what, &o.map), "{}", p.name());
+                    assert_eq!(n.result, o.result, "{}: {}", p.name(), o.what);
+                }
+            }
+            for prune in [false, true] {
+                let mut new = Vec::new();
+                for_each_harden_move(&p, prune, |mv| new.push(mv.into_harden(&p)));
+                let old = oracle::harden_moves(&p, prune);
+                assert_eq!(new.len(), old.len(), "{}: prune={prune}", p.name());
+                for (n, o) in new.iter().zip(&old) {
+                    assert_eq!((&n.what, &n.map, &n.result), (&o.what, &o.map, &o.result));
+                }
+            }
+        }
+        assert!(composed, "a simplification of several absorptions is covered");
+    }
+
+    /// A random problem on `n` labels with node arity `delta`, and a random
+    /// partition of its labels as a representative vector: each class's
+    /// representative is a random member of it.
+    fn random_partitioned(n: usize, delta: usize, seed: u64) -> Option<(Problem, Vec<usize>)> {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let names: Vec<String> = (0..n).map(|i| format!("L{i}")).collect();
+        let alphabet = Alphabet::from_names(names.iter().map(String::as_str)).unwrap();
+        let mut node = roundelim_core::constraint::Constraint::new(delta).unwrap();
+        let mut edge = roundelim_core::constraint::Constraint::new(2).unwrap();
+        for (c, arity, keep) in [(&mut node, delta, 0.3), (&mut edge, 2, 0.4)] {
+            for m in roundelim_core::config::all_multisets(n, arity) {
+                if rng.gen_bool(keep) {
+                    c.insert(m).unwrap();
+                }
+            }
+        }
+        let p = Problem::new("p", alphabet, node, edge).ok()?;
+        let class: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
+        let mut rep: Vec<usize> = (0..n).collect();
+        for c in 0..n {
+            let members: Vec<usize> = (0..n).filter(|&l| class[l] == c).collect();
+            if let Some(&r) = members.get(rng.gen_range(0..members.len().max(1))) {
+                members.iter().for_each(|&l| rep[l] = r);
+            }
+        }
+        Some((p, rep))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The packed quotient of a random partition is the packed old
+        /// `Problem` quotient, and unpacks to the same names.
+        #[test]
+        fn packed_quotient_matches_the_problem_quotient(
+            n in 2usize..=7,
+            delta in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let Some((p, rep)) = random_partitioned(n, delta, seed) else { return Ok(()) };
+            let old = oracle::quotient(&p, &rep, String::new());
+            let src = PackedProblem::pack(&p);
+            let new = quotient(&src, &rep, MoveKind::Coarsen);
+            prop_assert_eq!(&new.map, &old.map);
+            prop_assert_eq!(&new.result, &PackedProblem::pack(&old.result));
+            prop_assert_eq!(&src.quotient(&old.map), &new.result);
+            prop_assert_eq!(new.unpack(&p), old.result);
+        }
     }
 }

@@ -41,9 +41,9 @@ use crate::cache::{
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
 use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
-use crate::moves::{for_each_harden_move, for_each_relax_move};
+use crate::moves::{for_each_harden_move, for_each_relax_move, Move};
 use roundelim_core::error::{Error, Result};
-use roundelim_core::iso::isomorphism;
+use roundelim_core::iso::{fingerprint_packed, isomorphism};
 use roundelim_core::problem::Problem;
 use roundelim_core::profile::{span, Stage};
 use roundelim_core::sequence::ZeroRoundModel;
@@ -788,10 +788,11 @@ impl Search {
             if self.soft_stop() {
                 return None;
             }
-            // Generate candidates (packed, with their invariant
-            // fingerprints) in parallel; the per-candidate work is pure.
-            // The wave interner resolves re-derived classes with short
-            // isomorphism checks in its parallel shard phase.
+            // Generate candidates (packed quotients, with their invariant
+            // fingerprints) in parallel; the per-candidate work is pure and
+            // builds no names. The wave interner resolves re-derived
+            // classes with short isomorphism checks in its parallel shard
+            // phase.
             let sources: Vec<(NodeId, Problem)> =
                 wave.iter().map(|&n| (n, self.cache.materialize(n))).collect();
             let cap = self.intern_cap();
@@ -800,29 +801,27 @@ impl Search {
             // is restricted to ⊆-comparable edge rows (see
             // `relax_moves_pruned`).
             let max_labels = self.opts.max_labels;
-            type CandList = Vec<(Vec<roundelim_core::label::Label>, Probe, u64)>;
-            let (cands, panics): (Vec<Option<CandList>>, usize) =
+            type Fingerprinted = Vec<(u64, Move)>;
+            let (cands, panics): (Vec<Option<Fingerprinted>>, usize) =
                 par_map(&sources, self.threads, |(_, p)| {
-                    // Each candidate is packed as soon as its quotient is
-                    // built, so a worker holds one full problem at a time.
-                    let mut list = CandList::new();
-                    let mut keep = |map, r: Problem| {
-                        if r.alphabet().len() <= cap {
-                            let probe = Probe::new(r);
-                            let fp = probe.fingerprint();
-                            list.push((map, probe, fp));
-                        }
-                    };
-                    match direction {
-                        Direction::Lower => {
-                            let subset_only = prune && p.alphabet().len() > max_labels;
-                            for_each_relax_move(p, prune, subset_only, |m| keep(m.map, m.result));
-                        }
-                        Direction::Upper => {
-                            for_each_harden_move(p, prune, |m| keep(m.map, m.result));
+                    let mut moves = Vec::new();
+                    {
+                        let _sp = obs::trace::span("search.moves");
+                        let keep = |m: Move| {
+                            if m.result.label_count() <= cap {
+                                moves.push(m);
+                            }
+                        };
+                        match direction {
+                            Direction::Lower => {
+                                let subset_only = prune && p.alphabet().len() > max_labels;
+                                for_each_relax_move(p, prune, subset_only, keep);
+                            }
+                            Direction::Upper => for_each_harden_move(p, prune, keep),
                         }
                     }
-                    list
+                    let _sp = obs::trace::span("search.fingerprint");
+                    moves.into_iter().map(|m| (fingerprint_packed(&m.result), m)).collect()
                 });
             // Flatten the surviving candidates in item order and resolve
             // the whole wave against the sharded cache at once: dedup runs
@@ -839,13 +838,13 @@ impl Search {
                 let Some(list) = list else {
                     continue;
                 };
-                for (map, probe, fp) in list {
+                for (fp, Move { kind, map, kept, result }) in list {
                     let edge = match direction {
                         Direction::Lower => Edge::Relax { map },
                         Direction::Upper => Edge::Harden { map },
                     };
                     origin.push((*n, edge));
-                    flat.push((fp, probe));
+                    flat.push((fp, Probe::derived(*n, kind, kept, result)));
                 }
             }
             let resolved = self.cache.intern_wave(flat, self.threads, self.shards);
@@ -883,7 +882,7 @@ impl Search {
                             // at least one step edge in between. Keep
                             // scanning so the wave commits whole (the first
                             // hit in item order is returned either way).
-                            let problem = probe.into_problem();
+                            let problem = self.cache.unpack(probe);
                             hit = Some(CycleHit { from: n, edge, problem, back_to: c });
                         }
                     }

@@ -26,6 +26,11 @@
 //!   coloring:3:3 and of its first speedup step): param 0
 //!   `iso::fingerprint`, 1 `iso::isomorphism` against a label-reversed
 //!   copy, 2 `zero_round::zero_round_oriented`
+//! * `K2_relax_candidates`   — the search's relaxation-candidate
+//!   generation (`moves::for_each_relax_move`, pruned, packed quotients),
+//!   ns per source over coloring:3:3, its first speedup step, and the
+//!   oversized steps of that step's first relaxations inside the step
+//!   bound: the small and the oversized sources of the c33 relax waves
 //! * `S1_generate_regular`   — seeded random Δ-regular graph at n = 10⁵,
 //!   Δ = 3, 4 (single worker: the CSR build + matching-union hot path)
 //! * `S2_stream_check`       — streaming checker over a valid 2-coloring
@@ -41,7 +46,7 @@
 //! statistics job. Set `BENCH_SMOKE_OUT` to change the output path.
 
 use roundelim_auto::certificate::Direction;
-use roundelim_auto::moves::relax_moves;
+use roundelim_auto::moves::{for_each_relax_move, relax_moves, relax_moves_pruned};
 use roundelim_auto::search::{autolb, SearchOptions, Verdict};
 use roundelim_bench::{calibrate_iters, measure, to_json, Measurement};
 use roundelim_core::iso::{fingerprint, isomorphism};
@@ -179,6 +184,31 @@ fn main() {
         });
         case_per_item(&mut results, "K1_search_kernels", 2, &candidates, |p| {
             black_box(zero_round_oriented(p));
+        });
+    }
+
+    // Relaxation-candidate generation, the wave layer in front of the
+    // fingerprints, on the source shapes a coloring:3:3 search relaxes:
+    // small sources inside the step bound (10 labels) and oversized step
+    // results that only the ⊆-comparable merges relax back under it.
+    {
+        const MAX_LABELS: usize = 10;
+        let c33 = coloring(3, 3).expect("valid k");
+        let step = full_step(&c33).expect("no overflow").problem().clone();
+        let mut sources = vec![c33, step.clone()];
+        for mv in relax_moves_pruned(&step, false) {
+            if sources.len() == 5 {
+                break;
+            }
+            if mv.result.alphabet().len() <= MAX_LABELS {
+                sources.push(full_step(&mv.result).expect("no overflow").problem().clone());
+            }
+        }
+        case_per_item(&mut results, "K2_relax_candidates", 0, &sources, |p| {
+            let subset_rows_only = p.alphabet().len() > MAX_LABELS;
+            for_each_relax_move(p, true, subset_rows_only, |mv| {
+                black_box(mv);
+            });
         });
     }
 

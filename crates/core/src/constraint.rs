@@ -212,31 +212,6 @@ impl Constraint {
     pub fn is_subset(&self, other: &Constraint) -> bool {
         self.configs.is_subset(&other.configs)
     }
-
-    /// For arity-2 constraints: the symmetric compatibility matrix
-    /// `C[a][b] = {a,b} ∈ self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Unsupported`] for other arities.
-    pub fn compatibility_matrix(&self, alphabet_len: usize) -> Result<Vec<Vec<bool>>> {
-        if self.arity != 2 {
-            return Err(Error::Unsupported {
-                reason: format!(
-                    "compatibility matrix needs arity 2, constraint has arity {}",
-                    self.arity
-                ),
-            });
-        }
-        let mut m = vec![vec![false; alphabet_len]; alphabet_len];
-        for c in &self.configs {
-            let ls = c.labels();
-            let (a, b) = (ls[0].index(), ls[1].index());
-            m[a][b] = true;
-            m[b][a] = true;
-        }
-        Ok(m)
-    }
 }
 
 impl FromIterator<Config> for Constraint {
@@ -301,16 +276,6 @@ mod tests {
         let r = c.restrict(&allowed);
         assert_eq!(r.len(), 1);
         assert!(r.contains(&cfg(&[0, 1])));
-    }
-
-    #[test]
-    fn compatibility_matrix_symmetric() {
-        let c = Constraint::from_configs(2, [cfg(&[0, 1]), cfg(&[0, 0])]).unwrap();
-        let m = c.compatibility_matrix(3).unwrap();
-        assert!(m[0][1] && m[1][0] && m[0][0]);
-        assert!(!m[1][1] && !m[2][2] && !m[0][2]);
-        let h = Constraint::from_configs(3, [cfg(&[0, 0, 0])]).unwrap();
-        assert!(h.compatibility_matrix(3).is_err());
     }
 
     #[test]

@@ -94,6 +94,62 @@ impl PackedConstraint {
         false
     }
 
+    /// The image under a label map: every row relabeled through `map` and
+    /// re-sorted, then the rows sorted and deduplicated (the packed form of
+    /// [`Constraint::map_labels`]).
+    ///
+    /// `stable` may mark only labels whose image no other label shares,
+    /// and `map` must be strictly increasing on them. Rows of stable
+    /// labels then keep their sorted, distinct order, while every other
+    /// row holds a shared image and so equals no stable row: only the
+    /// other rows are sorted and deduplicated, and the two runs merged.
+    fn quotient(&self, map: &[Label], stable: &[bool]) -> PackedConstraint {
+        let arity = self.arity;
+        let mut kept: Vec<Label> = Vec::with_capacity(self.rows.len());
+        let mut moved: Vec<Label> = Vec::new();
+        for row in self.iter() {
+            if row.iter().all(|l| stable[l.index()]) {
+                kept.extend(row.iter().map(|l| map[l.index()]));
+            } else {
+                let start = moved.len();
+                moved.extend(row.iter().map(|l| map[l.index()]));
+                moved[start..].sort_unstable();
+            }
+        }
+        let moved_row = |i: u32| &moved[i as usize * arity..][..arity];
+        let mut order: Vec<u32> = (0..(moved.len() / arity) as u32).collect();
+        order.sort_unstable_by(|&a, &b| moved_row(a).cmp(moved_row(b)));
+        order.dedup_by(|a, b| moved_row(*a) == moved_row(*b));
+        let mut rows = Vec::with_capacity(kept.len() + order.len() * arity);
+        let mut kept_rows = kept.chunks_exact(arity).peekable();
+        for row in order.into_iter().map(moved_row) {
+            while let Some(k) = kept_rows.next_if(|k| *k < row) {
+                rows.extend_from_slice(k);
+            }
+            rows.extend_from_slice(row);
+        }
+        kept_rows.for_each(|k| rows.extend_from_slice(k));
+        PackedConstraint { arity, rows: rows.into_boxed_slice() }
+    }
+
+    /// The rows that avoid `dropped`, with every larger label shifted down
+    /// by one. The shift is monotone, so the rows stay in order.
+    fn without_label(&self, dropped: Label) -> PackedConstraint {
+        let shift = |l: Label| if l > dropped { Label::from_index(l.index() - 1) } else { l };
+        let mut rows = Vec::with_capacity(self.rows.len());
+        for row in self.iter().filter(|row| !row.contains(&dropped)) {
+            rows.extend(row.iter().map(|&l| shift(l)));
+        }
+        PackedConstraint { arity: self.arity, rows: rows.into_boxed_slice() }
+    }
+
+    /// The constraint without its row `ix`.
+    fn without_row(&self, ix: usize) -> PackedConstraint {
+        let (head, tail) = self.rows.split_at(ix * self.arity);
+        let rows = head.iter().chain(&tail[self.arity..]).copied().collect();
+        PackedConstraint { arity: self.arity, rows }
+    }
+
     fn heap_bytes(&self) -> usize {
         std::mem::size_of_val(&*self.rows)
     }
@@ -158,8 +214,65 @@ impl PackedProblem {
     }
 
     /// Per-label edge-compatibility rows (see [`Problem::edge_rows`]).
-    pub(crate) fn edge_rows(&self) -> Vec<LabelSet> {
+    pub fn edge_rows(&self) -> Vec<LabelSet> {
         crate::problem::edge_rows(self.labels, self.edge.arity, self.edge.iter())
+    }
+
+    /// The quotient under a label map onto `0..k`: label `l` becomes
+    /// `map[l]`, and configurations that coincide after relabeling merge.
+    /// Equals packing the problem whose constraints are mapped by
+    /// [`Constraint::map_labels`]; the label count is `max(map) + 1`.
+    ///
+    /// ```
+    /// use roundelim_core::label::Label;
+    /// use roundelim_core::packed::PackedProblem;
+    /// use roundelim_core::problem::Problem;
+    /// let p = Problem::parse("name: p\nnode: A B | B C\nedge: A C | B B").unwrap();
+    /// let c_to_a = [0, 1, 0].map(Label::from_index);
+    /// let q = PackedProblem::pack(&p).quotient(&c_to_a);
+    /// assert_eq!(q.label_count(), 2);
+    /// assert_eq!(q.node().len(), 1, "A B and B C coincide");
+    /// assert_eq!(q.edge().len(), 2, "A A and B B");
+    /// ```
+    pub fn quotient(&self, map: &[Label]) -> PackedProblem {
+        debug_assert_eq!(map.len(), self.labels, "one image per label");
+        let labels = map.iter().map(|l| l.index() + 1).max().unwrap_or(0);
+        // Labels alone in their class are stable if the map keeps their
+        // order, as it does for a quotient whose representatives keep
+        // theirs; otherwise every row is re-sorted.
+        let mut class_size = vec![0u32; labels];
+        for l in map {
+            class_size[l.index()] += 1;
+        }
+        let mut stable: Vec<bool> = map.iter().map(|l| class_size[l.index()] == 1).collect();
+        let mut last = None;
+        if !map.iter().zip(&stable).filter(|(_, &s)| s).all(|(&l, _)| last.replace(l) < Some(l)) {
+            stable.fill(false);
+        }
+        PackedProblem {
+            labels,
+            node: self.node.quotient(map, &stable),
+            edge: self.edge.quotient(map, &stable),
+        }
+    }
+
+    /// The problem with label `l` removed together with every
+    /// configuration that uses it; larger labels shift down by one.
+    pub fn without_label(&self, l: Label) -> PackedProblem {
+        PackedProblem {
+            labels: self.labels - 1,
+            node: self.node.without_label(l),
+            edge: self.edge.without_label(l),
+        }
+    }
+
+    /// The problem without node configuration `ix` (in row order).
+    pub fn without_node_config(&self, ix: usize) -> PackedProblem {
+        PackedProblem {
+            labels: self.labels,
+            node: self.node.without_row(ix),
+            edge: self.edge.clone(),
+        }
     }
 
     /// Heap bytes of both row tables.
@@ -186,5 +299,21 @@ mod tests {
         assert!(!packed.edge().contains(&[a]), "arity mismatch is not membership");
         assert_eq!(packed.edge_rows(), p.edge_rows());
         assert_eq!(packed.heap_bytes(), (3 * 3 + 2 * 2) * std::mem::size_of::<Label>());
+    }
+
+    #[test]
+    fn quotient_resorts_rows_under_any_label_map() {
+        // A map that reverses the order of labels alone in their class:
+        // no row keeps its order, so every row goes through the sort.
+        let p =
+            Problem::parse("name: p\nnode: A B C | A A D | B D D\nedge: A B | C D | A D").unwrap();
+        let map = [3, 2, 1, 1].map(Label::from_index);
+        let q = PackedProblem::pack(&p).quotient(&map);
+        let rows = |c: &Constraint| -> Vec<Vec<Label>> {
+            c.map_labels(|l| map[l.index()]).iter().map(|c| c.labels().to_vec()).collect()
+        };
+        assert_eq!(q.node().iter().map(<[Label]>::to_vec).collect::<Vec<_>>(), rows(p.node()));
+        assert_eq!(q.edge().iter().map(<[Label]>::to_vec).collect::<Vec<_>>(), rows(p.edge()));
+        assert_eq!(q.label_count(), 4);
     }
 }

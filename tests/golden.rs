@@ -8,6 +8,10 @@
 //! fails here. A change that alters a format or a verdict on purpose
 //! updates this table in the same diff and says why.
 //!
+//! Two more artifacts are pinned the same way: `SIM_crossval.json` of a
+//! `sim-vs-bound` sweep, and the daemon's `proofs.bin` after a fixed
+//! request sequence.
+//!
 //! The fixtures under `tests/fixtures/` were written by the build before
 //! the packed class store: a v2 checkpoint of a budget-stopped search and
 //! a daemon store with its class sidecar. Both must keep loading.
@@ -102,6 +106,62 @@ fn zoo_outputs_match_the_golden_table_at_two_threads() {
     zoo_matches_the_golden_table("2");
 }
 
+/// `sim-vs-bound --n 100000 --seed 1` writes the same cross-validation
+/// report.
+#[test]
+fn sim_crossval_report_matches_its_golden_digest() {
+    const GOLDEN_SIM: u64 = 0x584c_62d0_5fc0_7d0c;
+    let report = tmp_dir("sim").join("SIM_crossval.json");
+    let out = cli()
+        .args(["sim-vs-bound", "--n", "100000", "--seed", "1"])
+        .args(["--out", report.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let digest = fnv1a64(&std::fs::read(&report).unwrap());
+    assert_eq!(digest, GOLDEN_SIM, "SIM_crossval.json digest {digest:#x}");
+}
+
+/// Starts `roundelim serve` on a fresh port; returns the daemon, its
+/// stdout after the banner, and its address.
+fn serve(store: &Path) -> (std::process::Child, BufReader<std::process::ChildStdout>, String) {
+    let mut child = cli()
+        .args(["serve", "--addr", "127.0.0.1:0", "--store", store.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    stdout.read_line(&mut banner).unwrap();
+    let addr = banner.trim().strip_prefix("roundelimd listening on ").unwrap().to_owned();
+    (child, stdout, addr)
+}
+
+/// Runs `roundelim client ARGS --addr ADDR`, which must succeed.
+fn client(addr: &str, args: &[&str]) -> String {
+    let out = cli().arg("client").args(args).args(["--addr", addr]).output().unwrap();
+    assert!(out.status.success(), "client {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).unwrap()
+}
+
+/// A fresh store that solved `sinkless-orientation::3` and then
+/// `maximal-matching::3` holds the same `proofs.bin` bytes.
+#[test]
+fn daemon_proof_store_matches_its_golden_digest() {
+    const GOLDEN_PROOFS: u64 = 0x5b62_182a_c7f3_d6c4;
+    let store = tmp_dir("proofs");
+    let (mut child, mut stdout, addr) = serve(&store);
+    for spec in ["sinkless-orientation::3", "maximal-matching::3"] {
+        client(&addr, &["solve", spec]);
+    }
+    client(&addr, &["shutdown"]);
+    assert_eq!(child.wait().unwrap().code(), Some(0));
+    let mut rest = String::new();
+    stdout.read_to_string(&mut rest).unwrap();
+    let digest = fnv1a64(&std::fs::read(store.join("proofs.bin")).unwrap());
+    assert_eq!(digest, GOLDEN_PROOFS, "proofs.bin digest {digest:#x}");
+}
+
 /// A checkpoint of `autolb maximal-matching::3 --steps 6 --beam 6
 /// --max-labels 10 --max-expansions 2` (12 classes, LB 2) resumes to the
 /// full search's LB 3 over 613 classes and its certificate bytes.
@@ -136,30 +196,16 @@ fn committed_store_serves_warm_hits_without_new_classes() {
     std::fs::write(&renamed, "name: mm\nlabels: Z Y X\nnode: X^3 | Z Y^2\nedge: Y X | Y^2 | Z^2\n")
         .unwrap();
 
-    let mut child = cli()
-        .args(["serve", "--addr", "127.0.0.1:0", "--store", store.to_str().unwrap()])
-        .stdout(Stdio::piped())
-        .spawn()
-        .unwrap();
-    let mut stdout = BufReader::new(child.stdout.take().unwrap());
-    let mut banner = String::new();
-    stdout.read_line(&mut banner).unwrap();
-    let addr = banner.trim().strip_prefix("roundelimd listening on ").unwrap().to_owned();
-    let client = |args: &[&str]| {
-        let out = cli().arg("client").args(args).args(["--addr", &addr]).output().unwrap();
-        assert!(out.status.success(), "client {args:?}: {}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).unwrap()
-    };
-
+    let (mut child, mut stdout, addr) = serve(&store);
     for spec in ["maximal-matching::3", renamed.to_str().unwrap()] {
-        let out = client(&["solve", spec]);
+        let out = client(&addr, &["solve", spec]);
         assert!(out.contains("cache hit"), "{spec} must be served from the store: {out}");
         assert!(out.contains("verdict: lower-bound (3 rounds)"), "{out}");
     }
-    let status = client(&["status"]);
+    let status = client(&addr, &["status"]);
     assert!(status.contains("\"classes\": 2"), "{status}");
     assert!(status.contains("\"records\": 2"), "{status}");
-    client(&["shutdown"]);
+    client(&addr, &["shutdown"]);
     assert_eq!(child.wait().unwrap().code(), Some(0));
     let mut rest = String::new();
     stdout.read_to_string(&mut rest).unwrap();
