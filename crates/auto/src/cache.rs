@@ -9,18 +9,26 @@
 //! one isomorphism check per class in the bucket. No canonical form is ever
 //! enumerated, at any alphabet size.
 //!
+//! Each problem is refined once. A [`Probe`] carries the fingerprint and
+//! the label ranks of the same refinement
+//! ([`fingerprint_and_ranks`], computed on the worker that built the
+//! probe), and each class keeps its ranks, so a bucket check is
+//! [`isomorphism_ranked`] — the candidate filter and the search, with no
+//! refinement of either side.
+//!
 //! A class is stored as a [`PackedProblem`] (its constraints as sorted
-//! label rows) plus `u32` ids into one name table per cache, so a class
-//! costs about its packed size, not a tree of owned configurations. The
-//! kernels the cache runs — fingerprints, isomorphism checks, 0-round
-//! deciders — read the packed form; [`CanonCache::materialize`] rebuilds
-//! a full [`Problem`] for the few callers that need one.
+//! label rows), its label ranks, and `u32` ids into one name table per
+//! cache, so a class costs about its packed size, not a tree of owned
+//! configurations. The kernels the cache runs — fingerprints, isomorphism
+//! checks, 0-round deciders — read the packed form;
+//! [`CanonCache::materialize`] rebuilds a full [`Problem`] for the few
+//! callers that need one.
 //!
 //! Two entry points intern: [`CanonCache::intern_wave`] resolves a whole
 //! relaxation wave in parallel across fingerprint shards, and
 //! [`CanonCache::intern`] takes one problem at a time (the search root, the
 //! daemon's proof store). Step children go through
-//! [`CanonCache::record_step`] with a fingerprint computed on a worker.
+//! [`CanonCache::record_step`] with a probe built on a worker.
 //!
 //! A **process-wide `full_step` memo** ([`full_step_cached`]), keyed by the
 //! fingerprint and resolved by exact problem equality, makes repeated
@@ -36,7 +44,7 @@ use crate::failpoint;
 use crate::moves::MoveKind;
 use crate::score::Score;
 use roundelim_core::error::{Error, Result};
-use roundelim_core::iso::{fingerprint_packed, isomorphism_packed};
+use roundelim_core::iso::{fingerprint_and_ranks, isomorphism_ranked, Refiner};
 use roundelim_core::label::Label;
 use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
@@ -63,6 +71,9 @@ impl NodeId {
 struct Entry {
     /// The first concrete representative that reached this class, packed.
     packed: PackedProblem,
+    /// Where the representative's label ranks ([`fingerprint_and_ranks`])
+    /// start in [`CanonCache::ranks`].
+    ranks_at: u32,
     /// The representative's names as ids into the cache's [`NameTable`]:
     /// the problem name, then the label names in index order.
     names: Box<[u32]>,
@@ -93,13 +104,16 @@ pub struct CacheStats {
 /// which owns the refined-hash machinery it must stay in lockstep with).
 pub use roundelim_core::iso::fingerprint;
 
-/// A problem in the form the cache interns: its packed constraints, plus
-/// what it is named if it becomes a new class. Dedup probes never touch the
-/// names, and a move's result carries no name strings at all: the cache
-/// builds them when the result commits as a new class.
+/// A problem in the form the cache interns: its packed constraints, its
+/// fingerprint and label ranks (one refinement, done where the probe is
+/// built), plus what it is named if it becomes a new class. Dedup probes
+/// never touch the names, and a move's result carries no name strings at
+/// all: the cache builds them when the result commits as a new class.
 #[derive(Debug)]
 pub struct Probe {
     packed: PackedProblem,
+    fp: u64,
+    ranks: Box<[u16]>,
     names: ProbeNames,
 }
 
@@ -113,28 +127,27 @@ enum ProbeNames {
 }
 
 impl Probe {
-    /// Packs a problem for interning.
+    /// Packs and refines a problem for interning.
     pub fn new(p: Problem) -> Probe {
         let packed = PackedProblem::pack(&p);
+        let (fp, ranks) = fingerprint_and_ranks(&packed);
         let (name, labels) = p.into_names();
-        Probe { packed, names: ProbeNames::Own { name, labels } }
+        Probe { packed, fp, ranks, names: ProbeNames::Own { name, labels } }
     }
 
-    /// A move's result for interning, named (if it becomes a class) after
-    /// the class `source` the move was generated from
-    /// ([`crate::moves::Move::unpack`] names it the same way).
+    /// A move's result for interning, refined with `refiner`'s buffers and
+    /// named (if it becomes a class) after the class `source` the move was
+    /// generated from ([`crate::moves::Move::unpack`] names it the same
+    /// way).
     pub fn derived(
         source: NodeId,
         kind: MoveKind,
         kept: Vec<Label>,
         packed: PackedProblem,
+        refiner: &mut Refiner,
     ) -> Probe {
-        Probe { packed, names: ProbeNames::Derived { source, kind, kept } }
-    }
-
-    /// The [`fingerprint`] of the problem.
-    pub fn fingerprint(&self) -> u64 {
-        fingerprint_packed(&self.packed)
+        let (fp, ranks) = refiner.fingerprint_and_ranks(&packed);
+        Probe { packed, fp, ranks, names: ProbeNames::Derived { source, kind, kept } }
     }
 }
 
@@ -172,6 +185,9 @@ pub struct CanonCache {
     /// within a bucket (collisions resolved by isomorphism).
     fps: HashMap<u64, Vec<NodeId>>,
     entries: Vec<Entry>,
+    /// Every class's label ranks, concatenated in id order: one buffer,
+    /// not one allocation per class.
+    ranks: Vec<u16>,
     names: NameTable,
     /// Hit/miss counters.
     pub stats: CacheStats,
@@ -196,36 +212,38 @@ impl CanonCache {
     /// Interns a problem, returning its class id and whether the class is
     /// new. The first problem to reach a class stays its representative.
     pub fn intern(&mut self, p: Problem) -> (NodeId, bool) {
-        let probe = Probe::new(p);
-        let (id, back) = self.intern_fp(probe.fingerprint(), probe);
+        let (id, back) = self.intern_probe(Probe::new(p));
         (id, back.is_none())
     }
 
-    /// Interns `probe` under its fingerprint `fp`: the bucket's classes are
+    /// Interns `probe` under its fingerprint: the bucket's classes are
     /// checked in creation order, and a miss creates a class. On dedup the
     /// probe is handed back (`Some`); a new class consumes it (`None`).
-    fn intern_fp(&mut self, fp: u64, probe: Probe) -> (NodeId, Option<Probe>) {
-        for &id in self.fps.get(&fp).map(Vec::as_slice).unwrap_or_default() {
+    fn intern_probe(&mut self, probe: Probe) -> (NodeId, Option<Probe>) {
+        for &id in self.fps.get(&probe.fp).map(Vec::as_slice).unwrap_or_default() {
             self.stats.iso_resolutions += 1;
-            if same_class(&self.entries[id.index()].packed, &probe.packed) {
+            let (packed, ranks) = self.class(id);
+            if same_class(packed, ranks, &probe) {
                 self.stats.dedup_hits += 1;
                 return (id, Some(probe));
             }
         }
-        (self.push_class(fp, probe), None)
+        (self.push_class(probe), None)
     }
 
     /// Creates a class for a problem known to be new and registers its
     /// fingerprint.
-    fn push_class(&mut self, fp: u64, probe: Probe) -> NodeId {
+    fn push_class(&mut self, probe: Probe) -> NodeId {
         failpoint::hit("cache-insert");
+        let fp = probe.fp;
         let id = self.push_entry(probe, None, [None, None]);
         self.stats.classes += 1;
         self.fps.entry(fp).or_default().push(id);
         id
     }
 
-    /// Stores a class: its packed rows and its names as table ids.
+    /// Stores a class: its packed rows, its label ranks and its names as
+    /// table ids.
     fn push_entry(
         &mut self,
         probe: Probe,
@@ -233,7 +251,9 @@ impl CanonCache {
         zero_round: [Option<bool>; 2],
     ) -> NodeId {
         let id = NodeId(u32::try_from(self.entries.len()).expect("node count fits u32"));
-        let Probe { packed, names } = probe;
+        let Probe { packed, ranks, names, .. } = probe;
+        let ranks_at = u32::try_from(self.ranks.len()).expect("rank count fits u32");
+        self.ranks.extend_from_slice(&ranks);
         let names: Box<[u32]> = match names {
             ProbeNames::Own { name, labels } => {
                 std::iter::once(&name).chain(&labels).map(|n| self.names.intern(n)).collect()
@@ -246,12 +266,14 @@ impl CanonCache {
                 std::iter::once(name).chain(kept.iter().map(|l| src[1 + l.index()])).collect()
             }
         };
-        packed_bytes().add((packed.heap_bytes() + std::mem::size_of_val(&*names)) as u64);
-        self.entries.push(Entry { packed, names, step, zero_round });
+        let bytes =
+            packed.heap_bytes() + std::mem::size_of_val(&*ranks) + std::mem::size_of_val(&*names);
+        packed_bytes().add(bytes as u64);
+        self.entries.push(Entry { packed, ranks_at, names, step, zero_round });
         id
     }
 
-    /// Interns a whole wave of fingerprinted candidates at once, resolving
+    /// Interns a whole wave of refined candidates at once, resolving
     /// them **in parallel across fingerprint shards** and then assigning
     /// `NodeId`s in a deterministic sequential pass in item order.
     ///
@@ -271,7 +293,7 @@ impl CanonCache {
     /// consumes it (`None`).
     pub fn intern_wave(
         &mut self,
-        items: Vec<(u64, Probe)>,
+        items: Vec<Probe>,
         threads: usize,
         shards: usize,
     ) -> Vec<(NodeId, Option<Probe>)> {
@@ -282,15 +304,15 @@ impl CanonCache {
         let shards = shards.max(1);
         // Partition by fingerprint shard; item order is preserved within a
         // shard, so each shard worker sees its items in global item order.
-        let mut split: Vec<Vec<(usize, u64, Probe)>> = (0..shards).map(|_| Vec::new()).collect();
-        for (idx, (fp, p)) in items.into_iter().enumerate() {
-            split[(fp % shards as u64) as usize].push((idx, fp, p));
+        let mut split: Vec<Vec<(usize, Probe)>> = (0..shards).map(|_| Vec::new()).collect();
+        for (idx, p) in items.into_iter().enumerate() {
+            split[(p.fp % shards as u64) as usize].push((idx, p));
         }
         // Phase 1 (parallel): resolve every shard against the frozen cache.
         // Tasks own their item lists behind a claim Mutex so the probes can
         // be moved, not cloned, into the resolution.
         let frozen = &*self;
-        type ShardTask = Mutex<Option<Vec<(usize, u64, Probe)>>>;
+        type ShardTask = Mutex<Option<Vec<(usize, Probe)>>>;
         let tasks: Vec<ShardTask> = split.into_iter().map(|list| Mutex::new(Some(list))).collect();
         let resolved = roundelim_core::par::par_map(&tasks, threads, |task| {
             let list = task.lock().expect("shard task slot").take().expect("claimed once");
@@ -318,14 +340,21 @@ impl CanonCache {
                 Some((WaveRef::Global(id), probe)) => (id, Some(probe)),
                 Some((WaveRef::Fresh(f), probe)) => (assigned[s][f], Some(probe)),
                 None => {
-                    let (probe, fp) = fresh[s].next().expect("one new item per fresh class");
-                    let id = self.push_class(fp, probe);
+                    let probe = fresh[s].next().expect("one new item per fresh class");
+                    let id = self.push_class(probe);
                     assigned[s].push(id);
                     (id, None)
                 }
             });
         }
         out
+    }
+
+    /// The packed representative of a class and its label ranks.
+    fn class(&self, id: NodeId) -> (&PackedProblem, &[u16]) {
+        let e = &self.entries[id.index()];
+        let at = e.ranks_at as usize;
+        (&e.packed, &self.ranks[at..at + e.packed.label_count()])
     }
 
     /// Rebuilds the representative problem of a class, names included.
@@ -405,8 +434,7 @@ impl CanonCache {
             return Ok((succ, derived));
         }
         let derived = full_step_cached(&self.materialize(id))?;
-        let fp = fingerprint(&derived);
-        let (succ, _) = self.record_step(id, derived.clone(), fp);
+        let (succ, _) = self.record_step(id, derived.clone(), Probe::new(derived.clone()));
         Ok((succ, derived))
     }
 
@@ -426,12 +454,13 @@ impl CanonCache {
         self.entries[id.index()].step.as_ref().map(|(_, derived)| &**derived)
     }
 
-    /// Records a step result the caller computed (with its fingerprint) on
-    /// a worker thread; interns the derived problem and fills the memo.
-    /// Returns the successor class and whether it is new.
-    pub fn record_step(&mut self, id: NodeId, derived: Problem, fp: u64) -> (NodeId, bool) {
+    /// Records a step result the caller computed on a worker thread, with
+    /// `probe` (its [`Probe::new`]) built there too; interns the derived
+    /// problem and fills the memo. Returns the successor class and whether
+    /// it is new.
+    pub fn record_step(&mut self, id: NodeId, derived: Problem, probe: Probe) -> (NodeId, bool) {
         self.stats.step_misses += 1;
-        let (succ, back) = self.intern_fp(fp, Probe::new(derived.clone()));
+        let (succ, back) = self.intern_probe(probe);
         self.entries[id.index()].step = Some((succ, Box::new(derived)));
         (succ, back.is_none())
     }
@@ -463,7 +492,8 @@ impl CanonCache {
     /// from. Snapshots written before every class registered its
     /// fingerprint lack the root and step children; those classes are
     /// registered here, in id order, so a fingerprint miss still proves a
-    /// problem new.
+    /// problem new. Each class is refined once, for its ranks and (if
+    /// unindexed) its fingerprint.
     ///
     /// # Errors
     ///
@@ -475,6 +505,7 @@ impl CanonCache {
             return Err(bad("cache snapshot: too many entries".into()));
         }
         let mut cache = CanonCache { stats: snap.stats, ..CanonCache::default() };
+        let mut fps = Vec::with_capacity(n);
         for (i, (problem, step, zero_round)) in snap.entries.into_iter().enumerate() {
             if let Some((succ, _)) = &step {
                 if succ.index() >= n {
@@ -485,7 +516,9 @@ impl CanonCache {
                 }
             }
             let step = step.map(|(succ, derived)| (succ, Box::new(derived)));
-            cache.push_entry(Probe::new(problem), step, zero_round);
+            let probe = Probe::new(problem);
+            fps.push(probe.fp);
+            cache.push_entry(probe, step, zero_round);
         }
         let mut indexed = vec![false; n];
         for (fp, ids) in snap.fps {
@@ -500,20 +533,23 @@ impl CanonCache {
             }
             cache.fps.insert(fp, ids);
         }
-        for (i, e) in cache.entries.iter().enumerate() {
+        for (i, fp) in fps.into_iter().enumerate() {
             if !indexed[i] {
-                cache.fps.entry(fingerprint_packed(&e.packed)).or_default().push(NodeId(i as u32));
+                cache.fps.entry(fp).or_default().push(NodeId(i as u32));
             }
         }
         Ok(cache)
     }
 }
 
-/// One isomorphism check between a cached class and a probe, timed as a
-/// `stage.canon` span.
-fn same_class(class: &PackedProblem, probe: &PackedProblem) -> bool {
+/// One isomorphism check between a cached class (its packed rows and
+/// ranks) and a probe, timed as a `stage.canon` span and counted as
+/// `cache.iso_checks`. Both sides were refined when they were built, so the
+/// span covers only the candidate filter and the search.
+fn same_class(class: &PackedProblem, ranks: &[u16], probe: &Probe) -> bool {
+    iso_checks().incr();
     let _sp = span(Stage::Canon);
-    isomorphism_packed(class, probe).is_some()
+    isomorphism_ranked(class, ranks, &probe.packed, &probe.ranks).is_some()
 }
 
 /// The memo slot of a [`ZeroRoundModel`].
@@ -553,8 +589,8 @@ type WaveRes = Option<(WaveRef, Probe)>;
 /// order-independent, so the totals stay deterministic).
 #[derive(Default)]
 struct ShardState {
-    /// `(probe, fingerprint)` of each fresh class, in creation order.
-    fresh: Vec<(Probe, u64)>,
+    /// The probe of each fresh class, in creation order.
+    fresh: Vec<Probe>,
     /// Fingerprint buckets of the fresh classes (indexes into `fresh`).
     new_fps: HashMap<u64, Vec<usize>>,
     iso_resolutions: usize,
@@ -565,17 +601,18 @@ impl ShardState {
     /// Resolves one candidate with the probe sequence of
     /// [`CanonCache::intern`]: the fingerprint bucket's frozen members in
     /// creation order, then this wave's. A miss is a new class.
-    fn resolve(&mut self, cache: &CanonCache, fp: u64, probe: Probe) -> WaveRes {
+    fn resolve(&mut self, cache: &CanonCache, probe: Probe) -> WaveRes {
+        let fp = probe.fp;
         let frozen = cache.fps.get(&fp).into_iter().flatten().map(|&id| WaveRef::Global(id));
         let local = self.new_fps.get(&fp).into_iter().flatten().map(|&f| WaveRef::Fresh(f));
         let mut checks = 0;
         let found = frozen.chain(local).find(|&r| {
             checks += 1;
-            let target = match r {
-                WaveRef::Global(id) => &cache.entries[id.index()].packed,
-                WaveRef::Fresh(f) => &self.fresh[f].0.packed,
+            let (packed, ranks) = match r {
+                WaveRef::Global(id) => cache.class(id),
+                WaveRef::Fresh(f) => (&self.fresh[f].packed, &*self.fresh[f].ranks),
             };
-            same_class(target, &probe.packed)
+            same_class(packed, ranks, &probe)
         });
         self.iso_resolutions += checks;
         if let Some(to) = found {
@@ -583,7 +620,7 @@ impl ShardState {
             return Some((to, probe));
         }
         self.new_fps.entry(fp).or_default().push(self.fresh.len());
-        self.fresh.push((probe, fp));
+        self.fresh.push(probe);
         None
     }
 }
@@ -594,14 +631,14 @@ impl ShardState {
 /// final state.
 fn resolve_wave_shard(
     cache: &CanonCache,
-    items: Vec<(usize, u64, Probe)>,
+    items: Vec<(usize, Probe)>,
 ) -> (Vec<(usize, WaveRes)>, ShardState) {
     let metrics = intern_metrics();
     let mut st = ShardState::default();
     let mut out = Vec::with_capacity(items.len());
-    for (idx, fp, p) in items {
+    for (idx, p) in items {
         let watch = obs::armed().then(obs::time::Stopwatch::start);
-        let res = st.resolve(cache, fp, p);
+        let res = st.resolve(cache, p);
         let (count, latency) = if res.is_none() {
             (metrics.misses, metrics.miss_ns)
         } else {
@@ -660,9 +697,16 @@ fn intern_metrics() -> &'static CacheMetrics {
     })
 }
 
-/// `cache.packed_bytes`: the bytes a cache stores per class (packed rows
-/// and name ids) and per distinct name (its name-table string), added as
-/// each is created.
+/// `cache.iso_checks`: isomorphism checks against fingerprint-bucket
+/// members, the process-wide sum of [`CacheStats::iso_resolutions`].
+fn iso_checks() -> &'static obs::metrics::Counter {
+    static C: OnceLock<&'static obs::metrics::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::metrics::counter("cache.iso_checks"))
+}
+
+/// `cache.packed_bytes`: the bytes a cache stores per class (packed rows,
+/// label ranks and name ids) and per distinct name (its name-table
+/// string), added as each is created.
 fn packed_bytes() -> &'static obs::metrics::Counter {
     static C: OnceLock<&'static obs::metrics::Counter> = OnceLock::new();
     C.get_or_init(|| obs::metrics::counter("cache.packed_bytes"))
@@ -745,7 +789,7 @@ mod tests {
     use super::*;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
-    use roundelim_core::iso::{are_isomorphic, dedup_key, DedupKey};
+    use roundelim_core::iso::are_isomorphic;
 
     fn sc() -> Problem {
         Problem::parse("name: sc\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap()
@@ -763,32 +807,22 @@ mod tests {
         Problem::parse("name: two\nnode: A A A | B B B\nedge: A B").unwrap()
     }
 
-    /// The keyed interner the fingerprint index replaced, kept as an
-    /// oracle: exact canonical keys dedup on the first bucket member,
-    /// coarse (signature-profile) keys above 9 labels by isomorphism.
+    /// The interner with no index at all, kept as an oracle: a problem
+    /// joins the first earlier class it is isomorphic to.
     #[derive(Default)]
-    struct KeyedOracle {
-        ids: HashMap<DedupKey, Vec<NodeId>>,
+    struct ScanOracle {
         problems: Vec<Problem>,
         dedup_hits: usize,
     }
 
-    impl KeyedOracle {
+    impl ScanOracle {
         fn intern(&mut self, p: Problem) -> (NodeId, bool) {
-            let key = dedup_key(&p);
-            let exact = key.is_exact();
-            let bucket = self.ids.entry(key).or_default();
-            let problems = &self.problems;
-            if let Some(&id) =
-                bucket.iter().find(|id| exact || are_isomorphic(&problems[id.index()], &p))
-            {
+            if let Some(i) = self.problems.iter().position(|q| are_isomorphic(q, &p)) {
                 self.dedup_hits += 1;
-                return (id, false);
+                return (NodeId(i as u32), false);
             }
-            let id = NodeId(self.problems.len() as u32);
-            bucket.push(id);
             self.problems.push(p);
-            (id, true)
+            (NodeId(self.problems.len() as u32 - 1), true)
         }
     }
 
@@ -834,9 +868,9 @@ mod tests {
 
     #[test]
     fn large_problems_use_coarse_keys_and_still_dedup() {
-        // 12 labels: above the canonical-form regime, where the keyed
-        // interner fell back to coarse keys. A renamed copy must still
-        // dedup through the fingerprint index.
+        // 12 labels: above the canonical-form regime, where an interner
+        // keyed by canonical forms would fall back to coarse keys. A renamed
+        // copy must dedup through the fingerprint index.
         let mk = |names: &[&str]| {
             let node = names.chunks(2).map(|c| c.join(" ")).collect::<Vec<_>>().join(" | ");
             let edge = names.windows(2).map(|c| c.join(" ")).collect::<Vec<_>>().join(" | ");
@@ -845,7 +879,6 @@ mod tests {
         let names: Vec<&str> = vec!["a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"];
         let renamed: Vec<&str> =
             vec!["x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9", "xa", "xb"];
-        assert!(!dedup_key(&mk(&names)).is_exact());
         let mut cache = CanonCache::new();
         let (a, _) = cache.intern(mk(&names));
         let (b, new_b) = cache.intern(mk(&renamed));
@@ -873,7 +906,7 @@ mod tests {
 
     #[test]
     fn fingerprint_index_and_keyed_intern_agree() {
-        // Fingerprint-only dedup against the keyed oracle: random waves of
+        // Fingerprint-only dedup against the scanning oracle: random waves of
         // renamed copies of random shapes (a third of them above 9
         // labels), on top of a root and a step child created outside the
         // wave path. Ids, hence the class partition, and dedup counts must
@@ -892,7 +925,7 @@ mod tests {
             .collect();
         assert!(waves.iter().flatten().any(|p| p.alphabet().len() > 9));
 
-        let mut oracle = KeyedOracle::default();
+        let mut oracle = ScanOracle::default();
         oracle.intern(root.clone());
         oracle.intern(child.clone());
         let expect: Vec<Vec<(NodeId, bool)>> =
@@ -904,9 +937,9 @@ mod tests {
             for shards in [1, 4, 64] {
                 let mut cache = CanonCache::new();
                 let (r, _) = cache.intern(root.clone());
-                cache.record_step(r, child.clone(), fingerprint(&child));
+                cache.record_step(r, child.clone(), Probe::new(child.clone()));
                 for (w, want) in waves.iter().zip(&expect) {
-                    let items = w.iter().map(|p| (fingerprint(p), Probe::new(p.clone()))).collect();
+                    let items = w.iter().map(|p| Probe::new(p.clone())).collect();
                     let got: Vec<(NodeId, bool)> = cache
                         .intern_wave(items, threads, shards)
                         .into_iter()
@@ -929,9 +962,8 @@ mod tests {
         // thread and shard count.
         let wave: Vec<Problem> =
             vec![sc(), trivial(), renamed_sc(), two(), trivial(), sc(), renamed_sc(), two()];
-        let items = |w: &[Problem]| -> Vec<(u64, Probe)> {
-            w.iter().map(|p| (fingerprint(p), Probe::new(p.clone()))).collect()
-        };
+        let items =
+            |w: &[Problem]| -> Vec<Probe> { w.iter().map(|p| Probe::new(p.clone())).collect() };
 
         // Reference: sequential interning into a pre-seeded cache (one
         // class interned before the wave, so frozen-vs-fresh dedup is
@@ -977,11 +1009,10 @@ mod tests {
         for_each_relax_move(&c3, false, false, |mv| moves.push(mv));
         for_each_harden_move(&c3, false, |mv| moves.push(mv));
         let want: Vec<Problem> = moves.iter().map(|mv| mv.unpack(&c3)).collect();
+        let mut refiner = Refiner::new();
         let items = moves
             .into_iter()
-            .map(|mv| {
-                (fingerprint_packed(&mv.result), Probe::derived(src, mv.kind, mv.kept, mv.result))
-            })
+            .map(|mv| Probe::derived(src, mv.kind, mv.kept, mv.result, &mut refiner))
             .collect();
         let (mut new, mut dups) = (0, 0);
         for ((id, back), want) in cache.intern_wave(items, 2, 4).into_iter().zip(&want) {
@@ -1029,7 +1060,7 @@ mod tests {
         let (id, _) = cache.intern(sc());
         cache.step(id).unwrap();
         assert!(!cache.is_zero_round(id, ZeroRoundModel::Oriented));
-        cache.intern_wave(vec![(fingerprint(&trivial()), Probe::new(trivial()))], 1, 1);
+        cache.intern_wave(vec![Probe::new(trivial())], 1, 1);
 
         let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
         assert_eq!(restored.len(), cache.len());
@@ -1038,8 +1069,7 @@ mod tests {
         let (rid, new) = restored.intern(renamed_sc());
         assert_eq!(rid, id);
         assert!(!new);
-        let got =
-            restored.intern_wave(vec![(fingerprint(&trivial()), Probe::new(trivial()))], 2, 4);
+        let got = restored.intern_wave(vec![Probe::new(trivial())], 2, 4);
         assert_eq!(got[0].0.index(), 1);
         assert!(got[0].1.is_some());
         // The step memo came along: no recomputation.
@@ -1059,7 +1089,7 @@ mod tests {
         // the original ids instead of minting duplicate classes.
         let mut cache = CanonCache::new();
         let (root, _) = cache.intern(sc());
-        let (child, new) = cache.record_step(root, two(), fingerprint(&two()));
+        let (child, new) = cache.record_step(root, two(), Probe::new(two()));
         assert!(new);
         let full = cache.snapshot();
         let renamed_two = Problem::parse("name: t2\nnode: P P P | Q Q Q\nedge: Q P").unwrap();

@@ -35,15 +35,14 @@
 //! count; the `threads` option (0 = the `ROUNDELIM_THREADS` variable,
 //! else all cores) only sets how fast it arrives.
 
-use crate::cache::{
-    fingerprint, full_step_cached, CacheSnapshot, CacheStats, CanonCache, NodeId, Probe,
-};
+use crate::cache::{full_step_cached, CacheSnapshot, CacheStats, CanonCache, NodeId, Probe};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
 use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
 use crate::moves::{for_each_harden_move, for_each_relax_move, Move};
 use roundelim_core::error::{Error, Result};
-use roundelim_core::iso::{fingerprint_packed, isomorphism};
+use roundelim_core::iso::{isomorphism, Refiner};
+use roundelim_core::label::Label;
 use roundelim_core::problem::Problem;
 use roundelim_core::profile::{span, Stage};
 use roundelim_core::sequence::ZeroRoundModel;
@@ -788,11 +787,11 @@ impl Search {
             if self.soft_stop() {
                 return None;
             }
-            // Generate candidates (packed quotients, with their invariant
-            // fingerprints) in parallel; the per-candidate work is pure and
-            // builds no names. The wave interner resolves re-derived
-            // classes with short isomorphism checks in its parallel shard
-            // phase.
+            // Generate candidates (packed quotients, refined once into
+            // probes with their fingerprints and label ranks) in parallel;
+            // the per-candidate work is pure and builds no names. The wave
+            // interner resolves re-derived classes with short isomorphism
+            // checks in its parallel shard phase, reusing the ranks.
             let sources: Vec<(NodeId, Problem)> =
                 wave.iter().map(|&n| (n, self.cache.materialize(n))).collect();
             let cap = self.intern_cap();
@@ -801,9 +800,9 @@ impl Search {
             // is restricted to ⊆-comparable edge rows (see
             // `relax_moves_pruned`).
             let max_labels = self.opts.max_labels;
-            type Fingerprinted = Vec<(u64, Move)>;
-            let (cands, panics): (Vec<Option<Fingerprinted>>, usize) =
-                par_map(&sources, self.threads, |(_, p)| {
+            type Refined = Vec<(Probe, Vec<Label>)>;
+            let (cands, panics): (Vec<Option<Refined>>, usize) =
+                par_map(&sources, self.threads, |&(n, ref p)| {
                     let mut moves = Vec::new();
                     {
                         let _sp = obs::trace::span("search.moves");
@@ -821,7 +820,13 @@ impl Search {
                         }
                     }
                     let _sp = obs::trace::span("search.fingerprint");
-                    moves.into_iter().map(|m| (fingerprint_packed(&m.result), m)).collect()
+                    let mut refiner = Refiner::new();
+                    moves
+                        .into_iter()
+                        .map(|Move { kind, map, kept, result }| {
+                            (Probe::derived(n, kind, kept, result, &mut refiner), map)
+                        })
+                        .collect()
                 });
             // Flatten the surviving candidates in item order and resolve
             // the whole wave against the sharded cache at once: dedup runs
@@ -830,7 +835,7 @@ impl Search {
             // order the old one-at-a-time fold used — ids, buckets, and
             // counters are bit-identical to it at every thread count.
             self.stats.worker_panics += panics;
-            let mut flat: Vec<(u64, Probe)> = Vec::new();
+            let mut flat: Vec<Probe> = Vec::new();
             let mut origin: Vec<(NodeId, Edge)> = Vec::new();
             for ((n, _), list) in sources.iter().zip(cands) {
                 // A captured worker panic loses this source's candidates;
@@ -838,13 +843,13 @@ impl Search {
                 let Some(list) = list else {
                     continue;
                 };
-                for (fp, Move { kind, map, kept, result }) in list {
+                for (probe, map) in list {
                     let edge = match direction {
                         Direction::Lower => Edge::Relax { map },
                         Direction::Upper => Edge::Harden { map },
                     };
                     origin.push((*n, edge));
-                    flat.push((fp, Probe::derived(*n, kind, kept, result)));
+                    flat.push(probe);
                 }
             }
             let resolved = self.cache.intern_wave(flat, self.threads, self.shards);
@@ -928,7 +933,7 @@ impl Search {
         }
         let cap = self.intern_cap();
         // Inner Option: resource dead end. Outer (from par_map): panic.
-        type StepResult = Option<(Problem, u64)>;
+        type StepResult = Option<(Problem, Probe)>;
         let (computed, panics): (Vec<Option<StepResult>>, usize) =
             par_map(&todo, self.threads, |(_, p)| {
                 // The process-wide memo makes repeated searches (sweeps, bench
@@ -944,8 +949,8 @@ impl Search {
                     // end the path here.
                     return None;
                 }
-                let fp = fingerprint(&derived);
-                Some((derived, fp))
+                let probe = Probe::new(derived.clone());
+                Some((derived, probe))
             });
         self.stats.worker_panics += panics;
         let mut computed_iter = computed.into_iter();
@@ -958,13 +963,13 @@ impl Search {
                 None => {
                     // Outer `None` is a captured worker panic, inner `None`
                     // a resource dead end; both end the path here.
-                    let Some((derived, fp)) =
+                    let Some((derived, probe)) =
                         computed_iter.next().expect("one result per todo item").flatten()
                     else {
                         self.stats.step_failures += 1;
                         continue; // dead end: overflow, over-cap child, or panic
                     };
-                    let (succ, new) = self.cache.record_step(n, derived, fp);
+                    let (succ, new) = self.cache.record_step(n, derived, probe);
                     if new {
                         self.meta.push(Meta { depth: depth + 1, parent: Some((n, Edge::Step)) });
                         debug_assert_eq!(self.meta.len(), self.cache.len());

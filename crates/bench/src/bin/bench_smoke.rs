@@ -25,7 +25,9 @@
 //!   call over a fixed candidate set (the relax candidates of
 //!   coloring:3:3 and of its first speedup step): param 0
 //!   `iso::fingerprint`, 1 `iso::isomorphism` against a label-reversed
-//!   copy, 2 `zero_round::zero_round_oriented`
+//!   copy, 2 `zero_round::zero_round_oriented`, 3 the cache's hit path on
+//!   param 1's pairs: `iso::isomorphism_ranked` with both sides packed and
+//!   ranked beforehand, as the cache keeps them
 //! * `K2_relax_candidates`   — the search's relaxation-candidate
 //!   generation (`moves::for_each_relax_move`, pruned, packed quotients),
 //!   ns per source over coloring:3:3, its first speedup step, and the
@@ -49,8 +51,9 @@ use roundelim_auto::certificate::Direction;
 use roundelim_auto::moves::{for_each_relax_move, relax_moves, relax_moves_pruned};
 use roundelim_auto::search::{autolb, SearchOptions, Verdict};
 use roundelim_bench::{calibrate_iters, measure, to_json, Measurement};
-use roundelim_core::iso::{fingerprint, isomorphism};
+use roundelim_core::iso::{fingerprint, fingerprint_and_ranks, isomorphism, isomorphism_ranked};
 use roundelim_core::label::{Alphabet, Label};
+use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
 use roundelim_core::speedup::{full_step, half_step_edge};
 use roundelim_core::zero_round::zero_round_oriented;
@@ -184,6 +187,17 @@ fn main() {
         });
         case_per_item(&mut results, "K1_search_kernels", 2, &candidates, |p| {
             black_box(zero_round_oriented(p));
+        });
+        let ranked: Vec<_> = pairs
+            .iter()
+            .map(|(p, q)| {
+                let (p, q) = (PackedProblem::pack(p), PackedProblem::pack(q));
+                let (rp, rq) = (fingerprint_and_ranks(&p).1, fingerprint_and_ranks(&q).1);
+                (p, rp, q, rq)
+            })
+            .collect();
+        case_per_item(&mut results, "K1_search_kernels", 3, &ranked, |(p, rp, q, rq)| {
+            assert!(black_box(isomorphism_ranked(p, rp, q, rq)).is_some(), "a renamed copy");
         });
     }
 

@@ -6,6 +6,13 @@
 //! such as the §4.4 loop (sinkless coloring → sinkless orientation →
 //! sinkless coloring), which certifies that the speedup sequence never
 //! reaches a 0-round-solvable problem.
+//!
+//! Every check starts from a Weisfeiler–Leman label refinement
+//! ([`refined_label_hashes`]). One refinement yields both a problem's
+//! [`fingerprint`] and its label ranks ([`fingerprint_and_ranks`]); an
+//! index that keeps the ranks checks a fingerprint-bucket member with
+//! [`isomorphism_ranked`], which runs only the candidate filter and the
+//! search and refines neither side again.
 
 use crate::constraint::Constraint;
 use crate::label::Label;
@@ -45,38 +52,98 @@ fn fold(h: u64, w: u64) -> u64 {
 /// enumerations and coarse-bucket collision chains short on the derived
 /// problems the speedup engine produces.
 pub fn refined_label_hashes(p: &Problem) -> Vec<u64> {
-    refined_hashes(&PackedProblem::pack(p))
+    Refiner::default().refine(&PackedProblem::pack(p)).to_vec()
 }
 
-/// [`refined_label_hashes`] of a packed problem.
-fn refined_hashes(p: &PackedProblem) -> Vec<u64> {
-    let n = p.label_count();
-    let flat = FlatRuns::new(p);
-    // Seed with a constant: round 1 then separates labels by their
-    // configuration-shape profile (the classic signature), later rounds by
-    // neighborhood structure.
-    let mut h: Vec<u64> = vec![REFINE_SEED; n];
-    let mut next: Vec<u64> = vec![0; n];
-    let mut scratch = RefineScratch {
-        slots: vec![0; flat.runs.len()],
-        cursor: vec![0; n],
-        co: Vec::with_capacity(p.delta().max(p.edge().arity())),
-        sorted: Vec::with_capacity(n),
-    };
-    let mut distinct = 1usize;
-    for _ in 0..MAX_REFINE_ROUNDS {
-        flat.refine_into(&h, &mut next, &mut scratch);
-        let d = count_distinct(&next, &mut scratch.sorted);
-        if d <= distinct && distinct > 1 {
-            break;
-        }
-        distinct = d;
-        std::mem::swap(&mut h, &mut next);
-        if distinct == n {
-            break; // fully discrete — further rounds cannot split more
-        }
+/// The label refinement behind [`refined_label_hashes`], [`fingerprint`]
+/// and [`fingerprint_and_ranks`], with its buffers kept across calls: a
+/// caller that refines many problems (a relaxation wave's candidates)
+/// reuses one `Refiner` and allocates only when a problem outgrows the
+/// buffers.
+#[derive(Debug, Default)]
+pub struct Refiner {
+    flat: FlatRuns,
+    scratch: RefineScratch,
+    /// The current round's hashes; the result once [`Refiner::refine`]
+    /// returns.
+    h: Vec<u64>,
+    /// The next round's hashes.
+    next: Vec<u64>,
+}
+
+impl Refiner {
+    /// A refiner with empty buffers.
+    pub fn new() -> Refiner {
+        Refiner::default()
     }
-    h
+
+    /// The per-label refined hashes of `p` (see [`refined_label_hashes`]).
+    fn refine(&mut self, p: &PackedProblem) -> &[u64] {
+        let n = p.label_count();
+        self.flat.fill(p);
+        let Refiner { flat, scratch, h, next } = self;
+        scratch.reset(flat.runs.len(), n);
+        // Seed with a constant: round 1 then separates labels by their
+        // configuration-shape profile (the classic signature), later rounds
+        // by neighborhood structure.
+        h.clear();
+        h.resize(n, REFINE_SEED);
+        next.clear();
+        next.resize(n, 0);
+        let mut distinct = 1usize;
+        for _ in 0..MAX_REFINE_ROUNDS {
+            flat.refine_into(h, next, scratch);
+            let d = count_distinct(next, &mut scratch.sorted);
+            if d <= distinct && distinct > 1 {
+                break;
+            }
+            distinct = d;
+            std::mem::swap(h, next);
+            if distinct == n {
+                break; // fully discrete — further rounds cannot split more
+            }
+        }
+        h
+    }
+
+    /// The [`fingerprint`] of a packed problem, through this refiner's
+    /// buffers.
+    pub fn fingerprint(&mut self, p: &PackedProblem) -> u64 {
+        // Leaves the per-label hashes in `h` and their sorted multiset in
+        // `scratch.sorted`, where `fingerprint_and_ranks` reads them.
+        self.refine(p);
+        let sorted = &mut self.scratch.sorted;
+        sorted.clear();
+        sorted.extend_from_slice(&self.h);
+        sorted.sort_unstable();
+        let mut h = fold(0xCBF2_9CE4_8422_2325u64, p.label_count() as u64);
+        h = fold(h, p.delta() as u64);
+        h = fold(h, p.edge().arity() as u64);
+        h = fold(h, ((p.node().len() as u64) << 32) | p.edge().len() as u64);
+        sorted.iter().fold(h, |h, &w| fold(h, w))
+    }
+
+    /// [`fingerprint_and_ranks`] of `p`.
+    pub fn fingerprint_and_ranks(&mut self, p: &PackedProblem) -> (u64, Box<[u16]>) {
+        let fp = self.fingerprint(p);
+        let distinct = &mut self.scratch.sorted;
+        distinct.dedup();
+        let rank = |h: &u64| distinct.binary_search(h).expect("a refined hash") as u16;
+        (fp, self.h.iter().map(rank).collect())
+    }
+}
+
+/// A packed problem's [`fingerprint`] plus each label's *rank*: the index
+/// of its refined hash ([`refined_label_hashes`]) among the problem's
+/// distinct refined hashes, in ascending order.
+///
+/// Ranks stand in for the hashes in [`isomorphism_ranked`]: two problems
+/// with equal fingerprints have equal sorted hash multisets (barring a
+/// 64-bit collision), and then `ranks_a[l] == ranks_b[m]` exactly when the
+/// hashes of `l` and `m` are equal. A caller that keeps the ranks of a
+/// problem never refines it again to check it for isomorphism.
+pub fn fingerprint_and_ranks(p: &PackedProblem) -> (u64, Box<[u16]>) {
+    Refiner::default().fingerprint_and_ranks(p)
 }
 
 /// Refinement-round cap for [`refined_label_hashes`]. The hashes are
@@ -106,6 +173,7 @@ fn count_distinct(h: &[u64], sorted: &mut Vec<u64>) -> usize {
 /// per configuration run of that label. A refinement round writes each
 /// run's digest into its label's next slot, so the per-label digest
 /// multisets live in one buffer and no round allocates.
+#[derive(Debug, Default)]
 struct FlatRuns {
     /// `(label index, multiplicity)` of every run, configurations in
     /// constraint order (node side first), labels ascending within one.
@@ -118,7 +186,8 @@ struct FlatRuns {
     offsets: Vec<u32>,
 }
 
-/// Buffers one [`refined_label_hashes`] call reuses across its rounds.
+/// Buffers a refinement reuses across its rounds.
+#[derive(Debug, Default)]
 struct RefineScratch {
     /// Per-label digest slots, laid out by [`FlatRuns::offsets`].
     slots: Vec<u64>,
@@ -130,11 +199,26 @@ struct RefineScratch {
     sorted: Vec<u64>,
 }
 
+impl RefineScratch {
+    /// Sizes the buffers for `runs` runs over `n` labels.
+    fn reset(&mut self, runs: usize, n: usize) {
+        self.slots.clear();
+        self.slots.resize(runs, 0);
+        self.cursor.clear();
+        self.cursor.resize(n, 0);
+    }
+}
+
 impl FlatRuns {
-    fn new(p: &PackedProblem) -> FlatRuns {
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut ends: Vec<u32> = Vec::with_capacity(p.node().len() + p.edge().len());
-        let mut offsets = vec![0u32; p.label_count() + 1];
+    /// Flattens `p`, reusing the buffers of the previous problem.
+    fn fill(&mut self, p: &PackedProblem) {
+        let FlatRuns { runs, ends, node_configs, offsets } = self;
+        runs.clear();
+        runs.reserve(p.node().len() * p.delta() + p.edge().len() * p.edge().arity());
+        ends.clear();
+        offsets.clear();
+        offsets.resize(p.label_count() + 1, 0);
+        *node_configs = p.node().len();
         for cfg in p.node().iter().chain(p.edge().iter()) {
             let start = runs.len();
             for &l in cfg {
@@ -152,7 +236,6 @@ impl FlatRuns {
         for l in 1..offsets.len() {
             offsets[l] += offsets[l - 1];
         }
-        FlatRuns { runs, ends, node_configs: p.node().len(), offsets }
     }
 
     /// One refinement round from `h` into `next` (see
@@ -195,6 +278,7 @@ impl FlatRuns {
         }
     }
 }
+
 /// Searches for an isomorphism from `a` to `b`.
 ///
 /// Returns, if one exists, the label mapping `m` with
@@ -211,18 +295,71 @@ pub fn isomorphism(a: &Problem, b: &Problem) -> Option<Vec<Label>> {
     isomorphism_packed(&PackedProblem::pack(a), &PackedProblem::pack(b))
 }
 
-/// [`isomorphism`] of two packed problems.
+/// [`isomorphism`] of two packed problems: refines both, then runs
+/// [`isomorphism_ranked`].
 pub fn isomorphism_packed(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<Label>> {
-    let (candidates, order) = candidates_and_order(a, b)?;
+    let mut refiner = Refiner::default();
+    let (fa, ra) = refiner.fingerprint_and_ranks(a);
+    let (fb, rb) = refiner.fingerprint_and_ranks(b);
+    if fa != fb {
+        return None; // the fingerprint is an isomorphism invariant
+    }
+    isomorphism_ranked(a, &ra, b, &rb)
+}
+
+/// [`isomorphism_packed`] with each problem's label ranks
+/// ([`fingerprint_and_ranks`]) supplied by the caller, so neither problem
+/// is refined again.
+///
+/// Candidate targets are filtered by rank equality. When the two problems'
+/// hash multisets agree (as they do for isomorphic problems and for equal
+/// fingerprints), that is the same filter as hash equality, so candidates,
+/// search order and the first mapping found are those of the hash-filtered
+/// search. When they differ, no isomorphism exists, and the search — which
+/// only accepts a mapping that carries every configuration of `a` into `b`
+/// — returns `None` whatever the candidates.
+///
+/// # Panics
+///
+/// If a rank slice's length is not its problem's label count.
+pub fn isomorphism_ranked(
+    a: &PackedProblem,
+    ra: &[u16],
+    b: &PackedProblem,
+    rb: &[u16],
+) -> Option<Vec<Label>> {
+    assert!(ra.len() == a.label_count() && rb.len() == b.label_count(), "one rank per label");
+    let (candidates, order) = candidates_and_order(a, ra, b, rb)?;
+    search(a, b, &candidates, &order)
+}
+
+/// The closing-probe search for a mapping from `a` to `b` that assigns
+/// `order`'s labels in turn, each to one of its `candidates`.
+fn search(
+    a: &PackedProblem,
+    b: &PackedProblem,
+    candidates: &[Vec<Label>],
+    order: &[usize],
+) -> Option<Vec<Label>> {
     let n = order.len();
-    let mut probe = ClosingProbe::new(a, b, &order);
+    let mut probe = ClosingProbe::new(a, b, order);
     let mut mapping: Vec<Option<Label>> = vec![None; n];
     let mut used = vec![false; n];
-    if assign(&candidates, &order, 0, &mut mapping, &mut used, &mut probe) {
+    if assign(candidates, order, 0, &mut mapping, &mut used, &mut probe) {
         Some(mapping.into_iter().map(|m| m.expect("assignment complete")).collect())
     } else {
         None
     }
+}
+
+/// Whether two problems agree on label count, arities and configuration
+/// counts (isomorphism's cheapest invariants).
+fn same_shape(a: &PackedProblem, b: &PackedProblem) -> bool {
+    a.label_count() == b.label_count()
+        && a.node().len() == b.node().len()
+        && a.edge().len() == b.edge().len()
+        && a.delta() == b.delta()
+        && a.edge().arity() == b.edge().arity()
 }
 
 /// The isomorphism search's candidate targets per source label and its
@@ -230,39 +367,30 @@ pub fn isomorphism_packed(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<La
 /// isomorphism out.
 fn candidates_and_order(
     a: &PackedProblem,
+    ra: &[u16],
     b: &PackedProblem,
+    rb: &[u16],
 ) -> Option<(Vec<Vec<Label>>, Vec<usize>)> {
-    if a.label_count() != b.label_count()
-        || a.node().len() != b.node().len()
-        || a.edge().len() != b.edge().len()
-        || a.delta() != b.delta()
-        || a.edge().arity() != b.edge().arity()
-    {
+    if !same_shape(a, b) {
         return None;
     }
     let n = a.label_count();
-    // Candidate targets per source label, filtered by the refined invariant
-    // hashes (a necessary condition: any isomorphism maps a label onto one
-    // with identical invariants).
-    let ha = refined_hashes(a);
-    let hb = refined_hashes(b);
+    // Any isomorphism maps a label onto one of equal refined hash, hence of
+    // equal rank: the rank multisets must agree.
     {
-        let mut sa = ha.clone();
-        let mut sb = hb.clone();
+        let mut sa = ra.to_vec();
+        let mut sb = rb.to_vec();
         sa.sort_unstable();
         sb.sort_unstable();
         if sa != sb {
             return None;
         }
     }
-    let mut candidates: Vec<Vec<Label>> = Vec::with_capacity(n);
-    for &h in &ha {
-        let cands: Vec<Label> = (0..n).filter(|&m| hb[m] == h).map(Label::from_index).collect();
-        if cands.is_empty() {
-            return None;
-        }
-        candidates.push(cands);
-    }
+    // Equal rank multisets leave every label at least one candidate.
+    let candidates: Vec<Vec<Label>> = ra
+        .iter()
+        .map(|&r| (0..n).filter(|&m| rb[m] == r).map(Label::from_index).collect())
+        .collect();
     // Order source labels by fewest candidates first.
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by_key(|&i| candidates[i].len());
@@ -396,99 +524,14 @@ pub fn check_isomorphism(a: &Problem, b: &Problem, map: &[Label]) -> bool {
 /// arities, configuration counts, and the sorted
 /// [`refined_label_hashes`]. Isomorphic problems always agree on it;
 /// distinct problems may collide, so any index keyed by it must resolve
-/// collisions with [`are_isomorphic`]. Much cheaper than [`dedup_key`] —
-/// a few refinement passes, no permutation enumeration. The bound
-/// search's fingerprint interning and process-wide step memo are built on
-/// it.
+/// collisions with an isomorphism check ([`isomorphism_ranked`] when the
+/// index keeps [`fingerprint_and_ranks`]). Much cheaper than
+/// [`canonical_key`] — a few refinement passes, no permutation
+/// enumeration. The bound search's fingerprint interning, the speedup
+/// sequence's fixed-point index and the process-wide step memo are built
+/// on it.
 pub fn fingerprint(p: &Problem) -> u64 {
-    fingerprint_packed(&PackedProblem::pack(p))
-}
-
-/// [`fingerprint`] of a packed problem (the same value).
-pub fn fingerprint_packed(p: &PackedProblem) -> u64 {
-    let mut h = fold(0xCBF2_9CE4_8422_2325u64, p.label_count() as u64);
-    h = fold(h, p.delta() as u64);
-    h = fold(h, p.edge().arity() as u64);
-    h = fold(h, ((p.node().len() as u64) << 32) | p.edge().len() as u64);
-    let mut hashes = refined_hashes(p);
-    hashes.sort_unstable();
-    for w in hashes {
-        h = fold(h, w);
-    }
-    h
-}
-
-/// The sorted multiset of per-label refined invariant hashes
-/// ([`refined_label_hashes`]): an isomorphism *invariant* (isomorphic
-/// problems always agree on it) that is much cheaper than
-/// [`canonical_key`] — a few refinement passes over the constraints
-/// instead of a permutation enumeration. Not *complete*: distinct problems
-/// can collide, so a cache keyed by this profile must resolve collisions
-/// with [`are_isomorphic`]. This is what makes canonical-form dedup
-/// affordable for the large, symmetric alphabets the speedup transform
-/// produces; the refinement keeps the collision chains (and with them the
-/// isomorphism-resolution scans) short.
-pub fn signature_profile(p: &Problem) -> Vec<u64> {
-    let mut hashes = refined_label_hashes(p);
-    hashes.sort_unstable();
-    hashes
-}
-
-/// Alphabet size up to which [`dedup_key`] uses the exact
-/// [`canonical_key`]. The canonical enumeration visits every
-/// signature-respecting renaming — factorial in the largest
-/// same-signature label group — so 9 fully symmetric labels (≤ 9!
-/// renamings) is the largest size that stays sub-millisecond; measured
-/// cost at 16 symmetric labels is already tens of milliseconds per key.
-const CANON_MAX_LABELS: usize = 9;
-
-/// An isomorphism-dedup key: exact canonical form for small alphabets, the
-/// cheap [`signature_profile`] invariant above [`CANON_MAX_LABELS`].
-///
-/// Two isomorphic problems always produce equal keys. For
-/// [`DedupKey::Exact`] the converse holds too; [`DedupKey::Coarse`] keys
-/// may collide across non-isomorphic problems, so a map keyed by
-/// `DedupKey` must resolve coarse-bucket collisions with
-/// [`are_isomorphic`] (see [`DedupKey::is_exact`]). Problems with
-/// different label counts never share a key of either kind.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum DedupKey {
-    /// Exact: equal keys ⇔ isomorphic problems.
-    Exact(CanonicalKey),
-    /// Invariant only: isomorphic problems collide for sure, distinct
-    /// problems may too.
-    Coarse {
-        /// Node-constraint arity (Δ).
-        delta: usize,
-        /// Edge-constraint arity.
-        arity: usize,
-        /// `(|node|, |edge|)` configuration counts.
-        sizes: (usize, usize),
-        /// Sorted per-label refined-invariant hash multiset.
-        profile: Vec<u64>,
-    },
-}
-
-impl DedupKey {
-    /// Whether equal keys imply isomorphism (no collision check needed).
-    pub fn is_exact(&self) -> bool {
-        matches!(self, DedupKey::Exact(_))
-    }
-}
-
-/// Computes the [`DedupKey`] of a problem: the affordable way to key a
-/// problems-up-to-isomorphism map at any alphabet size.
-pub fn dedup_key(p: &Problem) -> DedupKey {
-    if p.alphabet().len() <= CANON_MAX_LABELS {
-        DedupKey::Exact(canonical_key(p))
-    } else {
-        DedupKey::Coarse {
-            delta: p.delta(),
-            arity: p.edge().arity(),
-            sizes: (p.node().len(), p.edge().len()),
-            profile: signature_profile(p),
-        }
-    }
+    Refiner::default().fingerprint(&PackedProblem::pack(p))
 }
 
 /// A canonical key for a problem, equal for isomorphic problems.
@@ -586,6 +629,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::config::Config;
     use crate::label::Alphabet;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -707,6 +751,56 @@ pub(crate) mod tests {
         h
     }
 
+    /// The candidate filter before label ranks: both problems refined
+    /// here, the sorted hash multisets compared, and candidates filtered
+    /// by hash equality. The reference [`candidates_and_order`] must
+    /// reproduce from ranks.
+    fn hashed_candidates_and_order(
+        a: &PackedProblem,
+        b: &PackedProblem,
+    ) -> Option<(Vec<Vec<Label>>, Vec<usize>)> {
+        if !same_shape(a, b) {
+            return None;
+        }
+        let n = a.label_count();
+        let ha = Refiner::new().refine(a).to_vec();
+        let hb = Refiner::new().refine(b).to_vec();
+        {
+            let mut sa = ha.clone();
+            let mut sb = hb.clone();
+            sa.sort_unstable();
+            sb.sort_unstable();
+            if sa != sb {
+                return None;
+            }
+        }
+        let mut candidates: Vec<Vec<Label>> = Vec::with_capacity(n);
+        for &h in &ha {
+            let cands: Vec<Label> = (0..n).filter(|&m| hb[m] == h).map(Label::from_index).collect();
+            if cands.is_empty() {
+                return None;
+            }
+            candidates.push(cands);
+        }
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| candidates[i].len());
+        Some((candidates, order))
+    }
+
+    /// The isomorphism search with the two-sided hash filter: the
+    /// reference [`isomorphism_ranked`] must equal, mapping for mapping.
+    fn hashed_isomorphism(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<Label>> {
+        let (candidates, order) = hashed_candidates_and_order(a, b)?;
+        search(a, b, &candidates, &order)
+    }
+
+    /// [`isomorphism_ranked`] with both problems' ranks computed here.
+    fn ranked(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<Label>> {
+        let (_, ra) = fingerprint_and_ranks(a);
+        let (_, rb) = fingerprint_and_ranks(b);
+        isomorphism_ranked(a, &ra, b, &rb)
+    }
+
     /// The isomorphism search that probes every fully-mapped
     /// configuration (one `Config` and set probe each) at every depth and
     /// rebuilds both constraints at the leaf: the reference for the
@@ -753,7 +847,7 @@ pub(crate) mod tests {
             false
         }
         let (candidates, order) =
-            candidates_and_order(&PackedProblem::pack(a), &PackedProblem::pack(b))?;
+            hashed_candidates_and_order(&PackedProblem::pack(a), &PackedProblem::pack(b))?;
         let n = order.len();
         let mut mapping = vec![None; n];
         let mut used = vec![false; n];
@@ -792,13 +886,12 @@ pub(crate) mod tests {
         for (i, p) in random_problems(0x5EED_0001, 400).iter().enumerate() {
             let packed = PackedProblem::pack(p);
             assert_eq!(
-                refined_hashes(&packed),
+                Refiner::new().refine(&packed),
                 reference_refined_label_hashes(p),
                 "problem {i}:\n{}",
                 p.to_text()
             );
-            assert_eq!(fingerprint_packed(&packed), reference_fingerprint(p), "problem {i}");
-            assert_eq!(fingerprint(p), fingerprint_packed(&packed), "problem {i}");
+            assert_eq!(fingerprint(p), reference_fingerprint(p), "problem {i}");
         }
     }
 
@@ -816,7 +909,7 @@ pub(crate) mod tests {
             assert_eq!(map, reference_isomorphism(p, &q), "problem {i}:\n{}", p.to_text());
             let map = map.expect("a renaming is an isomorphism");
             assert!(check_isomorphism(p, &q, &map), "problem {i}");
-            let (candidates, _) = candidates_and_order(&pp, &qp).expect("invariants agree");
+            let (candidates, _) = hashed_candidates_and_order(&pp, &qp).expect("invariants agree");
             if candidates.iter().any(|c| c.len() > 1) {
                 searched += 1; // the invariants leave a choice to the search
             }
@@ -843,6 +936,94 @@ pub(crate) mod tests {
         }
         assert!(searched > 100, "too few cases left to the search: {searched}");
         assert!(rejected > 150, "too few rejected swaps: {rejected}");
+    }
+
+    /// A random problem from `seed` (see [`random_problems`]), a renamed
+    /// copy, the copy with one node configuration swapped for an absent
+    /// one (when one exists), and an independent problem of the same
+    /// parameters.
+    fn random_pairs(seed: u64) -> (Problem, Vec<Problem>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(1..=10);
+        let arities = (rng.gen_range(2..=4), rng.gen_range(2..=3));
+        let sizes = (rng.gen_range(1..=12), rng.gen_range(1..=12));
+        let symmetric = rng.gen_range(0..2usize) == 1;
+        let p = random_problem(&mut rng, n, arities, sizes, symmetric);
+        let mut perm: Vec<usize> = (0..n).collect();
+        perm.shuffle(&mut rng);
+        let q = renamed(&p, &perm, &mut rng);
+        let mut others = vec![random_problem(&mut rng, n, arities, sizes, symmetric)];
+        let absent = crate::config::all_multisets(n, p.delta())
+            .into_iter()
+            .find(|c| !q.node().contains(c) && c.labels().iter().any(|l| l.index() + 1 == n));
+        if let Some(absent) = absent {
+            let mut node: Vec<Config> = q.node().iter().cloned().collect();
+            let victim = rng.gen_range(0..node.len());
+            node[victim] = absent;
+            let node = Constraint::from_configs(p.delta(), node).unwrap();
+            others.push(
+                Problem::new_general("swapped", q.alphabet().clone(), node, q.edge().clone())
+                    .unwrap(),
+            );
+        }
+        others.insert(0, q);
+        (p, others)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Rank-filtered isomorphism returns exactly the two-sided-hash
+        /// search's `Option<map>`, on renamings (always `Some`) and on
+        /// swapped copies and independent problems (mostly `None`).
+        #[test]
+        fn ranked_isomorphism_matches_the_hashed_reference(seed in 0u64..u64::MAX) {
+            let (p, others) = random_pairs(seed);
+            let pp = PackedProblem::pack(&p);
+            for (k, q) in others.iter().enumerate() {
+                let qp = PackedProblem::pack(q);
+                let want = hashed_isomorphism(&pp, &qp);
+                prop_assert!(ranked(&pp, &qp) == want, "pair {k}: ranked search differs");
+                prop_assert!(isomorphism_packed(&pp, &qp) == want, "pair {k}: wrapper differs");
+                prop_assert!(k > 0 || want.is_some(), "a renaming is an isomorphism");
+            }
+        }
+    }
+
+    #[test]
+    fn equal_ranks_with_different_hash_multisets_are_not_isomorphic() {
+        // Each problem has a label-swap automorphism, so both of its labels
+        // refine to one hash and rank 0; the two problems' hashes differ.
+        let a = Problem::parse("name: a\nnode: A A A | B B B\nedge: A B").unwrap();
+        let b = Problem::parse("name: b\nnode: A A B | A B B\nedge: A B").unwrap();
+        let (pa, pb) = (PackedProblem::pack(&a), PackedProblem::pack(&b));
+        let (fa, ra) = fingerprint_and_ranks(&pa);
+        let (fb, rb) = fingerprint_and_ranks(&pb);
+        assert_eq!((&*ra, &*rb), (&[0u16, 0][..], &[0u16, 0][..]));
+        assert_ne!(fa, fb);
+        assert_ne!(refined_label_hashes(&a), refined_label_hashes(&b));
+        assert_eq!(isomorphism_ranked(&pa, &ra, &pb, &rb), None);
+        assert_eq!(hashed_isomorphism(&pa, &pb), None);
+    }
+
+    #[test]
+    fn ranks_index_the_distinct_refined_hashes() {
+        for p in random_problems(0x5EED_0004, 100) {
+            let hashes = refined_label_hashes(&p);
+            let packed = PackedProblem::pack(&p);
+            let (fp, ranks) = fingerprint_and_ranks(&packed);
+            assert_eq!(fp, fingerprint(&p));
+            for l in 0..hashes.len() {
+                for m in 0..hashes.len() {
+                    assert_eq!(ranks[l] == ranks[m], hashes[l] == hashes[m]);
+                    assert_eq!(ranks[l] < ranks[m], hashes[l] < hashes[m]);
+                }
+            }
+            // A reused refiner gives every problem the same answer.
+            let mut refiner = Refiner::new();
+            refiner.fingerprint_and_ranks(&PackedProblem::pack(&random_problems(fp, 1)[0]));
+            assert_eq!(refiner.fingerprint_and_ranks(&packed), (fp, ranks));
+        }
     }
 
     #[test]
@@ -880,28 +1061,6 @@ pub(crate) mod tests {
         assert_eq!(canonical_key(&p), canonical_key(&q));
         let r = Problem::parse("name: r\nnode: B A A\nedge: A A | B B").unwrap();
         assert_ne!(canonical_key(&p), canonical_key(&r));
-    }
-
-    #[test]
-    fn dedup_key_invariant_under_renaming_in_both_regimes() {
-        // Small alphabet: exact regime.
-        let p = Problem::parse("name: p\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap();
-        let q = Problem::parse("name: q\nnode: B A A\nedge: A A | B A").unwrap();
-        assert!(dedup_key(&p).is_exact());
-        assert_eq!(dedup_key(&p), dedup_key(&q));
-        // Large alphabet (> CANON_MAX_LABELS): coarse regime still matches
-        // across renamings, and differs across label counts.
-        let names: Vec<String> = (0..12).map(|i| format!("l{i}")).collect();
-        let mk = |names: &[String]| {
-            let node = names.chunks(2).map(|c| c.join(" ")).collect::<Vec<_>>().join(" | ");
-            let edge = names.windows(2).map(|c| c.join(" ")).collect::<Vec<_>>().join(" | ");
-            Problem::parse(&format!("name: big\nnode: {node}\nedge: {edge}")).unwrap()
-        };
-        let renamed: Vec<String> = (0..12).map(|i| format!("x{i}")).collect();
-        let big = mk(&names);
-        assert!(!dedup_key(&big).is_exact());
-        assert_eq!(dedup_key(&big), dedup_key(&mk(&renamed)));
-        assert_ne!(dedup_key(&big), dedup_key(&p));
     }
 
     #[test]

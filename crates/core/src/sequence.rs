@@ -9,40 +9,41 @@
 //! sinkless orientation).
 
 use crate::error::Result;
-use crate::iso::{are_isomorphic, dedup_key, DedupKey};
+use crate::iso::{fingerprint_and_ranks, isomorphism_ranked};
+use crate::packed::PackedProblem;
 use crate::problem::Problem;
 use crate::speedup::full_step;
 use crate::zero_round::{zero_round_oriented, zero_round_pn};
 use std::collections::HashMap;
 
-/// A problems-seen-so-far index for fixed-point detection: a
-/// [`dedup_key`]-keyed map from isomorphism class to the step at which it
-/// first appeared. One canonicalization (or cheap invariant, above the
-/// exact-key size cap) and one hash probe per step replaces the old
-/// pairwise `are_isomorphic` scan over the whole history; coarse-bucket
-/// collisions fall back to an isomorphism check against the few bucket
-/// members.
+/// A problems-seen-so-far index for fixed-point detection: the recorded
+/// problems in [`crate::iso::fingerprint`] buckets, each kept packed with
+/// its label ranks. One refinement and one hash probe per step replace a
+/// pairwise isomorphism scan over the whole history; a bucket member is
+/// checked with [`isomorphism_ranked`], which does not refine it again.
+/// This is the bound search's interning path (`roundelim-auto`'s cache) in
+/// miniature.
 #[derive(Default)]
 struct SeenIndex {
-    buckets: HashMap<DedupKey, Vec<usize>>,
+    buckets: HashMap<u64, Vec<Seen>>,
 }
+
+/// A recorded problem: its step, its packed form and its label ranks.
+type Seen = (usize, PackedProblem, Box<[u16]>);
 
 impl SeenIndex {
     /// If a problem isomorphic to `p` was recorded, returns its step;
-    /// otherwise records `p` under `step`. `history(i)` resolves a
-    /// recorded step back to its problem for coarse-bucket checks.
-    fn find_or_insert<'a>(
-        &mut self,
-        p: &Problem,
-        step: usize,
-        history: impl Fn(usize) -> &'a Problem,
-    ) -> Option<usize> {
-        let key = dedup_key(p);
-        let exact = key.is_exact();
-        let bucket = self.buckets.entry(key).or_default();
-        let hit = bucket.iter().copied().find(|&i| exact || are_isomorphic(history(i), p));
+    /// otherwise records `p` under `step`.
+    fn find_or_insert(&mut self, p: &Problem, step: usize) -> Option<usize> {
+        let packed = PackedProblem::pack(p);
+        let (fp, ranks) = fingerprint_and_ranks(&packed);
+        let bucket = self.buckets.entry(fp).or_default();
+        let hit = bucket
+            .iter()
+            .find(|(_, q, rq)| isomorphism_ranked(q, rq, &packed, &ranks).is_some())
+            .map(|&(i, ..)| i);
         if hit.is_none() {
-            bucket.push(step);
+            bucket.push((step, packed, ranks));
         }
         hit
     }
@@ -150,7 +151,7 @@ pub fn iterate_with(
         return Ok(SpeedupSequence { problems, stop: StopReason::ZeroRound { index: 0 }, model });
     }
     let mut seen = SeenIndex::default();
-    seen.find_or_insert(p, 0, |_| unreachable!("empty index has no hits"));
+    seen.find_or_insert(p, 0);
     for step in 1..=max_steps {
         let next = full_step(problems.last().expect("nonempty"))?.problem().clone();
         // Zero-round check first: a 0-round problem may also be periodic.
@@ -163,7 +164,7 @@ pub fn iterate_with(
             });
         }
         // Fixed-point check against all earlier problems, one probe per step.
-        if let Some(earlier) = seen.find_or_insert(&next, step, |i| &problems[i]) {
+        if let Some(earlier) = seen.find_or_insert(&next, step) {
             problems.push(next);
             return Ok(SpeedupSequence {
                 problems,
@@ -232,9 +233,9 @@ pub fn iterate_relaxed(
     if is_zero_round(p, model) {
         return Ok(RelaxedSequence { entries, stop: StopReason::ZeroRound { index: 0 } });
     }
-    // Same dedup-keyed fixed-point index as `iterate_with`.
+    // Same fingerprint-bucketed fixed-point index as `iterate_with`.
     let mut seen = SeenIndex::default();
-    seen.find_or_insert(p, 0, |_| unreachable!("empty index has no hits"));
+    seen.find_or_insert(p, 0);
     for step in 1..=max_steps {
         let current = entries.last().expect("nonempty").problem.clone();
         let derived = full_step(&current)?.problem().clone();
@@ -249,7 +250,7 @@ pub fn iterate_relaxed(
             entries.push(RelaxedEntry { problem: next, template });
             return Ok(RelaxedSequence { entries, stop: StopReason::ZeroRound { index: step } });
         }
-        if let Some(earlier) = seen.find_or_insert(&next, step, |i| &entries[i].problem) {
+        if let Some(earlier) = seen.find_or_insert(&next, step) {
             entries.push(RelaxedEntry { problem: next, template });
             return Ok(RelaxedSequence {
                 entries,

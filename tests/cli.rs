@@ -131,8 +131,11 @@ fn autolb_json_embeds_the_certificate() {
 /// kernel change that picks a different `iso_map` or witness, or moves a
 /// fingerprint, fails here even when it stays thread-invariant.
 ///
-/// The same runs bound the class store: `cache.packed_bytes` (packed rows,
-/// name ids and the name table) stays under 1 KiB per interned class.
+/// The same runs pin the search's work and bound the class store: 1771
+/// isomorphism checks (`cache.iso_checks`) resolve 1723 wave hits against
+/// 5095 wave misses at every thread count, and `cache.packed_bytes`
+/// (packed rows, label ranks, name ids and the name table) stays under
+/// 1 KiB per interned class.
 #[test]
 fn coloring_certificate_bytes_are_pinned() {
     const GOLDEN: u64 = 0xc8fe_075d_8e20_380f;
@@ -148,13 +151,19 @@ fn coloring_certificate_bytes_are_pinned() {
         assert_eq!(digest, GOLDEN, "threads={threads}: certificate digest {digest:#x}");
 
         let classes = report.get("stats").and_then(|s| s.get("classes")).and_then(|c| c.as_u64());
-        let packed = report
-            .get("obs")
-            .and_then(|o| o.get("counters"))
-            .and_then(|c| c.get("cache.packed_bytes"))
-            .and_then(|b| b.as_u64());
-        let (classes, packed) = (classes.expect("classes"), packed.expect("packed bytes"));
+        let counter = |name: &str| {
+            report
+                .get("obs")
+                .and_then(|o| o.get("counters"))
+                .and_then(|c| c.get(name))
+                .and_then(|b| b.as_u64())
+                .unwrap_or_else(|| panic!("threads={threads}: no counter {name}"))
+        };
+        let (classes, packed) = (classes.expect("classes"), counter("cache.packed_bytes"));
         assert_eq!(classes, 5102, "threads={threads}");
+        assert_eq!(counter("cache.iso_checks"), 1771, "threads={threads}");
+        assert_eq!(counter("cache.intern_hits"), 1723, "threads={threads}");
+        assert_eq!(counter("cache.intern_misses"), 5095, "threads={threads}");
         assert!(packed <= 1024 * classes, "threads={threads}: {packed} B for {classes} classes");
     }
 }
