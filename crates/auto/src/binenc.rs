@@ -15,7 +15,9 @@
 use crate::cache::{CacheSnapshot, CacheStats, NodeId, SnapshotEntry};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
 use crate::search::SearchStats;
-use roundelim_core::binenc::{decode_problem, encode_problem, frame, unframe, Dec, Enc};
+use roundelim_core::binenc::{
+    decode_problem, encode_problem, frame, unframe, Dec, Enc, MIN_PROBLEM_BYTES,
+};
 use roundelim_core::error::{Error, Result};
 use roundelim_core::label::Label;
 use roundelim_core::sequence::ZeroRoundModel;
@@ -74,7 +76,7 @@ fn encode_label_map(map: &[Label], e: &mut Enc) {
 }
 
 fn decode_label_map(d: &mut Dec<'_>) -> Result<Vec<Label>> {
-    let n = d.u32("label map length")? as usize;
+    let n = d.count("label map length", 4)?;
     let mut map = Vec::with_capacity(n);
     for _ in 0..n {
         let ix = d.u32("label map entry")? as usize;
@@ -177,12 +179,12 @@ pub fn decode_certificate(d: &mut Dec<'_>) -> Result<Certificate> {
     let model = decode_model(d)?;
     let incomplete = d.bool("incomplete")?;
     let verdict = decode_verdict(d)?;
-    let n = d.u32("problem count")? as usize;
+    let n = d.count("problem count", MIN_PROBLEM_BYTES)?;
     let mut problems = Vec::with_capacity(n);
     for _ in 0..n {
         problems.push(decode_problem(d)?);
     }
-    let n = d.u32("edge count")? as usize;
+    let n = d.count("edge count", 1)?;
     let mut edges = Vec::with_capacity(n);
     for _ in 0..n {
         edges.push(decode_edge(d)?);
@@ -278,6 +280,10 @@ fn encode_entry(entry: &SnapshotEntry, e: &mut Enc) {
     }
 }
 
+/// The fewest bytes [`encode_entry`] writes: a problem, the step tag and
+/// the two 0-round slots.
+const SNAPSHOT_ENTRY_MIN_BYTES: usize = MIN_PROBLEM_BYTES + 3;
+
 fn decode_entry(d: &mut Dec<'_>) -> Result<SnapshotEntry> {
     let problem = decode_problem(d)?;
     let step = match d.u8("step tag")? {
@@ -326,16 +332,16 @@ pub fn encode_snapshot(s: &CacheSnapshot, e: &mut Enc) {
 ///
 /// [`Error::Parse`] on malformed input.
 pub fn decode_snapshot(d: &mut Dec<'_>) -> Result<CacheSnapshot> {
-    let n = d.u32("entry count")? as usize;
+    let n = d.count("entry count", SNAPSHOT_ENTRY_MIN_BYTES)?;
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
         entries.push(decode_entry(d)?);
     }
-    let n = d.u32("fingerprint bucket count")? as usize;
+    let n = d.count("fingerprint bucket count", 12)?;
     let mut fps = Vec::with_capacity(n);
     for _ in 0..n {
         let fp = d.u64("fingerprint")?;
-        let k = d.u32("bucket size")? as usize;
+        let k = d.count("bucket size", 4)?;
         let mut ids = Vec::with_capacity(k);
         for _ in 0..k {
             ids.push(NodeId(d.u32("bucket id")?));

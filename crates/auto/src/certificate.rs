@@ -443,9 +443,8 @@ pub(crate) fn label_map_from_json(j: &Json) -> Result<Vec<Label>> {
         .ok_or_else(|| bad("`map` entries must be label indices"))
 }
 
-/// A chain edge as a JSON object (shared between certificates and
-/// checkpoints, which persist the search graph's parent edges).
-pub(crate) fn edge_to_json(e: &Edge) -> Json {
+/// A chain edge as a JSON object.
+fn edge_to_json(e: &Edge) -> Json {
     match e {
         Edge::Step => Json::obj([("kind", Json::Str("step".into()))]),
         Edge::Relax { map } => {
@@ -458,7 +457,7 @@ pub(crate) fn edge_to_json(e: &Edge) -> Json {
 }
 
 /// Parses a chain edge (inverse of [`edge_to_json`]).
-pub(crate) fn edge_from_json(e: &Json) -> Result<Edge> {
+fn edge_from_json(e: &Json) -> Result<Edge> {
     let bad = |reason: &str| Error::Parse { line: 0, reason: reason.to_owned() };
     match e.get("kind").and_then(Json::as_str) {
         Some("step") => Ok(Edge::Step),

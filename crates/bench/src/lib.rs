@@ -1,6 +1,5 @@
 //! Benchmark support for the round-elimination workspace.
 //!
-//! The statistical benchmarks live in `benches/` (run with `cargo bench`).
 //! This library holds the shared measurement helpers behind the
 //! `bench_smoke` binary, which runs the speedup families in sample mode
 //! and emits `BENCH_speedup.json` — a per-`(family, parameter)` median-ns

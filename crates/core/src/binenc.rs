@@ -185,6 +185,27 @@ impl<'a> Dec<'a> {
         }
     }
 
+    /// Reads a `u32` item count for a sequence whose items each encode to
+    /// at least `min_item_bytes` bytes, and rejects a count the rest of the
+    /// input cannot hold. Decoders size their allocations from this, so a
+    /// hostile length field fails here instead of aborting the process on
+    /// a multi-gigabyte `Vec::with_capacity`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Parse`] on truncation or an impossible count.
+    pub fn count(&mut self, what: &str, min_item_bytes: usize) -> Result<usize> {
+        debug_assert!(min_item_bytes > 0, "a zero-byte item bounds nothing");
+        let n = self.u32(what)? as usize;
+        if n.saturating_mul(min_item_bytes) > self.remaining() {
+            return Err(bad(format!(
+                "{what} {n} needs at least {min_item_bytes} bytes each, {} left",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Reads a length-prefixed byte section.
     pub fn bytes(&mut self, what: &str) -> Result<&'a [u8]> {
         let n = self.u32(what)? as usize;
@@ -288,7 +309,10 @@ pub fn encode_constraint(c: &Constraint, e: &mut Enc) {
 /// errors ([`Error::EmptyArity`], [`Error::ArityMismatch`]) pass through.
 pub fn decode_constraint(d: &mut Dec<'_>, n_labels: usize) -> Result<Constraint> {
     let arity = d.u32("constraint arity")? as usize;
-    let n = d.u32("constraint size")? as usize;
+    if arity == 0 {
+        return Err(Error::EmptyArity);
+    }
+    let n = d.count("constraint size", arity.saturating_mul(4))?;
     let mut configs = Vec::with_capacity(n);
     for _ in 0..n {
         let mut labels = Vec::with_capacity(arity);
@@ -303,6 +327,10 @@ pub fn decode_constraint(d: &mut Dec<'_>, n_labels: usize) -> Result<Constraint>
     }
     Constraint::from_configs(arity, configs)
 }
+
+/// The fewest bytes an encoded problem takes: the name and alphabet
+/// prefixes plus arity and size of both constraints, all `u32`.
+pub const MIN_PROBLEM_BYTES: usize = 6 * 4;
 
 /// Encodes a problem: name, the alphabet as an ordered name list, then the
 /// node and edge constraints (see [`encode_constraint`]).
@@ -327,7 +355,7 @@ pub fn encode_problem(p: &Problem, e: &mut Enc) {
 /// errors pass through (duplicate labels, inconsistent constraints).
 pub fn decode_problem(d: &mut Dec<'_>) -> Result<Problem> {
     let name = d.str("problem name")?.to_owned();
-    let n_labels = d.u32("alphabet size")? as usize;
+    let n_labels = d.count("alphabet size", 4)?;
     let mut names = Vec::with_capacity(n_labels);
     for _ in 0..n_labels {
         names.push(d.str("label name")?.to_owned());

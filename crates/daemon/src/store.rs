@@ -131,7 +131,7 @@ impl ProofStore {
                 return Err(Error::Inconsistent { reason: "sidecar guard mismatch".into() });
             }
             let cache = CanonCache::restore(decode_snapshot(&mut d)?)?;
-            let n = d.u32("index count")? as usize;
+            let n = d.count("index count", 9)?;
             let mut index = HashMap::with_capacity(n);
             for _ in 0..n {
                 let id = d.u32("index class id")?;

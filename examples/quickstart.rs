@@ -1,5 +1,6 @@
 //! Quickstart: describe a problem, apply the automatic speedup, inspect
-//! the derived problems and the verdict of the iterated driver.
+//! the derived problems and the verdict of the iterated driver, then
+//! check 0-round solvability across the problem zoo.
 //!
 //! ```sh
 //! cargo run --example quickstart
@@ -9,6 +10,7 @@ use roundelim::core::problem::Problem;
 use roundelim::core::sequence::{iterate, StopReason};
 use roundelim::core::speedup::full_step;
 use roundelim::core::zero_round::{zero_round_oriented, zero_round_pn};
+use roundelim::problems::registry::families;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sinkless coloring at Δ = 3 (paper §4.4), in the text format.
@@ -54,6 +56,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("Complexity on high-girth t-independent classes: exactly {index} rounds.")
         }
         StopReason::LimitReached => println!("No verdict within the step limit."),
+    }
+
+    // The 0-round deciders (§2.1's endgame check) across the problem zoo.
+    println!("\nZero-round solvable across the zoo (k = 3, Δ = 3):");
+    for f in families() {
+        let Ok(p) = f.instantiate(3, 3) else { continue };
+        println!(
+            "  {:<22} plain PN: {:<5}  oriented: {}",
+            f.name,
+            zero_round_pn(&p).is_some(),
+            zero_round_oriented(&p).is_some()
+        );
     }
     Ok(())
 }

@@ -12,7 +12,7 @@ use roundelim::auto::binenc::{
 };
 use roundelim::auto::cache::CanonCache;
 use roundelim::auto::search::{autolb, SearchOptions};
-use roundelim::core::binenc::{problem_from_bytes, problem_to_bytes};
+use roundelim::core::binenc::{frame, problem_from_bytes, problem_to_bytes};
 use roundelim::core::config::{all_multisets, Config};
 use roundelim::core::constraint::Constraint;
 use roundelim::core::label::Alphabet;
@@ -173,15 +173,16 @@ fn truncations_and_byte_flips_are_rejected() {
         ("certificate", certificate_to_bytes(&cert)),
         ("cache snapshot", snapshot_to_bytes(&cache.snapshot())),
     ];
-    for (what, bytes) in &blobs {
-        let decode = |b: &[u8]| -> Result<(), String> {
-            let r = match *what {
-                "problem" => problem_from_bytes(b).map(|_| ()),
-                "certificate" => certificate_from_bytes(b).map(|_| ()),
-                _ => snapshot_from_bytes(b).map(|_| ()),
-            };
-            r.map_err(|e| e.to_string())
+    let decode_as = |what: &str, b: &[u8]| -> Result<(), String> {
+        let r = match what {
+            "problem" => problem_from_bytes(b).map(|_| ()),
+            "certificate" => certificate_from_bytes(b).map(|_| ()),
+            _ => snapshot_from_bytes(b).map(|_| ()),
         };
+        r.map_err(|e| e.to_string())
+    };
+    for (what, bytes) in &blobs {
+        let decode = |b: &[u8]| decode_as(what, b);
         assert!(decode(bytes).is_ok(), "{what}: pristine bytes must decode");
         // Truncation at a spread of cut points (including the empty and
         // the all-but-last-byte prefixes) must never decode.
@@ -201,5 +202,31 @@ fn truncations_and_byte_flips_are_rejected() {
         flipped[ix] ^= 0x40;
         let err = decode(&flipped).expect_err("byte flip must be rejected");
         assert!(err.contains("checksum"), "{what}: expected a checksum error, got: {err}");
+    }
+
+    // Re-framed payloads whose first count field is 0xFFFFFFFF: the frame
+    // checksum is valid, so only the decoder's count check stands between
+    // them and a multi-gigabyte allocation. Each must fail with an error.
+    let inflated = |kind: &str, prefix: &[u8]| {
+        let mut payload = prefix.to_vec();
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        payload.extend_from_slice(&[0; 16]);
+        frame(kind, &payload)
+    };
+    let name_so = [2, 0, 0, 0, b's', b'o'];
+    let hostile: Vec<(&str, &str, Vec<u8>)> = vec![
+        ("problem", "alphabet size", inflated("problem", &name_so)),
+        // Empty name, empty alphabet, node arity 0: zero-byte configs.
+        ("problem", "constraint arity 0", inflated("problem", &[0; 12])),
+        // Lower bound, plain PN, complete, 0 rounds; then the problem count.
+        (
+            "certificate",
+            "problem count",
+            inflated("certificate", &[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
+        ),
+        ("cache snapshot", "entry count", inflated("cache-snapshot", &[])),
+    ];
+    for (what, field, bytes) in &hostile {
+        assert!(decode_as(what, bytes).is_err(), "{what}: an inflated {field} must be rejected");
     }
 }

@@ -466,3 +466,28 @@ fn sigint_stops_gracefully_with_exit_3_and_a_live_snapshot() {
     std::io::Read::read_to_string(child.stdout.as_mut().unwrap(), &mut stdout).unwrap();
     assert!(stdout.contains("stopped early (interrupted)"), "{stdout}");
 }
+
+/// A snapshot in the retired v1 format (a checksum header line plus JSON)
+/// is not a v2 frame: `--resume` must fail with a structured error and
+/// exit 1, neither panicking nor starting a fresh search over it, and the
+/// file must stay byte-for-byte in place.
+#[test]
+fn v1_snapshot_is_rejected_on_resume_and_left_in_place() {
+    let ck = tmp_dir().join("v1-resume");
+    let _ = std::fs::remove_dir_all(&ck);
+    std::fs::create_dir_all(&ck).unwrap();
+    let ckpt = ck.join("search.ckpt.json");
+    let v1 = "fnv1a64:0123456789abcdef\n{\"schema\": \"roundelim-checkpoint-v1\"}\n";
+    std::fs::write(&ckpt, v1).unwrap();
+    let out = cli()
+        .args(["autolb", "maximal-matching::3", "--steps", "4", "--beam", "4", "--max-labels", "8"])
+        .args(["--checkpoint", ck.to_str().unwrap(), "--resume"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "a v1 snapshot is a runtime error: {stderr}");
+    assert!(stderr.starts_with("error: ") && stderr.contains("frame magic"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no search may run: {}", String::from_utf8_lossy(&out.stdout));
+    assert_eq!(std::fs::read_to_string(&ckpt).unwrap(), v1, "the snapshot must be left untouched");
+}
