@@ -48,7 +48,6 @@ use roundelim_core::iso::{fingerprint_and_ranks, isomorphism_ranked, Refiner};
 use roundelim_core::label::Label;
 use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
-use roundelim_core::profile::{span, Stage};
 use roundelim_core::sequence::ZeroRoundModel;
 use roundelim_core::speedup::full_step;
 use roundelim_core::zero_round::{zero_round_oriented_packed, zero_round_pn_packed};
@@ -548,7 +547,7 @@ impl CanonCache {
 /// span covers only the candidate filter and the search.
 fn same_class(class: &PackedProblem, ranks: &[u16], probe: &Probe) -> bool {
     iso_checks().incr();
-    let _sp = span(Stage::Canon);
+    let _sp = obs::trace::span("stage.canon");
     isomorphism_ranked(class, ranks, &probe.packed, &probe.ranks).is_some()
 }
 
@@ -562,7 +561,7 @@ fn zero_slot(model: ZeroRoundModel) -> usize {
 
 /// One 0-round solvability check, timed as a `stage.zero-round` span.
 fn zero_round_check(p: &PackedProblem, model: ZeroRoundModel) -> bool {
-    let _sp = span(Stage::ZeroRound);
+    let _sp = obs::trace::span("stage.zero-round");
     match model {
         ZeroRoundModel::PlainPn => zero_round_pn_packed(p).is_some(),
         ZeroRoundModel::Oriented => zero_round_oriented_packed(p).is_some(),
@@ -637,7 +636,7 @@ fn resolve_wave_shard(
     let mut st = ShardState::default();
     let mut out = Vec::with_capacity(items.len());
     for (idx, p) in items {
-        let watch = obs::armed().then(obs::time::Stopwatch::start);
+        let watch = obs::trace::tracing().then(obs::time::Stopwatch::start);
         let res = st.resolve(cache, p);
         let (count, latency) = if res.is_none() {
             (metrics.misses, metrics.miss_ns)
@@ -751,7 +750,7 @@ pub fn full_step_cached(p: &Problem) -> Result<Problem> {
     let memo = MEMO.get_or_init(Mutex::default);
     let fp = fingerprint(p);
     let metrics = step_memo_metrics();
-    let watch = obs::armed().then(obs::time::Stopwatch::start);
+    let watch = obs::trace::tracing().then(obs::time::Stopwatch::start);
     {
         let guard = memo.lock().expect("step memo poisoned");
         if let Some(bucket) = guard.buckets.get(&fp) {
@@ -767,7 +766,7 @@ pub fn full_step_cached(p: &Problem) -> Result<Problem> {
         }
     }
     metrics.misses.incr();
-    let _sp = span(Stage::Step);
+    let _sp = obs::trace::span("stage.step");
     let derived = full_step(p)?.problem().clone();
     if let Some(watch) = watch {
         metrics.miss_ns.record(watch.elapsed_ns());

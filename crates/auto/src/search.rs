@@ -44,7 +44,6 @@ use roundelim_core::error::{Error, Result};
 use roundelim_core::iso::{isomorphism, Refiner};
 use roundelim_core::label::Label;
 use roundelim_core::problem::Problem;
-use roundelim_core::profile::{span, Stage};
 use roundelim_core::sequence::ZeroRoundModel;
 use roundelim_core::zero_round::check_oriented_delta;
 use roundelim_obs as obs;
@@ -159,13 +158,6 @@ pub struct SearchOptions {
     pub max_labels: usize,
     /// Worker threads; 0 resolves `ROUNDELIM_THREADS` / all cores.
     pub threads: usize,
-    /// Fingerprint shards of the wave interner
-    /// ([`CanonCache::intern_wave`]); 0 resolves `ROUNDELIM_SHARDS` / 64.
-    /// The shard count is deliberately independent of the thread count, so
-    /// cache counters (and with them `SearchStats`) stay bit-identical at
-    /// every thread count. `NodeId` assignment is identical at every shard
-    /// count too (property-tested).
-    pub shards: usize,
     /// The 0-round model for goal checks.
     pub model: ZeroRoundModel,
     /// Skip sibling move candidates that a verified constraint-row
@@ -203,7 +195,6 @@ impl Default for SearchOptions {
             use_relaxations: true,
             max_labels: 12,
             threads: 0,
-            shards: 0,
             model: ZeroRoundModel::Oriented,
             prune_siblings: true,
             time_budget: None,
@@ -339,25 +330,12 @@ pub struct Outcome {
 /// (explicit option, else `ROUNDELIM_THREADS`, else all cores).
 use roundelim_core::par::resolve_threads;
 
-/// Default fingerprint-shard count of the wave interner. A power of two
+/// Fingerprint-shard count of the wave interner. A power of two
 /// comfortably above any sane thread count: shard skew is what limits the
-/// interner's parallelism, not shard count.
+/// interner's parallelism, not shard count. Fixed independently of the
+/// thread count, so cache counters (and with them `SearchStats`) stay
+/// bit-identical at every thread count.
 const DEFAULT_SHARDS: usize = 64;
-
-/// Resolves the wave-interner shard count: explicit option, else the
-/// `ROUNDELIM_SHARDS` environment variable, else [`DEFAULT_SHARDS`].
-/// Deliberately independent of the thread count — see
-/// [`SearchOptions::shards`].
-fn resolve_shards(opt: usize) -> usize {
-    if opt > 0 {
-        return opt;
-    }
-    std::env::var("ROUNDELIM_SHARDS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_SHARDS)
-}
 
 /// The search's parallel map: the shared work-stealing executor
 /// ([`roundelim_core::par::par_map_catch`]) with the `worker-panic`
@@ -394,7 +372,6 @@ struct Search {
     meta: Vec<Meta>,
     opts: SearchOptions,
     threads: usize,
-    shards: usize,
     stats: SearchStats,
     /// Wall-clock anchor for [`SearchOptions::time_budget`] (restarts on
     /// resume: the budget is per process run, not cumulative).
@@ -434,7 +411,6 @@ impl Search {
             meta: Vec::new(),
             opts: opts.clone(),
             threads: resolve_threads(opts.threads),
-            shards: resolve_shards(opts.shards),
             stats: SearchStats::default(),
             started: obs::time::Stopwatch::start(),
             last_ckpt: None,
@@ -625,7 +601,6 @@ impl Search {
             meta,
             opts: opts.clone(),
             threads: resolve_threads(opts.threads),
-            shards: resolve_shards(opts.shards),
             stats: ck.stats,
             started: obs::time::Stopwatch::start(),
             // Nothing new since the snapshot we just loaded.
@@ -771,7 +746,7 @@ impl Search {
         detect_cycles: bool,
         goals: &mut Vec<NodeId>,
     ) -> Option<CycleHit> {
-        let _sp = span(Stage::RelaxClosure);
+        let _sp = obs::trace::span("stage.relax-closure");
         let prune = self.opts.prune_siblings;
         let mut wave: Vec<NodeId> = pool.clone();
         let mut wave_ix = 0u64;
@@ -852,7 +827,7 @@ impl Search {
                     flat.push(probe);
                 }
             }
-            let resolved = self.cache.intern_wave(flat, self.threads, self.shards);
+            let resolved = self.cache.intern_wave(flat, self.threads, DEFAULT_SHARDS);
             // Goal-check the wave's new classes on the executor; the loop
             // below only reads the memos.
             let new: Vec<NodeId> =
@@ -1361,27 +1336,6 @@ mod tests {
             assert_eq!(out.verdict, base.verdict, "threads={threads}");
             assert_eq!(out.certificate, base.certificate, "threads={threads}");
             assert_eq!(out.stats, base.stats, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn shard_count_does_not_change_the_outcome() {
-        // Isomorphic candidates always share a fingerprint, hence a shard:
-        // dedup decisions — and with them every `NodeId` assignment, the
-        // verdict, and the certificate — are shard-count-invariant.
-        let mm = roundelim_problems::matching::maximal_matching(3).unwrap();
-        let opts = SearchOptions {
-            max_steps: 6,
-            beam_width: 6,
-            max_labels: 10,
-            threads: 2,
-            ..SearchOptions::default()
-        };
-        let base = autolb(&mm, &SearchOptions { shards: 1, ..opts.clone() }).unwrap();
-        for shards in [4, 64] {
-            let out = autolb(&mm, &SearchOptions { shards, ..opts.clone() }).unwrap();
-            assert_eq!(out.verdict, base.verdict, "shards={shards}");
-            assert_eq!(out.certificate, base.certificate, "shards={shards}");
         }
     }
 

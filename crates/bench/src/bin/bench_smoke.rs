@@ -155,17 +155,11 @@ fn main() {
             "disarmed tracing must stay within 2% of the bare step: \
              bare {bare} ns, with probes {disarmed} ns"
         );
-        let trace_path =
-            std::env::temp_dir().join(format!("roundelim-bench-o1-{}.jsonl", std::process::id()));
-        roundelim_obs::trace::install(trace_path.clone(), |path, contents| {
-            std::fs::write(path, contents).map_err(|e| e.to_string())
-        })
-        .expect("install the O1 trace sink");
+        roundelim_obs::trace::install().expect("install the O1 trace sink");
         case(&mut results, "O1_trace_overhead", 1, || {
             black_box(full_step(&p).expect("no overflow"));
         });
-        roundelim_obs::trace::finish().expect("finish the O1 trace");
-        let _ = std::fs::remove_file(&trace_path);
+        black_box(roundelim_obs::trace::finish());
     }
 
     // The three kernels every search class pays for (fingerprint interning,

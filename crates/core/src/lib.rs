@@ -54,7 +54,6 @@ pub mod packed;
 pub mod par;
 pub mod parser;
 pub mod problem;
-pub mod profile;
 pub mod relax;
 pub mod sequence;
 pub mod speedup;

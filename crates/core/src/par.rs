@@ -22,7 +22,7 @@
 //! `exec.steals` and `exec.spawns` (worker threads started) counters are
 //! always live; the `exec.worker_idle_ns`
 //! histogram (per-worker wall time not spent inside tasks) records only
-//! while [`roundelim_obs::armed`] — an unobserved run never reads the
+//! while [`roundelim_obs::trace::tracing`] — an unobserved run never reads the
 //! clock here. Every worker drains its trace buffer before it returns, so
 //! a trace finished right after a parallel call still holds its spans.
 
@@ -105,7 +105,7 @@ where
         bounds[..workers].iter().map(|&lo| AtomicUsize::new(lo)).collect();
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let steals = AtomicUsize::new(0);
-    let armed = obs::armed();
+    let armed = obs::trace::tracing();
     let busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
     let region = armed.then(obs::time::Stopwatch::start);
     std::thread::scope(|s| {

@@ -191,7 +191,7 @@ fn config_matches_general(labels: &[Label], sets: &[LabelSet]) -> bool {
 /// rebuilding position sets per configuration probe. Arities above 64 take
 /// the allocation-per-leaf fallback.
 pub fn existential_constraint(meanings: &[LabelSet], d: &Constraint) -> Constraint {
-    let _sp = crate::profile::span(crate::profile::Stage::Existential);
+    let _sp = roundelim_obs::trace::span("stage.existential");
     let s = d.arity();
     let m = meanings.len();
     if s > 64 {

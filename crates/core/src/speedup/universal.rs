@@ -67,9 +67,9 @@
 use crate::constraint::Constraint;
 use crate::label::Label;
 use crate::labelset::LabelSet;
-use crate::profile::{span, Stage};
 use crate::speedup::pool::{DomIndex, LinePool};
 use crate::trie::ConfigTrie;
+use roundelim_obs::trace::span;
 
 /// A multiset of label sets, canonically sorted. See module docs.
 pub type Line = Vec<LabelSet>;
@@ -171,7 +171,7 @@ fn dominates_ids(pool: &LinePool, a: u32, b: u32) -> bool {
 /// Accounted to the domination stage; the single point every antichain
 /// filter goes through. `buf` is per-caller query scratch.
 fn dominated_by_any(pool: &LinePool, dom: &DomIndex, id: u32, buf: &mut Vec<u64>) -> bool {
-    let _sp = span(Stage::Domination);
+    let _sp = span("stage.domination");
     dom.any_superset_candidate(&pool.union_of(id), buf, |m| dominates_ids(pool, m, id))
 }
 
@@ -523,7 +523,7 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
         }
         let mut line: Line = cfg.iter().map(LabelSet::singleton).collect();
         {
-            let _sp = span(Stage::Close);
+            let _sp = span("stage.close");
             close_line(&mut line, trie, &universe, &mut close_scratch);
         }
         let (id, _) = pool.intern(&line);
@@ -562,7 +562,7 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
                 par_min,
                 pair_weight,
                 |indices: &[usize]| {
-                    let _sp = span(Stage::Merge);
+                    let _sp = span("stage.merge");
                     let mut local = LinePool::new(c.arity());
                     let mut scratch = MergeScratch::default();
                     for &bi in indices {
@@ -601,7 +601,7 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
                     candidates.push(id);
                 }
             }
-            let _sp = span(Stage::Merge);
+            let _sp = span("stage.merge");
             let scratch = &mut merge_scratch;
             for bi in 0..batch.len() {
                 line_buf.clear();
@@ -633,7 +633,7 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
             if dominated_by_any(&pool, &dom, id, &mut dombuf) {
                 continue;
             }
-            let _sp = span(Stage::Domination);
+            let _sp = span("stage.domination");
             let mut evicted: Vec<u32> = Vec::new();
             dom.any_subset_candidate(&pool.union_of(id), &mut dombuf, |m| {
                 if dominates_ids(&pool, id, m) {
@@ -668,7 +668,7 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
                             if dominated_by_any(pool_ref, dom_ref, id, &mut dombuf) {
                                 return None;
                             }
-                            let _sp = span(Stage::Close);
+                            let _sp = span("stage.close");
                             let mut line = pool_ref.get(id).to_vec();
                             close_line(&mut line, trie, &universe, &mut close_scratch);
                             Some(line)
@@ -696,7 +696,7 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
                 line_buf.clear();
                 line_buf.extend_from_slice(pool.get(id));
                 {
-                    let _sp = span(Stage::Close);
+                    let _sp = span("stage.close");
                     close_line(&mut line_buf, trie, &universe, &mut close_scratch);
                 }
                 let (cid, _) = pool.intern(&line_buf);

@@ -281,7 +281,7 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
 /// span with `daemon.solve`/`daemon.encode` children, and its queue
 /// wait, solve, and encode latencies land in the `daemon.*_ns`
 /// histograms (always recorded — the `metrics` command must answer
-/// without `--profile`).
+/// without a trace sink installed).
 fn run_job(shared: &Shared, job: &Job) {
     let _request_span = obs::trace::span("daemon.request");
     obs::metrics::histogram("daemon.queue_wait_ns")

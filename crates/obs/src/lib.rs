@@ -7,16 +7,18 @@
 //! - [`metrics`] — a process-wide registry of named [`metrics::Counter`]s
 //!   and HDR-style [`metrics::Histogram`]s with p50/p90/p99 summaries.
 //!   Counters are always live (one relaxed `fetch_add`); timing histograms
-//!   are recorded by call sites only while [`armed`] returns true, so an
-//!   untraced, unprofiled run never reads the clock on hot paths.
+//!   are recorded by call sites only while [`trace::tracing`] returns
+//!   true, so an untraced run never reads the clock on hot paths.
 //! - [`trace`] — span-based structured tracing. Enter/exit events carry
-//!   parent span ids and land in per-thread buffers, flushed to a
-//!   JSON-Lines file (schema `roundelim-trace-v1`) when the trace is
-//!   finished. With no sink installed every probe is a single relaxed
-//!   atomic load and no allocation — overhead is pinned by the
-//!   `O1_trace_overhead` bench family.
-//! - [`summary`] — reads a recorded trace back: per-span-name statistics,
-//!   folded-stack output for flamegraph tooling, and timing-stripped
+//!   parent span ids and land in per-thread buffers, drained into one
+//!   in-memory sink and rendered as a JSON-Lines document (schema
+//!   `roundelim-trace-v1`) when the trace is finished. `--trace` writes
+//!   that document and `--profile` summarizes it. With no sink installed
+//!   every probe is a single relaxed atomic load and no allocation —
+//!   overhead is pinned by the `O1_trace_overhead` bench family.
+//! - [`summary`] — reads a recorded trace back: per-span-name statistics
+//!   (the `--profile` report), folded-stack output for flamegraph
+//!   tooling, and timing-stripped
 //!   projections used by the determinism tests.
 //! - [`time`] — the one place in the workspace (outside `crates/bench`)
 //!   allowed to touch `std::time::Instant`; everything else goes through
@@ -34,25 +36,3 @@ pub mod metrics;
 pub mod summary;
 pub mod time;
 pub mod trace;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Set while `--profile` is active (see `roundelim_core::profile`).
-static PROFILING: AtomicBool = AtomicBool::new(false);
-
-/// Arms or disarms timing collection for profiling (`--profile`).
-pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::SeqCst);
-}
-
-/// True while `--profile` timing collection is armed.
-pub fn profiling() -> bool {
-    PROFILING.load(Ordering::Relaxed)
-}
-
-/// True when timing histograms should be recorded: either profiling is
-/// armed or a trace sink is installed. Hot paths gate their clock reads
-/// on this so an unobserved run pays only an atomic load per probe.
-pub fn armed() -> bool {
-    profiling() || trace::tracing()
-}

@@ -51,11 +51,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
     }
-
-    /// Zeroes the counter (tests and `--profile` reset).
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
 }
 
 /// Maps a value to its log-linear bucket index.
@@ -137,17 +132,6 @@ impl Histogram {
     #[must_use]
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Forgets every observation.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
     }
 
     /// A point-in-time copy for summarizing. Not a consistent cut under
@@ -272,17 +256,6 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         counters: reg.counters.iter().map(|(n, c)| ((*n).to_owned(), c.get())).collect(),
         histograms: reg.histograms.iter().map(|(n, h)| ((*n).to_owned(), h.snapshot())).collect(),
-    }
-}
-
-/// Zeroes every registered counter and histogram (handles stay valid).
-pub fn reset_all() {
-    let reg = lock_registry();
-    for c in reg.counters.values() {
-        c.reset();
-    }
-    for h in reg.histograms.values() {
-        h.reset();
     }
 }
 

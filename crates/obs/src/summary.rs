@@ -1,7 +1,9 @@
-//! Reads a recorded `roundelim-trace-v1` file back: per-span-name
-//! statistics, folded-stack output for flamegraph tooling, and the
+//! Reads a recorded `roundelim-trace-v1` document back: per-span-name
+//! statistics (the `--profile` report and `trace summarize`),
+//! folded-stack output for flamegraph tooling (`trace fold`), and the
 //! timing-stripped / structural projections the determinism tests
-//! compare.
+//! compare. Summaries and folds share one enter/exit walk, so a span's
+//! self time is the same number in every view.
 //!
 //! The parser targets exactly the grammar [`crate::trace`] emits (one
 //! sorted-key JSON object per line); it is not a general JSON reader —
@@ -9,7 +11,8 @@
 //! every other workspace crate.
 
 use crate::metrics::Histogram;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::fmt::Write as _;
 
 /// One parsed trace event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,8 +48,13 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 ///
 /// # Errors
 ///
-/// Returns a description when the header is missing/mismatched or an
-/// event line is missing a required field.
+/// Returns a description when the header is missing/mismatched, an
+/// event line is missing a required field, or the span tree is
+/// malformed: an `enter` whose id is 0 or repeats an earlier id, or whose
+/// `par` is neither 0 nor the id of an earlier `enter`. The writer always
+/// records a parent's enter before its child's (both sit on one thread's
+/// buffer), so every parent link of a parsed trace points backwards and
+/// the tree has no cycles.
 pub fn parse(text: &str) -> Result<Trace, String> {
     let mut lines = text.lines().enumerate();
     let (_, header) = lines.next().ok_or_else(|| "empty trace file".to_owned())?;
@@ -55,21 +63,34 @@ pub fn parse(text: &str) -> Result<Trace, String> {
         return Err(format!("unsupported trace schema {schema:?} (want roundelim-trace-v1)"));
     }
     let mut trace = Trace::default();
+    let mut entered: HashSet<u64> = HashSet::new();
     for (ix, line) in lines {
         if line.trim().is_empty() {
             continue;
         }
         let bad = |what: &str| format!("line {}: {what}: {line}", ix + 1);
         match field_str(line, "ev") {
-            Some("enter") => trace.events.push(TraceEvent::Enter {
-                id: field_u64(line, "id").ok_or_else(|| bad("enter without id"))?,
-                parent: field_u64(line, "par").ok_or_else(|| bad("enter without par"))?,
-                thread: u32::try_from(field_u64(line, "th").unwrap_or(0))
-                    .map_err(|_| bad("thread id overflows u32"))?,
-                name: field_str(line, "name").ok_or_else(|| bad("enter without name"))?.to_owned(),
-                value: field_u64(line, "v"),
-                t: field_u64(line, "t"),
-            }),
+            Some("enter") => {
+                let id = field_u64(line, "id").ok_or_else(|| bad("enter without id"))?;
+                let parent = field_u64(line, "par").ok_or_else(|| bad("enter without par"))?;
+                if parent != 0 && !entered.contains(&parent) {
+                    return Err(bad("parent is not an earlier span"));
+                }
+                if id == 0 || !entered.insert(id) {
+                    return Err(bad("span id is 0 or repeats an earlier id"));
+                }
+                trace.events.push(TraceEvent::Enter {
+                    id,
+                    parent,
+                    thread: u32::try_from(field_u64(line, "th").unwrap_or(0))
+                        .map_err(|_| bad("thread id overflows u32"))?,
+                    name: field_str(line, "name")
+                        .ok_or_else(|| bad("enter without name"))?
+                        .to_owned(),
+                    value: field_u64(line, "v"),
+                    t: field_u64(line, "t"),
+                });
+            }
             Some("exit") => trace.events.push(TraceEvent::Exit {
                 id: field_u64(line, "id").ok_or_else(|| bad("exit without id"))?,
                 t: field_u64(line, "t"),
@@ -148,6 +169,10 @@ pub struct SpanSummary {
     pub count: u64,
     /// Summed wall time of closed spans, ns.
     pub total_ns: u64,
+    /// Summed exclusive time of closed spans (each span's duration minus
+    /// its children's, clamped at zero), ns: the total of the [`fold`]
+    /// lines whose leaf is this name.
+    pub self_ns: u64,
     pub p50_ns: u64,
     pub p90_ns: u64,
     pub p99_ns: u64,
@@ -167,61 +192,104 @@ pub struct Summary {
     pub dropped: u64,
 }
 
-/// Summarizes a parsed trace: per-name counts and duration quantiles
-/// (closed spans only; timing-stripped traces summarize with zero
-/// durations but full counts).
-#[must_use]
-pub fn summarize(trace: &Trace) -> Summary {
-    let mut open: BTreeMap<u64, (usize, Option<u64>)> = BTreeMap::new(); // id -> (name ix, enter t)
-    let mut names: Vec<String> = Vec::new();
-    let mut name_ix: BTreeMap<String, usize> = BTreeMap::new();
-    let mut counts: Vec<u64> = Vec::new();
-    let mut hists: Vec<Histogram> = Vec::new();
-    let mut unclosed = 0u64;
+/// One span after its exit has been matched to its enter.
+struct Span<'a> {
+    name: &'a str,
+    /// Index of the enclosing span, always below this span's own, so
+    /// parent chains end.
+    parent: Option<usize>,
+    enter_t: Option<u64>,
+    closed: bool,
+    /// Set when both the enter and the exit carry a timestamp.
+    dur: Option<u64>,
+    /// Summed durations of the span's timed children.
+    child_ns: u64,
+}
+
+/// The one enter/exit walk behind [`summarize`] and [`fold`]: every
+/// span of the trace in enter order, with its duration and its
+/// children's summed durations.
+fn walk(trace: &Trace) -> Vec<Span<'_>> {
+    let mut spans: Vec<Span<'_>> = Vec::with_capacity(trace.events.len() / 2);
+    let mut index: HashMap<u64, usize> = HashMap::with_capacity(trace.events.len() / 2);
     for ev in &trace.events {
         match ev {
-            TraceEvent::Enter { id, name, t, .. } => {
-                let ix = *name_ix.entry(name.clone()).or_insert_with(|| {
-                    names.push(name.clone());
-                    counts.push(0);
-                    hists.push(Histogram::new());
-                    names.len() - 1
+            TraceEvent::Enter { id, parent, name, t, .. } => {
+                let parent = index.get(parent).copied();
+                index.insert(*id, spans.len());
+                spans.push(Span {
+                    name,
+                    parent,
+                    enter_t: *t,
+                    closed: false,
+                    dur: None,
+                    child_ns: 0,
                 });
-                counts[ix] += 1;
-                open.insert(*id, (ix, *t));
             }
             TraceEvent::Exit { id, t } => {
-                if let Some((ix, entered)) = open.remove(id) {
-                    if let (Some(t0), Some(t1)) = (entered, t) {
-                        hists[ix].record(t1.saturating_sub(t0));
+                let Some(&ix) = index.get(id) else { continue };
+                let span = &mut spans[ix];
+                if span.closed {
+                    continue;
+                }
+                span.closed = true;
+                if let (Some(t0), Some(t1)) = (span.enter_t, t) {
+                    let dur = t1.saturating_sub(t0);
+                    span.dur = Some(dur);
+                    if let Some(p) = span.parent {
+                        spans[p].child_ns += dur;
                     }
                 }
             }
         }
     }
-    unclosed += open.len() as u64;
-    let mut spans: Vec<SpanSummary> = names
-        .iter()
-        .enumerate()
-        .map(|(ix, name)| {
-            let s = hists[ix].snapshot();
-            SpanSummary {
-                name: name.clone(),
-                count: counts[ix],
-                total_ns: s.sum,
-                p50_ns: s.p50(),
-                p90_ns: s.p90(),
-                p99_ns: s.p99(),
-                max_ns: s.max,
-            }
-        })
-        .collect();
-    spans.sort_by(|a, b| a.name.cmp(&b.name));
+    spans
+}
+
+/// Summarizes a parsed trace: per-name counts, duration quantiles, and
+/// self times (closed spans only; timing-stripped traces summarize with
+/// zero durations but full counts).
+#[must_use]
+pub fn summarize(trace: &Trace) -> Summary {
+    struct Agg {
+        count: u64,
+        self_ns: u64,
+        hist: Histogram,
+    }
+    let spans = walk(trace);
+    let mut by_name: BTreeMap<&str, Agg> = BTreeMap::new();
+    for span in &spans {
+        let agg = by_name.entry(span.name).or_insert_with(|| Agg {
+            count: 0,
+            self_ns: 0,
+            hist: Histogram::new(),
+        });
+        agg.count += 1;
+        if let Some(dur) = span.dur {
+            agg.hist.record(dur);
+            agg.self_ns += dur.saturating_sub(span.child_ns);
+        }
+    }
     Summary {
-        spans,
+        spans: by_name
+            .into_iter()
+            .map(|(name, agg)| {
+                let s = agg.hist.snapshot();
+                SpanSummary {
+                    name: name.to_owned(),
+                    count: agg.count,
+                    total_ns: s.sum,
+                    self_ns: agg.self_ns,
+                    p50_ns: s.p50(),
+                    p90_ns: s.p90(),
+                    p99_ns: s.p99(),
+                    max_ns: s.max,
+                }
+            })
+            .collect(),
         counters: trace.counters.clone(),
         total_events: trace.events.len() as u64,
-        unclosed,
+        unclosed: spans.iter().filter(|s| !s.closed).count() as u64,
         dropped: trace.dropped,
     }
 }
@@ -230,7 +298,6 @@ impl Summary {
     /// A human-readable table (the `roundelim trace summarize` output).
     #[must_use]
     pub fn render(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -265,6 +332,51 @@ impl Summary {
         }
         out
     }
+
+    /// The `--profile` report: one row per span name with its count, self
+    /// time and p50/p99 duration, then `unattributed` (`wall_ns` minus the
+    /// summed self times) and `wall`. Times are rounded to whole
+    /// microseconds before the subtraction, so the printed rows sum to
+    /// the printed wall exactly. Spans on parallel workers add up across
+    /// them, so above one thread `unattributed` can go negative.
+    #[must_use]
+    pub fn render_profile(&self, wall_ns: u64) -> String {
+        let us = |ns: u64| i64::try_from(ns.saturating_add(500) / 1000).unwrap_or(i64::MAX);
+        let ms = |us: i64| {
+            let sign = if us < 0 { "-" } else { "" };
+            format!("{sign}{}.{:03}", us.unsigned_abs() / 1000, us.unsigned_abs() % 1000)
+        };
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "span profile: {} events, {} dropped (self time per span name; \
+             spans on parallel workers sum across them)",
+            self.total_events, self.dropped
+        );
+        let _ = writeln!(
+            out,
+            "  {:<28} {:>8} {:>12} {:>10} {:>10}",
+            "span", "count", "self ms", "p50 us", "p99 us"
+        );
+        let mut attributed = 0i64;
+        for s in &self.spans {
+            let self_us = us(s.self_ns);
+            attributed += self_us;
+            let _ = writeln!(
+                out,
+                "  {:<28} {:>8} {:>12} {:>10.1} {:>10.1}",
+                s.name,
+                s.count,
+                ms(self_us),
+                s.p50_ns as f64 / 1e3,
+                s.p99_ns as f64 / 1e3,
+            );
+        }
+        let wall = us(wall_ns);
+        let _ = writeln!(out, "  {:<28} {:>8} {:>12}", "unattributed", "", ms(wall - attributed));
+        let _ = writeln!(out, "  {:<28} {:>8} {:>12}", "wall", "", ms(wall));
+        out
+    }
 }
 
 /// Folds a trace into flamegraph stacks: one `root;child;leaf value`
@@ -275,60 +387,27 @@ impl Summary {
 /// instead, so stripped traces still fold non-empty.
 #[must_use]
 pub fn fold(trace: &Trace) -> Vec<String> {
-    struct Node {
-        parent: u64,
-        name_ix: usize,
-        dur: Option<u64>,
-        child_ns: u64,
-    }
-    let mut names: Vec<&str> = Vec::new();
-    let mut nodes: BTreeMap<u64, Node> = BTreeMap::new();
-    let mut enter_t: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-    for ev in &trace.events {
-        match ev {
-            TraceEvent::Enter { id, parent, name, t, .. } => {
-                names.push(name);
-                nodes.insert(
-                    *id,
-                    Node { parent: *parent, name_ix: names.len() - 1, dur: None, child_ns: 0 },
-                );
-                enter_t.insert(*id, *t);
-            }
-            TraceEvent::Exit { id, t } => {
-                if let (Some(Some(t0)), Some(t1)) = (enter_t.get(id), t) {
-                    let dur = t1.saturating_sub(*t0);
-                    let parent = nodes.get_mut(id).map(|n| {
-                        n.dur = Some(dur);
-                        n.parent
-                    });
-                    if let Some(p) = parent.and_then(|p| nodes.get_mut(&p)) {
-                        p.child_ns += dur;
-                    }
-                }
-            }
-        }
-    }
-    let path_of = |id: u64| -> String {
-        let mut parts = Vec::new();
-        let mut cur = id;
-        while let Some(n) = nodes.get(&cur) {
-            parts.push(names[n.name_ix]);
-            cur = n.parent;
-        }
-        parts.reverse();
-        parts.join(";")
-    };
+    let spans = walk(trace);
+    let timed = spans.iter().any(|s| s.dur.is_some());
     let mut by_path: BTreeMap<String, u64> = BTreeMap::new();
-    let timed = nodes.values().any(|n| n.dur.is_some());
-    for (&id, node) in &nodes {
-        let value = match node.dur {
-            Some(d) => d.saturating_sub(node.child_ns),
+    let mut parts: Vec<&str> = Vec::new();
+    for span in &spans {
+        let value = match span.dur {
+            Some(dur) => dur.saturating_sub(span.child_ns),
             None if timed => continue, // unclosed span in an otherwise timed trace
             None => 1,                 // stripped trace: fold by count
         };
-        if value > 0 || !timed {
-            *by_path.entry(path_of(id)).or_insert(0) += value;
+        if value == 0 {
+            continue;
         }
+        parts.clear();
+        let mut cur = Some(span);
+        while let Some(s) = cur {
+            parts.push(s.name);
+            cur = s.parent.map(|p| &spans[p]);
+        }
+        parts.reverse();
+        *by_path.entry(parts.join(";")).or_insert(0) += value;
     }
     by_path.into_iter().map(|(path, v)| format!("{path} {v}")).collect()
 }
@@ -368,6 +447,23 @@ mod tests {
         );
         assert!(parse("{\"schema\": \"something-else\"}\n").is_err());
         assert!(parse("").is_err());
+        // Malformed span trees: a parent cycle, a self-parent, a repeated
+        // id, id 0, and a parent that has not entered yet.
+        let doc = |enters: &[(u64, u64)]| {
+            let mut text = String::from("{\"schema\": \"roundelim-trace-v1\"}\n");
+            for (id, par) in enters {
+                text.push_str(&format!(
+                    "{{\"ev\": \"enter\", \"id\": {id}, \"name\": \"a\", \"par\": {par}, \"t\": 0, \"th\": 0}}\n"
+                ));
+            }
+            text
+        };
+        assert!(parse(&doc(&[(1, 2), (2, 1)])).is_err(), "parent cycle");
+        assert!(parse(&doc(&[(1, 1)])).is_err(), "self-parent");
+        assert!(parse(&doc(&[(1, 0), (1, 0)])).is_err(), "repeated id");
+        assert!(parse(&doc(&[(0, 0)])).is_err(), "id 0");
+        assert!(parse(&doc(&[(2, 0), (1, 3), (3, 0)])).is_err(), "later parent");
+        assert!(parse(&doc(&[(2, 0), (1, 2)])).is_ok(), "ids need not ascend");
     }
 
     #[test]
@@ -400,9 +496,42 @@ mod tests {
         assert_eq!(merge.max_ns, 500);
         let depth = s.spans.iter().find(|x| x.name == "search.depth").unwrap();
         assert_eq!((depth.count, depth.total_ns), (1, 1000));
+        assert_eq!((depth.self_ns, merge.self_ns), (400, 600));
+        // Self time per name is the sum of `fold`'s lines with that leaf.
+        let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+        for line in fold(&parse(SAMPLE).unwrap()) {
+            let (stack, v) = line.rsplit_once(' ').unwrap();
+            let leaf = stack.rsplit(';').next().unwrap();
+            *folded.entry(leaf.to_owned()).or_insert(0) += v.parse::<u64>().unwrap();
+        }
+        let self_ns: BTreeMap<String, u64> =
+            s.spans.iter().map(|x| (x.name.clone(), x.self_ns)).collect();
+        assert_eq!(self_ns, folded);
         let rendered = s.render();
         assert!(rendered.contains("stage.merge"), "{rendered}");
         assert!(rendered.contains("cache.intern_misses"), "{rendered}");
+    }
+
+    #[test]
+    fn profile_rows_and_unattributed_sum_to_wall() {
+        // SAMPLE's times read as microseconds instead of nanoseconds.
+        let mut s = summarize(&parse(SAMPLE).unwrap());
+        for span in &mut s.spans {
+            span.self_ns *= 1000;
+        }
+        let report = s.render_profile(1_500_000);
+        assert!(report.starts_with("span profile: 6 events, 0 dropped"), "{report}");
+        let row = |name: &str| -> Vec<&str> {
+            let line = report.lines().find(|l| l.trim_start().starts_with(name)).unwrap();
+            line.split_whitespace().collect()
+        };
+        assert_eq!(row("search.depth")[1..3], ["1", "0.400"]);
+        assert_eq!(row("stage.merge")[1..3], ["2", "0.600"]);
+        assert_eq!(row("unattributed")[1], "0.500");
+        assert_eq!(row("wall")[1], "1.500");
+        // Parallel spans can sum past the wall clock: the gap goes negative.
+        let over = s.render_profile(200_000);
+        assert!(over.contains(" -0.800\n"), "{over}");
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! append events to a thread-local buffer; buffers drain into the global
 //! sink when they hit a flush threshold, when their thread exits, and at
 //! [`finish`], which renders the whole trace to a JSON-Lines document
-//! (schema `roundelim-trace-v1`) and hands it to the installed writer —
-//! the CLI passes an adapter around `roundelim_core::io::atomic_write`,
-//! so a crash mid-write never leaves a truncated trace.
+//! (schema `roundelim-trace-v1`) and returns it. The trace lives in
+//! memory only: the CLI writes the document atomically for `--trace` and
+//! summarizes it for `--profile`, so both read one record.
 //!
 //! With no sink installed every probe is one relaxed atomic load: no
 //! clock read, no allocation, no lock (pinned by `O1_trace_overhead`).
@@ -34,14 +34,8 @@ use crate::metrics;
 use crate::time;
 use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Writes the rendered trace document. A plain `fn` pointer so core can
-/// stay free of obs→core dependency cycles: the binary that installs the
-/// trace supplies the atomic-write adapter.
-pub type WriterFn = fn(&Path, &str) -> Result<(), String>;
 
 /// Thread-local buffer size that triggers a drain into the global sink.
 const FLUSH_AT: usize = 4096;
@@ -71,8 +65,6 @@ enum Event {
 }
 
 struct Sink {
-    path: PathBuf,
-    writer: WriterFn,
     events: Vec<Event>,
     dropped: u64,
 }
@@ -127,7 +119,7 @@ thread_local! {
 }
 
 /// Registry counter of events that reached the sink after their trace
-/// finished: they cannot enter the written file, but they are counted.
+/// finished: they cannot enter the rendered document, but they are counted.
 const LATE_COUNTER: &str = "trace.dropped_late";
 
 fn flush_into_sink(local: &mut Local) {
@@ -274,14 +266,14 @@ pub fn flush_thread() {
     let _ = LOCAL.try_with(|cell| flush_into_sink(&mut cell.borrow_mut()));
 }
 
-/// Installs a trace sink: resets span/thread numbering, arms tracing,
-/// and remembers `path`/`writer` for [`finish`].
+/// Installs the in-memory trace sink: resets span/thread numbering and
+/// arms tracing until [`finish`].
 ///
 /// # Errors
 ///
 /// Returns an error if a trace is already being recorded (one trace per
 /// process at a time).
-pub fn install(path: PathBuf, writer: WriterFn) -> Result<(), String> {
+pub fn install() -> Result<(), String> {
     let mut guard = lock_sink();
     if guard.is_some() {
         return Err("a trace is already being recorded".to_owned());
@@ -290,31 +282,22 @@ pub fn install(path: PathBuf, writer: WriterFn) -> Result<(), String> {
     NEXT_SPAN.store(1, Ordering::Relaxed);
     NEXT_THREAD.store(0, Ordering::Relaxed);
     START_NS.store(time::monotonic_ns(), Ordering::Relaxed);
-    *guard = Some(Sink { path, writer, events: Vec::new(), dropped: 0 });
+    *guard = Some(Sink { events: Vec::new(), dropped: 0 });
     // Release pairs with the Acquire in `tracing()`: a thread that sees
     // the trace armed also sees the reset numbering above.
     ARMED.store(true, Ordering::Release);
     Ok(())
 }
 
-/// Disarms tracing, drains the finishing thread's buffer, renders the
-/// trace document, and writes it via the installed writer. Returns the
-/// written path, or `Ok(None)` when no trace was installed. Spawned
-/// threads must flush (or be joined) first: events they flush later are
-/// counted in the `trace.dropped_late` registry counter, not written.
-///
-/// # Errors
-///
-/// Propagates the writer's error (the sink is consumed either way).
-pub fn finish() -> Result<Option<PathBuf>, String> {
+/// Disarms tracing, drains the finishing thread's buffer, and returns
+/// the rendered trace document, or `None` when no trace was installed.
+/// Spawned threads must flush (or be joined) first: events they flush
+/// later are counted in the `trace.dropped_late` registry counter, not
+/// rendered.
+pub fn finish() -> Option<String> {
     ARMED.store(false, Ordering::Release);
     flush_thread();
-    let Some(s) = lock_sink().take() else {
-        return Ok(None);
-    };
-    let body = render(&s);
-    (s.writer)(&s.path, &body)?;
-    Ok(Some(s.path))
+    lock_sink().take().map(|s| render(&s))
 }
 
 /// Renders the trace as the `roundelim-trace-v1` JSON-Lines document.
@@ -363,14 +346,6 @@ mod tests {
     /// Trace state is process-global; tests that arm it take this lock.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn test_writer(path: &Path, contents: &str) -> Result<(), String> {
-        std::fs::write(path, contents).map_err(|e| e.to_string())
-    }
-
-    fn tmp(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("roundelim-obs-{tag}-{}.jsonl", std::process::id()))
-    }
-
     #[test]
     fn unarmed_probes_are_inert() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
@@ -384,20 +359,17 @@ mod tests {
     #[test]
     fn install_record_finish_roundtrip() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let path = tmp("roundtrip");
-        install(path.clone(), test_writer).unwrap();
+        install().unwrap();
         assert!(tracing());
-        assert!(install(path.clone(), test_writer).is_err(), "one trace at a time");
+        assert!(install().is_err(), "one trace at a time");
         {
             let _outer = span_v("test.outer", 7);
             let _inner = span("test.inner");
         }
-        let written = finish().unwrap().expect("a trace was installed");
-        assert_eq!(written, path);
+        let text = finish().expect("a trace was installed");
         assert!(!tracing());
-        assert!(finish().unwrap().is_none(), "second finish is a no-op");
+        assert!(finish().is_none(), "second finish is a no-op");
 
-        let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "{\"schema\": \"roundelim-trace-v1\"}");
         assert!(lines[1].contains("\"ev\": \"enter\""), "{text}");
@@ -408,37 +380,30 @@ mod tests {
         assert!(lines[3].contains("\"ev\": \"exit\"") && lines[3].contains("\"id\": 2"), "{text}");
         assert!(lines[4].contains("\"ev\": \"exit\"") && lines[4].contains("\"id\": 1"), "{text}");
         assert!(lines.last().unwrap().contains("\"ev\": \"counters\""), "{text}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn spans_from_a_previous_trace_do_not_leak_into_the_next() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let first = tmp("gen-first");
-        install(first.clone(), test_writer).unwrap();
+        install().unwrap();
         let stale = enter("test.stale", None);
         assert!(stale.is_live());
-        let _ = finish().unwrap();
-        let second = tmp("gen-second");
-        install(second.clone(), test_writer).unwrap();
+        let _ = finish();
+        install().unwrap();
         exit(stale); // belongs to the finished trace: must be dropped
         let _fresh = span("test.fresh");
         drop(_fresh);
-        let _ = finish().unwrap();
-        let text = std::fs::read_to_string(&second).unwrap();
+        let text = finish().unwrap();
         assert!(!text.contains("test.stale"), "{text}");
         assert!(text.contains("test.fresh"), "{text}");
         // Numbering restarted for the new trace.
         assert!(text.contains("\"id\": 1"), "{text}");
-        let _ = std::fs::remove_file(&first);
-        let _ = std::fs::remove_file(&second);
     }
 
     #[test]
     fn worker_thread_events_carry_their_own_thread_id() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-        let path = tmp("threads");
-        install(path.clone(), test_writer).unwrap();
+        install().unwrap();
         {
             let _outer = span("test.main");
             std::thread::scope(|scope| {
@@ -449,23 +414,20 @@ mod tests {
                 });
             });
         }
-        let _ = finish().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = finish().unwrap();
         let main_line = text.lines().find(|l| l.contains("test.main")).unwrap();
         let worker_line = text.lines().find(|l| l.contains("test.worker")).unwrap();
         assert!(main_line.contains("\"th\": 0"), "{text}");
         assert!(worker_line.contains("\"th\": 1"), "{text}");
         // The worker span opened on a fresh thread: no cross-thread parent.
         assert!(worker_line.contains("\"par\": 0"), "{text}");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn events_flushed_after_finish_are_counted_as_late() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let late = metrics::counter(LATE_COUNTER);
-        let path = tmp("late");
-        install(path.clone(), test_writer).unwrap();
+        install().unwrap();
         let (to_worker, from_main) = std::sync::mpsc::channel::<()>();
         let (to_main, from_worker) = std::sync::mpsc::channel::<()>();
         let worker = std::thread::spawn(move || {
@@ -480,13 +442,11 @@ mod tests {
         });
         // The worker has buffered its span; finish the trace first.
         from_worker.recv().unwrap();
-        let _ = finish().unwrap();
+        let text = finish().unwrap();
         to_worker.send(()).unwrap();
         let (before, after, again) = worker.join().unwrap();
         assert_eq!(after - before, 2, "both events of the late span are counted");
         assert_eq!(again, after);
-        let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.contains("test.late"), "{text}");
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -4,7 +4,7 @@
 //! ```text
 //! roundelim zoo                          list the problem families
 //! roundelim show <family> [k] [Δ]        print a family instance
-//! roundelim speedup <file|family:k:Δ> [--json] [--profile]
+//! roundelim speedup <file|family:k:Δ> [--json] [--profile] [--trace FILE]
 //!                                        one speedup step, with provenance
 //! roundelim iterate <file|family:k:Δ> [--steps N] [--relax FILE]... [--json]
 //!                                        iterate to a verdict (§2.1 roadmap),
@@ -22,13 +22,14 @@
 //!                                        (--fast skips the full_step replay)
 //! roundelim sim-vs-bound [--n N] [--seed S] [--threads N] [--family NAME]
 //!                  [--steps N] [--beam N] [--max-labels N] [--out FILE] [--json]
-//!                  [--trace FILE]
+//!                  [--profile] [--trace FILE]
 //!                                        run zoo algorithms on huge graphs and
 //!                                        cross-check rounds against certificates
 //! roundelim zero-round <file|family:k:Δ> both 0-round deciders
 //! roundelim iso <fileA> <fileB>          isomorphism check
 //! roundelim relax <fileA> <fileB>        relaxation witness A ⟶ B
-//! roundelim serve --store DIR [--addr HOST:PORT] [--workers N] [--threads N] [--trace FILE]
+//! roundelim serve --store DIR [--addr HOST:PORT] [--workers N] [--threads N]
+//!                  [--profile] [--trace FILE]
 //!                                        roundelimd: persistent proof-cache
 //!                                        service over line-JSON/TCP
 //! roundelim trace summarize <FILE> [--json]
@@ -76,7 +77,6 @@ use roundelim::core::speedup::full_step;
 use roundelim::core::zero_round::{check_oriented_delta, zero_round_oriented, zero_round_pn};
 use roundelim::obs;
 use roundelim::problems::registry::{families, family, sweep_specs};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -174,7 +174,7 @@ fn load(spec: &str) -> Result<Problem, CliError> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  roundelim zoo\n  roundelim show <family> [k] [Δ]\n  \
-         roundelim speedup <file|family:k:Δ> [--json] [--profile]\n  \
+         roundelim speedup <file|family:k:Δ> [--json] [--profile] [--trace FILE]\n  \
          roundelim iterate <file|family:k:Δ> [--steps N] [--relax FILE]... [--json]\n  \
          roundelim autolb <file|family:k:Δ|--sweep> [--steps N] [--beam N] \
          [--max-labels N] [--threads N] [--no-relax] [--cert FILE] [--json] [--profile] \
@@ -183,10 +183,12 @@ fn usage() -> ExitCode {
          roundelim autoub <file|family:k:Δ> [autolb flags]\n  \
          roundelim cert verify <file> [--fast] [--json]\n  \
          roundelim sim-vs-bound [--n N] [--seed S] [--threads N] [--family NAME] \
-         [--steps N] [--beam N] [--max-labels N] [--out FILE] [--json] [--trace FILE]\n  \
+         [--steps N] [--beam N] [--max-labels N] [--out FILE] [--json] [--profile] \
+         [--trace FILE]\n  \
          roundelim zero-round <file|family:k:Δ>\n  \
          roundelim iso <fileA> <fileB>\n  roundelim relax <fileA> <fileB>\n  \
-         roundelim serve --store DIR [--addr HOST:PORT] [--workers N] [--threads N] [--trace FILE]\n  \
+         roundelim serve --store DIR [--addr HOST:PORT] [--workers N] [--threads N] \
+         [--profile] [--trace FILE]\n  \
          roundelim trace <summarize|fold> <FILE> [--json]\n  \
          roundelim client solve <file|family:k:Δ> --addr HOST:PORT \
          [--direction lower|upper] [--steps N] [--beam N] [--max-labels N] \
@@ -225,42 +227,34 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-/// Runs `f` under stage profiling when `--profile` is present, printing the
-/// per-stage breakdown to **stderr** afterwards (stdout stays parseable
-/// under `--json`).
-fn with_profile<T>(args: &[String], f: impl FnOnce() -> T) -> T {
-    use roundelim::core::profile;
-    if !has_flag(args, "--profile") {
-        return f();
-    }
-    profile::reset();
-    profile::set_enabled(true);
-    let out = f();
-    profile::set_enabled(false);
-    eprint!("{}", profile::report());
-    out
-}
-
-/// The trace writer handed to `obs::trace::install`: an adapter around
-/// [`atomic_write`] so a crash mid-write never leaves a truncated trace.
-fn trace_writer(path: &Path, contents: &str) -> Result<(), String> {
-    atomic_write(path, contents).map_err(|e| e.to_string())
-}
-
-/// Runs `f` with a trace sink installed when `--trace FILE` is present,
-/// finishing (rendering + atomically writing) the trace afterwards. The
-/// confirmation goes to **stderr** so stdout stays parseable under
+/// Runs `f` with the trace sink installed when `--trace FILE` or
+/// `--profile` is present. Both read the one recorded document:
+/// `--trace` writes it atomically, and `--profile` prints its per-span
+/// self times, an `unattributed` row and the command's `wall` time to
+/// **stderr**. Messages go to stderr so stdout stays parseable under
 /// `--json`; a failed trace write turns a successful run into exit 1 but
 /// never masks `f`'s own error.
 fn with_trace(args: &[String], f: impl FnOnce() -> CliResult) -> CliResult {
-    let Some(path) = flag_value::<String>(args, "--trace")? else { return f() };
-    obs::trace::install(PathBuf::from(path), trace_writer).map_err(CliError::from)?;
+    let path = flag_value::<String>(args, "--trace")?;
+    let profile = has_flag(args, "--profile");
+    if path.is_none() && !profile {
+        return f();
+    }
+    obs::trace::install().map_err(CliError::from)?;
+    let wall = obs::time::Stopwatch::start();
     let out = f();
-    match obs::trace::finish() {
-        Ok(written) => {
-            if let Some(p) = written {
-                eprintln!("wrote trace to {}", p.display());
-            }
+    let wall_ns = wall.elapsed_ns();
+    let doc = obs::trace::finish().unwrap_or_default();
+    if profile {
+        match obs::summary::parse(&doc) {
+            Ok(trace) => eprint!("{}", obs::summary::summarize(&trace).render_profile(wall_ns)),
+            Err(e) => eprintln!("error: profile: {e}"),
+        }
+    }
+    let Some(path) = path else { return out };
+    match atomic_write(&path, &doc) {
+        Ok(()) => {
+            eprintln!("wrote trace to {path}");
             out
         }
         Err(e) => match out {
@@ -279,14 +273,10 @@ fn main() -> ExitCode {
     let result = match cmd.as_str() {
         "zoo" => cmd_zoo(),
         "show" => cmd_show(&args[1..]),
-        "speedup" => with_profile(&args[1..], || cmd_speedup(&args[1..])),
+        "speedup" => with_trace(&args[1..], || cmd_speedup(&args[1..])),
         "iterate" => cmd_iterate(&args[1..]),
-        "autolb" => {
-            with_trace(&args[1..], || with_profile(&args[1..], || cmd_auto(&args[1..], true)))
-        }
-        "autoub" => {
-            with_trace(&args[1..], || with_profile(&args[1..], || cmd_auto(&args[1..], false)))
-        }
+        "autolb" => with_trace(&args[1..], || cmd_auto(&args[1..], true)),
+        "autoub" => with_trace(&args[1..], || cmd_auto(&args[1..], false)),
         "cert" => cmd_cert(&args[1..]),
         "sim-vs-bound" => with_trace(&args[1..], || cmd_sim_vs_bound(&args[1..])),
         "zero-round" => cmd_zero_round(&args[1..]),

@@ -20,9 +20,9 @@
 //!   bounds are stored in a versioned binary encoding and served (up to
 //!   isomorphism) over a line-JSON/TCP protocol without re-searching.
 //! * [`obs`] — structured tracing and a metrics registry (counters,
-//!   latency histograms) shared by every layer: `--profile`, `--trace`,
-//!   and the daemon's `metrics` command all read it (see
-//!   docs/OBSERVABILITY.md).
+//!   latency histograms) shared by every layer: `--profile` and
+//!   `--trace` read one recorded span tree, and the daemon's `metrics`
+//!   command reads the registry (see docs/OBSERVABILITY.md).
 //!
 //! ## Quick start
 //!

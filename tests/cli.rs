@@ -358,10 +358,35 @@ fn iterate_accepts_relaxation_templates() {
     assert!(out.contains("fixed point"), "{out}");
 }
 
+/// The `--profile` report's rows as `(name, count, self µs)`, with
+/// `count` absent on the `unattributed` and `wall` rows.
+fn profile_rows(stderr: &str) -> Vec<(String, Option<u64>, i64)> {
+    let start = stderr
+        .lines()
+        .position(|l| l.starts_with("span profile:"))
+        .unwrap_or_else(|| panic!("no profile report in:\n{stderr}"));
+    let us = |ms: &str| -> i64 { ms.replace('.', "").parse().expect("ms with 3 decimals") };
+    stderr
+        .lines()
+        .skip(start + 2)
+        .take_while(|l| l.starts_with("  "))
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            match cols.as_slice() {
+                [name, ms] => ((*name).to_owned(), None, us(ms)),
+                [name, count, ms, ..] => {
+                    ((*name).to_owned(), Some(count.parse().expect("count")), us(ms))
+                }
+                _ => panic!("bad profile row `{l}`"),
+            }
+        })
+        .collect()
+}
+
 #[test]
 fn profile_flag_prints_stage_breakdown_on_stderr() {
     // --profile must leave stdout intact (JSON stays parseable) and print
-    // the per-stage breakdown to stderr, including every stage the CI
+    // the per-span breakdown to stderr, including every stage the CI
     // artifact greps for.
     let out = cli()
         .args(["speedup", "weak-coloring:2:5", "--json", "--profile"])
@@ -371,18 +396,17 @@ fn profile_flag_prints_stage_breakdown_on_stderr() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.trim_start().starts_with('{'), "stdout still JSON:\n{stdout}");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("per-stage breakdown"), "{stderr}");
-    // The report always names every stage; the load-bearing assertion is
-    // that the stages a speedup step actually runs recorded spans.
+    assert!(stderr.contains("span profile"), "{stderr}");
+    // The load-bearing assertion is that the stages a speedup step
+    // actually runs recorded spans.
     let span_count = |stderr: &str, stage: &str| -> u64 {
-        let line = stderr
-            .lines()
-            .find(|l| l.trim_start().starts_with(stage))
-            .unwrap_or_else(|| panic!("missing `{stage}` in:\n{stderr}"));
-        let inner = line.rsplit('(').next().expect("span suffix");
-        inner.split_whitespace().next().expect("count").parse().expect("numeric span count")
+        profile_rows(stderr)
+            .into_iter()
+            .find(|(name, _, _)| name == stage)
+            .and_then(|(_, count, _)| count)
+            .unwrap_or_else(|| panic!("missing `{stage}` in:\n{stderr}"))
     };
-    for stage in ["merge", "close", "domination", "existential"] {
+    for stage in ["stage.merge", "stage.close", "stage.domination", "stage.existential"] {
         assert!(span_count(&stderr, stage) > 0, "`{stage}` recorded no spans:\n{stderr}");
     }
     // autolb --profile records the search stages too.
@@ -392,12 +416,48 @@ fn profile_flag_prints_stage_breakdown_on_stderr() {
         .expect("spawn roundelim");
     assert!(out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
-    for stage in ["relax-closure", "zero-round", "step"] {
+    for stage in ["stage.relax-closure", "stage.zero-round", "stage.step"] {
         assert!(span_count(&stderr, stage) > 0, "`{stage}` recorded no spans:\n{stderr}");
     }
     // Without the flag, no breakdown is printed.
     let out = cli().args(["speedup", "weak-coloring:2:5"]).output().expect("spawn roundelim");
-    assert!(!String::from_utf8_lossy(&out.stderr).contains("per-stage breakdown"));
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("span profile"));
+}
+
+/// `--profile` and `--trace` read one sink: the report's counts are the
+/// trace's, and at one thread its rows plus `unattributed` are `wall`.
+#[test]
+fn profile_report_agrees_with_the_trace_and_sums_to_wall() {
+    let trace = tmp_dir().join("profile-mm3.jsonl");
+    let _ = std::fs::remove_file(&trace);
+    let out = cli()
+        .args(["autolb", "maximal-matching::3", "--threads", "1", "--profile", "--trace"])
+        .arg(&trace)
+        .env("ROUNDELIM_THREADS", "1")
+        .output()
+        .expect("spawn roundelim");
+    assert!(out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let rows = profile_rows(&stderr);
+    let summary = run_ok(&["trace", "summarize", trace.to_str().unwrap()]);
+    let summarized: Vec<(String, u64)> = summary
+        .lines()
+        .skip(2)
+        .take_while(|l| l.starts_with("  "))
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            (cols[0].to_owned(), cols[1].parse().expect("count"))
+        })
+        .collect();
+    let reported: Vec<(String, u64)> =
+        rows.iter().filter_map(|(name, count, _)| Some((name.clone(), (*count)?))).collect();
+    assert!(!reported.is_empty(), "{stderr}");
+    assert_eq!(reported, summarized, "report:\n{stderr}\nsummary:\n{summary}");
+    assert!(rows.iter().all(|(_, _, us)| *us >= 0), "negative row:\n{stderr}");
+    let (last, body) = rows.split_last().expect("rows");
+    assert_eq!(last.0, "wall", "{stderr}");
+    assert_eq!(body.last().map(|r| r.0.as_str()), Some("unattributed"), "{stderr}");
+    assert_eq!(body.iter().map(|r| r.2).sum::<i64>(), last.2, "{stderr}");
 }
 
 #[test]
