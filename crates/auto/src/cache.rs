@@ -2,7 +2,7 @@
 //!
 //! Every problem the search touches is interned here, deduplicated up to
 //! isomorphism so isomorphic problems share one node. The index is the
-//! [`fingerprint`], a 64-bit digest of refined isomorphism invariants, and
+//! [`fingerprint`](roundelim_core::iso::fingerprint), a 64-bit digest of refined isomorphism invariants, and
 //! **every class registers its fingerprint when it is created**: the root,
 //! step children, and every wave commit. Isomorphic problems share a
 //! fingerprint, so a fingerprint miss proves a problem new, and a hit costs
@@ -16,24 +16,20 @@
 //! [`isomorphism_ranked`] — the candidate filter and the search, with no
 //! refinement of either side.
 //!
-//! A class is stored as a [`PackedProblem`] (its constraints as sorted
-//! label rows), its label ranks, and `u32` ids into one name table per
-//! cache, so a class costs about its packed size, not a tree of owned
-//! configurations. The kernels the cache runs — fingerprints, isomorphism
-//! checks, 0-round deciders — read the packed form;
-//! [`CanonCache::materialize`] rebuilds a full [`Problem`] for the few
-//! callers that need one.
+//! A class is stored as a [`PackedProblem`] (the names-free part of a
+//! [`Problem`]: its constraints as sorted label rows), its label ranks,
+//! and `u32` ids into one name table per cache, so a class costs about its
+//! row tables. Everything the cache and the search run per class —
+//! fingerprints, isomorphism checks, 0-round deciders, move generation
+//! ([`CanonCache::packed`]) — reads those rows;
+//! [`CanonCache::materialize`] attaches names for the callers that need
+//! them: step sources, certificates and snapshots, and the store encoder.
 //!
 //! Two entry points intern: [`CanonCache::intern_wave`] resolves a whole
 //! relaxation wave in parallel across fingerprint shards, and
 //! [`CanonCache::intern`] takes one problem at a time (the search root, the
 //! daemon's proof store). Step children go through
 //! [`CanonCache::record_step`] with a probe built on a worker.
-//!
-//! A **process-wide `full_step` memo** ([`full_step_cached`]), keyed by the
-//! fingerprint and resolved by exact problem equality, makes repeated
-//! searches in one process (sweeps, benches, the CLI) never recompute a
-//! speedup they have already taken.
 //!
 //! Per node the cache also memoizes the two expensive per-problem queries
 //! the search repeats: the [`full_step`] successor (by node id, so a whole
@@ -42,7 +38,6 @@
 
 use crate::failpoint;
 use crate::moves::MoveKind;
-use crate::score::Score;
 use roundelim_core::error::{Error, Result};
 use roundelim_core::iso::{fingerprint_and_ranks, isomorphism_ranked, Refiner};
 use roundelim_core::label::Label;
@@ -50,7 +45,7 @@ use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
 use roundelim_core::speedup::full_step;
-use roundelim_core::zero_round::{zero_round_oriented_packed, zero_round_pn_packed};
+use roundelim_core::zero_round::{zero_round_oriented, zero_round_pn};
 use roundelim_obs as obs;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -99,10 +94,6 @@ pub struct CacheStats {
     pub step_misses: usize,
 }
 
-/// Cheap isomorphism-invariant digest (re-exported from core's `iso`,
-/// which owns the refined-hash machinery it must stay in lockstep with).
-pub use roundelim_core::iso::fingerprint;
-
 /// A problem in the form the cache interns: its packed constraints, its
 /// fingerprint and label ranks (one refinement, done where the probe is
 /// built), plus what it is named if it becomes a new class. Dedup probes
@@ -126,18 +117,16 @@ enum ProbeNames {
 }
 
 impl Probe {
-    /// Packs and refines a problem for interning.
+    /// Refines a problem for interning.
     pub fn new(p: Problem) -> Probe {
-        let packed = PackedProblem::pack(&p);
+        let (name, labels, packed) = p.into_parts();
         let (fp, ranks) = fingerprint_and_ranks(&packed);
-        let (name, labels) = p.into_names();
         Probe { packed, fp, ranks, names: ProbeNames::Own { name, labels } }
     }
 
     /// A move's result for interning, refined with `refiner`'s buffers and
     /// named (if it becomes a class) after the class `source` the move was
-    /// generated from ([`crate::moves::Move::unpack`] names it the same
-    /// way).
+    /// generated from.
     pub fn derived(
         source: NodeId,
         kind: MoveKind,
@@ -276,7 +265,7 @@ impl CanonCache {
     /// them **in parallel across fingerprint shards** and then assigning
     /// `NodeId`s in a deterministic sequential pass in item order.
     ///
-    /// Correctness of the sharding: [`fingerprint`] is an isomorphism
+    /// Correctness of the sharding: the fingerprint is an isomorphism
     /// invariant, so two isomorphic candidates always carry the same
     /// fingerprint and land in the same shard (`fp % shards`). Every class
     /// is in the fingerprint index, so a shard that finds no isomorphic
@@ -356,35 +345,31 @@ impl CanonCache {
         (&e.packed, &self.ranks[at..at + e.packed.label_count()])
     }
 
+    /// The rows of a class's representative: what the kernels and the
+    /// move generators read.
+    pub fn packed(&self, id: NodeId) -> &PackedProblem {
+        &self.entries[id.index()].packed
+    }
+
     /// Rebuilds the representative problem of a class, names included.
     pub fn materialize(&self, id: NodeId) -> Problem {
         let e = &self.entries[id.index()];
         let name = |&n: &u32| self.names.get(n);
-        e.packed.unpack(name(&e.names[0]), e.names[1..].iter().map(name))
+        Problem::from_packed(name(&e.names[0]), e.names[1..].iter().map(name), e.packed.clone())
     }
 
-    /// Rebuilds the problem a probe stands for, names included: a move's
-    /// result comes out exactly as [`crate::moves::Move::unpack`] of its
-    /// source would build it.
-    pub fn unpack(&self, probe: Probe) -> Problem {
+    /// The problem a probe stands for, names included: a move's result is
+    /// named as it would be had it committed as a new class.
+    pub fn materialize_probe(&self, probe: Probe) -> Problem {
         match probe.names {
-            ProbeNames::Own { name, labels } => probe.packed.unpack(name, labels),
+            ProbeNames::Own { name, labels } => Problem::from_packed(name, labels, probe.packed),
             ProbeNames::Derived { source, kind, kept } => {
                 let src = &self.entries[source.index()].names;
+                let name = kind.result_name(self.names.get(src[0]));
                 let labels = kept.iter().map(|l| self.names.get(src[1 + l.index()]));
-                probe.packed.unpack(kind.result_name(self.names.get(src[0])), labels)
+                Problem::from_packed(name, labels, probe.packed)
             }
         }
-    }
-
-    /// The beam priority of a class ([`crate::score::score`]).
-    pub fn score(&self, id: NodeId) -> Score {
-        crate::score::score(&self.entries[id.index()].packed)
-    }
-
-    /// The alphabet size of a class.
-    pub fn label_count(&self, id: NodeId) -> usize {
-        self.entries[id.index()].packed.label_count()
     }
 
     /// Memoized 0-round solvability of a class under `model`. Sound across
@@ -432,7 +417,10 @@ impl CanonCache {
             let derived = self.step_derived(id).expect("memo present").clone();
             return Ok((succ, derived));
         }
-        let derived = full_step_cached(&self.materialize(id))?;
+        let derived = {
+            let _sp = obs::trace::span("stage.step");
+            full_step(&self.materialize(id))?.full.problem
+        };
         let (succ, _) = self.record_step(id, derived.clone(), Probe::new(derived.clone()));
         Ok((succ, derived))
     }
@@ -563,8 +551,8 @@ fn zero_slot(model: ZeroRoundModel) -> usize {
 fn zero_round_check(p: &PackedProblem, model: ZeroRoundModel) -> bool {
     let _sp = obs::trace::span("stage.zero-round");
     match model {
-        ZeroRoundModel::PlainPn => zero_round_pn_packed(p).is_some(),
-        ZeroRoundModel::Oriented => zero_round_oriented_packed(p).is_some(),
+        ZeroRoundModel::PlainPn => zero_round_pn(p).is_some(),
+        ZeroRoundModel::Oriented => zero_round_oriented(p).is_some(),
     }
 }
 
@@ -670,12 +658,6 @@ pub struct CacheSnapshot {
     pub stats: CacheStats,
 }
 
-/// Entry cap of the process-wide [`full_step_cached`] memo; beyond it new
-/// results are computed but not stored (the cap bounds memory for
-/// long-lived processes, and the first thousand problems cover every
-/// sweep/bench workload by a wide margin).
-const STEP_MEMO_CAP: usize = 1024;
-
 /// Registry handles for the cache probes, resolved once so the hot
 /// paths pay one relaxed `fetch_add` per event instead of a registry
 /// lock.
@@ -711,84 +693,13 @@ fn packed_bytes() -> &'static obs::metrics::Counter {
     C.get_or_init(|| obs::metrics::counter("cache.packed_bytes"))
 }
 
-fn step_memo_metrics() -> &'static CacheMetrics {
-    static M: OnceLock<CacheMetrics> = OnceLock::new();
-    M.get_or_init(|| CacheMetrics {
-        hits: obs::metrics::counter("cache.step_memo_hits"),
-        misses: obs::metrics::counter("cache.step_memo_misses"),
-        hit_ns: obs::metrics::histogram("cache.step_memo_hit_ns"),
-        miss_ns: obs::metrics::histogram("cache.step_memo_miss_ns"),
-    })
-}
-
-/// The process-wide step memo's storage.
-#[derive(Default)]
-struct StepMemo {
-    /// Fingerprint-bucketed (source, derived) pairs.
-    buckets: HashMap<u64, Vec<(Problem, Problem)>>,
-    /// Pairs stored across all buckets, kept under [`STEP_MEMO_CAP`].
-    len: usize,
-}
-
-/// Process-wide exact `full_step` memo, keyed by the [`fingerprint`] and
-/// resolved by **exact problem equality** (an isomorphic hit is not
-/// enough: the search and the certificates need the concrete derived
-/// problem of *this* representative, names included).
-///
-/// This is what makes repeated searches in one process — `autolb --sweep`
-/// over the registry, bench iterations, chained CLI searches — pay for
-/// each distinct speedup once. Within a single search the per-class memo
-/// in [`CanonCache::step`] already deduplicates, so this layer only fires
-/// across searches.
-///
-/// # Errors
-///
-/// Propagates speedup errors (e.g. alphabet overflow). Errors are not
-/// memoized.
-pub fn full_step_cached(p: &Problem) -> Result<Problem> {
-    static MEMO: OnceLock<Mutex<StepMemo>> = OnceLock::new();
-    let memo = MEMO.get_or_init(Mutex::default);
-    let fp = fingerprint(p);
-    let metrics = step_memo_metrics();
-    let watch = obs::trace::tracing().then(obs::time::Stopwatch::start);
-    {
-        let guard = memo.lock().expect("step memo poisoned");
-        if let Some(bucket) = guard.buckets.get(&fp) {
-            for (src, derived) in bucket {
-                if src == p {
-                    metrics.hits.incr();
-                    if let Some(watch) = watch {
-                        metrics.hit_ns.record(watch.elapsed_ns());
-                    }
-                    return Ok(derived.clone());
-                }
-            }
-        }
-    }
-    metrics.misses.incr();
-    let _sp = obs::trace::span("stage.step");
-    let derived = full_step(p)?.problem().clone();
-    if let Some(watch) = watch {
-        metrics.miss_ns.record(watch.elapsed_ns());
-    }
-    let mut guard = memo.lock().expect("step memo poisoned");
-    let memo = &mut *guard;
-    if memo.len < STEP_MEMO_CAP {
-        let bucket = memo.buckets.entry(fp).or_default();
-        if !bucket.iter().any(|(src, _)| src == p) {
-            bucket.push((p.clone(), derived.clone()));
-            memo.len += 1;
-        }
-    }
-    Ok(derived)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
     use roundelim_core::iso::are_isomorphic;
+    use roundelim_core::iso::fingerprint;
 
     fn sc() -> Problem {
         Problem::parse("name: sc\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap()
@@ -892,7 +803,7 @@ mod tests {
         assert!(new_a);
         // A renamed copy has the same fingerprint and dedups with exactly
         // one isomorphism check against the bucket's one class.
-        assert_eq!(fingerprint(&sc()), fingerprint(&renamed_sc()), "isomorphism-invariant");
+        assert_eq!(fingerprint(sc().packed()), fingerprint(renamed_sc().packed()), "invariant");
         let (b, new_b) = cache.intern(renamed_sc());
         assert_eq!(a, b);
         assert!(!new_b);
@@ -1005,9 +916,16 @@ mod tests {
         let mut cache = CanonCache::new();
         let (src, _) = cache.intern(c3.clone());
         let mut moves = Vec::new();
-        for_each_relax_move(&c3, false, false, |mv| moves.push(mv));
-        for_each_harden_move(&c3, false, |mv| moves.push(mv));
-        let want: Vec<Problem> = moves.iter().map(|mv| mv.unpack(&c3)).collect();
+        for_each_relax_move(c3.packed(), false, false, |mv| moves.push(mv));
+        for_each_harden_move(c3.packed(), false, |mv| moves.push(mv));
+        let name = |l: &Label| c3.alphabet().name(*l);
+        let want: Vec<Problem> = moves
+            .iter()
+            .map(|mv| {
+                let labels = mv.kept.iter().map(name);
+                Problem::from_packed(mv.kind.result_name(c3.name()), labels, mv.result.clone())
+            })
+            .collect();
         let mut refiner = Refiner::new();
         let items = moves
             .into_iter()
@@ -1022,7 +940,7 @@ mod tests {
                 }
                 Some(probe) => {
                     dups += 1;
-                    assert_eq!(&cache.unpack(probe), want);
+                    assert_eq!(&cache.materialize_probe(probe), want);
                 }
             }
         }
@@ -1042,15 +960,6 @@ mod tests {
         assert_eq!(cache.stats.step_hits, 1);
         // §4.4: the derived problem of sinkless coloring is isomorphic to it.
         assert_eq!(s1, id);
-    }
-
-    #[test]
-    fn process_step_memo_returns_exact_results() {
-        let p = sc();
-        let a = full_step_cached(&p).unwrap();
-        let b = full_step_cached(&p).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, full_step(&p).unwrap().problem().clone());
     }
 
     #[test]

@@ -230,8 +230,8 @@ impl Certificate {
             .problems
             .iter()
             .map(|p| match self.model {
-                ZeroRoundModel::PlainPn => zero_round_pn(p).is_some(),
-                ZeroRoundModel::Oriented => zero_round_oriented(p).is_some(),
+                ZeroRoundModel::PlainPn => zero_round_pn(p.packed()).is_some(),
+                ZeroRoundModel::Oriented => zero_round_oriented(p.packed()).is_some(),
             })
             .collect();
         let steps = self.steps();
@@ -488,7 +488,8 @@ mod tests {
         loop {
             let next = full_step(problems.last().unwrap()).unwrap().problem().clone();
             edges.push(Edge::Step);
-            if let Some(map) = roundelim_core::iso::isomorphism(&next, &problems[0]) {
+            if let Some(map) = roundelim_core::iso::isomorphism(next.packed(), problems[0].packed())
+            {
                 problems.push(next);
                 return Certificate {
                     direction: Direction::Lower,

@@ -22,41 +22,17 @@
 //! into certificates, and [`crate::certificate::Certificate::verify`]
 //! replays them with `roundelim_core::relax::check_relaxation`.
 //!
-//! One generator builds every move as a packed [`Move`]: a
-//! [`PackedProblem::quotient`] (or label/configuration drop) of the packed
-//! source, with no names. The search interns moves in that form; the
-//! functions returning [`RelaxMove`]s and [`HardenMove`]s unpack them.
+//! One generator builds every move as a [`Move`]: a
+//! [`PackedProblem::quotient`] (or label/configuration drop) of the
+//! source's rows, with no names. The search interns moves in that form and
+//! names a result only when it becomes a new class.
 
+use roundelim_core::constraint::Constraint;
 use roundelim_core::iso::refined_label_hashes;
 use roundelim_core::label::Label;
 use roundelim_core::labelset::LabelSet;
-use roundelim_core::packed::{PackedConstraint, PackedProblem};
-use roundelim_core::problem::Problem;
+use roundelim_core::packed::PackedProblem;
 use std::collections::HashSet;
-
-/// A relaxation candidate: `result` is easier than the source problem, as
-/// witnessed by `map` (source label → result label).
-#[derive(Debug, Clone)]
-pub struct RelaxMove {
-    /// Human-readable description, e.g. `merge A←B`.
-    pub what: String,
-    /// Witness label map (indexed by source label).
-    pub map: Vec<Label>,
-    /// The relaxed problem.
-    pub result: Problem,
-}
-
-/// A hardening candidate: `result` is at least as hard as the source
-/// problem, as witnessed by `map` (result label → source label).
-#[derive(Debug, Clone)]
-pub struct HardenMove {
-    /// Human-readable description, e.g. `drop label X`.
-    pub what: String,
-    /// Witness label map (indexed by result label).
-    pub map: Vec<Label>,
-    /// The hardened problem.
-    pub result: Problem,
-}
 
 /// What a [`Move`] does to its source problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,28 +62,11 @@ impl MoveKind {
             MoveKind::DropLabel(_) | MoveKind::DropNodeConfig(_) => format!("{source}*"),
         }
     }
-
-    /// A human-readable description in `source`'s label names, e.g.
-    /// `merge A←B`.
-    pub(crate) fn describe(self, source: &Problem) -> String {
-        let name = |l: Label| source.alphabet().name(l);
-        match self {
-            MoveKind::Simplify(absorbed) => {
-                format!("simplify (absorb {absorbed} dominated labels)")
-            }
-            MoveKind::Absorb(a, b) => format!("absorb {}→{}", name(a), name(b)),
-            MoveKind::Coarsen => "coarsen edge-equal labels".to_owned(),
-            MoveKind::Merge(a, b) => format!("merge {}←{}", name(a), name(b)),
-            MoveKind::DropLabel(l) => format!("drop label {}", name(l)),
-            MoveKind::DropNodeConfig(ix) => format!("drop node config #{ix}"),
-        }
-    }
 }
 
 /// A candidate move as the search interns it: the packed result, its
 /// witness map, and which source label names each result label. Names
-/// are only built when a problem is rebuilt ([`Move::unpack`], or the
-/// cache when the result is a new class).
+/// are only built when the cache commits the result as a new class.
 #[derive(Debug, Clone)]
 pub struct Move {
     /// What the move does.
@@ -119,22 +78,6 @@ pub struct Move {
     pub kept: Vec<Label>,
     /// The result's constraints.
     pub result: PackedProblem,
-}
-
-impl Move {
-    /// Rebuilds the result problem, named after `source`.
-    pub fn unpack(&self, source: &Problem) -> Problem {
-        let labels = self.kept.iter().map(|&l| source.alphabet().name(l));
-        self.result.unpack(self.kind.result_name(source.name()), labels)
-    }
-
-    fn into_relax(self, source: &Problem) -> RelaxMove {
-        RelaxMove { what: self.kind.describe(source), result: self.unpack(source), map: self.map }
-    }
-
-    fn into_harden(self, source: &Problem) -> HardenMove {
-        HardenMove { what: self.kind.describe(source), result: self.unpack(source), map: self.map }
-    }
 }
 
 /// The quotient of `src` under a partition of its labels.
@@ -165,53 +108,30 @@ fn collapse(src: &PackedProblem, from: usize, into: usize, kind: MoveKind) -> Mo
     quotient(src, &rep, kind)
 }
 
-/// All pairwise label-merge relaxations of `p` (one per unordered label
-/// pair; merging `{a, b}` either way yields the same quotient up to
-/// renaming, so the smaller index is kept as representative).
-pub fn merge_moves(p: &Problem) -> Vec<RelaxMove> {
-    let src = PackedProblem::pack(p);
-    let n = src.label_count();
-    let mut out = Vec::new();
-    for a in 0..n {
-        for b in (a + 1)..n {
-            out.push(merge(&src, a, b).into_relax(p));
-        }
-    }
-    out
-}
-
-/// The merge of label `b` into label `a`.
+/// The merge of label `b` into label `a` (merging `{a, b}` either way
+/// yields the same quotient up to renaming, so the smaller index is kept as
+/// representative).
 fn merge(src: &PackedProblem, a: usize, b: usize) -> Move {
     collapse(src, b, a, MoveKind::Merge(Label::from_index(a), Label::from_index(b)))
 }
 
-/// The absorption of label `a` into the label `b` dominating it.
-fn absorb(src: &PackedProblem, a: usize, b: usize) -> Move {
-    collapse(src, a, b, MoveKind::Absorb(Label::from_index(a), Label::from_index(b)))
-}
-
-/// Dominated-label merges: merge `a` into `b` whenever *every*
-/// configuration containing `a` stays a configuration after replacing `a`
-/// by `b` (on both the node and the edge side). The quotient then adds no
-/// new configurations — it is exactly `p` with label `a` dropped — so the
-/// relaxation is "free" in the round-eliminator sense: it shrinks the
+/// The absorption of label `a` into the label `b` dominating it: a
+/// dominated-label merge. `b` dominates `a` when *every* configuration
+/// containing `a` stays a configuration after replacing `a` by `b` (on
+/// both the node and the edge side). The quotient then adds no new
+/// configurations — it is exactly the source with label `a` dropped — so
+/// the relaxation is "free" in the round-eliminator sense: it shrinks the
 /// description without weakening the constraints anywhere else. These are
 /// the merges that collapse a derived problem back onto the §4.4/§4.5
 /// fixed-point shapes, so they are generated before the generic pairwise
 /// merges.
-pub fn dominated_merge_moves(p: &Problem) -> Vec<RelaxMove> {
-    let src = PackedProblem::pack(p);
-    dominated_pairs(&src).into_iter().map(|(a, b)| absorb(&src, a, b).into_relax(p)).collect()
+fn absorb(src: &PackedProblem, a: usize, b: usize) -> Move {
+    collapse(src, a, b, MoveKind::Absorb(Label::from_index(a), Label::from_index(b)))
 }
 
 /// Whether replacing `a` by `b` keeps every configuration of `c` inside
 /// `c`: a binary search per configuration containing `a`.
-fn replacement_stays_inside(
-    c: &PackedConstraint,
-    a: Label,
-    b: Label,
-    buf: &mut Vec<Label>,
-) -> bool {
+fn replacement_stays_inside(c: &Constraint, a: Label, b: Label, buf: &mut Vec<Label>) -> bool {
     c.iter().filter(|row| row.contains(&a)).all(|row| {
         buf.clear();
         buf.extend(row.iter().map(|&l| if l == a { b } else { l }));
@@ -261,8 +181,8 @@ fn scan_dominated_pairs<F: FnMut(usize, usize) -> bool>(p: &PackedProblem, mut v
     }
 }
 
-/// All ordered pairs `(a, b)` where `b` dominates `a` (see
-/// [`dominated_merge_moves`]), in lexicographic order.
+/// All ordered pairs `(a, b)` where `b` dominates `a` (see [`absorb`]), in
+/// lexicographic order.
 fn dominated_pairs(p: &PackedProblem) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     scan_dominated_pairs(p, |a, b| {
@@ -272,17 +192,12 @@ fn dominated_pairs(p: &PackedProblem) -> Vec<(usize, usize)> {
     out
 }
 
-/// The full simplification of `p`: absorb dominated labels repeatedly (the
-/// lexicographically first applicable absorption each round) until none
-/// remain, composing the witness maps into one relaxation move. This is
-/// the round-eliminator "simplify" pass as a single search edge; `None`
-/// when no label is dominated.
-pub fn simplify_move(p: &Problem) -> Option<RelaxMove> {
-    simplify(&PackedProblem::pack(p)).map(|mv| mv.into_relax(p))
-}
-
-/// [`simplify_move`] on the packed form: every absorption is a packed
-/// quotient of the previous one.
+/// The full simplification of `src`: absorb dominated labels repeatedly
+/// (the lexicographically first applicable absorption each round) until
+/// none remain, composing the witness maps into one relaxation move. This
+/// is the round-eliminator "simplify" pass as a single search edge; `None`
+/// when no label is dominated. Every absorption is a packed quotient of
+/// the previous one.
 fn simplify(src: &PackedProblem) -> Option<Move> {
     let identity: Vec<Label> = (0..src.label_count()).map(Label::from_index).collect();
     let (mut map, mut kept) = (identity.clone(), identity);
@@ -315,16 +230,11 @@ fn first_dominated_pair(p: &PackedProblem) -> Option<(usize, usize)> {
     hit
 }
 
-/// The structural coarsening of `p`: merge every group of labels with an
+/// The structural coarsening of `src`: merge every group of labels with an
 /// identical edge-side compatibility row (labels the edge constraint cannot
 /// tell apart). Returns `None` when the grouping is trivial (all groups are
-/// singletons) — then the move would be the identity.
-pub fn coarsen_move(p: &Problem) -> Option<RelaxMove> {
-    coarsen(&PackedProblem::pack(p)).map(|mv| mv.into_relax(p))
-}
-
-/// [`coarsen_move`] on the packed form; compatibility rows exist for
-/// arity-2 edge constraints only.
+/// singletons) — then the move would be the identity — and for edge
+/// constraints of arity other than 2, which have no compatibility rows.
 fn coarsen(src: &PackedProblem) -> Option<Move> {
     if src.edge().arity() != 2 {
         return None;
@@ -354,8 +264,8 @@ fn coarsen(src: &PackedProblem) -> Option<Move> {
 /// constraint-row invariants — so the exact swap check (map every
 /// configuration through the transposition and test membership) only runs
 /// on the few genuinely symmetric-looking pairs.
-pub fn twin_classes(p: &Problem) -> Vec<usize> {
-    let n = p.alphabet().len();
+pub fn twin_classes(p: &PackedProblem) -> Vec<usize> {
+    let n = p.label_count();
     let hashes = refined_label_hashes(p);
     let mut rep: Vec<usize> = (0..n).collect();
     for i in 0..n {
@@ -371,7 +281,7 @@ pub fn twin_classes(p: &Problem) -> Vec<usize> {
 
 /// Whether exchanging labels `a` and `b` maps both constraints onto
 /// themselves.
-fn swap_is_automorphism(p: &Problem, a: usize, b: usize) -> bool {
+fn swap_is_automorphism(p: &PackedProblem, a: usize, b: usize) -> bool {
     let (la, lb) = (Label::from_index(a), Label::from_index(b));
     let swap = |l: Label| {
         if l == la {
@@ -382,15 +292,15 @@ fn swap_is_automorphism(p: &Problem, a: usize, b: usize) -> bool {
             l
         }
     };
-    // One reused image buffer: the swapped configuration, sorted, probes
-    // the constraint by slice.
+    // One reused image buffer: the swapped row, sorted, probes the
+    // constraint's rows by binary search.
     let mut image: Vec<Label> = Vec::with_capacity(p.delta());
-    let mut invariant = |c: &roundelim_core::constraint::Constraint| {
-        c.iter().filter(|cfg| cfg.contains(la) || cfg.contains(lb)).all(|cfg| {
+    let mut invariant = |c: &Constraint| {
+        c.iter().filter(|row| row.contains(&la) || row.contains(&lb)).all(|row| {
             image.clear();
-            image.extend(cfg.labels().iter().map(|&l| swap(l)));
+            image.extend(row.iter().map(|&l| swap(l)));
             image.sort_unstable();
-            c.contains_slice(&image)
+            c.contains(&image)
         })
     };
     invariant(p.node()) && invariant(p.edge())
@@ -423,20 +333,16 @@ fn class_members(rep: &[usize]) -> Vec<Vec<usize>> {
     members
 }
 
-/// All relaxation candidates of `p`, in deterministic order: the composite
-/// simplification first, then single dominated merges (free shrinkage),
-/// then the structural coarsening, then the generic pairwise merges.
-/// Generic merges of pairs already covered by a dominated merge are
-/// skipped — identifying `{a, b}` yields the same quotient up to renaming
-/// either way, and every duplicate candidate would cost a full cache key
-/// downstream.
-pub fn relax_moves(p: &Problem) -> Vec<RelaxMove> {
-    let mut out = Vec::new();
-    for_each_relax_move(p, false, false, |mv| out.push(mv.into_relax(p)));
-    out
-}
-
-/// [`relax_moves`] with sibling-orbit pruning: merge pairs that another
+/// Calls `emit` with each relaxation candidate of `src`, in deterministic
+/// order: the composite simplification first, then single dominated
+/// merges (free shrinkage), then the structural coarsening, then the
+/// generic pairwise merges. Generic merges of pairs already covered by a
+/// dominated merge are skipped — identifying `{a, b}` yields the same
+/// quotient up to renaming either way, and every duplicate candidate would
+/// cost a full cache key downstream. No candidate gets names: each is a
+/// packed quotient of `src`.
+///
+/// With `prune`, sibling orbits are pruned: merge pairs that another
 /// already-emitted pair maps onto under a verified constraint-row
 /// automorphism ([`twin_classes`]) are skipped before their quotient is
 /// even built. Every pruned candidate is isomorphic to an emitted earlier
@@ -455,35 +361,24 @@ pub fn relax_moves(p: &Problem) -> Vec<RelaxMove> {
 /// step bound, where pairwise candidates grow quadratically), so searches
 /// whose problems stay inside the step bound explore the identical class
 /// set.
-pub fn relax_moves_pruned(p: &Problem, subset_rows_only: bool) -> Vec<RelaxMove> {
-    let mut out = Vec::new();
-    for_each_relax_move(p, true, subset_rows_only, |mv| out.push(mv.into_relax(p)));
-    out
-}
-
-/// Calls `emit` with each relaxation candidate of `p` as a packed
-/// [`Move`], in [`relax_moves`] order (with `prune`,
-/// [`relax_moves_pruned`]'s candidates and order). No candidate is
-/// materialized as a [`Problem`]: each is a packed quotient of `p`.
 pub fn for_each_relax_move(
-    p: &Problem,
+    src: &PackedProblem,
     prune: bool,
     subset_rows_only: bool,
     mut emit: impl FnMut(Move),
 ) {
-    let src = PackedProblem::pack(p);
-    if let Some(mv) = simplify(&src) {
+    if let Some(mv) = simplify(src) {
         emit(mv);
     }
     let orbit = prune.then(|| {
-        let rep = twin_classes(p);
+        let rep = twin_classes(src);
         let members = class_members(&rep);
         (rep, members)
     });
     let is_orbit_rep = |a: usize, b: usize| {
         orbit.as_ref().is_none_or(|(rep, members)| pair_is_orbit_rep(a, b, rep, members))
     };
-    let dominated_list = dominated_pairs(&src);
+    let dominated_list = dominated_pairs(src);
     // Oversized sources skip the individual absorptions: the composite
     // simplify move (already emitted) applies them all at once, and each
     // skipped quotient is a full constraint rebuild on a big alphabet.
@@ -491,10 +386,10 @@ pub fn for_each_relax_move(
     // the unordered merges.
     if !subset_rows_only {
         for &(a, b) in dominated_list.iter().filter(|&&(a, b)| is_orbit_rep(a, b)) {
-            emit(absorb(&src, a, b));
+            emit(absorb(src, a, b));
         }
     }
-    if let Some(mv) = coarsen(&src) {
+    if let Some(mv) = coarsen(src) {
         emit(mv);
     }
     let dominated: HashSet<(usize, usize)> =
@@ -508,10 +403,10 @@ pub fn for_each_relax_move(
             }
             if let Some(rows) = &rows {
                 if !rows[a].is_subset(&rows[b]) && !rows[b].is_subset(&rows[a]) {
-                    continue; // incomparable rows: see `relax_moves_pruned`
+                    continue; // incomparable rows: see `subset_rows_only`
                 }
             }
-            emit(merge(&src, a, b));
+            emit(merge(src, a, b));
         }
     }
 }
@@ -520,37 +415,22 @@ pub fn for_each_relax_move(
 /// not generated (they would dominate the branching factor).
 const MAX_CONFIG_DROPS: usize = 24;
 
-/// All hardening candidates of `p`, in deterministic order: label drops
-/// first, then (for small constraints) single node-configuration drops.
-/// Results with an empty node or edge constraint are unsolvable and are
-/// not emitted.
-pub fn harden_moves(p: &Problem) -> Vec<HardenMove> {
-    let mut out = Vec::new();
-    for_each_harden_move(p, false, |mv| out.push(mv.into_harden(p)));
-    out
-}
-
-/// [`harden_moves`] with sibling-orbit pruning: dropping a label produces
-/// a problem isomorphic to dropping any of its [`twin_classes`] siblings,
-/// so only the class representative's drop is materialized. The searched
-/// class set is unchanged (every pruned candidate is isomorphic to an
-/// earlier emitted one); configuration drops are not pruned.
-pub fn harden_moves_pruned(p: &Problem) -> Vec<HardenMove> {
-    let mut out = Vec::new();
-    for_each_harden_move(p, true, |mv| out.push(mv.into_harden(p)));
-    out
-}
-
-/// Calls `emit` with each hardening candidate of `p` as a packed
-/// [`Move`], in [`harden_moves`] order (with `prune`,
-/// [`harden_moves_pruned`]'s candidates).
-pub fn for_each_harden_move(p: &Problem, prune: bool, mut emit: impl FnMut(Move)) {
-    let src = PackedProblem::pack(p);
+/// Calls `emit` with each hardening candidate of `src`, in deterministic
+/// order: label drops first, then (for small constraints) single
+/// node-configuration drops. Results with an empty node or edge
+/// constraint are unsolvable and are not emitted.
+///
+/// With `prune`, dropping a label is emitted only for its
+/// [`twin_classes`] representative: dropping any sibling produces an
+/// isomorphic problem. The searched class set is unchanged (every pruned
+/// candidate is isomorphic to an earlier emitted one); configuration drops
+/// are not pruned.
+pub fn for_each_harden_move(src: &PackedProblem, prune: bool, mut emit: impl FnMut(Move)) {
     if src.edge().arity() != 2 {
         return; // a hardened problem must be a (graph) problem again
     }
     let n = src.label_count();
-    let twins = prune.then(|| twin_classes(p));
+    let twins = prune.then(|| twin_classes(src));
     for dropped in 0..n {
         if twins.as_ref().is_some_and(|rep| rep[dropped] != dropped) {
             continue; // drop(l) ≅ drop(rep[l]), which was emitted first
@@ -561,7 +441,7 @@ pub fn for_each_harden_move(p: &Problem, prune: bool, mut emit: impl FnMut(Move)
             continue;
         }
         // Surviving labels keep their names; the witness map is the
-        // identity embedding back into `p`'s alphabet.
+        // identity embedding back into the source's alphabet.
         let back: Vec<Label> = (0..n).filter(|&i| i != dropped).map(Label::from_index).collect();
         emit(Move { kind: MoveKind::DropLabel(l), kept: back.clone(), map: back, result });
     }
@@ -584,26 +464,51 @@ mod oracle;
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::Named;
     use super::*;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
+    use roundelim_core::config::all_multisets;
     use roundelim_core::label::Alphabet;
+    use roundelim_core::problem::Problem;
     use roundelim_core::relax::check_relaxation;
 
     fn sc() -> Problem {
         Problem::parse("name: sc\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap()
     }
 
+    /// A move with its result named after `source`, as the cache names a
+    /// committed class.
+    fn named(source: &Problem, mv: Move) -> Named {
+        let labels = mv.kept.iter().map(|&l| source.alphabet().name(l));
+        let result = Problem::from_packed(mv.kind.result_name(source.name()), labels, mv.result);
+        Named { kind: mv.kind, map: mv.map, result }
+    }
+
+    fn relax_moves(p: &Problem, prune: bool, subset_rows_only: bool) -> Vec<Named> {
+        let mut out = Vec::new();
+        for_each_relax_move(p.packed(), prune, subset_rows_only, |mv| out.push(named(p, mv)));
+        out
+    }
+
+    fn harden_moves(p: &Problem, prune: bool) -> Vec<Named> {
+        let mut out = Vec::new();
+        for_each_harden_move(p.packed(), prune, |mv| out.push(named(p, mv)));
+        out
+    }
+
     #[test]
     fn merges_carry_valid_witnesses() {
         let p = Problem::parse("name: p\nnode: A A | A B | B C\nedge: A B | A C | B C").unwrap();
-        let moves = merge_moves(&p);
-        assert_eq!(moves.len(), 3); // C(3,2) unordered pairs
+        let moves: Vec<Named> = [(0, 1), (0, 2), (1, 2)]
+            .into_iter()
+            .map(|(a, b)| named(&p, merge(p.packed(), a, b)))
+            .collect();
         for mv in &moves {
             assert!(
                 check_relaxation(&p, &mv.result, &mv.map),
-                "merge witness failed for {}",
-                mv.what
+                "merge witness failed for {:?}",
+                mv.kind
             );
             assert_eq!(mv.result.alphabet().len(), 2);
         }
@@ -613,21 +518,21 @@ mod tests {
     fn coarsening_groups_edge_equal_labels() {
         // B and C have identical edge rows (both compatible exactly with A).
         let p = Problem::parse("name: p\nnode: A B C\nedge: A B | A C").unwrap();
-        let mv = coarsen_move(&p).expect("B and C are edge-equal");
+        let mv = named(&p, coarsen(p.packed()).expect("B and C are edge-equal"));
         assert_eq!(mv.result.alphabet().len(), 2);
         assert!(check_relaxation(&p, &mv.result, &mv.map));
         // All labels already distinct on the edge side ⇒ no move.
-        assert!(coarsen_move(&sc()).is_none());
+        assert!(coarsen(sc().packed()).is_none());
     }
 
     #[test]
     fn hardenings_carry_valid_witnesses() {
         let p = Problem::parse("name: p\nnode: A A | A B\nedge: A A | A B").unwrap();
-        for mv in harden_moves(&p) {
+        for mv in harden_moves(&p, false) {
             assert!(
                 check_relaxation(&mv.result, &p, &mv.map),
-                "harden witness failed for {}",
-                mv.what
+                "harden witness failed for {:?}",
+                mv.kind
             );
             assert!(!mv.result.node().is_empty() && !mv.result.edge().is_empty());
         }
@@ -637,7 +542,7 @@ mod tests {
     fn harden_never_emits_unsolvable_results() {
         // Dropping label O or I kills the edge constraint entirely.
         let so = Problem::parse("name: so\nnode: O O O | O O I | O I I\nedge: O I").unwrap();
-        for mv in harden_moves(&so) {
+        for mv in harden_moves(&so, false) {
             assert!(!mv.result.node().is_empty());
             assert!(!mv.result.edge().is_empty());
         }
@@ -647,9 +552,13 @@ mod tests {
     fn dominated_label_is_absorbed() {
         // B is dominated by A: every config survives the replacement B→A.
         let p = Problem::parse("name: p\nnode: A A | A B\nedge: A A | A B").unwrap();
-        let moves = dominated_merge_moves(&p);
+        let moves: Vec<Named> = dominated_pairs(p.packed())
+            .into_iter()
+            .map(|(a, b)| named(&p, absorb(p.packed(), a, b)))
+            .collect();
         assert_eq!(moves.len(), 1, "only B→A absorbs; A→B does not");
-        assert!(moves[0].what.contains("absorb B→A"), "{}", moves[0].what);
+        let [a, b] = [0, 1].map(Label::from_index);
+        assert_eq!(moves[0].kind, MoveKind::Absorb(b, a));
         assert!(check_relaxation(&p, &moves[0].result, &moves[0].map));
         // The quotient adds no configurations: it is p minus label B.
         assert_eq!(moves[0].result.node().len(), 1);
@@ -660,18 +569,16 @@ mod tests {
     fn simplify_composes_absorptions_into_one_witness() {
         // B and C both absorb into A; the composite map must still verify.
         let p = Problem::parse("name: p\nnode: A A | A B | A C\nedge: A A | A B | A C").unwrap();
-        let mv = simplify_move(&p).expect("two dominated labels");
+        let mv = named(&p, simplify(p.packed()).expect("two dominated labels"));
         assert_eq!(mv.result.alphabet().len(), 1);
         assert!(check_relaxation(&p, &mv.result, &mv.map));
-        assert!(simplify_move(&sc()).is_none(), "sc has no dominated labels");
+        assert!(simplify(sc().packed()).is_none(), "sc has no dominated labels");
     }
 
     #[test]
     fn relax_moves_are_deterministic() {
         let p = sc();
-        let a: Vec<String> = relax_moves(&p).into_iter().map(|m| m.what).collect();
-        let b: Vec<String> = relax_moves(&p).into_iter().map(|m| m.what).collect();
-        assert_eq!(a, b);
+        assert_eq!(relax_moves(&p, false, false), relax_moves(&p, false, false));
     }
 
     #[test]
@@ -686,33 +593,31 @@ mod tests {
             let alphabet =
                 roundelim_core::label::Alphabet::from_names(names.iter().map(String::as_str))
                     .unwrap();
-            let mut node = roundelim_core::constraint::Constraint::new(delta).unwrap();
-            for m in roundelim_core::config::all_multisets(n, delta) {
-                if rng.gen_bool(0.4) {
-                    node.insert(m).unwrap();
-                }
-            }
-            let mut edge = roundelim_core::constraint::Constraint::new(2).unwrap();
-            for m in roundelim_core::config::all_multisets(n, 2) {
-                if rng.gen_bool(0.5) {
-                    edge.insert(m).unwrap();
-                }
-            }
+            let node = Constraint::from_configs(
+                delta,
+                all_multisets(n, delta).into_iter().filter(|_| rng.gen_bool(0.4)),
+            )
+            .unwrap();
+            let edge = Constraint::from_configs(
+                2,
+                all_multisets(n, 2).into_iter().filter(|_| rng.gen_bool(0.5)),
+            )
+            .unwrap();
             if node.is_empty() || edge.is_empty() {
                 continue;
             }
             let Ok(p) = Problem::new("t", alphabet, node, edge) else { continue };
-            let full = relax_moves(&p);
-            let pruned = relax_moves_pruned(&p, false);
+            let full = relax_moves(&p, false, false);
+            let pruned = relax_moves(&p, true, false);
             assert!(pruned.len() <= full.len());
             pruned_any |= pruned.len() < full.len();
             // The pruned list is a subsequence of the full list …
             let mut it = full.iter();
             for mv in &pruned {
                 assert!(
-                    it.any(|f| f.what == mv.what && f.map == mv.map && f.result == mv.result),
-                    "trial {trial}: pruned move {} not in unpruned order",
-                    mv.what
+                    it.any(|f| f.kind == mv.kind && f.map == mv.map && f.result == mv.result),
+                    "trial {trial}: pruned move {:?} not in unpruned order",
+                    mv.kind
                 );
             }
             // … and every dropped candidate is isomorphic to a kept one
@@ -720,15 +625,15 @@ mod tests {
             for mv in &full {
                 assert!(
                     pruned.iter().any(|k| are_isomorphic(&k.result, &mv.result)),
-                    "trial {trial}: dropped move {} has no isomorphic representative",
-                    mv.what
+                    "trial {trial}: dropped move {:?} has no isomorphic representative",
+                    mv.kind
                 );
             }
             // The subset-rows restriction is itself a subsequence.
-            let rows_only = relax_moves_pruned(&p, true);
+            let rows_only = relax_moves(&p, true, true);
             let mut it = pruned.iter();
             for mv in &rows_only {
-                assert!(it.any(|f| f.what == mv.what && f.map == mv.map));
+                assert!(it.any(|f| f.kind == mv.kind && f.map == mv.map));
             }
         }
         assert!(pruned_any, "the generator never pruned anything — test lost its teeth");
@@ -740,8 +645,8 @@ mod tests {
         // 3-coloring: the three labels are fully interchangeable, so the
         // three label drops collapse to one representative.
         let p = Problem::parse("name: c3\nnode: 1 1 | 2 2 | 3 3\nedge: 1 2 | 1 3 | 2 3").unwrap();
-        let full = harden_moves(&p);
-        let pruned = harden_moves_pruned(&p);
+        let full = harden_moves(&p, false);
+        let pruned = harden_moves(&p, true);
         assert!(pruned.len() < full.len());
         for mv in &full {
             assert!(pruned.iter().any(|k| are_isomorphic(&k.result, &mv.result)));
@@ -751,9 +656,9 @@ mod tests {
     #[test]
     fn twin_classes_detects_full_symmetry() {
         let c3 = Problem::parse("name: c3\nnode: 1 1 | 2 2 | 3 3\nedge: 1 2 | 1 3 | 2 3").unwrap();
-        assert_eq!(twin_classes(&c3), vec![0, 0, 0]);
+        assert_eq!(twin_classes(c3.packed()), vec![0, 0, 0]);
         // sc's labels have different roles: all classes singleton.
-        assert_eq!(twin_classes(&sc()), vec![0, 1]);
+        assert_eq!(twin_classes(sc().packed()), vec![0, 1]);
     }
 
     /// The zoo's sweep instances and coloring:3:3, each with its first
@@ -775,7 +680,9 @@ mod tests {
             if step.alphabet().len() > 40 {
                 continue;
             }
-            let small = relax_moves(&step).into_iter().find(|m| m.result.alphabet().len() <= 10);
+            let small = relax_moves(&step, false, false)
+                .into_iter()
+                .find(|m| m.result.alphabet().len() <= 10);
             out.push(step);
             if let Some(Ok(next)) = small.map(|m| full_step(&m.result)) {
                 if next.problem().alphabet().len() <= 40 {
@@ -795,9 +702,9 @@ mod tests {
         for p in zoo_sources() {
             for (prune, subset_rows_only) in [(false, false), (true, false), (true, true)] {
                 let mut new = Vec::new();
-                for_each_relax_move(&p, prune, subset_rows_only, |mv| {
+                for_each_relax_move(p.packed(), prune, subset_rows_only, |mv| {
                     composed |= matches!(mv.kind, MoveKind::Simplify(2..));
-                    new.push(mv.into_relax(&p));
+                    new.push(named(&p, mv));
                 });
                 let old = oracle::relax_moves(&p, prune, subset_rows_only);
                 assert_eq!(
@@ -807,17 +714,15 @@ mod tests {
                     p.name()
                 );
                 for (n, o) in new.iter().zip(&old) {
-                    assert_eq!((&n.what, &n.map), (&o.what, &o.map), "{}", p.name());
-                    assert_eq!(n.result, o.result, "{}: {}", p.name(), o.what);
+                    assert_eq!(n, o, "{}", p.name());
                 }
             }
             for prune in [false, true] {
-                let mut new = Vec::new();
-                for_each_harden_move(&p, prune, |mv| new.push(mv.into_harden(&p)));
+                let new = harden_moves(&p, prune);
                 let old = oracle::harden_moves(&p, prune);
                 assert_eq!(new.len(), old.len(), "{}: prune={prune}", p.name());
                 for (n, o) in new.iter().zip(&old) {
-                    assert_eq!((&n.what, &n.map, &n.result), (&o.what, &o.map, &o.result));
+                    assert_eq!(n, o, "{}", p.name());
                 }
             }
         }
@@ -831,15 +736,12 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let names: Vec<String> = (0..n).map(|i| format!("L{i}")).collect();
         let alphabet = Alphabet::from_names(names.iter().map(String::as_str)).unwrap();
-        let mut node = roundelim_core::constraint::Constraint::new(delta).unwrap();
-        let mut edge = roundelim_core::constraint::Constraint::new(2).unwrap();
-        for (c, arity, keep) in [(&mut node, delta, 0.3), (&mut edge, 2, 0.4)] {
-            for m in roundelim_core::config::all_multisets(n, arity) {
-                if rng.gen_bool(keep) {
-                    c.insert(m).unwrap();
-                }
-            }
-        }
+        let mut random = |arity: usize, keep: f64| {
+            let all = all_multisets(n, arity).into_iter().filter(|_| rng.gen_bool(keep));
+            Constraint::from_configs(arity, all).unwrap()
+        };
+        let node = random(delta, 0.3);
+        let edge = random(2, 0.4);
         let p = Problem::new("p", alphabet, node, edge).ok()?;
         let class: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
         let mut rep: Vec<usize> = (0..n).collect();
@@ -856,7 +758,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The packed quotient of a random partition is the packed old
-        /// `Problem` quotient, and unpacks to the same names.
+        /// `Problem` quotient, and takes the same names.
         #[test]
         fn packed_quotient_matches_the_problem_quotient(
             n in 2usize..=7,
@@ -864,13 +766,12 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let Some((p, rep)) = random_partitioned(n, delta, seed) else { return Ok(()) };
-            let old = oracle::quotient(&p, &rep, String::new());
-            let src = PackedProblem::pack(&p);
-            let new = quotient(&src, &rep, MoveKind::Coarsen);
+            let old = oracle::quotient(&p, &rep, MoveKind::Coarsen);
+            let new = quotient(p.packed(), &rep, MoveKind::Coarsen);
             prop_assert_eq!(&new.map, &old.map);
-            prop_assert_eq!(&new.result, &PackedProblem::pack(&old.result));
-            prop_assert_eq!(&src.quotient(&old.map), &new.result);
-            prop_assert_eq!(new.unpack(&p), old.result);
+            prop_assert_eq!(&new.result, old.result.packed());
+            prop_assert_eq!(&p.packed().quotient(&old.map), &new.result);
+            prop_assert_eq!(named(&p, new).result, old.result);
         }
     }
 }

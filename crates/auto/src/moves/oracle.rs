@@ -4,16 +4,26 @@
 //! constraint's trie. Kept as the reference the packed generators must
 //! match move for move.
 
-use super::{class_members, pair_is_orbit_rep, twin_classes, HardenMove, RelaxMove};
+use super::{class_members, pair_is_orbit_rep, twin_classes, MoveKind};
+use roundelim_core::config::Config;
 use roundelim_core::constraint::Constraint;
 use roundelim_core::label::{Alphabet, Label};
 use roundelim_core::labelset::LabelSet;
 use roundelim_core::problem::Problem;
 use std::collections::HashSet;
 
+/// A move with its result named: what it does, the witness map, and the
+/// result problem.
+#[derive(Debug, PartialEq)]
+pub(super) struct Named {
+    pub kind: MoveKind,
+    pub map: Vec<Label>,
+    pub result: Problem,
+}
+
 /// The quotient of `p` under `rep` (representatives are fixed points and
 /// keep their names, in old-index order).
-pub(super) fn quotient(p: &Problem, rep: &[usize], what: String) -> RelaxMove {
+pub(super) fn quotient(p: &Problem, rep: &[usize], kind: MoveKind) -> Named {
     let mut new_index = vec![usize::MAX; p.alphabet().len()];
     let mut names: Vec<&str> = Vec::new();
     for i in 0..p.alphabet().len() {
@@ -28,18 +38,14 @@ pub(super) fn quotient(p: &Problem, rep: &[usize], what: String) -> RelaxMove {
     let node = p.node().map_labels(|l| map[l.index()]);
     let edge = p.edge().map_labels(|l| map[l.index()]);
     let result = Problem::new_unchecked(format!("{}″", p.name()), alphabet, node, edge);
-    RelaxMove { what, map, result }
-}
-
-fn name(p: &Problem, i: usize) -> &str {
-    p.alphabet().name(Label::from_index(i))
+    Named { kind, map, result }
 }
 
 fn replacement_stays_inside(c: &Constraint, a: Label, b: Label, buf: &mut Vec<Label>) -> bool {
     let trie = c.trie();
-    c.iter().filter(|cfg| cfg.contains(a)).all(|cfg| {
+    c.iter().filter(|cfg| cfg.contains(&a)).all(|cfg| {
         buf.clear();
-        buf.extend(cfg.labels().iter().map(|&l| if l == a { b } else { l }));
+        buf.extend(cfg.iter().map(|&l| if l == a { b } else { l }));
         buf.sort_unstable();
         trie.contains_sorted(buf)
     })
@@ -55,7 +61,7 @@ fn edge_dominates(rows: &[LabelSet], a: usize, b: usize) -> bool {
 fn dominated_pairs(p: &Problem) -> Vec<(usize, usize)> {
     let n = p.alphabet().len();
     let mut buf = Vec::new();
-    let rows = (p.edge().arity() == 2).then(|| p.edge_rows());
+    let rows = (p.edge().arity() == 2).then(|| p.packed().edge_rows());
     let mut out = Vec::new();
     for a in 0..n {
         for b in (0..n).filter(|&b| b != a) {
@@ -72,35 +78,31 @@ fn dominated_pairs(p: &Problem) -> Vec<(usize, usize)> {
     out
 }
 
-pub(super) fn simplify_move(p: &Problem) -> Option<RelaxMove> {
+pub(super) fn simplify_move(p: &Problem) -> Option<Named> {
     let mut current = p.clone();
     let mut map: Vec<Label> = (0..p.alphabet().len()).map(Label::from_index).collect();
     let mut absorbed = 0usize;
     while let Some(&(a, b)) = dominated_pairs(&current).first() {
         let mut rep: Vec<usize> = (0..current.alphabet().len()).collect();
         rep[a] = b;
-        let mv = quotient(&current, &rep, String::new());
+        let mv = quotient(&current, &rep, MoveKind::Coarsen);
         for slot in map.iter_mut() {
             *slot = mv.map[slot.index()];
         }
         current = mv.result;
         absorbed += 1;
     }
-    (absorbed > 0).then(|| RelaxMove {
-        what: format!("simplify (absorb {absorbed} dominated labels)"),
-        map,
-        result: current,
-    })
+    (absorbed > 0).then(|| Named { kind: MoveKind::Simplify(absorbed), map, result: current })
 }
 
-pub(super) fn coarsen_move(p: &Problem) -> Option<RelaxMove> {
+pub(super) fn coarsen_move(p: &Problem) -> Option<Named> {
     if p.edge().arity() != 2 {
         return None;
     }
     let n = p.alphabet().len();
     let mut rows = vec![vec![false; n]; n];
     for cfg in p.edge().iter() {
-        let (a, b) = (cfg.labels()[0].index(), cfg.labels()[1].index());
+        let (a, b) = (cfg[0].index(), cfg[1].index());
         rows[a][b] = true;
         rows[b][a] = true;
     }
@@ -112,15 +114,15 @@ pub(super) fn coarsen_move(p: &Problem) -> Option<RelaxMove> {
             merged = true;
         }
     }
-    merged.then(|| quotient(p, &rep, "coarsen edge-equal labels".to_owned()))
+    merged.then(|| quotient(p, &rep, MoveKind::Coarsen))
 }
 
 /// The old `for_each_relax_move`, collected.
-pub(super) fn relax_moves(p: &Problem, prune: bool, subset_rows_only: bool) -> Vec<RelaxMove> {
+pub(super) fn relax_moves(p: &Problem, prune: bool, subset_rows_only: bool) -> Vec<Named> {
     let mut out = Vec::new();
     out.extend(simplify_move(p));
     let orbit = prune.then(|| {
-        let rep = twin_classes(p);
+        let rep = twin_classes(p.packed());
         let members = class_members(&rep);
         (rep, members)
     });
@@ -135,13 +137,17 @@ pub(super) fn relax_moves(p: &Problem, prune: bool, subset_rows_only: bool) -> V
             }
             let mut rep_map: Vec<usize> = (0..n).collect();
             rep_map[a] = b;
-            out.push(quotient(p, &rep_map, format!("absorb {}→{}", name(p, a), name(p, b))));
+            out.push(quotient(
+                p,
+                &rep_map,
+                MoveKind::Absorb(Label::from_index(a), Label::from_index(b)),
+            ));
         }
     }
     out.extend(coarsen_move(p));
     let dominated: HashSet<(usize, usize)> =
         dominated_list.into_iter().map(|(a, b)| (a.min(b), a.max(b))).collect();
-    let rows = if subset_rows_only { Some(p.edge_rows()) } else { None };
+    let rows = if subset_rows_only { Some(p.packed().edge_rows()) } else { None };
     for a in 0..n {
         for b in (a + 1)..n {
             if dominated.contains(&(a, b)) {
@@ -159,17 +165,21 @@ pub(super) fn relax_moves(p: &Problem, prune: bool, subset_rows_only: bool) -> V
             }
             let mut rep_map: Vec<usize> = (0..n).collect();
             rep_map[b] = a;
-            out.push(quotient(p, &rep_map, format!("merge {}←{}", name(p, a), name(p, b))));
+            out.push(quotient(
+                p,
+                &rep_map,
+                MoveKind::Merge(Label::from_index(a), Label::from_index(b)),
+            ));
         }
     }
     out
 }
 
 /// The old `for_each_harden_move`, collected.
-pub(super) fn harden_moves(p: &Problem, prune: bool) -> Vec<HardenMove> {
+pub(super) fn harden_moves(p: &Problem, prune: bool) -> Vec<Named> {
     let mut out = Vec::new();
     let n = p.alphabet().len();
-    let twins = prune.then(|| twin_classes(p));
+    let twins = prune.then(|| twin_classes(p.packed()));
     for dropped in 0..n {
         if twins.as_ref().is_some_and(|rep| rep[dropped] != dropped) {
             continue;
@@ -180,7 +190,8 @@ pub(super) fn harden_moves(p: &Problem, prune: bool) -> Vec<HardenMove> {
         if node.is_empty() || edge.is_empty() {
             continue;
         }
-        let names = (0..n).filter(|&i| i != dropped).map(|i| name(p, i));
+        let names =
+            (0..n).filter(|&i| i != dropped).map(|i| p.alphabet().name(Label::from_index(i)));
         let alphabet = Alphabet::from_names(names).unwrap();
         let mut back = Vec::with_capacity(n - 1);
         let mut fwd = vec![Label::from_index(0); n];
@@ -193,16 +204,14 @@ pub(super) fn harden_moves(p: &Problem, prune: bool) -> Vec<HardenMove> {
         let Ok(result) = Problem::new(format!("{}*", p.name()), alphabet, node, edge) else {
             continue;
         };
-        out.push(HardenMove {
-            what: format!("drop label {}", name(p, dropped)),
-            map: back,
-            result,
-        });
+        let kind = MoveKind::DropLabel(Label::from_index(dropped));
+        out.push(Named { kind, map: back, result });
     }
     if p.node().len() <= super::MAX_CONFIG_DROPS && p.node().len() >= 2 {
         let identity: Vec<Label> = (0..n).map(Label::from_index).collect();
         for (ix, dropped_cfg) in p.node().iter().enumerate() {
-            let configs = p.node().iter().filter(|c| *c != dropped_cfg).cloned();
+            let configs =
+                p.node().iter().filter(|c| *c != dropped_cfg).map(|c| Config::new(c.to_vec()));
             let node = Constraint::from_configs(p.node().arity(), configs).unwrap();
             let alphabet = p.alphabet().clone();
             let Ok(result) =
@@ -210,11 +219,7 @@ pub(super) fn harden_moves(p: &Problem, prune: bool) -> Vec<HardenMove> {
             else {
                 continue;
             };
-            out.push(HardenMove {
-                what: format!("drop node config #{ix}"),
-                map: identity.clone(),
-                result,
-            });
+            out.push(Named { kind: MoveKind::DropNodeConfig(ix), map: identity.clone(), result });
         }
     }
     out

@@ -30,7 +30,7 @@ mod tests {
     use roundelim_core::problem::Problem;
 
     fn score(p: &Problem) -> Score {
-        super::score(&PackedProblem::pack(p))
+        super::score(p.packed())
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! ## Lower bounds ([`autolb`])
 //!
 //! From the input problem, the search interleaves [`full_step`] edges with
-//! searched relaxations ([`crate::moves::relax_moves`]), exactly the §2.1
+//! searched relaxations ([`crate::moves::for_each_relax_move`]), exactly the §2.1
 //! recipe but with the relaxations *discovered* instead of hand-supplied.
 //! It stops on
 //!
@@ -17,7 +17,7 @@
 //! ## Upper bounds ([`autoub`])
 //!
 //! The dual hardening direction (§4.5): edges are speedup steps and
-//! searched hardenings ([`crate::moves::harden_moves`]); reaching a 0-round
+//! searched hardenings ([`crate::moves::for_each_harden_move`]); reaching a 0-round
 //! problem after `d` step edges certifies upper bound `d` on the
 //! Theorem-1/2 regime.
 //!
@@ -35,7 +35,7 @@
 //! count; the `threads` option (0 = the `ROUNDELIM_THREADS` variable,
 //! else all cores) only sets how fast it arrives.
 
-use crate::cache::{full_step_cached, CacheSnapshot, CacheStats, CanonCache, NodeId, Probe};
+use crate::cache::{CacheSnapshot, CacheStats, CanonCache, NodeId, Probe};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
 use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
@@ -45,6 +45,7 @@ use roundelim_core::iso::{isomorphism, Refiner};
 use roundelim_core::label::Label;
 use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
+use roundelim_core::speedup::full_step;
 use roundelim_core::zero_round::check_oriented_delta;
 use roundelim_obs as obs;
 use std::path::PathBuf;
@@ -162,7 +163,7 @@ pub struct SearchOptions {
     pub model: ZeroRoundModel,
     /// Skip sibling move candidates that a verified constraint-row
     /// automorphism maps onto an earlier sibling
-    /// ([`crate::moves::relax_moves_pruned`]). The searched class set,
+    /// ([`crate::moves::for_each_relax_move`]). The searched class set,
     /// verdicts, and certificates are identical with or without pruning
     /// (property-tested); `false` exists for that cross-check and costs
     /// the duplicated canonicalization work.
@@ -715,7 +716,7 @@ impl Search {
 
     /// Orders `pool` by (score, id) and truncates to the beam width.
     fn select_beam(&self, pool: &mut Vec<NodeId>) {
-        pool.sort_by_key(|&id| (self.cache.score(id), id));
+        pool.sort_by_key(|&id| (crate::score::score(self.cache.packed(id)), id));
         pool.truncate(self.opts.beam_width);
     }
 
@@ -727,7 +728,7 @@ impl Search {
         let mut beam: Vec<NodeId> = pool
             .iter()
             .copied()
-            .filter(|&id| self.cache.label_count(id) <= self.opts.max_labels)
+            .filter(|&id| self.cache.packed(id).label_count() <= self.opts.max_labels)
             .collect();
         self.select_beam(&mut beam);
         beam
@@ -762,22 +763,23 @@ impl Search {
             if self.soft_stop() {
                 return None;
             }
-            // Generate candidates (packed quotients, refined once into
-            // probes with their fingerprints and label ranks) in parallel;
-            // the per-candidate work is pure and builds no names. The wave
-            // interner resolves re-derived classes with short isomorphism
-            // checks in its parallel shard phase, reusing the ranks.
-            let sources: Vec<(NodeId, Problem)> =
-                wave.iter().map(|&n| (n, self.cache.materialize(n))).collect();
+            // Generate candidates (packed quotients of each source class's
+            // rows, refined once into probes with their fingerprints and
+            // label ranks) in parallel; the per-candidate work is pure and
+            // builds no names. The wave interner resolves re-derived
+            // classes with short isomorphism checks in its parallel shard
+            // phase, reusing the ranks.
             let cap = self.intern_cap();
             // Oversized sources (above the step bound) only exist to be
             // relaxed back under it; their quadratic pairwise-merge fan-out
             // is restricted to ⊆-comparable edge rows (see
-            // `relax_moves_pruned`).
+            // `for_each_relax_move`).
             let max_labels = self.opts.max_labels;
+            let cache = &self.cache;
             type Refined = Vec<(Probe, Vec<Label>)>;
             let (cands, panics): (Vec<Option<Refined>>, usize) =
-                par_map(&sources, self.threads, |&(n, ref p)| {
+                par_map(&wave, self.threads, |&n| {
+                    let p = cache.packed(n);
                     let mut moves = Vec::new();
                     {
                         let _sp = obs::trace::span("search.moves");
@@ -788,7 +790,7 @@ impl Search {
                         };
                         match direction {
                             Direction::Lower => {
-                                let subset_only = prune && p.alphabet().len() > max_labels;
+                                let subset_only = prune && p.label_count() > max_labels;
                                 for_each_relax_move(p, prune, subset_only, keep);
                             }
                             Direction::Upper => for_each_harden_move(p, prune, keep),
@@ -812,7 +814,7 @@ impl Search {
             self.stats.worker_panics += panics;
             let mut flat: Vec<Probe> = Vec::new();
             let mut origin: Vec<(NodeId, Edge)> = Vec::new();
-            for ((n, _), list) in sources.iter().zip(cands) {
+            for (n, list) in wave.iter().zip(cands) {
                 // A captured worker panic loses this source's candidates;
                 // the closure continues with everyone else's.
                 let Some(list) = list else {
@@ -862,7 +864,7 @@ impl Search {
                             // at least one step edge in between. Keep
                             // scanning so the wave commits whole (the first
                             // hit in item order is returned either way).
-                            let problem = self.cache.unpack(probe);
+                            let problem = self.cache.materialize_probe(probe);
                             hit = Some(CycleHit { from: n, edge, problem, back_to: c });
                         }
                     }
@@ -911,9 +913,10 @@ impl Search {
         type StepResult = Option<(Problem, Probe)>;
         let (computed, panics): (Vec<Option<StepResult>>, usize) =
             par_map(&todo, self.threads, |(_, p)| {
-                // The process-wide memo makes repeated searches (sweeps, bench
-                // iterations) pay for each distinct speedup once.
-                let derived = full_step_cached(p).ok()?;
+                let derived = {
+                    let _sp = obs::trace::span("stage.step");
+                    full_step(p).ok()?.full.problem
+                };
                 if derived.alphabet().len() > cap
                     || derived.node().is_empty()
                     || derived.edge().is_empty()
@@ -984,7 +987,7 @@ impl Search {
             .expect("cycle target is an ancestor of the closing node");
         edges.push(hit.edge.clone());
         problems.push(hit.problem.clone());
-        let iso_map = isomorphism(&hit.problem, &problems[cycle_start])
+        let iso_map = isomorphism(hit.problem.packed(), problems[cycle_start].packed())
             .expect("same class implies isomorphic");
         Certificate {
             direction: Direction::Lower,

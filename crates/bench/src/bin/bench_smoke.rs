@@ -38,21 +38,18 @@
 //! * `S2_stream_check`       — streaming checker over a valid 2-coloring
 //!   of a 2¹⁷-node ring (single worker: the chunked per-edge hot path)
 //!
-//! The `A*` searches share the process-wide exact `full_step` memo, so
-//! from the second iteration on they measure the steady-state search —
-//! relax closure, canonicalization, 0-round goal checks — rather than
-//! recomputing identical speedups; that is exactly the subsystem these
-//! families exist to track.
+//! Every iteration of an `A*` search is a whole search: its speedup
+//! steps, relax closure, canonicalization and 0-round goal checks.
 //!
 //! Keep this fast (seconds, not minutes): it is a smoke job, not a
 //! statistics job. Set `BENCH_SMOKE_OUT` to change the output path.
 
 use roundelim_auto::certificate::Direction;
-use roundelim_auto::moves::{for_each_relax_move, relax_moves, relax_moves_pruned};
+use roundelim_auto::moves::for_each_relax_move;
 use roundelim_auto::search::{autolb, SearchOptions, Verdict};
 use roundelim_bench::{calibrate_iters, measure, to_json, Measurement};
 use roundelim_core::iso::{fingerprint, fingerprint_and_ranks, isomorphism, isomorphism_ranked};
-use roundelim_core::label::{Alphabet, Label};
+use roundelim_core::label::Label;
 use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
 use roundelim_core::speedup::{full_step, half_step_edge};
@@ -97,13 +94,10 @@ fn case_per_item<T>(
 
 /// `p` with label `l` renamed to `n - 1 - l`: isomorphic to `p`, with the
 /// label order (and so every configuration's sorted form) scrambled.
-fn reversed(p: &Problem) -> Problem {
-    let n = p.alphabet().len();
-    let flip = |l: Label| Label::from_index(n - 1 - l.index());
-    let names = (0..n).map(|i| p.alphabet().name(flip(Label::from_index(i))).to_owned());
-    let alphabet = Alphabet::from_names(names).expect("distinct names stay distinct");
-    Problem::new(p.name(), alphabet, p.node().map_labels(flip), p.edge().map_labels(flip))
-        .expect("a renaming keeps the problem well formed")
+fn reversed(p: &PackedProblem) -> PackedProblem {
+    let n = p.label_count();
+    let flip: Vec<Label> = (0..n).map(|i| Label::from_index(n - 1 - i)).collect();
+    p.quotient(&flip)
 }
 
 fn main() {
@@ -168,14 +162,15 @@ fn main() {
     {
         let c33 = coloring(3, 3).expect("valid k");
         let step = full_step(&c33).expect("no overflow");
-        let candidates: Vec<Problem> = [&c33, step.problem()]
-            .into_iter()
-            .flat_map(|p| relax_moves(p).into_iter().map(|mv| mv.result))
-            .collect();
+        let mut candidates: Vec<PackedProblem> = Vec::new();
+        for p in [&c33, step.problem()] {
+            for_each_relax_move(p.packed(), false, false, |mv| candidates.push(mv.result));
+        }
         case_per_item(&mut results, "K1_search_kernels", 0, &candidates, |p| {
             black_box(fingerprint(p));
         });
-        let pairs: Vec<(&Problem, Problem)> = candidates.iter().map(|p| (p, reversed(p))).collect();
+        let pairs: Vec<(&PackedProblem, PackedProblem)> =
+            candidates.iter().map(|p| (p, reversed(p))).collect();
         case_per_item(&mut results, "K1_search_kernels", 1, &pairs, |(p, q)| {
             assert!(black_box(isomorphism(p, q)).is_some(), "a renamed copy is isomorphic");
         });
@@ -184,9 +179,8 @@ fn main() {
         });
         let ranked: Vec<_> = pairs
             .iter()
-            .map(|(p, q)| {
-                let (p, q) = (PackedProblem::pack(p), PackedProblem::pack(q));
-                let (rp, rq) = (fingerprint_and_ranks(&p).1, fingerprint_and_ranks(&q).1);
+            .map(|&(p, ref q)| {
+                let (rp, rq) = (fingerprint_and_ranks(p).1, fingerprint_and_ranks(q).1);
                 (p, rp, q, rq)
             })
             .collect();
@@ -204,17 +198,19 @@ fn main() {
         let c33 = coloring(3, 3).expect("valid k");
         let step = full_step(&c33).expect("no overflow").problem().clone();
         let mut sources = vec![c33, step.clone()];
-        for mv in relax_moves_pruned(&step, false) {
-            if sources.len() == 5 {
-                break;
+        let mut small = Vec::new();
+        for_each_relax_move(step.packed(), true, false, |mv| {
+            if mv.result.label_count() <= MAX_LABELS {
+                let names = mv.kept.iter().map(|&l| step.alphabet().name(l));
+                small.push(Problem::from_packed(step.name(), names, mv.result));
             }
-            if mv.result.alphabet().len() <= MAX_LABELS {
-                sources.push(full_step(&mv.result).expect("no overflow").problem().clone());
-            }
+        });
+        for p in small.iter().take(3) {
+            sources.push(full_step(p).expect("no overflow").problem().clone());
         }
         case_per_item(&mut results, "K2_relax_candidates", 0, &sources, |p| {
             let subset_rows_only = p.alphabet().len() > MAX_LABELS;
-            for_each_relax_move(p, true, subset_rows_only, |mv| {
+            for_each_relax_move(p.packed(), true, subset_rows_only, |mv| {
                 black_box(mv);
             });
         });

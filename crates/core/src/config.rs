@@ -6,9 +6,7 @@
 //! stored as a sorted vector of labels so that equality and ordering agree
 //! with multiset semantics.
 
-use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
-use std::borrow::Borrow;
 use std::fmt;
 
 /// A multiset of labels (one configuration of a constraint).
@@ -63,83 +61,24 @@ impl Config {
         &self.labels
     }
 
-    /// Iterates over the labels in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = Label> + '_ {
-        self.labels.iter().copied()
-    }
-
-    /// Multiplicity of `l` in this configuration.
-    pub fn multiplicity(&self, l: Label) -> usize {
-        // Sorted vector: count the run.
-        let start = self.labels.partition_point(|&x| x < l);
-        self.labels[start..].iter().take_while(|&&x| x == l).count()
-    }
-
-    /// Whether the configuration contains `l` at least once.
-    pub fn contains(&self, l: Label) -> bool {
-        self.labels.binary_search(&l).is_ok()
-    }
-
-    /// Groups as `(label, multiplicity)` pairs, labels strictly increasing.
-    pub fn groups(&self) -> Vec<(Label, usize)> {
-        let mut out: Vec<(Label, usize)> = Vec::new();
-        for &l in &self.labels {
-            match out.last_mut() {
-                Some((last, m)) if *last == l => *m += 1,
-                _ => out.push((l, 1)),
-            }
-        }
-        out
-    }
-
-    /// The set of distinct labels.
-    pub fn support(&self) -> crate::labelset::LabelSet {
-        self.labels.iter().copied().collect()
-    }
-
     /// Returns a new configuration with each label mapped through `f`.
     pub fn map<F: FnMut(Label) -> Label>(&self, mut f: F) -> Config {
         Config::new(self.labels.iter().map(|&l| f(l)).collect())
     }
 
-    /// Returns a new configuration with `old` replaced by `new` everywhere.
-    pub fn replace(&self, old: Label, new: Label) -> Config {
-        self.map(|l| if l == old { new } else { l })
-    }
-
     /// Renders the configuration with names from `alphabet`, using exponent
     /// notation for repeated labels (`A^3 B`).
     pub fn display<'a>(&'a self, alphabet: &'a Alphabet) -> ConfigDisplay<'a> {
-        ConfigDisplay { config: self, alphabet }
-    }
-
-    /// Validates that every label is within `alphabet`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Inconsistent`] on out-of-range labels.
-    pub fn validate(&self, alphabet: &Alphabet) -> Result<()> {
-        for &l in &self.labels {
-            if l.index() >= alphabet.len() {
-                return Err(Error::Inconsistent {
-                    reason: format!(
-                        "configuration references label index {} outside alphabet of size {}",
-                        l.index(),
-                        alphabet.len()
-                    ),
-                });
-            }
-        }
-        Ok(())
+        display_labels(&self.labels, alphabet)
     }
 }
 
-/// A configuration borrows as its sorted label slice, so ordered and hashed
-/// sets of configurations can be probed with a sorted `&[Label]` without
-/// building a `Config`. The derived `Ord`, `Eq` and `Hash` of `Config`
-/// are those of its label vector, which agree with the slice's.
-impl Borrow<[Label]> for Config {
-    fn borrow(&self) -> &[Label] {
+/// A configuration dereferences to its sorted label slice: the row form a
+/// [`crate::constraint::Constraint`] stores and probes with.
+impl std::ops::Deref for Config {
+    type Target = [Label];
+
+    fn deref(&self) -> &[Label] {
         &self.labels
     }
 }
@@ -150,17 +89,25 @@ impl FromIterator<Label> for Config {
     }
 }
 
-/// Helper returned by [`Config::display`].
+/// Renders a sorted label slice (one constraint row) as
+/// [`Config::display`] renders the configuration it holds.
+pub fn display_labels<'a>(labels: &'a [Label], alphabet: &'a Alphabet) -> ConfigDisplay<'a> {
+    debug_assert!(labels.windows(2).all(|w| w[0] <= w[1]), "labels must be sorted");
+    ConfigDisplay { labels, alphabet }
+}
+
+/// Helper returned by [`Config::display`] and [`display_labels`].
 #[derive(Debug)]
 pub struct ConfigDisplay<'a> {
-    config: &'a Config,
+    labels: &'a [Label],
     alphabet: &'a Alphabet,
 }
 
 impl fmt::Display for ConfigDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
-        for (l, m) in self.config.groups() {
+        for run in self.labels.chunk_by(|a, b| a == b) {
+            let (l, m) = (run[0], run.len());
             if !first {
                 write!(f, " ")?;
             }
@@ -214,12 +161,10 @@ mod tests {
     fn multiset_semantics() {
         let a = Config::new(vec![l(1), l(0), l(1)]);
         assert_eq!(a.arity(), 3);
-        assert_eq!(a.multiplicity(l(1)), 2);
-        assert_eq!(a.multiplicity(l(0)), 1);
-        assert_eq!(a.multiplicity(l(9)), 0);
-        assert!(a.contains(l(0)));
-        assert!(!a.contains(l(2)));
-        assert_eq!(a.groups(), vec![(l(0), 1), (l(1), 2)]);
+        assert_eq!(a.labels(), [l(0), l(1), l(1)]);
+        assert!(a.contains(&l(0)));
+        assert!(!a.contains(&l(2)));
+        assert_eq!(a, Config::new(vec![l(1), l(1), l(0)]));
     }
 
     #[test]
@@ -242,8 +187,8 @@ mod tests {
     #[test]
     fn support_and_map() {
         let c = Config::new(vec![l(0), l(0), l(3)]);
-        assert_eq!(c.support().len(), 2);
-        let d = c.replace(l(0), l(5));
+        assert_eq!(c.chunk_by(|a, b| a == b).count(), 2, "two distinct labels");
+        let d = c.map(|x| if x == l(0) { l(5) } else { x });
         assert_eq!(d, Config::new(vec![l(3), l(5), l(5)]));
     }
 
@@ -263,10 +208,11 @@ mod tests {
 
     #[test]
     fn validate_detects_out_of_range() {
+        use crate::constraint::Constraint;
         let a = Alphabet::from_names(["A"]).unwrap();
-        let bad = Config::new(vec![l(3)]);
+        let bad = Constraint::from_configs(1, [Config::new(vec![l(3)])]).unwrap();
         assert!(bad.validate(&a).is_err());
-        let good = Config::new(vec![l(0)]);
+        let good = Constraint::from_configs(1, [Config::new(vec![l(0)])]).unwrap();
         assert!(good.validate(&a).is_ok());
     }
 }

@@ -25,7 +25,7 @@ pub fn problem_table(p: &Problem) -> String {
                 line.push_str(" │ ");
             }
             first = false;
-            line.push_str(&cfg.display(p.alphabet()).to_string());
+            line.push_str(&crate::config::display_labels(cfg, p.alphabet()).to_string());
         }
         if first {
             line.push_str("∅ (unsatisfiable)");

@@ -16,7 +16,7 @@
 
 use crate::constraint::Constraint;
 use crate::label::Label;
-use crate::packed::{PackedConstraint, PackedProblem};
+use crate::packed::PackedProblem;
 use crate::problem::Problem;
 
 /// The canonical `(node, edge)` image computed by [`canonical_key`].
@@ -51,8 +51,8 @@ fn fold(h: u64, w: u64) -> u64 {
 /// plain signatures conflate, which is what keeps the permutation
 /// enumerations and coarse-bucket collision chains short on the derived
 /// problems the speedup engine produces.
-pub fn refined_label_hashes(p: &Problem) -> Vec<u64> {
-    Refiner::default().refine(&PackedProblem::pack(p)).to_vec()
+pub fn refined_label_hashes(p: &PackedProblem) -> Vec<u64> {
+    Refiner::default().refine(p).to_vec()
 }
 
 /// The label refinement behind [`refined_label_hashes`], [`fingerprint`]
@@ -106,8 +106,7 @@ impl Refiner {
         h
     }
 
-    /// The [`fingerprint`] of a packed problem, through this refiner's
-    /// buffers.
+    /// The [`fingerprint`] of `p`, through this refiner's buffers.
     pub fn fingerprint(&mut self, p: &PackedProblem) -> u64 {
         // Leaves the per-label hashes in `h` and their sorted multiset in
         // `scratch.sorted`, where `fingerprint_and_ranks` reads them.
@@ -279,7 +278,8 @@ impl FlatRuns {
     }
 }
 
-/// Searches for an isomorphism from `a` to `b`.
+/// Searches for an isomorphism from `a` to `b`: refines both, then runs
+/// [`isomorphism_ranked`].
 ///
 /// Returns, if one exists, the label mapping `m` with
 /// `m[l.index()]` = the `b`-label corresponding to `a`-label `l`.
@@ -289,15 +289,9 @@ impl FlatRuns {
 /// use roundelim_core::iso::isomorphism;
 /// let p = Problem::parse("name: p\nnode: A A B\nedge: A B").unwrap();
 /// let q = Problem::parse("name: q\nnode: Y X X\nedge: X Y").unwrap();
-/// assert!(isomorphism(&p, &q).is_some());
+/// assert!(isomorphism(p.packed(), q.packed()).is_some());
 /// ```
-pub fn isomorphism(a: &Problem, b: &Problem) -> Option<Vec<Label>> {
-    isomorphism_packed(&PackedProblem::pack(a), &PackedProblem::pack(b))
-}
-
-/// [`isomorphism`] of two packed problems: refines both, then runs
-/// [`isomorphism_ranked`].
-pub fn isomorphism_packed(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<Label>> {
+pub fn isomorphism(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<Label>> {
     let mut refiner = Refiner::default();
     let (fa, ra) = refiner.fingerprint_and_ranks(a);
     let (fb, rb) = refiner.fingerprint_and_ranks(b);
@@ -307,7 +301,7 @@ pub fn isomorphism_packed(a: &PackedProblem, b: &PackedProblem) -> Option<Vec<La
     isomorphism_ranked(a, &ra, b, &rb)
 }
 
-/// [`isomorphism_packed`] with each problem's label ranks
+/// [`isomorphism`] with each problem's label ranks
 /// ([`fingerprint_and_ranks`]) supplied by the caller, so neither problem
 /// is refined again.
 ///
@@ -405,7 +399,7 @@ fn candidates_and_order(
 /// images are new facts to probe.
 struct ClosingProbe<'a> {
     /// `(configuration of a, constraint of b)`, by closing depth.
-    closing: Vec<(&'a [Label], &'a PackedConstraint)>,
+    closing: Vec<(&'a [Label], &'a Constraint)>,
     /// `ends[d]`: one past the last configuration closed at depth `d`.
     ends: Vec<usize>,
     /// Reused image buffer: one configuration mapped and sorted.
@@ -422,7 +416,7 @@ impl<'a> ClosingProbe<'a> {
         let closing_depth = |cfg: &[Label]| {
             cfg.iter().map(|l| depth_of[l.index()]).max().expect("configurations are non-empty")
         };
-        let mut keyed: Vec<(usize, &[Label], &PackedConstraint)> =
+        let mut keyed: Vec<(usize, &[Label], &Constraint)> =
             Vec::with_capacity(a.node().len() + a.edge().len());
         for (ca, cb) in [(a.node(), b.node()), (a.edge(), b.edge())] {
             keyed.extend(ca.iter().map(|cfg| (closing_depth(cfg), cfg, cb)));
@@ -495,7 +489,7 @@ fn check_full(a: &Problem, b: &Problem, map: &[Label]) -> bool {
 
 /// Whether two problems are isomorphic (alphabet renaming only).
 pub fn are_isomorphic(a: &Problem, b: &Problem) -> bool {
-    isomorphism(a, b).is_some()
+    isomorphism(a.packed(), b.packed()).is_some()
 }
 
 /// Checks a *claimed* isomorphism witness instead of searching for one:
@@ -527,11 +521,10 @@ pub fn check_isomorphism(a: &Problem, b: &Problem, map: &[Label]) -> bool {
 /// collisions with an isomorphism check ([`isomorphism_ranked`] when the
 /// index keeps [`fingerprint_and_ranks`]). Much cheaper than
 /// [`canonical_key`] — a few refinement passes, no permutation
-/// enumeration. The bound search's fingerprint interning, the speedup
-/// sequence's fixed-point index and the process-wide step memo are built
-/// on it.
-pub fn fingerprint(p: &Problem) -> u64 {
-    Refiner::default().fingerprint(&PackedProblem::pack(p))
+/// enumeration. The bound search's fingerprint interning and the speedup
+/// sequence's fixed-point index are built on it.
+pub fn fingerprint(p: &PackedProblem) -> u64 {
+    Refiner::default().fingerprint(p)
 }
 
 /// A canonical key for a problem, equal for isomorphic problems.
@@ -552,7 +545,7 @@ pub fn canonical_key(p: &Problem) -> CanonicalKey {
     // minima coincide. Refinement keeps the classes (and with them the
     // factorial enumeration) small; fully-refined problems admit exactly
     // one renaming.
-    let hashes: Vec<u64> = refined_label_hashes(p);
+    let hashes: Vec<u64> = refined_label_hashes(p.packed());
     let mut class_values: Vec<u64> = hashes.clone();
     class_values.sort_unstable();
     class_values.dedup();
@@ -608,8 +601,7 @@ pub fn canonical_key(p: &Problem) -> CanonicalKey {
             let mut v: Vec<Vec<usize>> = c
                 .iter()
                 .map(|cfg| {
-                    let mut labels: Vec<usize> =
-                        cfg.labels().iter().map(|l| perm[l.index()]).collect();
+                    let mut labels: Vec<usize> = cfg.iter().map(|l| perm[l.index()]).collect();
                     labels.sort_unstable();
                     labels
                 })
@@ -652,21 +644,21 @@ pub(crate) mod tests {
             sigma.shuffle(rng);
         }
         let mut fill = |arity: usize, count: usize| {
-            let mut c = Constraint::new(arity).unwrap();
+            let mut configs = Vec::new();
             for _ in 0..count {
                 let start = Config::new(
                     (0..arity).map(|_| Label::from_index(rng.gen_range(0..n))).collect(),
                 );
                 let mut cfg = start.clone();
                 loop {
-                    c.insert(cfg.clone()).unwrap();
+                    configs.push(cfg.clone());
                     cfg = cfg.map(|l| Label::from_index(sigma[l.index()]));
                     if cfg == start {
                         break;
                     }
                 }
             }
-            c
+            Constraint::from_configs(arity, configs).unwrap()
         };
         let node = fill(delta, node_cfgs);
         let edge = fill(edge_arity, edge_cfgs);
@@ -678,8 +670,11 @@ pub(crate) mod tests {
     /// configurations inserted in shuffled order.
     fn renamed(p: &Problem, perm: &[usize], rng: &mut StdRng) -> Problem {
         let rename = |c: &Constraint, rng: &mut StdRng| {
-            let mut cfgs: Vec<Config> =
-                c.iter().map(|cfg| cfg.map(|l| Label::from_index(perm[l.index()]))).collect();
+            let mut cfgs: Vec<Config> = c
+                .iter()
+                .map(|cfg| cfg.iter().map(|l| Label::from_index(perm[l.index()])))
+                .map(Config::from_iter)
+                .collect();
             cfgs.shuffle(rng);
             Constraint::from_configs(c.arity(), cfgs).unwrap()
         };
@@ -698,7 +693,8 @@ pub(crate) mod tests {
         for (side, c) in [p.node(), p.edge()].into_iter().enumerate() {
             let side_tag = fold(0x2545_F491_4F6C_DD1Du64, side as u64);
             for cfg in c.iter() {
-                let groups = cfg.groups();
+                let groups: Vec<(Label, usize)> =
+                    cfg.chunk_by(|a, b| a == b).map(|run| (run[0], run.len())).collect();
                 co.clear();
                 co.extend(groups.iter().map(|&(x, m)| fold(h[x.index()], m as u64)));
                 co.sort_unstable();
@@ -808,11 +804,12 @@ pub(crate) mod tests {
     fn reference_isomorphism(a: &Problem, b: &Problem) -> Option<Vec<Label>> {
         fn partial_consistent(a: &Problem, b: &Problem, mapping: &[Option<Label>]) -> bool {
             let check = |ca: &Constraint, cb: &Constraint| {
-                ca.iter()
-                    .filter(|cfg| cfg.labels().iter().all(|l| mapping[l.index()].is_some()))
-                    .all(|cfg| {
-                        cb.contains(&cfg.map(|l| mapping[l.index()].expect("checked above")))
-                    })
+                ca.iter().filter(|cfg| cfg.iter().all(|l| mapping[l.index()].is_some())).all(
+                    |cfg| {
+                        let image = cfg.iter().map(|l| mapping[l.index()].expect("checked above"));
+                        cb.contains(&Config::from_iter(image))
+                    },
+                )
             };
             check(a.node(), b.node()) && check(a.edge(), b.edge())
         }
@@ -846,8 +843,7 @@ pub(crate) mod tests {
             }
             false
         }
-        let (candidates, order) =
-            hashed_candidates_and_order(&PackedProblem::pack(a), &PackedProblem::pack(b))?;
+        let (candidates, order) = hashed_candidates_and_order(a.packed(), b.packed())?;
         let n = order.len();
         let mut mapping = vec![None; n];
         let mut used = vec![false; n];
@@ -884,14 +880,13 @@ pub(crate) mod tests {
     #[test]
     fn flat_refinement_matches_the_per_label_reference() {
         for (i, p) in random_problems(0x5EED_0001, 400).iter().enumerate() {
-            let packed = PackedProblem::pack(p);
             assert_eq!(
-                Refiner::new().refine(&packed),
+                Refiner::new().refine(p.packed()),
                 reference_refined_label_hashes(p),
                 "problem {i}:\n{}",
                 p.to_text()
             );
-            assert_eq!(fingerprint(p), reference_fingerprint(p), "problem {i}");
+            assert_eq!(fingerprint(p.packed()), reference_fingerprint(p), "problem {i}");
         }
     }
 
@@ -904,12 +899,12 @@ pub(crate) mod tests {
             let mut perm: Vec<usize> = (0..n).collect();
             perm.shuffle(&mut rng);
             let q = renamed(p, &perm, &mut rng);
-            let (pp, qp) = (PackedProblem::pack(p), PackedProblem::pack(&q));
-            let map = isomorphism_packed(&pp, &qp);
+            let (pp, qp) = (p.packed(), q.packed());
+            let map = isomorphism(pp, qp);
             assert_eq!(map, reference_isomorphism(p, &q), "problem {i}:\n{}", p.to_text());
             let map = map.expect("a renaming is an isomorphism");
             assert!(check_isomorphism(p, &q, &map), "problem {i}");
-            let (candidates, _) = hashed_candidates_and_order(&pp, &qp).expect("invariants agree");
+            let (candidates, _) = hashed_candidates_and_order(pp, qp).expect("invariants agree");
             if candidates.iter().any(|c| c.len() > 1) {
                 searched += 1; // the invariants leave a choice to the search
             }
@@ -919,14 +914,15 @@ pub(crate) mod tests {
                 .into_iter()
                 .find(|c| !q.node().contains(c) && c.labels().iter().any(|l| l.index() + 1 == n));
             if let Some(absent) = absent {
-                let mut node: Vec<Config> = q.node().iter().cloned().collect();
+                let mut node: Vec<Config> =
+                    q.node().iter().map(|c| Config::new(c.to_vec())).collect();
                 let victim = rng.gen_range(0..node.len());
                 node[victim] = absent;
                 let node = Constraint::from_configs(p.delta(), node).unwrap();
                 let swapped =
                     Problem::new_general("swapped", q.alphabet().clone(), node, q.edge().clone())
                         .unwrap();
-                let map = isomorphism_packed(&pp, &PackedProblem::pack(&swapped));
+                let map = isomorphism(pp, swapped.packed());
                 assert_eq!(map, reference_isomorphism(p, &swapped), "swapped problem {i}");
                 match map {
                     Some(map) => assert!(check_isomorphism(p, &swapped, &map)),
@@ -957,7 +953,7 @@ pub(crate) mod tests {
             .into_iter()
             .find(|c| !q.node().contains(c) && c.labels().iter().any(|l| l.index() + 1 == n));
         if let Some(absent) = absent {
-            let mut node: Vec<Config> = q.node().iter().cloned().collect();
+            let mut node: Vec<Config> = q.node().iter().map(|c| Config::new(c.to_vec())).collect();
             let victim = rng.gen_range(0..node.len());
             node[victim] = absent;
             let node = Constraint::from_configs(p.delta(), node).unwrap();
@@ -979,12 +975,12 @@ pub(crate) mod tests {
         #[test]
         fn ranked_isomorphism_matches_the_hashed_reference(seed in 0u64..u64::MAX) {
             let (p, others) = random_pairs(seed);
-            let pp = PackedProblem::pack(&p);
+            let pp = p.packed();
             for (k, q) in others.iter().enumerate() {
-                let qp = PackedProblem::pack(q);
-                let want = hashed_isomorphism(&pp, &qp);
-                prop_assert!(ranked(&pp, &qp) == want, "pair {k}: ranked search differs");
-                prop_assert!(isomorphism_packed(&pp, &qp) == want, "pair {k}: wrapper differs");
+                let qp = q.packed();
+                let want = hashed_isomorphism(pp, qp);
+                prop_assert!(ranked(pp, qp) == want, "pair {k}: ranked search differs");
+                prop_assert!(isomorphism(pp, qp) == want, "pair {k}: refining search differs");
                 prop_assert!(k > 0 || want.is_some(), "a renaming is an isomorphism");
             }
         }
@@ -996,23 +992,23 @@ pub(crate) mod tests {
         // refine to one hash and rank 0; the two problems' hashes differ.
         let a = Problem::parse("name: a\nnode: A A A | B B B\nedge: A B").unwrap();
         let b = Problem::parse("name: b\nnode: A A B | A B B\nedge: A B").unwrap();
-        let (pa, pb) = (PackedProblem::pack(&a), PackedProblem::pack(&b));
-        let (fa, ra) = fingerprint_and_ranks(&pa);
-        let (fb, rb) = fingerprint_and_ranks(&pb);
+        let (pa, pb) = (a.packed(), b.packed());
+        let (fa, ra) = fingerprint_and_ranks(pa);
+        let (fb, rb) = fingerprint_and_ranks(pb);
         assert_eq!((&*ra, &*rb), (&[0u16, 0][..], &[0u16, 0][..]));
         assert_ne!(fa, fb);
-        assert_ne!(refined_label_hashes(&a), refined_label_hashes(&b));
-        assert_eq!(isomorphism_ranked(&pa, &ra, &pb, &rb), None);
-        assert_eq!(hashed_isomorphism(&pa, &pb), None);
+        assert_ne!(refined_label_hashes(pa), refined_label_hashes(pb));
+        assert_eq!(isomorphism_ranked(pa, &ra, pb, &rb), None);
+        assert_eq!(hashed_isomorphism(pa, pb), None);
     }
 
     #[test]
     fn ranks_index_the_distinct_refined_hashes() {
         for p in random_problems(0x5EED_0004, 100) {
-            let hashes = refined_label_hashes(&p);
-            let packed = PackedProblem::pack(&p);
-            let (fp, ranks) = fingerprint_and_ranks(&packed);
-            assert_eq!(fp, fingerprint(&p));
+            let packed = p.packed();
+            let hashes = refined_label_hashes(packed);
+            let (fp, ranks) = fingerprint_and_ranks(packed);
+            assert_eq!(fp, fingerprint(packed));
             for l in 0..hashes.len() {
                 for m in 0..hashes.len() {
                     assert_eq!(ranks[l] == ranks[m], hashes[l] == hashes[m]);
@@ -1021,8 +1017,8 @@ pub(crate) mod tests {
             }
             // A reused refiner gives every problem the same answer.
             let mut refiner = Refiner::new();
-            refiner.fingerprint_and_ranks(&PackedProblem::pack(&random_problems(fp, 1)[0]));
-            assert_eq!(refiner.fingerprint_and_ranks(&packed), (fp, ranks));
+            refiner.fingerprint_and_ranks(random_problems(fp, 1)[0].packed());
+            assert_eq!(refiner.fingerprint_and_ranks(packed), (fp, ranks));
         }
     }
 
@@ -1030,7 +1026,7 @@ pub(crate) mod tests {
     fn renamed_problems_are_isomorphic() {
         let p = Problem::parse("name: p\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap();
         let q = Problem::parse("name: q\nnode: B A A\nedge: A A | B A").unwrap();
-        let m = isomorphism(&p, &q).unwrap();
+        let m = isomorphism(p.packed(), q.packed()).unwrap();
         // 0 must map to A, 1 to B (signatures differ).
         let zero = p.alphabet().require("0").unwrap();
         assert_eq!(q.alphabet().name(m[zero.index()]), "A");

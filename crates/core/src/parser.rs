@@ -19,6 +19,9 @@
 //!   `|`, `^`, `:` and `#`.
 //! * The alphabet is inferred from the labels that occur.
 //! * `#` starts a comment until end of line.
+//! * A configuration holds at most [`MAX_CONFIG_ARITY`] labels, counted
+//!   with multiplicity; a larger multiplicity or sum is a parse error,
+//!   raised before anything is allocated for it.
 //!
 //! All node configurations must share one arity (Δ) and all edge
 //! configurations must have arity 2.
@@ -28,6 +31,10 @@ use crate::constraint::Constraint;
 use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
 use crate::problem::Problem;
+
+/// The largest configuration arity the parser accepts, far above any Δ the
+/// engine instantiates: it bounds what one token such as `A^k` allocates.
+pub const MAX_CONFIG_ARITY: usize = 1 << 16;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Section {
@@ -118,10 +125,7 @@ pub fn parse_problem(text: &str) -> Result<Problem> {
     }
 
     let delta = node_cfgs[0].1.len();
-    let mut node = Constraint::new(delta).map_err(|_| Error::Parse {
-        line: node_cfgs[0].0,
-        reason: "node configuration is empty".into(),
-    })?;
+    let mut node = Vec::with_capacity(node_cfgs.len());
     for (lineno, labels) in node_cfgs {
         if labels.len() != delta {
             return Err(Error::Parse {
@@ -132,9 +136,10 @@ pub fn parse_problem(text: &str) -> Result<Problem> {
                 ),
             });
         }
-        node.insert(Config::new(labels))?;
+        node.push(Config::new(labels));
     }
-    let mut edge = Constraint::new(2)?;
+    let node = Constraint::from_configs(delta, node)?;
+    let mut edge = Vec::with_capacity(edge_cfgs.len());
     for (lineno, labels) in edge_cfgs {
         if labels.len() != 2 {
             return Err(Error::Parse {
@@ -142,8 +147,9 @@ pub fn parse_problem(text: &str) -> Result<Problem> {
                 reason: format!("edge configurations must have arity 2, found {}", labels.len()),
             });
         }
-        edge.insert(Config::new(labels))?;
+        edge.push(Config::new(labels));
     }
+    let edge = Constraint::from_configs(2, edge)?;
 
     Problem::new(name, alphabet, node, edge)
 }
@@ -179,6 +185,13 @@ fn parse_config(piece: &str, alphabet: &mut Alphabet, lineno: usize) -> Result<V
                 reason: format!("label `{name}` contains `:`"),
             });
         }
+        let arity = labels.len().checked_add(mult).filter(|&a| a <= MAX_CONFIG_ARITY);
+        if arity.is_none() {
+            return Err(Error::Parse {
+                line: lineno,
+                reason: format!("configuration arity exceeds {MAX_CONFIG_ARITY} at token `{tok}`"),
+            });
+        }
         let l = alphabet.intern_or_get(name)?;
         labels.extend(std::iter::repeat_n(l, mult));
     }
@@ -207,7 +220,7 @@ mod tests {
     fn exponent_notation() {
         let p = parse_problem("node: A^3\nedge: A^2").unwrap();
         assert_eq!(p.delta(), 3);
-        assert!(p.node().contains(&p.config(&["A", "A", "A"]).unwrap()));
+        assert!(p.node().contains(&p.labels(&["A", "A", "A"]).unwrap()));
     }
 
     #[test]
@@ -235,6 +248,18 @@ mod tests {
         assert!(matches!(e, Error::Parse { line: 1, .. }), "{e:?}");
         let e = parse_problem("node: A^0\nedge: A A\n").unwrap_err();
         assert!(matches!(e, Error::Parse { line: 1, .. }), "{e:?}");
+    }
+
+    #[test]
+    fn hostile_multiplicities_are_parse_errors() {
+        for text in
+            ["node: A^18446744073709551615\nedge: A A\n", "node: A^40000 B^40000\nedge: A A\n"]
+        {
+            let e = parse_problem(text).unwrap_err();
+            assert!(matches!(e, Error::Parse { line: 1, .. }), "{e:?}");
+        }
+        let at_cap = format!("node: A^{MAX_CONFIG_ARITY}\nedge: A A\n");
+        assert_eq!(parse_problem(&at_cap).unwrap().delta(), MAX_CONFIG_ARITY);
     }
 
     #[test]

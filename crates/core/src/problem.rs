@@ -11,11 +11,12 @@
 //! edge-checkable normal form, to which every locally checkable problem can
 //! be transformed (see §3).
 
-use crate::config::Config;
+use crate::config::{display_labels, Config};
 use crate::constraint::Constraint;
 use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
 use crate::labelset::LabelSet;
+use crate::packed::PackedProblem;
 use std::fmt;
 
 /// A locally checkable problem in edge-checkable normal form, at fixed Δ.
@@ -37,8 +38,8 @@ use std::fmt;
 pub struct Problem {
     name: String,
     alphabet: Alphabet,
-    node: Constraint,
-    edge: Constraint,
+    /// The constraints and label count: everything but the names.
+    packed: PackedProblem,
 }
 
 impl Problem {
@@ -61,7 +62,12 @@ impl Problem {
                 reason: format!("edge constraint must have arity 2, found {}", edge.arity()),
             });
         }
-        Ok(Problem { name: name.into(), alphabet, node, edge })
+        Ok(Problem::assemble(name.into(), alphabet, node, edge))
+    }
+
+    fn assemble(name: String, alphabet: Alphabet, node: Constraint, edge: Constraint) -> Problem {
+        let packed = PackedProblem::new(alphabet.len(), node, edge);
+        Problem { name, alphabet, packed }
     }
 
     /// Assembles a problem from parts the caller guarantees consistent
@@ -79,19 +85,26 @@ impl Problem {
         debug_assert!(node.validate(&alphabet).is_ok());
         debug_assert!(edge.validate(&alphabet).is_ok());
         debug_assert_eq!(edge.arity(), 2);
-        Problem { name, alphabet, node, edge }
+        Problem::assemble(name, alphabet, node, edge)
     }
 
-    /// Assembles a problem from parts with no checks at all, whatever the
-    /// edge arity: for rebuilding a problem from a form it was taken from
-    /// (see [`crate::packed::PackedProblem::unpack`]).
-    pub(crate) fn from_parts_unchecked(
-        name: String,
-        alphabet: Alphabet,
-        node: Constraint,
-        edge: Constraint,
+    /// Names a packed problem: `label_names[i]` names label `i`. With the
+    /// names of the problem the rows were taken from, the result equals
+    /// that problem.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) unless there is exactly one distinct name
+    /// per label.
+    pub fn from_packed<S: Into<String>>(
+        name: impl Into<String>,
+        label_names: impl IntoIterator<Item = S>,
+        packed: PackedProblem,
     ) -> Problem {
-        Problem { name, alphabet, node, edge }
+        let names: Vec<String> = label_names.into_iter().map(Into::into).collect();
+        debug_assert_eq!(names.len(), packed.label_count(), "one name per label");
+        let alphabet = Alphabet::from_unique_names_unchecked(names);
+        Problem { name: name.into(), alphabet, packed }
     }
 
     /// Assembles a problem whose edge side has arbitrary arity (hypergraph
@@ -109,7 +122,7 @@ impl Problem {
     ) -> Result<Problem> {
         node.validate(&alphabet)?;
         edge.validate(&alphabet)?;
-        Ok(Problem { name: name.into(), alphabet, node, edge })
+        Ok(Problem::assemble(name.into(), alphabet, node, edge))
     }
 
     /// Parses the compact text format; see [`crate::parser`] for the grammar.
@@ -126,10 +139,15 @@ impl Problem {
         &self.name
     }
 
-    /// Consumes the problem, returning its name and its label names in
-    /// index order.
-    pub fn into_names(self) -> (String, Vec<String>) {
-        (self.name, self.alphabet.into_names())
+    /// Consumes the problem, returning its name, its label names in index
+    /// order, and its packed rows.
+    pub fn into_parts(self) -> (String, Vec<String>, PackedProblem) {
+        (self.name, self.alphabet.into_names(), self.packed)
+    }
+
+    /// The constraints and label count, without names.
+    pub fn packed(&self) -> &PackedProblem {
+        &self.packed
     }
 
     /// Replaces the name, returning the problem (builder-style).
@@ -146,24 +164,24 @@ impl Problem {
 
     /// The node constraint `h(Δ)`.
     pub fn node(&self) -> &Constraint {
-        &self.node
+        self.packed.node()
     }
 
     /// The edge constraint `g(Δ)`.
     pub fn edge(&self) -> &Constraint {
-        &self.edge
+        self.packed.edge()
     }
 
     /// The node arity Δ (number of ports of a regular node).
     pub fn delta(&self) -> usize {
-        self.node.arity()
+        self.packed.delta()
     }
 
     /// Labels usable in a correct solution: those occurring in at least one
     /// node configuration *and* one edge configuration (the paper's
     /// "compress the problem description" convention, §4.2).
     pub fn usable_labels(&self) -> LabelSet {
-        self.node.used_labels().intersection(&self.edge.used_labels())
+        self.node().used_labels().intersection(&self.edge().used_labels())
     }
 
     /// Whether [`Problem::compress`] would be the identity: every alphabet
@@ -186,8 +204,8 @@ impl Problem {
             let mapping = (0..self.alphabet.len()).map(|i| Some(Label::from_index(i))).collect();
             return (self.clone(), mapping);
         }
-        let mut node = self.node.clone();
-        let mut edge = self.edge.clone();
+        let mut node = self.node().clone();
+        let mut edge = self.edge().clone();
         loop {
             let usable = node.used_labels().intersection(&edge.used_labels());
             let n2 = node.restrict(&usable);
@@ -214,8 +232,7 @@ impl Problem {
             |l: Label| mapping[l.index()].expect("restricted constraints only use usable labels");
         let node = node.map_labels(remap);
         let edge = edge.map_labels(remap);
-        let p = Problem { name: self.name.clone(), alphabet, node, edge };
-        (p, mapping)
+        (Problem::assemble(self.name.clone(), alphabet, node, edge), mapping)
     }
 
     /// Looks up several label names at once (test/construction convenience).
@@ -236,10 +253,12 @@ impl Problem {
         Ok(Config::new(self.labels(names)?))
     }
 
-    /// Whether an assignment of one label per port satisfies the node
-    /// constraint.
+    /// Whether an assignment of one label per port (in any order)
+    /// satisfies the node constraint.
     pub fn node_ok(&self, labels: &[Label]) -> bool {
-        self.node.contains_labels(labels)
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        self.node().contains(&sorted)
     }
 
     /// Whether the pair of labels on an edge satisfies the edge constraint.
@@ -249,16 +268,7 @@ impl Problem {
     /// that call this in tight loops.
     pub fn edge_ok(&self, a: Label, b: Label) -> bool {
         let pair = if a <= b { [a, b] } else { [b, a] };
-        self.edge.contains_sorted(&pair)
-    }
-
-    /// Per-label edge-compatibility rows: `rows[l] = {x : {l, x} ∈ edge}`,
-    /// one bitset per alphabet label. All rows are empty when the edge
-    /// constraint is not arity 2 (the hypergraph generalization has no
-    /// pairwise compatibility notion). Shared by the 0-round deciders and
-    /// the bound search's row-structure pruning.
-    pub fn edge_rows(&self) -> Vec<LabelSet> {
-        edge_rows(self.alphabet.len(), self.edge.arity(), self.edge.iter().map(Config::labels))
+        self.edge().contains_sorted(&pair)
     }
 
     /// Renders the problem in the same text format [`Problem::parse`] reads.
@@ -271,22 +281,14 @@ impl Problem {
             s.push_str(n);
         }
         s.push('\n');
-        s.push_str("node:");
-        let mut first = true;
-        for c in self.node.iter() {
-            s.push_str(if first { " " } else { " | " });
-            first = false;
-            s.push_str(&c.display(&self.alphabet).to_string());
+        for (key, c) in [("node:", self.node()), ("edge:", self.edge())] {
+            s.push_str(key);
+            for (i, row) in c.iter().enumerate() {
+                s.push_str(if i == 0 { " " } else { " | " });
+                s.push_str(&display_labels(row, &self.alphabet).to_string());
+            }
+            s.push('\n');
         }
-        s.push('\n');
-        s.push_str("edge:");
-        let mut first = true;
-        for c in self.edge.iter() {
-            s.push_str(if first { " " } else { " | " });
-            first = false;
-            s.push_str(&c.display(&self.alphabet).to_string());
-        }
-        s.push('\n');
         s
     }
 
@@ -297,27 +299,10 @@ impl Problem {
             self.name,
             self.delta(),
             self.alphabet.len(),
-            self.node.len(),
-            self.edge.len()
+            self.node().len(),
+            self.edge().len()
         )
     }
-}
-
-/// The edge-compatibility rows of `n` labels from the edge configurations
-/// (sorted label slices): see [`Problem::edge_rows`].
-pub(crate) fn edge_rows<'a>(
-    n: usize,
-    arity: usize,
-    configs: impl Iterator<Item = &'a [Label]>,
-) -> Vec<LabelSet> {
-    let mut rows = vec![LabelSet::empty(); n];
-    if arity == 2 {
-        for ls in configs {
-            rows[ls[0].index()].insert(ls[1]);
-            rows[ls[1].index()].insert(ls[0]);
-        }
-    }
-    rows
 }
 
 impl fmt::Display for Problem {

@@ -16,7 +16,6 @@
 //! also uses bespoke relaxations whose output translation inspects the
 //! whole node output (e.g. Lemma 3), which live in `roundelim-superweak`.
 
-use crate::config::Config;
 use crate::label::Label;
 use crate::problem::Problem;
 
@@ -46,7 +45,7 @@ pub fn relaxation_map(from: &Problem, to: &Problem) -> Option<Vec<Label>> {
     // Order source labels by frequency (most constrained first).
     let mut freq = vec![0usize; n];
     for cfg in from.node().iter().chain(from.edge().iter()) {
-        for &l in cfg.labels() {
+        for &l in cfg {
             freq[l.index()] += 1;
         }
     }
@@ -54,21 +53,21 @@ pub fn relaxation_map(from: &Problem, to: &Problem) -> Option<Vec<Label>> {
     order.sort_by_key(|&i| std::cmp::Reverse(freq[i]));
 
     fn consistent(from: &Problem, to: &Problem, mapping: &[Option<Label>]) -> bool {
-        let check = |ca: &crate::constraint::Constraint,
-                     cb: &crate::constraint::Constraint|
-         -> bool {
-            for cfg in ca.iter() {
-                if cfg.labels().iter().all(|l| mapping[l.index()].is_some()) {
-                    let mapped = Config::new(
-                        cfg.labels().iter().map(|l| mapping[l.index()].expect("checked")).collect(),
-                    );
-                    if !cb.contains(&mapped) {
-                        return false;
+        let check =
+            |ca: &crate::constraint::Constraint, cb: &crate::constraint::Constraint| -> bool {
+                let mut mapped = Vec::with_capacity(ca.arity());
+                for cfg in ca.iter() {
+                    if cfg.iter().all(|l| mapping[l.index()].is_some()) {
+                        mapped.clear();
+                        mapped.extend(cfg.iter().map(|l| mapping[l.index()].expect("checked")));
+                        mapped.sort_unstable();
+                        if !cb.contains(&mapped) {
+                            return false;
+                        }
                     }
                 }
-            }
-            true
-        };
+                true
+            };
         check(from.node(), to.node()) && check(from.edge(), to.edge())
     }
 
@@ -122,7 +121,13 @@ pub fn check_relaxation(from: &Problem, to: &Problem, map: &[Label]) -> bool {
         return false;
     }
     let check = |ca: &crate::constraint::Constraint, cb: &crate::constraint::Constraint| -> bool {
-        ca.iter().all(|cfg| cb.contains(&cfg.map(|l| map[l.index()])))
+        let mut image = Vec::with_capacity(ca.arity());
+        ca.iter().all(|cfg| {
+            image.clear();
+            image.extend(cfg.iter().map(|l| map[l.index()]));
+            image.sort_unstable();
+            cb.contains(&image)
+        })
     };
     check(from.node(), to.node()) && check(from.edge(), to.edge())
 }

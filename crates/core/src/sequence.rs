@@ -28,22 +28,21 @@ struct SeenIndex {
     buckets: HashMap<u64, Vec<Seen>>,
 }
 
-/// A recorded problem: its step, its packed form and its label ranks.
+/// A recorded problem: its step, its rows and its label ranks.
 type Seen = (usize, PackedProblem, Box<[u16]>);
 
 impl SeenIndex {
     /// If a problem isomorphic to `p` was recorded, returns its step;
     /// otherwise records `p` under `step`.
-    fn find_or_insert(&mut self, p: &Problem, step: usize) -> Option<usize> {
-        let packed = PackedProblem::pack(p);
-        let (fp, ranks) = fingerprint_and_ranks(&packed);
+    fn find_or_insert(&mut self, p: &PackedProblem, step: usize) -> Option<usize> {
+        let (fp, ranks) = fingerprint_and_ranks(p);
         let bucket = self.buckets.entry(fp).or_default();
         let hit = bucket
             .iter()
-            .find(|(_, q, rq)| isomorphism_ranked(q, rq, &packed, &ranks).is_some())
+            .find(|(_, q, rq)| isomorphism_ranked(q, rq, p, &ranks).is_some())
             .map(|&(i, ..)| i);
         if hit.is_none() {
-            bucket.push((step, packed, ranks));
+            bucket.push((step, p.clone(), ranks));
         }
         hit
     }
@@ -120,8 +119,8 @@ impl SpeedupSequence {
 
 fn is_zero_round(p: &Problem, model: ZeroRoundModel) -> bool {
     match model {
-        ZeroRoundModel::PlainPn => zero_round_pn(p).is_some(),
-        ZeroRoundModel::Oriented => zero_round_oriented(p).is_some(),
+        ZeroRoundModel::PlainPn => zero_round_pn(p.packed()).is_some(),
+        ZeroRoundModel::Oriented => zero_round_oriented(p.packed()).is_some(),
     }
 }
 
@@ -151,7 +150,7 @@ pub fn iterate_with(
         return Ok(SpeedupSequence { problems, stop: StopReason::ZeroRound { index: 0 }, model });
     }
     let mut seen = SeenIndex::default();
-    seen.find_or_insert(p, 0);
+    seen.find_or_insert(p.packed(), 0);
     for step in 1..=max_steps {
         let next = full_step(problems.last().expect("nonempty"))?.problem().clone();
         // Zero-round check first: a 0-round problem may also be periodic.
@@ -164,7 +163,7 @@ pub fn iterate_with(
             });
         }
         // Fixed-point check against all earlier problems, one probe per step.
-        if let Some(earlier) = seen.find_or_insert(&next, step) {
+        if let Some(earlier) = seen.find_or_insert(next.packed(), step) {
             problems.push(next);
             return Ok(SpeedupSequence {
                 problems,
@@ -235,7 +234,7 @@ pub fn iterate_relaxed(
     }
     // Same fingerprint-bucketed fixed-point index as `iterate_with`.
     let mut seen = SeenIndex::default();
-    seen.find_or_insert(p, 0);
+    seen.find_or_insert(p.packed(), 0);
     for step in 1..=max_steps {
         let current = entries.last().expect("nonempty").problem.clone();
         let derived = full_step(&current)?.problem().clone();
@@ -250,7 +249,7 @@ pub fn iterate_relaxed(
             entries.push(RelaxedEntry { problem: next, template });
             return Ok(RelaxedSequence { entries, stop: StopReason::ZeroRound { index: step } });
         }
-        if let Some(earlier) = seen.find_or_insert(&next, step) {
+        if let Some(earlier) = seen.find_or_insert(next.packed(), step) {
             entries.push(RelaxedEntry { problem: next, template });
             return Ok(RelaxedSequence {
                 entries,

@@ -7,7 +7,6 @@
 //! `y_i ∈ meaning(Y_i)` is a configuration of `D` — Property 2 (for
 //! `h_{1/2}`) and Property 3 (for `g₁`) of the paper.
 
-use crate::config::Config;
 use crate::constraint::Constraint;
 use crate::label::Label;
 use crate::labelset::LabelSet;
@@ -22,7 +21,7 @@ pub fn exists_choice(sets: &[LabelSet], d: &Constraint) -> bool {
     if sets.len() != d.arity() {
         return false;
     }
-    d.iter().any(|cfg| config_matches(cfg.labels(), sets))
+    d.iter().any(|cfg| config_matches(cfg, sets))
 }
 
 /// Whether the multiset `labels` can be assigned bijectively to positions
@@ -198,11 +197,11 @@ pub fn existential_constraint(meanings: &[LabelSet], d: &Constraint) -> Constrai
         return existential_constraint_general(meanings, d);
     }
     // The multiset enumeration emits accepted configurations in ascending
-    // lexicographic order, so the result bulk-loads from a sorted vector.
-    let mut out: Vec<Config> = Vec::new();
+    // lexicographic order, so their labels go straight into the row table.
+    let mut out: Vec<Label> = Vec::new();
     // masks[l]: positions of the current partial multiset whose meaning
     // contains old label `l`. Sized by d's support.
-    let max_label = d.iter().flat_map(Config::iter).map(Label::index).max();
+    let max_label = d.iter().flatten().map(|l| l.index()).max();
     let Some(max_label) = max_label else {
         return Constraint::new(s).expect("arity ≥ 1 by Constraint invariant");
     };
@@ -220,11 +219,11 @@ pub fn existential_constraint(meanings: &[LabelSet], d: &Constraint) -> Constrai
         stack: &mut Vec<usize>,
         masks: &mut [u64],
         cand: &mut [u64],
-        out: &mut Vec<Config>,
+        out: &mut Vec<Label>,
     ) {
         if stack.len() == s {
             'configs: for cfg in d.iter() {
-                for (i, &l) in cfg.labels().iter().enumerate() {
+                for (i, &l) in cfg.iter().enumerate() {
                     let mask = masks[l.index()];
                     if mask == 0 {
                         continue 'configs;
@@ -232,7 +231,7 @@ pub fn existential_constraint(meanings: &[LabelSet], d: &Constraint) -> Constrai
                     cand[i] = mask;
                 }
                 if matches_masks(cand) {
-                    out.push(Config::new(stack.iter().map(|&i| Label::from_index(i)).collect()));
+                    out.extend(stack.iter().map(|&i| Label::from_index(i)));
                     return;
                 }
             }
@@ -256,12 +255,12 @@ pub fn existential_constraint(meanings: &[LabelSet], d: &Constraint) -> Constrai
         }
     }
     rec(meanings, d, m, s, 0, &mut stack, &mut masks, &mut cand[..s], &mut out);
-    Constraint::from_sorted_configs_unchecked(s, out)
+    Constraint::from_sorted_rows(s, out)
 }
 
 /// Fallback enumeration for arities above the matcher's 64-bit width.
 fn existential_constraint_general(meanings: &[LabelSet], d: &Constraint) -> Constraint {
-    let mut out = Constraint::new(d.arity()).expect("arity ≥ 1 by Constraint invariant");
+    let mut out: Vec<Label> = Vec::new();
     let s = d.arity();
     let m = meanings.len();
     let mut stack: Vec<usize> = Vec::with_capacity(s);
@@ -272,13 +271,12 @@ fn existential_constraint_general(meanings: &[LabelSet], d: &Constraint) -> Cons
         s: usize,
         start: usize,
         stack: &mut Vec<usize>,
-        out: &mut Constraint,
+        out: &mut Vec<Label>,
     ) {
         if stack.len() == s {
             let sets: Vec<LabelSet> = stack.iter().map(|&i| meanings[i]).collect();
             if exists_choice(&sets, d) {
-                let cfg = Config::new(stack.iter().map(|&i| Label::from_index(i)).collect());
-                out.insert(cfg).expect("arity matches by construction");
+                out.extend(stack.iter().map(|&i| Label::from_index(i)));
             }
             return;
         }
@@ -289,12 +287,13 @@ fn existential_constraint_general(meanings: &[LabelSet], d: &Constraint) -> Cons
         }
     }
     rec(meanings, d, m, s, 0, &mut stack, &mut out);
-    out
+    Constraint::from_sorted_rows(s, out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
 
     fn l(i: usize) -> Label {
         Label::from_index(i)
@@ -361,12 +360,9 @@ mod tests {
         for _ in 0..40 {
             let n = rng.gen_range(2..=4);
             let arity = rng.gen_range(2..=3);
-            let mut d = Constraint::new(arity).unwrap();
-            for c in crate::config::all_multisets(n, arity) {
-                if rng.gen_bool(0.4) {
-                    d.insert(c).unwrap();
-                }
-            }
+            let all = crate::config::all_multisets(n, arity);
+            let d = Constraint::from_configs(arity, all.into_iter().filter(|_| rng.gen_bool(0.4)))
+                .unwrap();
             // Random sets.
             let sets: Vec<LabelSet> = (0..arity)
                 .map(|_| {

@@ -22,7 +22,6 @@ pub mod step;
 pub mod universal;
 
 pub use step::{
-    full_step, full_step_unsimplified, half_step_edge, half_step_edge_unsimplified, half_step_node,
-    half_step_node_unsimplified, FullStep, HalfStep, Side,
+    full_step, full_step_unsimplified, half_step_edge, half_step_node, FullStep, HalfStep, Side,
 };
 pub use universal::{dominates, line_good, maximal_good_lines, maximal_good_lines_threaded, Line};

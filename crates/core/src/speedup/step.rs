@@ -142,11 +142,10 @@ fn assemble(base: &Problem, lines: Vec<Line>, side: Side, name_suffix: &str) -> 
         Side::Edge => 2,
         Side::Node => base.delta(),
     };
-    let mut universal = Constraint::new(universal_arity)?;
-    for line in &lines {
-        let cfg: crate::config::Config = line.iter().map(index_of).collect();
-        universal.insert(cfg)?;
-    }
+    let universal = Constraint::from_configs(
+        universal_arity,
+        lines.iter().map(|line| line.iter().map(index_of).collect()),
+    )?;
 
     let existential = match side {
         Side::Edge => existential_constraint(&meanings, base.node()),
@@ -228,15 +227,10 @@ pub fn full_step(p: &Problem) -> Result<FullStep> {
     Ok(FullStep { half, full })
 }
 
-/// The unsimplified Theorem-1 transform: derived labels range over *all*
-/// non-empty subsets, and no maximality pruning is applied. Exponential in
-/// the alphabet; restricted to alphabets of ≤ 12 labels.
-///
-/// # Errors
-///
-/// Returns [`Error::Unsupported`] for larger alphabets and
-/// [`Error::AlphabetOverflow`] if the derived alphabet exceeds the cap.
-pub fn half_step_edge_unsimplified(p: &Problem) -> Result<HalfStep> {
+/// The unsimplified Theorem-1 half-step on `side`: derived labels range
+/// over *all* non-empty subsets, and no maximality pruning is applied.
+/// Exponential in the alphabet; restricted to alphabets of ≤ 12 labels.
+fn half_step_unsimplified(p: &Problem, side: Side) -> Result<HalfStep> {
     if p.alphabet().len() > 12 {
         return Err(Error::Unsupported {
             reason: format!(
@@ -246,38 +240,24 @@ pub fn half_step_edge_unsimplified(p: &Problem) -> Result<HalfStep> {
         });
     }
     let universe = LabelSet::first_n(p.alphabet().len());
-    let lines = all_good_lines_bruteforce(p.edge(), &universe);
-    assemble(p, lines, Side::Edge, " ½u")
-}
-
-/// Node-side counterpart of [`half_step_edge_unsimplified`].
-///
-/// # Errors
-///
-/// Same as [`half_step_edge_unsimplified`].
-pub fn half_step_node_unsimplified(p: &Problem) -> Result<HalfStep> {
-    if p.alphabet().len() > 12 {
-        return Err(Error::Unsupported {
-            reason: format!(
-                "unsimplified transform limited to 12 labels, problem has {}",
-                p.alphabet().len()
-            ),
-        });
-    }
-    let universe = LabelSet::first_n(p.alphabet().len());
-    let lines = all_good_lines_bruteforce(p.node(), &universe);
-    assemble(p, lines, Side::Node, " ₁u")
+    let (c, suffix) = match side {
+        Side::Edge => (p.edge(), " ½u"),
+        Side::Node => (p.node(), " ₁u"),
+    };
+    assemble(p, all_good_lines_bruteforce(c, &universe), side, suffix)
 }
 
 /// One full unsimplified Theorem-1 step (for cross-checking Theorem 2 on
-/// tiny instances).
+/// tiny instances): both half-steps range over all non-empty subsets, with
+/// no maximality pruning.
 ///
 /// # Errors
 ///
-/// Same as the unsimplified half-steps.
+/// Returns [`Error::Unsupported`] for alphabets above 12 labels and
+/// [`Error::AlphabetOverflow`] if a derived alphabet exceeds the cap.
 pub fn full_step_unsimplified(p: &Problem) -> Result<FullStep> {
-    let half = half_step_edge_unsimplified(p)?;
-    let full = half_step_node_unsimplified(&half.problem)?;
+    let half = half_step_unsimplified(p, Side::Edge)?;
+    let full = half_step_unsimplified(&half.problem, Side::Node)?;
     Ok(FullStep { half, full })
 }
 
@@ -322,9 +302,8 @@ mod tests {
             // Structure check: node constraint is {X, Y^{Δ-1}} with
             // edge {Y,X},{Y,Y} — i.e. sinkless coloring with X=1,Y=0.
             let node_cfg = p.node().iter().next().unwrap();
-            let groups = node_cfg.groups();
-            assert_eq!(groups.len(), 2);
-            let counts: Vec<usize> = groups.iter().map(|&(_, m)| m).collect();
+            let counts: Vec<usize> = node_cfg.chunk_by(|a, b| a == b).map(<[_]>::len).collect();
+            assert_eq!(counts.len(), 2);
             assert!(counts.contains(&1) && counts.contains(&(delta - 1)));
         }
     }
@@ -361,6 +340,6 @@ mod tests {
         text.push_str(&names.join(" "));
         text.push_str("\nedge: L0 L1\n");
         let p = Problem::parse(&text).unwrap();
-        assert!(matches!(half_step_edge_unsimplified(&p), Err(Error::Unsupported { .. })));
+        assert!(matches!(full_step_unsimplified(&p), Err(Error::Unsupported { .. })));
     }
 }

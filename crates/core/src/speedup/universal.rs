@@ -43,7 +43,7 @@
 //!   labels, recurse. Choices sharing a sorted prefix share the walk, a
 //!   missing trie edge refutes a whole subtree of choices at once, and the
 //!   inner loop is bitmask tests — no allocation, no per-choice sort, no
-//!   `BTreeSet` probe.
+//!   per-choice row search.
 //! * **Interned lines.** The engine stores every distinct line once in a
 //!   flat arena with `u32` ids (`pool::LinePool`). Deduplication is a hash
 //!   probe plus slice compare, and each line carries a component-size /
@@ -515,13 +515,10 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
         // singletons, domination is exactly the existential matching
         // question, whose matcher shares one candidate mask per run of
         // equal labels.
-        if queue
-            .iter()
-            .any(|&q| crate::speedup::existential::config_matches(cfg.labels(), pool.get(q)))
-        {
+        if queue.iter().any(|&q| crate::speedup::existential::config_matches(cfg, pool.get(q))) {
             continue;
         }
-        let mut line: Line = cfg.iter().map(LabelSet::singleton).collect();
+        let mut line: Line = cfg.iter().copied().map(LabelSet::singleton).collect();
         {
             let _sp = span("stage.close");
             close_line(&mut line, trie, &universe, &mut close_scratch);
@@ -779,43 +776,10 @@ fn maximal_good_pairs(c: &Constraint) -> Vec<Line> {
 }
 
 /// Brute-force oracle: all good lines over subsets of `universe`, maximal
-/// ones only. Exponential; used by tests and the unsimplified transform on
-/// tiny instances.
+/// ones only. Exponential; used by tests on tiny instances.
 pub fn maximal_good_lines_bruteforce(c: &Constraint, universe: &LabelSet) -> Vec<Line> {
-    let subsets = crate::labelset::nonempty_subsets(universe);
-    let r = c.arity();
-    let mut all: Vec<Line> = Vec::new();
-    let mut cur: Line = Vec::with_capacity(r);
-    fn rec(
-        subsets: &[LabelSet],
-        start: usize,
-        left: usize,
-        cur: &mut Line,
-        c: &Constraint,
-        all: &mut Vec<Line>,
-    ) {
-        if left == 0 {
-            if line_good(cur, c) {
-                all.push(cur.clone());
-            }
-            return;
-        }
-        for i in start..subsets.len() {
-            cur.push(subsets[i]);
-            rec(subsets, i, left - 1, cur, c, all);
-            cur.pop();
-        }
-    }
-    rec(&subsets, 0, r, &mut cur, c, &mut all);
-    let mut maximal: Vec<Line> = Vec::new();
-    for (i, l) in all.iter().enumerate() {
-        if !all.iter().enumerate().any(|(j, m)| j != i && m != l && dominates(m, l)) {
-            maximal.push(l.clone());
-        }
-    }
-    maximal.sort();
-    maximal.dedup();
-    maximal
+    let all = all_good_lines_bruteforce(c, universe);
+    all.iter().filter(|l| !all.iter().any(|m| m != *l && dominates(m, l))).cloned().collect()
 }
 
 /// All good lines (not only maximal) over subsets of `universe`; the
@@ -923,15 +887,9 @@ mod tests {
             let arity = rng.gen_range(2..=3);
             let univ = LabelSet::first_n(n);
             let all = crate::config::all_multisets(n, arity);
-            let mut c = Constraint::new(arity).unwrap();
-            let mut any = false;
-            for cfg in all {
-                if rng.gen_bool(0.45) {
-                    c.insert(cfg).unwrap();
-                    any = true;
-                }
-            }
-            if !any {
+            let c = Constraint::from_configs(arity, all.into_iter().filter(|_| rng.gen_bool(0.45)))
+                .unwrap();
+            if c.is_empty() {
                 continue;
             }
             let fast = maximal_good_lines(&c);
@@ -951,12 +909,11 @@ mod tests {
         for trial in 0..80 {
             let n = rng.gen_range(2..=5);
             let arity = rng.gen_range(3..=6);
-            let mut c = Constraint::new(arity).unwrap();
-            for m in crate::config::all_multisets(n, arity) {
-                if rng.gen_bool(0.4) {
-                    c.insert(m).unwrap();
-                }
-            }
+            let c = Constraint::from_configs(
+                arity,
+                crate::config::all_multisets(n, arity).into_iter().filter(|_| rng.gen_bool(0.4)),
+            )
+            .unwrap();
             if c.is_empty() {
                 continue;
             }
@@ -1000,12 +957,11 @@ mod tests {
         for trial in 0..10 {
             let n = rng.gen_range(3usize..=5);
             let arity = rng.gen_range(3usize..=4);
-            let mut c = Constraint::new(arity).unwrap();
-            for m in crate::config::all_multisets(n, arity) {
-                if rng.gen_bool(0.5) {
-                    c.insert(m).unwrap();
-                }
-            }
+            let c = Constraint::from_configs(
+                arity,
+                crate::config::all_multisets(n, arity).into_iter().filter(|_| rng.gen_bool(0.5)),
+            )
+            .unwrap();
             if c.is_empty() {
                 continue;
             }

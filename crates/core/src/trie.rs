@@ -14,10 +14,10 @@
 //!   the constraint.
 //!
 //! The latter is the hot core of the speedup transform. Instead of
-//! enumerating the full combination product and probing a `BTreeSet` per
-//! choice (an allocation plus a sort plus an `O(arity)` comparison walk,
-//! per probe), the trie check branches over *label values in increasing
-//! order*: at each label it decides how many still-unassigned components
+//! enumerating the full combination product and probing the sorted rows per
+//! choice (an allocation plus a sort plus a binary search, per probe), the
+//! trie check branches over *label values in increasing order*: at each
+//! label it decides how many still-unassigned components
 //! take that label, advances the trie along the corresponding run of
 //! equal labels, and recurses. Choices sharing a sorted prefix share both
 //! the enumeration work and the trie walk, and the first missing trie
@@ -25,7 +25,6 @@
 //! branch is a bitmask test on [`LabelSet`], so the inner loop touches no
 //! heap at all.
 
-use crate::config::Config;
 use crate::label::Label;
 use crate::labelset::LabelSet;
 
@@ -74,12 +73,12 @@ pub struct DfsScratch {
 impl ConfigTrie {
     /// Builds the trie for `arity`-sized configurations.
     ///
-    /// Configurations must arrive in lexicographic order of their sorted
-    /// label sequences (a `BTreeSet<Config>` iterates exactly so), which
+    /// Configurations must arrive as sorted label rows in ascending order
+    /// (a [`crate::constraint::Constraint`] iterates exactly so), which
     /// lets the build run as a prefix-stack walk: per configuration, pop
     /// to the common prefix with its predecessor and append fresh nodes
     /// for the suffix. Sibling chains stay label-sorted for free.
-    pub fn build<'a, I: IntoIterator<Item = &'a Config>>(arity: usize, configs: I) -> ConfigTrie {
+    pub fn build<'a, I: IntoIterator<Item = &'a [Label]>>(arity: usize, configs: I) -> ConfigTrie {
         let fresh =
             |l: Label| Node { label: l, first_child: NONE, next_sibling: NONE, complete: false };
         let mut nodes = vec![fresh(Label::from_index(0))];
@@ -87,14 +86,13 @@ impl ConfigTrie {
         // path[d]: node id of the previous configuration's label at depth d.
         let mut path: Vec<u32> = Vec::with_capacity(arity);
         let mut prev: Vec<Label> = Vec::new();
-        for cfg in configs {
-            let labels = cfg.labels();
+        for labels in configs {
             debug_assert_eq!(labels.len(), arity);
             debug_assert!(
                 prev.is_empty() || prev.as_slice() < labels,
                 "configs must arrive sorted"
             );
-            universe = universe.union(&cfg.support());
+            universe = universe.union(&labels.iter().copied().collect());
             let common = labels.iter().zip(&prev).take_while(|&(a, b)| a == b).count();
             // The new branch forks right of the predecessor's node at the
             // fork depth; every deeper node starts a fresh child chain.
@@ -348,6 +346,7 @@ impl ConfigTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Config;
     use crate::constraint::Constraint;
 
     fn l(i: usize) -> Label {
@@ -396,12 +395,9 @@ mod tests {
         for _ in 0..200 {
             let n = rng.gen_range(2..=5);
             let arity = rng.gen_range(2..=4);
-            let mut c = Constraint::new(arity).unwrap();
-            for m in crate::config::all_multisets(n, arity) {
-                if rng.gen_bool(0.5) {
-                    c.insert(m).unwrap();
-                }
-            }
+            let all = crate::config::all_multisets(n, arity);
+            let c = Constraint::from_configs(arity, all.into_iter().filter(|_| rng.gen_bool(0.5)))
+                .unwrap();
             let trie = ConfigTrie::build(arity, c.iter());
             // Random grouped line.
             let mut groups: Vec<(LabelSet, usize)> = Vec::new();

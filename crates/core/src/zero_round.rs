@@ -30,7 +30,6 @@ use crate::error::{Error, Result};
 use crate::label::Label;
 use crate::labelset::LabelSet;
 use crate::packed::PackedProblem;
-use crate::problem::Problem;
 
 /// A witness that a problem is 0-round solvable in the plain PN model: the
 /// single configuration every node outputs.
@@ -51,17 +50,12 @@ pub struct ZeroRoundWitness {
 /// use roundelim_core::zero_round::zero_round_pn;
 /// // Sinkless orientation is not 0-round solvable …
 /// let so = Problem::parse("name: so\nnode: O O O | O O I | O I I\nedge: O I").unwrap();
-/// assert!(zero_round_pn(&so).is_none());
+/// assert!(zero_round_pn(so.packed()).is_none());
 /// // … but "everyone outputs X" is.
 /// let triv = Problem::parse("name: t\nnode: X X X\nedge: X X").unwrap();
-/// assert!(zero_round_pn(&triv).is_some());
+/// assert!(zero_round_pn(triv.packed()).is_some());
 /// ```
-pub fn zero_round_pn(p: &Problem) -> Option<ZeroRoundWitness> {
-    zero_round_pn_packed(&PackedProblem::pack(p))
-}
-
-/// [`zero_round_pn`] of a packed problem.
-pub fn zero_round_pn_packed(p: &PackedProblem) -> Option<ZeroRoundWitness> {
+pub fn zero_round_pn(p: &PackedProblem) -> Option<ZeroRoundWitness> {
     'cfg: for labels in p.node().iter() {
         // Every unordered pair of the support, walked over the sorted
         // labels in place: `a` skips repeats, and `b` starts at `a`'s
@@ -119,16 +113,7 @@ pub struct OrientedZeroRoundWitness {
 /// Panics if Δ exceeds [`MAX_ORIENTED_DELTA`]: splits are `u64` position
 /// masks. Callers holding untrusted input reject such problems first with
 /// [`check_oriented_delta`].
-pub fn zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
-    zero_round_oriented_packed(&PackedProblem::pack(p))
-}
-
-/// [`zero_round_oriented`] of a packed problem.
-///
-/// # Panics
-///
-/// Panics if Δ exceeds [`MAX_ORIENTED_DELTA`].
-pub fn zero_round_oriented_packed(p: &PackedProblem) -> Option<OrientedZeroRoundWitness> {
+pub fn zero_round_oriented(p: &PackedProblem) -> Option<OrientedZeroRoundWitness> {
     let delta = p.delta();
     assert!(
         delta <= MAX_ORIENTED_DELTA,
@@ -355,14 +340,14 @@ fn choose<S>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Problem;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// Every distinct `(in, out)` multiset split of `cfg` with `k`
     /// in-ports, in the order a plain lexicographic `k`-subset enumeration
     /// first meets them: the reference for [`canonical_splits`].
-    fn splits_of(cfg: &Config, k: usize, out: &mut Vec<(Vec<Label>, Vec<Label>)>) {
-        let labels = cfg.labels();
+    fn splits_of(labels: &[Label], k: usize, out: &mut Vec<(Vec<Label>, Vec<Label>)>) {
         let n = labels.len();
         if k > n {
             return;
@@ -415,7 +400,7 @@ mod tests {
     /// multiset pair: the reference for the mask-enumerated views.
     fn reference_zero_round_oriented(p: &Problem) -> Option<OrientedZeroRoundWitness> {
         let n = p.alphabet().len();
-        let row = p.edge_rows();
+        let row = p.packed().edge_rows();
         let mut options = Vec::new();
         let mut splits = Vec::new();
         for k in 0..=p.delta() {
@@ -466,8 +451,8 @@ mod tests {
     fn reference_zero_round_pn(p: &Problem) -> Option<ZeroRoundWitness> {
         p.node()
             .iter()
-            .find(|cfg| cfg.iter().all(|a| cfg.iter().all(|b| p.edge_ok(a, b))))
-            .map(|cfg| ZeroRoundWitness { config: cfg.clone() })
+            .find(|cfg| cfg.iter().all(|&a| cfg.iter().all(|&b| p.edge_ok(a, b))))
+            .map(|cfg| ZeroRoundWitness { config: Config::new(cfg.to_vec()) })
     }
 
     #[test]
@@ -480,11 +465,10 @@ mod tests {
             // Dense edge constraints make some problems 0-round solvable.
             let sizes = (rng.gen_range(1..=10), rng.gen_range(1..=n * (n + 1) / 2));
             let p = crate::iso::tests::random_problem(&mut rng, n, (delta, 2), sizes, i % 3 == 0);
-            let packed = PackedProblem::pack(&p);
-            let got = zero_round_oriented_packed(&packed);
+            let got = zero_round_oriented(p.packed());
             assert_eq!(got, reference_zero_round_oriented(&p), "problem {i}:\n{}", p.to_text());
             solvable += usize::from(got.is_some());
-            let pn = zero_round_pn_packed(&packed);
+            let pn = zero_round_pn(p.packed());
             assert_eq!(pn, reference_zero_round_pn(&p), "problem {i}:\n{}", p.to_text());
             pn_solvable += usize::from(pn.is_some());
         }
@@ -505,37 +489,37 @@ mod tests {
     #[test]
     fn trivial_problem_zero_round_both_models() {
         let p = Problem::parse("name: t\nnode: X X X\nedge: X X").unwrap();
-        assert!(zero_round_pn(&p).is_some());
-        assert!(zero_round_oriented(&p).is_some());
+        assert!(zero_round_pn(p.packed()).is_some());
+        assert!(zero_round_oriented(p.packed()).is_some());
     }
 
     #[test]
     fn sinkless_orientation_not_zero_round() {
         let so = Problem::parse("name: so\nnode: O O O | O O I | O I I\nedge: O I").unwrap();
-        assert!(zero_round_pn(&so).is_none());
+        assert!(zero_round_pn(so.packed()).is_none());
         // Even with input orientations it is not 0-round solvable: every
         // edge must carry {O,I}, so either no view puts O on an in-port
         // (then the all-in "sink" view has no O, violating h) or no view
         // puts O on an out-port (then the all-out "source" view has no O).
-        assert!(zero_round_oriented(&so).is_none());
+        assert!(zero_round_oriented(so.packed()).is_none());
     }
 
     #[test]
     fn sinkless_coloring_not_zero_round_even_oriented() {
         let sc = Problem::parse("name: sc\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap();
-        assert!(zero_round_pn(&sc).is_none());
-        assert!(zero_round_oriented(&sc).is_none());
+        assert!(zero_round_pn(sc.packed()).is_none());
+        assert!(zero_round_oriented(sc.packed()).is_none());
     }
 
     #[test]
     fn coloring_not_zero_round() {
         let c3 =
             Problem::parse("name: 3col\nnode: 1 1 | 2 2 | 3 3\nedge: 1 2 | 1 3 | 2 3").unwrap();
-        assert!(zero_round_pn(&c3).is_none());
+        assert!(zero_round_pn(c3.packed()).is_none());
         // Proper coloring needs adjacent nodes to differ; with orientations
         // the indegree-1 view can color by orientation? No: two indegree-1
         // nodes can be adjacent (path of 3). Still unsolvable.
-        assert!(zero_round_oriented(&c3).is_none());
+        assert!(zero_round_oriented(c3.packed()).is_none());
     }
 
     #[test]
@@ -543,14 +527,14 @@ mod tests {
         // h = {A,B}, g = {A,B} only: the pair {A,A} missing, so the single
         // view cannot avoid an A-A edge under adversarial alignment.
         let p = Problem::parse("name: t\nnode: A B\nedge: A B").unwrap();
-        assert!(zero_round_pn(&p).is_none());
+        assert!(zero_round_pn(p.packed()).is_none());
         // With orientations: indegree-1 view can put A on in-port, B on
         // out-port: every edge pairs an out-label (B …) with an in-label
         // (A …) — B-A ∈ g, and indegree-0/2 views exist too:
         // indegree 0: both ports out: labels {A,B} on out-ports means A
         // pairs against in-labels … A(out) meets A(in): {A,A} ∉ g. The
         // search decides; just assert it does not panic and is consistent.
-        let res = zero_round_oriented(&p);
+        let res = zero_round_oriented(p.packed());
         if let Some(w) = res {
             // verify the witness actually satisfies the conditions
             for (ins, outs) in &w.plans {
@@ -566,7 +550,7 @@ mod tests {
         // "orientation copy" problem: output I on in-ports, O on out-ports.
         let p =
             Problem::parse("name: copy\nnode: O O O | O O I | O I I | I I I\nedge: O I").unwrap();
-        let w = zero_round_oriented(&p).expect("copying the orientation works");
+        let w = zero_round_oriented(p.packed()).expect("copying the orientation works");
         for (k, (ins, outs)) in w.plans.iter().enumerate() {
             assert_eq!(ins.len(), k);
             assert_eq!(outs.len(), 3 - k);

@@ -6,7 +6,6 @@
 //! not, which silently duplicated cache classes).
 
 use rand::{Rng, SeedableRng};
-use roundelim_core::config::Config;
 use roundelim_core::constraint::Constraint;
 use roundelim_core::label::{Alphabet, Label};
 use roundelim_core::problem::Problem;
@@ -17,18 +16,16 @@ fn random_problem(rng: &mut rand::rngs::StdRng) -> Option<Problem> {
     let delta = rng.gen_range(2..=4);
     let names: Vec<String> = (0..n).map(|i| format!("L{i}")).collect();
     let alphabet = Alphabet::from_names(names.iter().map(String::as_str)).unwrap();
-    let mut node = Constraint::new(delta).unwrap();
-    for m in roundelim_core::config::all_multisets(n, delta) {
-        if rng.gen_bool(0.3) {
-            node.insert(m).unwrap();
-        }
-    }
-    let mut edge = Constraint::new(2).unwrap();
-    for m in roundelim_core::config::all_multisets(n, 2) {
-        if rng.gen_bool(0.45) {
-            edge.insert(m).unwrap();
-        }
-    }
+    let node = Constraint::from_configs(
+        delta,
+        roundelim_core::config::all_multisets(n, delta).into_iter().filter(|_| rng.gen_bool(0.3)),
+    )
+    .unwrap();
+    let edge = Constraint::from_configs(
+        2,
+        roundelim_core::config::all_multisets(n, 2).into_iter().filter(|_| rng.gen_bool(0.45)),
+    )
+    .unwrap();
     if node.is_empty() || edge.is_empty() {
         return None;
     }
@@ -55,8 +52,7 @@ mod old {
         search(p, &options, 0, &mut chosen)
     }
 
-    fn splits_of(cfg: &Config, k: usize, out: &mut Vec<(Vec<Label>, Vec<Label>)>) {
-        let labels = cfg.labels();
+    fn splits_of(labels: &[Label], k: usize, out: &mut Vec<(Vec<Label>, Vec<Label>)>) {
         let n = labels.len();
         if k > n {
             return;
@@ -145,7 +141,7 @@ fn zero_round_matches_old_decider() {
     for trial in 0..500 {
         let Some(p) = random_problem(&mut rng) else { continue };
         checked += 1;
-        let new = zero_round_oriented(&p).is_some();
+        let new = zero_round_oriented(p.packed()).is_some();
         let old = old::zero_round_oriented_old(&p);
         assert_eq!(new, old, "trial {trial} mismatch on {p}");
     }
@@ -172,8 +168,8 @@ fn refined_iso_invariant_under_renaming() {
         let q = Problem::new("q", alphabet, node, edge).unwrap();
         assert!(are_isomorphic(&p, &q), "trial {trial}: renamed copy must be isomorphic\n{p}");
         assert_eq!(canonical_key(&p), canonical_key(&q), "trial {trial} canonical key");
-        let mut hp = refined_label_hashes(&p);
-        let mut hq = refined_label_hashes(&q);
+        let mut hp = refined_label_hashes(p.packed());
+        let mut hq = refined_label_hashes(q.packed());
         hp.sort_unstable();
         hq.sort_unstable();
         assert_eq!(hp, hq, "trial {trial} hash multiset");

@@ -1,7 +1,7 @@
 //! Process-wide metrics registry: named atomic counters and log-bucketed
 //! (HDR-style) histograms.
 //!
-//! Names are `&'static str` in dotted form (`"cache.step_memo_hits"`,
+//! Names are `&'static str` in dotted form (`"cache.intern_hits"`,
 //! `"daemon.solve_ns"`; the `_ns` suffix marks nanosecond latencies).
 //! [`counter`] / [`histogram`] return `&'static` handles — the registry
 //! leaks one small allocation per unique name, so hot call sites cache

@@ -197,7 +197,7 @@ mod tests {
         assert_eq!(hs.meanings.len(), 14);
         assert_eq!(hs.problem.edge().len(), 7);
         for cfg in hs.problem.edge().iter() {
-            let ls = cfg.labels();
+            let ls = cfg;
             let a = hs.meanings[ls[0].index()];
             let b = hs.meanings[ls[1].index()];
             assert!(a.intersection(&b).is_empty());
@@ -205,7 +205,7 @@ mod tests {
         }
         // Node side (h_{1/2}): pairs of subsets that intersect.
         for cfg in hs.problem.node().iter() {
-            let ls = cfg.labels();
+            let ls = cfg;
             let a = hs.meanings[ls[0].index()];
             let b = hs.meanings[ls[1].index()];
             assert!(a.intersects(&b), "{a:?} vs {b:?}");

@@ -34,16 +34,18 @@ pub fn coloring(k: usize, delta: usize) -> Result<Problem> {
     }
     let mut alphabet = Alphabet::new();
     let labels: Vec<_> = (1..=k).map(|c| alphabet.intern(format!("{c}"))).collect::<Result<_>>()?;
-    let mut node = Constraint::new(delta)?;
+    let mut node = Vec::new();
     for &c in &labels {
-        node.insert(Config::from_groups([(c, delta)]))?;
+        node.push(Config::from_groups([(c, delta)]));
     }
-    let mut edge = Constraint::new(2)?;
+    let mut edge = Vec::new();
     for i in 0..k {
         for j in (i + 1)..k {
-            edge.insert(Config::new(vec![labels[i], labels[j]]))?;
+            edge.push(Config::new(vec![labels[i], labels[j]]));
         }
     }
+    let node = Constraint::from_configs(delta, node)?;
+    let edge = Constraint::from_configs(2, edge)?;
     Problem::new(format!("{k}-coloring"), alphabet, node, edge)
 }
 
@@ -65,11 +67,11 @@ pub fn edge_coloring(k: usize, delta: usize) -> Result<Problem> {
     }
     let mut alphabet = Alphabet::new();
     let labels: Vec<_> = (1..=k).map(|c| alphabet.intern(format!("{c}"))).collect::<Result<_>>()?;
-    let mut node = Constraint::new(delta)?;
+    let mut node = Vec::new();
     // All delta-subsets of the k colors.
     let mut idx: Vec<usize> = (0..delta).collect();
     loop {
-        node.insert(Config::new(idx.iter().map(|&i| labels[i]).collect()))?;
+        node.push(Config::new(idx.iter().map(|&i| labels[i]).collect()));
         // next combination
         let mut i = delta;
         loop {
@@ -89,10 +91,12 @@ pub fn edge_coloring(k: usize, delta: usize) -> Result<Problem> {
             idx[j] = idx[j - 1] + 1;
         }
     }
-    let mut edge = Constraint::new(2)?;
+    let mut edge = Vec::new();
     for &c in &labels {
-        edge.insert(Config::new(vec![c, c]))?;
+        edge.push(Config::new(vec![c, c]));
     }
+    let node = Constraint::from_configs(delta, node)?;
+    let edge = Constraint::from_configs(2, edge)?;
     Problem::new(format!("{k}-edge-coloring"), alphabet, node, edge)
 }
 
@@ -120,8 +124,8 @@ mod tests {
     fn coloring_never_zero_round() {
         for k in 2..=4 {
             let c = coloring(k, 3).unwrap();
-            assert!(zero_round_pn(&c).is_none());
-            assert!(zero_round_oriented(&c).is_none());
+            assert!(zero_round_pn(c.packed()).is_none());
+            assert!(zero_round_oriented(c.packed()).is_none());
         }
     }
 
@@ -139,7 +143,7 @@ mod tests {
     fn edge_coloring_with_orientation_zero_round_unsolvable() {
         // Proper edge coloring needs coordination beyond orientations.
         let ec = edge_coloring(3, 3).unwrap();
-        assert!(zero_round_pn(&ec).is_none());
-        assert!(zero_round_oriented(&ec).is_none());
+        assert!(zero_round_pn(ec.packed()).is_none());
+        assert!(zero_round_oriented(ec.packed()).is_none());
     }
 }

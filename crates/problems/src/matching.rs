@@ -76,8 +76,8 @@ mod tests {
     fn not_zero_round_solvable() {
         for delta in 2..=4 {
             let mm = maximal_matching(delta).unwrap();
-            assert!(zero_round_pn(&mm).is_none());
-            assert!(zero_round_oriented(&mm).is_none(), "Δ={delta}");
+            assert!(zero_round_pn(mm.packed()).is_none());
+            assert!(zero_round_oriented(mm.packed()).is_none(), "Δ={delta}");
         }
     }
 

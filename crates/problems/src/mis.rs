@@ -54,7 +54,7 @@ mod tests {
     #[test]
     fn not_zero_round_solvable() {
         let p = mis(3).unwrap();
-        assert!(zero_round_pn(&p).is_none());
-        assert!(zero_round_oriented(&p).is_none());
+        assert!(zero_round_pn(p.packed()).is_none());
+        assert!(zero_round_oriented(p.packed()).is_none());
     }
 }

@@ -202,7 +202,7 @@ fn closure(
     let mut out = LabelSet::empty();
     for a in 0..alphabet_len {
         let la = Label::from_index(a);
-        if against.iter().all(|b| constraint.contains_labels(&[la, b])) {
+        if against.iter().all(|b| constraint.contains(&[la.min(b), la.max(b)])) {
             out.insert(la);
         }
     }

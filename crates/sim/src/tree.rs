@@ -209,7 +209,7 @@ fn galois_closure(
     let mut out = LabelSet::empty();
     for a in 0..n {
         let la = Label::from_index(a);
-        if against.iter().all(|b| c.contains_labels(&[la, b])) {
+        if against.iter().all(|b| c.contains(&[la.min(b), la.max(b)])) {
             out.insert(la);
         }
     }

@@ -72,7 +72,7 @@ mod tests {
 
         // 2. Edge constraint = complementary pairs.
         for cfg in derived.edge().iter() {
-            let ls = cfg.labels();
+            let ls = cfg;
             let (a, b) = (&trit_of_label[ls[0].index()], &trit_of_label[ls[1].index()]);
             assert!(a.complementary(b), "edge pair {a} {b} not complementary");
         }

@@ -20,8 +20,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          edge: 0 0 | 0 1",
     )?;
     println!("Input problem:\n{sc}");
-    println!("Zero-round solvable (plain PN)?      {}", zero_round_pn(&sc).is_some());
-    println!("Zero-round solvable (oriented)?      {}", zero_round_oriented(&sc).is_some());
+    println!("Zero-round solvable (plain PN)?      {}", zero_round_pn(sc.packed()).is_some());
+    println!("Zero-round solvable (oriented)?      {}", zero_round_oriented(sc.packed()).is_some());
 
     // One automatic speedup step: Π → Π'₁ (Theorems 1 + 2).
     let step = full_step(&sc)?;
@@ -65,8 +65,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "  {:<22} plain PN: {:<5}  oriented: {}",
             f.name,
-            zero_round_pn(&p).is_some(),
-            zero_round_oriented(&p).is_some()
+            zero_round_pn(p.packed()).is_some(),
+            zero_round_oriented(p.packed()).is_some()
         );
     }
     Ok(())

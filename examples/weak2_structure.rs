@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             half.problem.edge().len()
         );
         for cfg in half.problem.edge().iter() {
-            let ls = cfg.labels();
+            let ls = cfg;
             let render = |ix: roundelim::core::label::Label| {
                 let names: Vec<&str> =
                     half.meanings[ix.index()].iter().map(|b| w.alphabet().name(b)).collect();

@@ -863,13 +863,13 @@ fn cmd_zero_round(args: &[String]) -> CliResult {
     let spec = args.first().ok_or("zero-round: missing problem spec")?;
     let p = load(spec)?;
     check_oriented_delta(p.delta()).map_err(|e| usage_err(format!("{spec}: {e}")))?;
-    match zero_round_pn(&p) {
+    match zero_round_pn(p.packed()) {
         Some(w) => {
             println!("plain PN:  SOLVABLE — every node outputs {}", w.config.display(p.alphabet()))
         }
         None => println!("plain PN:  not 0-round solvable"),
     }
-    match zero_round_oriented(&p) {
+    match zero_round_oriented(p.packed()) {
         Some(w) => {
             println!("oriented:  SOLVABLE — per-indegree plans:");
             for (k, (ins, outs)) in w.plans.iter().enumerate() {
@@ -886,7 +886,7 @@ fn cmd_zero_round(args: &[String]) -> CliResult {
 
 fn cmd_iso(args: &[String]) -> CliResult {
     let (a, b) = two_problems(args, "iso")?;
-    match isomorphism(&a, &b) {
+    match isomorphism(a.packed(), b.packed()) {
         Some(m) => {
             println!("isomorphic; label mapping:");
             for l in a.alphabet().labels() {

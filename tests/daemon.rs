@@ -258,6 +258,21 @@ fn metrics_command_reconciles_counters_with_request_spans() {
     d.shutdown();
 }
 
+/// A multiplicity past the parser's configuration cap is an `ok: false`
+/// reply, not an allocation that aborts the daemon: the same connection
+/// pattern keeps working afterwards.
+#[test]
+fn hostile_multiplicity_is_an_error_reply_and_the_daemon_survives() {
+    let store = tmp_dir("hostile");
+    let mut d = Daemon::spawn(&store, &[]);
+    let r = d.response(&solve_line("node: A^18446744073709551615\nedge: A A"));
+    assert!(r.contains("\"ok\": false"), "{r}");
+    assert!(r.contains("arity exceeds"), "{r}");
+    let status = d.response("{\"req\":\"status\"}");
+    assert!(status.contains("\"protocol\": \"roundelimd-1\""), "{status}");
+    d.shutdown();
+}
+
 /// The store files are byte-identical whether the daemon searched with 1
 /// or 4 worker threads (search determinism reaches the persisted bytes).
 #[test]

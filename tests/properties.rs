@@ -95,8 +95,8 @@ proptest! {
         }
     }
 
-    /// The trie-backed membership test agrees with the `BTreeSet` oracle
-    /// on every multiset over a slightly larger label space (including
+    /// The trie-backed membership test agrees with the binary search over
+    /// the rows on every multiset over a slightly larger label space (including
     /// out-of-support labels and wrong arities).
     #[test]
     fn trie_contains_matches_btreeset((n_labels, c) in arb_constraint()) {
@@ -108,7 +108,7 @@ proptest! {
     }
 
     /// The trie-backed `line_good` agrees with the brute-force product
-    /// oracle (every choice probed individually against the `BTreeSet`)
+    /// oracle (every choice probed individually against the rows)
     /// on random lines, including lines with out-of-support labels.
     #[test]
     fn trie_line_good_matches_product_oracle(
@@ -241,9 +241,8 @@ proptest! {
     fn half_step_edge_sound(p in arb_problem()) {
         if let Ok(hs) = half_step_edge(&p) {
             for cfg in hs.problem.edge().iter() {
-                let ls = cfg.labels();
-                let a = hs.meanings[ls[0].index()];
-                let b = hs.meanings[ls[1].index()];
+                let a = hs.meanings[cfg[0].index()];
+                let b = hs.meanings[cfg[1].index()];
                 for x in a.iter() {
                     for y in b.iter() {
                         prop_assert!(p.edge_ok(x, y));
@@ -268,24 +267,111 @@ proptest! {
             p.node().map_labels(remap),
             p.edge().map_labels(remap),
         ).unwrap();
-        prop_assert_eq!(zero_round_pn(&p).is_some(), zero_round_pn(&q).is_some());
+        prop_assert_eq!(zero_round_pn(p.packed()).is_some(), zero_round_pn(q.packed()).is_some());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `Problem → PackedProblem → Problem` is the identity: names, label
-    /// order and both constraints come back exactly, and packing the
-    /// rebuilt problem gives the same rows.
+    /// Taking a problem apart into its names and rows and naming the rows
+    /// again is the identity: names, label order and both constraints come
+    /// back exactly.
     #[test]
     fn packed_round_trip_is_exact(p in arb_problem()) {
-        use roundelim::core::packed::PackedProblem;
-        let packed = PackedProblem::pack(&p);
-        let back = packed.unpack(p.name(), p.alphabet().names().iter().map(String::as_str));
+        let (name, labels, packed) = p.clone().into_parts();
+        prop_assert_eq!(&packed, p.packed());
+        let back = Problem::from_packed(name, labels, packed);
         prop_assert_eq!(&back, &p);
-        prop_assert_eq!(&PackedProblem::pack(&back), &packed);
         prop_assert_eq!(back.to_text(), p.to_text());
+    }
+}
+
+/// Random configurations for the row-table oracle: `count` of them over
+/// `n` labels, labels drawn in any order and configurations repeating.
+fn random_configs(seed: u64) -> (usize, usize, Vec<Config>) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let (n, arity) = (rng.gen_range(1..=6), rng.gen_range(1..=4));
+    let count: usize = rng.gen_range(0..=24);
+    let mut configs: Vec<Config> = (0..count)
+        .map(|_| Config::new((0..arity).map(|_| Label::from_index(rng.gen_range(0..n))).collect()))
+        .collect();
+    let dups: Vec<Config> = configs.iter().filter(|_| rng.gen_bool(0.3)).cloned().collect();
+    configs.extend(dups);
+    for i in (1..configs.len()).rev() {
+        configs.swap(i, rng.gen_range(0..=i));
+    }
+    (n, arity, configs)
+}
+
+/// The rows of a constraint, as owned configurations in iteration order.
+fn rows(c: &Constraint) -> Vec<Config> {
+    c.iter().map(|row| Config::new(row.to_vec())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted-row constraint behaves as the ordered set of
+    /// configurations it replaced: same order, membership, transforms and
+    /// encoded bytes.
+    #[test]
+    fn constraint_rows_match_the_ordered_set_oracle(seed in any::<u64>()) {
+        use roundelim::core::binenc::{decode_constraint, encode_constraint, Dec, Enc};
+        use std::collections::BTreeSet;
+        let (n, arity, configs) = random_configs(seed);
+        let oracle: BTreeSet<Config> = configs.iter().cloned().collect();
+        let c = Constraint::from_configs(arity, configs).unwrap();
+        prop_assert_eq!(rows(&c), oracle.iter().cloned().collect::<Vec<_>>());
+        prop_assert_eq!(c.len(), oracle.len());
+        for probe in all_multisets(n + 1, arity) {
+            prop_assert_eq!(c.contains(&probe), oracle.contains(&probe));
+        }
+        prop_assert!(!c.contains(&vec![Label::from_index(0); arity + 1]));
+        let used: LabelSet = oracle.iter().flat_map(|cfg| cfg.iter().copied()).collect();
+        prop_assert_eq!(c.used_labels(), used);
+
+        // A label map that merges labels, as map_labels and quotient do.
+        let offset = seed as usize % n;
+        let map: Vec<Label> = (0..n).map(|l| Label::from_index((l * 7 + offset) % n / 2)).collect();
+        let mapped: Vec<Config> = oracle
+            .iter()
+            .map(|cfg| cfg.map(|l| map[l.index()]))
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        prop_assert_eq!(&rows(&c.map_labels(|l| map[l.index()])), &mapped);
+        let allowed: LabelSet = (0..n).filter(|l| l % 2 == 0).map(Label::from_index).collect();
+        let kept: Vec<Config> =
+            oracle.iter().filter(|cfg| cfg.iter().all(|&l| allowed.contains(l))).cloned().collect();
+        let restricted = c.restrict(&allowed);
+        prop_assert_eq!(&rows(&restricted), &kept);
+        prop_assert!(restricted.is_subset(&c));
+        prop_assert_eq!(c.is_subset(&restricted), kept.len() == oracle.len());
+
+        // quotient and without_label, through a problem holding `c`.
+        let alphabet = Alphabet::from_names((0..n).map(|i| format!("L{i}"))).unwrap();
+        let p = Problem::new_general("p", alphabet, c.clone(), c.clone()).unwrap();
+        let q = p.packed().quotient(&map);
+        prop_assert_eq!(&rows(q.node()), &mapped);
+        let dropped = Label::from_index(seed as usize % n);
+        let shift = |l: Label| Label::from_index(l.index() - usize::from(l > dropped));
+        let without: Vec<Config> =
+            oracle.iter().filter(|cfg| !cfg.contains(&dropped)).map(|cfg| cfg.map(shift)).collect();
+        prop_assert_eq!(rows(p.packed().without_label(dropped).node()), without);
+
+        // The encoding walks the rows in the ordered set's order.
+        let mut enc = Enc::new();
+        encode_constraint(&c, &mut enc);
+        let bytes = enc.into_bytes();
+        let mut want = Enc::new();
+        want.u32(arity as u32);
+        want.u32(oracle.len() as u32);
+        oracle.iter().flat_map(|cfg| cfg.iter()).for_each(|l| want.u32(l.index() as u32));
+        prop_assert_eq!(&bytes, &want.into_bytes());
+        let back = decode_constraint(&mut Dec::new(&bytes), n).unwrap();
+        prop_assert_eq!(back, c);
     }
 }
 
