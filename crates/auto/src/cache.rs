@@ -28,7 +28,9 @@
 //! Two entry points intern: [`CanonCache::intern_wave`] resolves a whole
 //! relaxation wave in parallel across fingerprint shards, and
 //! [`CanonCache::intern`] takes one problem at a time (the search root, the
-//! daemon's proof store). Step children go through
+//! daemon's proof store on insert). [`CanonCache::find`] answers "which
+//! class?" without creating one (the proof store's lookups). Step children
+//! go through
 //! [`CanonCache::record_step`] with a probe built on a worker.
 //!
 //! Per node the cache also memoizes the two expensive per-problem queries
@@ -204,19 +206,46 @@ impl CanonCache {
         (id, back.is_none())
     }
 
-    /// Interns `probe` under its fingerprint: the bucket's classes are
-    /// checked in creation order, and a miss creates a class. On dedup the
-    /// probe is handed back (`Some`); a new class consumes it (`None`).
+    /// The class `p` belongs to, if one is interned: the bucket probe of
+    /// [`CanonCache::intern`] without the insert, so a miss creates
+    /// nothing. Its isomorphism checks count in `cache.iso_checks`, not in
+    /// [`CacheStats`], which counts interning.
+    pub fn find(&self, p: &Problem) -> Option<NodeId> {
+        let (fp, ranks) = fingerprint_and_ranks(p.packed());
+        self.probe_bucket(fp, p.packed(), &ranks).0
+    }
+
+    /// Interns `probe` under its fingerprint: a miss in its bucket creates
+    /// a class. On dedup the probe is handed back (`Some`); a new class
+    /// consumes it (`None`).
     fn intern_probe(&mut self, probe: Probe) -> (NodeId, Option<Probe>) {
-        for &id in self.fps.get(&probe.fp).map(Vec::as_slice).unwrap_or_default() {
-            self.stats.iso_resolutions += 1;
-            let (packed, ranks) = self.class(id);
-            if same_class(packed, ranks, &probe) {
+        let (found, checks) = self.probe_bucket(probe.fp, &probe.packed, &probe.ranks);
+        self.stats.iso_resolutions += checks;
+        match found {
+            Some(id) => {
                 self.stats.dedup_hits += 1;
-                return (id, Some(probe));
+                (id, Some(probe))
             }
+            None => (self.push_class(probe), None),
         }
-        (self.push_class(probe), None)
+    }
+
+    /// Checks the classes of fingerprint bucket `fp` in creation order
+    /// against a problem's rows and label ranks. Returns the first
+    /// isomorphic class and the number of checks made.
+    fn probe_bucket(
+        &self,
+        fp: u64,
+        packed: &PackedProblem,
+        ranks: &[u16],
+    ) -> (Option<NodeId>, usize) {
+        let mut checks = 0;
+        let found = self.fps.get(&fp).into_iter().flatten().copied().find(|&id| {
+            checks += 1;
+            let (class, class_ranks) = self.class(id);
+            same_class(class, class_ranks, packed, ranks)
+        });
+        (found, checks)
     }
 
     /// Creates a class for a problem known to be new and registers its
@@ -529,14 +558,14 @@ impl CanonCache {
     }
 }
 
-/// One isomorphism check between a cached class (its packed rows and
-/// ranks) and a probe, timed as a `stage.canon` span and counted as
-/// `cache.iso_checks`. Both sides were refined when they were built, so the
-/// span covers only the candidate filter and the search.
-fn same_class(class: &PackedProblem, ranks: &[u16], probe: &Probe) -> bool {
+/// One isomorphism check between a cached class and a query, each given
+/// by its packed rows and label ranks, timed as a `stage.canon` span and
+/// counted as `cache.iso_checks`. Both sides were refined when they were
+/// built, so the span covers only the candidate filter and the search.
+fn same_class(class: &PackedProblem, ranks: &[u16], query: &PackedProblem, qranks: &[u16]) -> bool {
     iso_checks().incr();
     let _sp = obs::trace::span("stage.canon");
-    isomorphism_ranked(class, ranks, &probe.packed, &probe.ranks).is_some()
+    isomorphism_ranked(class, ranks, query, qranks).is_some()
 }
 
 /// The memo slot of a [`ZeroRoundModel`].
@@ -599,7 +628,7 @@ impl ShardState {
                 WaveRef::Global(id) => cache.class(id),
                 WaveRef::Fresh(f) => (&self.fresh[f].packed, &*self.fresh[f].ranks),
             };
-            same_class(packed, ranks, &probe)
+            same_class(packed, ranks, &probe.packed, &probe.ranks)
         });
         self.iso_resolutions += checks;
         if let Some(to) = found {

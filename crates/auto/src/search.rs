@@ -4,7 +4,8 @@
 //!
 //! ## Lower bounds ([`autolb`])
 //!
-//! From the input problem, the search interleaves [`full_step`] edges with
+//! From the input problem, the search interleaves
+//! [`full_step`](roundelim_core::speedup::full_step) edges with
 //! searched relaxations ([`crate::moves::for_each_relax_move`]), exactly the §2.1
 //! recipe but with the relaxations *discovered* instead of hand-supplied.
 //! It stops on
@@ -41,16 +42,16 @@ use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
 use crate::moves::{for_each_harden_move, for_each_relax_move, Move};
 use roundelim_core::error::{Error, Result};
-use roundelim_core::iso::{isomorphism, Refiner};
+use roundelim_core::iso::{fingerprint_and_ranks, isomorphism, isomorphism_ranked, Refiner};
 use roundelim_core::label::Label;
 use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
-use roundelim_core::speedup::full_step;
+use roundelim_core::speedup::{complete_step, half_step_edge, HalfStep};
 use roundelim_core::zero_round::check_oriented_delta;
 use roundelim_obs as obs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A shareable cooperative-cancellation probe (see [`SearchOptions::cancel`]).
@@ -355,6 +356,77 @@ where
         failpoint::hit("worker-panic");
         f(item)
     })
+}
+
+/// A beam node's Π'_{1/2} with its fingerprint and label ranks
+/// ([`fingerprint_and_ranks`]).
+type RefinedHalf = (HalfStep, u64, Box<[u16]>);
+
+/// Finishes a beam's speedup steps once per isomorphism class of their
+/// half-steps. `halves` holds each item's half in the shape [`par_map`]
+/// returns: outer `None` is a captured panic, inner `None` a dead end.
+/// An item whose half is `same` as an earlier item's joins that item's
+/// class. `finish` (`None`: a dead end) runs on every class's first
+/// member, then on every other member unless the first member's result
+/// was a dead end: a dead end is a class invariant, so those members are
+/// dead ends with no work. A panic proves nothing about a class, so the
+/// members of a panicked first member are finished too. Each result comes
+/// from the item's own half, never from another member's.
+///
+/// Returns the results in the shape of `halves`, the panics captured here,
+/// and the number of members marked dead from their class.
+fn finish_by_class<H, R>(
+    halves: Vec<Option<Option<H>>>,
+    same: impl Fn(&H, &H) -> bool,
+    threads: usize,
+    finish: impl Fn(H) -> Option<R> + Sync,
+) -> (Vec<Option<Option<R>>>, usize, usize)
+where
+    H: Send,
+    R: Send,
+{
+    let half = |i: usize| halves[i].as_ref().and_then(Option::as_ref);
+    // Each item's class, named by its first member (`None` for the first
+    // members themselves and for items without a half).
+    let mut firsts: Vec<usize> = Vec::new();
+    let class_of: Vec<Option<usize>> = (0..halves.len())
+        .map(|i| {
+            let h = half(i)?;
+            let f = firsts.iter().copied().find(|&f| same(half(f).expect("first has a half"), h));
+            if f.is_none() {
+                firsts.push(i);
+            }
+            f
+        })
+        .collect();
+    // Items without a half keep their phase-1 outcome, and members marked
+    // dead keep this `Some(None)`; every other slot is overwritten below.
+    let mut out: Vec<Option<Option<R>>> = halves.iter().map(|h| h.as_ref().map(|_| None)).collect();
+    let slots: Vec<Mutex<Option<H>>> =
+        halves.into_iter().map(|h| Mutex::new(h.flatten())).collect();
+    let run = |&i: &usize| {
+        let h = slots[i].lock().expect("half slot").take().expect("each half finishes once");
+        finish(h)
+    };
+    let (done, mut panics) = par_map(&firsts, threads, run);
+    for (&i, res) in firsts.iter().zip(done) {
+        out[i] = res;
+    }
+    let mut dedups = 0;
+    let mut rest = Vec::new();
+    for (i, class) in class_of.into_iter().enumerate() {
+        match class {
+            Some(f) if matches!(out[f], Some(None)) => dedups += 1,
+            Some(_) => rest.push(i),
+            None => {}
+        }
+    }
+    let (done, more) = par_map(&rest, threads, run);
+    panics += more;
+    for (&i, res) in rest.iter().zip(done) {
+        out[i] = res;
+    }
+    (out, panics, dedups)
 }
 
 /// Per-node search bookkeeping, indexed by [`NodeId`] in lockstep with the
@@ -887,6 +959,13 @@ impl Search {
     /// (alphabet overflow) or whose child exceeds the intern cap are dead
     /// ends: the path stops, the search continues. Returns the new
     /// frontier and a cycle hit if one closed.
+    ///
+    /// Π'_{1/2} → Π'₁ is a fixed procedure, so every dead-end test on a
+    /// step result is an isomorphism invariant of the node's Π'_{1/2}. The
+    /// step therefore runs in phases: each node's Π'_{1/2} and its
+    /// refinement in parallel, then [`finish_by_class`], which completes
+    /// one half per isomorphism class first and marks the other members
+    /// of a dead-end class dead with no work.
     fn step_beam(
         &mut self,
         beam: &[NodeId],
@@ -910,12 +989,23 @@ impl Search {
         }
         let cap = self.intern_cap();
         // Inner Option: resource dead end. Outer (from par_map): panic.
-        type StepResult = Option<(Problem, Probe)>;
-        let (computed, panics): (Vec<Option<StepResult>>, usize) =
-            par_map(&todo, self.threads, |(_, p)| {
+        let (halves, panics) = par_map(&todo, self.threads, |(_, p)| {
+            let _sp = obs::trace::span("stage.step");
+            let half = half_step_edge(p).ok()?;
+            let (fp, ranks) = fingerprint_and_ranks(half.problem.packed());
+            Some((half, fp, ranks))
+        });
+        self.stats.worker_panics += panics;
+        // A beam-local check: the class store never sees these halves, so
+        // the cache's isomorphism counters do not move.
+        let same = |(a, fa, ra): &RefinedHalf, (b, fb, rb): &RefinedHalf| {
+            fa == fb && isomorphism_ranked(a.problem.packed(), ra, b.problem.packed(), rb).is_some()
+        };
+        let (computed, panics, dedups) =
+            finish_by_class(halves, same, self.threads, |(half, _, _): RefinedHalf| {
                 let derived = {
                     let _sp = obs::trace::span("stage.step");
-                    full_step(p).ok()?.full.problem
+                    complete_step(half).ok()?.full.problem
                 };
                 if derived.alphabet().len() > cap
                     || derived.node().is_empty()
@@ -930,6 +1020,7 @@ impl Search {
                 let probe = Probe::new(derived.clone());
                 Some((derived, probe))
             });
+        obs::metrics::counter("search.step_dedups").add(dedups as u64);
         self.stats.worker_panics += panics;
         let mut computed_iter = computed.into_iter();
         let mut frontier = Vec::new();
@@ -1409,6 +1500,42 @@ mod tests {
                 pruned.stats.cache.classes, unpruned.stats.cache.classes,
                 "{text}: class sets diverged"
             );
+        }
+    }
+
+    #[test]
+    fn a_panicked_representative_leaves_its_class_to_be_finished() {
+        use std::sync::atomic::AtomicUsize;
+        // Items are (class, item) halves: 0 and 2 share class 7, 1 and 3
+        // share class 8. Item 4 ended in phase 1 as a dead end, item 5
+        // panicked there. Class 7's first member panics in phase 2, class
+        // 8's first member is a dead end.
+        let halves = vec![
+            Some(Some((7, 0))),
+            Some(Some((8, 1))),
+            Some(Some((7, 2))),
+            Some(Some((8, 3))),
+            Some(None),
+            None,
+        ];
+        for threads in [1, 2] {
+            let calls = AtomicUsize::new(0);
+            let (out, panics, dedups) = finish_by_class(
+                halves.clone(),
+                |a: &(u8, usize), b: &(u8, usize)| a.0 == b.0,
+                threads,
+                |(class, item)| {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    assert!(item != 0, "injected panic on a phase-2 representative");
+                    (class == 7).then_some(item * 10)
+                },
+            );
+            assert_eq!(panics, 1, "threads={threads}");
+            // The panicked class's other member is computed, not marked
+            // dead; the dead-end class's other member costs nothing.
+            assert_eq!(out, [None, Some(None), Some(Some(20)), Some(None), Some(None), None]);
+            assert_eq!(dedups, 1, "threads={threads}");
+            assert_eq!(calls.load(Ordering::SeqCst), 3, "threads={threads}");
         }
     }
 

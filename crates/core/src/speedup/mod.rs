@@ -22,6 +22,7 @@ pub mod step;
 pub mod universal;
 
 pub use step::{
-    full_step, full_step_unsimplified, half_step_edge, half_step_node, FullStep, HalfStep, Side,
+    complete_step, full_step, full_step_unsimplified, half_step_edge, half_step_node, FullStep,
+    HalfStep, Side,
 };
 pub use universal::{dominates, line_good, maximal_good_lines, maximal_good_lines_threaded, Line};

@@ -10,7 +10,9 @@
 //!    algorithm could output over all extensions towards the node.
 //! 2. [`half_step_node`] (Π_{1/2} → Π'₁): dual — the **node** constraint is
 //!    transformed universally-with-maximality (Properties 4+6), the **edge**
-//!    constraint existentially (Property 3).
+//!    constraint existentially (Property 3). [`complete_step`] runs it on a
+//!    computed Π'_{1/2} and compresses, so a caller can inspect the half
+//!    before paying for the rest.
 //!
 //! By Theorems 1 and 2, on t-independent graph classes of girth ≥ 2t+2
 //! (with input edge orientations for the maximality step), Π is solvable in
@@ -188,7 +190,7 @@ pub fn half_step_node(p: &Problem) -> Result<HalfStep> {
 
 /// One full simplified speedup step Π → Π'₁ (Theorem 2), followed by the
 /// compression convention (drop labels that cannot occur in a correct
-/// solution).
+/// solution): [`complete_step`] of [`half_step_edge`].
 ///
 /// # Errors
 ///
@@ -204,7 +206,19 @@ pub fn half_step_node(p: &Problem) -> Result<HalfStep> {
 /// assert_eq!(step.problem().alphabet().len(), 2);
 /// ```
 pub fn full_step(p: &Problem) -> Result<FullStep> {
-    let half = half_step_edge(p)?;
+    complete_step(half_step_edge(p)?)
+}
+
+/// The second half of [`full_step`]: Π'_{1/2} → Π'₁ by [`half_step_node`],
+/// then compression. The procedure is fixed, so isomorphic half-steps give
+/// isomorphic results: the same label count, the same empty constraints
+/// and the same alphabet overflow.
+///
+/// # Errors
+///
+/// Returns [`Error::AlphabetOverflow`] if the derived alphabet would exceed
+/// the engine's 256-label cap.
+pub fn complete_step(half: HalfStep) -> Result<FullStep> {
     let full = half_step_node(&half.problem)?;
     // Compress: drop outputs that occur on only one side. When compression
     // would be the identity (fixed-point problems, every step) the problem

@@ -290,7 +290,7 @@ fn run_job(shared: &Shared, job: &Job) {
     // Cache first: an isomorphic class solved in this direction is served
     // with its stored representative and certificate, no search.
     let hit = {
-        let mut store = shared.store.lock().expect("store poisoned");
+        let store = shared.store.lock().expect("store poisoned");
         store
             .lookup(&job.problem, job.direction)
             .map(|rec| (rec.problem.to_text(), rec.certificate.clone()))

@@ -77,8 +77,8 @@ pub struct ProofStore {
     /// The exact current store file contents.
     bytes: Vec<u8>,
     records: Vec<Record>,
-    /// Interns every stored problem (plus looked-up queries), giving each
-    /// isomorphism class a stable id.
+    /// Interns every stored problem, giving each isomorphism class a
+    /// stable id. Lookups only probe it.
     cache: CanonCache,
     /// (class id, direction) → index into `records`.
     index: HashMap<(u32, u8), usize>,
@@ -181,21 +181,17 @@ impl ProofStore {
         self.records.is_empty()
     }
 
-    /// Number of interned isomorphism classes (stored problems plus
-    /// looked-up queries).
+    /// Number of interned isomorphism classes: the classes of the stored
+    /// problems.
     pub fn classes(&self) -> usize {
         self.cache.len()
     }
 
-    /// Looks up a proof for `p`'s isomorphism class in `direction`.
-    ///
-    /// Takes `&mut self` because the query is interned: a later insert of
-    /// the same class (or any isomorphic spelling) resolves to the same id.
-    pub fn lookup(&mut self, p: &Problem, direction: Direction) -> Option<&Record> {
-        let (id, fresh) = self.cache.intern(p.clone());
-        if fresh {
-            return None;
-        }
+    /// Looks up a proof for `p`'s isomorphism class in `direction`. A miss
+    /// leaves the store as it was: only [`ProofStore::insert`] adds a
+    /// class, so a query that never gets a proof costs no memory.
+    pub fn lookup(&self, p: &Problem, direction: Direction) -> Option<&Record> {
+        let id = self.cache.find(p)?;
         self.index.get(&(id.0, dir_tag(direction))).map(|&ix| &self.records[ix])
     }
 
@@ -298,7 +294,7 @@ mod tests {
             assert_eq!(store.len(), 1);
         }
         // A fresh open (no sidecar) rebuilds the index by scanning.
-        let mut store = ProofStore::open(&dir).unwrap();
+        let store = ProofStore::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
         let rec = store.lookup(&p, Direction::Lower).expect("hit after reopen");
         assert_eq!(rec.certificate, cert);
@@ -316,27 +312,57 @@ mod tests {
     fn sidecar_restores_and_guards() {
         let dir = tmp_dir("sidecar");
         let (p, cert) = solved();
+        let q = Problem::parse("name: q\nnode: A A A\nedge: A A").unwrap();
         {
             let mut store = ProofStore::open(&dir).unwrap();
             store.insert(p.clone(), cert.clone()).unwrap();
-            // Intern a query miss too: the snapshot may hold more classes
-            // than records.
+            // Lookup misses intern nothing, so the snapshot holds exactly
+            // the stored classes.
             assert!(store.lookup(&sinkless_renamed(), Direction::Upper).is_none());
+            assert!(store.lookup(&q, Direction::Lower).is_none());
             store.save_cache_snapshot().unwrap();
         }
         let mut store = ProofStore::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
-        assert!(store.classes() >= 1);
+        assert_eq!(store.classes(), 1);
         assert!(store.lookup(&sinkless_renamed(), Direction::Lower).is_some());
         // Append after the snapshot: the stale sidecar must be ignored,
         // not trusted.
-        let q = Problem::parse("name: q\nnode: A A A\nedge: A A").unwrap();
         let out = autolb(&q, &SearchOptions { threads: 1, ..SearchOptions::default() }).unwrap();
         store.insert(q.clone(), out.certificate.unwrap()).unwrap();
-        let mut reopened = ProofStore::open(&dir).unwrap();
+        let reopened = ProofStore::open(&dir).unwrap();
         assert_eq!(reopened.len(), 2);
         assert!(reopened.lookup(&q, Direction::Lower).is_some());
         assert!(reopened.lookup(&p, Direction::Lower).is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn lookup_misses_create_no_classes() {
+        let dir = tmp_dir("misses");
+        let (p, cert) = solved();
+        let mut store = ProofStore::open(&dir).unwrap();
+        store.insert(p.clone(), cert).unwrap();
+        let classes = store.classes();
+        // Distinct classes (k-colorings of cycles), each missed twice, and
+        // a stored class missed in the other direction.
+        for k in 2..10 {
+            let labels: Vec<String> = (0..k).map(|c| format!("C{c}")).collect();
+            let node: Vec<String> = labels.iter().map(|l| format!("{l} {l}")).collect();
+            let mut edge = Vec::new();
+            for (i, a) in labels.iter().enumerate() {
+                edge.extend(labels[i + 1..].iter().map(|b| format!("{a} {b}")));
+            }
+            let text =
+                format!("name: c{k}\nnode: {}\nedge: {}", node.join(" | "), edge.join(" | "));
+            let q = Problem::parse(&text).unwrap();
+            for _ in 0..2 {
+                assert!(store.lookup(&q, Direction::Lower).is_none(), "{text}");
+            }
+        }
+        assert!(store.lookup(&sinkless_renamed(), Direction::Upper).is_none());
+        assert_eq!(store.classes(), classes);
+        assert!(store.lookup(&sinkless_renamed(), Direction::Lower).is_some());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

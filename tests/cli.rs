@@ -133,9 +133,11 @@ fn autolb_json_embeds_the_certificate() {
 ///
 /// The same runs pin the search's work and bound the class store: 1771
 /// isomorphism checks (`cache.iso_checks`) resolve 1723 wave hits against
-/// 5095 wave misses at every thread count, and `cache.packed_bytes`
-/// (packed rows, label ranks, name ids and the name table) stays under
-/// 1 KiB per interned class.
+/// 5095 wave misses at every thread count, 3 beam nodes end as dead ends
+/// read off an isomorphic half-step (`search.step_dedups`) instead of
+/// finishing their own step, and `cache.packed_bytes` (packed rows, label
+/// ranks, name ids and the name table) stays under 1 KiB per interned
+/// class.
 #[test]
 fn coloring_certificate_bytes_are_pinned() {
     const GOLDEN: u64 = 0xc8fe_075d_8e20_380f;
@@ -150,21 +152,65 @@ fn coloring_certificate_bytes_are_pinned() {
         let digest = roundelim_core::binenc::fnv1a64(&bytes);
         assert_eq!(digest, GOLDEN, "threads={threads}: certificate digest {digest:#x}");
 
-        let classes = report.get("stats").and_then(|s| s.get("classes")).and_then(|c| c.as_u64());
-        let counter = |name: &str| {
-            report
-                .get("obs")
-                .and_then(|o| o.get("counters"))
-                .and_then(|c| c.get(name))
-                .and_then(|b| b.as_u64())
-                .unwrap_or_else(|| panic!("threads={threads}: no counter {name}"))
-        };
-        let (classes, packed) = (classes.expect("classes"), counter("cache.packed_bytes"));
+        let counter = |name: &str| report_u64(&report, &["obs", "counters", name]);
+        let (classes, packed) =
+            (report_u64(&report, &["stats", "classes"]), counter("cache.packed_bytes"));
         assert_eq!(classes, 5102, "threads={threads}");
         assert_eq!(counter("cache.iso_checks"), 1771, "threads={threads}");
         assert_eq!(counter("cache.intern_hits"), 1723, "threads={threads}");
         assert_eq!(counter("cache.intern_misses"), 5095, "threads={threads}");
+        assert_eq!(counter("search.step_dedups"), 3, "threads={threads}");
         assert!(packed <= 1024 * classes, "threads={threads}: {packed} B for {classes} classes");
+    }
+}
+
+/// The number at `path` in a `--json` report.
+fn report_u64(report: &roundelim::auto::json::Json, path: &[&str]) -> u64 {
+    path.iter()
+        .try_fold(report, |j, key| j.get(key))
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("no number at {path:?}"))
+}
+
+/// `(spec, classes, expanded, intern misses, intern hits, iso checks, step
+/// dedups)` of `autolb` on each threads-sweep spec at the CI sweep budget.
+const ZOO_WORK: [(&str, u64, u64, u64, u64, u64, u64); 6] = [
+    ("sinkless-orientation::3", 3, 2, 1, 1, 2, 0),
+    ("sinkless-orientation::4", 3, 2, 1, 1, 2, 0),
+    ("coloring:3:2", 21, 1, 19, 60, 60, 0),
+    ("coloring:3:3", 5102, 13, 5095, 1723, 1771, 3),
+    ("maximal-matching::3", 613, 8, 606, 82, 90, 0),
+    ("mis::3", 1049, 4, 1044, 31, 93, 0),
+];
+
+/// The zoo's search work is gated exactly, not by time: the classes, the
+/// expansions, the wave intern misses and hits, the isomorphism checks and
+/// the step dedups of every threads-sweep spec are the same at 1 and 2
+/// worker threads and equal the table. Doubling the isomorphism checks,
+/// interning a class twice or finishing a dead-end class twice fails here.
+#[test]
+fn zoo_search_work_is_pinned_exactly() {
+    for threads in ["1", "2"] {
+        let actual: Vec<_> = ZOO_WORK
+            .iter()
+            .map(|&(spec, ..)| {
+                let args = ["autolb", spec, "--steps", "4", "--beam", "6", "--max-labels", "10"];
+                let report = run_ok(&[&args[..], &["--threads", threads, "--json"]].concat());
+                let report = roundelim::auto::json::Json::parse(&report).expect("JSON report");
+                let stat = |name| report_u64(&report, &["stats", name]);
+                let counter = |name| report_u64(&report, &["obs", "counters", name]);
+                (
+                    spec,
+                    stat("classes"),
+                    stat("expanded"),
+                    counter("cache.intern_misses"),
+                    counter("cache.intern_hits"),
+                    counter("cache.iso_checks"),
+                    counter("search.step_dedups"),
+                )
+            })
+            .collect();
+        assert_eq!(actual, ZOO_WORK, "threads={threads}");
     }
 }
 

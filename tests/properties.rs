@@ -18,7 +18,7 @@ use roundelim::core::speedup::universal::{
     dominates, line_good, maximal_good_lines, maximal_good_lines_bruteforce,
     maximal_good_lines_threaded,
 };
-use roundelim::core::speedup::{full_step, half_step_edge};
+use roundelim::core::speedup::{complete_step, full_step, half_step_edge, HalfStep};
 
 /// A random small problem: Δ ∈ {2,3}, 2–4 labels, random constraints.
 fn arb_problem() -> impl Strategy<Value = Problem> {
@@ -231,6 +231,71 @@ proptest! {
                 prop_assert!(roundelim::core::iso::are_isomorphic(a.problem(), b.problem()));
             }
             (Err(_), Err(_)) => {}
+            (a, b) => prop_assert!(false, "asymmetric outcome: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// `full_step` is `complete_step` of `half_step_edge`: the split the
+    /// search uses changes no derived problem and no meaning.
+    #[test]
+    fn complete_step_of_the_half_is_the_full_step(p in arb_problem()) {
+        match (half_step_edge(&p).and_then(complete_step), full_step(&p)) {
+            (Ok(a), Ok(b)) => {
+                prop_assert_eq!(&a.half.problem, &b.half.problem);
+                prop_assert_eq!(&a.half.meanings, &b.half.meanings);
+                prop_assert_eq!(&a.full.problem, &b.full.problem);
+                prop_assert_eq!(&a.full.meanings, &b.full.meanings);
+            }
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
+            (a, b) => prop_assert!(false, "asymmetric outcome: {a:?} vs {b:?}"),
+        }
+    }
+
+    /// What the search reads off a step result — the Π'₁ label count,
+    /// whether a constraint is empty, and alphabet overflow — is the same
+    /// for Π'_{1/2} and any renaming of it, so one member of an
+    /// isomorphism class of half-steps decides a dead end for all.
+    #[test]
+    fn step_dead_end_tests_are_invariant_under_renaming_the_half(
+        p in arb_problem(),
+        seed in 0u64..1 << 48,
+    ) {
+        let Ok(half) = half_step_edge(&p) else { return Ok(()) };
+        // A seeded random permutation: old label l becomes perm[l].
+        let n = half.problem.alphabet().len();
+        let mut perm: Vec<usize> = (0..n).collect();
+        let mut state = seed;
+        for i in (1..n).rev() {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            perm.swap(i, (state >> 33) as usize % (i + 1));
+        }
+        let remap = |l: Label| Label::from_index(perm[l.index()]);
+        let mut names = vec![String::new(); n];
+        let mut meanings = vec![LabelSet::empty(); n];
+        for l in half.problem.alphabet().labels() {
+            names[perm[l.index()]] = half.problem.alphabet().name(l).to_owned();
+            meanings[perm[l.index()]] = half.meanings[l.index()];
+        }
+        let renamed = HalfStep {
+            problem: Problem::new(
+                "renamed",
+                Alphabet::from_names(names).unwrap(),
+                half.problem.node().map_labels(remap),
+                half.problem.edge().map_labels(remap),
+            )
+            .unwrap(),
+            meanings,
+            side: half.side,
+        };
+        let outcome = |h: HalfStep| {
+            complete_step(h).map(|s| {
+                let q = s.problem();
+                (q.alphabet().len(), q.node().is_empty(), q.edge().is_empty())
+            })
+        };
+        match (outcome(half), outcome(renamed)) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
+            (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "asymmetric outcome: {a:?} vs {b:?}"),
         }
     }
