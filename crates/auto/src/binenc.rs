@@ -417,7 +417,7 @@ mod tests {
         // Build a snapshot by re-running through the cache directly.
         let mut cache = CanonCache::new();
         let (a, _) = cache.intern(sinkless());
-        let stepped = roundelim_core::speedup::full_step(&sinkless()).unwrap().problem().clone();
+        let stepped = roundelim_core::speedup::full_step(&sinkless(), 1).unwrap().problem().clone();
         let probe = crate::cache::Probe::new(stepped.clone());
         cache.record_step(a, stepped, probe);
         let snap = cache.snapshot();

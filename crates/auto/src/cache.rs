@@ -436,19 +436,19 @@ impl CanonCache {
     /// Memoized speedup: the [`full_step`] successor class of `id`, plus
     /// the concrete derived problem (exactly `full_step` of the class
     /// representative, recorded so certificate chains can splice it in
-    /// verbatim).
+    /// verbatim). A miss steps on `threads` worker threads.
     ///
     /// # Errors
     ///
     /// Propagates speedup errors (e.g. alphabet overflow).
-    pub fn step(&mut self, id: NodeId) -> Result<(NodeId, Problem)> {
+    pub fn step(&mut self, id: NodeId, threads: usize) -> Result<(NodeId, Problem)> {
         if let Some(succ) = self.step_succ(id) {
             let derived = self.step_derived(id).expect("memo present").clone();
             return Ok((succ, derived));
         }
         let derived = {
             let _sp = obs::trace::span("stage.step");
-            full_step(&self.materialize(id))?.full.problem
+            full_step(&self.materialize(id), threads)?.full.problem
         };
         let (succ, _) = self.record_step(id, derived.clone(), Probe::new(derived.clone()));
         Ok((succ, derived))
@@ -981,8 +981,8 @@ mod tests {
     fn step_is_memoized() {
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(sc());
-        let (s1, d1) = cache.step(id).unwrap();
-        let (s2, d2) = cache.step(id).unwrap();
+        let (s1, d1) = cache.step(id, 1).unwrap();
+        let (s2, d2) = cache.step(id, 1).unwrap();
         assert_eq!(s1, s2);
         assert_eq!(d1, d2);
         assert_eq!(cache.stats.step_misses, 1);
@@ -995,7 +995,7 @@ mod tests {
     fn snapshot_restore_preserves_behavior_and_counters() {
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(sc());
-        cache.step(id).unwrap();
+        cache.step(id, 1).unwrap();
         assert!(!cache.is_zero_round(id, ZeroRoundModel::Oriented));
         cache.intern_wave(vec![Probe::new(trivial())], 1, 1);
 
@@ -1011,7 +1011,7 @@ mod tests {
         assert!(got[0].1.is_some());
         // The step memo came along: no recomputation.
         let misses = restored.stats.step_misses;
-        let (succ, _) = restored.step(id).unwrap();
+        let (succ, _) = restored.step(id, 1).unwrap();
         assert_eq!(succ, id);
         assert_eq!(restored.stats.step_misses, misses);
         // So did the 0-round memo.
@@ -1050,7 +1050,7 @@ mod tests {
     fn restore_rejects_out_of_range_ids() {
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(sc());
-        cache.step(id).unwrap();
+        cache.step(id, 1).unwrap();
         let mut snap = cache.snapshot();
         snap.entries[0].1.as_mut().unwrap().0 = NodeId(99);
         assert!(CanonCache::restore(snap).is_err());

@@ -158,6 +158,8 @@ impl Certificate {
     ///
     /// Returns the first failed check. Engine errors during replay (e.g.
     /// alphabet overflow re-running a step) also reject the certificate.
+    /// The replay steps on the caller's thread: a certificate's chain is
+    /// short, and its steps are ones the search already finished.
     pub fn verify(&self) -> std::result::Result<(), CertError> {
         self.verify_impl(false)
     }
@@ -197,7 +199,7 @@ impl Certificate {
                     if fast {
                         continue;
                     }
-                    let derived = match full_step(cur) {
+                    let derived = match full_step(cur, 1) {
                         Ok(s) => s.problem().clone(),
                         Err(e) => return fail(format!("edge {i}: step replay failed: {e}")),
                     };
@@ -486,7 +488,7 @@ mod tests {
         let mut problems = vec![p0.clone()];
         let mut edges = Vec::new();
         loop {
-            let next = full_step(problems.last().unwrap()).unwrap().problem().clone();
+            let next = full_step(problems.last().unwrap(), 1).unwrap().problem().clone();
             edges.push(Edge::Step);
             if let Some(map) = roundelim_core::iso::isomorphism(next.packed(), problems[0].packed())
             {
@@ -529,7 +531,7 @@ mod tests {
         assert!(cert.verify_fast().is_err());
         // Over-claimed bound: both modes reject.
         let p = sc();
-        let next = full_step(&p).unwrap().problem().clone();
+        let next = full_step(&p, 1).unwrap().problem().clone();
         let over = Certificate {
             direction: Direction::Lower,
             model: ZeroRoundModel::Oriented,
@@ -595,7 +597,7 @@ mod tests {
     #[test]
     fn overclaimed_lower_bound_is_rejected() {
         let p = sc();
-        let next = full_step(&p).unwrap().problem().clone();
+        let next = full_step(&p, 1).unwrap().problem().clone();
         let cert = Certificate {
             direction: Direction::Lower,
             model: ZeroRoundModel::Oriented,
@@ -613,7 +615,7 @@ mod tests {
     #[test]
     fn incomplete_lower_bound_verifies_and_round_trips() {
         let p = sc();
-        let next = full_step(&p).unwrap().problem().clone();
+        let next = full_step(&p, 1).unwrap().problem().clone();
         let cert = Certificate {
             direction: Direction::Lower,
             model: ZeroRoundModel::Oriented,

@@ -675,7 +675,7 @@ mod tests {
         let mut out = Vec::new();
         for (name, k, delta) in specs {
             let p = family(name).unwrap().instantiate(k, delta).unwrap();
-            let step = full_step(&p).unwrap().problem().clone();
+            let step = full_step(&p, 1).unwrap().problem().clone();
             out.push(p);
             if step.alphabet().len() > 40 {
                 continue;
@@ -684,7 +684,7 @@ mod tests {
                 .into_iter()
                 .find(|m| m.result.alphabet().len() <= 10);
             out.push(step);
-            if let Some(Ok(next)) = small.map(|m| full_step(&m.result)) {
+            if let Some(Ok(next)) = small.map(|m| full_step(&m.result, 1)) {
                 if next.problem().alphabet().len() <= 40 {
                     out.push(next.problem().clone());
                 }

@@ -28,13 +28,14 @@
 //!
 //! ## Parallelism and determinism
 //!
-//! Frontier expansion fans out across cores with [`std::thread::scope`]
-//! (the PR 2 merge-closure pattern): the *pure* per-node work — speedup
-//! steps, candidate generation, isomorphism and goal checks — runs on
-//! workers in contiguous chunks, and results are folded into the cache
-//! sequentially in item order. The outcome is identical for every thread
-//! count; the `threads` option (0 = the `ROUNDELIM_THREADS` variable,
-//! else all cores) only sets how fast it arrives.
+//! Frontier expansion fans out across cores on the shared executor
+//! ([`roundelim_core::par`]): the *pure* per-node work — speedup steps,
+//! candidate generation, isomorphism and goal checks — runs on workers,
+//! and results are folded into the cache sequentially in item order. The
+//! outcome is identical for every thread count; the `threads` option
+//! (0 = all cores) only sets how fast it arrives. It is the search's whole
+//! budget: a step stage running k speedup steps gives each one a
+//! [`share`] of it.
 
 use crate::cache::{CacheSnapshot, CacheStats, CanonCache, NodeId, Probe};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
@@ -44,6 +45,7 @@ use crate::moves::{for_each_harden_move, for_each_relax_move, Move};
 use roundelim_core::error::{Error, Result};
 use roundelim_core::iso::{fingerprint_and_ranks, isomorphism, isomorphism_ranked, Refiner};
 use roundelim_core::label::Label;
+use roundelim_core::par::{resolve_threads, share};
 use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
 use roundelim_core::speedup::{complete_step, half_step_edge, HalfStep};
@@ -158,7 +160,7 @@ pub struct SearchOptions {
     /// can grow alphabets doubly exponentially; relaxations are how the
     /// search gets back under the limit).
     pub max_labels: usize,
-    /// Worker threads; 0 resolves `ROUNDELIM_THREADS` / all cores.
+    /// Worker threads, the search's whole budget; 0 means all cores.
     pub threads: usize,
     /// The 0-round model for goal checks.
     pub model: ZeroRoundModel,
@@ -328,10 +330,6 @@ pub struct Outcome {
     pub stats: SearchStats,
 }
 
-/// Resolves the worker-thread count through the workspace-wide convention
-/// (explicit option, else `ROUNDELIM_THREADS`, else all cores).
-use roundelim_core::par::resolve_threads;
-
 /// Fingerprint-shard count of the wave interner. A power of two
 /// comfortably above any sane thread count: shard skew is what limits the
 /// interner's parallelism, not shard count. Fixed independently of the
@@ -368,10 +366,11 @@ type RefinedHalf = (HalfStep, u64, Box<[u16]>);
 /// An item whose half is `same` as an earlier item's joins that item's
 /// class. `finish` (`None`: a dead end) runs on every class's first
 /// member, then on every other member unless the first member's result
-/// was a dead end: a dead end is a class invariant, so those members are
-/// dead ends with no work. A panic proves nothing about a class, so the
-/// members of a panicked first member are finished too. Each result comes
-/// from the item's own half, never from another member's.
+/// was a dead end (a class invariant, so those members are dead ends with
+/// no work), each time with its [`share`] of `threads`. A panic proves
+/// nothing about a class, so the members of a panicked first member are
+/// finished too. Each result comes from the item's own half, never from
+/// another member's.
 ///
 /// Returns the results in the shape of `halves`, the panics captured here,
 /// and the number of members marked dead from their class.
@@ -379,7 +378,7 @@ fn finish_by_class<H, R>(
     halves: Vec<Option<Option<H>>>,
     same: impl Fn(&H, &H) -> bool,
     threads: usize,
-    finish: impl Fn(H) -> Option<R> + Sync,
+    finish: impl Fn(H, usize) -> Option<R> + Sync,
 ) -> (Vec<Option<Option<R>>>, usize, usize)
 where
     H: Send,
@@ -404,11 +403,14 @@ where
     let mut out: Vec<Option<Option<R>>> = halves.iter().map(|h| h.as_ref().map(|_| None)).collect();
     let slots: Vec<Mutex<Option<H>>> =
         halves.into_iter().map(|h| Mutex::new(h.flatten())).collect();
-    let run = |&i: &usize| {
-        let h = slots[i].lock().expect("half slot").take().expect("each half finishes once");
-        finish(h)
+    let run = |items: &[usize]| {
+        let inner = share(threads, items.len());
+        par_map(items, threads, |&i| {
+            let h = slots[i].lock().expect("half slot").take().expect("each half finishes once");
+            finish(h, inner)
+        })
     };
-    let (done, mut panics) = par_map(&firsts, threads, run);
+    let (done, mut panics) = run(&firsts);
     for (&i, res) in firsts.iter().zip(done) {
         out[i] = res;
     }
@@ -421,7 +423,7 @@ where
             None => {}
         }
     }
-    let (done, more) = par_map(&rest, threads, run);
+    let (done, more) = run(&rest);
     panics += more;
     for (&i, res) in rest.iter().zip(done) {
         out[i] = res;
@@ -965,7 +967,9 @@ impl Search {
     /// step therefore runs in phases: each node's Π'_{1/2} and its
     /// refinement in parallel, then [`finish_by_class`], which completes
     /// one half per isomorphism class first and marks the other members
-    /// of a dead-end class dead with no work.
+    /// of a dead-end class dead with no work. Each phase runs its k steps
+    /// on `min(k, threads)` workers and gives each step a [`share`] of the
+    /// budget, so a one-wide beam steps on every thread.
     fn step_beam(
         &mut self,
         beam: &[NodeId],
@@ -989,9 +993,10 @@ impl Search {
         }
         let cap = self.intern_cap();
         // Inner Option: resource dead end. Outer (from par_map): panic.
+        let inner = share(self.threads, todo.len());
         let (halves, panics) = par_map(&todo, self.threads, |(_, p)| {
             let _sp = obs::trace::span("stage.step");
-            let half = half_step_edge(p).ok()?;
+            let half = half_step_edge(p, inner).ok()?;
             let (fp, ranks) = fingerprint_and_ranks(half.problem.packed());
             Some((half, fp, ranks))
         });
@@ -1002,10 +1007,10 @@ impl Search {
             fa == fb && isomorphism_ranked(a.problem.packed(), ra, b.problem.packed(), rb).is_some()
         };
         let (computed, panics, dedups) =
-            finish_by_class(halves, same, self.threads, |(half, _, _): RefinedHalf| {
+            finish_by_class(halves, same, self.threads, |(half, _, _): RefinedHalf, inner| {
                 let derived = {
                     let _sp = obs::trace::span("stage.step");
-                    complete_step(half).ok()?.full.problem
+                    complete_step(half, inner).ok()?.full.problem
                 };
                 if derived.alphabet().len() > cap
                     || derived.node().is_empty()
@@ -1524,7 +1529,9 @@ mod tests {
                 halves.clone(),
                 |a: &(u8, usize), b: &(u8, usize)| a.0 == b.0,
                 threads,
-                |(class, item)| {
+                |(class, item), inner| {
+                    // Two first members share the budget; item 2 finishes alone.
+                    assert_eq!(inner, if item == 2 { threads } else { 1 });
                     calls.fetch_add(1, Ordering::SeqCst);
                     assert!(item != 0, "injected panic on a phase-2 representative");
                     (class == 7).then_some(item * 10)

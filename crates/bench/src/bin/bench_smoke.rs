@@ -51,6 +51,7 @@ use roundelim_bench::{calibrate_iters, measure, to_json, Measurement};
 use roundelim_core::iso::{fingerprint, fingerprint_and_ranks, isomorphism, isomorphism_ranked};
 use roundelim_core::label::Label;
 use roundelim_core::packed::PackedProblem;
+use roundelim_core::par::resolve_threads;
 use roundelim_core::problem::Problem;
 use roundelim_core::speedup::{full_step, half_step_edge};
 use roundelim_core::zero_round::zero_round_oriented;
@@ -102,23 +103,25 @@ fn reversed(p: &PackedProblem) -> PackedProblem {
 
 fn main() {
     let mut results: Vec<Measurement> = Vec::new();
+    // The speedup cases step on every core of the machine.
+    let threads = resolve_threads(0);
 
     for delta in 3..=10 {
         let p = sinkless_coloring(delta).expect("valid Δ");
         case(&mut results, "E1_sinkless_full_step", delta, || {
-            black_box(full_step(&p).expect("no overflow"));
+            black_box(full_step(&p, threads).expect("no overflow"));
         });
     }
     for k in 3..=7 {
         let p = coloring(k, 2).expect("valid k");
         case(&mut results, "E2_coloring_half_step", k, || {
-            black_box(half_step_edge(&p).expect("no overflow"));
+            black_box(half_step_edge(&p, threads).expect("no overflow"));
         });
     }
     for delta in [3usize, 5, 7, 9, 11] {
         let p = weak_coloring_pointer(2, delta).expect("valid Δ");
         case(&mut results, "E3_weak2_full_step", delta, || {
-            black_box(full_step(&p).expect("no overflow"));
+            black_box(full_step(&p, threads).expect("no overflow"));
         });
     }
     // The observability tax, measured back to back with the E3/9 step it
@@ -134,7 +137,7 @@ fn main() {
     {
         let p = weak_coloring_pointer(2, 9).expect("valid Δ");
         case(&mut results, "O1_trace_overhead", 0, || {
-            black_box(full_step(&p).expect("no overflow"));
+            black_box(full_step(&p, threads).expect("no overflow"));
         });
         let median = |family: &str, param: usize| {
             results
@@ -151,7 +154,7 @@ fn main() {
         );
         roundelim_obs::trace::install().expect("install the O1 trace sink");
         case(&mut results, "O1_trace_overhead", 1, || {
-            black_box(full_step(&p).expect("no overflow"));
+            black_box(full_step(&p, threads).expect("no overflow"));
         });
         black_box(roundelim_obs::trace::finish());
     }
@@ -161,7 +164,7 @@ fn main() {
     // a coloring:3:3 search actually meets at its first two depths.
     {
         let c33 = coloring(3, 3).expect("valid k");
-        let step = full_step(&c33).expect("no overflow");
+        let step = full_step(&c33, threads).expect("no overflow");
         let mut candidates: Vec<PackedProblem> = Vec::new();
         for p in [&c33, step.problem()] {
             for_each_relax_move(p.packed(), false, false, |mv| candidates.push(mv.result));
@@ -196,7 +199,7 @@ fn main() {
     {
         const MAX_LABELS: usize = 10;
         let c33 = coloring(3, 3).expect("valid k");
-        let step = full_step(&c33).expect("no overflow").problem().clone();
+        let step = full_step(&c33, threads).expect("no overflow").problem().clone();
         let mut sources = vec![c33, step.clone()];
         let mut small = Vec::new();
         for_each_relax_move(step.packed(), true, false, |mv| {
@@ -206,7 +209,7 @@ fn main() {
             }
         });
         for p in small.iter().take(3) {
-            sources.push(full_step(p).expect("no overflow").problem().clone());
+            sources.push(full_step(p, threads).expect("no overflow").problem().clone());
         }
         case_per_item(&mut results, "K2_relax_candidates", 0, &sources, |p| {
             let subset_rows_only = p.alphabet().len() > MAX_LABELS;

@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn step_report_mentions_all_parts() {
         let base = sc();
-        let step = full_step(&base).unwrap();
+        let step = full_step(&base, 1).unwrap();
         let r = step_report(&base, &step);
         assert!(r.contains("base problem"));
         assert!(r.contains("Π'_1/2"));

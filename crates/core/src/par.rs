@@ -18,6 +18,13 @@
 //! panicking task, never a whole chunk. [`par_map`] is the strict
 //! variant for callers whose tasks must not panic.
 //!
+//! One thread budget: an entry point resolves its thread count once with
+//! [`resolve_threads`] (0 means all cores there and only there), and a
+//! parallel call hands each of its tasks a [`share`] of that count, so
+//! nested calls split the budget instead of multiplying it. Chunked work
+//! goes through [`par_chunks`] (read-only, weight-balanced chunks) or
+//! [`par_each`] (owned items, typically `&mut` chunks filled in place).
+//!
 //! The executor reports into the `roundelim-obs` registry: `exec.tasks`,
 //! `exec.steals` and `exec.spawns` (worker threads started) counters are
 //! always live; the `exec.worker_idle_ns`
@@ -27,26 +34,40 @@
 //! a trace finished right after a parallel call still holds its spans.
 
 use roundelim_obs as obs;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-/// Resolves a worker-thread count: explicit option if positive, else the
-/// `ROUNDELIM_THREADS` environment variable, else all available cores.
+/// Resolves a worker-thread count at an entry point: the explicit option
+/// if positive, else all available cores.
 ///
-/// This is the one thread-budget convention of the workspace: the beam
-/// search, the merge closure, the simulator, and the daemon's per-job
-/// searches all resolve through here.
+/// This is the one thread-budget rule of the workspace. The entry points
+/// (the CLI's `--threads`, `SearchOptions`, `CrossvalOptions`,
+/// `CheckOptions`, `ServeConfig`) resolve their option here once; every
+/// call below them takes the resolved count, treats 0 as 1, and hands
+/// nested calls a [`share`] of it.
 pub fn resolve_threads(opt: usize) -> usize {
     if opt > 0 {
         return opt;
     }
-    std::env::var("ROUNDELIM_THREADS")
-        .ok()
-        .and_then(|s| s.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
+
+/// The thread budget of each of `tasks` tasks that a parallel call with
+/// `threads` threads runs on `min(tasks, threads)` workers:
+/// `max(1, threads / min(tasks, threads))`. Nested calls that take their
+/// share split the budget instead of multiplying it, so together they
+/// never run more than `threads` threads.
+pub fn share(threads: usize, tasks: usize) -> usize {
+    (threads / threads.min(tasks).max(1)).max(1)
+}
+
+/// Chunks cut per worker by the chunked helpers. Oversubscribing the
+/// executor lets stealing, not the chunk-weight model, absorb mispredicted
+/// chunk costs: a worker that drains its own chunks early steals the
+/// stragglers' queue instead of idling at the caller's barrier.
+pub const OVERSUB: usize = 4;
 
 /// Registry handles for the executor probes, resolved once so the hot
 /// paths pay one relaxed `fetch_add` per event instead of a registry
@@ -170,15 +191,65 @@ where
     out.into_iter().map(|r| r.expect("no panics counted")).collect()
 }
 
-/// Runs `f(0), f(1), …, f(tasks - 1)` to completion on stealing workers,
-/// discarding results. The closure typically claims exclusive state (a
-/// `Mutex`-wrapped `&mut` chunk) by index. Panics if any task panics.
-pub fn par_for_each_index<F>(tasks: usize, threads: usize, f: F)
+/// Maps `f` over contiguous chunks of the index range `0..len` on the
+/// executor, returning chunk results in chunk order: the workspace's one
+/// chunking helper.
+///
+/// At most `threads ·` [`OVERSUB`] chunks are cut, with boundaries
+/// balanced by `weight(index)` (a constant weight cuts equal chunks of
+/// `len.div_ceil(threads · OVERSUB)` indices). Boundaries are a pure
+/// function of `(len, threads, weight)`, so a caller that consumes the
+/// results in order and emits per index in index order stays
+/// deterministic for every thread count. Below `min_items` indices, or at
+/// one thread, `f` runs once inline on all of `0..len`.
+pub fn par_chunks<R, F, W>(len: usize, threads: usize, min_items: usize, weight: W, f: F) -> Vec<R>
 where
-    F: Fn(usize) + Sync,
+    R: Send,
+    F: Fn(Range<usize>) -> R + Sync,
+    W: Fn(usize) -> u64,
 {
-    let indices: Vec<usize> = (0..tasks).collect();
-    par_map(&indices, threads, |&i| f(i));
+    if threads <= 1 || len < min_items.max(2) {
+        return vec![f(0..len)];
+    }
+    // Greedy contiguous partition into ≤ `threads * OVERSUB` weight-
+    // balanced chunks.
+    let chunks = threads * OVERSUB;
+    let total: u64 = (0..len).map(&weight).sum();
+    let target = total.div_ceil(chunks as u64).max(1);
+    let mut bounds: Vec<usize> = Vec::with_capacity(chunks + 1);
+    bounds.push(0);
+    let mut acc = 0u64;
+    for i in 0..len {
+        acc += weight(i);
+        if acc >= target && bounds.len() < chunks && i + 1 < len {
+            bounds.push(i + 1);
+            acc = 0;
+        }
+    }
+    bounds.push(len);
+    let parts: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+    par_map(&parts, threads, |part| f(part.clone()))
+}
+
+/// Runs `f` once on each owned item and returns the results in item
+/// order: the in-place claim helper. The items are typically disjoint
+/// `&mut` chunks of one buffer (`buf.chunks_mut(len)`), so a buffer is
+/// filled or sorted where it lies instead of collected and flattened.
+/// Each executor task claims its item from a slot exactly once. At one
+/// thread, or for at most one item, the items run inline in order.
+pub fn par_each<I, R, F>(items: Vec<I>, threads: usize, f: F) -> Vec<R>
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
+    if threads <= 1 || items.len() <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    par_map(&slots, threads, |slot| {
+        f(slot.lock().expect("item slot").take().expect("claimed once"))
+    })
 }
 
 #[cfg(test)]
@@ -245,26 +316,44 @@ mod tests {
 
     #[test]
     fn mutex_claimed_mutable_chunks_compose_with_the_executor() {
-        // The in-place pattern the simulator uses: disjoint &mut chunks
-        // behind per-task Mutexes, claimed by index.
+        // The in-place pattern of the simulator: disjoint &mut chunks,
+        // each claimed by one task, results in chunk order.
         let mut data = vec![0u32; 100];
-        {
-            type Chunk<'a> = Mutex<Option<(usize, &'a mut [u32])>>;
-            let chunks: Vec<Chunk> = data
-                .chunks_mut(17)
-                .enumerate()
-                .map(|(ci, part)| Mutex::new(Some((ci * 17, part))))
-                .collect();
-            par_for_each_index(chunks.len(), 4, |i| {
-                let (base, part) =
-                    chunks[i].lock().expect("chunk slot").take().expect("claimed once");
-                for (j, slot) in part.iter_mut().enumerate() {
-                    *slot = (base + j) as u32;
-                }
-            });
+        let lens = par_each(data.chunks_mut(17).enumerate().collect(), 4, |(c, part)| {
+            for (i, slot) in (c * 17..).zip(part.iter_mut()) {
+                *slot = i as u32;
+            }
+            part.len()
+        });
+        assert_eq!(lens, [17, 17, 17, 17, 17, 15]);
+        assert_eq!(data, (0..100).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn map_indexed_preserves_order() {
+        // Chunk results flatten to the sequential map for every thread
+        // count, inline threshold and weight; weights `len - i` (the merge
+        // closure's) cut shorter chunks first.
+        let square = |r: Range<usize>| r.map(|i| i * i).collect::<Vec<_>>();
+        for (threads, min_items) in [(1, 0), (2, 0), (5, 2), (5, 100)] {
+            let chunks = par_chunks(17, threads, min_items, |i| 17 - i as u64, square);
+            assert!(chunks.len() <= threads * OVERSUB);
+            assert_eq!(chunks.concat(), square(0..17));
         }
-        let expect: Vec<u32> = (0..100).collect();
-        assert_eq!(data, expect);
+        let lens = par_chunks(200, 2, 16, |i| 200 - i as u64, |r| r.len());
+        assert!(lens.len() == 2 * OVERSUB && lens[0] < lens[lens.len() - 1], "{lens:?}");
+    }
+
+    #[test]
+    fn nested_shares_never_exceed_the_outer_budget() {
+        // The outer call's workers times each task's share is at most the
+        // budget; a one-wide call passes the whole budget down.
+        for threads in 1..=16 {
+            for tasks in 0..=40 {
+                assert!(threads.min(tasks) * share(threads, tasks) <= threads);
+            }
+        }
+        assert_eq!((share(8, 1), share(8, 3), share(2, 6), share(1, 0)), (8, 2, 1, 1));
     }
 
     #[test]
@@ -282,6 +371,7 @@ mod tests {
     #[test]
     fn resolve_threads_prefers_the_explicit_option() {
         assert_eq!(resolve_threads(3), 3);
-        assert!(resolve_threads(0) >= 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(resolve_threads(0), cores, "0 means all cores");
     }
 }

@@ -126,7 +126,8 @@ fn is_zero_round(p: &Problem, model: ZeroRoundModel) -> bool {
 
 /// Iterates the full simplified speedup from `p`, stopping on a 0-round
 /// solvable problem, a fixed point (up to isomorphism), or after
-/// `max_steps` steps. Uses the [`ZeroRoundModel::Oriented`] decider.
+/// `max_steps` steps. Uses the [`ZeroRoundModel::Oriented`] decider. The
+/// sequence functions step on the caller's thread.
 ///
 /// # Errors
 ///
@@ -152,7 +153,7 @@ pub fn iterate_with(
     let mut seen = SeenIndex::default();
     seen.find_or_insert(p.packed(), 0);
     for step in 1..=max_steps {
-        let next = full_step(problems.last().expect("nonempty"))?.problem().clone();
+        let next = full_step(problems.last().expect("nonempty"), 1)?.problem().clone();
         // Zero-round check first: a 0-round problem may also be periodic.
         if is_zero_round(&next, model) {
             problems.push(next);
@@ -237,7 +238,7 @@ pub fn iterate_relaxed(
     seen.find_or_insert(p.packed(), 0);
     for step in 1..=max_steps {
         let current = entries.last().expect("nonempty").problem.clone();
-        let derived = full_step(&current)?.problem().clone();
+        let derived = full_step(&current, 1)?.problem().clone();
         // Try templates in order; fall back to the raw derived problem.
         let (next, template) = templates
             .iter()

@@ -165,32 +165,35 @@ fn assemble(base: &Problem, lines: Vec<Line>, side: Side, name_suffix: &str) -> 
 }
 
 /// Π → Π'_{1/2}: universal+maximal on the edge constraint, existential on
-/// the node constraint (§4.1–4.2 of the paper).
+/// the node constraint (§4.1–4.2 of the paper), on `threads` worker
+/// threads (0 is treated as 1; the result is the same for every count).
 ///
 /// # Errors
 ///
 /// Returns [`Error::AlphabetOverflow`] if the derived alphabet would exceed
 /// the engine's 256-label cap.
-pub fn half_step_edge(p: &Problem) -> Result<HalfStep> {
-    let lines = maximal_good_lines(p.edge());
+pub fn half_step_edge(p: &Problem, threads: usize) -> Result<HalfStep> {
+    let lines = maximal_good_lines(p.edge(), threads);
     assemble(p, lines, Side::Edge, " ½")
 }
 
 /// Π_{1/2} → Π'₁: universal+maximal on the node constraint, existential on
-/// the edge constraint.
+/// the edge constraint, on `threads` worker threads (0 is treated as 1).
 ///
 /// # Errors
 ///
 /// Returns [`Error::AlphabetOverflow`] if the derived alphabet would exceed
 /// the engine's 256-label cap.
-pub fn half_step_node(p: &Problem) -> Result<HalfStep> {
-    let lines = maximal_good_lines(p.node());
+pub fn half_step_node(p: &Problem, threads: usize) -> Result<HalfStep> {
+    let lines = maximal_good_lines(p.node(), threads);
     assemble(p, lines, Side::Node, " ₁")
 }
 
 /// One full simplified speedup step Π → Π'₁ (Theorem 2), followed by the
 /// compression convention (drop labels that cannot occur in a correct
-/// solution): [`complete_step`] of [`half_step_edge`].
+/// solution): [`complete_step`] of [`half_step_edge`], both on `threads`
+/// worker threads (0 is treated as 1; the result is the same for every
+/// count).
 ///
 /// # Errors
 ///
@@ -201,25 +204,26 @@ pub fn half_step_node(p: &Problem) -> Result<HalfStep> {
 /// use roundelim_core::speedup::full_step;
 /// // Sinkless coloring, Δ=3 (paper §4.4): 1 = "pick the edge's color".
 /// let sc = Problem::parse("name: sc\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap();
-/// let step = full_step(&sc).unwrap();
+/// let step = full_step(&sc, 1).unwrap();
 /// // Π'₁ is sinkless coloring again (period-2 fixed point through SO).
 /// assert_eq!(step.problem().alphabet().len(), 2);
 /// ```
-pub fn full_step(p: &Problem) -> Result<FullStep> {
-    complete_step(half_step_edge(p)?)
+pub fn full_step(p: &Problem, threads: usize) -> Result<FullStep> {
+    complete_step(half_step_edge(p, threads)?, threads)
 }
 
 /// The second half of [`full_step`]: Π'_{1/2} → Π'₁ by [`half_step_node`],
-/// then compression. The procedure is fixed, so isomorphic half-steps give
-/// isomorphic results: the same label count, the same empty constraints
-/// and the same alphabet overflow.
+/// then compression, on `threads` worker threads (0 is treated as 1). The
+/// procedure is fixed, so isomorphic half-steps give isomorphic results:
+/// the same label count, the same empty constraints and the same alphabet
+/// overflow.
 ///
 /// # Errors
 ///
 /// Returns [`Error::AlphabetOverflow`] if the derived alphabet would exceed
 /// the engine's 256-label cap.
-pub fn complete_step(half: HalfStep) -> Result<FullStep> {
-    let full = half_step_node(&half.problem)?;
+pub fn complete_step(half: HalfStep, threads: usize) -> Result<FullStep> {
+    let full = half_step_node(&half.problem, threads)?;
     // Compress: drop outputs that occur on only one side. When compression
     // would be the identity (fixed-point problems, every step) the problem
     // is returned as-is — no clone, no remap.
@@ -290,7 +294,7 @@ mod tests {
     fn sinkless_coloring_half_step_is_sinkless_orientation() {
         // Paper §4.4: Π'_{1/2} of sinkless coloring is sinkless orientation.
         let sc = sinkless_coloring(3);
-        let hs = half_step_edge(&sc).unwrap();
+        let hs = half_step_edge(&sc, 1).unwrap();
         let p = &hs.problem;
         assert_eq!(p.alphabet().len(), 2, "{p}");
         // Edge: exactly one configuration {A,B} (= {0},{0,1}).
@@ -308,7 +312,7 @@ mod tests {
         // Paper §4.4: Π'₁ = sinkless coloring again (after renaming).
         for delta in 3..=5 {
             let sc = sinkless_coloring(delta);
-            let step = full_step(&sc).unwrap();
+            let step = full_step(&sc, 1).unwrap();
             let p = step.problem();
             assert_eq!(p.alphabet().len(), 2, "Δ={delta}: {p}");
             assert_eq!(p.node().len(), 1, "Δ={delta}: {p}");
@@ -325,7 +329,7 @@ mod tests {
     #[test]
     fn full_step_provenance_maps_to_base() {
         let sc = sinkless_coloring(3);
-        let step = full_step(&sc).unwrap();
+        let step = full_step(&sc, 1).unwrap();
         for l in step.problem().alphabet().labels() {
             let meaning = step.meaning_in_base(l);
             assert!(!meaning.is_empty());
@@ -344,7 +348,9 @@ mod tests {
         let sc = sinkless_coloring(3);
         let u = full_step_unsimplified(&sc).unwrap();
         // Unsimplified alphabets are larger (all good lines, not only maximal).
-        assert!(u.problem().alphabet().len() >= full_step(&sc).unwrap().problem().alphabet().len());
+        assert!(
+            u.problem().alphabet().len() >= full_step(&sc, 1).unwrap().problem().alphabet().len()
+        );
     }
 
     #[test]

@@ -55,14 +55,14 @@
 //!   never materialized.
 //! * **Round-parallel closure.** The work queue is processed in rounds:
 //!   all queued lines merge (against the antichain, each other, and
-//!   themselves) in parallel chunks under [`std::thread::scope`], and the
-//!   surviving candidates close componentwise in parallel; interning and
-//!   antichain updates happen single-threaded at the barriers. Workers emit
-//!   in item order and the barrier consumes chunk outputs in item order, so
-//!   ids, processing order, and output are **bit-identical for every
-//!   thread count** (property-tested); [`maximal_good_lines`] sizes the
-//!   pool from `available_parallelism`, overridable via the
-//!   `ROUNDELIM_THREADS` environment variable.
+//!   themselves) in chunks, and the surviving candidates close
+//!   componentwise in chunks, both through the executor's chunking helper
+//!   [`crate::par::par_chunks`] on the thread count the caller passes (one
+//!   chunk, inline, at one thread); interning and antichain updates happen
+//!   single-threaded at the barriers. Chunks emit in item order and the
+//!   barrier consumes chunk outputs in item order, so ids, processing
+//!   order, and output are **bit-identical for every thread count**
+//!   (property-tested).
 
 use crate::constraint::Constraint;
 use crate::label::Label;
@@ -393,83 +393,21 @@ fn close_line_full(
     line.sort_unstable();
 }
 
-/// Number of worker threads [`maximal_good_lines`] uses: the workspace
-/// convention ([`crate::par::resolve_threads`]). Resolved once per process
-/// (the environment probe and `available_parallelism` syscall cost more
-/// than a small closure).
-fn default_threads() -> usize {
-    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *THREADS.get_or_init(|| crate::par::resolve_threads(0))
-}
-
-/// Below this many work items a stage runs inline: spawning costs more
-/// than the work it would offload.
+/// Below this many work items a closure stage runs inline: spawning costs
+/// more than the work it would offload.
 const PAR_MIN_ITEMS: usize = 16;
 
-/// Chunks cut per worker by [`par_chunks`]. Oversubscribing the executor
-/// lets stealing — not the weight model — absorb mispredicted chunk
-/// costs: a worker that drains its own chunks early steals the
-/// stragglers' queue instead of idling at the round barrier.
-const OVERSUB: usize = 4;
-
-/// Maps `f` over contiguous chunks of `items` on the shared work-stealing
-/// executor ([`crate::par::par_map`]), returning chunk results in chunk
-/// order. About [`OVERSUB`] chunks are cut per worker, with boundaries
-/// balanced by `weight(index)` — stage 1's per-item cost falls roughly
-/// linearly with the batch index (item `i` merges only against later
-/// items), so equal-size chunks would skew badly. Boundaries are a pure
-/// function of `(items.len(), threads, weight)`; callers that consume
-/// results in order and emit per item in item order stay deterministic
-/// for every thread count (and in fact for arbitrary boundaries —
-/// property-tested). `min_items` is the inline-run threshold
-/// ([`PAR_MIN_ITEMS`] in production; tests lower it to force the chunked
-/// path onto small inputs).
-fn par_chunks<T, R, F, W>(items: &[T], threads: usize, min_items: usize, weight: W, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-    W: Fn(usize) -> u64,
-{
-    if threads <= 1 || items.len() < min_items.max(2) {
-        return vec![f(items)];
-    }
-    // Greedy contiguous partition into ≤ `threads * OVERSUB` weight-
-    // balanced chunks.
-    let chunks = threads * OVERSUB;
-    let total: u64 = (0..items.len()).map(&weight).sum();
-    let target = total.div_ceil(chunks as u64).max(1);
-    let mut bounds: Vec<usize> = Vec::with_capacity(chunks + 1);
-    bounds.push(0);
-    let mut acc = 0u64;
-    for i in 0..items.len() {
-        acc += weight(i);
-        if acc >= target && bounds.len() < chunks && i + 1 < items.len() {
-            bounds.push(i + 1);
-            acc = 0;
-        }
-    }
-    bounds.push(items.len());
-    let parts: Vec<&[T]> = bounds.windows(2).map(|w| &items[w[0]..w[1]]).collect();
-    crate::par::par_map(&parts, threads, |part: &&[T]| f(part))
-}
-
 /// Enumerates all ⊆-maximal good lines of `c` (the simplified universal
-/// transform of Theorem 2), using all available cores. Lines never contain
-/// the empty set: dropping the degenerate lines with an empty component is
-/// the paper's compression convention (§4.2) — they cannot occur in a
-/// correct solution because the existential sibling constraint cannot pick
-/// an element from ∅.
-pub fn maximal_good_lines(c: &Constraint) -> Vec<Line> {
-    maximal_good_lines_threaded(c, default_threads())
-}
-
-/// [`maximal_good_lines`] with an explicit worker-thread count.
+/// transform of Theorem 2) on `threads` worker threads (0 is treated as
+/// 1). Lines never contain the empty set: dropping the degenerate lines
+/// with an empty component is the paper's compression convention (§4.2)
+/// — they cannot occur in a correct solution because the existential
+/// sibling constraint cannot pick an element from ∅.
 ///
 /// The output — and every intermediate interning decision — is identical
 /// for every `threads` value; `threads` only sets how many cores the merge
-/// and closure stages may use. `threads = 0` is treated as 1.
-pub fn maximal_good_lines_threaded(c: &Constraint, threads: usize) -> Vec<Line> {
+/// and closure stages may use.
+pub fn maximal_good_lines(c: &Constraint, threads: usize) -> Vec<Line> {
     maximal_good_lines_impl(c, threads, PAR_MIN_ITEMS)
 }
 
@@ -481,7 +419,6 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
     if c.arity() == 2 {
         return maximal_good_pairs(c);
     }
-    let threads = threads.max(1);
     let trie = c.trie();
     let universe = *trie.universe();
 
@@ -499,10 +436,7 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
     let mut dombuf: Vec<u64> = Vec::new();
     let mut queue: Vec<u32> = Vec::new();
     let mut close_scratch = CloseScratch::default();
-    let mut merge_scratch = MergeScratch::default();
     let mut candidates: Vec<u32> = Vec::new();
-    let mut line_buf: Line = Vec::new();
-    let mut partner_buf: Line = Vec::new();
 
     for cfg in c.iter() {
         // A seed dominated by an already-closed seed line contributes
@@ -543,82 +477,38 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
         // Stage 1: merge every batch line with itself, the antichain, and
         // every later batch line.
         candidates.clear();
-        if threads > 1 && batch.len() >= par_min {
-            // Workers intern into chunk-local pools (first occurrence in
-            // item order survives), so concatenating chunk outputs
-            // reproduces the sequential emission stream. Item `bi` merges
-            // against the antichain plus the `len - bi - 1` later batch
-            // items, which is the chunk-balancing weight.
-            let batch_ref = &batch;
-            let pool_ref = &pool;
-            let antichain_ref = &antichain;
-            let pair_weight = |bi: usize| (antichain.len() + batch.len() - bi) as u64;
-            let chunk_pools: Vec<LinePool> = par_chunks(
-                &index_range(batch.len()),
-                threads,
-                par_min,
-                pair_weight,
-                |indices: &[usize]| {
-                    let _sp = span("stage.merge");
-                    let mut local = LinePool::new(c.arity());
-                    let mut scratch = MergeScratch::default();
-                    for &bi in indices {
-                        let line = pool_ref.get(batch_ref[bi]);
-                        let mut sink = |cand: &[LabelSet]| {
-                            local.intern(cand);
-                        };
-                        merges(line, line, &mut scratch, &mut sink);
-                        for &m in antichain_ref {
-                            merges(line, pool_ref.get(m), &mut scratch, &mut sink);
-                        }
-                        for &bj in &batch_ref[bi + 1..] {
-                            merges(line, pool_ref.get(bj), &mut scratch, &mut sink);
-                        }
+        // Chunks intern into chunk-local pools (first occurrence in item
+        // order survives), so concatenating chunk outputs reproduces the
+        // sequential emission stream; at one thread the one chunk is the
+        // whole batch. Item `bi` merges against the antichain plus the
+        // `len - bi - 1` later batch items, which is the chunk-balancing
+        // weight.
+        let pair_weight = |bi: usize| (antichain.len() + batch.len() - bi) as u64;
+        let chunk_pools: Vec<LinePool> =
+            crate::par::par_chunks(batch.len(), threads, par_min, pair_weight, |indices| {
+                let _sp = span("stage.merge");
+                let mut local = LinePool::new(c.arity());
+                let mut scratch = MergeScratch::default();
+                for bi in indices {
+                    let line = pool.get(batch[bi]);
+                    let mut sink = |cand: &[LabelSet]| {
+                        local.intern(cand);
+                    };
+                    merges(line, line, &mut scratch, &mut sink);
+                    for &m in &antichain {
+                        merges(line, pool.get(m), &mut scratch, &mut sink);
                     }
-                    local
-                },
-            );
-            for local in &chunk_pools {
-                for cand in local.lines() {
-                    let (id, fresh) = pool.intern(cand);
-                    if fresh {
-                        candidates.push(id);
+                    for &bj in &batch[bi + 1..] {
+                        merges(line, pool.get(bj), &mut scratch, &mut sink);
                     }
                 }
-            }
-        } else {
-            // Single-worker fast path: intern straight into the global
-            // pool — no chunk-local pools, no second interning pass.
-            // Operand lines are copied out of the pool so the interning
-            // sink may borrow it mutably; the copies are trivial next to
-            // the alignment enumeration they feed.
-            fn sink(pool: &mut LinePool, candidates: &mut Vec<u32>, cand: &[LabelSet]) {
+                local
+            });
+        for local in &chunk_pools {
+            for cand in local.lines() {
                 let (id, fresh) = pool.intern(cand);
                 if fresh {
                     candidates.push(id);
-                }
-            }
-            let _sp = span("stage.merge");
-            let scratch = &mut merge_scratch;
-            for bi in 0..batch.len() {
-                line_buf.clear();
-                line_buf.extend_from_slice(pool.get(batch[bi]));
-                merges(&line_buf, &line_buf, scratch, &mut |cand| {
-                    sink(&mut pool, &mut candidates, cand)
-                });
-                for &m in &antichain {
-                    partner_buf.clear();
-                    partner_buf.extend_from_slice(pool.get(m));
-                    merges(&line_buf, &partner_buf, scratch, &mut |cand| {
-                        sink(&mut pool, &mut candidates, cand)
-                    });
-                }
-                for &bj in batch.iter().skip(bi + 1) {
-                    partner_buf.clear();
-                    partner_buf.extend_from_slice(pool.get(bj));
-                    merges(&line_buf, &partner_buf, scratch, &mut |cand| {
-                        sink(&mut pool, &mut candidates, cand)
-                    });
                 }
             }
         }
@@ -649,59 +539,34 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
         }
         // Stage 2: close the surviving candidates and enqueue the fresh
         // closures.
-        if threads > 1 && candidates.len() >= par_min {
-            let pool_ref = &pool;
-            let dom_ref = &dom;
-            let closed_chunks: Vec<Vec<Option<Line>>> = par_chunks(
-                &candidates,
-                threads,
-                par_min,
-                |_| 1,
-                |ids: &[u32]| {
-                    let mut close_scratch = CloseScratch::default();
-                    let mut dombuf: Vec<u64> = Vec::new();
-                    ids.iter()
-                        .map(|&id| {
-                            if dominated_by_any(pool_ref, dom_ref, id, &mut dombuf) {
-                                return None;
-                            }
-                            let _sp = span("stage.close");
-                            let mut line = pool_ref.get(id).to_vec();
-                            close_line(&mut line, trie, &universe, &mut close_scratch);
-                            Some(line)
-                        })
-                        .collect()
-                },
-            );
-            for closed in closed_chunks.into_iter().flatten().flatten() {
-                let (cid, _) = pool.intern(&closed);
-                enqueued.resize(pool.len(), false);
-                if !enqueued[cid as usize] && !dominated_by_any(&pool, &dom, cid, &mut dombuf) {
-                    enqueued[cid as usize] = true;
-                    queue.push(cid);
-                }
-            }
-        } else {
-            // Single-worker fast path: close and enqueue in one sweep.
-            // Closing depends only on the line and the trie, so the
-            // interleaving matches the barrier version candidate for
-            // candidate.
-            for &id in &candidates {
-                if dominated_by_any(&pool, &dom, id, &mut dombuf) {
-                    continue;
-                }
-                line_buf.clear();
-                line_buf.extend_from_slice(pool.get(id));
-                {
-                    let _sp = span("stage.close");
-                    close_line(&mut line_buf, trie, &universe, &mut close_scratch);
-                }
-                let (cid, _) = pool.intern(&line_buf);
-                enqueued.resize(pool.len(), false);
-                if !enqueued[cid as usize] && !dominated_by_any(&pool, &dom, cid, &mut dombuf) {
-                    enqueued[cid as usize] = true;
-                    queue.push(cid);
-                }
+        let closed_chunks: Vec<Vec<Option<Line>>> = crate::par::par_chunks(
+            candidates.len(),
+            threads,
+            par_min,
+            |_| 1,
+            |ids| {
+                let mut close_scratch = CloseScratch::default();
+                let mut dombuf: Vec<u64> = Vec::new();
+                candidates[ids]
+                    .iter()
+                    .map(|&id| {
+                        if dominated_by_any(&pool, &dom, id, &mut dombuf) {
+                            return None;
+                        }
+                        let _sp = span("stage.close");
+                        let mut line = pool.get(id).to_vec();
+                        close_line(&mut line, trie, &universe, &mut close_scratch);
+                        Some(line)
+                    })
+                    .collect()
+            },
+        );
+        for closed in closed_chunks.into_iter().flatten().flatten() {
+            let (cid, _) = pool.intern(&closed);
+            enqueued.resize(pool.len(), false);
+            if !enqueued[cid as usize] && !dominated_by_any(&pool, &dom, cid, &mut dombuf) {
+                enqueued[cid as usize] = true;
+                queue.push(cid);
             }
         }
     }
@@ -717,11 +582,6 @@ fn maximal_good_lines_impl(c: &Constraint, threads: usize, par_min: usize) -> Ve
         .collect();
     result.sort();
     result
-}
-
-/// `0..n` as a materialized slice for [`par_chunks`].
-fn index_range(n: usize) -> Vec<usize> {
-    (0..n).collect()
 }
 
 /// Arity-2 fast path: maximal good pairs are exactly the *formal
@@ -850,7 +710,7 @@ mod tests {
     #[test]
     fn sinkless_coloring_edge_has_unique_maximal_line() {
         // Paper §4.4: the only maximal element of g_{1/2} is {{0},{0,1}}.
-        let lines = maximal_good_lines(&sc_edge());
+        let lines = maximal_good_lines(&sc_edge(), 1);
         assert_eq!(lines, vec![canonical(vec![set(&[0]), set(&[0, 1])])]);
     }
 
@@ -858,7 +718,7 @@ mod tests {
     fn matches_bruteforce_on_coloring() {
         // 3-coloring edge constraint: all pairs of distinct colors.
         let c = Constraint::from_configs(2, [cfg(&[0, 1]), cfg(&[0, 2]), cfg(&[1, 2])]).unwrap();
-        let fast = maximal_good_lines(&c);
+        let fast = maximal_good_lines(&c, 1);
         let slow = maximal_good_lines_bruteforce(&c, &LabelSet::first_n(3));
         assert_eq!(fast, slow);
         // Maximal disjoint pairs {Y, complement-ish}: {0}{1,2}, {1}{0,2}, {2}{0,1}.
@@ -871,7 +731,7 @@ mod tests {
         // labels {0,1}: configs 001, 011, 111.
         let c = Constraint::from_configs(3, [cfg(&[0, 0, 1]), cfg(&[0, 1, 1]), cfg(&[1, 1, 1])])
             .unwrap();
-        let fast = maximal_good_lines(&c);
+        let fast = maximal_good_lines(&c, 1);
         let slow = maximal_good_lines_bruteforce(&c, &LabelSet::first_n(2));
         assert_eq!(fast, slow);
         // Unique maximal line: ({1},{0,1},{0,1}).
@@ -892,7 +752,7 @@ mod tests {
             if c.is_empty() {
                 continue;
             }
-            let fast = maximal_good_lines(&c);
+            let fast = maximal_good_lines(&c, 1);
             let slow = maximal_good_lines_bruteforce(&c, &univ);
             assert_eq!(fast, slow, "trial {trial} mismatch for constraint {c:?}");
         }
@@ -966,33 +826,12 @@ mod tests {
                 continue;
             }
             let sequential = maximal_good_lines_impl(&c, 1, PAR_MIN_ITEMS);
-            for threads in [2usize, 4] {
+            // Threads 0 is treated as 1.
+            for threads in [0usize, 2, 4] {
                 let forced = maximal_good_lines_impl(&c, threads, 1);
                 assert_eq!(forced, sequential, "trial {trial} threads {threads}");
             }
         }
-    }
-
-    #[test]
-    fn threaded_output_is_thread_count_invariant() {
-        // Arity-3 constraint rich enough to fill several rounds.
-        let c = Constraint::from_configs(
-            3,
-            [
-                cfg(&[0, 0, 1]),
-                cfg(&[0, 1, 1]),
-                cfg(&[1, 1, 1]),
-                cfg(&[0, 1, 2]),
-                cfg(&[1, 2, 2]),
-                cfg(&[0, 0, 2]),
-            ],
-        )
-        .unwrap();
-        let one = maximal_good_lines_threaded(&c, 1);
-        for threads in [2, 4, 8] {
-            assert_eq!(maximal_good_lines_threaded(&c, threads), one, "threads={threads}");
-        }
-        assert_eq!(maximal_good_lines_threaded(&c, 0), one, "threads=0 clamps to 1");
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!
 //! Every response object carries `"ok"`: protocol/search failures are
 //! reported as `{"ok":false,"error":"..."}` and the connection stays
-//! usable. The full format, with examples, is pinned in
+//! usable. The one exception is a request line longer than
+//! [`MAX_LINE_BYTES`]: it is answered with such an error and the
+//! connection is closed. The full format, with examples, is pinned in
 //! `docs/PROTOCOL.md`.
 
 use roundelim_auto::certificate::{CertVerdict, Certificate, Direction};
@@ -27,6 +29,12 @@ use std::time::Duration;
 
 /// Protocol identifier, reported by `status`. Bump on breaking changes.
 pub const PROTOCOL: &str = "roundelimd-1";
+
+/// The longest request line the daemon reads, in bytes (without the
+/// `\n`). A zoo problem's text is a few hundred bytes and a solve line a
+/// few KiB at most, so 1 MiB leaves room for any problem the search can
+/// handle while bounding what one connection makes the daemon buffer.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -18,7 +18,7 @@ use roundelim_core::error::{Error, Result};
 use roundelim_core::problem::Problem;
 use roundelim_obs as obs;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,9 +36,9 @@ pub struct ServeConfig {
     /// Search worker threads (`0` means 2). Each worker runs one search at
     /// a time; `threads` sets each search's own parallelism.
     pub workers: usize,
-    /// Per-job search thread budget, handed to every search through the
-    /// same [`SearchOptions::threads`] path the CLI uses (`0` resolves the
-    /// workspace convention: `ROUNDELIM_THREADS`, else all cores).
+    /// Per-job search thread budget, resolved once when the server binds
+    /// (`0` means all cores) and handed to every search through the same
+    /// [`SearchOptions::threads`] path the CLI uses.
     pub threads: usize,
     /// External shutdown probe (e.g. a SIGTERM/SIGINT flag), polled by the
     /// accept loop. Firing takes the same graceful path as a `shutdown`
@@ -186,7 +186,7 @@ impl Server {
             next_job: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             workers: if cfg.workers == 0 { 2 } else { cfg.workers },
-            search_threads: cfg.threads,
+            search_threads: roundelim_core::par::resolve_threads(cfg.threads),
         });
         Ok(Server { listener, shared, signal: cfg.signal })
     }
@@ -390,13 +390,28 @@ fn send_line(stream: &mut TcpStream, line: &str) -> bool {
 fn handle_connection(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
     let Ok(read_half) = stream.try_clone() else { return };
     let mut w = stream;
-    let reader = BufReader::new(read_half);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(read_half);
+    let mut buf = Vec::new();
+    loop {
+        // Read at most one byte past the cap, so a line without a newline
+        // in sight is refused before the daemon buffers more of it.
+        buf.clear();
+        let cap = proto::MAX_LINE_BYTES as u64 + 1;
+        if !matches!((&mut reader).take(cap).read_until(b'\n', &mut buf), Ok(n) if n > 0) {
+            break;
+        }
+        if buf.len() > proto::MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            shared.stats.errors.incr();
+            let msg = format!("request line exceeds {} bytes", proto::MAX_LINE_BYTES);
+            let _ = send_line(&mut w, &proto::error_line(&msg));
+            break;
+        }
+        // The JSON parser skips the line's trailing `\n` (or `\r\n`).
+        let Ok(line) = std::str::from_utf8(&buf) else { break };
         if line.trim().is_empty() {
             continue;
         }
-        let request = match proto::parse_request(&line) {
+        let request = match proto::parse_request(line) {
             Ok(r) => r,
             Err(msg) => {
                 shared.stats.errors.incr();

@@ -18,7 +18,7 @@
 //!   rename) — a crash leaves the previous store, never a torn one.
 //! * Insert order is the only thing that determines the bytes, so a
 //!   sequence of requests produces a byte-identical store at every
-//!   `ROUNDELIM_THREADS` setting (the search itself is deterministic).
+//!   search thread count (the search itself is deterministic).
 //!
 //! ## Warm-start snapshot
 //!

@@ -27,7 +27,7 @@
 //! Determinism contract: timing *values* are never deterministic and must
 //! stay out of certificates, checkpoints, and the proof store. Event
 //! *structure* — the span tree shape, per-span names/values, and counter
-//! totals — is deterministic at `ROUNDELIM_THREADS=1`, and
+//! totals — is deterministic at `--threads 1`, and
 //! [`summary::strip_timings`] of two such runs is byte-identical.
 
 #![forbid(unsafe_code)]

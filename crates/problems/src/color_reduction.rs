@@ -193,7 +193,7 @@ mod tests {
         // subsets of the 4 colors (14 of them), edge constraint = the
         // complementary partitions (7 pairs).
         let c4 = crate::coloring::coloring(4, 2).unwrap();
-        let hs = half_step_edge(&c4).unwrap();
+        let hs = half_step_edge(&c4, 1).unwrap();
         assert_eq!(hs.meanings.len(), 14);
         assert_eq!(hs.problem.edge().len(), 7);
         for cfg in hs.problem.edge().iter() {

@@ -86,7 +86,7 @@ mod tests {
         for delta in 3..=6 {
             let sc = sinkless_coloring(delta).unwrap();
             let so = sinkless_orientation(delta).unwrap();
-            let derived = half_step_edge(&sc).unwrap().problem;
+            let derived = half_step_edge(&sc, 1).unwrap().problem;
             assert!(are_isomorphic(&derived, &so), "Δ={delta}: derived = {derived}");
         }
     }
@@ -96,7 +96,7 @@ mod tests {
         // Paper §4.4: Π'₁(sinkless coloring) ≅ sinkless coloring.
         for delta in 3..=6 {
             let sc = sinkless_coloring(delta).unwrap();
-            let derived = full_step(&sc).unwrap().problem().clone();
+            let derived = full_step(&sc, 1).unwrap().problem().clone();
             assert!(are_isomorphic(&derived, &sc), "Δ={delta}: derived = {derived}");
         }
     }

@@ -16,9 +16,9 @@
 //!   witness order equals [`check`]'s violation order.
 
 use crate::graph::PortGraph;
-use crate::par;
 use crate::runner::FlatOutputs;
 use roundelim_core::label::Label;
+use roundelim_core::par;
 use roundelim_core::problem::Problem;
 use std::fmt;
 
@@ -112,7 +112,7 @@ pub fn is_valid(problem: &Problem, graph: &PortGraph, outputs: &[Vec<Label>]) ->
 
 /// Nodes per streaming chunk. Fixed (not derived from the thread count) so
 /// chunk boundaries — and therefore witness selection — are identical for
-/// every `ROUNDELIM_THREADS`.
+/// thread count.
 pub const STREAM_CHUNK: usize = 1 << 14;
 
 /// Options for [`check_stream`].
@@ -120,7 +120,7 @@ pub const STREAM_CHUNK: usize = 1 << 14;
 pub struct CheckOptions {
     /// Keep at most this many witness violations (counts are always exact).
     pub max_witnesses: usize,
-    /// Worker threads; 0 resolves `ROUNDELIM_THREADS` / all cores.
+    /// Worker threads; 0 means all cores.
     pub threads: usize,
 }
 
@@ -190,14 +190,16 @@ pub fn check_stream(
     assert_eq!(outputs.labels.len(), graph.total_ports(), "one output label per port");
     let threads = par::resolve_threads(opts.threads);
     let n = graph.node_count();
-    let chunks = n.div_ceil(STREAM_CHUNK);
-    let partials = par::map_indexed(chunks, threads, |c| {
+    let check = |c: usize| {
         let lo = c * STREAM_CHUNK;
         let hi = (lo + STREAM_CHUNK).min(n);
         check_chunk(problem, graph, outputs, lo, hi, opts.max_witnesses)
-    });
+    };
+    let chunks = n.div_ceil(STREAM_CHUNK);
+    let partials =
+        par::par_chunks(chunks, threads, 2, |_| 1, |cs| cs.map(check).collect::<Vec<_>>());
     let mut report = CheckReport::default();
-    for p in partials {
+    for p in partials.into_iter().flatten() {
         report.absorb(p, opts.max_witnesses);
     }
     report

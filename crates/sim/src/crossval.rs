@@ -7,7 +7,7 @@
 //!    `autoub`, bounded budget — both certificates are replay-verified by
 //!    the engine itself),
 //! 2. generates a huge Δ-regular instance (seeded, deterministic,
-//!    bit-identical for every `ROUNDELIM_THREADS`),
+//!    bit-identical for every thread count),
 //! 3. executes the matching simulator algorithm and validates its output
 //!    with the streaming checker,
 //! 4. asserts consistency: outputs are valid, `rounds_used ≥` any
@@ -23,11 +23,11 @@
 //! (no timings, no machine identifiers), so CI diffs the artifact across
 //! thread counts to pin schedule-independence end to end.
 
+use crate::algos;
 use crate::checker::{check_stream, CheckOptions, CheckReport};
 use crate::generate::{cycle, random_permutation, random_regular_seeded};
 use crate::graph::PortGraph;
 use crate::runner::{run_core, FlatOutputs, NodeInput};
-use crate::{algos, par};
 use roundelim_auto::json::Json;
 use roundelim_auto::search::{autolb, autoub, SearchOptions, Verdict};
 use roundelim_obs as obs;
@@ -41,7 +41,8 @@ pub struct CrossvalOptions {
     pub n: usize,
     /// Master seed; every case derives its own stream from it.
     pub seed: u64,
-    /// Worker threads; 0 resolves `ROUNDELIM_THREADS` / all cores.
+    /// Worker threads, shared by the generators, the runner, the checker
+    /// and the bound search; 0 means all cores.
     pub threads: usize,
     /// Bound-search budget for `autolb` / `autoub`.
     pub search: SearchOptions,
@@ -362,7 +363,7 @@ fn run_case(spec: &CrossvalSpec, opts: &CrossvalOptions) -> Result<CaseResult, S
 /// contradictions are *not* errors — they are recorded in the report with
 /// `consistent = false` so the artifact still ships for inspection.
 pub fn run_crossval(opts: &CrossvalOptions) -> Result<CrossvalReport, String> {
-    let threads = par::resolve_threads(opts.threads);
+    let threads = roundelim_core::par::resolve_threads(opts.threads);
     let mut cases = Vec::new();
     for spec in crossval_specs() {
         if let Some(f) = &opts.family_filter {

@@ -5,11 +5,11 @@
 //! SplitMix64-style hash of per-index counters, and random permutations
 //! are realized by sorting nodes by `(hash, id)` keys — a strict total
 //! order — so the result is bit-identical for every worker-thread count
-//! (`ROUNDELIM_THREADS`), which the cross-validation CI job diffs.
+//! (`threads`), which the cross-validation CI job diffs.
 
-use crate::graph::PortGraph;
-use crate::par;
+use crate::graph::{PortGraph, PAR_MIN_ITEMS};
 use rand::Rng;
+use roundelim_core::par;
 use std::collections::HashSet;
 
 /// The n-cycle (Δ = 2, girth n) — the graph class of §4.5.
@@ -116,10 +116,33 @@ fn hash64(x: u64) -> u64 {
 /// chunk sorts run on worker threads; the strict total order makes the
 /// result schedule-independent.
 fn keyed_order(len: usize, stream: u64, threads: usize) -> Vec<u32> {
-    let keyed = par::fill_indexed(len, threads, |i| {
-        (hash64(stream ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as u32)
+    let chunk = if threads > 1 && len >= PAR_MIN_ITEMS {
+        len.div_ceil(threads * par::OVERSUB)
+    } else {
+        len.max(1)
+    };
+    let mut keyed = vec![(0u64, 0u32); len];
+    par::par_each(keyed.chunks_mut(chunk).enumerate().collect(), threads, |(c, part)| {
+        for (i, slot) in (c * chunk..).zip(part) {
+            *slot = (hash64(stream ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as u32);
+        }
     });
-    par::sort_pairs(keyed, threads).into_iter().map(|(_, i)| i).collect()
+    sort_pairs(keyed, threads).into_iter().map(|(_, i)| i).collect()
+}
+
+/// Sorts key/value pairs: parallel in-place sorts of `threads` chunks,
+/// then one stable sort, which finds the sorted chunks as runs and merges
+/// them. `Ord` on tuples is total, so the output equals a plain
+/// `sort_unstable` for every thread count.
+fn sort_pairs(mut v: Vec<(u64, u32)>, threads: usize) -> Vec<(u64, u32)> {
+    if threads <= 1 || v.len() < PAR_MIN_ITEMS {
+        v.sort_unstable();
+        return v;
+    }
+    let chunk = v.len().div_ceil(threads);
+    par::par_each(v.chunks_mut(chunk).collect(), threads, <[(u64, u32)]>::sort_unstable);
+    v.sort();
+    v
 }
 
 /// Whether `(n, d)` can possibly be a simple `d`-regular graph on `n`
@@ -137,7 +160,7 @@ pub fn random_permutation(len: usize, seed: u64, threads: usize) -> Vec<u32> {
 
 /// A random `d`-regular graph on `n` nodes as a pure function of `seed`
 /// (see the module docs): deterministic, parallel, and identical for every
-/// `threads` value (`0` = resolve `ROUNDELIM_THREADS`). Returns `None` if
+/// `threads` value (`0` = all cores). Returns `None` if
 /// the parameters are impossible (odd `n·d`, `d ≥ n`, `d = 0`) or no
 /// simple pairing is found within `tries` attempts.
 pub fn random_regular_seeded(
@@ -187,11 +210,12 @@ fn random_regular_matchings_seeded(
                 mine[pair[1] as usize] = pair[0];
             }
             let mine = &*mine;
-            let clashes = par::map_indexed(n.div_ceil(SCAN_CHUNK), threads, |c| {
+            let clash = |c: usize| {
                 let nodes = c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(n);
                 earlier.chunks(n).any(|row| nodes.clone().any(|v| row[v] == mine[v]))
-            });
-            !clashes.contains(&true)
+            };
+            let scans = n.div_ceil(SCAN_CHUNK);
+            !par::par_chunks(scans, threads, 2, |_| 1, |mut cs| cs.any(clash)).contains(&true)
         });
         if !placed {
             return None;
@@ -339,6 +363,17 @@ mod tests {
                 random_regular_seeded(n, d, tries, seed, 1),
                 matchings_oracle(n, d, tries, seed, 1)
             );
+        }
+    }
+
+    #[test]
+    fn sort_pairs_matches_sort_unstable() {
+        // 12-bit keys repeat, so ties fall to the second field.
+        let v: Vec<(u64, u32)> = (0..9000).map(|i| (hash64(i) >> 52, i as u32)).collect();
+        let mut expect = v.clone();
+        expect.sort_unstable();
+        for threads in [1, 2, 4, 7] {
+            assert_eq!(sort_pairs(v.clone(), threads), expect);
         }
     }
 

@@ -17,7 +17,12 @@
 //! with reciprocal bookkeeping, a property `tests/properties.rs` pins
 //! against an edge-list oracle.
 
+use roundelim_core::par;
 use std::collections::VecDeque;
+
+/// Below this many items an in-place fill or sort of graph construction
+/// runs inline: spawning costs more than the work it would offload.
+pub(crate) const PAR_MIN_ITEMS: usize = 4096;
 
 /// One endpoint of an edge as seen from a node: the neighbor and the
 /// neighbor's port number for the connecting edge. Fields are `u32` so the
@@ -155,14 +160,27 @@ impl PortGraph {
             return None;
         }
         let offsets: Vec<u32> = (0..=n).map(|v| (v * d) as u32).collect();
-        let targets = crate::par::fill_indexed(n * d, threads, |i| {
-            let (v, m) = (i / d, i % d);
-            PortTarget { node: partners[m * n + v], port: m as u32 }
+        // Both tables are filled in place, `threads · OVERSUB` chunks each.
+        let len = n * d;
+        let chunk = if threads > 1 && len >= PAR_MIN_ITEMS {
+            len.div_ceil(threads * par::OVERSUB)
+        } else {
+            len.max(1)
+        };
+        let mut targets = vec![PortTarget::default(); len];
+        par::par_each(targets.chunks_mut(chunk).enumerate().collect(), threads, |(c, part)| {
+            for (i, t) in (c * chunk..).zip(part) {
+                let (v, m) = (i / d, i % d);
+                *t = PortTarget { node: partners[m * n + v], port: m as u32 };
+            }
         });
         // Every node's port offset is `node · d`, so the mates follow from
         // `targets` in one sequential read.
-        let mates = crate::par::fill_indexed(n * d, threads, |i| {
-            targets[i].node * d as u32 + targets[i].port
+        let mut mates = vec![0u32; len];
+        par::par_each(mates.chunks_mut(chunk).enumerate().collect(), threads, |(c, part)| {
+            for (i, mate) in (c * chunk..).zip(part) {
+                *mate = targets[i].node * d as u32 + targets[i].port;
+            }
         });
         Some(PortGraph { offsets, targets, mates })
     }

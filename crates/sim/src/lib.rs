@@ -8,7 +8,6 @@
 //! * [`generate`] — rings, complete (bipartite) graphs, regular trees,
 //!   and deterministic seeded random regular graphs (bit-identical for
 //!   every thread count), plus girth rejection and random orientations;
-//! * [`par`] — scoped-thread helpers with schedule-independent results;
 //! * [`runner`] — the synchronous message-passing executor (row-shaped
 //!   and flat/adaptive variants) and the [`runner::Distributed`] trait;
 //! * [`checker`] — validates outputs against a `Problem` ("A solves Π"):
@@ -41,7 +40,6 @@ pub mod checker;
 pub mod crossval;
 pub mod generate;
 pub mod graph;
-pub mod par;
 pub mod ring;
 pub mod runner;
 pub mod tree;

@@ -445,7 +445,7 @@ mod tests {
         let class = RingClass::proper_coloring(4);
         let a = reduction_algorithm(4, &class);
         let p3 = coloring(3, 2).unwrap();
-        let step = full_step(&p3).unwrap();
+        let step = full_step(&p3, 1).unwrap();
         let a1 = speedup_algorithm(&a, &p3, &step, &class).unwrap();
         assert_eq!(a1.t, 0);
         check_node_algorithm(&a1, step.problem(), &class).unwrap();
@@ -458,7 +458,7 @@ mod tests {
         let class = RingClass::proper_coloring(4);
         let a = reduction_algorithm(4, &class);
         let p3 = coloring(3, 2).unwrap();
-        let step = full_step(&p3).unwrap();
+        let step = full_step(&p3, 1).unwrap();
         let a1 = speedup_algorithm(&a, &p3, &step, &class).unwrap();
         let back = slowdown(&a1, &p3, &step, &class).unwrap();
         assert_eq!(back.t, 1);
@@ -470,7 +470,7 @@ mod tests {
         let class = RingClass::proper_coloring(4);
         let a = reduction_algorithm(4, &class);
         let p3 = coloring(3, 2).unwrap();
-        let half = half_step_edge(&p3).unwrap();
+        let half = half_step_edge(&p3, 1).unwrap();
         let eh = derive_half(&a, &p3, &half, &class).unwrap();
         // every edge window got an entry
         assert_eq!(eh.map.len(), class.windows(2).len());
@@ -484,7 +484,7 @@ mod tests {
             (Label::from_index(w[0]), Label::from_index(w[0]))
         });
         check_node_algorithm(&copy, &p3, &class).unwrap();
-        let half = half_step_edge(&p3).unwrap();
+        let half = half_step_edge(&p3, 1).unwrap();
         assert!(derive_half(&copy, &p3, &half, &class).is_err());
     }
 
@@ -498,7 +498,7 @@ mod tests {
         });
         let p3 = coloring(3, 2).unwrap();
         assert!(check_node_algorithm(&bogus, &p3, &class).is_err());
-        let half = half_step_edge(&p3).unwrap();
+        let half = half_step_edge(&p3, 1).unwrap();
         assert!(derive_half(&bogus, &p3, &half, &class).is_err());
     }
 }

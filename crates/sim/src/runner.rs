@@ -26,12 +26,11 @@
 //! count.
 
 use crate::graph::PortGraph;
-use crate::par;
 use roundelim_core::label::Label;
+use roundelim_core::par::{self, par_each};
 use roundelim_obs as obs;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 
 /// Per-node input information available at round 0.
 #[derive(Debug, Clone, Default)]
@@ -158,18 +157,6 @@ fn node_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
     (0..n.div_ceil(per).max(1)).map(|c| c * per..((c + 1) * per).min(n)).collect()
 }
 
-/// Runs `f` on every item and returns the results in item order: inline
-/// for a single item, else as executor tasks, each claiming its item.
-fn each<I: Send, R: Send>(items: Vec<I>, threads: usize, f: impl Fn(I) -> R + Sync) -> Vec<R> {
-    if items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    roundelim_core::par::par_map(&slots, threads, |slot| {
-        f(slot.lock().expect("chunk slot").take().expect("claimed once"))
-    })
-}
-
 /// Splits a flat per-port arena into consecutive parts of `lens` ports.
 fn split_ports<'a, T>(mut arena: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
     lens.iter()
@@ -251,7 +238,7 @@ pub(crate) fn run_core<A: Distributed>(
     // node that is not, and skip probing once another chunk raised it.
     let not_done = AtomicBool::new(false);
     let probe = || adaptive && !not_done.load(Ordering::Relaxed);
-    let mut chunks: Vec<Chunk<A>> = each(node_ranges(n, threads), threads, |nodes| {
+    let mut chunks: Vec<Chunk<A>> = par_each(node_ranges(n, threads), threads, |nodes| {
         let states: Vec<A::State> = nodes
             .clone()
             .map(|v| algo.init(&NodeCtx { n, delta, degree: graph.degree(v), input: &input(v) }))
@@ -274,7 +261,7 @@ pub(crate) fn run_core<A: Distributed>(
         // All sends happen before any receive (synchronous rounds). The
         // first round allocates the arena; later rounds overwrite it.
         if outgoing.is_empty() {
-            let parts = each(chunks.iter_mut().collect(), threads, |chunk| {
+            let parts = par_each(chunks.iter_mut().collect(), threads, |chunk| {
                 let mut part = Vec::with_capacity(chunk.ports.len());
                 send_chunk(graph, algo, chunk, round, |m| part.push(m));
                 part
@@ -287,7 +274,7 @@ pub(crate) fn run_core<A: Distributed>(
         } else {
             let items: Vec<_> =
                 chunks.iter_mut().zip(split_ports(&mut outgoing, &port_lens)).collect();
-            each(items, threads, |(chunk, part)| {
+            par_each(items, threads, |(chunk, part)| {
                 let mut slots = part.iter_mut();
                 send_chunk(graph, algo, chunk, round, |m| {
                     *slots.next().expect("one slot per port") = m;
@@ -295,7 +282,7 @@ pub(crate) fn run_core<A: Distributed>(
             });
         }
         let outgoing = &outgoing;
-        each(chunks.iter_mut().collect(), threads, |chunk| {
+        par_each(chunks.iter_mut().collect(), threads, |chunk| {
             receive_chunk(graph, algo, chunk, round, outgoing, probe(), &not_done);
         });
         rounds_used = round + 1;
@@ -304,7 +291,7 @@ pub(crate) fn run_core<A: Distributed>(
 
     let mut labels = vec![Label::from_index(0); total];
     let items: Vec<_> = chunks.iter_mut().zip(split_ports(&mut labels, &port_lens)).collect();
-    each(items, threads, |(chunk, part)| {
+    par_each(items, threads, |(chunk, part)| {
         for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
             let out = algo.output(state);
             assert_eq!(out.len(), graph.degree(v), "one output label per port");
@@ -332,8 +319,8 @@ pub fn run<A: Distributed>(
 }
 
 /// Runs `algo` for exactly `rounds` rounds, returning flat per-port
-/// outputs — the million-node entry point. Runs on the executor with the
-/// thread count `ROUNDELIM_THREADS` resolves to (all cores when unset).
+/// outputs — the million-node entry point. Runs on the executor on all
+/// cores.
 ///
 /// # Panics
 ///

@@ -402,7 +402,7 @@ mod tests {
         let class = TreeClass::new(5, 3).unwrap();
         let a = reduction(&class);
         let p4 = coloring(4, 3).unwrap();
-        let step = full_step(&p4).unwrap();
+        let step = full_step(&p4, 1).unwrap();
         let eh = derive_half_tree(&a, &p4, &step, &class).unwrap();
         let a1 = derive_one_tree(&eh, &step, &class).unwrap();
         assert_eq!(a1.outputs.len(), 5);
@@ -421,7 +421,7 @@ mod tests {
         assert!(check_tree_algorithm(&id, &p4, &class).is_err());
         // The constant algorithm breaks the edge constraint mid-derivation.
         let constant = TreeAlgorithm::from_fn(&class, |_own, _p, _n| Label::from_index(0));
-        let step = full_step(&p4).unwrap();
+        let step = full_step(&p4, 1).unwrap();
         assert!(derive_half_tree(&constant, &p4, &step, &class).is_err());
     }
 

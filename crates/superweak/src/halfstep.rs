@@ -55,7 +55,7 @@ mod tests {
     /// explicit superweak problem and compare with the closed form.
     fn check_equivalence(k: usize, delta: usize) {
         let base = superweak_coloring(k, delta).unwrap();
-        let hs = half_step_edge(&base).unwrap();
+        let hs = half_step_edge(&base, 1).unwrap();
         let derived = &hs.problem;
 
         // 1. Every derived label is a trit sequence; all 3^k occur.

@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The engine's half step on 4-coloring, vs the paper's closed form.
     let c4 = coloring(4, 2)?;
-    let hs = half_step_edge(&c4)?;
+    let hs = half_step_edge(&c4, 1)?;
     println!(
         "Π'_1/2(4-coloring): {} labels (paper: 14), {} edge configs (paper: 7)",
         hs.meanings.len(),

@@ -24,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Zero-round solvable (oriented)?      {}", zero_round_oriented(sc.packed()).is_some());
 
     // One automatic speedup step: Π → Π'₁ (Theorems 1 + 2).
-    let step = full_step(&sc)?;
+    let step = full_step(&sc, 1)?;
     println!("\nIntermediate problem Π'_1/2 (sinkless orientation):");
     println!("{}", step.half.problem);
     println!("Derived problem Π'₁ (one round faster):");

@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     check_node_algorithm(&a, &p3, &class)?;
     println!("A (1 round) solves 3-coloring on proper-4-colored rings ✓");
 
-    let step = full_step(&p3)?;
+    let step = full_step(&p3, 1)?;
     println!(
         "Π'₁(3-coloring): {} labels, |node| = {}, |edge| = {}",
         step.problem().alphabet().len(),
@@ -76,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     check_node_algorithm(&two_round, &p3, &class5)?;
     println!("\nA (2 rounds) solves 3-coloring on proper-5-colored rings ✓");
-    let step1 = full_step(&p3)?;
+    let step1 = full_step(&p3, 1)?;
     let a1 = speedup_algorithm(&two_round, &p3, &step1, &class5)?;
     check_node_algorithm(&a1, step1.problem(), &class5)?;
     println!("First speedup: A₁ ({} round) solves Π'₁ ✓", a1.t);
@@ -86,7 +86,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Reconstructed A*₋₁ ({} rounds) solves 3-coloring ✓", back2.t);
 
     // §2.1's warning, reproduced: a second *unaided* speedup explodes.
-    match full_step(step1.problem()) {
+    match full_step(step1.problem(), 1) {
         Err(e) => println!(
             "\nSecond unaided speedup of Π'₁: {e}\n\
              — exactly the §2.1 description-complexity explosion; the paper's\n\

@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for delta in 3..=8 {
         let sc = sinkless_coloring(delta)?;
         let so = sinkless_orientation(delta)?;
-        let half = half_step_edge(&sc)?.problem;
-        let full = full_step(&sc)?.problem().clone();
+        let half = half_step_edge(&sc, 1)?.problem;
+        let full = full_step(&sc, 1)?.problem().clone();
         let half_is_so = are_isomorphic(&half, &so);
         let full_is_sc = are_isomorphic(&full, &sc);
         let verdict = match iterate(&sc, 6)?.stop {

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     check_tree_algorithm(&a, &p4, &class)?;
     println!("A (1 round) solves 4-coloring on proper-5-colored 3-regular trees ✓");
 
-    let step = full_step(&p4)?;
+    let step = full_step(&p4, 1)?;
     println!(
         "Π'₁(4-coloring, Δ=3): {} labels, |node| = {}, |edge| = {}",
         step.problem().alphabet().len(),

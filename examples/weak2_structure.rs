@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for delta in [3usize, 5, 7] {
         let w = weak_coloring_pointer(2, delta)?;
-        let half = half_step_edge(&w)?;
+        let half = half_step_edge(&w, 1)?;
 
         // Usable outputs of Π'_{1/2} and the maximal edge pairs.
         println!("Δ = {delta}:");
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
 
         // Full step: h₁ size (the paper's "exactly 9 elements" claim).
-        let step = full_step(&w)?;
+        let step = full_step(&w, 1)?;
         println!(
             "  Π'₁: {} node configurations (paper: 9 for large Δ), {} labels, {} edge configs",
             step.problem().node().len(),

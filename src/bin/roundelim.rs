@@ -4,8 +4,8 @@
 //! ```text
 //! roundelim zoo                          list the problem families
 //! roundelim show <family> [k] [Δ]        print a family instance
-//! roundelim speedup <file|family:k:Δ> [--json] [--profile] [--trace FILE]
-//!                                        one speedup step, with provenance
+//! roundelim speedup <file|family:k:Δ> [--threads N] [--json] [--profile]
+//!                  [--trace FILE]        one speedup step, with provenance
 //! roundelim iterate <file|family:k:Δ> [--steps N] [--relax FILE]... [--json]
 //!                                        iterate to a verdict (§2.1 roadmap),
 //!                                        relaxing to templates when given
@@ -70,6 +70,7 @@ use roundelim::auto::Certificate;
 use roundelim::core::fmt::{problem_table, sequence_report, step_report};
 use roundelim::core::io::atomic_write;
 use roundelim::core::iso::isomorphism;
+use roundelim::core::par::resolve_threads;
 use roundelim::core::problem::Problem;
 use roundelim::core::relax::relaxation_map;
 use roundelim::core::sequence::{iterate, iterate_relaxed, StopReason, ZeroRoundModel};
@@ -174,7 +175,8 @@ fn load(spec: &str) -> Result<Problem, CliError> {
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  roundelim zoo\n  roundelim show <family> [k] [Δ]\n  \
-         roundelim speedup <file|family:k:Δ> [--json] [--profile] [--trace FILE]\n  \
+         roundelim speedup <file|family:k:Δ> [--threads N] [--json] [--profile] \
+         [--trace FILE]\n  \
          roundelim iterate <file|family:k:Δ> [--steps N] [--relax FILE]... [--json]\n  \
          roundelim autolb <file|family:k:Δ|--sweep> [--steps N] [--beam N] \
          [--max-labels N] [--threads N] [--no-relax] [--cert FILE] [--json] [--profile] \
@@ -318,7 +320,8 @@ fn cmd_show(args: &[String]) -> CliResult {
 fn cmd_speedup(args: &[String]) -> CliResult {
     let spec = args.first().ok_or("speedup: missing problem spec")?;
     let p = load(spec)?;
-    let step = full_step(&p).map_err(|e| e.to_string())?;
+    let threads = resolve_threads(flag_value(args, "--threads")?.unwrap_or(0));
+    let step = full_step(&p, threads).map_err(|e| e.to_string())?;
     if has_flag(args, "--json") {
         let doc = Json::obj([
             ("base", Json::Str(p.to_text())),

@@ -115,7 +115,7 @@ proptest! {
             ids.push(id);
             // Recording a step exercises the succ/derived snapshot fields;
             // some random problems have no legal step, which is fine.
-            let _ = cache.step(id);
+            let _ = cache.step(id, 1);
         }
         let bytes = snapshot_to_bytes(&cache.snapshot());
         let snap = snapshot_from_bytes(&bytes).unwrap();
@@ -166,7 +166,7 @@ fn truncations_and_byte_flips_are_rejected() {
     let cert = out.certificate.expect("sinkless orientation certifies");
     let mut cache = CanonCache::new();
     let (id, _) = cache.intern(p.clone());
-    let _ = cache.step(id);
+    let _ = cache.step(id, 1);
 
     let blobs: Vec<(&str, Vec<u8>)> = vec![
         ("problem", problem_to_bytes(&p)),

@@ -183,22 +183,34 @@ const ZOO_WORK: [(&str, u64, u64, u64, u64, u64, u64); 6] = [
     ("mis::3", 1049, 4, 1044, 31, 93, 0),
 ];
 
+/// Executor tasks of `autolb` on each threads-sweep spec (in [`ZOO_WORK`]
+/// order) at one thread, at the CI sweep budget.
+const ZOO_TASKS_AT_ONE_THREAD: [u64; 6] = [135, 135, 151, 6282, 1232, 1521];
+
 /// The zoo's search work is gated exactly, not by time: the classes, the
 /// expansions, the wave intern misses and hits, the isomorphism checks and
 /// the step dedups of every threads-sweep spec are the same at 1 and 2
 /// worker threads and equal the table. Doubling the isomorphism checks,
 /// interning a class twice or finishing a dead-end class twice fails here.
+/// At one thread the executor tasks are pinned too, and no worker thread
+/// starts: `--threads 1` reaches every parallel call, the speedup step's
+/// included.
 #[test]
 fn zoo_search_work_is_pinned_exactly() {
     for threads in ["1", "2"] {
         let actual: Vec<_> = ZOO_WORK
             .iter()
-            .map(|&(spec, ..)| {
+            .zip(ZOO_TASKS_AT_ONE_THREAD)
+            .map(|(&(spec, ..), tasks)| {
                 let args = ["autolb", spec, "--steps", "4", "--beam", "6", "--max-labels", "10"];
                 let report = run_ok(&[&args[..], &["--threads", threads, "--json"]].concat());
                 let report = roundelim::auto::json::Json::parse(&report).expect("JSON report");
                 let stat = |name| report_u64(&report, &["stats", name]);
                 let counter = |name| report_u64(&report, &["obs", "counters", name]);
+                if threads == "1" {
+                    assert_eq!(counter("exec.spawns"), 0, "{spec}: workers started at one thread");
+                    assert_eq!(counter("exec.tasks"), tasks, "{spec}");
+                }
                 (
                     spec,
                     stat("classes"),
@@ -435,7 +447,7 @@ fn profile_flag_prints_stage_breakdown_on_stderr() {
     // the per-span breakdown to stderr, including every stage the CI
     // artifact greps for.
     let out = cli()
-        .args(["speedup", "weak-coloring:2:5", "--json", "--profile"])
+        .args(["speedup", "weak-coloring:2:5", "--threads", "1", "--json", "--profile"])
         .output()
         .expect("spawn roundelim");
     assert!(out.status.success());
@@ -479,7 +491,6 @@ fn profile_report_agrees_with_the_trace_and_sums_to_wall() {
     let out = cli()
         .args(["autolb", "maximal-matching::3", "--threads", "1", "--profile", "--trace"])
         .arg(&trace)
-        .env("ROUNDELIM_THREADS", "1")
         .output()
         .expect("spawn roundelim");
     assert!(out.status.success());

@@ -51,17 +51,16 @@ impl Drop for Daemon {
 }
 
 impl Daemon {
-    /// Spawns `roundelim serve --addr 127.0.0.1:0 --store <dir>` and
-    /// parses the bound address from the banner line.
-    fn spawn(store: &Path, extra_env: &[(&str, &str)]) -> Daemon {
-        let mut cmd = cli();
-        cmd.args(["serve", "--addr", "127.0.0.1:0", "--store", store.to_str().unwrap()])
+    /// Spawns `roundelim serve --addr 127.0.0.1:0 --store <dir>` plus
+    /// `extra_args` and parses the bound address from the banner line.
+    fn spawn(store: &Path, extra_args: &[&str]) -> Daemon {
+        let mut child = cli()
+            .args(["serve", "--addr", "127.0.0.1:0", "--store", store.to_str().unwrap()])
+            .args(extra_args)
             .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
-        for (k, v) in extra_env {
-            cmd.env(k, v);
-        }
-        let mut child = cmd.spawn().unwrap();
+            .stderr(Stdio::inherit())
+            .spawn()
+            .unwrap();
         let mut stdout = BufReader::new(child.stdout.take().unwrap());
         let mut banner = String::new();
         stdout.read_line(&mut banner).unwrap();
@@ -131,10 +130,13 @@ fn json_escape(s: &str) -> String {
 }
 
 fn solve_line(problem: &str) -> String {
-    format!(
-        "{{\"req\":\"solve\",\"problem\":\"{}\",\"direction\":\"lower\"}}",
-        json_escape(problem)
-    )
+    solve_line_with(problem, "")
+}
+
+/// A lower-bound `solve` line; `budget` is empty or a `,"budget":{…}` field.
+fn solve_line_with(problem: &str, budget: &str) -> String {
+    let p = json_escape(problem);
+    format!("{{\"req\":\"solve\",\"problem\":\"{p}\",\"direction\":\"lower\"{budget}}}")
 }
 
 /// The `"certificate": …` field of a result line — the part that must be
@@ -273,6 +275,54 @@ fn hostile_multiplicity_is_an_error_reply_and_the_daemon_survives() {
     d.shutdown();
 }
 
+/// With `--threads 1` every search of the daemon stays on its worker's
+/// thread: after distinct misses on two workers at once, the executor has
+/// started no thread at all, so at most two search threads were busy.
+#[test]
+fn one_search_thread_per_worker_starts_no_executor_threads() {
+    let store = tmp_dir("one-thread");
+    let mut d = Daemon::spawn(&store, &["--workers", "2", "--threads", "1"]);
+    // coloring:3:3's speedup steps are large enough to run their closure
+    // in parallel when they are given threads; the others are the zoo's
+    // maximal matching and MIS.
+    let c33 = "name: c33\nnode: 1^3 | 2^3 | 3^3\nedge: 1 2 | 1 3 | 2 3";
+    let mm = "name: mm\nnode: M O^2 | P^3\nedge: M^2 | O^2 | O P";
+    let mis = "name: mis\nnode: A^3 | P O^2\nedge: A P | A O | O^2";
+    let budget = ",\"budget\":{\"max_steps\":4,\"beam_width\":6,\"max_labels\":10}";
+    let solve = |p: &str| {
+        let r = d.response(&solve_line_with(p, budget));
+        assert!(r.contains("\"ok\": true") && r.contains("\"cached\": false"), "{r}");
+    };
+    std::thread::scope(|s| {
+        s.spawn(|| [c33, SO].map(solve));
+        s.spawn(|| [mm, mis].map(solve));
+    });
+    let m = d.response("{\"req\":\"metrics\"}");
+    assert!(m.contains("\"daemon.cache_misses\": 4,"), "{m}");
+    assert!(m.contains("\"exec.tasks\": "), "the searches ran executor calls: {m}");
+    assert!(m.contains("\"exec.spawns\": 0,"), "{m}");
+    d.shutdown();
+}
+
+/// A request line longer than the protocol's cap is refused before the
+/// daemon buffers it: the client gets an `ok: false` reply and its
+/// connection is closed, and the daemon keeps serving.
+#[test]
+fn oversized_request_line_is_refused_and_the_daemon_survives() {
+    let store = tmp_dir("oversized");
+    let mut d = Daemon::spawn(&store, &[]);
+    let mut stream = TcpStream::connect(&d.addr).unwrap();
+    stream.write_all(&vec![b'x'; roundelim::daemon::proto::MAX_LINE_BYTES + 1]).unwrap();
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).unwrap();
+    let lines: Vec<&str> = reply.lines().collect();
+    assert_eq!(lines.len(), 1, "one reply, then the daemon closes: {reply:?}");
+    assert!(lines[0].contains("\"ok\": false") && lines[0].contains("exceeds"), "{reply}");
+    let out = cli().args(["client", "status", "--addr", &d.addr]).output().unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    d.shutdown();
+}
+
 /// The store files are byte-identical whether the daemon searched with 1
 /// or 4 worker threads (search determinism reaches the persisted bytes).
 #[test]
@@ -280,15 +330,11 @@ fn store_bytes_are_independent_of_the_thread_count() {
     let mut stores = Vec::new();
     for threads in ["1", "4"] {
         let store = tmp_dir(&format!("threads-{threads}"));
-        let mut d = Daemon::spawn(&store, &[("ROUNDELIM_THREADS", threads)]);
+        let mut d = Daemon::spawn(&store, &["--threads", threads]);
         let coloring = "name: c3\nnode: 1 0 0 | 0 1 0 | 0 0 1\nedge: 0 1 | 0 2 | 1 2";
         let budget = ",\"budget\":{\"max_steps\":4,\"beam_width\":4,\"max_labels\":8}";
         for (p, budget) in [(SO, ""), (coloring, budget)] {
-            let line = format!(
-                "{{\"req\":\"solve\",\"problem\":\"{}\",\"direction\":\"lower\"{budget}}}",
-                json_escape(p)
-            );
-            let r = d.response(&line);
+            let r = d.response(&solve_line_with(p, budget));
             assert!(r.contains("\"ok\": true"), "{r}");
         }
         d.shutdown();
@@ -298,7 +344,7 @@ fn store_bytes_are_independent_of_the_thread_count() {
         assert_eq!(
             std::fs::read(stores[0].join(file)).unwrap(),
             std::fs::read(stores[1].join(file)).unwrap(),
-            "{file} must not depend on ROUNDELIM_THREADS"
+            "{file} must not depend on the search thread count"
         );
     }
 }

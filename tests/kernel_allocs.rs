@@ -1,0 +1,69 @@
+//! The search's per-class kernels allocate only their set-up: a warm label
+//! refinement allocates nothing, and an isomorphism search allocates per
+//! label, never per configuration probe. Allocations are counted per
+//! thread, so tests running alongside do not disturb the counts.
+
+use roundelim::core::iso::{fingerprint_and_ranks, isomorphism_ranked, Refiner};
+use roundelim::core::problem::Problem;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local!(static ALLOCS: Cell<usize> = const { Cell::new(0) });
+
+struct Counting;
+
+// SAFETY: every call goes unchanged to the system allocator; the counter
+// is a const-initialized thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> usize {
+    let before = ALLOCS.with(Cell::get);
+    std::hint::black_box(f());
+    ALLOCS.with(Cell::get) - before
+}
+
+/// A 5-label, Δ = 3 problem with 42 configurations, spelled with `names`.
+fn problem(names: [&str; 5]) -> Problem {
+    let name = |t: &[usize]| t.iter().map(|&l| names[l]).collect::<Vec<_>>().join(" ");
+    let triples = (0..5).flat_map(|x| (x..5).flat_map(move |y| (y..5).map(move |z| [x, y, z])));
+    let node: Vec<String> =
+        triples.enumerate().filter(|(i, _)| i % 7 != 3).map(|(_, t)| name(&t)).collect();
+    let edge: Vec<String> = (0..5)
+        .flat_map(|x| (x..5).map(move |y| [x, y]))
+        .filter(|[x, y]| x + y != 4)
+        .map(|t| name(&t))
+        .collect();
+    Problem::parse(&format!("name: p\nnode: {}\nedge: {}", node.join(" | "), edge.join(" | ")))
+        .unwrap()
+}
+
+#[test]
+fn a_warm_refiner_allocates_nothing() {
+    let p = problem(["A", "B", "C", "D", "E"]);
+    let mut refiner = Refiner::new();
+    let fp = refiner.fingerprint(p.packed());
+    assert_eq!(allocations(|| assert_eq!(refiner.fingerprint(p.packed()), fp)), 0);
+}
+
+#[test]
+fn the_isomorphism_search_allocates_per_label_not_per_probe() {
+    let (p, q) = (problem(["A", "B", "C", "D", "E"]), problem(["E", "D", "C", "B", "A"]));
+    assert_eq!(p.node().len() + p.edge().len(), 42);
+    let ((_, rp), (_, rq)) = (fingerprint_and_ranks(p.packed()), fingerprint_and_ranks(q.packed()));
+    let n = allocations(|| isomorphism_ranked(p.packed(), &rp, q.packed(), &rq).expect("iso"));
+    // Every configuration is probed on the way to a mapping; the set-up
+    // allocates a few buffers and one candidate list per label.
+    assert!(n <= 20, "{n} allocations");
+}

@@ -16,7 +16,6 @@ use roundelim::core::labelset::LabelSet;
 use roundelim::core::problem::Problem;
 use roundelim::core::speedup::universal::{
     dominates, line_good, maximal_good_lines, maximal_good_lines_bruteforce,
-    maximal_good_lines_threaded,
 };
 use roundelim::core::speedup::{complete_step, full_step, half_step_edge, HalfStep};
 
@@ -89,7 +88,7 @@ proptest! {
     fn maximal_lines_match_bruteforce(p in arb_problem()) {
         let universe = LabelSet::first_n(p.alphabet().len());
         for c in [p.node(), p.edge()] {
-            let fast = maximal_good_lines(c);
+            let fast = maximal_good_lines(c, 1);
             let slow = maximal_good_lines_bruteforce(c, &universe);
             prop_assert_eq!(fast, slow);
         }
@@ -159,9 +158,9 @@ proptest! {
     /// by construction, not merely up to reordering).
     #[test]
     fn maximal_lines_thread_count_invariant((_n, c) in arb_constraint()) {
-        let one = maximal_good_lines_threaded(&c, 1);
+        let one = maximal_good_lines(&c, 1);
         for threads in [2usize, 4, 8] {
-            prop_assert_eq!(&maximal_good_lines_threaded(&c, threads), &one);
+            prop_assert_eq!(&maximal_good_lines(&c, threads), &one);
         }
     }
 
@@ -169,7 +168,7 @@ proptest! {
     /// nonempty sets.
     #[test]
     fn maximal_lines_are_a_good_antichain(p in arb_problem()) {
-        let lines = maximal_good_lines(p.edge());
+        let lines = maximal_good_lines(p.edge(), 1);
         for (i, l) in lines.iter().enumerate() {
             prop_assert!(line_good(l, p.edge()));
             prop_assert!(l.iter().all(|s| !s.is_empty()));
@@ -186,7 +185,7 @@ proptest! {
     /// exactly the sets occurring in the universal side.
     #[test]
     fn full_step_well_formed(p in arb_problem()) {
-        if let Ok(step) = full_step(&p) {
+        if let Ok(step) = full_step(&p, 1) {
             let q = step.problem();
             prop_assert_eq!(q.delta(), p.delta());
             prop_assert_eq!(q.edge().arity(), 2);
@@ -224,8 +223,8 @@ proptest! {
             p.node().map_labels(remap),
             p.edge().map_labels(remap),
         ).unwrap();
-        let sp = full_step(&p);
-        let sq = full_step(&q);
+        let sp = full_step(&p, 1);
+        let sq = full_step(&q, 1);
         match (sp, sq) {
             (Ok(a), Ok(b)) => {
                 prop_assert!(roundelim::core::iso::are_isomorphic(a.problem(), b.problem()));
@@ -239,7 +238,7 @@ proptest! {
     /// search uses changes no derived problem and no meaning.
     #[test]
     fn complete_step_of_the_half_is_the_full_step(p in arb_problem()) {
-        match (half_step_edge(&p).and_then(complete_step), full_step(&p)) {
+        match (half_step_edge(&p, 1).and_then(|h| complete_step(h, 1)), full_step(&p, 1)) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(&a.half.problem, &b.half.problem);
                 prop_assert_eq!(&a.half.meanings, &b.half.meanings);
@@ -260,7 +259,7 @@ proptest! {
         p in arb_problem(),
         seed in 0u64..1 << 48,
     ) {
-        let Ok(half) = half_step_edge(&p) else { return Ok(()) };
+        let Ok(half) = half_step_edge(&p, 1) else { return Ok(()) };
         // A seeded random permutation: old label l becomes perm[l].
         let n = half.problem.alphabet().len();
         let mut perm: Vec<usize> = (0..n).collect();
@@ -288,7 +287,7 @@ proptest! {
             side: half.side,
         };
         let outcome = |h: HalfStep| {
-            complete_step(h).map(|s| {
+            complete_step(h, 1).map(|s| {
                 let q = s.problem();
                 (q.alphabet().len(), q.node().is_empty(), q.edge().is_empty())
             })
@@ -304,7 +303,7 @@ proptest! {
     /// meaning-sets are cross-compatible under the base edge constraint.
     #[test]
     fn half_step_edge_sound(p in arb_problem()) {
-        if let Ok(hs) = half_step_edge(&p) {
+        if let Ok(hs) = half_step_edge(&p, 1) {
             for cfg in hs.problem.edge().iter() {
                 let a = hs.meanings[cfg[0].index()];
                 let b = hs.meanings[cfg[1].index()];

@@ -20,7 +20,7 @@ fn e1_sinkless_fixed_point_all_deltas() {
     for delta in 3..=7 {
         let sc = sinkless_coloring(delta).unwrap();
         let so = sinkless_orientation(delta).unwrap();
-        let step = full_step(&sc).unwrap();
+        let step = full_step(&sc, 1).unwrap();
         assert!(are_isomorphic(step.problem(), &sc), "Δ={delta}");
         // and the half step is sinkless orientation
         assert!(are_isomorphic(&step.half.problem, &so), "Δ={delta}");
@@ -44,7 +44,7 @@ fn theorem2_simplified_and_unsimplified_agree_in_strength() {
     // must be mutually relaxable (Theorem 2: the maximality restriction
     // costs nothing).
     let sc = sinkless_coloring(3).unwrap();
-    let simp = full_step(&sc).unwrap().problem().clone();
+    let simp = full_step(&sc, 1).unwrap().problem().clone();
     let unsimp = full_step_unsimplified(&sc).unwrap().problem().clone();
     // unsimplified → simplified: every unsimplified output set extends to
     // a maximal one. The label-map witness search finds this.
@@ -61,9 +61,9 @@ fn coloring_speedup_explodes_without_relaxation() {
     // and the §4.5 relaxation (hardening to k′-coloring) is the paper's
     // documented way around it.
     let c3 = coloring(3, 2).unwrap();
-    let step = full_step(&c3).unwrap();
+    let step = full_step(&c3, 1).unwrap();
     assert!(step.problem().alphabet().len() <= 64);
-    match full_step(step.problem()) {
+    match full_step(step.problem(), 1) {
         Err(roundelim::core::error::Error::AlphabetOverflow { requested }) => {
             assert!(requested > 256, "the explosion is real: {requested} labels");
         }
@@ -83,9 +83,9 @@ fn weak_coloring_speedup_structure_is_stable_in_delta() {
     let mut node_counts = Vec::new();
     for delta in [3usize, 5, 7] {
         let w = weak_coloring_pointer(2, delta).unwrap();
-        let half = roundelim::core::speedup::half_step_edge(&w).unwrap();
+        let half = roundelim::core::speedup::half_step_edge(&w, 1).unwrap();
         assert_eq!(half.meanings.len(), 7, "Δ={delta}: seven usable outputs");
-        let step = full_step(&w).unwrap();
+        let step = full_step(&w, 1).unwrap();
         node_counts.push(step.problem().node().len());
     }
     // Stabilization at the paper's 9 elements for large Δ.
@@ -111,7 +111,7 @@ fn relaxation_chain_weak_to_superweak() {
 #[test]
 fn matching_and_mis_survive_one_speedup() {
     for p in [maximal_matching(3).unwrap(), mis(3).unwrap()] {
-        let step = full_step(&p).unwrap();
+        let step = full_step(&p, 1).unwrap();
         let q = step.problem();
         assert!(!q.node().is_empty(), "{}: derived node constraint nonempty", p.name());
         assert!(!q.edge().is_empty(), "{}: derived edge constraint nonempty", p.name());
@@ -137,7 +137,7 @@ fn e8_ring_round_trip_for_multiple_palettes() {
             (Label::from_index(col), Label::from_index(col))
         });
         check_node_algorithm(&a, &target, &class).unwrap();
-        let step = full_step(&target).unwrap();
+        let step = full_step(&target, 1).unwrap();
         let a1 = speedup_algorithm(&a, &target, &step, &class).unwrap();
         check_node_algorithm(&a1, step.problem(), &class).unwrap();
         let back = slowdown(&a1, &target, &step, &class).unwrap();
@@ -179,7 +179,7 @@ fn derived_zero_round_algorithm_runs_on_a_real_ring() {
         (Label::from_index(col), Label::from_index(col))
     });
     check_node_algorithm(&a, &p3, &class).unwrap();
-    let step = full_step(&p3).unwrap();
+    let step = full_step(&p3, 1).unwrap();
     let a1 = speedup_algorithm(&a, &p3, &step, &class).unwrap();
     assert_eq!(a1.t, 0);
 
@@ -208,7 +208,7 @@ fn provenance_round_trip_through_text_format() {
     // Derived problems serialize through the text format loss-free.
     for delta in [3usize, 4] {
         let sc = sinkless_coloring(delta).unwrap();
-        let step = full_step(&sc).unwrap();
+        let step = full_step(&sc, 1).unwrap();
         let text = step.problem().to_text();
         let reparsed = roundelim::core::problem::Problem::parse(&text).unwrap();
         assert_eq!(&reparsed, step.problem());
