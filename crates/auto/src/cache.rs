@@ -2,31 +2,36 @@
 //!
 //! Every problem the search touches is interned here, deduplicated up to
 //! isomorphism so isomorphic problems share one node. The index is the
-//! [`fingerprint`](roundelim_core::iso::fingerprint), a 64-bit digest of refined isomorphism invariants, and
-//! **every class registers its fingerprint when it is created**: the root,
-//! step children, and every wave commit. Isomorphic problems share a
-//! fingerprint, so a fingerprint miss proves a problem new, and a hit costs
-//! one isomorphism check per class in the bucket. No canonical form is ever
-//! enumerated, at any alphabet size.
+//! [`pre_key`], a cheap structural isomorphism invariant, and every class
+//! registers its pre-key when it is created: the root, step children, and
+//! every wave commit. Isomorphic problems share a pre-key, so a problem
+//! whose pre-key bucket is empty is new, and nothing refines it.
 //!
-//! Each problem is refined once. A [`Probe`] carries the fingerprint and
-//! the label ranks of the same refinement
-//! ([`fingerprint_and_ranks`], computed on the worker that built the
-//! probe), and each class keeps its ranks, so a bucket check is
-//! [`isomorphism_ranked`] — the candidate filter and the search, with no
-//! refinement of either side.
+//! **Refine only on collision.** A problem is refined (one
+//! Weisfeiler–Leman refinement,
+//! [`fingerprint_and_ranks`](roundelim_core::iso::fingerprint_and_ranks),
+//! for its [`fingerprint`](roundelim_core::iso::fingerprint) and label
+//! ranks) only when its pre-key bucket holds another member, and a stored
+//! class is refined the first time its bucket gains a second member. A class keeps
+//! its refinement, so each problem is refined at most once. Inside a bucket
+//! a query is checked against the members with its fingerprint, in creation
+//! order, with [`isomorphism_ranked`] — the candidate filter and the
+//! search, with no refinement of either side. Equal fingerprints imply
+//! equal pre-keys, so these are exactly the members of the query's
+//! fingerprint bucket, and the checks are those of an index keyed by
+//! fingerprint. No canonical form is ever enumerated, at any alphabet size.
 //!
 //! A class is stored as a [`PackedProblem`] (the names-free part of a
-//! [`Problem`]: its constraints as sorted label rows), its label ranks,
-//! and `u32` ids into one name table per cache, so a class costs about its
-//! row tables. Everything the cache and the search run per class —
+//! [`Problem`]: its constraints as sorted label rows), its fingerprint and
+//! label ranks once refined, and `u32` ids into one name table per cache,
+//! so a class costs about its row tables. Everything the cache and the search run per class —
 //! fingerprints, isomorphism checks, 0-round deciders, move generation
 //! ([`CanonCache::packed`]) — reads those rows;
 //! [`CanonCache::materialize`] attaches names for the callers that need
 //! them: step sources, certificates and snapshots, and the store encoder.
 //!
 //! Two entry points intern: [`CanonCache::intern_wave`] resolves a whole
-//! relaxation wave in parallel across fingerprint shards, and
+//! relaxation wave in parallel across pre-key shards, and
 //! [`CanonCache::intern`] takes one problem at a time (the search root, the
 //! daemon's proof store on insert). [`CanonCache::find`] answers "which
 //! class?" without creating one (the proof store's lookups). Step children
@@ -34,23 +39,22 @@
 //! [`CanonCache::record_step`] with a probe built on a worker.
 //!
 //! Per node the cache also memoizes the two expensive per-problem queries
-//! the search repeats: the [`full_step`] successor (by node id, so a whole
+//! the search repeats: the speedup successor (by node id, so a whole
 //! isomorphism class pays for one speedup computation) and 0-round
 //! solvability per model.
 
 use crate::failpoint;
 use crate::moves::MoveKind;
 use roundelim_core::error::{Error, Result};
-use roundelim_core::iso::{fingerprint_and_ranks, isomorphism_ranked, Refiner};
+use roundelim_core::iso::{isomorphism_ranked, pre_key, Refiner};
 use roundelim_core::label::Label;
 use roundelim_core::packed::PackedProblem;
 use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
-use roundelim_core::speedup::full_step;
 use roundelim_core::zero_round::{zero_round_oriented, zero_round_pn};
 use roundelim_obs as obs;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of an interned problem (an isomorphism class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,14 +71,15 @@ impl NodeId {
 struct Entry {
     /// The first concrete representative that reached this class, packed.
     packed: PackedProblem,
-    /// Where the representative's label ranks ([`fingerprint_and_ranks`])
-    /// start in [`CanonCache::ranks`].
-    ranks_at: u32,
+    /// The representative's refinement, set the first time the class's
+    /// pre-key bucket gains a second member (or a snapshot needs its
+    /// fingerprint).
+    refined: OnceLock<Refined>,
     /// The representative's names as ids into the cache's [`NameTable`]:
     /// the problem name, then the label names in index order.
     names: Box<[u32]>,
-    /// Memoized [`full_step`] successor (and the derived problem itself,
-    /// which may differ from the successor class representative by a label
+    /// Memoized speedup successor (and the derived problem itself, which
+    /// may differ from the successor class representative by a label
     /// renaming — certificates need the concrete derived problem).
     step: Option<(NodeId, Box<Problem>)>,
     /// Memoized 0-round verdicts, one slot per [`ZeroRoundModel`].
@@ -90,23 +95,41 @@ pub struct CacheStats {
     pub dedup_hits: usize,
     /// Isomorphism checks against the members of a fingerprint bucket.
     pub iso_resolutions: usize,
-    /// `full_step` computations avoided by the memo.
+    /// Speedup steps answered by the memo.
     pub step_hits: usize,
-    /// `full_step` computations performed.
+    /// Speedup steps recorded ([`CanonCache::record_step`]).
     pub step_misses: usize,
 }
 
 /// A problem in the form the cache interns: its packed constraints, its
-/// fingerprint and label ranks (one refinement, done where the probe is
-/// built), plus what it is named if it becomes a new class. Dedup probes
-/// never touch the names, and a move's result carries no name strings at
-/// all: the cache builds them when the result commits as a new class.
+/// [`pre_key`] (computed where the probe is built), its refinement once
+/// the cache needs it, plus what it is named if it becomes a new class.
+/// Dedup probes never touch the names, and a move's result carries no
+/// name strings at all: the cache builds them when the result commits as
+/// a new class.
 #[derive(Debug)]
 pub struct Probe {
     packed: PackedProblem,
+    key: u64,
+    refined: Option<Refined>,
+    names: ProbeNames,
+}
+
+/// One refinement of a problem
+/// ([`fingerprint_and_ranks`](roundelim_core::iso::fingerprint_and_ranks)):
+/// its fingerprint and label ranks.
+#[derive(Debug, Clone)]
+struct Refined {
     fp: u64,
     ranks: Box<[u16]>,
-    names: ProbeNames,
+}
+
+/// Refines `p` with `refiner`'s buffers, counted in `cache.refinements`.
+/// Every refinement the cache makes comes through here.
+fn refine(p: &PackedProblem, refiner: &mut Refiner) -> Refined {
+    refinements().incr();
+    let (fp, ranks) = refiner.fingerprint_and_ranks(p);
+    Refined { fp, ranks }
 }
 
 #[derive(Debug)]
@@ -119,25 +142,29 @@ enum ProbeNames {
 }
 
 impl Probe {
-    /// Refines a problem for interning.
+    /// A problem for interning, keyed by its pre-key (timed as a
+    /// `search.fingerprint` span).
     pub fn new(p: Problem) -> Probe {
         let (name, labels, packed) = p.into_parts();
-        let (fp, ranks) = fingerprint_and_ranks(&packed);
-        Probe { packed, fp, ranks, names: ProbeNames::Own { name, labels } }
+        let key = {
+            let _sp = obs::trace::span("search.fingerprint");
+            pre_key(&packed, &mut Vec::new())
+        };
+        Probe { packed, key, refined: None, names: ProbeNames::Own { name, labels } }
     }
 
-    /// A move's result for interning, refined with `refiner`'s buffers and
-    /// named (if it becomes a class) after the class `source` the move was
-    /// generated from.
+    /// A move's result for interning, keyed with the reused pre-key buffer
+    /// `counts` and named (if it becomes a class) after the class `source`
+    /// the move was generated from.
     pub fn derived(
         source: NodeId,
         kind: MoveKind,
         kept: Vec<Label>,
         packed: PackedProblem,
-        refiner: &mut Refiner,
+        counts: &mut Vec<u64>,
     ) -> Probe {
-        let (fp, ranks) = refiner.fingerprint_and_ranks(&packed);
-        Probe { packed, fp, ranks, names: ProbeNames::Derived { source, kind, kept } }
+        let key = pre_key(&packed, counts);
+        Probe { packed, key, refined: None, names: ProbeNames::Derived { source, kind, kept } }
     }
 }
 
@@ -171,13 +198,11 @@ impl NameTable {
 /// The canonical-form cache (see module docs).
 #[derive(Debug, Default)]
 pub struct CanonCache {
-    /// Fingerprint index over every interned class, ids in creation order
-    /// within a bucket (collisions resolved by isomorphism).
-    fps: HashMap<u64, Vec<NodeId>>,
+    /// Pre-key index over every interned class, ids in creation order
+    /// within a bucket (collisions resolved by fingerprint, then by
+    /// isomorphism).
+    keys: HashMap<u64, Vec<NodeId>>,
     entries: Vec<Entry>,
-    /// Every class's label ranks, concatenated in id order: one buffer,
-    /// not one allocation per class.
-    ranks: Vec<u16>,
     names: NameTable,
     /// Hit/miss counters.
     pub stats: CacheStats,
@@ -211,15 +236,15 @@ impl CanonCache {
     /// nothing. Its isomorphism checks count in `cache.iso_checks`, not in
     /// [`CacheStats`], which counts interning.
     pub fn find(&self, p: &Problem) -> Option<NodeId> {
-        let (fp, ranks) = fingerprint_and_ranks(p.packed());
-        self.probe_bucket(fp, p.packed(), &ranks).0
+        let key = pre_key(p.packed(), &mut Vec::new());
+        self.probe_bucket(key, p.packed(), &mut None).0
     }
 
-    /// Interns `probe` under its fingerprint: a miss in its bucket creates
-    /// a class. On dedup the probe is handed back (`Some`); a new class
+    /// Interns `probe` under its pre-key: a miss in its bucket creates a
+    /// class. On dedup the probe is handed back (`Some`); a new class
     /// consumes it (`None`).
-    fn intern_probe(&mut self, probe: Probe) -> (NodeId, Option<Probe>) {
-        let (found, checks) = self.probe_bucket(probe.fp, &probe.packed, &probe.ranks);
+    fn intern_probe(&mut self, mut probe: Probe) -> (NodeId, Option<Probe>) {
+        let (found, checks) = self.probe_bucket(probe.key, &probe.packed, &mut probe.refined);
         self.stats.iso_resolutions += checks;
         match found {
             Some(id) => {
@@ -230,37 +255,58 @@ impl CanonCache {
         }
     }
 
-    /// Checks the classes of fingerprint bucket `fp` in creation order
-    /// against a problem's rows and label ranks. Returns the first
-    /// isomorphic class and the number of checks made.
+    /// Checks the classes of pre-key bucket `key` against a problem's rows
+    /// (see [`first_isomorphic`]). An empty bucket refines nothing; a
+    /// bucket with members refines the problem (into `refined`, if not yet
+    /// done) and every member still lacking a refinement, in one
+    /// `search.fingerprint` span. Returns the first isomorphic class and
+    /// the number of checks made.
     fn probe_bucket(
         &self,
-        fp: u64,
+        key: u64,
         packed: &PackedProblem,
-        ranks: &[u16],
+        refined: &mut Option<Refined>,
     ) -> (Option<NodeId>, usize) {
-        let mut checks = 0;
-        let found = self.fps.get(&fp).into_iter().flatten().copied().find(|&id| {
-            checks += 1;
-            let (class, class_ranks) = self.class(id);
-            same_class(class, class_ranks, packed, ranks)
-        });
-        (found, checks)
+        let Some(bucket) = self.keys.get(&key) else {
+            return (None, 0);
+        };
+        let query = {
+            let _sp = obs::trace::span("search.fingerprint");
+            let mut refiner = Refiner::new();
+            for &id in bucket {
+                self.refined(id, &mut refiner);
+            }
+            refined.get_or_insert_with(|| refine(packed, &mut refiner))
+        };
+        let members = bucket.iter().map(|&id| (id, self.class(id)));
+        first_isomorphic(members, packed, query)
+    }
+
+    /// The refinement of class `id`, computed with `refiner`'s buffers the
+    /// first time it is needed and kept with the class. It is a pure
+    /// function of the class, so which caller computes it does not matter;
+    /// in a wave it is always the shard that owns the class's pre-key.
+    fn refined(&self, id: NodeId, refiner: &mut Refiner) -> &Refined {
+        let e = &self.entries[id.index()];
+        e.refined.get_or_init(|| {
+            packed_bytes().add(2 * e.packed.label_count() as u64);
+            refine(&e.packed, refiner)
+        })
     }
 
     /// Creates a class for a problem known to be new and registers its
-    /// fingerprint.
+    /// pre-key.
     fn push_class(&mut self, probe: Probe) -> NodeId {
         failpoint::hit("cache-insert");
-        let fp = probe.fp;
+        let key = probe.key;
         let id = self.push_entry(probe, None, [None, None]);
         self.stats.classes += 1;
-        self.fps.entry(fp).or_default().push(id);
+        self.keys.entry(key).or_default().push(id);
         id
     }
 
-    /// Stores a class: its packed rows, its label ranks and its names as
-    /// table ids.
+    /// Stores a class: its packed rows, its refinement if the probe has
+    /// one, and its names as table ids.
     fn push_entry(
         &mut self,
         probe: Probe,
@@ -268,9 +314,7 @@ impl CanonCache {
         zero_round: [Option<bool>; 2],
     ) -> NodeId {
         let id = NodeId(u32::try_from(self.entries.len()).expect("node count fits u32"));
-        let Probe { packed, ranks, names, .. } = probe;
-        let ranks_at = u32::try_from(self.ranks.len()).expect("rank count fits u32");
-        self.ranks.extend_from_slice(&ranks);
+        let Probe { packed, refined, names, .. } = probe;
         let names: Box<[u32]> = match names {
             ProbeNames::Own { name, labels } => {
                 std::iter::once(&name).chain(&labels).map(|n| self.names.intern(n)).collect()
@@ -283,28 +327,31 @@ impl CanonCache {
                 std::iter::once(name).chain(kept.iter().map(|l| src[1 + l.index()])).collect()
             }
         };
-        let bytes =
-            packed.heap_bytes() + std::mem::size_of_val(&*ranks) + std::mem::size_of_val(&*names);
+        let ranks = refined.as_ref().map_or(0, |r| std::mem::size_of_val(&*r.ranks));
+        let bytes = packed.heap_bytes() + ranks + std::mem::size_of_val(&*names);
         packed_bytes().add(bytes as u64);
-        self.entries.push(Entry { packed, ranks_at, names, step, zero_round });
+        let refined = refined.map_or_else(OnceLock::new, OnceLock::from);
+        self.entries.push(Entry { packed, refined, names, step, zero_round });
         id
     }
 
-    /// Interns a whole wave of refined candidates at once, resolving
-    /// them **in parallel across fingerprint shards** and then assigning
-    /// `NodeId`s in a deterministic sequential pass in item order.
+    /// Interns a whole wave of candidates at once, resolving them **in
+    /// parallel across pre-key shards** and then assigning `NodeId`s in a
+    /// deterministic sequential pass in item order.
     ///
-    /// Correctness of the sharding: the fingerprint is an isomorphism
+    /// Correctness of the sharding: the pre-key is an isomorphism
     /// invariant, so two isomorphic candidates always carry the same
-    /// fingerprint and land in the same shard (`fp % shards`). Every class
-    /// is in the fingerprint index, so a shard that finds no isomorphic
-    /// class in the frozen pre-wave bucket nor among its own earlier
-    /// candidates has found a new class, and the dup/new decision for every
-    /// item is independent of both the shard count and the schedule. The
-    /// commit pass then creates the new classes in item order, so the
-    /// resulting cache — ids, bucket order, name ids, `cache-insert`
-    /// failpoints, counters — is bit-identical to [`CanonCache::intern`]ing
-    /// the items one by one on one thread.
+    /// pre-key and land in the same shard (`key % shards`). Every class is
+    /// in the pre-key index, so a shard that finds no isomorphic class in
+    /// the frozen pre-wave bucket nor among its own earlier candidates has
+    /// found a new class, and the dup/new decision for every item is
+    /// independent of both the shard count and the schedule. So is what is
+    /// refined (see [`refine_collisions`]), and a frozen class is refined
+    /// by the one shard that owns its bucket. The commit pass then creates
+    /// the new classes in item order, so the resulting cache — ids, bucket
+    /// order, name ids, `cache-insert` failpoints, counters — is
+    /// bit-identical to [`CanonCache::intern`]ing the items one by one on
+    /// one thread.
     ///
     /// Per item, a dup hands the probe back (`Some`) and a new class
     /// consumes it (`None`).
@@ -319,20 +366,17 @@ impl CanonCache {
             return Vec::new();
         }
         let shards = shards.max(1);
-        // Partition by fingerprint shard; item order is preserved within a
+        // Partition by pre-key shard; item order is preserved within a
         // shard, so each shard worker sees its items in global item order.
         let mut split: Vec<Vec<(usize, Probe)>> = (0..shards).map(|_| Vec::new()).collect();
         for (idx, p) in items.into_iter().enumerate() {
-            split[(p.fp % shards as u64) as usize].push((idx, p));
+            split[(p.key % shards as u64) as usize].push((idx, p));
         }
         // Phase 1 (parallel): resolve every shard against the frozen cache.
-        // Tasks own their item lists behind a claim Mutex so the probes can
-        // be moved, not cloned, into the resolution.
+        // Each task owns its item list, so the probes are moved, not
+        // cloned, into the resolution.
         let frozen = &*self;
-        type ShardTask = Mutex<Option<Vec<(usize, Probe)>>>;
-        let tasks: Vec<ShardTask> = split.into_iter().map(|list| Mutex::new(Some(list))).collect();
-        let resolved = roundelim_core::par::par_map(&tasks, threads, |task| {
-            let list = task.lock().expect("shard task slot").take().expect("claimed once");
+        let (resolved, _) = roundelim_core::par::par_each_catch(split, threads, |list| {
             resolve_wave_shard(frozen, list)
         });
         // Phase 2 (sequential, item order): allocate ids and commit. A
@@ -341,7 +385,8 @@ impl CanonCache {
         // to the shard.
         let mut per_item: Vec<Option<(usize, WaveRes)>> = (0..n).map(|_| None).collect();
         let mut fresh = Vec::with_capacity(shards);
-        for (s, (out, shard)) in resolved.into_iter().enumerate() {
+        let resolved = resolved.into_iter().map(|r| r.expect("a wave shard panicked"));
+        for (s, (out, shard)) in resolved.enumerate() {
             self.stats.iso_resolutions += shard.iso_resolutions;
             self.stats.dedup_hits += shard.dedup_hits;
             fresh.push(shard.fresh.into_iter());
@@ -367,11 +412,11 @@ impl CanonCache {
         out
     }
 
-    /// The packed representative of a class and its label ranks.
-    fn class(&self, id: NodeId) -> (&PackedProblem, &[u16]) {
+    /// The packed representative of a class and its refinement, which
+    /// must have been computed.
+    fn class(&self, id: NodeId) -> (&PackedProblem, &Refined) {
         let e = &self.entries[id.index()];
-        let at = e.ranks_at as usize;
-        (&e.packed, &self.ranks[at..at + e.packed.label_count()])
+        (&e.packed, e.refined.get().expect("a bucket member is refined before its checks"))
     }
 
     /// The rows of a class's representative: what the kernels and the
@@ -433,27 +478,6 @@ impl CanonCache {
         }
     }
 
-    /// Memoized speedup: the [`full_step`] successor class of `id`, plus
-    /// the concrete derived problem (exactly `full_step` of the class
-    /// representative, recorded so certificate chains can splice it in
-    /// verbatim). A miss steps on `threads` worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Propagates speedup errors (e.g. alphabet overflow).
-    pub fn step(&mut self, id: NodeId, threads: usize) -> Result<(NodeId, Problem)> {
-        if let Some(succ) = self.step_succ(id) {
-            let derived = self.step_derived(id).expect("memo present").clone();
-            return Ok((succ, derived));
-        }
-        let derived = {
-            let _sp = obs::trace::span("stage.step");
-            full_step(&self.materialize(id), threads)?.full.problem
-        };
-        let (succ, _) = self.record_step(id, derived.clone(), Probe::new(derived.clone()));
-        Ok((succ, derived))
-    }
-
     /// The memoized step successor class, if it has been computed. Cheap
     /// (no problem clone) — fetch the derived problem separately with
     /// [`CanonCache::step_derived`] on the rare paths that need it.
@@ -470,10 +494,11 @@ impl CanonCache {
         self.entries[id.index()].step.as_ref().map(|(_, derived)| &**derived)
     }
 
-    /// Records a step result the caller computed on a worker thread, with
-    /// `probe` (its [`Probe::new`]) built there too; interns the derived
-    /// problem and fills the memo. Returns the successor class and whether
-    /// it is new.
+    /// Records a step result the caller computed on a worker thread (the
+    /// speedup step of the class representative, recorded verbatim so
+    /// certificate chains can splice it in), with `probe` (its
+    /// [`Probe::new`]) built there too; interns the derived problem and
+    /// fills the memo. Returns the successor class and whether it is new.
     pub fn record_step(&mut self, id: NodeId, derived: Problem, probe: Probe) -> (NodeId, bool) {
         self.stats.step_misses += 1;
         let (succ, back) = self.intern_probe(probe);
@@ -483,6 +508,10 @@ impl CanonCache {
 
     /// A deep snapshot of the cache, for checkpointing. [`CanonCache::restore`]
     /// rebuilds a behaviorally identical cache from it.
+    ///
+    /// The snapshot carries the fingerprint index of every class, so each
+    /// class still lacking a refinement is refined here (once; the cache
+    /// keeps it).
     pub fn snapshot(&self) -> CacheSnapshot {
         let entries = self
             .entries
@@ -493,23 +522,28 @@ impl CanonCache {
                 (self.materialize(NodeId(i as u32)), step, e.zero_round)
             })
             .collect();
-        // The fingerprint index is exported verbatim (sorted by fingerprint
-        // for stable serialization bytes), so a restored cache probes its
-        // buckets in the same order and counts the same checks.
-        let mut fps: Vec<(u64, Vec<NodeId>)> =
-            self.fps.iter().map(|(fp, ids)| (*fp, ids.clone())).collect();
-        fps.sort_unstable_by_key(|(fp, _)| *fp);
-        CacheSnapshot { entries, fps, stats: self.stats }
+        // Buckets in id order (each bucket's creation order), sorted by
+        // fingerprint for stable serialization bytes.
+        let mut fps: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
+        {
+            let _sp = obs::trace::span("search.fingerprint");
+            let mut refiner = Refiner::new();
+            for i in 0..self.entries.len() {
+                let id = NodeId(i as u32);
+                fps.entry(self.refined(id, &mut refiner).fp).or_default().push(id);
+            }
+        }
+        CacheSnapshot { entries, fps: fps.into_iter().collect(), stats: self.stats }
     }
 
-    /// Rebuilds a cache from a snapshot: entries, the fingerprint index,
-    /// and the counters are restored verbatim, so the result deduplicates,
-    /// memoizes, and counts exactly like the cache the snapshot was taken
-    /// from. Snapshots written before every class registered its
-    /// fingerprint lack the root and step children; those classes are
-    /// registered here, in id order, so a fingerprint miss still proves a
-    /// problem new. Each class is refined once, for its ranks and (if
-    /// unindexed) its fingerprint.
+    /// Rebuilds a cache from a snapshot: the entries and the counters are
+    /// restored verbatim, and every class is registered under its pre-key
+    /// in id order, so the result deduplicates, memoizes, and counts
+    /// exactly like the cache the snapshot was taken from. The snapshot's
+    /// fingerprint index is derived data: its ids are range-checked, and
+    /// classes it lacks (snapshots written before every class registered
+    /// its fingerprint lack the root and step children) are indexed like
+    /// the rest. Nothing is refined until a bucket collision needs it.
     ///
     /// # Errors
     ///
@@ -521,7 +555,6 @@ impl CanonCache {
             return Err(bad("cache snapshot: too many entries".into()));
         }
         let mut cache = CanonCache { stats: snap.stats, ..CanonCache::default() };
-        let mut fps = Vec::with_capacity(n);
         for (i, (problem, step, zero_round)) in snap.entries.into_iter().enumerate() {
             if let Some((succ, _)) = &step {
                 if succ.index() >= n {
@@ -533,35 +566,46 @@ impl CanonCache {
             }
             let step = step.map(|(succ, derived)| (succ, Box::new(derived)));
             let probe = Probe::new(problem);
-            fps.push(probe.fp);
-            cache.push_entry(probe, step, zero_round);
+            let key = probe.key;
+            let id = cache.push_entry(probe, step, zero_round);
+            cache.keys.entry(key).or_default().push(id);
         }
-        let mut indexed = vec![false; n];
-        for (fp, ids) in snap.fps {
-            for id in &ids {
-                if id.index() >= n {
-                    return Err(bad(format!(
-                        "cache snapshot: fingerprint {fp:#x} indexes node {} out of range",
-                        id.0
-                    )));
-                }
-                indexed[id.index()] = true;
-            }
-            cache.fps.insert(fp, ids);
-        }
-        for (i, fp) in fps.into_iter().enumerate() {
-            if !indexed[i] {
-                cache.fps.entry(fp).or_default().push(NodeId(i as u32));
+        for (fp, ids) in &snap.fps {
+            if let Some(id) = ids.iter().find(|id| id.index() >= n) {
+                return Err(bad(format!(
+                    "cache snapshot: fingerprint {fp:#x} indexes node {} out of range",
+                    id.0
+                )));
             }
         }
         Ok(cache)
     }
 }
 
+/// The first of a bucket's `members` (each a class's rows and
+/// refinement, in creation order) isomorphic to the query, plus the
+/// number of checks made. Only members with the query's fingerprint are
+/// checked, each by [`same_class`].
+fn first_isomorphic<'a, T>(
+    members: impl Iterator<Item = (T, (&'a PackedProblem, &'a Refined))>,
+    packed: &PackedProblem,
+    query: &Refined,
+) -> (Option<T>, usize) {
+    let mut checks = 0;
+    let found = members
+        .filter(|(_, (_, class))| class.fp == query.fp)
+        .find(|(_, (class_packed, class))| {
+            checks += 1;
+            same_class(class_packed, &class.ranks, packed, &query.ranks)
+        })
+        .map(|(r, _)| r);
+    (found, checks)
+}
+
 /// One isomorphism check between a cached class and a query, each given
 /// by its packed rows and label ranks, timed as a `stage.canon` span and
-/// counted as `cache.iso_checks`. Both sides were refined when they were
-/// built, so the span covers only the candidate filter and the search.
+/// counted as `cache.iso_checks`. Both sides were refined before the
+/// check, so the span covers only the candidate filter and the search.
 fn same_class(class: &PackedProblem, ranks: &[u16], query: &PackedProblem, qranks: &[u16]) -> bool {
     iso_checks().incr();
     let _sp = obs::trace::span("stage.canon");
@@ -595,7 +639,7 @@ enum WaveRef {
 
 /// Per-item resolution of a wave candidate (see [`CanonCache::intern_wave`]):
 /// a dup of a pre-wave class, or of a class first created by an earlier
-/// item of this wave (same shard by fingerprint invariance), hands the
+/// item of this wave (same shard by pre-key invariance), hands the
 /// probe back; `None` is a brand-new class, parked in the shard's `fresh`
 /// table until the commit pass assigns its id.
 type WaveRes = Option<(WaveRef, Probe)>;
@@ -607,48 +651,83 @@ type WaveRes = Option<(WaveRef, Probe)>;
 struct ShardState {
     /// The probe of each fresh class, in creation order.
     fresh: Vec<Probe>,
-    /// Fingerprint buckets of the fresh classes (indexes into `fresh`).
-    new_fps: HashMap<u64, Vec<usize>>,
+    /// Pre-key buckets of the fresh classes (indexes into `fresh`).
+    new_keys: HashMap<u64, Vec<usize>>,
     iso_resolutions: usize,
     dedup_hits: usize,
 }
 
 impl ShardState {
     /// Resolves one candidate with the probe sequence of
-    /// [`CanonCache::intern`]: the fingerprint bucket's frozen members in
+    /// [`CanonCache::intern`]: the pre-key bucket's frozen members in
     /// creation order, then this wave's. A miss is a new class.
+    /// [`refine_collisions`] has refined every member this compares.
     fn resolve(&mut self, cache: &CanonCache, probe: Probe) -> WaveRes {
-        let fp = probe.fp;
-        let frozen = cache.fps.get(&fp).into_iter().flatten().map(|&id| WaveRef::Global(id));
-        let local = self.new_fps.get(&fp).into_iter().flatten().map(|&f| WaveRef::Fresh(f));
-        let mut checks = 0;
-        let found = frozen.chain(local).find(|&r| {
-            checks += 1;
-            let (packed, ranks) = match r {
-                WaveRef::Global(id) => cache.class(id),
-                WaveRef::Fresh(f) => (&self.fresh[f].packed, &*self.fresh[f].ranks),
-            };
-            same_class(packed, ranks, &probe.packed, &probe.ranks)
-        });
-        self.iso_resolutions += checks;
-        if let Some(to) = found {
-            self.dedup_hits += 1;
-            return Some((to, probe));
+        let key = probe.key;
+        let frozen = cache.keys.get(&key).into_iter().flatten().map(|&id| WaveRef::Global(id));
+        let local = self.new_keys.get(&key).into_iter().flatten().map(|&f| WaveRef::Fresh(f));
+        let mut members = frozen.chain(local).peekable();
+        if members.peek().is_some() {
+            let fresh = &self.fresh;
+            let members = members.map(|r| match r {
+                WaveRef::Global(id) => (r, cache.class(id)),
+                WaveRef::Fresh(f) => {
+                    let p = &fresh[f];
+                    (r, (&p.packed, p.refined.as_ref().expect("a colliding candidate is refined")))
+                }
+            });
+            let query = probe.refined.as_ref().expect("a colliding candidate is refined");
+            let (found, checks) = first_isomorphic(members, &probe.packed, query);
+            self.iso_resolutions += checks;
+            if let Some(to) = found {
+                self.dedup_hits += 1;
+                return Some((to, probe));
+            }
         }
-        self.new_fps.entry(fp).or_default().push(self.fresh.len());
+        self.new_keys.entry(key).or_default().push(self.fresh.len());
         self.fresh.push(probe);
         None
     }
 }
 
+/// Refines what resolving a shard's `items` compares, in one
+/// `search.fingerprint` span: every candidate whose pre-key bucket holds
+/// a frozen class or another candidate of the shard, and those frozen
+/// classes. A candidate alone in its bucket is a new class that nothing
+/// is compared against, so it stays unrefined; it is refined the first
+/// time a later problem lands in its bucket. Which problems are refined
+/// depends only on the items and the frozen index, never on the schedule.
+fn refine_collisions(cache: &CanonCache, items: &mut [(usize, Probe)]) {
+    if items.is_empty() {
+        return;
+    }
+    let _sp = obs::trace::span("search.fingerprint");
+    let mut in_shard: HashMap<u64, u32> = HashMap::with_capacity(items.len());
+    for (_, p) in items.iter() {
+        *in_shard.entry(p.key).or_default() += 1;
+    }
+    let mut refiner = Refiner::new();
+    for (_, p) in items.iter_mut() {
+        let frozen = cache.keys.get(&p.key).map_or(&[][..], Vec::as_slice);
+        if frozen.is_empty() && in_shard[&p.key] == 1 {
+            continue;
+        }
+        for &id in frozen {
+            cache.refined(id, &mut refiner);
+        }
+        p.refined.get_or_insert_with(|| refine(&p.packed, &mut refiner));
+    }
+}
+
 /// Resolves one shard's candidates against the frozen pre-wave cache plus
-/// the shard's own earlier candidates (see [`ShardState::resolve`]).
-/// Returns `(global item index, resolution)` in item order and the shard's
-/// final state.
+/// the shard's own earlier candidates (see [`ShardState::resolve`]), after
+/// [`refine_collisions`]. Returns `(global item index, resolution)` in
+/// item order and the shard's final state.
 fn resolve_wave_shard(
     cache: &CanonCache,
-    items: Vec<(usize, Probe)>,
+    mut items: Vec<(usize, Probe)>,
 ) -> (Vec<(usize, WaveRes)>, ShardState) {
+    refine_collisions(cache, &mut items);
     let metrics = intern_metrics();
     let mut st = ShardState::default();
     let mut out = Vec::with_capacity(items.len());
@@ -714,9 +793,16 @@ fn iso_checks() -> &'static obs::metrics::Counter {
     C.get_or_init(|| obs::metrics::counter("cache.iso_checks"))
 }
 
-/// `cache.packed_bytes`: the bytes a cache stores per class (packed rows,
-/// label ranks and name ids) and per distinct name (its name-table
-/// string), added as each is created.
+/// `cache.refinements`: label refinements the caches made, of queries and
+/// of stored classes alike (see [`refine`]).
+fn refinements() -> &'static obs::metrics::Counter {
+    static C: OnceLock<&'static obs::metrics::Counter> = OnceLock::new();
+    C.get_or_init(|| obs::metrics::counter("cache.refinements"))
+}
+
+/// `cache.packed_bytes`: the bytes a cache stores per class (packed rows
+/// and name ids, and label ranks once the class is refined) and per
+/// distinct name (its name-table string), added as each is stored.
 fn packed_bytes() -> &'static obs::metrics::Counter {
     static C: OnceLock<&'static obs::metrics::Counter> = OnceLock::new();
     C.get_or_init(|| obs::metrics::counter("cache.packed_bytes"))
@@ -729,6 +815,7 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use roundelim_core::iso::are_isomorphic;
     use roundelim_core::iso::fingerprint;
+    use roundelim_core::speedup::full_step;
 
     fn sc() -> Problem {
         Problem::parse("name: sc\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap()
@@ -744,6 +831,20 @@ mod tests {
 
     fn two() -> Problem {
         Problem::parse("name: two\nnode: A A A | B B B\nedge: A B").unwrap()
+    }
+
+    /// Steps class `id` the way the search does: the speedup step of its
+    /// representative, recorded with [`CanonCache::record_step`]. Returns
+    /// the successor class and the derived problem.
+    fn step(cache: &mut CanonCache, id: NodeId) -> Result<(NodeId, Problem)> {
+        let derived = full_step(&cache.materialize(id), 1)?.full.problem;
+        let (succ, _) = cache.record_step(id, derived.clone(), Probe::new(derived.clone()));
+        Ok((succ, derived))
+    }
+
+    /// Whether class `id` has been refined.
+    fn is_refined(cache: &CanonCache, id: NodeId) -> bool {
+        cache.entries[id.index()].refined.get().is_some()
     }
 
     /// The interner with no index at all, kept as an oracle: a problem
@@ -894,40 +995,57 @@ mod tests {
 
     #[test]
     fn wave_intern_matches_sequential_and_every_shard_count() {
-        // A wave with in-wave duplicates (renamed copies), cross-wave
-        // duplicates (classes already interned), and fresh classes. The
-        // wave interner must hand back exactly what one-at-a-time `intern`
-        // does — same ids, same dup/new split, same final cache — at every
-        // thread and shard count.
-        let wave: Vec<Problem> =
-            vec![sc(), trivial(), renamed_sc(), two(), trivial(), sc(), renamed_sc(), two()];
+        // Two waves with in-wave duplicates (renamed copies), cross-wave
+        // duplicates (classes already interned), and fresh classes. `p3`
+        // and `p4` share a pre-key but not a fingerprint: `p3` is alone in
+        // its bucket in the first wave, so it is stored unrefined, and the
+        // second wave's `p4` and renamed `p3` collide with it only then.
+        // The wave interner must hand back exactly what one-at-a-time
+        // `intern` does — same ids, same dup/new split, same final cache —
+        // at every thread and shard count.
+        let p3 = Problem::parse("name: p3\nnode: C C | B C | A D\nedge: B D | A C | C D").unwrap();
+        let p4 = Problem::parse("name: p4\nnode: A D | A A | B C\nedge: B D | A C | A D").unwrap();
+        let p3r = Problem::parse("name: r\nnode: Y Y | X Y | W Z\nedge: X Z | W Y | Y Z").unwrap();
+        let mut counts = Vec::new();
+        assert_eq!(pre_key(p3.packed(), &mut counts), pre_key(p4.packed(), &mut counts));
+        assert_ne!(fingerprint(p3.packed()), fingerprint(p4.packed()));
+        let waves: [Vec<Problem>; 2] = [
+            vec![sc(), trivial(), renamed_sc(), two(), trivial(), p3.clone()],
+            vec![sc(), p4, renamed_sc(), two(), p3r, p3],
+        ];
         let items =
             |w: &[Problem]| -> Vec<Probe> { w.iter().map(|p| Probe::new(p.clone())).collect() };
 
         // Reference: sequential interning into a pre-seeded cache (one
-        // class interned before the wave, so frozen-vs-fresh dedup is
+        // class interned before the waves, so frozen-vs-fresh dedup is
         // exercised too).
         let mut reference = CanonCache::new();
         reference.intern(sc());
         let (expect, expect_snap) = {
             let mut c = CanonCache::restore(reference.snapshot()).unwrap();
-            let ids: Vec<(NodeId, bool)> = wave.iter().map(|p| c.intern(p.clone())).collect();
+            let ids: Vec<Vec<(NodeId, bool)>> =
+                waves.iter().map(|w| w.iter().map(|p| c.intern(p.clone())).collect()).collect();
             (ids, c.snapshot())
         };
         for threads in [1, 2, 4] {
             for shards in [1, 4, 64] {
                 let mut c = CanonCache::restore(reference.snapshot()).unwrap();
-                let got: Vec<(NodeId, bool)> = c
-                    .intern_wave(items(&wave), threads, shards)
-                    .into_iter()
-                    .map(|(id, back)| (id, back.is_none()))
-                    .collect();
-                // 3 classes: sc (pre-seeded), trivial, two; the other 6
-                // wave items dedup (renamed ≅ sc).
-                assert_eq!(got, expect, "threads={threads} shards={shards}");
-                assert_eq!(c.len(), 3, "threads={threads} shards={shards}");
-                assert_eq!(c.stats.classes, 3);
-                assert_eq!(c.stats.dedup_hits, 6);
+                for (w, (wave, want)) in waves.iter().zip(&expect).enumerate() {
+                    let got: Vec<(NodeId, bool)> = c
+                        .intern_wave(items(wave), threads, shards)
+                        .into_iter()
+                        .map(|(id, back)| (id, back.is_none()))
+                        .collect();
+                    assert_eq!(&got, want, "wave {w} threads={threads} shards={shards}");
+                    // `p3`'s class is the first wave's last; it is refined
+                    // only once the second wave collides with it.
+                    assert_eq!(is_refined(&c, NodeId(3)), w == 1, "wave {w}");
+                }
+                // 5 classes: sc (pre-seeded), trivial, two, p3, p4; the
+                // other 8 wave items dedup (renamed ≅ sc, p3r ≅ p3).
+                assert_eq!(c.len(), 5, "threads={threads} shards={shards}");
+                assert_eq!(c.stats.classes, 5);
+                assert_eq!(c.stats.dedup_hits, 8);
                 // Same buckets in the same order, same counters.
                 let snap = c.snapshot();
                 assert_eq!(snap.fps, expect_snap.fps);
@@ -955,10 +1073,10 @@ mod tests {
                 Problem::from_packed(mv.kind.result_name(c3.name()), labels, mv.result.clone())
             })
             .collect();
-        let mut refiner = Refiner::new();
+        let mut counts = Vec::new();
         let items = moves
             .into_iter()
-            .map(|mv| Probe::derived(src, mv.kind, mv.kept, mv.result, &mut refiner))
+            .map(|mv| Probe::derived(src, mv.kind, mv.kept, mv.result, &mut counts))
             .collect();
         let (mut new, mut dups) = (0, 0);
         for ((id, back), want) in cache.intern_wave(items, 2, 4).into_iter().zip(&want) {
@@ -981,10 +1099,10 @@ mod tests {
     fn step_is_memoized() {
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(sc());
-        let (s1, d1) = cache.step(id, 1).unwrap();
-        let (s2, d2) = cache.step(id, 1).unwrap();
-        assert_eq!(s1, s2);
-        assert_eq!(d1, d2);
+        assert_eq!(cache.step_succ(id), None);
+        let (s1, d1) = step(&mut cache, id).unwrap();
+        assert_eq!(cache.step_succ(id), Some(s1));
+        assert_eq!(cache.step_derived(id), Some(&d1));
         assert_eq!(cache.stats.step_misses, 1);
         assert_eq!(cache.stats.step_hits, 1);
         // §4.4: the derived problem of sinkless coloring is isomorphic to it.
@@ -992,10 +1110,32 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_pre_key_creates_its_class_without_refining() {
+        let mut cache = CanonCache::new();
+        let (a, _) = cache.intern(sc());
+        let (t, _) = cache.intern(trivial());
+        let w = cache.intern_wave(vec![Probe::new(two())], 1, 1)[0].0;
+        assert_eq!(cache.len(), 3);
+        assert!([a, t, w].iter().all(|&id| !is_refined(&cache, id)), "no bucket collided");
+        assert_eq!(cache.stats.iso_resolutions, 0);
+        // A renamed copy lands in `sc`'s bucket: both sides are refined
+        // then, and one check dedups it. The other classes stay unrefined.
+        let (b, new) = cache.intern(renamed_sc());
+        assert_eq!((b, new), (a, false));
+        assert!(is_refined(&cache, a));
+        assert!(!is_refined(&cache, t) && !is_refined(&cache, w));
+        assert_eq!(cache.stats.iso_resolutions, 1);
+        // A lookup miss refines nothing either.
+        let four = Problem::parse("name: f\nnode: A A B | B B B\nedge: A B | B B").unwrap();
+        assert_eq!(cache.find(&four), None);
+        assert!(!is_refined(&cache, t) && !is_refined(&cache, w));
+    }
+
+    #[test]
     fn snapshot_restore_preserves_behavior_and_counters() {
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(sc());
-        cache.step(id, 1).unwrap();
+        step(&mut cache, id).unwrap();
         assert!(!cache.is_zero_round(id, ZeroRoundModel::Oriented));
         cache.intern_wave(vec![Probe::new(trivial())], 1, 1);
 
@@ -1010,10 +1150,8 @@ mod tests {
         assert_eq!(got[0].0.index(), 1);
         assert!(got[0].1.is_some());
         // The step memo came along: no recomputation.
-        let misses = restored.stats.step_misses;
-        let (succ, _) = restored.step(id, 1).unwrap();
-        assert_eq!(succ, id);
-        assert_eq!(restored.stats.step_misses, misses);
+        assert_eq!(restored.step_succ(id), Some(id));
+        assert_eq!(restored.step_derived(id), cache.step_derived(id));
         // So did the 0-round memo.
         assert!(!restored.is_zero_round(id, ZeroRoundModel::Oriented));
     }
@@ -1050,7 +1188,7 @@ mod tests {
     fn restore_rejects_out_of_range_ids() {
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(sc());
-        cache.step(id, 1).unwrap();
+        step(&mut cache, id).unwrap();
         let mut snap = cache.snapshot();
         snap.entries[0].1.as_mut().unwrap().0 = NodeId(99);
         assert!(CanonCache::restore(snap).is_err());

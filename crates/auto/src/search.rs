@@ -43,7 +43,7 @@ use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
 use crate::moves::{for_each_harden_move, for_each_relax_move, Move};
 use roundelim_core::error::{Error, Result};
-use roundelim_core::iso::{fingerprint_and_ranks, isomorphism, isomorphism_ranked, Refiner};
+use roundelim_core::iso::{fingerprint_and_ranks, isomorphism, isomorphism_ranked};
 use roundelim_core::label::Label;
 use roundelim_core::par::{resolve_threads, share};
 use roundelim_core::problem::Problem;
@@ -53,7 +53,7 @@ use roundelim_core::zero_round::check_oriented_delta;
 use roundelim_obs as obs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A shareable cooperative-cancellation probe (see [`SearchOptions::cancel`]).
@@ -330,7 +330,7 @@ pub struct Outcome {
     pub stats: SearchStats,
 }
 
-/// Fingerprint-shard count of the wave interner. A power of two
+/// Pre-key shard count of the wave interner. A power of two
 /// comfortably above any sane thread count: shard skew is what limits the
 /// interner's parallelism, not shard count. Fixed independently of the
 /// thread count, so cache counters (and with them `SearchStats`) stay
@@ -401,12 +401,14 @@ where
     // Items without a half keep their phase-1 outcome, and members marked
     // dead keep this `Some(None)`; every other slot is overwritten below.
     let mut out: Vec<Option<Option<R>>> = halves.iter().map(|h| h.as_ref().map(|_| None)).collect();
-    let slots: Vec<Mutex<Option<H>>> =
-        halves.into_iter().map(|h| Mutex::new(h.flatten())).collect();
-    let run = |items: &[usize]| {
+    let mut halves: Vec<Option<H>> = halves.into_iter().map(Option::flatten).collect();
+    // The search's `par_map` over owned halves: the `worker-panic`
+    // failpoint is armed per item.
+    let mut run = |items: &[usize]| {
         let inner = share(threads, items.len());
-        par_map(items, threads, |&i| {
-            let h = slots[i].lock().expect("half slot").take().expect("each half finishes once");
+        let owned = items.iter().map(|&i| halves[i].take().expect("each half finishes once"));
+        roundelim_core::par::par_each_catch(owned.collect(), threads, |h| {
+            failpoint::hit("worker-panic");
             finish(h, inner)
         })
     };
@@ -838,11 +840,11 @@ impl Search {
                 return None;
             }
             // Generate candidates (packed quotients of each source class's
-            // rows, refined once into probes with their fingerprints and
-            // label ranks) in parallel; the per-candidate work is pure and
-            // builds no names. The wave interner resolves re-derived
-            // classes with short isomorphism checks in its parallel shard
-            // phase, reusing the ranks.
+            // rows, keyed into probes by their pre-keys) in parallel; the
+            // per-candidate work is pure and builds no names. The wave
+            // interner refines only the candidates whose pre-keys collide
+            // and resolves them with short isomorphism checks in its
+            // parallel shard phase.
             let cap = self.intern_cap();
             // Oversized sources (above the step bound) only exist to be
             // relaxed back under it; their quadratic pairwise-merge fan-out
@@ -871,17 +873,17 @@ impl Search {
                         }
                     }
                     let _sp = obs::trace::span("search.fingerprint");
-                    let mut refiner = Refiner::new();
+                    let mut counts = Vec::new();
                     moves
                         .into_iter()
                         .map(|Move { kind, map, kept, result }| {
-                            (Probe::derived(n, kind, kept, result, &mut refiner), map)
+                            (Probe::derived(n, kind, kept, result, &mut counts), map)
                         })
                         .collect()
                 });
             // Flatten the surviving candidates in item order and resolve
             // the whole wave against the sharded cache at once: dedup runs
-            // in parallel across fingerprint shards, then `NodeId`s are
+            // in parallel across pre-key shards, then `NodeId`s are
             // assigned in a deterministic sequential pass in the same item
             // order the old one-at-a-time fold used — ids, buckets, and
             // counters are bit-identical to it at every thread count.

@@ -527,6 +527,45 @@ pub fn fingerprint(p: &PackedProblem) -> u64 {
     Refiner::default().fingerprint(p)
 }
 
+/// A structural isomorphism invariant far cheaper than the [`fingerprint`]:
+/// a digest of the label count, Δ, the edge arity, the per-side
+/// configuration counts, and the sorted multiset of per-label
+/// `(node configurations containing it, node occurrences, edge
+/// configurations containing it, edge occurrences)`, multiplicities
+/// counted. One pass over the rows and a sort of one word per label: less
+/// work than one refinement round.
+///
+/// The fingerprint's first refinement round already separates labels by
+/// these counts, so problems with equal fingerprints have equal pre-keys
+/// (barring a 64-bit collision), and an index keyed by pre-key holds every
+/// fingerprint bucket whole. `counts` is the per-label buffer, reused
+/// across calls: a warm call allocates nothing.
+pub fn pre_key(p: &PackedProblem, counts: &mut Vec<u64>) -> u64 {
+    counts.clear();
+    counts.resize(p.label_count(), 0);
+    // Four 16-bit fields per label, high to low: node configurations, node
+    // occurrences, edge configurations, edge occurrences. A field that
+    // overflows carries into its neighbor, which keeps the word invariant.
+    for (side, shift) in [(p.node(), 32), (p.edge(), 0)] {
+        for cfg in side.iter() {
+            // Rows are sorted, so a label's first slot in a row starts its run.
+            for (i, &l) in cfg.iter().enumerate() {
+                let first = u64::from(i == 0 || cfg[i - 1] != l);
+                counts[l.index()] = counts[l.index()].wrapping_add(((first << 16) | 1) << shift);
+            }
+        }
+    }
+    counts.sort_unstable();
+    let mut h = fold(PRE_KEY_SEED, p.label_count() as u64);
+    h = fold(h, p.delta() as u64);
+    h = fold(h, p.edge().arity() as u64);
+    h = fold(h, ((p.node().len() as u64) << 32) | p.edge().len() as u64);
+    counts.iter().fold(h, |h, &c| fold(h, c))
+}
+
+/// The value a [`pre_key`] digest starts from.
+const PRE_KEY_SEED: u64 = 0x8EBC_6AF0_9C88_C6E3;
+
 /// A canonical key for a problem, equal for isomorphic problems.
 ///
 /// Computed by trying all signature-respecting renamings and keeping the

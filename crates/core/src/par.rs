@@ -23,7 +23,8 @@
 //! parallel call hands each of its tasks a [`share`] of that count, so
 //! nested calls split the budget instead of multiplying it. Chunked work
 //! goes through [`par_chunks`] (read-only, weight-balanced chunks) or
-//! [`par_each`] (owned items, typically `&mut` chunks filled in place).
+//! [`par_each`] (owned items, typically `&mut` chunks filled in place);
+//! [`par_each_catch`] is the owned-item claim with per-item panic capture.
 //!
 //! The executor reports into the `roundelim-obs` registry: `exec.tasks`,
 //! `exec.steals` and `exec.spawns` (worker threads started) counters are
@@ -186,7 +187,11 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let (out, panics) = par_map_catch(items, threads, f);
+    strict(par_map_catch(items, threads, f))
+}
+
+/// The results of a catching call, or a panic if any task panicked.
+fn strict<R>((out, panics): (Vec<Option<R>>, usize)) -> Vec<R> {
     assert!(panics == 0, "parallel worker panicked ({panics} task(s) lost)");
     out.into_iter().map(|r| r.expect("no panics counted")).collect()
 }
@@ -235,8 +240,8 @@ where
 /// order: the in-place claim helper. The items are typically disjoint
 /// `&mut` chunks of one buffer (`buf.chunks_mut(len)`), so a buffer is
 /// filled or sorted where it lies instead of collected and flattened.
-/// Each executor task claims its item from a slot exactly once. At one
-/// thread, or for at most one item, the items run inline in order.
+/// At one thread, or for at most one item, the items run inline in order;
+/// otherwise they go through [`par_each_catch`], and a panic is fatal.
 pub fn par_each<I, R, F>(items: Vec<I>, threads: usize, f: F) -> Vec<R>
 where
     I: Send,
@@ -246,9 +251,25 @@ where
     if threads <= 1 || items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }
+    strict(par_each_catch(items, threads, f))
+}
+
+/// [`par_map_catch`] over owned items: each executor task claims its item
+/// from a slot exactly once and moves it into `f`. Results come back in
+/// item order with panics captured per item, and the executor counters
+/// (`exec.tasks`, `exec.spawns`) count exactly as for [`par_map_catch`],
+/// the inline one-thread path included. This is the workspace's one claim
+/// of owned items.
+pub fn par_each_catch<I, R, F>(items: Vec<I>, threads: usize, f: F) -> (Vec<Option<R>>, usize)
+where
+    I: Send,
+    R: Send,
+    F: Fn(I) -> R + Sync,
+{
     let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-    par_map(&slots, threads, |slot| {
-        f(slot.lock().expect("item slot").take().expect("claimed once"))
+    par_map_catch(&slots, threads, |slot| {
+        let item = slot.lock().expect("item slot").take().expect("claimed once");
+        f(item)
     })
 }
 
@@ -354,6 +375,27 @@ mod tests {
             }
         }
         assert_eq!((share(8, 1), share(8, 3), share(2, 6), share(1, 0)), (8, 2, 1, 1));
+    }
+
+    #[test]
+    fn owned_items_are_claimed_once_with_panics_captured_per_item() {
+        // Each owned item moves into exactly one task; a panic costs only
+        // its own item. Executor tasks count at one thread too, where the
+        // items run inline.
+        let tasks = obs::metrics::counter("exec.tasks");
+        for threads in [1, 4] {
+            let before = tasks.get();
+            let items: Vec<String> = (0..50).map(|i| i.to_string()).collect();
+            let (out, panics) = par_each_catch(items, threads, |s| {
+                assert!(!s.ends_with('7'), "injected");
+                s.len()
+            });
+            assert_eq!(panics, 5, "threads={threads}");
+            for (i, r) in out.iter().enumerate() {
+                assert_eq!(*r, (i % 10 != 7).then(|| i.to_string().len()), "threads={threads}");
+            }
+            assert!(tasks.get() - before >= 50, "threads={threads}");
+        }
     }
 
     #[test]

@@ -10,13 +10,24 @@ use proptest::prelude::*;
 use roundelim::auto::binenc::{
     certificate_from_bytes, certificate_to_bytes, snapshot_from_bytes, snapshot_to_bytes,
 };
-use roundelim::auto::cache::CanonCache;
+use roundelim::auto::cache::{CanonCache, NodeId, Probe};
 use roundelim::auto::search::{autolb, SearchOptions};
 use roundelim::core::binenc::{frame, problem_from_bytes, problem_to_bytes};
 use roundelim::core::config::{all_multisets, Config};
 use roundelim::core::constraint::Constraint;
 use roundelim::core::label::Alphabet;
 use roundelim::core::problem::Problem;
+use roundelim::core::speedup::full_step;
+
+/// Steps class `id` the way the search does: the speedup step of its
+/// representative, recorded with `CanonCache::record_step`. Some problems
+/// have no legal step; those record nothing.
+fn record_full_step(cache: &mut CanonCache, id: NodeId) {
+    if let Ok(step) = full_step(&cache.materialize(id), 1) {
+        let derived = step.full.problem;
+        cache.record_step(id, derived.clone(), Probe::new(derived));
+    }
+}
 
 /// A random problem with Δ and label count drawn from the given ranges
 /// (the `tests/properties.rs` generator, parameterised over sizes).
@@ -113,9 +124,8 @@ proptest! {
         for p in &ps {
             let (id, _) = cache.intern(p.clone());
             ids.push(id);
-            // Recording a step exercises the succ/derived snapshot fields;
-            // some random problems have no legal step, which is fine.
-            let _ = cache.step(id, 1);
+            // Recording a step exercises the succ/derived snapshot fields.
+            record_full_step(&mut cache, id);
         }
         let bytes = snapshot_to_bytes(&cache.snapshot());
         let snap = snapshot_from_bytes(&bytes).unwrap();
@@ -166,7 +176,7 @@ fn truncations_and_byte_flips_are_rejected() {
     let cert = out.certificate.expect("sinkless orientation certifies");
     let mut cache = CanonCache::new();
     let (id, _) = cache.intern(p.clone());
-    let _ = cache.step(id, 1);
+    record_full_step(&mut cache, id);
 
     let blobs: Vec<(&str, Vec<u8>)> = vec![
         ("problem", problem_to_bytes(&p)),

@@ -133,11 +133,12 @@ fn autolb_json_embeds_the_certificate() {
 ///
 /// The same runs pin the search's work and bound the class store: 1771
 /// isomorphism checks (`cache.iso_checks`) resolve 1723 wave hits against
-/// 5095 wave misses at every thread count, 3 beam nodes end as dead ends
-/// read off an isomorphic half-step (`search.step_dedups`) instead of
-/// finishing their own step, and `cache.packed_bytes` (packed rows, label
-/// ranks, name ids and the name table) stays under 1 KiB per interned
-/// class.
+/// 5095 wave misses at every thread count, 3862 label refinements
+/// (`cache.refinements`) serve them, because only problems whose pre-key
+/// bucket collides are refined, 3 beam nodes end as dead ends read off an
+/// isomorphic half-step (`search.step_dedups`) instead of finishing their
+/// own step, and `cache.packed_bytes` (packed rows, label ranks, name ids
+/// and the name table) stays under 1 KiB per interned class.
 #[test]
 fn coloring_certificate_bytes_are_pinned() {
     const GOLDEN: u64 = 0xc8fe_075d_8e20_380f;
@@ -159,6 +160,7 @@ fn coloring_certificate_bytes_are_pinned() {
         assert_eq!(counter("cache.iso_checks"), 1771, "threads={threads}");
         assert_eq!(counter("cache.intern_hits"), 1723, "threads={threads}");
         assert_eq!(counter("cache.intern_misses"), 5095, "threads={threads}");
+        assert_eq!(counter("cache.refinements"), 3862, "threads={threads}");
         assert_eq!(counter("search.step_dedups"), 3, "threads={threads}");
         assert!(packed <= 1024 * classes, "threads={threads}: {packed} B for {classes} classes");
     }
@@ -172,15 +174,17 @@ fn report_u64(report: &roundelim::auto::json::Json, path: &[&str]) -> u64 {
         .unwrap_or_else(|| panic!("no number at {path:?}"))
 }
 
-/// `(spec, classes, expanded, intern misses, intern hits, iso checks, step
-/// dedups)` of `autolb` on each threads-sweep spec at the CI sweep budget.
-const ZOO_WORK: [(&str, u64, u64, u64, u64, u64, u64); 6] = [
-    ("sinkless-orientation::3", 3, 2, 1, 1, 2, 0),
-    ("sinkless-orientation::4", 3, 2, 1, 1, 2, 0),
-    ("coloring:3:2", 21, 1, 19, 60, 60, 0),
-    ("coloring:3:3", 5102, 13, 5095, 1723, 1771, 3),
-    ("maximal-matching::3", 613, 8, 606, 82, 90, 0),
-    ("mis::3", 1049, 4, 1044, 31, 93, 0),
+/// `(spec, classes, expanded, intern misses, intern hits, iso checks,
+/// refinements, step dedups)` of `autolb` on each threads-sweep spec at the
+/// CI sweep budget.
+type ZooWork = (&'static str, u64, u64, u64, u64, u64, u64, u64);
+const ZOO_WORK: [ZooWork; 6] = [
+    ("sinkless-orientation::3", 3, 2, 1, 1, 2, 4, 0),
+    ("sinkless-orientation::4", 3, 2, 1, 1, 2, 4, 0),
+    ("coloring:3:2", 21, 1, 19, 60, 60, 78, 0),
+    ("coloring:3:3", 5102, 13, 5095, 1723, 1771, 3862, 3),
+    ("maximal-matching::3", 613, 8, 606, 82, 90, 247, 0),
+    ("mis::3", 1049, 4, 1044, 31, 93, 256, 0),
 ];
 
 /// Executor tasks of `autolb` on each threads-sweep spec (in [`ZOO_WORK`]
@@ -188,10 +192,12 @@ const ZOO_WORK: [(&str, u64, u64, u64, u64, u64, u64); 6] = [
 const ZOO_TASKS_AT_ONE_THREAD: [u64; 6] = [135, 135, 151, 6282, 1232, 1521];
 
 /// The zoo's search work is gated exactly, not by time: the classes, the
-/// expansions, the wave intern misses and hits, the isomorphism checks and
-/// the step dedups of every threads-sweep spec are the same at 1 and 2
-/// worker threads and equal the table. Doubling the isomorphism checks,
-/// interning a class twice or finishing a dead-end class twice fails here.
+/// expansions, the wave intern misses and hits, the isomorphism checks, the
+/// label refinements and the step dedups of every threads-sweep spec are
+/// the same at 1 and 2 worker threads and equal the table. Doubling the
+/// isomorphism checks, interning a class twice, refining a problem whose
+/// pre-key is alone in its bucket or finishing a dead-end class twice
+/// fails here.
 /// At one thread the executor tasks are pinned too, and no worker thread
 /// starts: `--threads 1` reaches every parallel call, the speedup step's
 /// included.
@@ -218,6 +224,7 @@ fn zoo_search_work_is_pinned_exactly() {
                     counter("cache.intern_misses"),
                     counter("cache.intern_hits"),
                     counter("cache.iso_checks"),
+                    counter("cache.refinements"),
                     counter("search.step_dedups"),
                 )
             })

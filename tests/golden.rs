@@ -8,9 +8,9 @@
 //! fails here. A change that alters a format or a verdict on purpose
 //! updates this table in the same diff and says why.
 //!
-//! Two more artifacts are pinned the same way: `SIM_crossval.json` of a
-//! `sim-vs-bound` sweep, and the daemon's `proofs.bin` after a fixed
-//! request sequence.
+//! Three more artifacts are pinned the same way: `SIM_crossval.json` of a
+//! `sim-vs-bound` sweep, the daemon's `proofs.bin` after a fixed request
+//! sequence, and the checkpoint of a budget-stopped search.
 //!
 //! The fixtures under `tests/fixtures/` were written by the build before
 //! the packed class store: a v2 checkpoint of a budget-stopped search and
@@ -160,6 +160,27 @@ fn daemon_proof_store_matches_its_golden_digest() {
     stdout.read_to_string(&mut rest).unwrap();
     let digest = fnv1a64(&std::fs::read(store.join("proofs.bin")).unwrap());
     assert_eq!(digest, GOLDEN_PROOFS, "proofs.bin digest {digest:#x}");
+}
+
+/// A budget-stopped `autolb coloring:3:3` writes the same checkpoint bytes
+/// at 1 and 2 worker threads: the cache snapshot's fingerprint index
+/// included, although the search refines only the classes whose pre-key
+/// bucket collided.
+#[test]
+fn budget_stopped_checkpoint_matches_its_golden_digest() {
+    const GOLDEN_CKPT: u64 = 0x75e3_7274_2148_ea08;
+    for threads in ["1", "2"] {
+        let ck = tmp_dir(&format!("c33-ckpt-{threads}"));
+        let out = cli()
+            .args(["autolb", "coloring:3:3", "--steps", "6", "--beam", "6", "--max-labels", "10"])
+            .args(["--max-expansions", "3", "--threads", threads])
+            .args(["--checkpoint", ck.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+        let digest = fnv1a64(&std::fs::read(ck.join("search.ckpt.json")).unwrap());
+        assert_eq!(digest, GOLDEN_CKPT, "threads={threads}: checkpoint digest {digest:#x}");
+    }
 }
 
 /// A checkpoint of `autolb maximal-matching::3 --steps 6 --beam 6

@@ -1,9 +1,10 @@
 //! The search's per-class kernels allocate only their set-up: a warm label
-//! refinement allocates nothing, and an isomorphism search allocates per
-//! label, never per configuration probe. Allocations are counted per
-//! thread, so tests running alongside do not disturb the counts.
+//! refinement or pre-key allocates nothing, and an isomorphism search
+//! allocates per label, never per configuration probe. Allocations are
+//! counted per thread, so tests running alongside do not disturb the
+//! counts.
 
-use roundelim::core::iso::{fingerprint_and_ranks, isomorphism_ranked, Refiner};
+use roundelim::core::iso::{fingerprint_and_ranks, isomorphism_ranked, pre_key, Refiner};
 use roundelim::core::problem::Problem;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -55,6 +56,14 @@ fn a_warm_refiner_allocates_nothing() {
     let mut refiner = Refiner::new();
     let fp = refiner.fingerprint(p.packed());
     assert_eq!(allocations(|| assert_eq!(refiner.fingerprint(p.packed()), fp)), 0);
+}
+
+#[test]
+fn a_warm_pre_key_allocates_nothing() {
+    let p = problem(["A", "B", "C", "D", "E"]);
+    let mut counts = Vec::new();
+    let key = pre_key(p.packed(), &mut counts);
+    assert_eq!(allocations(|| assert_eq!(pre_key(p.packed(), &mut counts), key)), 0);
 }
 
 #[test]

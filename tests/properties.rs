@@ -13,6 +13,7 @@ use roundelim::core::config::{all_multisets, Config};
 use roundelim::core::constraint::Constraint;
 use roundelim::core::label::{Alphabet, Label};
 use roundelim::core::labelset::LabelSet;
+use roundelim::core::packed::PackedProblem;
 use roundelim::core::problem::Problem;
 use roundelim::core::speedup::universal::{
     dominates, line_good, maximal_good_lines, maximal_good_lines_bruteforce,
@@ -348,6 +349,49 @@ proptest! {
         let back = Problem::from_packed(name, labels, packed);
         prop_assert_eq!(&back, &p);
         prop_assert_eq!(back.to_text(), p.to_text());
+    }
+}
+
+/// Every zoo family at its first legal `(k, Δ)` with `k, Δ ≤ 4`, plus up to
+/// 16 of its relaxation-wave candidates (the packed quotients a search
+/// interns).
+fn zoo_and_wave_candidates() -> Vec<PackedProblem> {
+    use roundelim::auto::moves::for_each_relax_move;
+    let mut out = Vec::new();
+    for f in roundelim::problems::registry::families() {
+        let legal = (0..=4).flat_map(|k| (2..=4).map(move |d| (k, d)));
+        let Some(p) = legal.filter_map(|(k, d)| f.instantiate(k, d).ok()).next() else { continue };
+        let mut moves = Vec::new();
+        for_each_relax_move(p.packed(), false, false, |mv| moves.push(mv.result));
+        out.push(p.packed().clone());
+        out.extend(moves.into_iter().take(16));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The pre-key is an isomorphism invariant: a seeded random renaming of
+    /// any zoo problem or wave candidate keeps it, as it keeps the
+    /// fingerprint the pre-key stands in front of.
+    #[test]
+    fn renamings_keep_the_pre_key(seed in any::<u64>()) {
+        use roundelim::core::iso::{fingerprint, pre_key};
+        let mut counts = Vec::new();
+        let mut state = seed;
+        for p in zoo_and_wave_candidates() {
+            // A seeded random permutation: label l becomes perm[l].
+            let n = p.label_count();
+            let mut perm: Vec<Label> = (0..n).map(Label::from_index).collect();
+            for i in (1..n).rev() {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                perm.swap(i, (state >> 33) as usize % (i + 1));
+            }
+            let renamed = p.quotient(&perm);
+            prop_assert_eq!(pre_key(&renamed, &mut counts), pre_key(&p, &mut counts));
+            prop_assert_eq!(fingerprint(&renamed), fingerprint(&p));
+        }
     }
 }
 
