@@ -111,10 +111,12 @@ impl Distributed for GreedyMis {
     }
 
     fn done(&self, state: &MisState) -> bool {
-        // A decided node's output is final; covered nodes record their
-        // witness at the transition. With random IDs the phases retire
-        // nodes geometrically, so `run_adaptive` finishes in O(log n)
-        // expected rounds instead of the worst-case mis_rounds(n).
+        // A decided node's output is final: covered nodes record their
+        // witness at the transition, and the frozen status is all a done
+        // node sends, which still covers its undecided neighbours. With
+        // random IDs the phases retire nodes geometrically, so
+        // `run_adaptive` finishes in O(log n) expected rounds instead of
+        // the worst-case mis_rounds(n).
         state.status != MisStatus::Undecided
     }
 }
@@ -218,8 +220,11 @@ impl Distributed for GreedyMatching {
     fn done(&self, state: &MatchState) -> bool {
         // Matched nodes are final; an unmatched node is final once every
         // neighbor is known-matched (its all-P output is then maximal).
-        // When *all* nodes satisfy this the matching is maximal, so
-        // `run_adaptive` may stop.
+        // A newly matched node's state is frozen with its matched flag
+        // set, and it keeps sending that flag, which its unmatched
+        // neighbors need to retarget their proposals. When *all* nodes
+        // satisfy this the matching is maximal, so `run_adaptive` may
+        // stop.
         state.matched_port.is_some() || state.neighbor_matched.iter().all(|&b| b)
     }
 }

@@ -3,7 +3,7 @@
 //! The random generators are **counter-based and deterministic**: a graph
 //! is a pure function of `(n, d, tries, seed)`. Randomness comes from a
 //! SplitMix64-style hash of per-index counters, and random permutations
-//! are realized by sorting nodes by `(hash, id)` keys — a strict total
+//! are realized by sorting nodes by their hashes — distinct keys, so one
 //! order — so the result is bit-identical for every worker-thread count
 //! (`threads`), which the cross-validation CI job diffs.
 
@@ -11,6 +11,7 @@ use crate::graph::{PortGraph, PAR_MIN_ITEMS};
 use rand::Rng;
 use roundelim_core::par;
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// The n-cycle (Δ = 2, girth n) — the graph class of §4.5.
 ///
@@ -112,37 +113,84 @@ fn hash64(x: u64) -> u64 {
 }
 
 /// A uniform-looking permutation of `0..len` as a pure function of
-/// `stream`: sort ids by `(hash64(stream ^ i·φ), id)`. Key computation and
-/// chunk sorts run on worker threads; the strict total order makes the
-/// result schedule-independent.
+/// `stream`: ids sorted by their keys `hash64(stream ^ i·φ)`. The keys are
+/// distinct (`i ↦ stream ^ i·φ` is injective for odd φ, and `hash64` is a
+/// bijection), so scattering `(key, id)` pairs into buckets by the keys'
+/// top bits and sorting each bucket gives the one sorted order. Each of
+/// `threads · OVERSUB` id chunks counts its keys per bucket; the counts
+/// give every chunk its own slots in every bucket, so the chunks scatter
+/// in parallel, and then runs of buckets sort in parallel. The result is
+/// schedule-independent.
 fn keyed_order(len: usize, stream: u64, threads: usize) -> Vec<u32> {
+    let key = |i: usize| hash64(stream ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let bits = bucket_bits(len);
+    let bucket = |k: u64| k.checked_shr(64 - bits).unwrap_or(0) as usize;
+    let buckets = 1usize << bits;
     let chunk = if threads > 1 && len >= PAR_MIN_ITEMS {
         len.div_ceil(threads * par::OVERSUB)
     } else {
         len.max(1)
     };
-    let mut keyed = vec![(0u64, 0u32); len];
-    par::par_each(keyed.chunks_mut(chunk).enumerate().collect(), threads, |(c, part)| {
-        for (i, slot) in (c * chunk..).zip(part) {
-            *slot = (hash64(stream ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as u32);
+    let ranges: Vec<Range<usize>> =
+        (0..len.div_ceil(chunk)).map(|c| c * chunk..((c + 1) * chunk).min(len)).collect();
+    let counts: Vec<Vec<u32>> = par::par_each(ranges.clone(), threads, |ids| {
+        let mut count = vec![0u32; buckets];
+        ids.for_each(|i| count[bucket(key(i))] += 1);
+        count
+    });
+    // Bucket-major, chunk-minor: chunk `c`'s slots in bucket `b` follow
+    // those of the chunks before it.
+    let mut pairs = vec![(0u64, 0u32); len];
+    let mut slots: Vec<Vec<std::slice::IterMut<'_, (u64, u32)>>> =
+        ranges.iter().map(|_| Vec::with_capacity(buckets)).collect();
+    let mut bucket_lens = vec![0usize; buckets];
+    let mut rest = &mut pairs[..];
+    for (b, bucket_len) in bucket_lens.iter_mut().enumerate() {
+        for (count, slots) in counts.iter().zip(&mut slots) {
+            let (part, tail) = std::mem::take(&mut rest).split_at_mut(count[b] as usize);
+            rest = tail;
+            *bucket_len += part.len();
+            slots.push(part.iter_mut());
+        }
+    }
+    drop(counts);
+    par::par_each(ranges.into_iter().zip(slots).collect(), threads, |(ids, mut slots)| {
+        for i in ids {
+            let k = key(i);
+            *slots[bucket(k)].next().expect("a slot per counted key") = (k, i as u32);
         }
     });
-    sort_pairs(keyed, threads).into_iter().map(|(_, i)| i).collect()
+    // Runs of consecutive buckets, sorted and unpacked in parallel.
+    let runs = buckets.div_ceil(if threads > 1 { threads * par::OVERSUB } else { 1 });
+    let mut order = vec![0u32; len];
+    let (mut pairs_rest, mut order_rest) = (&mut pairs[..], &mut order[..]);
+    let items: Vec<_> = bucket_lens
+        .chunks(runs)
+        .map(|lens| {
+            let total = lens.iter().sum();
+            let (p, pt) = std::mem::take(&mut pairs_rest).split_at_mut(total);
+            let (o, ot) = std::mem::take(&mut order_rest).split_at_mut(total);
+            (pairs_rest, order_rest) = (pt, ot);
+            (lens, p, o)
+        })
+        .collect();
+    par::par_each(items, threads, |(lens, pairs, order)| {
+        let mut lo = 0;
+        for &len in lens {
+            pairs[lo..lo + len].sort_unstable_by_key(|&(k, _)| k);
+            lo += len;
+        }
+        for (slot, &(_, i)) in order.iter_mut().zip(&*pairs) {
+            *slot = i;
+        }
+    });
+    order
 }
 
-/// Sorts key/value pairs: parallel in-place sorts of `threads` chunks,
-/// then one stable sort, which finds the sorted chunks as runs and merges
-/// them. `Ord` on tuples is total, so the output equals a plain
-/// `sort_unstable` for every thread count.
-fn sort_pairs(mut v: Vec<(u64, u32)>, threads: usize) -> Vec<(u64, u32)> {
-    if threads <= 1 || v.len() < PAR_MIN_ITEMS {
-        v.sort_unstable();
-        return v;
-    }
-    let chunk = v.len().div_ceil(threads);
-    par::par_each(v.chunks_mut(chunk).collect(), threads, <[(u64, u32)]>::sort_unstable);
-    v.sort();
-    v
+/// Bucket bits for [`keyed_order`] on `len` keys: about 32 keys per
+/// bucket, whose sort stays in L1, and at most 2¹⁶ buckets.
+fn bucket_bits(len: usize) -> u32 {
+    (len / 32).max(1).ilog2().min(16)
 }
 
 /// Whether `(n, d)` can possibly be a simple `d`-regular graph on `n`
@@ -367,13 +415,25 @@ mod tests {
     }
 
     #[test]
-    fn sort_pairs_matches_sort_unstable() {
-        // 12-bit keys repeat, so ties fall to the second field.
-        let v: Vec<(u64, u32)> = (0..9000).map(|i| (hash64(i) >> 52, i as u32)).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(sort_pairs(v.clone(), threads), expect);
+    fn keyed_order_matches_sort_unstable() {
+        // The construction the bucket sort replaced: sort every
+        // `(key, id)` pair.
+        for len in [0, 1, 2, 33, 9000, 100_000] {
+            let stream = hash64(len as u64);
+            let mut pairs: Vec<(u64, u32)> = (0..len)
+                .map(|i| {
+                    (hash64(stream ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)), i as u32)
+                })
+                .collect();
+            pairs.sort_unstable();
+            let expect: Vec<u32> = pairs.into_iter().map(|(_, i)| i).collect();
+            for threads in [1, 2, 4, 7] {
+                assert_eq!(
+                    keyed_order(len, stream, threads),
+                    expect,
+                    "len={len} threads={threads}"
+                );
+            }
         }
     }
 

@@ -20,17 +20,20 @@
 //! each chunk's inbox through the graph's mate table
 //! ([`PortGraph::mates`]) into a buffer the chunk keeps across rounds.
 //! Node states stay in their chunks from `init` to `output`; node inputs
-//! are produced on demand, once per node in `init`, and never held. Each
-//! node's update reads only the round's `outgoing` arena and its own
-//! state, so outputs and round counts are bit-identical for every thread
-//! count.
+//! are produced on demand, once per node in `init`, and never held.
+//!
+//! Adaptive runs work in proportion to their frontier: each chunk keeps
+//! its live (not done) nodes, only those receive, and once few are left
+//! only their neighbours send. Each node's update reads only the round's
+//! `outgoing` arena and its own state, so outputs and round counts are
+//! bit-identical for every thread count.
 
 use crate::graph::PortGraph;
 use roundelim_core::label::Label;
 use roundelim_core::par::{self, par_each};
 use roundelim_obs as obs;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Per-node input information available at round 0.
 #[derive(Debug, Clone, Default)]
@@ -80,11 +83,15 @@ pub trait Distributed: Sync {
     /// Emits the final output: one label per port.
     fn output(&self, state: &Self::State) -> Vec<Label>;
 
-    /// Whether this node's state is final: its output labels can no longer
-    /// change *and* it no longer needs to inform neighbors. When every
-    /// node reports `true`, [`run_adaptive`] stops early. The default
-    /// (`false`) means "run the full round budget" — correct for
-    /// fixed-schedule algorithms.
+    /// Whether this node's output is final. In a [`run_adaptive`] run,
+    /// once this is `true` the runner never calls
+    /// [`Distributed::receive`] on the node again, so its state is frozen;
+    /// it keeps calling [`Distributed::send`] on the frozen state while
+    /// some neighbour is not done, so a done node must still send what its
+    /// neighbours need. When every node is done the run stops early. The
+    /// default (`false`) means "run the full round budget" — correct for
+    /// fixed-schedule algorithms. Fixed-round runs ([`run`],
+    /// [`run_flat`]) never call it: every node receives every round.
     fn done(&self, _state: &Self::State) -> bool {
         false
     }
@@ -131,17 +138,27 @@ impl FlatOutputs {
 /// in executor bookkeeping than its sends and receives.
 const MIN_CHUNK_NODES: usize = 1 << 12;
 
-/// Nodes whose inbox the receive phase gathers at once: the buffer stays
-/// cache-resident, and the gather still issues many independent loads.
+/// Nodes whose inbox a dense receive phase gathers at once: the buffer
+/// stays cache-resident, and the gather still issues many independent
+/// loads.
 const INBOX_NODES: usize = 1 << 10;
 
-/// A contiguous node range with the states of its nodes and the inbox
-/// buffer its receive phase reuses every round.
+/// An adaptive round runs sparse when at most `n / SPARSE_SHARE` nodes are
+/// live. Above that share most nodes have a live neighbour, so sending
+/// from every node and gathering whole blocks costs less than stamping
+/// senders and gathering node by node.
+const SPARSE_SHARE: usize = 4;
+
+/// A contiguous node range with the states of its nodes, its live nodes,
+/// and the inbox buffer its receive phase reuses every round.
 struct Chunk<A: Distributed> {
     nodes: Range<usize>,
     /// Index range of the chunk's ports in flat per-port arenas.
     ports: Range<usize>,
     states: Vec<A::State>,
+    /// The chunk's nodes that are not done, ascending. Only adaptive runs
+    /// fill it; a fixed-schedule run delivers to every node.
+    live: Vec<u32>,
     inbox: Vec<A::Message>,
 }
 
@@ -168,59 +185,120 @@ fn split_ports<'a, T>(mut arena: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]
         .collect()
 }
 
-/// Calls `emit` with every message the chunk's nodes send in `round`, in
-/// port order.
+/// Calls `emit(slot, message)` for every port of every chunk node that
+/// `sends(v)` admits, in port order; `slot` indexes the chunk's part of
+/// the outgoing arena. Returns the number of messages.
 fn send_chunk<A: Distributed>(
     graph: &PortGraph,
     algo: &A,
     chunk: &Chunk<A>,
     round: usize,
-    mut emit: impl FnMut(A::Message),
-) {
+    sends: impl Fn(usize) -> bool,
+    mut emit: impl FnMut(usize, A::Message),
+) -> u64 {
+    let mut count = 0;
     for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
-        for p in 0..graph.degree(v) {
-            emit(algo.send(state, round, p));
+        if sends(v) {
+            let lo = graph.port_offset(v) - chunk.ports.start;
+            for p in 0..graph.degree(v) {
+                emit(lo + p, algo.send(state, round, p));
+            }
+            count += graph.degree(v) as u64;
         }
+    }
+    count
+}
+
+/// A chunk's view of one round's messages: gathers inboxes from the
+/// outgoing arena through the mate table ([`PortGraph::mates`]) a block
+/// of consecutive nodes at a time. The block's ports are contiguous, so
+/// the gather walks their slice of the mate table, one independent read
+/// of `outgoing` per port.
+struct Inbox<'a, M> {
+    graph: &'a PortGraph,
+    outgoing: &'a [M],
+    buf: &'a mut Vec<M>,
+    /// The nodes whose messages `buf` holds, from flat port `base` on.
+    held: Range<usize>,
+    base: usize,
+}
+
+impl<M: Clone> Inbox<'_, M> {
+    /// Gathers the messages of the nodes in `block`.
+    fn gather(&mut self, block: Range<usize>) {
+        self.base = self.graph.port_offset(block.start);
+        let mates = &self.graph.mates()[self.base..self.graph.port_offset(block.end)];
+        self.buf.clear();
+        self.buf.extend(mates.iter().map(|&j| self.outgoing[j as usize].clone()));
+        self.held = block;
+    }
+
+    /// The messages `v` receives, indexed by port; `v`'s block is the
+    /// last one gathered.
+    fn of(&self, v: usize) -> &[M] {
+        let lo = self.graph.port_offset(v) - self.base;
+        &self.buf[lo..lo + self.graph.degree(v)]
     }
 }
 
-/// Gathers the chunk's inbox from `outgoing` and delivers it, a block of
-/// [`INBOX_NODES`] nodes at a time: the block's ports are contiguous, so
-/// the gather walks their slice of the mate table, one independent read
-/// of `outgoing` per port. When `check_done` is set, probes
-/// [`Distributed::done`] after each receive until the first node that is
-/// not done, and raises `not_done` then.
+/// Delivers `outgoing` to the chunk's nodes, gathering the inboxes of
+/// `block` consecutive nodes at a time: to every node in a fixed-schedule
+/// run; in an adaptive run to the live nodes only, which then keep the
+/// ones still not done (a block without live nodes is not gathered).
+/// Returns the number of receives.
 fn receive_chunk<A: Distributed>(
     graph: &PortGraph,
     algo: &A,
     chunk: &mut Chunk<A>,
     round: usize,
     outgoing: &[A::Message],
-    mut check_done: bool,
-    not_done: &AtomicBool,
-) {
-    let Chunk { nodes, states, inbox, .. } = chunk;
-    for (start, states) in nodes.clone().step_by(INBOX_NODES).zip(states.chunks_mut(INBOX_NODES)) {
-        let block = start..start + states.len();
-        let base = graph.port_offset(start);
-        let mates = &graph.mates()[base..graph.port_offset(block.end)];
-        inbox.clear();
-        inbox.extend(mates.iter().map(|&j| outgoing[j as usize].clone()));
-        for (v, state) in block.zip(states) {
-            let lo = graph.port_offset(v) - base;
-            algo.receive(state, round, &inbox[lo..lo + graph.degree(v)]);
-            if check_done && !algo.done(state) {
-                not_done.store(true, Ordering::Relaxed);
-                check_done = false;
+    adaptive: bool,
+    block: usize,
+) -> u64 {
+    let Chunk { nodes, states, live, inbox, .. } = chunk;
+    let mut inbox = Inbox { graph, outgoing, buf: inbox, held: 0..0, base: 0 };
+    let (start, end) = (nodes.start, nodes.end);
+    let block_of = |v: usize| {
+        let first = v - (v - start) % block;
+        first..(first + block).min(end)
+    };
+    if !adaptive {
+        for (first, states) in nodes.clone().step_by(block).zip(states.chunks_mut(block)) {
+            inbox.gather(block_of(first));
+            for (v, state) in (first..).zip(states) {
+                algo.receive(state, round, inbox.of(v));
             }
         }
+        return nodes.len() as u64;
     }
+    let receives = live.len() as u64;
+    live.retain(|&v| {
+        let v = v as usize;
+        if !inbox.held.contains(&v) {
+            inbox.gather(block_of(v));
+        }
+        let state = &mut states[v - start];
+        algo.receive(state, round, inbox.of(v));
+        !algo.done(state)
+    });
+    receives
 }
 
 /// Shared synchronous core on `threads` executor workers: one flat
-/// outgoing arena, per-chunk inboxes, optional early stop. `input(v)` is
-/// called once per node, in `init`, so no input outlives its node's
+/// outgoing arena, per-chunk inboxes, and in adaptive runs per-chunk live
+/// lists with frontier rounds and the early stop. `input(v)` is called
+/// once per node, in `init`, so no input outlives its node's
 /// initialization.
+///
+/// A round is dense or sparse. A dense round, every round of a
+/// fixed-schedule run, sends from every node and gathers whole
+/// [`INBOX_NODES`] blocks. An adaptive round with at most
+/// `n / SPARSE_SHARE` live nodes is sparse: each live node stamps its
+/// neighbours as senders, only stamped nodes overwrite their `outgoing`
+/// slots, and each live node gathers its own messages. Every slot a live
+/// node reads was written this round either way, and the choice depends
+/// only on the global live count, so both paths deliver the same messages
+/// and outputs stay bit-identical for every thread count.
 pub(crate) fn run_core<A: Distributed>(
     graph: &PortGraph,
     input: impl Fn(usize) -> NodeInput + Sync,
@@ -230,40 +308,68 @@ pub(crate) fn run_core<A: Distributed>(
     threads: usize,
 ) -> (FlatOutputs, usize) {
     let _run_span = obs::trace::span("sim.run");
+    let (receive_count, send_count) =
+        (obs::metrics::counter("sim.receives"), obs::metrics::counter("sim.sends"));
     let n = graph.node_count();
     let delta = graph.max_degree();
     let total = graph.total_ports();
-    // Raised when some node is not done; the adaptive stop reads it at
-    // the top of each round. Chunks probe `done` only until the first
-    // node that is not, and skip probing once another chunk raised it.
-    let not_done = AtomicBool::new(false);
-    let probe = || adaptive && !not_done.load(Ordering::Relaxed);
     let mut chunks: Vec<Chunk<A>> = par_each(node_ranges(n, threads), threads, |nodes| {
         let states: Vec<A::State> = nodes
             .clone()
             .map(|v| algo.init(&NodeCtx { n, delta, degree: graph.degree(v), input: &input(v) }))
             .collect();
-        if probe() && !states.iter().all(|s| algo.done(s)) {
-            not_done.store(true, Ordering::Relaxed);
-        }
+        let live = if adaptive {
+            nodes
+                .clone()
+                .zip(&states)
+                .filter(|(_, s)| !algo.done(s))
+                .map(|(v, _)| v as u32)
+                .collect()
+        } else {
+            Vec::new()
+        };
         let ports = graph.port_offset(nodes.start)..graph.port_offset(nodes.end);
-        Chunk { nodes, ports, states, inbox: Vec::new() }
+        Chunk { nodes, ports, states, live, inbox: Vec::new() }
     });
     let port_lens: Vec<usize> = chunks.iter().map(|c| c.ports.len()).collect();
+    let live_count = |chunks: &[Chunk<A>]| chunks.iter().map(|c| c.live.len()).sum::<usize>();
+    let mut live = live_count(&chunks);
 
     let mut outgoing: Vec<A::Message> = Vec::new();
+    // `stamps[v] == round as u8` marks `v` as a sender of a sparse round.
+    // Allocated at the first sparse round and never cleared: a stamp left
+    // from 256·k rounds earlier only adds sends nobody reads. Each phase
+    // ends at the executor's join, which orders the relaxed stores before
+    // the send phase reads them.
+    let mut stamps: Vec<AtomicU8> = Vec::new();
     let mut rounds_used = 0;
     for round in 0..max_rounds {
-        if adaptive && !not_done.swap(false, Ordering::Relaxed) {
+        if adaptive && live == 0 {
             break;
         }
         let _round_span = obs::trace::span_v("sim.round", round as u64);
+        let sparse = adaptive && !outgoing.is_empty() && live <= n / SPARSE_SHARE;
+        let mark = round as u8;
+        if sparse {
+            if stamps.is_empty() {
+                stamps = (0..n).map(|_| AtomicU8::new(0)).collect();
+            }
+            let stamps = &stamps;
+            par_each(chunks.iter().map(|c| &c.live[..]).collect(), threads, |live| {
+                for &v in live {
+                    for t in graph.ports(v as usize) {
+                        stamps[t.node_ix()].store(mark, Ordering::Relaxed);
+                    }
+                }
+            });
+        }
+        let sends = |v: usize| !sparse || stamps[v].load(Ordering::Relaxed) == mark;
         // All sends happen before any receive (synchronous rounds). The
         // first round allocates the arena; later rounds overwrite it.
-        if outgoing.is_empty() {
+        let sent: u64 = if outgoing.is_empty() {
             let parts = par_each(chunks.iter_mut().collect(), threads, |chunk| {
                 let mut part = Vec::with_capacity(chunk.ports.len());
-                send_chunk(graph, algo, chunk, round, |m| part.push(m));
+                send_chunk(graph, algo, chunk, round, sends, |_, m| part.push(m));
                 part
             });
             // Appending part by part frees each part as it is moved.
@@ -271,20 +377,26 @@ pub(crate) fn run_core<A: Distributed>(
             outgoing = parts.next().unwrap_or_default();
             outgoing.reserve_exact(total - outgoing.len());
             parts.for_each(|part| outgoing.extend(part));
+            total as u64
         } else {
             let items: Vec<_> =
                 chunks.iter_mut().zip(split_ports(&mut outgoing, &port_lens)).collect();
             par_each(items, threads, |(chunk, part)| {
-                let mut slots = part.iter_mut();
-                send_chunk(graph, algo, chunk, round, |m| {
-                    *slots.next().expect("one slot per port") = m;
-                });
-            });
-        }
+                send_chunk(graph, algo, chunk, round, sends, |i, m| part[i] = m)
+            })
+            .into_iter()
+            .sum()
+        };
+        send_count.add(sent);
         let outgoing = &outgoing;
-        par_each(chunks.iter_mut().collect(), threads, |chunk| {
-            receive_chunk(graph, algo, chunk, round, outgoing, probe(), &not_done);
-        });
+        let block = if sparse { 1 } else { INBOX_NODES };
+        let received: u64 = par_each(chunks.iter_mut().collect(), threads, |chunk| {
+            receive_chunk(graph, algo, chunk, round, outgoing, adaptive, block)
+        })
+        .into_iter()
+        .sum();
+        receive_count.add(received);
+        live = live_count(&chunks);
         rounds_used = round + 1;
     }
     drop(outgoing);
@@ -369,6 +481,7 @@ pub fn id_inputs(graph: &PortGraph) -> Vec<NodeInput> {
 mod tests {
     use super::*;
     use crate::generate::cycle;
+    use std::sync::atomic::AtomicU64;
 
     /// "Flood maximum id" needs exactly the number of rounds = eccentricity.
     struct FloodMax;
@@ -428,7 +541,7 @@ mod tests {
     #[test]
     fn adaptive_run_stops_at_convergence() {
         // On C8, flooding from node 7 covers all nodes after 4 rounds; the
-        // done() probe fires at the start of round 5.
+        // live lists are empty at the start of round 5.
         let g = cycle(8);
         let (out, rounds) = run_adaptive(&g, &id_inputs(&g), &FloodMax, 100);
         assert_eq!(rounds, 4);
@@ -475,29 +588,124 @@ mod tests {
         (FlatOutputs::from_rows(g, &rows), rounds_used)
     }
 
+    /// The runner side of a reference comparison: counts `send` and
+    /// `receive` calls, and in an adaptive run panics on a `receive` at a
+    /// done node, which the frozen-state contract rules out.
+    struct Audited<'a, A> {
+        algo: &'a A,
+        adaptive: bool,
+        sends: AtomicU64,
+        receives: AtomicU64,
+    }
+
+    impl<'a, A> Audited<'a, A> {
+        fn new(algo: &'a A, adaptive: bool) -> Self {
+            Audited { algo, adaptive, sends: AtomicU64::new(0), receives: AtomicU64::new(0) }
+        }
+    }
+
+    impl<A: Distributed> Distributed for Audited<'_, A> {
+        type Message = A::Message;
+        type State = A::State;
+
+        fn init(&self, ctx: &NodeCtx<'_>) -> A::State {
+            self.algo.init(ctx)
+        }
+        fn send(&self, state: &A::State, round: usize, port: usize) -> A::Message {
+            self.sends.fetch_add(1, Ordering::Relaxed);
+            self.algo.send(state, round, port)
+        }
+        fn receive(&self, state: &mut A::State, round: usize, messages: &[A::Message]) {
+            assert!(!(self.adaptive && self.algo.done(state)), "receive on a done node");
+            self.receives.fetch_add(1, Ordering::Relaxed);
+            self.algo.receive(state, round, messages);
+        }
+        fn output(&self, state: &A::State) -> Vec<Label> {
+            self.algo.output(state)
+        }
+        fn done(&self, state: &A::State) -> bool {
+            self.algo.done(state)
+        }
+    }
+
+    /// Nodes finish at staggered rounds (`id % 24`), fold their
+    /// neighbours' round-dependent messages until then, and ignore
+    /// receives once done. So the reference runner, which keeps calling
+    /// `receive`, computes what the frozen-state contract must give, and a
+    /// live node reading a done neighbour's slot from an earlier round
+    /// diverges from it.
+    struct Staggered;
+
+    /// `(rounds left, accumulator, degree)`.
+    type StaggeredState = (u64, u64, usize);
+
+    impl Distributed for Staggered {
+        type Message = u64;
+        type State = StaggeredState;
+
+        fn init(&self, ctx: &NodeCtx<'_>) -> StaggeredState {
+            let id = ctx.input.id.expect("Staggered needs ids");
+            (id % 24, id, ctx.degree)
+        }
+        fn send(&self, state: &StaggeredState, round: usize, port: usize) -> u64 {
+            state.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (round * 64 + port) as u64
+        }
+        fn receive(&self, state: &mut StaggeredState, _round: usize, messages: &[u64]) {
+            if state.0 == 0 {
+                return;
+            }
+            state.0 -= 1;
+            for &m in messages {
+                state.1 = (state.1 ^ m).wrapping_mul(0x0100_0000_01B3);
+            }
+        }
+        fn output(&self, state: &StaggeredState) -> Vec<Label> {
+            (0..state.2).map(|p| Label::from_index((state.1 >> (16 * p)) as u16 as usize)).collect()
+        }
+        fn done(&self, state: &StaggeredState) -> bool {
+            state.0 == 0
+        }
+    }
+
     /// Runs `algo` through `run_core` at threads {1, 2, 4, 7} and asserts
-    /// outputs and round counts equal the reference runner's; returns the
-    /// rounds used. Seven workers do not divide the chunk count, so one
-    /// worker's range is empty and the others steal.
+    /// outputs and round counts equal the reference runner's, and that
+    /// the runner makes the same `send` calls at every thread count;
+    /// returns the rounds used and that send count. Seven workers do not
+    /// divide the chunk count, so one worker's range is empty and the
+    /// others steal.
     fn matches_reference<A: Distributed>(
         g: &PortGraph,
         inputs: &[NodeInput],
         algo: &A,
         rounds: usize,
         adaptive: bool,
-    ) -> usize {
+    ) -> (usize, u64) {
         let expect = reference_run(g, inputs, algo, rounds, adaptive);
+        let mut counts = Vec::new();
         for threads in [1, 2, 4, 7] {
             assert_eq!(node_ranges(g.node_count(), threads).len() > 1, threads > 1);
-            let got = run_core(g, |v| inputs[v].clone(), algo, rounds, adaptive, threads);
+            let audited = Audited::new(algo, adaptive);
+            let got = run_core(g, |v| inputs[v].clone(), &audited, rounds, adaptive, threads);
             assert!(got == expect, "threads={threads} diverged from the reference runner");
+            counts.push((audited.sends.into_inner(), audited.receives.into_inner()));
         }
-        expect.1
+        assert!(counts.iter().all(|&c| c == counts[0]), "work differs by threads: {counts:?}");
+        (expect.1, counts[0].0)
+    }
+
+    /// Asserts an adaptive run of `algo` matches the reference and ends
+    /// early, and that some of its rounds ran sparse: only a dense round
+    /// sends on every port.
+    fn reaches_sparse_rounds<A: Distributed>(g: &PortGraph, inputs: &[NodeInput], algo: &A) {
+        let (rounds, sends) = matches_reference(g, inputs, algo, 1 << 10, true);
+        assert!(rounds < 64, "{rounds} rounds");
+        assert!(sends < (g.total_ports() * rounds) as u64, "{sends} sends in {rounds} rounds");
     }
 
     /// Runs Cole–Vishkin on the oriented ring `ring` (node `v`'s successor
-    /// port is `successor(v)`) and weak 2-coloring, greedy MIS and greedy
-    /// matching on the cubic graph `g`, each against the reference.
+    /// port is `successor(v)`) and weak 2-coloring, greedy MIS, greedy
+    /// matching and [`Staggered`] on the cubic graph `g`, each against the
+    /// reference.
     fn all_algorithms_match_reference(
         ring: &PortGraph,
         successor: impl Fn(usize) -> usize,
@@ -516,17 +724,19 @@ mod tests {
             .collect();
         let cv = cole_vishkin::ColeVishkin::for_n(n);
         let rounds = cole_vishkin::total_rounds(n);
-        assert_eq!(matches_reference(ring, &ring_inputs, &cv, rounds, false), rounds);
+        let every_port = (ring.total_ports() * rounds) as u64;
+        assert_eq!(matches_reference(ring, &ring_inputs, &cv, rounds, false), (rounds, every_port));
 
         let inputs: Vec<NodeInput> = (0..n).map(id_input).collect();
         let weak = weak2::WeakTwoColoring::for_n(n);
         let rounds = weak2::total_rounds(n);
-        assert_eq!(matches_reference(g, &inputs, &weak, rounds, false), rounds);
-        // The greedy algorithms stop early, far below their budgets.
-        let budget = greedy::mis_rounds(n);
-        assert!(matches_reference(g, &inputs, &greedy::GreedyMis, budget, true) < 64);
-        let budget = greedy::matching_rounds(n);
-        assert!(matches_reference(g, &inputs, &greedy::GreedyMatching, budget, true) < 64);
+        let every_port = (g.total_ports() * rounds) as u64;
+        assert_eq!(matches_reference(g, &inputs, &weak, rounds, false), (rounds, every_port));
+        // The adaptive runs stop far below their budgets, and their
+        // frontiers shrink into sparse rounds.
+        reaches_sparse_rounds(g, &inputs, &greedy::GreedyMis);
+        reaches_sparse_rounds(g, &inputs, &greedy::GreedyMatching);
+        reaches_sparse_rounds(g, &inputs, &Staggered);
     }
 
     #[test]
@@ -571,6 +781,19 @@ mod tests {
             successor,
             &g.with_port_permutations(&shuffle(&g, 4)),
         );
+    }
+
+    #[test]
+    fn an_adaptive_run_of_done_nodes_uses_no_rounds() {
+        // Ids divisible by 24 leave every `Staggered` node done at init.
+        let g = cycle(8);
+        let inputs: Vec<NodeInput> =
+            (0..8).map(|v| NodeInput { id: Some(24 * v), ..NodeInput::default() }).collect();
+        let audited = Audited::new(&Staggered, true);
+        let got = run_core(&g, |v| inputs[v].clone(), &audited, 5, true, 2);
+        assert_eq!(got, reference_run(&g, &inputs, &Staggered, 5, true));
+        assert_eq!(got.1, 0);
+        assert_eq!((audited.sends.into_inner(), audited.receives.into_inner()), (0, 0));
     }
 
     #[test]

@@ -118,9 +118,10 @@ fn trace_subcommand_rejects_garbage() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Runs a small traced `sim-vs-bound` at `threads`; returns the report and
-/// the trace's enter count per span name.
-fn traced_sim(threads: &str) -> (String, BTreeMap<String, u64>) {
+/// Runs a small traced `sim-vs-bound` at `threads`; returns the report,
+/// the trace's enter count per span name, and its `sim.receives` and
+/// `sim.sends` counter totals.
+fn traced_sim(threads: &str) -> (String, BTreeMap<String, u64>, [u64; 2]) {
     let (report, trace) = (tmp(&format!("sim-t{threads}.json")), tmp(&format!("sim-t{threads}")));
     let out = cli()
         .args(["sim-vs-bound", "--n", "20000", "--seed", "3", "--family", "maximal-matching"])
@@ -136,10 +137,14 @@ fn traced_sim(threads: &str) -> (String, BTreeMap<String, u64>) {
     assert_eq!(parsed.dropped, 0);
     let counts =
         summary::summarize(&parsed).spans.iter().map(|s| (s.name.clone(), s.count)).collect();
+    let counter = |name: &str| {
+        parsed.counters.iter().find(|(n, _)| n == name).map(|&(_, v)| v).expect("counter traced")
+    };
+    let work = [counter("sim.receives"), counter("sim.sends")];
     let doc = std::fs::read_to_string(&report).expect("report written");
     let _ = std::fs::remove_file(&report);
     let _ = std::fs::remove_file(&trace);
-    (doc, counts)
+    (doc, counts, work)
 }
 
 #[test]
@@ -148,10 +153,17 @@ fn two_thread_traces_keep_every_worker_span() {
     // two-thread trace holds every span of the one-thread trace: the
     // embedded searches' `stage.*` spans (many recorded on workers) and
     // the simulator's stage spans.
-    let (one_report, one) = traced_sim("1");
-    let (two_report, two) = traced_sim("2");
+    let (one_report, one, one_work) = traced_sim("1");
+    let (two_report, two, two_work) = traced_sim("2");
     assert_eq!(one_report, two_report, "the report is thread-invariant");
     assert_eq!(one, two, "span counts per name");
+    // The runner's receives and sends, exactly and at both thread counts:
+    // frontier rounds receive only at live nodes and, once few are live,
+    // send only where a live neighbour reads. Every node receiving and
+    // sending on every port each round would make 280000 and 840000
+    // (n·rounds and n·Δ·rounds, 14 rounds).
+    assert_eq!(one_work, [85_478, 405_069], "sim.receives, sim.sends at --threads 1");
+    assert_eq!(two_work, one_work, "sim.receives, sim.sends at --threads 2");
     assert!(one.keys().any(|k| k.starts_with("stage.")), "{one:?}");
     for name in ["sim.search", "sim.generate", "sim.inputs", "sim.run", "sim.check"] {
         assert_eq!(one.get(name), Some(&1), "{name}: {one:?}");
