@@ -8,7 +8,7 @@
 //!
 //! Like everything in `roundelim-bin-v1`, the codecs are bit-exact: decode
 //! ∘ encode is the identity on values *and* re-encoding decoded values
-//! reproduces the input bytes, which the daemon's proof store and the v2
+//! reproduces the input bytes, which the daemon's proof store and the
 //! checkpoint format rely on for byte-identical restarts (property-tested
 //! in `tests/binenc_props.rs`).
 
@@ -20,6 +20,7 @@ use roundelim_core::binenc::{
 };
 use roundelim_core::error::{Error, Result};
 use roundelim_core::label::Label;
+use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
 
 fn bad(reason: impl Into<String>) -> Error {
@@ -260,14 +261,23 @@ pub fn decode_search_stats(d: &mut Dec<'_>) -> Result<SearchStats> {
     })
 }
 
-fn encode_entry(entry: &SnapshotEntry, e: &mut Enc) {
-    let (problem, step, zero_round) = entry;
-    encode_problem(problem, e);
+/// A class's memos: the step (successor id and derived problem) and the
+/// two 0-round slots.
+pub(crate) type Memos = (Option<(u32, Problem)>, [Option<bool>; 2]);
+
+/// Encodes a class's memos, as cache snapshots and checkpoints store them:
+/// a step tag (plus the successor and derived problem), then one
+/// unknown/no/yes byte per 0-round slot.
+pub(crate) fn encode_memos(
+    step: Option<(u32, &Problem)>,
+    zero_round: &[Option<bool>; 2],
+    e: &mut Enc,
+) {
     match step {
         None => e.u8(0),
         Some((succ, derived)) => {
             e.u8(1);
-            e.u32(succ.0);
+            e.u32(succ);
             encode_problem(derived, e);
         }
     }
@@ -280,18 +290,11 @@ fn encode_entry(entry: &SnapshotEntry, e: &mut Enc) {
     }
 }
 
-/// The fewest bytes [`encode_entry`] writes: a problem, the step tag and
-/// the two 0-round slots.
-const SNAPSHOT_ENTRY_MIN_BYTES: usize = MIN_PROBLEM_BYTES + 3;
-
-fn decode_entry(d: &mut Dec<'_>) -> Result<SnapshotEntry> {
-    let problem = decode_problem(d)?;
+/// Decodes memos encoded by [`encode_memos`].
+pub(crate) fn decode_memos(d: &mut Dec<'_>) -> Result<Memos> {
     let step = match d.u8("step tag")? {
         0 => None,
-        1 => {
-            let succ = NodeId(d.u32("step successor")?);
-            Some((succ, decode_problem(d)?))
-        }
+        1 => Some((d.u32("step successor")?, decode_problem(d)?)),
         t => return Err(bad(format!("unknown step tag {t}"))),
     };
     let mut zero_round = [None, None];
@@ -303,7 +306,22 @@ fn decode_entry(d: &mut Dec<'_>) -> Result<SnapshotEntry> {
             t => return Err(bad(format!("unknown zero_round tag {t}"))),
         };
     }
-    Ok((problem, step, zero_round))
+    Ok((step, zero_round))
+}
+
+fn encode_entry((problem, step, zero_round): &SnapshotEntry, e: &mut Enc) {
+    encode_problem(problem, e);
+    encode_memos(step.as_ref().map(|(succ, derived)| (succ.0, derived)), zero_round, e);
+}
+
+/// The fewest bytes [`encode_entry`] writes: a problem, the step tag and
+/// the two 0-round slots.
+const SNAPSHOT_ENTRY_MIN_BYTES: usize = MIN_PROBLEM_BYTES + 3;
+
+fn decode_entry(d: &mut Dec<'_>) -> Result<SnapshotEntry> {
+    let problem = decode_problem(d)?;
+    let (step, zero_round) = decode_memos(d)?;
+    Ok((problem, step.map(|(succ, derived)| (NodeId(succ), derived)), zero_round))
 }
 
 /// Encodes a cache snapshot (unframed; see [`snapshot_to_bytes`]).
@@ -312,20 +330,12 @@ pub fn encode_snapshot(s: &CacheSnapshot, e: &mut Enc) {
     for entry in &s.entries {
         encode_entry(entry, e);
     }
-    e.u32(s.fps.len() as u32);
-    for (fp, ids) in &s.fps {
-        e.u64(*fp);
-        e.u32(ids.len() as u32);
-        for id in ids {
-            e.u32(id.0);
-        }
-    }
     encode_cache_stats(&s.stats, e);
 }
 
 /// Decodes a cache snapshot encoded by [`encode_snapshot`].
 ///
-/// Structural validation (id ranges, bucket consistency) happens in
+/// Structural validation (id ranges) happens in
 /// [`crate::cache::CanonCache::restore`], exactly as for checkpoints.
 ///
 /// # Errors
@@ -337,35 +347,24 @@ pub fn decode_snapshot(d: &mut Dec<'_>) -> Result<CacheSnapshot> {
     for _ in 0..n {
         entries.push(decode_entry(d)?);
     }
-    let n = d.count("fingerprint bucket count", 12)?;
-    let mut fps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fp = d.u64("fingerprint")?;
-        let k = d.count("bucket size", 4)?;
-        let mut ids = Vec::with_capacity(k);
-        for _ in 0..k {
-            ids.push(NodeId(d.u32("bucket id")?));
-        }
-        fps.push((fp, ids));
-    }
     let stats = decode_cache_stats(d)?;
-    Ok(CacheSnapshot { entries, fps, stats })
+    Ok(CacheSnapshot { entries, stats })
 }
 
-/// Encodes a cache snapshot as one framed `cache-snapshot` message.
+/// Encodes a cache snapshot as one framed `cache-snapshot-v2` message.
 pub fn snapshot_to_bytes(s: &CacheSnapshot) -> Vec<u8> {
     let mut e = Enc::new();
     encode_snapshot(s, &mut e);
-    frame("cache-snapshot", &e.into_bytes())
+    frame("cache-snapshot-v2", &e.into_bytes())
 }
 
-/// Decodes one framed `cache-snapshot` message.
+/// Decodes one framed `cache-snapshot-v2` message.
 ///
 /// # Errors
 ///
 /// Frame errors (magic/kind/checksum/truncation) and codec errors.
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<CacheSnapshot> {
-    let payload = unframe(bytes, "cache-snapshot")?;
+    let payload = unframe(bytes, "cache-snapshot-v2")?;
     let mut d = Dec::new(payload);
     let s = decode_snapshot(&mut d)?;
     d.finish()?;

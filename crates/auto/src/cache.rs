@@ -53,7 +53,7 @@ use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
 use roundelim_core::zero_round::{zero_round_oriented, zero_round_pn};
 use roundelim_obs as obs;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Identifier of an interned problem (an isomorphism class).
@@ -72,8 +72,7 @@ struct Entry {
     /// The first concrete representative that reached this class, packed.
     packed: PackedProblem,
     /// The representative's refinement, set the first time the class's
-    /// pre-key bucket gains a second member (or a snapshot needs its
-    /// fingerprint).
+    /// pre-key bucket gains a second member.
     refined: OnceLock<Refined>,
     /// The representative's names as ids into the cache's [`NameTable`]:
     /// the problem name, then the label names in index order.
@@ -507,11 +506,8 @@ impl CanonCache {
     }
 
     /// A deep snapshot of the cache, for checkpointing. [`CanonCache::restore`]
-    /// rebuilds a behaviorally identical cache from it.
-    ///
-    /// The snapshot carries the fingerprint index of every class, so each
-    /// class still lacking a refinement is refined here (once; the cache
-    /// keeps it).
+    /// rebuilds a behaviorally identical cache from it. Nothing is refined:
+    /// the pre-key index is derived data, recomputed on restore.
     pub fn snapshot(&self) -> CacheSnapshot {
         let entries = self
             .entries
@@ -522,28 +518,14 @@ impl CanonCache {
                 (self.materialize(NodeId(i as u32)), step, e.zero_round)
             })
             .collect();
-        // Buckets in id order (each bucket's creation order), sorted by
-        // fingerprint for stable serialization bytes.
-        let mut fps: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-        {
-            let _sp = obs::trace::span("search.fingerprint");
-            let mut refiner = Refiner::new();
-            for i in 0..self.entries.len() {
-                let id = NodeId(i as u32);
-                fps.entry(self.refined(id, &mut refiner).fp).or_default().push(id);
-            }
-        }
-        CacheSnapshot { entries, fps: fps.into_iter().collect(), stats: self.stats }
+        CacheSnapshot { entries, stats: self.stats }
     }
 
     /// Rebuilds a cache from a snapshot: the entries and the counters are
     /// restored verbatim, and every class is registered under its pre-key
     /// in id order, so the result deduplicates, memoizes, and counts
-    /// exactly like the cache the snapshot was taken from. The snapshot's
-    /// fingerprint index is derived data: its ids are range-checked, and
-    /// classes it lacks (snapshots written before every class registered
-    /// its fingerprint lack the root and step children) are indexed like
-    /// the rest. Nothing is refined until a bucket collision needs it.
+    /// exactly like the cache the snapshot was taken from. Nothing is
+    /// refined until a bucket collision needs it.
     ///
     /// # Errors
     ///
@@ -569,14 +551,6 @@ impl CanonCache {
             let key = probe.key;
             let id = cache.push_entry(probe, step, zero_round);
             cache.keys.entry(key).or_default().push(id);
-        }
-        for (fp, ids) in &snap.fps {
-            if let Some(id) = ids.iter().find(|id| id.index() >= n) {
-                return Err(bad(format!(
-                    "cache snapshot: fingerprint {fp:#x} indexes node {} out of range",
-                    id.0
-                )));
-            }
         }
         Ok(cache)
     }
@@ -759,9 +733,6 @@ pub type SnapshotEntry = (Problem, Option<(NodeId, Problem)>, [Option<bool>; 2])
 pub struct CacheSnapshot {
     /// Per class, in id order (see [`SnapshotEntry`]).
     pub entries: Vec<SnapshotEntry>,
-    /// The fingerprint index, sorted by fingerprint; ids inside a bucket
-    /// keep their registration order.
-    pub fps: Vec<(u64, Vec<NodeId>)>,
     /// The counters at snapshot time.
     pub stats: CacheStats,
 }
@@ -1046,9 +1017,9 @@ mod tests {
                 assert_eq!(c.len(), 5, "threads={threads} shards={shards}");
                 assert_eq!(c.stats.classes, 5);
                 assert_eq!(c.stats.dedup_hits, 8);
-                // Same buckets in the same order, same counters.
+                // Same classes in the same order, same counters.
                 let snap = c.snapshot();
-                assert_eq!(snap.fps, expect_snap.fps);
+                assert_eq!(snap.entries, expect_snap.entries);
                 assert_eq!(snap.stats, expect_snap.stats);
             }
         }
@@ -1137,51 +1108,28 @@ mod tests {
         let (id, _) = cache.intern(sc());
         step(&mut cache, id).unwrap();
         assert!(!cache.is_zero_round(id, ZeroRoundModel::Oriented));
-        cache.intern_wave(vec![Probe::new(trivial())], 1, 1);
+        let t = cache.intern_wave(vec![Probe::new(trivial())], 1, 1)[0].0;
+        // A step child: its class is created by `record_step`, not a wave.
+        let (child, new) = cache.record_step(t, two(), Probe::new(two()));
+        assert!(new);
 
         let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
         assert_eq!(restored.len(), cache.len());
         assert_eq!(restored.stats, cache.stats);
-        // Dedup still lands on the original ids through both intern paths.
-        let (rid, new) = restored.intern(renamed_sc());
-        assert_eq!(rid, id);
-        assert!(!new);
+        // Dedup still lands on the original ids through both intern paths,
+        // for a renamed root and a renamed step child too.
+        let renamed_two = Problem::parse("name: t2\nnode: P P P | Q Q Q\nedge: Q P").unwrap();
+        assert_eq!(restored.intern(renamed_sc()), (id, false));
+        assert_eq!(restored.intern(renamed_two), (child, false));
         let got = restored.intern_wave(vec![Probe::new(trivial())], 2, 4);
-        assert_eq!(got[0].0.index(), 1);
+        assert_eq!(got[0].0, t);
         assert!(got[0].1.is_some());
+        assert_eq!(restored.len(), cache.len());
         // The step memo came along: no recomputation.
         assert_eq!(restored.step_succ(id), Some(id));
         assert_eq!(restored.step_derived(id), cache.step_derived(id));
         // So did the 0-round memo.
         assert!(!restored.is_zero_round(id, ZeroRoundModel::Oriented));
-    }
-
-    #[test]
-    fn restore_registers_classes_missing_from_the_fingerprint_index() {
-        // Snapshots written before every class registered its fingerprint
-        // (old checkpoints and store sidecars) lack the root and the step
-        // children. Restoring one must still dedup isomorphic problems onto
-        // the original ids instead of minting duplicate classes.
-        let mut cache = CanonCache::new();
-        let (root, _) = cache.intern(sc());
-        let (child, new) = cache.record_step(root, two(), Probe::new(two()));
-        assert!(new);
-        let full = cache.snapshot();
-        let renamed_two = Problem::parse("name: t2\nnode: P P P | Q Q Q\nedge: Q P").unwrap();
-        for (omit, probe) in [(root, renamed_sc()), (child, renamed_two)] {
-            let mut snap = cache.snapshot();
-            for (_, ids) in &mut snap.fps {
-                ids.retain(|&id| id != omit);
-            }
-            snap.fps.retain(|(_, ids)| !ids.is_empty());
-            assert_ne!(snap.fps, full.fps);
-            let mut restored = CanonCache::restore(snap).unwrap();
-            assert_eq!(restored.snapshot().fps, full.fps, "registration completes the index");
-            let (id, fresh) = restored.intern(probe);
-            assert_eq!(id, omit);
-            assert!(!fresh);
-            assert_eq!(restored.len(), 2);
-        }
     }
 
     #[test]
@@ -1192,9 +1140,6 @@ mod tests {
         let mut snap = cache.snapshot();
         snap.entries[0].1.as_mut().unwrap().0 = NodeId(99);
         assert!(CanonCache::restore(snap).is_err());
-        let mut snap2 = cache.snapshot();
-        snap2.fps.push((7, vec![NodeId(42)]));
-        assert!(CanonCache::restore(snap2).is_err());
     }
 
     #[test]

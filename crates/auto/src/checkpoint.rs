@@ -3,23 +3,27 @@
 //! A [`Checkpoint`] is a complete capture of a bound search at a **depth
 //! boundary** (see [`crate::search::CheckpointConf`]): the interned
 //! isomorphism classes with their memos, the first-reach parent edges, the
-//! fingerprint index, the frontier/goal/deepest loop state, and the effort
-//! counters. Because the search is deterministic given that state, a
-//! resumed run replays exactly the suffix an uninterrupted run would have
-//! executed — verdict, certificate, and counters come out bit-identical at
-//! every thread count (tested by `search.rs`'s
+//! frontier/goal/deepest loop state, and the effort counters. Because the
+//! search is deterministic given that state, a resumed run replays exactly
+//! the suffix an uninterrupted run would have executed — verdict,
+//! certificate, and counters come out bit-identical at every thread count
+//! (tested by `search.rs`'s
 //! `budget_cut_then_resume_matches_the_uninterrupted_run_exactly` and, for
-//! killed processes, by `tests/crash_recovery.rs`).
+//! killed processes, by `tests/crash_recovery.rs`). The cache's pre-key
+//! index is not stored: restoring recomputes it from the classes.
 //!
 //! ## On-disk format
 //!
-//! Snapshots are written in `roundelim-checkpoint-v2`: one checksummed
-//! `roundelim-bin-v1` frame (see [`roundelim_core::binenc`]) whose payload
-//! encodes the complete boundary state with u32-interned labels — the
-//! compact at-rest twin of the in-memory representation. It is the only
-//! format [`Checkpoint::load`] accepts; any other file (including one
-//! written in the retired JSON format `roundelim-checkpoint-v1`) fails to
-//! load with a frame error and is left untouched.
+//! A snapshot is one checksummed `roundelim-bin-v1` frame (see
+//! [`roundelim_core::binenc`]) of kind `checkpoint-v3`, whose payload
+//! encodes the complete boundary state with u32-interned labels, in
+//! `DIR/search.ckpt` ([`checkpoint_file`]). [`Checkpoint::from_bin`] also
+//! reads the `checkpoint-v2` frames of older builds, which carry a
+//! trailing fingerprint index that it parses and drops; the search reads
+//! their file name, `search.ckpt.json` ([`legacy_checkpoint_file`]), when
+//! `search.ckpt` is absent. Any other file (including one written in the
+//! retired JSON format `roundelim-checkpoint-v1`) fails to load with a
+//! frame error and is left untouched.
 //!
 //! Files are written with [`atomic_write`] — temp file, fsync, rename — so
 //! a crash mid-write (or the `checkpoint-write` failpoint) leaves either
@@ -27,14 +31,14 @@
 //! rejects any payload whose checksum does not match.
 
 use crate::binenc::{
-    decode_direction, decode_edge, decode_model, decode_search_stats, encode_direction,
-    encode_edge, encode_model, encode_search_stats,
+    decode_direction, decode_edge, decode_memos, decode_model, decode_search_stats,
+    encode_direction, encode_edge, encode_memos, encode_model, encode_search_stats,
 };
 use crate::certificate::{Direction, Edge};
 use crate::failpoint;
 use crate::search::SearchStats;
 use roundelim_core::binenc::{
-    decode_problem, encode_problem, frame, unframe, Dec, Enc, MIN_PROBLEM_BYTES,
+    decode_problem, encode_problem, frame, read_frame_kind, unframe, Dec, Enc, MIN_PROBLEM_BYTES,
 };
 use roundelim_core::error::{Error, Result};
 use roundelim_core::io::atomic_write;
@@ -42,11 +46,11 @@ use roundelim_core::problem::Problem;
 use roundelim_core::sequence::ZeroRoundModel;
 use std::path::{Path, PathBuf};
 
-/// Schema tag of the binary on-disk format ([`Checkpoint::save`] writes it).
-pub const SCHEMA_V2: &str = "roundelim-checkpoint-v2";
+/// Frame kind of the checkpoints [`Checkpoint::save`] writes.
+const FRAME_KIND: &str = "checkpoint-v3";
 
-/// Frame kind of a v2 checkpoint file.
-const FRAME_KIND: &str = "checkpoint-v2";
+/// Frame kind of older checkpoints: a v3 payload plus a fingerprint index.
+const FRAME_KIND_V2: &str = "checkpoint-v2";
 
 /// The fewest bytes an encoded [`CkEntry`] takes: a problem, the depth,
 /// the parent and step tags, and the two 0-round slots.
@@ -54,6 +58,12 @@ const ENTRY_MIN_BYTES: usize = MIN_PROBLEM_BYTES + 8 + 1 + 1 + 2;
 
 /// The snapshot file inside a checkpoint directory.
 pub fn checkpoint_file(dir: &Path) -> PathBuf {
+    dir.join("search.ckpt")
+}
+
+/// The name older builds gave the snapshot file, read only when
+/// [`checkpoint_file`] is absent.
+pub fn legacy_checkpoint_file(dir: &Path) -> PathBuf {
     dir.join("search.ckpt.json")
 }
 
@@ -105,13 +115,11 @@ pub struct Checkpoint {
     pub stats: SearchStats,
     /// The interned classes, in id order.
     pub entries: Vec<CkEntry>,
-    /// The cache's fingerprint index, sorted by fingerprint.
-    pub fps: Vec<(u64, Vec<u32>)>,
 }
 
 impl Checkpoint {
     /// Writes the snapshot to `path` atomically (temp file + fsync +
-    /// rename) in the checksummed v2 binary format. Hits the
+    /// rename) in the checksummed v3 binary format. Hits the
     /// `checkpoint-write` failpoint first, so a fault-injection test can
     /// crash the process at exactly this moment and assert that the
     /// previous snapshot survives intact.
@@ -125,7 +133,8 @@ impl Checkpoint {
         atomic_write(path, &body)
     }
 
-    /// Reads and validates a snapshot written by [`Checkpoint::save`].
+    /// Reads and validates a snapshot written by [`Checkpoint::save`] (or a
+    /// v2 snapshot of an older build).
     ///
     /// # Errors
     ///
@@ -137,7 +146,7 @@ impl Checkpoint {
         Checkpoint::from_bin(&bytes)
     }
 
-    /// The snapshot as one framed v2 binary message (what
+    /// The snapshot as one framed v3 binary message (what
     /// [`Checkpoint::save`] writes).
     pub fn to_bin(&self) -> Vec<u8> {
         let mut e = Enc::new();
@@ -172,34 +181,15 @@ impl Checkpoint {
                     encode_edge(edge, &mut e);
                 }
             }
-            match &entry.step {
-                None => e.u8(0),
-                Some((succ, derived)) => {
-                    e.u8(1);
-                    e.u32(*succ);
-                    encode_problem(derived, &mut e);
-                }
-            }
-            for slot in &entry.zero_round {
-                e.u8(match slot {
-                    None => 0,
-                    Some(false) => 1,
-                    Some(true) => 2,
-                });
-            }
-        }
-        e.u32(self.fps.len() as u32);
-        for (fp, ids) in &self.fps {
-            e.u64(*fp);
-            e.u32(ids.len() as u32);
-            for &id in ids {
-                e.u32(id);
-            }
+            let step = entry.step.as_ref().map(|(succ, derived)| (*succ, derived));
+            encode_memos(step, &entry.zero_round, &mut e);
         }
         frame(FRAME_KIND, &e.into_bytes())
     }
 
-    /// Parses the framed v2 binary message written by [`Checkpoint::to_bin`].
+    /// Parses the framed v3 binary message written by
+    /// [`Checkpoint::to_bin`], or a v2 one, whose fingerprint index is
+    /// parsed and dropped.
     ///
     /// # Errors
     ///
@@ -209,8 +199,8 @@ impl Checkpoint {
     pub fn from_bin(bytes: &[u8]) -> Result<Checkpoint> {
         let bad =
             |reason: String| Error::Parse { line: 0, reason: format!("checkpoint: {reason}") };
-        let payload = unframe(bytes, FRAME_KIND)?;
-        let mut d = Dec::new(payload);
+        let v2 = read_frame_kind(&mut Dec::new(bytes))? == FRAME_KIND_V2;
+        let mut d = Dec::new(unframe(bytes, if v2 { FRAME_KIND_V2 } else { FRAME_KIND })?);
         let direction = decode_direction(&mut d)?;
         let model = decode_model(&mut d)?;
         let root = decode_problem(&mut d)?;
@@ -238,29 +228,16 @@ impl Checkpoint {
                 1 => Some((d.u32("parent id")?, decode_edge(&mut d)?)),
                 t => return Err(bad(format!("unknown parent tag {t}"))),
             };
-            let step = match d.u8("step tag")? {
-                0 => None,
-                1 => Some((d.u32("step succ")?, decode_problem(&mut d)?)),
-                t => return Err(bad(format!("unknown step tag {t}"))),
-            };
-            let mut zero_round = [None, None];
-            for slot in &mut zero_round {
-                *slot = match d.u8("zero_round slot")? {
-                    0 => None,
-                    1 => Some(false),
-                    2 => Some(true),
-                    t => return Err(bad(format!("unknown zero_round tag {t}"))),
-                };
-            }
+            let (step, zero_round) = decode_memos(&mut d)?;
             entries.push(CkEntry { problem, depth, parent, step, zero_round });
         }
-        let n = d.count("fps count", 12)?;
-        let mut fps = Vec::with_capacity(n);
-        for _ in 0..n {
-            let fp = d.u64("fp")?;
-            let k = d.count("fps bucket size", 4)?;
-            let bucket = (0..k).map(|_| d.u32("fps id")).collect::<Result<Vec<_>>>()?;
-            fps.push((fp, bucket));
+        if v2 {
+            for _ in 0..d.count("fps count", 12)? {
+                d.u64("fp")?;
+                for _ in 0..d.count("fps bucket size", 4)? {
+                    d.u32("fps id")?;
+                }
+            }
         }
         d.finish()?;
         Ok(Checkpoint {
@@ -278,7 +255,6 @@ impl Checkpoint {
             deepest_node,
             stats,
             entries,
-            fps,
         })
     }
 }
@@ -341,7 +317,6 @@ mod tests {
                     zero_round: [Some(i == 5), None],
                 })
                 .collect(),
-            fps: vec![(0x1234, vec![0, 2]), (0xffff_ffff_ffff_ffff, vec![5])],
         }
     }
 

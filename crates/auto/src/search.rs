@@ -39,7 +39,7 @@
 
 use crate::cache::{CacheSnapshot, CacheStats, CanonCache, NodeId, Probe};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
-use crate::checkpoint::{checkpoint_file, Checkpoint, CkEntry};
+use crate::checkpoint::{checkpoint_file, legacy_checkpoint_file, Checkpoint, CkEntry};
 use crate::failpoint;
 use crate::moves::{for_each_harden_move, for_each_relax_move, Move};
 use roundelim_core::error::{Error, Result};
@@ -226,9 +226,10 @@ pub struct CheckpointConf {
     /// many expansions happened since the last write (1 = every boundary
     /// with progress).
     pub every_expansions: usize,
-    /// Continue from an existing snapshot in `dir` if one is present (a
-    /// missing file falls back to a fresh start, which makes resuming after
-    /// a crash-before-first-write safe).
+    /// Continue from an existing snapshot in `dir` if one is present (the
+    /// older [`legacy_checkpoint_file`] name is read when
+    /// [`checkpoint_file`] is absent; a missing file falls back to a fresh
+    /// start, which makes resuming after a crash-before-first-write safe).
     pub resume: bool,
 }
 
@@ -507,8 +508,10 @@ impl Search {
         }
         if let Some(conf) = &opts.checkpoint {
             if conf.resume {
-                let path = checkpoint_file(&conf.dir);
-                if path.exists() {
+                let found = [checkpoint_file(&conf.dir), legacy_checkpoint_file(&conf.dir)]
+                    .into_iter()
+                    .find(|path| path.exists());
+                if let Some(path) = found {
                     let ck = Checkpoint::load(&path)?;
                     let (s, st) = Search::from_checkpoint(ck, opts, direction, p)?;
                     return Ok((s, st, false));
@@ -581,11 +584,6 @@ impl Search {
             deepest_node: st.deepest.1 .0,
             stats,
             entries,
-            fps: snap
-                .fps
-                .into_iter()
-                .map(|(fp, ids)| (fp, ids.into_iter().map(|n| n.0).collect()))
-                .collect(),
         }
     }
 
@@ -657,18 +655,7 @@ impl Search {
         if entries[0].0 != ck.root {
             return Err(bad("checkpoint root is not its first entry".into()));
         }
-        let fps = ck
-            .fps
-            .into_iter()
-            .map(|(fp, ids)| {
-                let ids = ids
-                    .into_iter()
-                    .map(|id| node(id, "fingerprint"))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok((fp, ids))
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let cache = CanonCache::restore(CacheSnapshot { entries, fps, stats: ck.stats.cache })?;
+        let cache = CanonCache::restore(CacheSnapshot { entries, stats: ck.stats.cache })?;
         let frontier =
             ck.frontier.into_iter().map(|id| node(id, "frontier")).collect::<Result<Vec<_>>>()?;
         let goals = ck.goals.into_iter().map(|id| node(id, "goal")).collect::<Result<Vec<_>>>()?;
@@ -734,6 +721,8 @@ impl Search {
         let _sp = obs::trace::span("search.checkpoint_write");
         let watch = obs::time::Stopwatch::start();
         self.to_checkpoint(st, direction, root).save(&path)?;
+        // A snapshot under the older name is stale from here on.
+        let _ = std::fs::remove_file(legacy_checkpoint_file(&conf.dir));
         obs::metrics::histogram("search.checkpoint_write_ns").record(watch.elapsed_ns());
         obs::metrics::counter("search.checkpoint_writes").incr();
         self.last_ckpt = Some(self.stats.expanded);
@@ -746,6 +735,7 @@ impl Search {
     fn clear_checkpoint(&self) {
         if let Some(conf) = &self.opts.checkpoint {
             let _ = std::fs::remove_file(checkpoint_file(&conf.dir));
+            let _ = std::fs::remove_file(legacy_checkpoint_file(&conf.dir));
         }
     }
 

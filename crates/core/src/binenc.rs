@@ -254,13 +254,7 @@ pub fn frame(kind: &str, payload: &[u8]) -> Vec<u8> {
 /// [`Error::Parse`] on bad magic, an unexpected kind, or truncation;
 /// [`Error::Inconsistent`] on a checksum mismatch (torn or corrupted data).
 pub fn read_frame<'a>(d: &mut Dec<'a>, kind: &str) -> Result<&'a [u8]> {
-    let magic = d.take(MAGIC.len(), "frame magic")?;
-    if magic != MAGIC {
-        return Err(bad("bad frame magic (not a roundelim-bin-v1 frame)"));
-    }
-    let klen = d.u8("frame kind length")? as usize;
-    let found = std::str::from_utf8(d.take(klen, "frame kind")?)
-        .map_err(|_| bad("frame kind is not valid UTF-8"))?;
+    let found = read_frame_kind(d)?;
     if found != kind {
         return Err(bad(format!("frame kind mismatch: expected `{kind}`, found `{found}`")));
     }
@@ -272,6 +266,22 @@ pub fn read_frame<'a>(d: &mut Dec<'a>, kind: &str) -> Result<&'a [u8]> {
         });
     }
     Ok(payload)
+}
+
+/// Reads the magic and kind of the frame at the cursor, for a reader that
+/// picks its decoder by kind.
+///
+/// # Errors
+///
+/// [`Error::Parse`] on bad magic or truncation.
+pub fn read_frame_kind<'a>(d: &mut Dec<'a>) -> Result<&'a str> {
+    let magic = d.take(MAGIC.len(), "frame magic")?;
+    if magic != MAGIC {
+        return Err(bad("bad frame magic (not a roundelim-bin-v1 frame)"));
+    }
+    let klen = d.u8("frame kind length")? as usize;
+    std::str::from_utf8(d.take(klen, "frame kind")?)
+        .map_err(|_| bad("frame kind is not valid UTF-8"))
 }
 
 /// Convenience: unwraps a buffer holding exactly one frame of `kind`.

@@ -23,13 +23,14 @@
 //! ## Warm-start snapshot
 //!
 //! Replaying a large store re-canonicalizes every problem. A graceful
-//! shutdown writes a sidecar (`cache.snap.bin`, frame kind `store-cache`)
-//! with the live [`CanonCache`] snapshot and the record index, guarded by
-//! the FNV-1a checksum of the store bytes it describes. On open, a sidecar
-//! whose guard matches the store restores the cache directly; any mismatch
-//! (store appended to after the snapshot, partial copy, corruption) falls
-//! back to the linear rebuild. The sidecar is an optimization only — its
-//! loss is never an error.
+//! shutdown writes a sidecar (`cache.snap.bin`, frame kind
+//! `store-cache-v2`) with the live [`CanonCache`] snapshot and the record
+//! index, guarded by the FNV-1a checksum of the store bytes it describes.
+//! On open, a sidecar whose guard matches the store restores the cache
+//! directly; any mismatch (store appended to after the snapshot, partial
+//! copy, corruption, a `store-cache` sidecar of an older build) falls back
+//! to the linear rebuild. The sidecar is an optimization only — its loss
+//! is never an error.
 
 use roundelim_auto::binenc::{
     decode_certificate, decode_snapshot, encode_certificate, encode_snapshot,
@@ -52,7 +53,7 @@ pub const STORE_FILE: &str = "proofs.bin";
 pub const SNAP_FILE: &str = "cache.snap.bin";
 
 const PROOF_KIND: &str = "proof";
-const SNAP_KIND: &str = "store-cache";
+const SNAP_KIND: &str = "store-cache-v2";
 
 fn dir_tag(d: Direction) -> u8 {
     match d {

@@ -11,8 +11,9 @@ use roundelim::auto::binenc::{
     certificate_from_bytes, certificate_to_bytes, snapshot_from_bytes, snapshot_to_bytes,
 };
 use roundelim::auto::cache::{CanonCache, NodeId, Probe};
+use roundelim::auto::checkpoint::Checkpoint;
 use roundelim::auto::search::{autolb, SearchOptions};
-use roundelim::core::binenc::{frame, problem_from_bytes, problem_to_bytes};
+use roundelim::core::binenc::{frame, problem_from_bytes, problem_to_bytes, unframe};
 use roundelim::core::config::{all_multisets, Config};
 use roundelim::core::constraint::Constraint;
 use roundelim::core::label::Alphabet;
@@ -169,6 +170,7 @@ proptest! {
 /// Every truncation of a `roundelim-bin-v1` blob is rejected, and a byte
 /// flip inside the payload is caught by the FNV-1a frame checksum — the
 /// same guarantees `tests/crash_recovery.rs` pins for checkpoint files.
+/// The blobs include a v3 checkpoint and a committed v2 one.
 #[test]
 fn truncations_and_byte_flips_are_rejected() {
     let p = Problem::parse("name: so\nnode: O O O | O O I | O I I\nedge: O I").unwrap();
@@ -178,15 +180,26 @@ fn truncations_and_byte_flips_are_rejected() {
     let (id, _) = cache.intern(p.clone());
     record_full_step(&mut cache, id);
 
+    // The committed v2 checkpoint of an older build, and its v3 rewrite.
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/mm3-checkpoint");
+    let v2 = std::fs::read(format!("{fixture}/search.ckpt.json")).unwrap();
+    let ck = Checkpoint::from_bin(&v2).unwrap();
+    let v3 = ck.to_bin();
+    assert_eq!(Checkpoint::from_bin(&v3).unwrap(), ck);
+    let v3_payload = unframe(&v3, "checkpoint-v3").unwrap().to_vec();
+
     let blobs: Vec<(&str, Vec<u8>)> = vec![
         ("problem", problem_to_bytes(&p)),
         ("certificate", certificate_to_bytes(&cert)),
         ("cache snapshot", snapshot_to_bytes(&cache.snapshot())),
+        ("checkpoint", v3),
+        ("checkpoint", v2),
     ];
     let decode_as = |what: &str, b: &[u8]| -> Result<(), String> {
         let r = match what {
             "problem" => problem_from_bytes(b).map(|_| ()),
             "certificate" => certificate_from_bytes(b).map(|_| ()),
+            "checkpoint" => Checkpoint::from_bin(b).map(|_| ()),
             _ => snapshot_from_bytes(b).map(|_| ()),
         };
         r.map_err(|e| e.to_string())
@@ -234,7 +247,9 @@ fn truncations_and_byte_flips_are_rejected() {
             "problem count",
             inflated("certificate", &[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
         ),
-        ("cache snapshot", "entry count", inflated("cache-snapshot", &[])),
+        ("cache snapshot", "entry count", inflated("cache-snapshot-v2", &[])),
+        // A v2 checkpoint is a v3 payload, then its fingerprint index.
+        ("checkpoint", "fingerprint bucket count", inflated("checkpoint-v2", &v3_payload)),
     ];
     for (what, field, bytes) in &hostile {
         assert!(decode_as(what, bytes).is_err(), "{what}: an inflated {field} must be rejected");

@@ -138,19 +138,39 @@ fn autolb_json_embeds_the_certificate() {
 /// bucket collides are refined, 3 beam nodes end as dead ends read off an
 /// isomorphic half-step (`search.step_dedups`) instead of finishing their
 /// own step, and `cache.packed_bytes` (packed rows, label ranks, name ids
-/// and the name table) stays under 1 KiB per interned class.
+/// and the name table) stays under 1 KiB per interned class. Their
+/// `--profile` reports pin the `stage.*` span counts and the event total.
+///
+/// The runs checkpoint, and saving a snapshot refines nothing: the work
+/// equals [`ZOO_WORK`]'s uncheckpointed `coloring:3:3` row, and the 4
+/// writes add only their 4 `search.checkpoint_write` spans (8 events).
 #[test]
 fn coloring_certificate_bytes_are_pinned() {
     const GOLDEN: u64 = 0xc8fe_075d_8e20_380f;
+    const SPANS: [(&str, u64); 8] = [
+        ("search.checkpoint_write", 4),
+        ("stage.canon", 1771),
+        ("stage.close", 1932),
+        ("stage.domination", 18676),
+        ("stage.existential", 29),
+        ("stage.merge", 44),
+        ("stage.step", 23),
+        ("stage.zero-round", 5102),
+    ];
     for threads in ["1", "2"] {
         let cert = tmp_dir().join(format!("golden-c33-{threads}.json"));
+        let ck = tmp_dir().join(format!("golden-c33-ck-{threads}"));
         let budget = ["--steps", "6", "--beam", "6", "--max-labels", "10"];
         let mut args = vec!["autolb", "coloring:3:3"];
         args.extend(budget);
         args.extend(["--threads", threads, "--cert", cert.to_str().unwrap(), "--json"]);
-        let report = roundelim::auto::json::Json::parse(&run_ok(&args)).expect("JSON report");
-        let bytes = std::fs::read(&cert).unwrap();
-        let digest = roundelim_core::binenc::fnv1a64(&bytes);
+        args.extend(["--profile", "--checkpoint", ck.to_str().unwrap()]);
+        let out = cli().args(&args).output().expect("spawn roundelim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "roundelim {args:?} failed: {stderr}");
+        let report = roundelim::auto::json::Json::parse(&String::from_utf8_lossy(&out.stdout))
+            .expect("JSON report");
+        let digest = roundelim_core::binenc::fnv1a64(&std::fs::read(&cert).unwrap());
         assert_eq!(digest, GOLDEN, "threads={threads}: certificate digest {digest:#x}");
 
         let counter = |name: &str| report_u64(&report, &["obs", "counters", name]);
@@ -163,6 +183,13 @@ fn coloring_certificate_bytes_are_pinned() {
         assert_eq!(counter("cache.refinements"), 3862, "threads={threads}");
         assert_eq!(counter("search.step_dedups"), 3, "threads={threads}");
         assert!(packed <= 1024 * classes, "threads={threads}: {packed} B for {classes} classes");
+
+        assert!(stderr.contains("span profile: 57076 events, 0 dropped"), "{stderr}");
+        let rows = profile_rows(&stderr);
+        for (span, count) in SPANS {
+            let got = rows.iter().find(|r| r.0 == span).and_then(|r| r.1);
+            assert_eq!(got, Some(count), "threads={threads}: `{span}` in:\n{stderr}");
+        }
     }
 }
 
@@ -554,7 +581,7 @@ fn sigint_stops_gracefully_with_exit_3_and_a_live_snapshot() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let ck = dir.join("ck");
-    let ckpt = ck.join("search.ckpt.json");
+    let ckpt = ck.join("search.ckpt");
     // Heavy enough that the INT always lands mid-search.
     let mut child = cli()
         .args(["autolb", "coloring:3:3", "--steps", "6", "--beam", "6", "--max-labels", "10"])
@@ -591,8 +618,9 @@ fn sigint_stops_gracefully_with_exit_3_and_a_live_snapshot() {
     assert!(stdout.contains("stopped early (interrupted)"), "{stdout}");
 }
 
-/// A snapshot in the retired v1 format (a checksum header line plus JSON)
-/// is not a v2 frame: `--resume` must fail with a structured error and
+/// A snapshot in the retired v1 format (a checksum header line plus JSON),
+/// under the older file name, is not a checkpoint frame: `--resume` must
+/// fail with a structured error and
 /// exit 1, neither panicking nor starting a fresh search over it, and the
 /// file must stay byte-for-byte in place.
 #[test]

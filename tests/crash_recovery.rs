@@ -21,7 +21,7 @@ fn tmp_dir(tag: &str) -> PathBuf {
 }
 
 fn ckpt_file(dir: &Path) -> PathBuf {
-    dir.join("search.ckpt.json")
+    dir.join("search.ckpt")
 }
 
 /// Polls until `path` exists or the deadline passes.

@@ -13,8 +13,10 @@
 //! sequence, and the checkpoint of a budget-stopped search.
 //!
 //! The fixtures under `tests/fixtures/` were written by the build before
-//! the packed class store: a v2 checkpoint of a budget-stopped search and
-//! a daemon store with its class sidecar. Both must keep loading.
+//! the packed class store: a v2 checkpoint of a budget-stopped search,
+//! under the older file name `search.ckpt.json`, and a daemon store with
+//! a `store-cache` class sidecar that current builds ignore and rebuild.
+//! Both must keep loading.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
@@ -162,13 +164,11 @@ fn daemon_proof_store_matches_its_golden_digest() {
     assert_eq!(digest, GOLDEN_PROOFS, "proofs.bin digest {digest:#x}");
 }
 
-/// A budget-stopped `autolb coloring:3:3` writes the same checkpoint bytes
-/// at 1 and 2 worker threads: the cache snapshot's fingerprint index
-/// included, although the search refines only the classes whose pre-key
-/// bucket collided.
+/// A budget-stopped `autolb coloring:3:3` writes the same v3 checkpoint
+/// bytes at 1 and 2 worker threads.
 #[test]
 fn budget_stopped_checkpoint_matches_its_golden_digest() {
-    const GOLDEN_CKPT: u64 = 0x75e3_7274_2148_ea08;
+    const GOLDEN_CKPT: u64 = 0xb3de_bda7_5172_4404;
     for threads in ["1", "2"] {
         let ck = tmp_dir(&format!("c33-ckpt-{threads}"));
         let out = cli()
@@ -178,37 +178,49 @@ fn budget_stopped_checkpoint_matches_its_golden_digest() {
             .output()
             .unwrap();
         assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
-        let digest = fnv1a64(&std::fs::read(ck.join("search.ckpt.json")).unwrap());
+        let digest = fnv1a64(&std::fs::read(ck.join("search.ckpt")).unwrap());
         assert_eq!(digest, GOLDEN_CKPT, "threads={threads}: checkpoint digest {digest:#x}");
     }
 }
 
 /// A checkpoint of `autolb maximal-matching::3 --steps 6 --beam 6
-/// --max-labels 10 --max-expansions 2` (12 classes, LB 2) resumes to the
-/// full search's LB 3 over 613 classes and its certificate bytes.
+/// --max-labels 10 --max-expansions 2` (12 classes, LB 2), written as v2
+/// under the older name `search.ckpt.json`, resumes to the full search's
+/// LB 3 over 613 classes and its certificate bytes, and the completed
+/// search leaves no snapshot under either name. Next to a `search.ckpt`,
+/// the older name is not read: here it holds bytes that do not load.
 #[test]
 fn committed_checkpoint_resumes_to_the_pinned_certificate() {
     const GOLDEN_CERT: u64 = 0xa622_d923_26a5_4c6b;
-    let ck = copy_fixture("mm3-checkpoint", "ckpt");
-    let cert = ck.join("resumed.json");
-    let args = ["autolb", "maximal-matching::3", "--steps", "6", "--beam", "6", "--max-labels"];
-    let out = cli()
-        .args(args)
-        .args(["10", "--checkpoint", ck.to_str().unwrap(), "--resume"])
-        .args(["--cert", cert.to_str().unwrap()])
-        .output()
-        .unwrap();
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
-    assert!(stdout.contains("lower bound 3 rounds"), "{stdout}");
-    assert!(stdout.contains("search: 613 classes"), "{stdout}");
-    let digest = fnv1a64(&std::fs::read(&cert).unwrap());
-    assert_eq!(digest, GOLDEN_CERT, "resumed certificate digest {digest:#x}");
+    let legacy = copy_fixture("mm3-checkpoint", "ckpt");
+    let both = copy_fixture("mm3-checkpoint", "ckpt-both");
+    std::fs::rename(both.join("search.ckpt.json"), both.join("search.ckpt")).unwrap();
+    std::fs::write(both.join("search.ckpt.json"), b"stale").unwrap();
+    for ck in [legacy, both] {
+        let cert = ck.join("resumed.json");
+        let args = ["autolb", "maximal-matching::3", "--steps", "6", "--beam", "6"];
+        let out = cli()
+            .args(args)
+            .args(["--max-labels", "10", "--checkpoint", ck.to_str().unwrap(), "--resume"])
+            .args(["--cert", cert.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+        assert!(stdout.contains("lower bound 3 rounds"), "{stdout}");
+        assert!(stdout.contains("search: 613 classes"), "{stdout}");
+        let digest = fnv1a64(&std::fs::read(&cert).unwrap());
+        assert_eq!(digest, GOLDEN_CERT, "resumed certificate digest {digest:#x}");
+        for name in ["search.ckpt", "search.ckpt.json"] {
+            assert!(!ck.join(name).exists(), "{name} left in {}", ck.display());
+        }
+    }
 }
 
 /// A daemon store seeded with `sinkless-orientation::3` and
 /// `maximal-matching::3` serves a verbatim and a renamed request from the
-/// store, and its class sidecar gains no class.
+/// store, and the class index rebuilt from it (its older sidecar is not
+/// read) holds no class beyond the stored two.
 #[test]
 fn committed_store_serves_warm_hits_without_new_classes() {
     let store = copy_fixture("store", "store");

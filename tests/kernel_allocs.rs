@@ -1,11 +1,12 @@
 //! The search's per-class kernels allocate only their set-up: a warm label
 //! refinement or pre-key allocates nothing, and an isomorphism search
-//! allocates per label, never per configuration probe. Allocations are
-//! counted per thread, so tests running alongside do not disturb the
-//! counts.
+//! allocates per label, never per configuration probe. A span opened with
+//! no trace installed allocates nothing either. Allocations are counted
+//! per thread, so tests running alongside do not disturb the counts.
 
 use roundelim::core::iso::{fingerprint_and_ranks, isomorphism_ranked, pre_key, Refiner};
 use roundelim::core::problem::Problem;
+use roundelim::obs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,6 +65,12 @@ fn a_warm_pre_key_allocates_nothing() {
     let mut counts = Vec::new();
     let key = pre_key(p.packed(), &mut counts);
     assert_eq!(allocations(|| assert_eq!(pre_key(p.packed(), &mut counts), key)), 0);
+}
+
+#[test]
+fn untraced_spans_allocate_nothing() {
+    let n = allocations(|| (0..10_000).for_each(|_| drop(obs::trace::span("stage.canon"))));
+    assert_eq!(n, 0, "no trace is installed");
 }
 
 #[test]
