@@ -240,15 +240,21 @@ where
 /// order: the in-place claim helper. The items are typically disjoint
 /// `&mut` chunks of one buffer (`buf.chunks_mut(len)`), so a buffer is
 /// filled or sorted where it lies instead of collected and flattened.
-/// At one thread, or for at most one item, the items run inline in order;
-/// otherwise they go through [`par_each_catch`], and a panic is fatal.
-pub fn par_each<I, R, F>(items: Vec<I>, threads: usize, f: F) -> Vec<R>
+/// At one thread the items run inline in order and are never collected,
+/// so a call whose `f` returns `()` allocates nothing. Otherwise at most
+/// one item also runs inline, and more go through [`par_each_catch`],
+/// where a panic is fatal.
+pub fn par_each<I, R, F>(items: impl IntoIterator<Item = I>, threads: usize, f: F) -> Vec<R>
 where
     I: Send,
     R: Send,
     F: Fn(I) -> R + Sync,
 {
-    if threads <= 1 || items.len() <= 1 {
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let items: Vec<I> = items.into_iter().collect();
+    if items.len() <= 1 {
         return items.into_iter().map(f).collect();
     }
     strict(par_each_catch(items, threads, f))
@@ -340,7 +346,7 @@ mod tests {
         // The in-place pattern of the simulator: disjoint &mut chunks,
         // each claimed by one task, results in chunk order.
         let mut data = vec![0u32; 100];
-        let lens = par_each(data.chunks_mut(17).enumerate().collect(), 4, |(c, part)| {
+        let lens = par_each(data.chunks_mut(17).enumerate(), 4, |(c, part)| {
             for (i, slot) in (c * 17..).zip(part.iter_mut()) {
                 *slot = i as u32;
             }

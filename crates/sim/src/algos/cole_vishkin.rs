@@ -97,8 +97,8 @@ impl Distributed for ColeVishkin {
         }
     }
 
-    fn output(&self, state: &CvState) -> Vec<Label> {
-        vec![Label::from_index(state.color as usize); 2]
+    fn output(&self, state: &CvState, out: &mut [Label]) {
+        out.fill(Label::from_index(state.color as usize));
     }
 }
 

@@ -35,7 +35,6 @@ pub struct MisState {
     status: MisStatus,
     /// Port of an MIS neighbor (witness), once covered.
     witness: Option<usize>,
-    degree: usize,
 }
 
 /// Message: `(id, status_code)` with 0 = undecided, 1 = in MIS, 2 = covered.
@@ -55,7 +54,6 @@ impl Distributed for GreedyMis {
             id: ctx.input.id.expect("GreedyMis needs unique ids"),
             status: MisStatus::Undecided,
             witness: None,
-            degree: ctx.degree,
         }
     }
 
@@ -92,21 +90,20 @@ impl Distributed for GreedyMis {
         }
     }
 
-    fn output(&self, state: &MisState) -> Vec<Label> {
+    fn output(&self, state: &MisState, out: &mut [Label]) {
         let a = Label::from_index(0);
         let p = Label::from_index(1);
         let o = Label::from_index(2);
         match state.status {
-            MisStatus::InMis => vec![a; state.degree],
+            MisStatus::InMis => out.fill(a),
             MisStatus::Covered => {
                 let w = state.witness.expect("covered nodes saw an MIS neighbor");
-                (0..state.degree).map(|q| if q == w { p } else { o }).collect()
+                out.fill(o);
+                out[w] = p;
             }
-            MisStatus::Undecided => {
-                // With mis_rounds(n) rounds this cannot happen; emit O's so
-                // the checker reports it loudly rather than panicking.
-                vec![o; state.degree]
-            }
+            // With mis_rounds(n) rounds this cannot happen; emit O's so
+            // the checker reports it loudly rather than panicking.
+            MisStatus::Undecided => out.fill(o),
         }
     }
 
@@ -124,6 +121,11 @@ impl Distributed for GreedyMis {
 /// Greedy maximal matching: an unmatched node proposes to its
 /// smallest-ID unmatched neighbor; mutual proposals match.
 ///
+/// A node keeps no neighbour ids: every round's messages carry them, so
+/// it recomputes its proposal from the messages it receives. It knows its
+/// matched neighbours by a `u64` port mask, so it supports degree ≤ 64;
+/// `init` panics above that.
+///
 /// Output targets `roundelim_problems::matching::maximal_matching(Δ)`:
 /// label indices `[M, O, P] = [0, 1, 2]` — matched nodes put `M` on the
 /// matching port and `O` elsewhere; unmatched nodes (all neighbors
@@ -131,17 +133,17 @@ impl Distributed for GreedyMis {
 #[derive(Debug, Clone, Default)]
 pub struct GreedyMatching;
 
-/// State for [`GreedyMatching`]. Ports and the degree are `u32` so the
-/// state stays at 80 bytes with the cached proposal.
+/// State for [`GreedyMatching`]: fixed-size, with nothing on the heap.
 #[derive(Debug, Clone)]
 pub struct MatchState {
     id: u64,
-    neighbor_ids: Vec<u64>,
+    /// Bit `p` is set once port `p`'s neighbor is known to be matched (to
+    /// someone other than this node).
+    neighbor_matched: u64,
     matched_port: Option<u32>,
-    /// Ports whose neighbor is known to be matched (to someone).
-    neighbor_matched: Vec<bool>,
-    /// [`GreedyMatching::proposal_port`], cached: set once the neighbor
-    /// ids arrive and kept current as neighbors become known-matched.
+    /// [`proposal_port`], cached: computed from the round-0 messages and
+    /// recomputed from a later round's when the target becomes
+    /// known-matched.
     proposal: Option<u32>,
     degree: u32,
 }
@@ -159,33 +161,30 @@ impl Distributed for GreedyMatching {
     type State = MatchState;
 
     fn init(&self, ctx: &NodeCtx<'_>) -> MatchState {
+        let degree = ctx.degree;
+        assert!(degree <= 64, "GreedyMatching's port mask supports degree ≤ 64, got {degree}");
         MatchState {
             id: ctx.input.id.expect("GreedyMatching needs unique ids"),
-            neighbor_ids: Vec::new(),
+            neighbor_matched: 0,
             matched_port: None,
-            neighbor_matched: vec![false; ctx.degree],
             proposal: None,
-            degree: ctx.degree as u32,
+            degree: degree as u32,
         }
     }
 
-    fn send(&self, state: &MatchState, round: usize, port: usize) -> MatchMsg {
-        if round == 0 {
-            return (state.id, false, false);
-        }
+    fn send(&self, state: &MatchState, _round: usize, port: usize) -> MatchMsg {
         let proposes = state.matched_port.is_none() && state.proposal == Some(port as u32);
         (state.id, proposes, state.matched_port.is_some())
     }
 
     fn receive(&self, state: &mut MatchState, round: usize, messages: &[MatchMsg]) {
-        if round == 0 {
-            state.neighbor_ids = messages.iter().map(|&(id, _, _)| id).collect();
-            state.proposal = self.proposal_port(state);
-            return;
+        if round > 0 {
+            let fresh = || proposal_port(state.neighbor_matched, messages);
+            debug_assert_eq!(state.proposal, fresh(), "stale proposal port");
         }
-        debug_assert_eq!(state.proposal, self.proposal_port(state), "stale proposal port");
         // Evaluate mutuality against the proposal we actually *sent* this
-        // round, i.e. with the pre-update knowledge `send` used.
+        // round, i.e. with the pre-update knowledge `send` used. Round 0
+        // carries no proposals: none is known before the ids arrive.
         if state.matched_port.is_none() {
             if let Some(my_target) = state.proposal {
                 // Mutual proposal ⇒ matched.
@@ -196,24 +195,27 @@ impl Distributed for GreedyMatching {
         }
         for (p, &(_, _, matched)) in messages.iter().enumerate() {
             if matched && state.matched_port != Some(p as u32) {
-                state.neighbor_matched[p] = true;
+                state.neighbor_matched |= 1 << p;
             }
         }
-        // Marking a port other than the proposal's leaves the minimum
-        // where it was; only a known-matched proposal target moves it.
-        if state.proposal.is_some_and(|q| state.neighbor_matched[q as usize]) {
-            state.proposal = self.proposal_port(state);
+        // Round 0's ids give the first proposal. Marking a port other than
+        // the proposal's leaves the minimum where it was; only a
+        // known-matched proposal target moves it.
+        if state.proposal.is_none_or(|q| (state.neighbor_matched >> q) & 1 == 1) {
+            state.proposal = proposal_port(state.neighbor_matched, messages);
         }
     }
 
-    fn output(&self, state: &MatchState) -> Vec<Label> {
+    fn output(&self, state: &MatchState, out: &mut [Label]) {
         let m = Label::from_index(0);
         let o = Label::from_index(1);
         let p = Label::from_index(2);
-        let degree = state.degree as usize;
         match state.matched_port {
-            Some(mp) => (0..degree).map(|q| if q == mp as usize { m } else { o }).collect(),
-            None => vec![p; degree],
+            Some(mp) => {
+                out.fill(o);
+                out[mp as usize] = m;
+            }
+            None => out.fill(p),
         }
     }
 
@@ -225,18 +227,16 @@ impl Distributed for GreedyMatching {
         // neighbors need to retarget their proposals. When *all* nodes
         // satisfy this the matching is maximal, so `run_adaptive` may
         // stop.
-        state.matched_port.is_some() || state.neighbor_matched.iter().all(|&b| b)
+        state.matched_port.is_some() || state.neighbor_matched.count_ones() == state.degree
     }
 }
 
-impl GreedyMatching {
-    /// The port an unmatched node proposes on: its smallest-ID neighbor
-    /// not known to be matched.
-    fn proposal_port(&self, state: &MatchState) -> Option<u32> {
-        (0..state.degree)
-            .filter(|&q| !state.neighbor_matched[q as usize])
-            .min_by_key(|&q| state.neighbor_ids[q as usize])
-    }
+/// The port an unmatched node proposes on: its smallest-ID neighbor not
+/// known to be matched, with the ids read from a round's `messages`.
+fn proposal_port(neighbor_matched: u64, messages: &[MatchMsg]) -> Option<u32> {
+    (0..messages.len() as u32)
+        .filter(|&q| (neighbor_matched >> q) & 1 == 0)
+        .min_by_key(|&q| messages[q as usize].0)
 }
 
 #[cfg(test)]
@@ -282,9 +282,15 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_pointer_width = "64")]
-    fn match_state_stays_at_80_bytes() {
-        assert_eq!(std::mem::size_of::<MatchState>(), 80);
+    fn match_state_stays_at_40_bytes() {
+        assert_eq!(std::mem::size_of::<MatchState>(), 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "GreedyMatching's port mask supports degree ≤ 64, got 65")]
+    fn matching_rejects_degrees_above_the_mask_width() {
+        let g = complete(66);
+        let _ = run(&g, &id_inputs(&g), &GreedyMatching, 1);
     }
 
     #[test]

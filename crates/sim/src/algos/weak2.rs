@@ -36,7 +36,8 @@ pub fn total_rounds(n: usize) -> usize {
 /// The message exchanged each round.
 #[derive(Debug, Clone, Default)]
 pub struct Msg {
-    /// ID (round 0) or current CV color (CV rounds).
+    /// ID (round 0 and the matching sub-rounds) or current CV color (CV
+    /// rounds).
     payload: u64,
     /// Proposal flag (matching propose sub-rounds, per port).
     propose: bool,
@@ -68,18 +69,18 @@ impl WeakTwoColoring {
     }
 }
 
-/// Node state for [`WeakTwoColoring`].
+/// Node state for [`WeakTwoColoring`]: fixed-size, with nothing on the
+/// heap. A node keeps no neighbour ids: the matching sub-rounds carry the
+/// sender's id, so a node reads its partner's id when it matches.
 #[derive(Debug, Clone)]
 pub struct WeakState {
     id: u64,
-    degree: usize,
-    neighbor_ids: Vec<u64>,
     color: u64,
-    pointer_port: usize,
+    pointer_port: u32,
     /// Matching partner port, if matched.
-    partner: Option<usize>,
+    partner: Option<u32>,
     /// Accept target for the pending accept sub-round.
-    accepting: Option<usize>,
+    accepting: Option<u32>,
     /// Whether this node proposed in the pending sub-round.
     proposed: bool,
     /// Final output bit (0/1; 2 = unset).
@@ -94,8 +95,6 @@ impl Distributed for WeakTwoColoring {
         let id = ctx.input.id.expect("weak coloring needs unique ids");
         WeakState {
             id,
-            degree: ctx.degree,
-            neighbor_ids: Vec::new(),
             color: id,
             pointer_port: 0,
             partner: None,
@@ -107,11 +106,13 @@ impl Distributed for WeakTwoColoring {
 
     fn send(&self, state: &WeakState, round: usize, port: usize) -> Msg {
         let mut m = Msg::default();
+        let port = port as u32;
         if round == 0 {
             m.payload = state.id;
         } else if round <= self.phase1 {
             m.payload = state.color;
         } else if round < self.bit_round() {
+            m.payload = state.id;
             let sub = round - self.matching_start();
             let class = (sub / 2) as u64;
             if sub.is_multiple_of(2) {
@@ -130,13 +131,14 @@ impl Distributed for WeakTwoColoring {
 
     fn receive(&self, state: &mut WeakState, round: usize, messages: &[Msg]) {
         if round == 0 {
-            state.neighbor_ids = messages.iter().map(|m| m.payload).collect();
-            state.pointer_port =
-                (0..messages.len()).max_by_key(|&p| messages[p].payload).expect("degree ≥ 1");
+            state.pointer_port = (0..messages.len() as u32)
+                .max_by_key(|&p| messages[p as usize].payload)
+                .expect("degree ≥ 1");
             return;
         }
+        let pointer = state.pointer_port as usize;
         if round <= self.phase1 {
-            let target = messages[state.pointer_port].payload;
+            let target = messages[pointer].payload;
             state.color = cv_step(state.color, target);
             return;
         }
@@ -149,7 +151,7 @@ impl Distributed for WeakTwoColoring {
                     state.partner.is_none() && state.color == class
                 };
                 state.accepting = if state.partner.is_none() {
-                    (0..messages.len()).find(|&p| messages[p].propose)
+                    (0..messages.len() as u32).find(|&p| messages[p as usize].propose)
                 } else {
                     None
                 };
@@ -158,15 +160,16 @@ impl Distributed for WeakTwoColoring {
                 }
             } else {
                 // Learn acceptance of our proposal.
-                if state.proposed && messages[state.pointer_port].accept {
+                if state.proposed && messages[pointer].accept {
                     state.partner = Some(state.pointer_port);
                 }
                 state.accepting = None;
                 state.proposed = false;
-                // Matched nodes can fix their bit as soon as matched.
+                // Matched nodes fix their bit as soon as matched, from the
+                // id their partner sent this sub-round.
                 if let Some(p) = state.partner {
                     if state.bit == 2 {
-                        state.bit = u8::from(state.id > state.neighbor_ids[p]);
+                        state.bit = u8::from(state.id > messages[p as usize].payload);
                     }
                 }
             }
@@ -174,21 +177,20 @@ impl Distributed for WeakTwoColoring {
         }
         // Bit round: unmatched nodes copy the opposite of their target.
         if state.bit == 2 {
-            let tb = messages[state.pointer_port].bit;
+            let tb = messages[pointer].bit;
             debug_assert!(tb < 2, "pointer target is matched by maximality");
             state.bit = 1 - tb;
         }
     }
 
-    fn output(&self, state: &WeakState) -> Vec<Label> {
+    fn output(&self, state: &WeakState, out: &mut [Label]) {
         let c = state.bit as usize;
         debug_assert!(c < 2, "bit assigned by the final round");
         // Witness: matching partner if matched, else the pointer target.
         let witness = state.partner.unwrap_or(state.pointer_port);
         // weak_coloring_pointer(2, Δ) interns [1→, 1•, 2→, 2•]:
-        let arrow = Label::from_index(2 * c);
-        let dot = Label::from_index(2 * c + 1);
-        (0..state.degree).map(|q| if q == witness { arrow } else { dot }).collect()
+        out.fill(Label::from_index(2 * c + 1));
+        out[witness as usize] = Label::from_index(2 * c);
     }
 }
 
@@ -238,6 +240,12 @@ mod tests {
         let algo = WeakTwoColoring::for_n(10);
         let out = run(&g, &shuffled_id_inputs(10, 8), &algo, total_rounds(10));
         assert!(is_valid(&p, &g, &out));
+    }
+
+    #[test]
+    fn state_and_message_sizes_are_pinned() {
+        assert!(std::mem::size_of::<WeakState>() <= 48);
+        assert_eq!(std::mem::size_of::<Msg>(), 16);
     }
 
     #[test]

@@ -154,7 +154,7 @@ fn keyed_order(len: usize, stream: u64, threads: usize) -> Vec<u32> {
         }
     }
     drop(counts);
-    par::par_each(ranges.into_iter().zip(slots).collect(), threads, |(ids, mut slots)| {
+    par::par_each(ranges.into_iter().zip(slots), threads, |(ids, mut slots)| {
         for i in ids {
             let k = key(i);
             *slots[bucket(k)].next().expect("a slot per counted key") = (k, i as u32);

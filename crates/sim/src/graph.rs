@@ -168,7 +168,7 @@ impl PortGraph {
             len.max(1)
         };
         let mut targets = vec![PortTarget::default(); len];
-        par::par_each(targets.chunks_mut(chunk).enumerate().collect(), threads, |(c, part)| {
+        par::par_each(targets.chunks_mut(chunk).enumerate(), threads, |(c, part)| {
             for (i, t) in (c * chunk..).zip(part) {
                 let (v, m) = (i / d, i % d);
                 *t = PortTarget { node: partners[m * n + v], port: m as u32 };
@@ -177,7 +177,7 @@ impl PortGraph {
         // Every node's port offset is `node · d`, so the mates follow from
         // `targets` in one sequential read.
         let mut mates = vec![0u32; len];
-        par::par_each(mates.chunks_mut(chunk).enumerate().collect(), threads, |(c, part)| {
+        par::par_each(mates.chunks_mut(chunk).enumerate(), threads, |(c, part)| {
             for (i, mate) in (c * chunk..).zip(part) {
                 *mate = targets[i].node * d as u32 + targets[i].port;
             }

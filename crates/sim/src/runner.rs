@@ -3,7 +3,7 @@
 //! A [`Distributed`] algorithm is written against the node-local API of the
 //! port-numbering model: in each round every node sends one message per
 //! port, receives one message per port, and updates its state; after the
-//! last round it assigns one output label per port. Nodes see their degree,
+//! last round it writes one output label per port. Nodes see their degree,
 //! the global parameters `n` and `Δ`, and any inputs the instance carries
 //! (IDs, colors, orientations) — *not* their node index.
 //!
@@ -16,11 +16,13 @@
 //! Every send and every receive of a round is independent, so the core
 //! runs each round on the workspace executor: nodes split into contiguous
 //! chunks (whose ports are contiguous in the CSR layout), a send phase
-//! fills one flat per-port `outgoing` arena, and a receive phase gathers
-//! each chunk's inbox through the graph's mate table
+//! writes one flat per-port `outgoing` arena in place, and a receive phase
+//! gathers each chunk's inbox through the graph's mate table
 //! ([`PortGraph::mates`]) into a buffer the chunk keeps across rounds.
-//! Node states stay in their chunks from `init` to `output`; node inputs
-//! are produced on demand, once per node in `init`, and never held.
+//! The arena is allocated once, before round 0. Node states stay in their
+//! chunks from `init` to `output`, which writes each node's labels into
+//! its slice of [`FlatOutputs`]; node inputs are produced on demand, once
+//! per node in `init`, and never held. So nothing is allocated per node.
 //!
 //! Adaptive runs work in proportion to their frontier: each chunk keeps
 //! its live (not done) nodes, only those receive, and once few are left
@@ -66,8 +68,9 @@ pub struct NodeCtx<'a> {
 /// The runner calls these methods from executor workers, hence the
 /// `Sync`/`Send` bounds; the methods themselves stay node-local.
 pub trait Distributed: Sync {
-    /// Messages exchanged along edges.
-    type Message: Clone + Send + Sync;
+    /// Messages exchanged along edges. `Default` fills the message arena
+    /// before round 0; a slot no live node reads may keep it.
+    type Message: Clone + Default + Send + Sync;
     /// Node-local state.
     type State: Send;
 
@@ -80,8 +83,9 @@ pub trait Distributed: Sync {
     /// Consumes the messages received in `round` (indexed by port).
     fn receive(&self, state: &mut Self::State, round: usize, messages: &[Self::Message]);
 
-    /// Emits the final output: one label per port.
-    fn output(&self, state: &Self::State) -> Vec<Label>;
+    /// Writes the final output, one label per port, into `out` (the
+    /// node's slice of [`FlatOutputs`], `degree` labels long).
+    fn output(&self, state: &Self::State, out: &mut [Label]);
 
     /// Whether this node's output is final. In a [`run_adaptive`] run,
     /// once this is `true` the runner never calls
@@ -174,34 +178,35 @@ fn node_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
     (0..n.div_ceil(per).max(1)).map(|c| c * per..((c + 1) * per).min(n)).collect()
 }
 
-/// Splits a flat per-port arena into consecutive parts of `lens` ports.
-fn split_ports<'a, T>(mut arena: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
-    lens.iter()
-        .map(|&len| {
-            let (part, rest) = std::mem::take(&mut arena).split_at_mut(len);
-            arena = rest;
-            part
-        })
-        .collect()
+/// Pairs each chunk with its part of a flat per-port arena.
+fn with_ports<'a, A: Distributed, T>(
+    chunks: &'a mut [Chunk<A>],
+    mut arena: &'a mut [T],
+) -> impl Iterator<Item = (&'a mut Chunk<A>, &'a mut [T])> {
+    chunks.iter_mut().map(move |chunk| {
+        let (part, rest) = std::mem::take(&mut arena).split_at_mut(chunk.ports.len());
+        arena = rest;
+        (chunk, part)
+    })
 }
 
-/// Calls `emit(slot, message)` for every port of every chunk node that
-/// `sends(v)` admits, in port order; `slot` indexes the chunk's part of
-/// the outgoing arena. Returns the number of messages.
+/// Writes the message of every port of every chunk node that `sends(v)`
+/// admits into `part`, the chunk's part of the outgoing arena. Returns the
+/// number of messages.
 fn send_chunk<A: Distributed>(
     graph: &PortGraph,
     algo: &A,
     chunk: &Chunk<A>,
     round: usize,
     sends: impl Fn(usize) -> bool,
-    mut emit: impl FnMut(usize, A::Message),
+    part: &mut [A::Message],
 ) -> u64 {
     let mut count = 0;
     for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
         if sends(v) {
             let lo = graph.port_offset(v) - chunk.ports.start;
-            for p in 0..graph.degree(v) {
-                emit(lo + p, algo.send(state, round, p));
+            for (p, slot) in part[lo..lo + graph.degree(v)].iter_mut().enumerate() {
+                *slot = algo.send(state, round, p);
             }
             count += graph.degree(v) as u64;
         }
@@ -288,7 +293,9 @@ fn receive_chunk<A: Distributed>(
 /// outgoing arena, per-chunk inboxes, and in adaptive runs per-chunk live
 /// lists with frontier rounds and the early stop. `input(v)` is called
 /// once per node, in `init`, so no input outlives its node's
-/// initialization.
+/// initialization. Returns the flat outputs and the rounds executed.
+/// [`run_flat`] and [`run_adaptive`] call it on all cores; the
+/// cross-validation harness calls it with its `--threads` budget.
 ///
 /// A round is dense or sparse. A dense round, every round of a
 /// fixed-schedule run, sends from every node and gathers whole
@@ -299,7 +306,7 @@ fn receive_chunk<A: Distributed>(
 /// node reads was written this round either way, and the choice depends
 /// only on the global live count, so both paths deliver the same messages
 /// and outputs stay bit-identical for every thread count.
-pub(crate) fn run_core<A: Distributed>(
+pub fn run_core<A: Distributed>(
     graph: &PortGraph,
     input: impl Fn(usize) -> NodeInput + Sync,
     algo: &A,
@@ -318,24 +325,18 @@ pub(crate) fn run_core<A: Distributed>(
             .clone()
             .map(|v| algo.init(&NodeCtx { n, delta, degree: graph.degree(v), input: &input(v) }))
             .collect();
-        let live = if adaptive {
-            nodes
-                .clone()
-                .zip(&states)
-                .filter(|(_, s)| !algo.done(s))
-                .map(|(v, _)| v as u32)
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut live = Vec::new();
+        if adaptive {
+            live.extend(nodes.clone().map(|v| v as u32));
+            live.retain(|&v| !algo.done(&states[v as usize - nodes.start]));
+        }
         let ports = graph.port_offset(nodes.start)..graph.port_offset(nodes.end);
         Chunk { nodes, ports, states, live, inbox: Vec::new() }
     });
-    let port_lens: Vec<usize> = chunks.iter().map(|c| c.ports.len()).collect();
     let live_count = |chunks: &[Chunk<A>]| chunks.iter().map(|c| c.live.len()).sum::<usize>();
     let mut live = live_count(&chunks);
 
-    let mut outgoing: Vec<A::Message> = Vec::new();
+    let mut outgoing = vec![A::Message::default(); total];
     // `stamps[v] == round as u8` marks `v` as a sender of a sparse round.
     // Allocated at the first sparse round and never cleared: a stamp left
     // from 256·k rounds earlier only adds sends nobody reads. Each phase
@@ -348,14 +349,14 @@ pub(crate) fn run_core<A: Distributed>(
             break;
         }
         let _round_span = obs::trace::span_v("sim.round", round as u64);
-        let sparse = adaptive && !outgoing.is_empty() && live <= n / SPARSE_SHARE;
+        let sparse = adaptive && live <= n / SPARSE_SHARE;
         let mark = round as u8;
         if sparse {
             if stamps.is_empty() {
                 stamps = (0..n).map(|_| AtomicU8::new(0)).collect();
             }
             let stamps = &stamps;
-            par_each(chunks.iter().map(|c| &c.live[..]).collect(), threads, |live| {
+            par_each(chunks.iter().map(|c| &c.live[..]), threads, |live| {
                 for &v in live {
                     for t in graph.ports(v as usize) {
                         stamps[t.node_ix()].store(mark, Ordering::Relaxed);
@@ -365,50 +366,25 @@ pub(crate) fn run_core<A: Distributed>(
         }
         let sends = |v: usize| !sparse || stamps[v].load(Ordering::Relaxed) == mark;
         // All sends happen before any receive (synchronous rounds). The
-        // first round allocates the arena; later rounds overwrite it.
-        let sent: u64 = if outgoing.is_empty() {
-            let parts = par_each(chunks.iter_mut().collect(), threads, |chunk| {
-                let mut part = Vec::with_capacity(chunk.ports.len());
-                send_chunk(graph, algo, chunk, round, sends, |_, m| part.push(m));
-                part
-            });
-            // Appending part by part frees each part as it is moved.
-            let mut parts = parts.into_iter();
-            outgoing = parts.next().unwrap_or_default();
-            outgoing.reserve_exact(total - outgoing.len());
-            parts.for_each(|part| outgoing.extend(part));
-            total as u64
-        } else {
-            let items: Vec<_> =
-                chunks.iter_mut().zip(split_ports(&mut outgoing, &port_lens)).collect();
-            par_each(items, threads, |(chunk, part)| {
-                send_chunk(graph, algo, chunk, round, sends, |i, m| part[i] = m)
-            })
-            .into_iter()
-            .sum()
-        };
-        send_count.add(sent);
+        // tasks return nothing, so a one-thread round allocates nothing.
+        par_each(with_ports(&mut chunks, &mut outgoing), threads, |(chunk, part)| {
+            send_count.add(send_chunk(graph, algo, chunk, round, sends, part));
+        });
         let outgoing = &outgoing;
         let block = if sparse { 1 } else { INBOX_NODES };
-        let received: u64 = par_each(chunks.iter_mut().collect(), threads, |chunk| {
-            receive_chunk(graph, algo, chunk, round, outgoing, adaptive, block)
-        })
-        .into_iter()
-        .sum();
-        receive_count.add(received);
+        par_each(chunks.iter_mut(), threads, |chunk| {
+            receive_count.add(receive_chunk(graph, algo, chunk, round, outgoing, adaptive, block));
+        });
         live = live_count(&chunks);
         rounds_used = round + 1;
     }
     drop(outgoing);
 
     let mut labels = vec![Label::from_index(0); total];
-    let items: Vec<_> = chunks.iter_mut().zip(split_ports(&mut labels, &port_lens)).collect();
-    par_each(items, threads, |(chunk, part)| {
+    par_each(with_ports(&mut chunks, &mut labels), threads, |(chunk, part)| {
         for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
-            let out = algo.output(state);
-            assert_eq!(out.len(), graph.degree(v), "one output label per port");
             let lo = graph.port_offset(v) - chunk.ports.start;
-            part[lo..lo + out.len()].copy_from_slice(&out);
+            algo.output(state, &mut part[lo..lo + graph.degree(v)]);
         }
     });
     (FlatOutputs { labels }, rounds_used)
@@ -419,8 +395,8 @@ pub(crate) fn run_core<A: Distributed>(
 ///
 /// # Panics
 ///
-/// Panics if `inputs.len() != graph.node_count()` or an algorithm emits a
-/// wrong-arity output (programming errors in the caller/algorithm).
+/// Panics if `inputs.len() != graph.node_count()` (a programming error in
+/// the caller).
 pub fn run<A: Distributed>(
     graph: &PortGraph,
     inputs: &[NodeInput],
@@ -465,11 +441,6 @@ pub fn run_adaptive<A: Distributed>(
     run_core(graph, |v| inputs[v].clone(), algo, max_rounds, true, par::resolve_threads(0))
 }
 
-/// Builds default (empty) inputs for a graph.
-pub fn empty_inputs(graph: &PortGraph) -> Vec<NodeInput> {
-    vec![NodeInput::default(); graph.node_count()]
-}
-
 /// Builds inputs with unique ids `0..n` (optionally shuffled by a caller).
 pub fn id_inputs(graph: &PortGraph) -> Vec<NodeInput> {
     (0..graph.node_count())
@@ -501,9 +472,9 @@ mod tests {
                 *state = (*state).max(m);
             }
         }
-        fn output(&self, state: &u64) -> Vec<Label> {
-            // encode the known max as a label index at both ports (test only)
-            vec![Label::from_index(*state as usize); 2]
+        fn output(&self, state: &u64, out: &mut [Label]) {
+            // encode the known max as a label index at every port (test only)
+            out.fill(Label::from_index(*state as usize));
         }
         fn done(&self, state: &u64) -> bool {
             // test-only convergence signal: a node that knows id 7 is done
@@ -584,7 +555,13 @@ mod tests {
             }
             rounds_used = round + 1;
         }
-        let rows: Vec<Vec<Label>> = states.iter().map(|s| algo.output(s)).collect();
+        let rows: Vec<Vec<Label>> = (0..n)
+            .map(|v| {
+                let mut row = vec![Label::from_index(0); g.degree(v)];
+                algo.output(&states[v], &mut row);
+                row
+            })
+            .collect();
         (FlatOutputs::from_rows(g, &rows), rounds_used)
     }
 
@@ -620,8 +597,8 @@ mod tests {
             self.receives.fetch_add(1, Ordering::Relaxed);
             self.algo.receive(state, round, messages);
         }
-        fn output(&self, state: &A::State) -> Vec<Label> {
-            self.algo.output(state)
+        fn output(&self, state: &A::State, out: &mut [Label]) {
+            self.algo.output(state, out);
         }
         fn done(&self, state: &A::State) -> bool {
             self.algo.done(state)
@@ -636,8 +613,8 @@ mod tests {
     /// diverges from it.
     struct Staggered;
 
-    /// `(rounds left, accumulator, degree)`.
-    type StaggeredState = (u64, u64, usize);
+    /// `(rounds left, accumulator)`.
+    type StaggeredState = (u64, u64);
 
     impl Distributed for Staggered {
         type Message = u64;
@@ -645,7 +622,7 @@ mod tests {
 
         fn init(&self, ctx: &NodeCtx<'_>) -> StaggeredState {
             let id = ctx.input.id.expect("Staggered needs ids");
-            (id % 24, id, ctx.degree)
+            (id % 24, id)
         }
         fn send(&self, state: &StaggeredState, round: usize, port: usize) -> u64 {
             state.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (round * 64 + port) as u64
@@ -659,8 +636,10 @@ mod tests {
                 state.1 = (state.1 ^ m).wrapping_mul(0x0100_0000_01B3);
             }
         }
-        fn output(&self, state: &StaggeredState) -> Vec<Label> {
-            (0..state.2).map(|p| Label::from_index((state.1 >> (16 * p)) as u16 as usize)).collect()
+        fn output(&self, state: &StaggeredState, out: &mut [Label]) {
+            for (p, label) in out.iter_mut().enumerate() {
+                *label = Label::from_index((state.1 >> (16 * p)) as u16 as usize);
+            }
         }
         fn done(&self, state: &StaggeredState) -> bool {
             state.0 == 0

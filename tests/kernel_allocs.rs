@@ -1,8 +1,9 @@
 //! The search's per-class kernels allocate only their set-up: a warm label
 //! refinement or pre-key allocates nothing, and an isomorphism search
 //! allocates per label, never per configuration probe. A span opened with
-//! no trace installed allocates nothing either. Allocations are counted
-//! per thread, so tests running alongside do not disturb the counts.
+//! no trace installed allocates nothing either, and a simulator run
+//! allocates nothing per node. Allocations are counted per thread, so
+//! tests running alongside do not disturb the counts.
 
 use roundelim::core::iso::{fingerprint_and_ranks, isomorphism_ranked, pre_key, Refiner};
 use roundelim::core::problem::Problem;
@@ -82,4 +83,29 @@ fn the_isomorphism_search_allocates_per_label_not_per_probe() {
     // Every configuration is probed on the way to a mapping; the set-up
     // allocates a few buffers and one candidate list per label.
     assert!(n <= 20, "{n} allocations");
+}
+
+/// A one-thread simulator run allocates its arenas and buffers once, and
+/// nothing per node or per round: adaptive greedy matching (more rounds
+/// at more nodes) and fixed-schedule weak 2-coloring allocate as often at
+/// 2^13 nodes as at 2^15.
+#[test]
+fn simulator_runs_allocate_nothing_per_node() {
+    use roundelim::sim::algos::{greedy, weak2};
+    use roundelim::sim::generate::{random_permutation, random_regular_seeded};
+    use roundelim::sim::runner::{run_core, NodeInput};
+    // One-thread runs stay on this thread, so every allocation is counted.
+    let count = |n: usize| {
+        let g = random_regular_seeded(n, 3, 64, 7, 1).expect("a cubic graph");
+        let ids = random_permutation(n, 7, 1);
+        let input = |v: usize| NodeInput { id: Some(u64::from(ids[v])), ..NodeInput::default() };
+        let (matching, weak) = (greedy::GreedyMatching, weak2::WeakTwoColoring::for_n(n));
+        let budget = greedy::matching_rounds(n);
+        [
+            allocations(|| run_core(&g, input, &matching, budget, true, 1)),
+            allocations(|| run_core(&g, input, &weak, weak2::total_rounds(n), false, 1)),
+        ]
+    };
+    count(1 << 10); // registers the runner's counters
+    assert_eq!(count(1 << 13), count(1 << 15), "allocations at 2^13 and 2^15 nodes");
 }
