@@ -5,7 +5,7 @@
 //! IDs down to colors `{0, …, 5}`. Phase 2 (3 rounds): greedy elimination
 //! of colors 5, 4, 3.
 
-use crate::runner::{Distributed, NodeCtx};
+use crate::runner::{Distributed, Inbox, NodeCtx};
 use roundelim_core::label::Label;
 
 /// Number of Phase-1 iterations needed from an ID space of `bits` bits:
@@ -79,20 +79,20 @@ impl Distributed for ColeVishkin {
         CvState { color: ctx.input.id.expect("ColeVishkin needs unique ids"), successor_port }
     }
 
-    fn send(&self, state: &CvState, _round: usize, _port: usize) -> u64 {
+    fn send(&self, state: &CvState, _round: usize) -> u64 {
         state.color
     }
 
-    fn receive(&self, state: &mut CvState, round: usize, messages: &[u64]) {
+    fn receive(&self, state: &mut CvState, round: usize, inbox: Inbox<'_, u64>) {
         if round < self.phase1 {
-            let successor = messages[state.successor_port];
+            let successor = *inbox.msg(state.successor_port);
             state.color = cv_step(state.color, successor);
         } else {
             // Phase 2: eliminate color c = 5, 4, 3 in successive rounds.
             let c = (5 - (round - self.phase1)) as u64;
             if state.color == c {
-                state.color =
-                    (0..c).find(|k| !messages.contains(k)).expect("degree 2 < c available colors");
+                let taken = |k: u64| (0..inbox.degree()).any(|p| *inbox.msg(p) == k);
+                state.color = (0..c).find(|&k| !taken(k)).expect("degree 2 < c available colors");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! (every output is checked against `roundelim-problems`'s constraints),
 //! not to be round-optimal.
 
-use crate::runner::{Distributed, NodeCtx};
+use crate::runner::{Distributed, Inbox, NodeCtx};
 use roundelim_core::label::Label;
 
 /// Node status during the greedy MIS computation.
@@ -57,7 +57,7 @@ impl Distributed for GreedyMis {
         }
     }
 
-    fn send(&self, state: &MisState, _round: usize, _port: usize) -> MisMsg {
+    fn send(&self, state: &MisState, _round: usize) -> MisMsg {
         let code = match state.status {
             MisStatus::Undecided => 0,
             MisStatus::InMis => 1,
@@ -66,23 +66,26 @@ impl Distributed for GreedyMis {
         (state.id, code)
     }
 
-    fn receive(&self, state: &mut MisState, _round: usize, messages: &[MisMsg]) {
+    fn receive(&self, state: &mut MisState, _round: usize, inbox: Inbox<'_, MisMsg>) {
+        let mis_port = || (0..inbox.degree()).find(|&p| inbox.msg(p).1 == 1);
         match state.status {
             MisStatus::InMis | MisStatus::Covered => {
                 if state.status == MisStatus::Covered && state.witness.is_none() {
-                    state.witness = messages.iter().position(|&(_, c)| c == 1);
+                    state.witness = mis_port();
                 }
             }
             MisStatus::Undecided => {
                 // Covered by an MIS neighbor?
-                if let Some(p) = messages.iter().position(|&(_, c)| c == 1) {
+                if let Some(p) = mis_port() {
                     state.status = MisStatus::Covered;
                     state.witness = Some(p);
                     return;
                 }
                 // Local minimum among undecided neighbors joins.
-                let is_min =
-                    messages.iter().filter(|&&(_, c)| c == 0).all(|&(nid, _)| state.id < nid);
+                let is_min = (0..inbox.degree())
+                    .map(|p| inbox.msg(p))
+                    .filter(|&&(_, c)| c == 0)
+                    .all(|&(nid, _)| state.id < nid);
                 if is_min {
                     state.status = MisStatus::InMis;
                 }
@@ -148,8 +151,9 @@ pub struct MatchState {
     degree: u32,
 }
 
-/// Message: `(id, proposes_on_this_port, i_am_matched)`.
-pub type MatchMsg = (u64, bool, bool);
+/// Message: `(id, proposal port or u32::MAX, i_am_matched)`. A receiver
+/// is proposed to when the port equals its [`Inbox::back_port`].
+pub type MatchMsg = (u64, u32, bool);
 
 /// Rounds sufficient for [`GreedyMatching`] on any n-node graph.
 pub fn matching_rounds(n: usize) -> usize {
@@ -172,14 +176,15 @@ impl Distributed for GreedyMatching {
         }
     }
 
-    fn send(&self, state: &MatchState, _round: usize, port: usize) -> MatchMsg {
-        let proposes = state.matched_port.is_none() && state.proposal == Some(port as u32);
-        (state.id, proposes, state.matched_port.is_some())
+    fn send(&self, state: &MatchState, _round: usize) -> MatchMsg {
+        let matched = state.matched_port.is_some();
+        let proposal = if matched { None } else { state.proposal };
+        (state.id, proposal.unwrap_or(u32::MAX), matched)
     }
 
-    fn receive(&self, state: &mut MatchState, round: usize, messages: &[MatchMsg]) {
+    fn receive(&self, state: &mut MatchState, round: usize, inbox: Inbox<'_, MatchMsg>) {
         if round > 0 {
-            let fresh = || proposal_port(state.neighbor_matched, messages);
+            let fresh = || proposal_port(state.neighbor_matched, inbox);
             debug_assert_eq!(state.proposal, fresh(), "stale proposal port");
         }
         // Evaluate mutuality against the proposal we actually *sent* this
@@ -188,13 +193,14 @@ impl Distributed for GreedyMatching {
         if state.matched_port.is_none() {
             if let Some(my_target) = state.proposal {
                 // Mutual proposal ⇒ matched.
-                if messages[my_target as usize].1 {
+                let target = my_target as usize;
+                if inbox.msg(target).1 == inbox.back_port(target) {
                     state.matched_port = Some(my_target);
                 }
             }
         }
-        for (p, &(_, _, matched)) in messages.iter().enumerate() {
-            if matched && state.matched_port != Some(p as u32) {
+        for p in 0..inbox.degree() {
+            if inbox.msg(p).2 && state.matched_port != Some(p as u32) {
                 state.neighbor_matched |= 1 << p;
             }
         }
@@ -202,7 +208,7 @@ impl Distributed for GreedyMatching {
         // the proposal's leaves the minimum where it was; only a
         // known-matched proposal target moves it.
         if state.proposal.is_none_or(|q| (state.neighbor_matched >> q) & 1 == 1) {
-            state.proposal = proposal_port(state.neighbor_matched, messages);
+            state.proposal = proposal_port(state.neighbor_matched, inbox);
         }
     }
 
@@ -232,11 +238,11 @@ impl Distributed for GreedyMatching {
 }
 
 /// The port an unmatched node proposes on: its smallest-ID neighbor not
-/// known to be matched, with the ids read from a round's `messages`.
-fn proposal_port(neighbor_matched: u64, messages: &[MatchMsg]) -> Option<u32> {
-    (0..messages.len() as u32)
+/// known to be matched, with the ids read from a round's `inbox`.
+fn proposal_port(neighbor_matched: u64, inbox: Inbox<'_, MatchMsg>) -> Option<u32> {
+    (0..inbox.degree() as u32)
         .filter(|&q| (neighbor_matched >> q) & 1 == 0)
-        .min_by_key(|&q| messages[q as usize].0)
+        .min_by_key(|&q| inbox.msg(q as usize).0)
 }
 
 #[cfg(test)]
@@ -284,6 +290,11 @@ mod tests {
     #[test]
     fn match_state_stays_at_40_bytes() {
         assert_eq!(std::mem::size_of::<MatchState>(), 40);
+    }
+
+    #[test]
+    fn match_msg_stays_at_16_bytes() {
+        assert_eq!(std::mem::size_of::<MatchMsg>(), 16);
     }
 
     #[test]

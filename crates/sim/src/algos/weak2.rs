@@ -23,7 +23,7 @@
 //! the paper's Theorem 4 (see `roundelim-superweak`).
 
 use crate::algos::cole_vishkin::{cv_step, phase1_rounds};
-use crate::runner::{Distributed, NodeCtx};
+use crate::runner::{Distributed, Inbox, NodeCtx};
 use roundelim_core::label::Label;
 
 /// Total rounds: 1 pointer round + phase-1 CV + 12 matching sub-rounds +
@@ -33,16 +33,16 @@ pub fn total_rounds(n: usize) -> usize {
     1 + phase1_rounds(bits.max(4)) + 12 + 1
 }
 
-/// The message exchanged each round.
+/// The message a node broadcasts each round.
 #[derive(Debug, Clone, Default)]
 pub struct Msg {
     /// ID (round 0 and the matching sub-rounds) or current CV color (CV
     /// rounds).
     payload: u64,
-    /// Proposal flag (matching propose sub-rounds, per port).
-    propose: bool,
-    /// Acceptance flag (matching accept sub-rounds, per port).
-    accept: bool,
+    /// The port proposed on (propose sub-rounds) or accepted (accept
+    /// sub-rounds), or `u32::MAX` for none. A receiver is addressed when
+    /// it equals the receiver's [`Inbox::back_port`].
+    port: u32,
     /// Final bit, 0/1, or 2 while unset (bit round).
     bit: u8,
 }
@@ -104,9 +104,8 @@ impl Distributed for WeakTwoColoring {
         }
     }
 
-    fn send(&self, state: &WeakState, round: usize, port: usize) -> Msg {
+    fn send(&self, state: &WeakState, round: usize) -> Msg {
         let mut m = Msg::default();
-        let port = port as u32;
         if round == 0 {
             m.payload = state.id;
         } else if round <= self.phase1 {
@@ -115,30 +114,34 @@ impl Distributed for WeakTwoColoring {
             m.payload = state.id;
             let sub = round - self.matching_start();
             let class = (sub / 2) as u64;
-            if sub.is_multiple_of(2) {
+            let port = if sub.is_multiple_of(2) {
                 // Propose sub-round for color class `class`.
-                m.propose =
-                    state.partner.is_none() && state.color == class && port == state.pointer_port;
+                let proposes = state.partner.is_none() && state.color == class;
+                proposes.then_some(state.pointer_port)
             } else {
                 // Accept sub-round.
-                m.accept = state.accepting == Some(port);
-            }
+                state.accepting
+            };
+            m.port = port.unwrap_or(u32::MAX);
         } else {
             m.bit = state.bit;
         }
         m
     }
 
-    fn receive(&self, state: &mut WeakState, round: usize, messages: &[Msg]) {
+    fn receive(&self, state: &mut WeakState, round: usize, inbox: Inbox<'_, Msg>) {
         if round == 0 {
-            state.pointer_port = (0..messages.len() as u32)
-                .max_by_key(|&p| messages[p as usize].payload)
+            state.pointer_port = (0..inbox.degree() as u32)
+                .max_by_key(|&p| inbox.msg(p as usize).payload)
                 .expect("degree ≥ 1");
             return;
         }
         let pointer = state.pointer_port as usize;
+        // Whether the neighbour at port `p` proposed to or accepted this
+        // node.
+        let addressed = |p: usize| inbox.msg(p).port == inbox.back_port(p);
         if round <= self.phase1 {
-            let target = messages[pointer].payload;
+            let target = inbox.msg(pointer).payload;
             state.color = cv_step(state.color, target);
             return;
         }
@@ -151,7 +154,7 @@ impl Distributed for WeakTwoColoring {
                     state.partner.is_none() && state.color == class
                 };
                 state.accepting = if state.partner.is_none() {
-                    (0..messages.len() as u32).find(|&p| messages[p as usize].propose)
+                    (0..inbox.degree() as u32).find(|&p| addressed(p as usize))
                 } else {
                     None
                 };
@@ -160,7 +163,7 @@ impl Distributed for WeakTwoColoring {
                 }
             } else {
                 // Learn acceptance of our proposal.
-                if state.proposed && messages[pointer].accept {
+                if state.proposed && addressed(pointer) {
                     state.partner = Some(state.pointer_port);
                 }
                 state.accepting = None;
@@ -169,7 +172,7 @@ impl Distributed for WeakTwoColoring {
                 // id their partner sent this sub-round.
                 if let Some(p) = state.partner {
                     if state.bit == 2 {
-                        state.bit = u8::from(state.id > messages[p as usize].payload);
+                        state.bit = u8::from(state.id > inbox.msg(p as usize).payload);
                     }
                 }
             }
@@ -177,7 +180,7 @@ impl Distributed for WeakTwoColoring {
         }
         // Bit round: unmatched nodes copy the opposite of their target.
         if state.bit == 2 {
-            let tb = messages[pointer].bit;
+            let tb = inbox.msg(pointer).bit;
             debug_assert!(tb < 2, "pointer target is matched by maximality");
             state.bit = 1 - tb;
         }

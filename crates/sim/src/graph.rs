@@ -10,12 +10,12 @@
 //! table, with `u32` node ids, plus a `mates` table that maps every flat
 //! port index to the flat index of the port at the other end of its edge.
 //! This keeps a million-node Δ-regular graph in three contiguous
-//! allocations (≈12 bytes per port), and lets the runner and the streaming
-//! checker reach a port's partner with one read instead of two dependent
-//! ones. Port semantics are identical to the previous nested
-//! `Vec<Vec<PortTarget>>` layout: ports are assigned in edge-list order
-//! with reciprocal bookkeeping, a property `tests/properties.rs` pins
-//! against an edge-list oracle.
+//! allocations (≈12 bytes per port), and lets the streaming checker reach
+//! a port's partner with one read instead of two dependent ones. Port
+//! semantics are identical to the previous nested `Vec<Vec<PortTarget>>`
+//! layout: ports are assigned in edge-list order with reciprocal
+//! bookkeeping, a property `tests/properties.rs` pins against an
+//! edge-list oracle.
 
 use roundelim_core::par;
 use std::collections::VecDeque;

@@ -1,11 +1,12 @@
 //! The synchronous message-passing runner (§3's model, executable).
 //!
 //! A [`Distributed`] algorithm is written against the node-local API of the
-//! port-numbering model: in each round every node sends one message per
-//! port, receives one message per port, and updates its state; after the
-//! last round it writes one output label per port. Nodes see their degree,
-//! the global parameters `n` and `Δ`, and any inputs the instance carries
-//! (IDs, colors, orientations) — *not* their node index.
+//! port-numbering model: in each round every node broadcasts one message,
+//! reads the messages of its neighbours by port through an [`Inbox`], and
+//! updates its state; after the last round it writes one output label per
+//! port. Nodes see their degree, the global parameters `n` and `Δ`, and any
+//! inputs the instance carries (IDs, colors, orientations) — *not* their
+//! node index.
 //!
 //! Two execution surfaces share one core:
 //! - [`run`] keeps the seed-era `Vec<Vec<Label>>` shape for small tests;
@@ -15,14 +16,15 @@
 //!
 //! Every send and every receive of a round is independent, so the core
 //! runs each round on the workspace executor: nodes split into contiguous
-//! chunks (whose ports are contiguous in the CSR layout), a send phase
-//! writes one flat per-port `outgoing` arena in place, and a receive phase
-//! gathers each chunk's inbox through the graph's mate table
-//! ([`PortGraph::mates`]) into a buffer the chunk keeps across rounds.
-//! The arena is allocated once, before round 0. Node states stay in their
-//! chunks from `init` to `output`, which writes each node's labels into
-//! its slice of [`FlatOutputs`]; node inputs are produced on demand, once
-//! per node in `init`, and never held. So nothing is allocated per node.
+//! chunks, a send phase writes one message per node into an `outgoing`
+//! arena of n slots in place, and a receive phase hands each node an
+//! [`Inbox`] that reads its neighbours' slots where they lie, through the
+//! node's [`PortGraph::ports`]. The arena is allocated once, before round
+//! 0, and no message is copied after `send` writes it. Node states stay in
+//! their chunks from `init` to `output`, which writes each node's labels
+//! into its slice of [`FlatOutputs`]; node inputs are produced on demand,
+//! once per node in `init`, and never held. So nothing is allocated per
+//! node.
 //!
 //! Adaptive runs work in proportion to their frontier: each chunk keeps
 //! its live (not done) nodes, only those receive, and once few are left
@@ -30,7 +32,7 @@
 //! `outgoing` arena and its own state, so outputs and round counts are
 //! bit-identical for every thread count.
 
-use crate::graph::PortGraph;
+use crate::graph::{PortGraph, PortTarget};
 use roundelim_core::label::Label;
 use roundelim_core::par::{self, par_each};
 use roundelim_obs as obs;
@@ -65,11 +67,20 @@ pub struct NodeCtx<'a> {
 
 /// A synchronous distributed algorithm in the port-numbering model.
 ///
+/// Each round a node broadcasts one message: [`Distributed::send`] takes
+/// no port. This loses no generality in the port-numbering model. A node
+/// that wants to send different messages on different ports broadcasts
+/// the whole per-port vector instead, and the receiver picks its entry
+/// with [`Inbox::back_port`], the port of the connecting edge at the
+/// sender. The algorithms here broadcast at most one port (a proposal
+/// or an acceptance), so their messages stay fixed-size.
+///
 /// The runner calls these methods from executor workers, hence the
 /// `Sync`/`Send` bounds; the methods themselves stay node-local.
 pub trait Distributed: Sync {
-    /// Messages exchanged along edges. `Default` fills the message arena
-    /// before round 0; a slot no live node reads may keep it.
+    /// The message a node broadcasts each round. `Default` fills the
+    /// message arena before round 0; a slot no live node reads may keep
+    /// it.
     type Message: Clone + Default + Send + Sync;
     /// Node-local state.
     type State: Send;
@@ -77,11 +88,12 @@ pub trait Distributed: Sync {
     /// Initializes a node's state from its radius-0 view.
     fn init(&self, ctx: &NodeCtx<'_>) -> Self::State;
 
-    /// Produces the message to send through `port` in `round` (0-based).
-    fn send(&self, state: &Self::State, round: usize, port: usize) -> Self::Message;
+    /// Produces the message the node broadcasts in `round` (0-based).
+    fn send(&self, state: &Self::State, round: usize) -> Self::Message;
 
-    /// Consumes the messages received in `round` (indexed by port).
-    fn receive(&self, state: &mut Self::State, round: usize, messages: &[Self::Message]);
+    /// Consumes the messages received in `round`, read by port from
+    /// `inbox`.
+    fn receive(&self, state: &mut Self::State, round: usize, inbox: Inbox<'_, Self::Message>);
 
     /// Writes the final output, one label per port, into `out` (the
     /// node's slice of [`FlatOutputs`], `degree` labels long).
@@ -98,6 +110,45 @@ pub trait Distributed: Sync {
     /// [`run_flat`]) never call it: every node receives every round.
     fn done(&self, _state: &Self::State) -> bool {
         false
+    }
+}
+
+/// A node's view of one round's messages, indexed by its ports. It reads
+/// the senders' slots of the round's message arena in place; its fields
+/// are private, so an algorithm never sees a node index.
+pub struct Inbox<'a, M> {
+    /// The receiving node's port targets.
+    ports: &'a [PortTarget],
+    /// The round's messages, one per node.
+    outgoing: &'a [M],
+}
+
+impl<M> Clone for Inbox<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M> Copy for Inbox<'_, M> {}
+
+impl<'a, M> Inbox<'a, M> {
+    /// The receiving node's degree: its ports are `0..degree()`.
+    #[inline]
+    pub fn degree(&self) -> usize {
+        self.ports.len()
+    }
+
+    /// The message broadcast by the neighbour at port `p`.
+    #[inline]
+    pub fn msg(&self, p: usize) -> &'a M {
+        &self.outgoing[self.ports[p].node_ix()]
+    }
+
+    /// The port of `p`'s edge at the neighbour: the entry of the
+    /// neighbour's per-port message meant for this node.
+    #[inline]
+    pub fn back_port(&self, p: usize) -> u32 {
+        self.ports[p].port
     }
 }
 
@@ -142,19 +193,13 @@ impl FlatOutputs {
 /// in executor bookkeeping than its sends and receives.
 const MIN_CHUNK_NODES: usize = 1 << 12;
 
-/// Nodes whose inbox a dense receive phase gathers at once: the buffer
-/// stays cache-resident, and the gather still issues many independent
-/// loads.
-const INBOX_NODES: usize = 1 << 10;
-
 /// An adaptive round runs sparse when at most `n / SPARSE_SHARE` nodes are
 /// live. Above that share most nodes have a live neighbour, so sending
-/// from every node and gathering whole blocks costs less than stamping
-/// senders and gathering node by node.
+/// from every node costs less than stamping the senders.
 const SPARSE_SHARE: usize = 4;
 
-/// A contiguous node range with the states of its nodes, its live nodes,
-/// and the inbox buffer its receive phase reuses every round.
+/// A contiguous node range with the states of its nodes and its live
+/// nodes.
 struct Chunk<A: Distributed> {
     nodes: Range<usize>,
     /// Index range of the chunk's ports in flat per-port arenas.
@@ -163,7 +208,6 @@ struct Chunk<A: Distributed> {
     /// The chunk's nodes that are not done, ascending. Only adaptive runs
     /// fill it; a fixed-schedule run delivers to every node.
     live: Vec<u32>,
-    inbox: Vec<A::Message>,
 }
 
 /// Cuts `0..n` into at most `threads · OVERSUB` contiguous ranges of at
@@ -178,23 +222,25 @@ fn node_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
     (0..n.div_ceil(per).max(1)).map(|c| c * per..((c + 1) * per).min(n)).collect()
 }
 
-/// Pairs each chunk with its part of a flat per-port arena.
-fn with_ports<'a, A: Distributed, T>(
+/// Pairs each chunk with its part of `arena`, `len(chunk)` items long: a
+/// per-node arena splits by `chunk.nodes`, a per-port one by
+/// `chunk.ports`.
+fn split_by<'a, A: Distributed, T>(
     chunks: &'a mut [Chunk<A>],
     mut arena: &'a mut [T],
+    len: impl Fn(&Chunk<A>) -> usize,
 ) -> impl Iterator<Item = (&'a mut Chunk<A>, &'a mut [T])> {
     chunks.iter_mut().map(move |chunk| {
-        let (part, rest) = std::mem::take(&mut arena).split_at_mut(chunk.ports.len());
+        let (part, rest) = std::mem::take(&mut arena).split_at_mut(len(chunk));
         arena = rest;
         (chunk, part)
     })
 }
 
-/// Writes the message of every port of every chunk node that `sends(v)`
-/// admits into `part`, the chunk's part of the outgoing arena. Returns the
+/// Writes the message of every chunk node that `sends(v)` admits into its
+/// slot of `part`, the chunk's part of the outgoing arena. Returns the
 /// number of messages.
 fn send_chunk<A: Distributed>(
-    graph: &PortGraph,
     algo: &A,
     chunk: &Chunk<A>,
     round: usize,
@@ -202,55 +248,18 @@ fn send_chunk<A: Distributed>(
     part: &mut [A::Message],
 ) -> u64 {
     let mut count = 0;
-    for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
+    for ((v, state), slot) in chunk.nodes.clone().zip(&chunk.states).zip(part) {
         if sends(v) {
-            let lo = graph.port_offset(v) - chunk.ports.start;
-            for (p, slot) in part[lo..lo + graph.degree(v)].iter_mut().enumerate() {
-                *slot = algo.send(state, round, p);
-            }
-            count += graph.degree(v) as u64;
+            *slot = algo.send(state, round);
+            count += 1;
         }
     }
     count
 }
 
-/// A chunk's view of one round's messages: gathers inboxes from the
-/// outgoing arena through the mate table ([`PortGraph::mates`]) a block
-/// of consecutive nodes at a time. The block's ports are contiguous, so
-/// the gather walks their slice of the mate table, one independent read
-/// of `outgoing` per port.
-struct Inbox<'a, M> {
-    graph: &'a PortGraph,
-    outgoing: &'a [M],
-    buf: &'a mut Vec<M>,
-    /// The nodes whose messages `buf` holds, from flat port `base` on.
-    held: Range<usize>,
-    base: usize,
-}
-
-impl<M: Clone> Inbox<'_, M> {
-    /// Gathers the messages of the nodes in `block`.
-    fn gather(&mut self, block: Range<usize>) {
-        self.base = self.graph.port_offset(block.start);
-        let mates = &self.graph.mates()[self.base..self.graph.port_offset(block.end)];
-        self.buf.clear();
-        self.buf.extend(mates.iter().map(|&j| self.outgoing[j as usize].clone()));
-        self.held = block;
-    }
-
-    /// The messages `v` receives, indexed by port; `v`'s block is the
-    /// last one gathered.
-    fn of(&self, v: usize) -> &[M] {
-        let lo = self.graph.port_offset(v) - self.base;
-        &self.buf[lo..lo + self.graph.degree(v)]
-    }
-}
-
-/// Delivers `outgoing` to the chunk's nodes, gathering the inboxes of
-/// `block` consecutive nodes at a time: to every node in a fixed-schedule
-/// run; in an adaptive run to the live nodes only, which then keep the
-/// ones still not done (a block without live nodes is not gathered).
-/// Returns the number of receives.
+/// Delivers `outgoing` to the chunk's nodes: to every node in a
+/// fixed-schedule run; in an adaptive run to the live nodes only, which
+/// then keep the ones still not done. Returns the number of receives.
 fn receive_chunk<A: Distributed>(
     graph: &PortGraph,
     algo: &A,
@@ -258,54 +267,41 @@ fn receive_chunk<A: Distributed>(
     round: usize,
     outgoing: &[A::Message],
     adaptive: bool,
-    block: usize,
 ) -> u64 {
-    let Chunk { nodes, states, live, inbox, .. } = chunk;
-    let mut inbox = Inbox { graph, outgoing, buf: inbox, held: 0..0, base: 0 };
-    let (start, end) = (nodes.start, nodes.end);
-    let block_of = |v: usize| {
-        let first = v - (v - start) % block;
-        first..(first + block).min(end)
-    };
+    let Chunk { nodes, states, live, .. } = chunk;
+    let inbox = |v: usize| Inbox { ports: graph.ports(v), outgoing };
     if !adaptive {
-        for (first, states) in nodes.clone().step_by(block).zip(states.chunks_mut(block)) {
-            inbox.gather(block_of(first));
-            for (v, state) in (first..).zip(states) {
-                algo.receive(state, round, inbox.of(v));
-            }
+        for (v, state) in nodes.clone().zip(states) {
+            algo.receive(state, round, inbox(v));
         }
         return nodes.len() as u64;
     }
     let receives = live.len() as u64;
     live.retain(|&v| {
-        let v = v as usize;
-        if !inbox.held.contains(&v) {
-            inbox.gather(block_of(v));
-        }
-        let state = &mut states[v - start];
-        algo.receive(state, round, inbox.of(v));
+        let state = &mut states[v as usize - nodes.start];
+        algo.receive(state, round, inbox(v as usize));
         !algo.done(state)
     });
     receives
 }
 
-/// Shared synchronous core on `threads` executor workers: one flat
-/// outgoing arena, per-chunk inboxes, and in adaptive runs per-chunk live
-/// lists with frontier rounds and the early stop. `input(v)` is called
-/// once per node, in `init`, so no input outlives its node's
-/// initialization. Returns the flat outputs and the rounds executed.
-/// [`run_flat`] and [`run_adaptive`] call it on all cores; the
-/// cross-validation harness calls it with its `--threads` budget.
+/// Shared synchronous core on `threads` executor workers: one outgoing
+/// arena of n messages, and in adaptive runs per-chunk live lists with
+/// frontier rounds and the early stop. `input(v)` is called once per
+/// node, in `init`, so no input outlives its node's initialization.
+/// Returns the flat outputs and the rounds executed. [`run_flat`] and
+/// [`run_adaptive`] call it on all cores; the cross-validation harness
+/// calls it with its `--threads` budget.
 ///
-/// A round is dense or sparse. A dense round, every round of a
-/// fixed-schedule run, sends from every node and gathers whole
-/// [`INBOX_NODES`] blocks. An adaptive round with at most
-/// `n / SPARSE_SHARE` live nodes is sparse: each live node stamps its
-/// neighbours as senders, only stamped nodes overwrite their `outgoing`
-/// slots, and each live node gathers its own messages. Every slot a live
-/// node reads was written this round either way, and the choice depends
-/// only on the global live count, so both paths deliver the same messages
-/// and outputs stay bit-identical for every thread count.
+/// A round is dense or sparse; both deliver through the same receive
+/// loop and differ only in who sends. A dense round, every round of a
+/// fixed-schedule run, sends from every node. An adaptive round with at
+/// most `n / SPARSE_SHARE` live nodes is sparse: each live node stamps its
+/// neighbours as senders, and only stamped nodes overwrite their
+/// `outgoing` slots. Every slot a live node reads was written this round
+/// either way, and the choice depends only on the global live count, so
+/// both deliver the same messages and outputs stay bit-identical for
+/// every thread count.
 pub fn run_core<A: Distributed>(
     graph: &PortGraph,
     input: impl Fn(usize) -> NodeInput + Sync,
@@ -319,7 +315,6 @@ pub fn run_core<A: Distributed>(
         (obs::metrics::counter("sim.receives"), obs::metrics::counter("sim.sends"));
     let n = graph.node_count();
     let delta = graph.max_degree();
-    let total = graph.total_ports();
     let mut chunks: Vec<Chunk<A>> = par_each(node_ranges(n, threads), threads, |nodes| {
         let states: Vec<A::State> = nodes
             .clone()
@@ -331,12 +326,12 @@ pub fn run_core<A: Distributed>(
             live.retain(|&v| !algo.done(&states[v as usize - nodes.start]));
         }
         let ports = graph.port_offset(nodes.start)..graph.port_offset(nodes.end);
-        Chunk { nodes, ports, states, live, inbox: Vec::new() }
+        Chunk { nodes, ports, states, live }
     });
     let live_count = |chunks: &[Chunk<A>]| chunks.iter().map(|c| c.live.len()).sum::<usize>();
     let mut live = live_count(&chunks);
 
-    let mut outgoing = vec![A::Message::default(); total];
+    let mut outgoing = vec![A::Message::default(); n];
     // `stamps[v] == round as u8` marks `v` as a sender of a sparse round.
     // Allocated at the first sparse round and never cleared: a stamp left
     // from 256·k rounds earlier only adds sends nobody reads. Each phase
@@ -367,21 +362,20 @@ pub fn run_core<A: Distributed>(
         let sends = |v: usize| !sparse || stamps[v].load(Ordering::Relaxed) == mark;
         // All sends happen before any receive (synchronous rounds). The
         // tasks return nothing, so a one-thread round allocates nothing.
-        par_each(with_ports(&mut chunks, &mut outgoing), threads, |(chunk, part)| {
-            send_count.add(send_chunk(graph, algo, chunk, round, sends, part));
+        par_each(split_by(&mut chunks, &mut outgoing, |c| c.nodes.len()), threads, |(c, part)| {
+            send_count.add(send_chunk(algo, c, round, sends, part));
         });
         let outgoing = &outgoing;
-        let block = if sparse { 1 } else { INBOX_NODES };
         par_each(chunks.iter_mut(), threads, |chunk| {
-            receive_count.add(receive_chunk(graph, algo, chunk, round, outgoing, adaptive, block));
+            receive_count.add(receive_chunk(graph, algo, chunk, round, outgoing, adaptive));
         });
         live = live_count(&chunks);
         rounds_used = round + 1;
     }
     drop(outgoing);
 
-    let mut labels = vec![Label::from_index(0); total];
-    par_each(with_ports(&mut chunks, &mut labels), threads, |(chunk, part)| {
+    let mut labels = vec![Label::from_index(0); graph.total_ports()];
+    par_each(split_by(&mut chunks, &mut labels, |c| c.ports.len()), threads, |(chunk, part)| {
         for (v, state) in chunk.nodes.clone().zip(&chunk.states) {
             let lo = graph.port_offset(v) - chunk.ports.start;
             algo.output(state, &mut part[lo..lo + graph.degree(v)]);
@@ -464,12 +458,12 @@ mod tests {
         fn init(&self, ctx: &NodeCtx<'_>) -> u64 {
             ctx.input.id.expect("FloodMax needs ids")
         }
-        fn send(&self, state: &u64, _round: usize, _port: usize) -> u64 {
+        fn send(&self, state: &u64, _round: usize) -> u64 {
             *state
         }
-        fn receive(&self, state: &mut u64, _round: usize, messages: &[u64]) {
-            for &m in messages {
-                *state = (*state).max(m);
+        fn receive(&self, state: &mut u64, _round: usize, inbox: Inbox<'_, u64>) {
+            for p in 0..inbox.degree() {
+                *state = (*state).max(*inbox.msg(p));
             }
         }
         fn output(&self, state: &u64, out: &mut [Label]) {
@@ -522,9 +516,11 @@ mod tests {
         assert_eq!(capped, 2);
     }
 
-    /// The naive sequential runner `run_core` must agree with: per-node
-    /// outboxes, and per-node inboxes gathered by following
-    /// [`PortGraph::neighbor`] — no chunks, no flat arenas, no mate table.
+    /// The naive sequential runner `run_core` must agree with: every node
+    /// sends and receives every round, with no chunks and no frontier, and
+    /// each inbox's back ports are found by searching the neighbour's
+    /// [`PortGraph::ports`] for the receiver instead of read from the
+    /// graph's `PortTarget::port`.
     fn reference_run<A: Distributed>(
         g: &PortGraph,
         inputs: &[NodeInput],
@@ -541,17 +537,17 @@ mod tests {
             if adaptive && states.iter().all(|s| algo.done(s)) {
                 break;
             }
-            let outboxes: Vec<Vec<A::Message>> = (0..n)
-                .map(|v| (0..g.degree(v)).map(|p| algo.send(&states[v], round, p)).collect())
-                .collect();
+            let outgoing: Vec<A::Message> = states.iter().map(|s| algo.send(s, round)).collect();
             for (v, state) in states.iter_mut().enumerate() {
-                let inbox: Vec<A::Message> = (0..g.degree(v))
-                    .map(|p| {
-                        let t = g.neighbor(v, p);
-                        outboxes[t.node_ix()][t.port_ix()].clone()
+                let ports: Vec<PortTarget> = g
+                    .ports(v)
+                    .iter()
+                    .map(|t| {
+                        let back = g.ports(t.node_ix()).iter().position(|b| b.node_ix() == v);
+                        PortTarget { node: t.node, port: back.expect("an undirected edge") as u32 }
                     })
                     .collect();
-                algo.receive(state, round, &inbox);
+                algo.receive(state, round, Inbox { ports: &ports, outgoing: &outgoing });
             }
             rounds_used = round + 1;
         }
@@ -588,14 +584,14 @@ mod tests {
         fn init(&self, ctx: &NodeCtx<'_>) -> A::State {
             self.algo.init(ctx)
         }
-        fn send(&self, state: &A::State, round: usize, port: usize) -> A::Message {
+        fn send(&self, state: &A::State, round: usize) -> A::Message {
             self.sends.fetch_add(1, Ordering::Relaxed);
-            self.algo.send(state, round, port)
+            self.algo.send(state, round)
         }
-        fn receive(&self, state: &mut A::State, round: usize, messages: &[A::Message]) {
+        fn receive(&self, state: &mut A::State, round: usize, inbox: Inbox<'_, A::Message>) {
             assert!(!(self.adaptive && self.algo.done(state)), "receive on a done node");
             self.receives.fetch_add(1, Ordering::Relaxed);
-            self.algo.receive(state, round, messages);
+            self.algo.receive(state, round, inbox);
         }
         fn output(&self, state: &A::State, out: &mut [Label]) {
             self.algo.output(state, out);
@@ -610,7 +606,8 @@ mod tests {
     /// receives once done. So the reference runner, which keeps calling
     /// `receive`, computes what the frozen-state contract must give, and a
     /// live node reading a done neighbour's slot from an earlier round
-    /// diverges from it.
+    /// diverges from it. Each message is folded with its back port, as a
+    /// per-port message would be, so a wrong back port diverges too.
     struct Staggered;
 
     /// `(rounds left, accumulator)`.
@@ -624,15 +621,16 @@ mod tests {
             let id = ctx.input.id.expect("Staggered needs ids");
             (id % 24, id)
         }
-        fn send(&self, state: &StaggeredState, round: usize, port: usize) -> u64 {
-            state.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (round * 64 + port) as u64
+        fn send(&self, state: &StaggeredState, round: usize) -> u64 {
+            state.1.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (round * 64) as u64
         }
-        fn receive(&self, state: &mut StaggeredState, _round: usize, messages: &[u64]) {
+        fn receive(&self, state: &mut StaggeredState, _round: usize, inbox: Inbox<'_, u64>) {
             if state.0 == 0 {
                 return;
             }
             state.0 -= 1;
-            for &m in messages {
+            for p in 0..inbox.degree() {
+                let m = inbox.msg(p) ^ u64::from(inbox.back_port(p));
                 state.1 = (state.1 ^ m).wrapping_mul(0x0100_0000_01B3);
             }
         }
@@ -674,11 +672,11 @@ mod tests {
 
     /// Asserts an adaptive run of `algo` matches the reference and ends
     /// early, and that some of its rounds ran sparse: only a dense round
-    /// sends on every port.
+    /// sends from every node.
     fn reaches_sparse_rounds<A: Distributed>(g: &PortGraph, inputs: &[NodeInput], algo: &A) {
         let (rounds, sends) = matches_reference(g, inputs, algo, 1 << 10, true);
         assert!(rounds < 64, "{rounds} rounds");
-        assert!(sends < (g.total_ports() * rounds) as u64, "{sends} sends in {rounds} rounds");
+        assert!(sends < (g.node_count() * rounds) as u64, "{sends} sends in {rounds} rounds");
     }
 
     /// Runs Cole–Vishkin on the oriented ring `ring` (node `v`'s successor
@@ -703,14 +701,14 @@ mod tests {
             .collect();
         let cv = cole_vishkin::ColeVishkin::for_n(n);
         let rounds = cole_vishkin::total_rounds(n);
-        let every_port = (ring.total_ports() * rounds) as u64;
-        assert_eq!(matches_reference(ring, &ring_inputs, &cv, rounds, false), (rounds, every_port));
+        let every_node = (n * rounds) as u64;
+        assert_eq!(matches_reference(ring, &ring_inputs, &cv, rounds, false), (rounds, every_node));
 
         let inputs: Vec<NodeInput> = (0..n).map(id_input).collect();
         let weak = weak2::WeakTwoColoring::for_n(n);
         let rounds = weak2::total_rounds(n);
-        let every_port = (g.total_ports() * rounds) as u64;
-        assert_eq!(matches_reference(g, &inputs, &weak, rounds, false), (rounds, every_port));
+        let every_node = (n * rounds) as u64;
+        assert_eq!(matches_reference(g, &inputs, &weak, rounds, false), (rounds, every_node));
         // The adaptive runs stop far below their budgets, and their
         // frontiers shrink into sparse rounds.
         reaches_sparse_rounds(g, &inputs, &greedy::GreedyMis);

@@ -159,10 +159,10 @@ fn two_thread_traces_keep_every_worker_span() {
     assert_eq!(one, two, "span counts per name");
     // The runner's receives and sends, exactly and at both thread counts:
     // frontier rounds receive only at live nodes and, once few are live,
-    // send only where a live neighbour reads. Every node receiving and
-    // sending on every port each round would make 280000 and 840000
-    // (n·rounds and n·Δ·rounds, 14 rounds).
-    assert_eq!(one_work, [85_478, 405_069], "sim.receives, sim.sends at --threads 1");
+    // send only where a live neighbour reads. A node broadcasts one
+    // message per round. Every node receiving and sending each round
+    // would make 280000 of each (n·rounds, 14 rounds).
+    assert_eq!(one_work, [85_478, 135_023], "sim.receives, sim.sends at --threads 1");
     assert_eq!(two_work, one_work, "sim.receives, sim.sends at --threads 2");
     assert!(one.keys().any(|k| k.starts_with("stage.")), "{one:?}");
     for name in ["sim.search", "sim.generate", "sim.inputs", "sim.run", "sim.check"] {
