@@ -2,7 +2,7 @@
 //!
 //! `roundelim-core`'s [`binenc`](roundelim_core::binenc) module owns the
 //! encoding primitives (frames, sections, the [`Problem`] codec); this
-//! module layers the [`Certificate`] and [`CacheSnapshot`] codecs on top,
+//! module layers the [`Certificate`] and checkpoint field codecs on top,
 //! since their fields live here. The layouts are pinned, alongside the wire
 //! protocol, in `docs/PROTOCOL.md`.
 //!
@@ -12,7 +12,7 @@
 //! checkpoint format rely on for byte-identical restarts (property-tested
 //! in `tests/binenc_props.rs`).
 
-use crate::cache::{CacheSnapshot, CacheStats, NodeId, SnapshotEntry};
+use crate::cache::CacheStats;
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
 use crate::search::SearchStats;
 use roundelim_core::binenc::{
@@ -265,7 +265,7 @@ pub fn decode_search_stats(d: &mut Dec<'_>) -> Result<SearchStats> {
 /// two 0-round slots.
 pub(crate) type Memos = (Option<(u32, Problem)>, [Option<bool>; 2]);
 
-/// Encodes a class's memos, as cache snapshots and checkpoints store them:
+/// Encodes a class's memos, as checkpoints store them:
 /// a step tag (plus the successor and derived problem), then one
 /// unknown/no/yes byte per 0-round slot.
 pub(crate) fn encode_memos(
@@ -309,72 +309,9 @@ pub(crate) fn decode_memos(d: &mut Dec<'_>) -> Result<Memos> {
     Ok((step, zero_round))
 }
 
-fn encode_entry((problem, step, zero_round): &SnapshotEntry, e: &mut Enc) {
-    encode_problem(problem, e);
-    encode_memos(step.as_ref().map(|(succ, derived)| (succ.0, derived)), zero_round, e);
-}
-
-/// The fewest bytes [`encode_entry`] writes: a problem, the step tag and
-/// the two 0-round slots.
-const SNAPSHOT_ENTRY_MIN_BYTES: usize = MIN_PROBLEM_BYTES + 3;
-
-fn decode_entry(d: &mut Dec<'_>) -> Result<SnapshotEntry> {
-    let problem = decode_problem(d)?;
-    let (step, zero_round) = decode_memos(d)?;
-    Ok((problem, step.map(|(succ, derived)| (NodeId(succ), derived)), zero_round))
-}
-
-/// Encodes a cache snapshot (unframed; see [`snapshot_to_bytes`]).
-pub fn encode_snapshot(s: &CacheSnapshot, e: &mut Enc) {
-    e.u32(s.entries.len() as u32);
-    for entry in &s.entries {
-        encode_entry(entry, e);
-    }
-    encode_cache_stats(&s.stats, e);
-}
-
-/// Decodes a cache snapshot encoded by [`encode_snapshot`].
-///
-/// Structural validation (id ranges) happens in
-/// [`crate::cache::CanonCache::restore`], exactly as for checkpoints.
-///
-/// # Errors
-///
-/// [`Error::Parse`] on malformed input.
-pub fn decode_snapshot(d: &mut Dec<'_>) -> Result<CacheSnapshot> {
-    let n = d.count("entry count", SNAPSHOT_ENTRY_MIN_BYTES)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(decode_entry(d)?);
-    }
-    let stats = decode_cache_stats(d)?;
-    Ok(CacheSnapshot { entries, stats })
-}
-
-/// Encodes a cache snapshot as one framed `cache-snapshot-v2` message.
-pub fn snapshot_to_bytes(s: &CacheSnapshot) -> Vec<u8> {
-    let mut e = Enc::new();
-    encode_snapshot(s, &mut e);
-    frame("cache-snapshot-v2", &e.into_bytes())
-}
-
-/// Decodes one framed `cache-snapshot-v2` message.
-///
-/// # Errors
-///
-/// Frame errors (magic/kind/checksum/truncation) and codec errors.
-pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<CacheSnapshot> {
-    let payload = unframe(bytes, "cache-snapshot-v2")?;
-    let mut d = Dec::new(payload);
-    let s = decode_snapshot(&mut d)?;
-    d.finish()?;
-    Ok(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CanonCache;
     use crate::search::{autolb, SearchOptions};
     use roundelim_core::problem::Problem;
 
@@ -407,25 +344,6 @@ mod tests {
         let ix = flipped.len() / 2;
         flipped[ix] ^= 0x10;
         assert!(certificate_from_bytes(&flipped).is_err());
-    }
-
-    #[test]
-    fn snapshot_round_trips_through_restore() {
-        let out = autolb(&sinkless(), &SearchOptions { threads: 1, ..Default::default() }).unwrap();
-        assert!(out.stats.cache.classes > 0);
-        // Build a snapshot by re-running through the cache directly.
-        let mut cache = CanonCache::new();
-        let (a, _) = cache.intern(sinkless());
-        let stepped = roundelim_core::speedup::full_step(&sinkless(), 1).unwrap().problem().clone();
-        let probe = crate::cache::Probe::new(stepped.clone());
-        cache.record_step(a, stepped, probe);
-        let snap = cache.snapshot();
-        let bytes = snapshot_to_bytes(&snap);
-        let back = snapshot_from_bytes(&bytes).unwrap();
-        assert_eq!(bytes, snapshot_to_bytes(&back), "re-encoding must be byte-identical");
-        let restored = CanonCache::restore(back).unwrap();
-        assert_eq!(restored.snapshot().entries.len(), snap.entries.len());
-        assert_eq!(snapshot_to_bytes(&restored.snapshot()), bytes);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! verifiable.
 //!
 //! This module owns the primitives and the [`Problem`] codec; the
-//! `Certificate` and cache-snapshot codecs live in `roundelim-auto`, whose
+//! `Certificate` and checkpoint codecs live in `roundelim-auto`, whose
 //! types they serialize. All codecs are **bit-exact**: decode ∘ encode is
 //! the identity on bytes as well as on values (alphabet order, constraint
 //! order, and names all round-trip), which is what lets restarted services

@@ -17,13 +17,13 @@
 //!   (`solve`, `status`, `stats`, `shutdown`, streamed `progress` events);
 //! * [`server`] — the TCP server: an accept loop, a worker pool running
 //!   the real search with cooperative cancellation, and a graceful
-//!   shutdown path that persists a warm-start cache snapshot.
+//!   shutdown path.
 //!
-//! The store is written through
-//! [`atomic_write`](roundelim_core::io::atomic_write) after every insert
-//! and every record is individually checksummed, so a killed daemon
-//! restarts from its store bit-identically and keeps serving previously
-//! solved problems (and their isomorphic renamings) without re-searching.
+//! Every insert appends one individually checksummed frame to the store
+//! file and syncs it before the reply, and open truncates a torn final
+//! frame, so a killed daemon restarts from its store bit-identically and
+//! keeps serving previously solved problems (and their isomorphic
+//! renamings) without re-searching.
 //! Clients are expected to re-verify served certificates locally — the
 //! daemon is a cache, not a trust root.
 

@@ -7,8 +7,9 @@
 //! connection. Every in-flight search carries a
 //! [`CancelToken`], so `shutdown` (a request, or the process signal probe
 //! wired in by the CLI) stops the pool cooperatively: running searches
-//! wind down at their next poll point, the warm-start cache snapshot is
-//! persisted, and [`Server::run`] returns.
+//! wind down at their next poll point, and [`Server::run`] returns. Every
+//! insert is already durable in the store file, so shutdown writes
+//! nothing.
 
 use crate::proto::{self, Budget, DaemonStats, Request, SolveRequest};
 use crate::store::ProofStore;
@@ -31,7 +32,7 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7412` (`:0` picks a free port).
     pub addr: String,
-    /// Directory holding the proof store and its sidecar.
+    /// Directory holding the proof store file, `proofs.bin`.
     pub store_dir: PathBuf,
     /// Search worker threads (`0` means 2). Each worker runs one search at
     /// a time; `threads` sets each search's own parallelism.
@@ -202,12 +203,12 @@ impl Server {
             .map_err(|e| Error::Io { path: "listener".into(), reason: format!("local_addr: {e}") })
     }
 
-    /// Serves until shutdown, then persists the warm-start snapshot.
+    /// Serves until shutdown, then waits for the workers to stop.
     ///
     /// # Errors
     ///
-    /// Accept-loop socket failures and snapshot write failures. Per-request
-    /// failures are reported to the requesting client, not here.
+    /// Accept-loop socket failures. Per-request failures are reported to
+    /// the requesting client, not here.
     pub fn run(self) -> Result<Exit> {
         let (job_tx, job_rx) = mpsc::channel::<Job>();
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -248,7 +249,6 @@ impl Server {
         for w in workers {
             let _ = w.join();
         }
-        self.shared.store.lock().expect("store poisoned").save_cache_snapshot()?;
         Ok(exit)
     }
 }

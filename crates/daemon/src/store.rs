@@ -2,64 +2,72 @@
 //!
 //! An append-only file of `roundelim-bin-v1` frames (kind `proof`), each
 //! holding one solved problem and the certificate backing its bound. The
-//! whole store is replayed at open time into the search's own
-//! [`CanonCache`], so lookups resolve **up to isomorphism**: a query that
-//! renames the labels (or permutes the configurations) of a solved problem
-//! hits the cache and is served the stored representative with its
-//! certificate, no search.
+//! file is the store's only state on disk: open replays it into the
+//! search's own [`CanonCache`], so lookups resolve **up to isomorphism**:
+//! a query that renames the labels (or permutes the configurations) of a
+//! solved problem hits the cache and is served the stored representative
+//! with its certificate, no search.
 //!
 //! ## Durability
 //!
 //! * Every record is an individually checksummed frame; frames are
 //!   self-delimiting, so the file is a plain concatenation and the index
-//!   is always rebuildable by a linear scan.
-//! * Appends rewrite the store through
-//!   [`atomic_write`](roundelim_core::io::atomic_write) (temp file, fsync,
-//!   rename) — a crash leaves the previous store, never a torn one.
+//!   is rebuilt by a linear scan on every open.
+//! * An insert appends its one frame and `sync_data`s the file before it
+//!   returns; a failed append truncates the file back to its previous
+//!   length. Nothing ever rewrites the frames already written.
+//! * A crash mid-append can leave a torn final frame (its header or
+//!   declared payload runs past the end of the file). Open truncates the
+//!   file back to the last complete frame and reports the dropped bytes
+//!   on stderr. A complete frame that fails its checksum is an error.
 //! * Insert order is the only thing that determines the bytes, so a
 //!   sequence of requests produces a byte-identical store at every
 //!   search thread count (the search itself is deterministic).
 //!
-//! ## Warm-start snapshot
-//!
-//! Replaying a large store re-canonicalizes every problem. A graceful
-//! shutdown writes a sidecar (`cache.snap.bin`, frame kind
-//! `store-cache-v2`) with the live [`CanonCache`] snapshot and the record
-//! index, guarded by the FNV-1a checksum of the store bytes it describes.
-//! On open, a sidecar whose guard matches the store restores the cache
-//! directly; any mismatch (store appended to after the snapshot, partial
-//! copy, corruption, a `store-cache` sidecar of an older build) falls back
-//! to the linear rebuild. The sidecar is an optimization only — its loss
-//! is never an error.
+//! Older builds also wrote a `cache.snap.bin` sidecar on shutdown; it is
+//! ignored.
 
-use roundelim_auto::binenc::{
-    decode_certificate, decode_snapshot, encode_certificate, encode_snapshot,
-};
+use roundelim_auto::binenc::{decode_certificate, encode_certificate};
 use roundelim_auto::certificate::{Certificate, Direction};
 use roundelim_auto::CanonCache;
-use roundelim_core::binenc::{
-    decode_problem, encode_problem, fnv1a64, frame, read_frame, unframe, Dec, Enc,
-};
+use roundelim_core::binenc::{decode_problem, encode_problem, frame, read_frame, Dec, Enc, MAGIC};
 use roundelim_core::error::{Error, Result};
-use roundelim_core::io::atomic_write;
 use roundelim_core::problem::Problem;
 use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The store file inside a daemon directory.
 pub const STORE_FILE: &str = "proofs.bin";
 
-/// The warm-start sidecar inside a daemon directory.
-pub const SNAP_FILE: &str = "cache.snap.bin";
-
 const PROOF_KIND: &str = "proof";
-const SNAP_KIND: &str = "store-cache-v2";
 
 fn dir_tag(d: Direction) -> u8 {
     match d {
         Direction::Lower => 0,
         Direction::Upper => 1,
     }
+}
+
+fn io_err(path: &Path, what: &str, e: &std::io::Error) -> Error {
+    Error::Io { path: path.display().to_string(), reason: format!("{what}: {e}") }
+}
+
+/// Whether `rest`, the unread end of the store file, is a torn append: a
+/// prefix of a proof frame whose header or declared payload runs past the
+/// end of the file, with no frame header after it. A later header means
+/// a corrupted length: a torn append is the last thing in the file, and
+/// open must fail rather than drop the complete frames behind it.
+fn is_torn_tail(rest: &[u8]) -> bool {
+    let head = [&MAGIC[..], &[PROOF_KIND.len() as u8], PROOF_KIND.as_bytes()].concat();
+    let Some(len) = rest.get(head.len()..head.len() + 4) else {
+        return head.starts_with(&rest[..rest.len().min(head.len())]);
+    };
+    let len = u32::from_le_bytes(len.try_into().expect("4-byte slice")) as usize;
+    rest.starts_with(&head)
+        && head.len() + 4 + len + 8 > rest.len()
+        && !rest[1..].windows(head.len()).any(|w| w == head)
 }
 
 /// One stored proof: the problem as originally solved and its certificate.
@@ -74,9 +82,8 @@ pub struct Record {
 /// The append-only, isomorphism-indexed proof store (see module docs).
 #[derive(Debug)]
 pub struct ProofStore {
-    dir: PathBuf,
-    /// The exact current store file contents.
-    bytes: Vec<u8>,
+    /// The store file.
+    path: PathBuf,
     records: Vec<Record>,
     /// Interns every stored problem, giving each isomorphism class a
     /// stable id. Lookups only probe it.
@@ -86,90 +93,67 @@ pub struct ProofStore {
 }
 
 impl ProofStore {
-    /// Opens (or initializes) the store in `dir`.
+    /// Opens (or initializes, creating `dir` if needed) the store in
+    /// `dir`, truncating a torn final frame (see module docs).
     ///
     /// # Errors
     ///
-    /// I/O errors, or a corrupted/truncated store file (every frame is
-    /// checksummed; a bad sidecar is ignored, a bad store is not).
-    pub fn open(dir: impl Into<PathBuf>) -> Result<ProofStore> {
-        let dir = dir.into();
+    /// I/O errors, or a corrupted store file (every frame is checksummed).
+    pub fn open(dir: impl AsRef<Path>) -> Result<ProofStore> {
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir).map_err(|e| io_err(dir, "create store directory", &e))?;
         let path = dir.join(STORE_FILE);
         let bytes = match std::fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-            Err(e) => {
-                return Err(Error::Io { path: path.display().to_string(), reason: e.to_string() })
-            }
+            Err(e) => return Err(io_err(&path, "read", &e)),
+        };
+        let mut store = ProofStore {
+            path,
+            records: Vec::new(),
+            cache: CanonCache::default(),
+            index: HashMap::new(),
         };
         let mut d = Dec::new(&bytes);
-        let mut records = Vec::new();
         while d.remaining() > 0 {
+            let end = bytes.len() - d.remaining();
+            if is_torn_tail(&bytes[end..]) {
+                store.truncate_torn_tail(end as u64, bytes.len() - end)?;
+                break;
+            }
             let payload = read_frame(&mut d, PROOF_KIND)?;
             let mut pd = Dec::new(payload);
             let problem = decode_problem(&mut pd)?;
             let certificate = decode_certificate(&mut pd)?;
             pd.finish()?;
-            records.push(Record { problem, certificate });
-        }
-        let mut store =
-            ProofStore { dir, bytes, records, cache: CanonCache::default(), index: HashMap::new() };
-        if !store.try_restore_sidecar() {
-            store.rebuild_cache();
+            store.push(problem, certificate);
         }
         Ok(store)
     }
 
-    /// Restores the cache and index from the warm-start sidecar, if it
-    /// matches the store bytes. Returns whether it did.
-    fn try_restore_sidecar(&mut self) -> bool {
-        let Ok(bytes) = std::fs::read(self.dir.join(SNAP_FILE)) else { return false };
-        let Ok(payload) = unframe(&bytes, SNAP_KIND) else { return false };
-        let mut d = Dec::new(payload);
-        type Restored = (CanonCache, HashMap<(u32, u8), usize>);
-        let mut parse = || -> Result<Restored> {
-            if d.u64("store guard")? != fnv1a64(&self.bytes) {
-                return Err(Error::Inconsistent { reason: "sidecar guard mismatch".into() });
-            }
-            let cache = CanonCache::restore(decode_snapshot(&mut d)?)?;
-            let n = d.count("index count", 9)?;
-            let mut index = HashMap::with_capacity(n);
-            for _ in 0..n {
-                let id = d.u32("index class id")?;
-                let tag = d.u8("index direction")?;
-                let ix = d.u32("index record")? as usize;
-                if (id as usize) >= cache.len() || ix >= self.records.len() || tag > 1 {
-                    return Err(Error::Inconsistent {
-                        reason: "sidecar index out of range".into(),
-                    });
-                }
-                index.insert((id, tag), ix);
-            }
-            d.finish()?;
-            if index.len() != self.records.len() {
-                return Err(Error::Inconsistent { reason: "sidecar index incomplete".into() });
-            }
-            Ok((cache, index))
-        };
-        match parse() {
-            Ok((cache, index)) => {
-                self.cache = cache;
-                self.index = index;
-                true
-            }
-            Err(_) => false,
-        }
+    /// Cuts the store file back to `len` bytes, dropping a torn final
+    /// frame of `dropped` bytes.
+    fn truncate_torn_tail(&self, len: u64, dropped: usize) -> Result<()> {
+        let f = OpenOptions::new()
+            .write(true)
+            .open(&self.path)
+            .map_err(|e| io_err(&self.path, "open", &e))?;
+        f.set_len(len)
+            .and_then(|()| f.sync_data())
+            .map_err(|e| io_err(&self.path, "truncate torn tail", &e))?;
+        eprintln!(
+            "proof store {}: dropped {dropped} bytes of a torn final frame",
+            self.path.display()
+        );
+        Ok(())
     }
 
-    /// Rebuilds the isomorphism index by interning every record in order.
-    fn rebuild_cache(&mut self) {
-        self.cache = CanonCache::default();
-        self.index = HashMap::new();
-        for ix in 0..self.records.len() {
-            let (id, _) = self.cache.intern(self.records[ix].problem.clone());
-            let dir = self.records[ix].certificate.direction;
-            self.index.entry((id.0, dir_tag(dir))).or_insert(ix);
-        }
+    /// Interns `problem` and records it under its class and direction.
+    /// The first record of a class and direction wins.
+    fn push(&mut self, problem: Problem, certificate: Certificate) {
+        let (id, _) = self.cache.intern(problem.clone());
+        self.index.entry((id.0, dir_tag(certificate.direction))).or_insert(self.records.len());
+        self.records.push(Record { problem, certificate });
     }
 
     /// Number of stored proofs.
@@ -200,57 +184,46 @@ impl ProofStore {
     /// the certificate's direction (returns `false` — first write wins, so
     /// the store never grows duplicate classes).
     ///
-    /// The append is durable before this returns: the store file is
-    /// rewritten atomically with the new frame included.
+    /// The append is durable before this returns: the new frame is
+    /// written at the end of the store file and synced.
     ///
     /// # Errors
     ///
-    /// I/O errors from the atomic write (the in-memory state is unchanged
-    /// on failure).
+    /// I/O errors from the append. The file is truncated back to its
+    /// previous length and the in-memory state is unchanged.
     pub fn insert(&mut self, problem: Problem, certificate: Certificate) -> Result<bool> {
-        let tag = dir_tag(certificate.direction);
-        let (id, _) = self.cache.intern(problem.clone());
-        if self.index.contains_key(&(id.0, tag)) {
+        if self.lookup(&problem, certificate.direction).is_some() {
             return Ok(false);
         }
         let mut e = Enc::new();
         encode_problem(&problem, &mut e);
         encode_certificate(&certificate, &mut e);
-        let rec = frame(PROOF_KIND, &e.into_bytes());
-        let mut bytes = Vec::with_capacity(self.bytes.len() + rec.len());
-        bytes.extend_from_slice(&self.bytes);
-        bytes.extend_from_slice(&rec);
-        atomic_write(self.dir.join(STORE_FILE), &bytes)?;
-        self.bytes = bytes;
-        self.index.insert((id.0, tag), self.records.len());
-        self.records.push(Record { problem, certificate });
+        self.append(&frame(PROOF_KIND, &e.into_bytes()))?;
+        self.push(problem, certificate);
         Ok(true)
     }
 
-    /// Writes the warm-start sidecar for the current store contents
-    /// (called on graceful shutdown; see module docs).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the atomic write.
-    pub fn save_cache_snapshot(&self) -> Result<()> {
-        let mut e = Enc::new();
-        e.u64(fnv1a64(&self.bytes));
-        encode_snapshot(&self.cache.snapshot(), &mut e);
-        let mut entries: Vec<_> = self.index.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        e.u32(entries.len() as u32);
-        for ((id, tag), ix) in entries {
-            e.u32(id);
-            e.u8(tag);
-            e.u32(ix as u32);
+    /// Appends `rec` to the store file and syncs it, or truncates the file
+    /// back to its previous length on failure.
+    fn append(&self, rec: &[u8]) -> Result<()> {
+        let path = &self.path;
+        let mut f = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .map_err(|e| io_err(path, "open for append", &e))?;
+        let len = f.metadata().map_err(|e| io_err(path, "stat", &e))?.len();
+        // The first append may have created the file: its directory entry
+        // must be durable too.
+        let sync_dir = || match path.parent().filter(|_| len == 0) {
+            Some(dir) => File::open(dir).and_then(|d| d.sync_all()),
+            None => Ok(()),
+        };
+        if let Err(e) = f.write_all(rec).and_then(|()| f.sync_data()).and_then(|()| sync_dir()) {
+            let _ = f.set_len(len);
+            return Err(io_err(path, "append", &e));
         }
-        atomic_write(self.dir.join(SNAP_FILE), frame(SNAP_KIND, &e.into_bytes()))
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(())
     }
 }
 
@@ -284,7 +257,8 @@ mod tests {
 
     #[test]
     fn insert_persist_reopen_lookup() {
-        let dir = tmp_dir("basic");
+        // Opening a store creates its directory.
+        let dir = tmp_dir("basic").join("store");
         let (p, cert) = solved();
         {
             let mut store = ProofStore::open(&dir).unwrap();
@@ -294,7 +268,7 @@ mod tests {
             assert!(!store.insert(p.clone(), cert.clone()).unwrap(), "duplicate class");
             assert_eq!(store.len(), 1);
         }
-        // A fresh open (no sidecar) rebuilds the index by scanning.
+        // Reopening rebuilds the index by scanning the file.
         let store = ProofStore::open(&dir).unwrap();
         assert_eq!(store.len(), 1);
         let rec = store.lookup(&p, Direction::Lower).expect("hit after reopen");
@@ -306,36 +280,7 @@ mod tests {
         assert_eq!(hit.problem, p);
         // The other direction is a different key.
         assert!(store.lookup(&p, Direction::Upper).is_none());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn sidecar_restores_and_guards() {
-        let dir = tmp_dir("sidecar");
-        let (p, cert) = solved();
-        let q = Problem::parse("name: q\nnode: A A A\nedge: A A").unwrap();
-        {
-            let mut store = ProofStore::open(&dir).unwrap();
-            store.insert(p.clone(), cert.clone()).unwrap();
-            // Lookup misses intern nothing, so the snapshot holds exactly
-            // the stored classes.
-            assert!(store.lookup(&sinkless_renamed(), Direction::Upper).is_none());
-            assert!(store.lookup(&q, Direction::Lower).is_none());
-            store.save_cache_snapshot().unwrap();
-        }
-        let mut store = ProofStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.classes(), 1);
-        assert!(store.lookup(&sinkless_renamed(), Direction::Lower).is_some());
-        // Append after the snapshot: the stale sidecar must be ignored,
-        // not trusted.
-        let out = autolb(&q, &SearchOptions { threads: 1, ..SearchOptions::default() }).unwrap();
-        store.insert(q.clone(), out.certificate.unwrap()).unwrap();
-        let reopened = ProofStore::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 2);
-        assert!(reopened.lookup(&q, Direction::Lower).is_some());
-        assert!(reopened.lookup(&p, Direction::Lower).is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
     }
 
     #[test]
@@ -378,14 +323,71 @@ mod tests {
         let path = dir.join(STORE_FILE);
         let good = std::fs::read(&path).unwrap();
         // Flip a payload byte: the frame checksum must catch it.
-        let mut torn = good.clone();
-        torn[good.len() / 2] ^= 0x01;
-        std::fs::write(&path, &torn).unwrap();
+        let mut flipped = good.clone();
+        flipped[good.len() / 2] ^= 0x01;
+        std::fs::write(&path, &flipped).unwrap();
         let err = ProofStore::open(&dir).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
-        // Truncation is caught too.
+        // A cut-off frame is a torn append, not corruption: open drops it.
         std::fs::write(&path, &good[..good.len() - 3]).unwrap();
+        assert!(ProofStore::open(&dir).unwrap().is_empty());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_final_frame_is_truncated_on_open() {
+        let dir = tmp_dir("torn");
+        let (p, cert) = solved();
+        let q = Problem::parse("name: q\nnode: A A A\nedge: A A").unwrap();
+        let q_cert = autolb(&q, &SearchOptions { threads: 1, ..SearchOptions::default() })
+            .unwrap()
+            .certificate
+            .unwrap();
+        let path = dir.join(STORE_FILE);
+        let first = {
+            let mut store = ProofStore::open(&dir).unwrap();
+            store.insert(p.clone(), cert).unwrap();
+            let first = std::fs::read(&path).unwrap();
+            store.insert(q.clone(), q_cert.clone()).unwrap();
+            first
+        };
+        let good = std::fs::read(&path).unwrap();
+        for cut in first.len() + 1..good.len() {
+            std::fs::write(&path, &good[..cut]).unwrap();
+            let mut store = ProofStore::open(&dir).unwrap();
+            assert_eq!(store.len(), 1, "cut at {cut}");
+            assert!(store.lookup(&p, Direction::Lower).is_some());
+            assert_eq!(std::fs::read(&path).unwrap(), first, "cut at {cut}");
+            // Appending after the truncation reproduces the uncut store.
+            assert!(store.insert(q.clone(), q_cert.clone()).unwrap());
+            assert_eq!(ProofStore::open(&dir).unwrap().len(), 2, "cut at {cut}");
+            assert_eq!(std::fs::read(&path).unwrap(), good, "cut at {cut}");
+        }
+        // A first frame whose length runs past the end is not the final
+        // frame: that is corruption, and no complete frame is dropped.
+        let mut inflated = good.clone();
+        let len_at = MAGIC.len() + 1 + PROOF_KIND.len();
+        inflated[len_at..len_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &inflated).unwrap();
         assert!(ProofStore::open(&dir).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), inflated);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_insert_leaves_the_store_unchanged() {
+        let dir = tmp_dir("failed-insert");
+        let (p, cert) = solved();
+        let mut store = ProofStore::open(&dir).unwrap();
+        // A directory in the store file's place makes the append fail.
+        std::fs::create_dir(dir.join(STORE_FILE)).unwrap();
+        assert!(store.insert(p.clone(), cert.clone()).is_err());
+        assert_eq!((store.len(), store.classes()), (0, 0));
+        assert!(store.lookup(&p, Direction::Lower).is_none());
+        std::fs::remove_dir(dir.join(STORE_FILE)).unwrap();
+        assert!(store.insert(p.clone(), cert).unwrap());
+        assert_eq!(ProofStore::open(&dir).unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -926,8 +926,9 @@ fn two_problems(args: &[String], cmd: &str) -> Result<(Problem, Problem), CliErr
 /// Prints `roundelimd listening on <addr>` once bound (with `--addr` port 0
 /// this is how callers learn the real port), then serves until a client
 /// sends `shutdown` (exit 0) or SIGTERM/SIGINT arrives (exit 3 — the same
-/// graceful path: in-flight searches are cancelled cooperatively and the
-/// warm-start cache snapshot is persisted either way).
+/// graceful path: in-flight searches are cancelled cooperatively). Every
+/// solved proof is appended to `--store DIR/proofs.bin` as it is found, so
+/// shutdown writes nothing.
 fn cmd_serve(args: &[String]) -> CliResult {
     use roundelim::daemon::server::{Exit, ServeConfig, Server};
     let store = flag_value::<String>(args, "--store")?

@@ -1,15 +1,15 @@
 //! Property-based tests of the `roundelim-bin-v1` binary encoding: every
-//! `Problem`, `Certificate`, and `CanonCache` snapshot must round-trip
-//! **bit-identically** (decode ∘ encode = id on bytes, not just on
-//! values), including problems with ≥ 9 labels, where the canonical-form
-//! pipeline switches to signature-profile buckets. Truncations and byte
-//! flips must be rejected by the frame checksum, mirroring the snapshot
-//! corruption coverage in `tests/crash_recovery.rs`.
+//! `Problem` and `Certificate` must round-trip **bit-identically** (decode
+//! ∘ encode = id on bytes, not just on values), including problems with
+//! ≥ 9 labels, where the canonical-form pipeline switches to
+//! signature-profile buckets. A `CanonCache` restored from its snapshot,
+//! as checkpoints restore it, must recognise every interned problem.
+//! Truncations and byte flips must be rejected by the frame checksum,
+//! mirroring the snapshot corruption coverage in
+//! `tests/crash_recovery.rs`.
 
 use proptest::prelude::*;
-use roundelim::auto::binenc::{
-    certificate_from_bytes, certificate_to_bytes, snapshot_from_bytes, snapshot_to_bytes,
-};
+use roundelim::auto::binenc::{certificate_from_bytes, certificate_to_bytes};
 use roundelim::auto::cache::{CanonCache, NodeId, Probe};
 use roundelim::auto::checkpoint::Checkpoint;
 use roundelim::auto::search::{autolb, SearchOptions};
@@ -116,10 +116,10 @@ proptest! {
     }
 
     /// A populated `CanonCache` snapshot (interned problems plus recorded
-    /// speedup steps) round-trips bit-identically and restores to a cache
-    /// that recognises the same problems without fresh interning.
+    /// speedup steps) restores to a cache that recognises the same
+    /// problems without fresh interning.
     #[test]
-    fn cache_snapshot_bytes_round_trip_bit_identically(ps in proptest::collection::vec(arb_problem(), 1..4)) {
+    fn restored_cache_recognises_every_interned_problem(ps in proptest::collection::vec(arb_problem(), 1..4)) {
         let mut cache = CanonCache::new();
         let mut ids = Vec::new();
         for p in &ps {
@@ -128,10 +128,7 @@ proptest! {
             // Recording a step exercises the succ/derived snapshot fields.
             record_full_step(&mut cache, id);
         }
-        let bytes = snapshot_to_bytes(&cache.snapshot());
-        let snap = snapshot_from_bytes(&bytes).unwrap();
-        prop_assert_eq!(snapshot_to_bytes(&snap), bytes);
-        let mut restored = CanonCache::restore(snap).unwrap();
+        let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
         for (p, id) in ps.iter().zip(&ids) {
             let (again, fresh) = restored.intern(p.clone());
             prop_assert_eq!(again, *id);
@@ -145,8 +142,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Problems with ≥ 9 labels — the signature-profile bucket regime of
-    /// the canonical form — round-trip bit-identically, both bare and
-    /// through a `CanonCache` snapshot.
+    /// the canonical form — round-trip bit-identically, and a `CanonCache`
+    /// restored from its snapshot recognises them.
     #[test]
     fn nine_plus_label_problems_round_trip_bit_identically(p in arb_big_problem()) {
         prop_assert!(p.alphabet().len() >= 9);
@@ -157,10 +154,7 @@ proptest! {
 
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(p.clone());
-        let snap_bytes = snapshot_to_bytes(&cache.snapshot());
-        let snap = snapshot_from_bytes(&snap_bytes).unwrap();
-        prop_assert_eq!(snapshot_to_bytes(&snap), snap_bytes.clone());
-        let mut restored = CanonCache::restore(snap).unwrap();
+        let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
         let (again, fresh) = restored.intern(p.clone());
         prop_assert_eq!(again, id);
         prop_assert!(!fresh);
@@ -176,9 +170,6 @@ fn truncations_and_byte_flips_are_rejected() {
     let p = Problem::parse("name: so\nnode: O O O | O O I | O I I\nedge: O I").unwrap();
     let out = autolb(&p, &small_budget()).unwrap();
     let cert = out.certificate.expect("sinkless orientation certifies");
-    let mut cache = CanonCache::new();
-    let (id, _) = cache.intern(p.clone());
-    record_full_step(&mut cache, id);
 
     // The committed v2 checkpoint of an older build, and its v3 rewrite.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/mm3-checkpoint");
@@ -191,7 +182,6 @@ fn truncations_and_byte_flips_are_rejected() {
     let blobs: Vec<(&str, Vec<u8>)> = vec![
         ("problem", problem_to_bytes(&p)),
         ("certificate", certificate_to_bytes(&cert)),
-        ("cache snapshot", snapshot_to_bytes(&cache.snapshot())),
         ("checkpoint", v3),
         ("checkpoint", v2),
     ];
@@ -199,8 +189,7 @@ fn truncations_and_byte_flips_are_rejected() {
         let r = match what {
             "problem" => problem_from_bytes(b).map(|_| ()),
             "certificate" => certificate_from_bytes(b).map(|_| ()),
-            "checkpoint" => Checkpoint::from_bin(b).map(|_| ()),
-            _ => snapshot_from_bytes(b).map(|_| ()),
+            _ => Checkpoint::from_bin(b).map(|_| ()),
         };
         r.map_err(|e| e.to_string())
     };
@@ -247,7 +236,6 @@ fn truncations_and_byte_flips_are_rejected() {
             "problem count",
             inflated("certificate", &[0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0]),
         ),
-        ("cache snapshot", "entry count", inflated("cache-snapshot-v2", &[])),
         // A v2 checkpoint is a v3 payload, then its fingerprint index.
         ("checkpoint", "fingerprint bucket count", inflated("checkpoint-v2", &v3_payload)),
     ];

@@ -1,8 +1,10 @@
 //! Crash-recovery end-to-end tests of the `roundelim` CLI: a search killed
 //! mid-flight (deterministically via a failpoint, or for real via SIGKILL /
 //! SIGTERM) must resume from its checkpoint and finish with a certificate
-//! **byte-identical** to the one an uninterrupted run produces.
+//! **byte-identical** to the one an uninterrupted run produces. A daemon
+//! killed mid-append must restart with every complete proof it stored.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -256,4 +258,74 @@ fn a_worker_panic_degrades_the_search_instead_of_aborting_it() {
         assert!(stdout.contains("\"worker_panics\": 1"), "threads={threads}: {stdout}");
         assert!(stdout.contains("\"verdict\""), "threads={threads}: {stdout}");
     }
+}
+
+/// A `roundelim serve` process and the address it bound. Dropping it
+/// SIGKILLs the process, so a failing test cannot leak it either.
+struct Daemon {
+    child: Child,
+    addr: String,
+}
+
+impl Daemon {
+    fn spawn(store: &Path) -> Daemon {
+        let mut child = cli()
+            .args(["serve", "--addr", "127.0.0.1:0", "--store", store.to_str().unwrap()])
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut banner = String::new();
+        BufReader::new(child.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+        let addr = banner.trim().strip_prefix("roundelimd listening on ").unwrap().to_owned();
+        Daemon { child, addr }
+    }
+
+    /// Runs `roundelim client ARGS --addr ADDR`, which must succeed.
+    fn client(&self, args: &[&str]) -> String {
+        let out = cli().arg("client").args(args).args(["--addr", &self.addr]).output().unwrap();
+        assert!(out.status.success(), "client {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).unwrap()
+    }
+
+    /// Solves `spec` and returns whether the store served it.
+    fn solve_hits(&self, spec: &str) -> bool {
+        self.client(&["solve", spec]).contains("cache hit")
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
+/// SIGKILL the daemon after it stored proof A, then append half of A's
+/// frame, as a kill mid-append leaves it. The restart drops the torn
+/// bytes, serves A warm, and appends B after A; a second SIGKILL and
+/// restart serve both.
+#[cfg(unix)]
+#[test]
+fn sigkilled_daemon_restarts_from_a_torn_append_with_every_complete_proof() {
+    let (a, b) = ("sinkless-orientation::3", "sinkless-orientation::4");
+    let store = tmp_dir("daemon-store");
+    let proofs = store.join("proofs.bin");
+    let d = Daemon::spawn(&store);
+    assert!(!d.solve_hits(a));
+    drop(d);
+    let frame_a = std::fs::read(&proofs).unwrap();
+    let mut torn = frame_a.clone();
+    torn.extend_from_slice(&frame_a[..frame_a.len() / 2]);
+    std::fs::write(&proofs, torn).unwrap();
+
+    let d = Daemon::spawn(&store);
+    assert_eq!(std::fs::read(&proofs).unwrap(), frame_a, "open must truncate the torn frame");
+    assert!(d.solve_hits(a), "{a} must be served from the store after the restart");
+    assert!(!d.solve_hits(b));
+    drop(d);
+
+    let d = Daemon::spawn(&store);
+    assert!(d.solve_hits(a) && d.solve_hits(b), "both proofs must survive the second kill");
+    let status = d.client(&["status"]);
+    assert!(status.contains("\"records\": 2"), "{status}");
 }

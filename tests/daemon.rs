@@ -323,8 +323,9 @@ fn oversized_request_line_is_refused_and_the_daemon_survives() {
     d.shutdown();
 }
 
-/// The store files are byte-identical whether the daemon searched with 1
-/// or 4 worker threads (search determinism reaches the persisted bytes).
+/// The store file is byte-identical whether the daemon searched with 1
+/// or 4 worker threads (search determinism reaches the persisted bytes),
+/// and it is the only file a graceful shutdown leaves.
 #[test]
 fn store_bytes_are_independent_of_the_thread_count() {
     let mut stores = Vec::new();
@@ -340,12 +341,13 @@ fn store_bytes_are_independent_of_the_thread_count() {
         d.shutdown();
         stores.push(store);
     }
-    for file in ["proofs.bin", "cache.snap.bin"] {
-        assert_eq!(
-            std::fs::read(stores[0].join(file)).unwrap(),
-            std::fs::read(stores[1].join(file)).unwrap(),
-            "{file} must not depend on the search thread count"
-        );
+    assert_eq!(
+        std::fs::read(stores[0].join("proofs.bin")).unwrap(),
+        std::fs::read(stores[1].join("proofs.bin")).unwrap(),
+        "proofs.bin must not depend on the search thread count"
+    );
+    for store in &stores {
+        assert!(!store.join("cache.snap.bin").exists(), "shutdown must write only proofs.bin");
     }
 }
 

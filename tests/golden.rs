@@ -15,8 +15,8 @@
 //! The fixtures under `tests/fixtures/` were written by the build before
 //! the packed class store: a v2 checkpoint of a budget-stopped search,
 //! under the older file name `search.ckpt.json`, and a daemon store with
-//! a `store-cache` class sidecar that current builds ignore and rebuild.
-//! Both must keep loading.
+//! a `cache.snap.bin` class sidecar. Current builds ignore the sidecar and
+//! rebuild the class index from `proofs.bin`. Both must keep loading.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
