@@ -7,6 +7,7 @@
 //! (every output is checked against `roundelim-problems`'s constraints),
 //! not to be round-optimal.
 
+use super::NO_PORT;
 use crate::runner::{Distributed, Inbox, NodeCtx};
 use roundelim_core::label::Label;
 
@@ -136,22 +137,23 @@ impl Distributed for GreedyMis {
 #[derive(Debug, Clone, Default)]
 pub struct GreedyMatching;
 
-/// State for [`GreedyMatching`]: fixed-size, with nothing on the heap.
+/// State for [`GreedyMatching`]: 24 bytes, with nothing on the heap.
 #[derive(Debug, Clone)]
 pub struct MatchState {
     id: u64,
     /// Bit `p` is set once port `p`'s neighbor is known to be matched (to
-    /// someone other than this node).
+    /// someone other than this node); the bits at and above the degree
+    /// are set from the start.
     neighbor_matched: u64,
-    matched_port: Option<u32>,
+    /// The matched port, or [`NO_PORT`].
+    matched_port: u32,
     /// [`proposal_port`], cached: computed from the round-0 messages and
     /// recomputed from a later round's when the target becomes
-    /// known-matched.
-    proposal: Option<u32>,
-    degree: u32,
+    /// known-matched. [`NO_PORT`] before round 0's receive.
+    proposal: u32,
 }
 
-/// Message: `(id, proposal port or u32::MAX, i_am_matched)`. A receiver
+/// Message: `(id, proposal port or NO_PORT, i_am_matched)`. A receiver
 /// is proposed to when the port equals its [`Inbox::back_port`].
 pub type MatchMsg = (u64, u32, bool);
 
@@ -169,17 +171,15 @@ impl Distributed for GreedyMatching {
         assert!(degree <= 64, "GreedyMatching's port mask supports degree ≤ 64, got {degree}");
         MatchState {
             id: ctx.input.id.expect("GreedyMatching needs unique ids"),
-            neighbor_matched: 0,
-            matched_port: None,
-            proposal: None,
-            degree: degree as u32,
+            neighbor_matched: u64::MAX.checked_shl(degree as u32).unwrap_or(0),
+            matched_port: NO_PORT,
+            proposal: NO_PORT,
         }
     }
 
     fn send(&self, state: &MatchState, _round: usize) -> MatchMsg {
-        let matched = state.matched_port.is_some();
-        let proposal = if matched { None } else { state.proposal };
-        (state.id, proposal.unwrap_or(u32::MAX), matched)
+        let matched = state.matched_port != NO_PORT;
+        (state.id, if matched { NO_PORT } else { state.proposal }, matched)
     }
 
     fn receive(&self, state: &mut MatchState, round: usize, inbox: Inbox<'_, MatchMsg>) {
@@ -190,24 +190,23 @@ impl Distributed for GreedyMatching {
         // Evaluate mutuality against the proposal we actually *sent* this
         // round, i.e. with the pre-update knowledge `send` used. Round 0
         // carries no proposals: none is known before the ids arrive.
-        if state.matched_port.is_none() {
-            if let Some(my_target) = state.proposal {
-                // Mutual proposal ⇒ matched.
-                let target = my_target as usize;
-                if inbox.msg(target).1 == inbox.back_port(target) {
-                    state.matched_port = Some(my_target);
-                }
-            }
+        // Mutual proposal ⇒ matched.
+        let target = state.proposal as usize;
+        if state.matched_port == NO_PORT
+            && state.proposal != NO_PORT
+            && inbox.msg(target).1 == inbox.back_port(target)
+        {
+            state.matched_port = state.proposal;
         }
         for p in 0..inbox.degree() {
-            if inbox.msg(p).2 && state.matched_port != Some(p as u32) {
+            if inbox.msg(p).2 && state.matched_port != p as u32 {
                 state.neighbor_matched |= 1 << p;
             }
         }
         // Round 0's ids give the first proposal. Marking a port other than
         // the proposal's leaves the minimum where it was; only a
         // known-matched proposal target moves it.
-        if state.proposal.is_none_or(|q| (state.neighbor_matched >> q) & 1 == 1) {
+        if state.proposal == NO_PORT || (state.neighbor_matched >> state.proposal) & 1 == 1 {
             state.proposal = proposal_port(state.neighbor_matched, inbox);
         }
     }
@@ -216,12 +215,11 @@ impl Distributed for GreedyMatching {
         let m = Label::from_index(0);
         let o = Label::from_index(1);
         let p = Label::from_index(2);
-        match state.matched_port {
-            Some(mp) => {
-                out.fill(o);
-                out[mp as usize] = m;
-            }
-            None => out.fill(p),
+        if state.matched_port == NO_PORT {
+            out.fill(p);
+        } else {
+            out.fill(o);
+            out[state.matched_port as usize] = m;
         }
     }
 
@@ -233,16 +231,18 @@ impl Distributed for GreedyMatching {
         // neighbors need to retarget their proposals. When *all* nodes
         // satisfy this the matching is maximal, so `run_adaptive` may
         // stop.
-        state.matched_port.is_some() || state.neighbor_matched.count_ones() == state.degree
+        state.matched_port != NO_PORT || state.neighbor_matched == u64::MAX
     }
 }
 
 /// The port an unmatched node proposes on: its smallest-ID neighbor not
-/// known to be matched, with the ids read from a round's `inbox`.
-fn proposal_port(neighbor_matched: u64, inbox: Inbox<'_, MatchMsg>) -> Option<u32> {
+/// known to be matched, with the ids read from a round's `inbox`, or
+/// [`NO_PORT`] when every neighbor is.
+fn proposal_port(neighbor_matched: u64, inbox: Inbox<'_, MatchMsg>) -> u32 {
     (0..inbox.degree() as u32)
         .filter(|&q| (neighbor_matched >> q) & 1 == 0)
         .min_by_key(|&q| inbox.msg(q as usize).0)
+        .unwrap_or(NO_PORT)
 }
 
 #[cfg(test)]
@@ -288,8 +288,8 @@ mod tests {
     }
 
     #[test]
-    fn match_state_stays_at_40_bytes() {
-        assert_eq!(std::mem::size_of::<MatchState>(), 40);
+    fn match_state_stays_at_24_bytes() {
+        assert_eq!(std::mem::size_of::<MatchState>(), 24);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! the paper's Theorem 4 (see `roundelim-superweak`).
 
 use crate::algos::cole_vishkin::{cv_step, phase1_rounds};
+use crate::algos::NO_PORT;
 use crate::runner::{Distributed, Inbox, NodeCtx};
 use roundelim_core::label::Label;
 
@@ -40,7 +41,7 @@ pub struct Msg {
     /// rounds).
     payload: u64,
     /// The port proposed on (propose sub-rounds) or accepted (accept
-    /// sub-rounds), or `u32::MAX` for none. A receiver is addressed when
+    /// sub-rounds), or [`NO_PORT`]. A receiver is addressed when
     /// it equals the receiver's [`Inbox::back_port`].
     port: u32,
     /// Final bit, 0/1, or 2 while unset (bit round).
@@ -69,7 +70,7 @@ impl WeakTwoColoring {
     }
 }
 
-/// Node state for [`WeakTwoColoring`]: fixed-size, with nothing on the
+/// Node state for [`WeakTwoColoring`]: 32 bytes, with nothing on the
 /// heap. A node keeps no neighbour ids: the matching sub-rounds carry the
 /// sender's id, so a node reads its partner's id when it matches.
 #[derive(Debug, Clone)]
@@ -77,10 +78,10 @@ pub struct WeakState {
     id: u64,
     color: u64,
     pointer_port: u32,
-    /// Matching partner port, if matched.
-    partner: Option<u32>,
-    /// Accept target for the pending accept sub-round.
-    accepting: Option<u32>,
+    /// Matching partner port, or [`NO_PORT`] while unmatched.
+    partner: u32,
+    /// Accept target for the pending accept sub-round, or [`NO_PORT`].
+    accepting: u32,
     /// Whether this node proposed in the pending sub-round.
     proposed: bool,
     /// Final output bit (0/1; 2 = unset).
@@ -97,8 +98,8 @@ impl Distributed for WeakTwoColoring {
             id,
             color: id,
             pointer_port: 0,
-            partner: None,
-            accepting: None,
+            partner: NO_PORT,
+            accepting: NO_PORT,
             proposed: false,
             bit: 2,
         }
@@ -114,15 +115,15 @@ impl Distributed for WeakTwoColoring {
             m.payload = state.id;
             let sub = round - self.matching_start();
             let class = (sub / 2) as u64;
-            let port = if sub.is_multiple_of(2) {
-                // Propose sub-round for color class `class`.
-                let proposes = state.partner.is_none() && state.color == class;
-                proposes.then_some(state.pointer_port)
-            } else {
+            m.port = if !sub.is_multiple_of(2) {
                 // Accept sub-round.
                 state.accepting
+            } else if state.partner == NO_PORT && state.color == class {
+                // Propose sub-round for color class `class`.
+                state.pointer_port
+            } else {
+                NO_PORT
             };
-            m.port = port.unwrap_or(u32::MAX);
         } else {
             m.bit = state.bit;
         }
@@ -149,31 +150,25 @@ impl Distributed for WeakTwoColoring {
             let sub = round - self.matching_start();
             if sub.is_multiple_of(2) {
                 // Saw proposals; decide acceptance (if still unmatched).
-                state.proposed = {
-                    let class = (sub / 2) as u64;
-                    state.partner.is_none() && state.color == class
-                };
-                state.accepting = if state.partner.is_none() {
-                    (0..inbox.degree() as u32).find(|&p| addressed(p as usize))
-                } else {
-                    None
-                };
-                if let Some(p) = state.accepting {
-                    state.partner = Some(p);
+                // `accepting` is NO_PORT here: each accept sub-round resets it.
+                let unmatched = state.partner == NO_PORT;
+                state.proposed = unmatched && state.color == (sub / 2) as u64;
+                if unmatched {
+                    let found = (0..inbox.degree() as u32).find(|&p| addressed(p as usize));
+                    state.accepting = found.unwrap_or(NO_PORT);
+                    state.partner = state.accepting;
                 }
             } else {
                 // Learn acceptance of our proposal.
                 if state.proposed && addressed(pointer) {
-                    state.partner = Some(state.pointer_port);
+                    state.partner = state.pointer_port;
                 }
-                state.accepting = None;
+                state.accepting = NO_PORT;
                 state.proposed = false;
                 // Matched nodes fix their bit as soon as matched, from the
                 // id their partner sent this sub-round.
-                if let Some(p) = state.partner {
-                    if state.bit == 2 {
-                        state.bit = u8::from(state.id > inbox.msg(p as usize).payload);
-                    }
+                if state.partner != NO_PORT && state.bit == 2 {
+                    state.bit = u8::from(state.id > inbox.msg(state.partner as usize).payload);
                 }
             }
             return;
@@ -190,7 +185,7 @@ impl Distributed for WeakTwoColoring {
         let c = state.bit as usize;
         debug_assert!(c < 2, "bit assigned by the final round");
         // Witness: matching partner if matched, else the pointer target.
-        let witness = state.partner.unwrap_or(state.pointer_port);
+        let witness = if state.partner == NO_PORT { state.pointer_port } else { state.partner };
         // weak_coloring_pointer(2, Δ) interns [1→, 1•, 2→, 2•]:
         out.fill(Label::from_index(2 * c + 1));
         out[witness as usize] = Label::from_index(2 * c);
@@ -247,7 +242,7 @@ mod tests {
 
     #[test]
     fn state_and_message_sizes_are_pinned() {
-        assert!(std::mem::size_of::<WeakState>() <= 48);
+        assert_eq!(std::mem::size_of::<WeakState>(), 32);
         assert_eq!(std::mem::size_of::<Msg>(), 16);
     }
 

@@ -190,10 +190,12 @@ pub fn check_stream(
     assert_eq!(outputs.labels.len(), graph.total_ports(), "one output label per port");
     let threads = par::resolve_threads(opts.threads);
     let n = graph.node_count();
+    // On a Δ-regular graph node `w`'s ports start at `w · Δ`.
+    let stride = graph.is_regular(problem.delta()).then_some(problem.delta());
     let check = |c: usize| {
         let lo = c * STREAM_CHUNK;
         let hi = (lo + STREAM_CHUNK).min(n);
-        check_chunk(problem, graph, outputs, lo, hi, opts.max_witnesses)
+        check_chunk(problem, graph, outputs, stride, lo, hi, opts.max_witnesses)
     };
     let chunks = n.div_ceil(STREAM_CHUNK);
     let partials =
@@ -207,11 +209,13 @@ pub fn check_stream(
 
 /// Checks nodes `lo..hi` and the edges whose smaller endpoint lies in
 /// `lo..hi`. Witnesses: nodes first (in node order), then edges — matching
-/// [`check`]'s order within the chunk.
+/// [`check`]'s order within the chunk. `stride` is the graph's degree if
+/// it is regular.
 fn check_chunk(
     problem: &Problem,
     graph: &PortGraph,
     outputs: &FlatOutputs,
+    stride: Option<usize>,
     lo: usize,
     hi: usize,
     max_witnesses: usize,
@@ -247,7 +251,11 @@ fn check_chunk(
             if (v as u32) < t.node {
                 report.edges_checked += 1;
                 let a = outputs.labels[off + p];
-                let b = outputs.labels[graph.mate(off + p)];
+                // The far end: port `t.port` of `t.node`, found without
+                // reading the offsets on a regular graph.
+                let far =
+                    stride.map_or_else(|| graph.port_offset(t.node_ix()), |d| t.node_ix() * d);
+                let b = outputs.labels[far + t.port_ix()];
                 if !problem.edge_ok(a, b) {
                     report.edge_violations += 1;
                     if report.witnesses.len() < max_witnesses {

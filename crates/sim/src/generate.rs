@@ -7,7 +7,7 @@
 //! order — so the result is bit-identical for every worker-thread count
 //! (`threads`), which the cross-validation CI job diffs.
 
-use crate::graph::{PortGraph, PAR_MIN_ITEMS};
+use crate::graph::{PortGraph, PortTarget, PAR_MIN_ITEMS};
 use rand::Rng;
 use roundelim_core::par;
 use std::collections::HashSet;
@@ -15,13 +15,24 @@ use std::ops::Range;
 
 /// The n-cycle (Δ = 2, girth n) — the graph class of §4.5.
 ///
+/// Ports are those [`PortGraph::from_edge_pairs`] assigns to the edge
+/// list `(i, i + 1 mod n)`: port 0 of node `v ≥ 1` leads to `v − 1` and
+/// port 1 to `v + 1 mod n`, while node 0's port 0 leads to 1 and its port
+/// 1 to `n − 1`. The CSR is filled directly.
+///
 /// # Panics
 ///
-/// Panics for `n < 3`.
+/// Panics for `n < 3`, or when `2n` ports exceed `u32::MAX`.
 pub fn cycle(n: usize) -> PortGraph {
     assert!(n >= 3, "a cycle needs at least 3 nodes");
-    let edges: Vec<(u32, u32)> = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
-    PortGraph::from_edge_pairs(n, &edges).expect("cycle edges are simple")
+    assert!(n <= u32::MAX as usize / 2, "cycle too large for u32 port offsets");
+    // The neighbour on port 0; port 1 leads to the other one.
+    let first = |v: usize| if v == 0 { 1 } else { v - 1 };
+    let second = |v: usize| if v == 0 { n - 1 } else { (v + 1) % n };
+    let target = |v: usize, w: usize| PortTarget { node: w as u32, port: u32::from(first(w) != v) };
+    let mut targets = Vec::with_capacity(2 * n);
+    targets.extend((0..n).flat_map(|v| [target(v, first(v)), target(v, second(v))]));
+    PortGraph::from_regular_targets(n, 2, targets)
 }
 
 /// The complete graph K_n (girth 3) — a worst case for girth conditions.

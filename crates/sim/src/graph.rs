@@ -7,15 +7,13 @@
 //!
 //! The representation is a flat CSR (compressed sparse row) layout: one
 //! `targets` arena of [`PortTarget`]s indexed by a per-node `offsets`
-//! table, with `u32` node ids, plus a `mates` table that maps every flat
-//! port index to the flat index of the port at the other end of its edge.
-//! This keeps a million-node Δ-regular graph in three contiguous
-//! allocations (≈12 bytes per port), and lets the streaming checker reach
-//! a port's partner with one read instead of two dependent ones. Port
-//! semantics are identical to the previous nested `Vec<Vec<PortTarget>>`
-//! layout: ports are assigned in edge-list order with reciprocal
-//! bookkeeping, a property `tests/properties.rs` pins against an
-//! edge-list oracle.
+//! table, with `u32` node ids. This keeps a million-node Δ-regular graph
+//! in two contiguous allocations (≈8 bytes per port); the flat index of
+//! the port at the other end of a port's edge is `port_offset(t.node) +
+//! t.port` for its target `t`. Port semantics are identical to the
+//! previous nested `Vec<Vec<PortTarget>>` layout: ports are assigned in
+//! edge-list order with reciprocal bookkeeping, a property
+//! `tests/properties.rs` pins against an edge-list oracle.
 
 use roundelim_core::par;
 use std::collections::VecDeque;
@@ -65,9 +63,6 @@ pub struct PortGraph {
     offsets: Vec<u32>,
     /// Flat arena of port targets, all nodes back to back.
     targets: Vec<PortTarget>,
-    /// `mates[i]` is the flat index of the port at the other end of flat
-    /// port `i`: `offsets[t.node] + t.port` for `t = targets[i]`.
-    mates: Vec<u32>,
 }
 
 impl PortGraph {
@@ -129,18 +124,15 @@ impl PortGraph {
         }
         let mut cursor: Vec<u32> = offsets[..n].to_vec();
         let mut targets = vec![PortTarget { node: 0, port: 0 }; acc as usize];
-        let mut mates = vec![0u32; acc as usize];
         for &(u, v) in edges {
             let (ui, vi) = (u as usize, v as usize);
             let (cu, cv) = (cursor[ui], cursor[vi]);
             targets[cu as usize] = PortTarget { node: v, port: cv - offsets[vi] };
             targets[cv as usize] = PortTarget { node: u, port: cu - offsets[ui] };
-            mates[cu as usize] = cv;
-            mates[cv as usize] = cu;
             cursor[ui] += 1;
             cursor[vi] += 1;
         }
-        Some(PortGraph { offsets, targets, mates })
+        Some(PortGraph { offsets, targets })
     }
 
     /// Builds the union of `d` perfect matchings on `n` nodes from their
@@ -159,8 +151,7 @@ impl PortGraph {
         if n.checked_mul(d)? > u32::MAX as usize {
             return None;
         }
-        let offsets: Vec<u32> = (0..=n).map(|v| (v * d) as u32).collect();
-        // Both tables are filled in place, `threads · OVERSUB` chunks each.
+        // The targets are filled in place, `threads · OVERSUB` chunks.
         let len = n * d;
         let chunk = if threads > 1 && len >= PAR_MIN_ITEMS {
             len.div_ceil(threads * par::OVERSUB)
@@ -174,15 +165,17 @@ impl PortGraph {
                 *t = PortTarget { node: partners[m * n + v], port: m as u32 };
             }
         });
-        // Every node's port offset is `node · d`, so the mates follow from
-        // `targets` in one sequential read.
-        let mut mates = vec![0u32; len];
-        par::par_each(mates.chunks_mut(chunk).enumerate(), threads, |(c, part)| {
-            for (i, mate) in (c * chunk..).zip(part) {
-                *mate = targets[i].node * d as u32 + targets[i].port;
-            }
-        });
-        Some(PortGraph { offsets, targets, mates })
+        Some(PortGraph::from_regular_targets(n, d, targets))
+    }
+
+    /// A `d`-regular graph on `n` nodes from its port targets, node by
+    /// node in port order, so node `v`'s ports start at `v · d`. The
+    /// caller guarantees `n · d ≤ u32::MAX` and that the targets are
+    /// reciprocal and describe a simple graph.
+    pub(crate) fn from_regular_targets(n: usize, d: usize, targets: Vec<PortTarget>) -> PortGraph {
+        debug_assert_eq!(targets.len(), n * d, "d targets per node");
+        let offsets = (0..=n).map(|v| (v * d) as u32).collect();
+        PortGraph { offsets, targets }
     }
 
     /// Number of nodes.
@@ -206,20 +199,6 @@ impl PortGraph {
     #[inline]
     pub fn port_offset(&self, v: usize) -> usize {
         self.offsets[v] as usize
-    }
-
-    /// The flat index of the port at the other end of flat port `i`'s
-    /// edge: `port_offset(t.node) + t.port` for the target `t` of `i`.
-    #[inline]
-    pub fn mate(&self, i: usize) -> usize {
-        self.mates[i] as usize
-    }
-
-    /// The mate table: [`PortGraph::mate`] for every flat port, in flat
-    /// port order.
-    #[inline]
-    pub fn mates(&self) -> &[u32] {
-        &self.mates
     }
 
     /// Degree of a node.
@@ -348,9 +327,7 @@ impl PortGraph {
                 targets.push(PortTarget { node: t.node, port: inverse[t.node_ix()][t.port_ix()] });
             }
         }
-        let offsets = self.offsets.clone();
-        let mates = targets.iter().map(|t| offsets[t.node_ix()] + t.port).collect();
-        PortGraph { offsets, targets, mates }
+        PortGraph { offsets: self.offsets.clone(), targets }
     }
 }
 

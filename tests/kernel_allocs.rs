@@ -11,18 +11,31 @@ use roundelim::obs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-thread_local!(static ALLOCS: Cell<usize> = const { Cell::new(0) });
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed; a block freed on
+    /// another thread leaves its bytes here.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    /// The highest value `LIVE` has reached since it was last reset.
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
 
 struct Counting;
 
-// SAFETY: every call goes unchanged to the system allocator; the counter
-// is a const-initialized thread-local `Cell`, which never allocates.
+// SAFETY: every call goes unchanged to the system allocator; the counters
+// are const-initialized thread-local `Cell`s, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|n| n.set(n.get() + 1));
+        let live = LIVE.with(|b| {
+            b.set(b.get() + layout.size() as isize);
+            b.get()
+        });
+        PEAK.with(|p| p.set(p.get().max(live)));
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.with(|b| b.set(b.get() - layout.size() as isize));
         System.dealloc(ptr, layout)
     }
 }
@@ -35,6 +48,23 @@ fn allocations<R>(f: impl FnOnce() -> R) -> usize {
     let before = ALLOCS.with(Cell::get);
     std::hint::black_box(f());
     ALLOCS.with(Cell::get) - before
+}
+
+/// `f`'s allocations on this thread and its heap high-water mark there:
+/// the most bytes it held live at once, beyond those live when it started.
+fn allocations_and_peak<R>(f: impl FnOnce() -> R) -> (usize, usize) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let count = allocations(f);
+    (count, (PEAK.with(Cell::get) - before) as usize)
+}
+
+/// Runs `f` and returns its value with the bytes of it that stay live on
+/// this thread.
+fn retained<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = LIVE.with(Cell::get);
+    let value = f();
+    (value, (LIVE.with(Cell::get) - before) as usize)
 }
 
 /// A 5-label, Δ = 3 problem with 42 configurations, spelled with `names`.
@@ -88,24 +118,37 @@ fn the_isomorphism_search_allocates_per_label_not_per_probe() {
 /// A one-thread simulator run allocates its arenas and buffers once, and
 /// nothing per node or per round: adaptive greedy matching (more rounds
 /// at more nodes) and fixed-schedule weak 2-coloring allocate as often at
-/// 2^13 nodes as at 2^15.
+/// 2^13 nodes as at 2^15. Its memory is pinned per node at 2^15 cubic
+/// nodes: the graph holds a `u32` offset per node and an 8-byte target
+/// per port; matching's heap peaks at its 24-byte states, the 16-byte
+/// message arena, the 4-byte frontier and the sparse rounds' 1-byte
+/// stamps, and weak 2-coloring's at its 32-byte states and the arena. A
+/// wider state or another per-node or per-port table crosses the bounds.
 #[test]
 fn simulator_runs_allocate_nothing_per_node() {
     use roundelim::sim::algos::{greedy, weak2};
     use roundelim::sim::generate::{random_permutation, random_regular_seeded};
     use roundelim::sim::runner::{run_core, NodeInput};
     // One-thread runs stay on this thread, so every allocation is counted.
-    let count = |n: usize| {
-        let g = random_regular_seeded(n, 3, 64, 7, 1).expect("a cubic graph");
+    let measure = |n: usize| {
+        let (g, graph_bytes) = retained(|| random_regular_seeded(n, 3, 64, 7, 1).expect("cubic"));
         let ids = random_permutation(n, 7, 1);
         let input = |v: usize| NodeInput { id: Some(u64::from(ids[v])), ..NodeInput::default() };
         let (matching, weak) = (greedy::GreedyMatching, weak2::WeakTwoColoring::for_n(n));
         let budget = greedy::matching_rounds(n);
-        [
-            allocations(|| run_core(&g, input, &matching, budget, true, 1)),
-            allocations(|| run_core(&g, input, &weak, weak2::total_rounds(n), false, 1)),
-        ]
+        let (m, w) = (
+            allocations_and_peak(|| run_core(&g, input, &matching, budget, true, 1)),
+            allocations_and_peak(|| run_core(&g, input, &weak, weak2::total_rounds(n), false, 1)),
+        );
+        (graph_bytes, [m.0, w.0], [m.1, w.1])
     };
-    count(1 << 10); // registers the runner's counters
-    assert_eq!(count(1 << 13), count(1 << 15), "allocations at 2^13 and 2^15 nodes");
+    measure(1 << 10); // registers the runner's counters
+    let n = 1 << 15;
+    let (small, (graph_bytes, allocs, [matching_peak, weak_peak])) =
+        (measure(1 << 13).1, measure(n));
+    assert_eq!(small, allocs, "allocations at 2^13 and 2^15 nodes");
+    assert!(graph_bytes <= 4 * (n + 1) + 8 * 3 * n, "graph holds {graph_bytes} bytes");
+    let slack = 4096; // chunk and executor bookkeeping, independent of n
+    assert!(matching_peak <= 45 * n + slack, "matching peaks at {matching_peak} bytes");
+    assert!(weak_peak <= 48 * n + slack, "weak 2-coloring peaks at {weak_peak} bytes");
 }

@@ -523,7 +523,9 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use roundelim::sim::checker::{check, check_stream, CheckOptions, Violation};
-use roundelim::sim::generate::{cycle, random_regular_seeded, regular_tree};
+use roundelim::sim::generate::{
+    complete, complete_bipartite, cycle, random_regular_seeded, regular_tree,
+};
 use roundelim::sim::graph::PortGraph;
 use roundelim::sim::runner::FlatOutputs;
 
@@ -633,20 +635,47 @@ fn lcg_perms(g: &PortGraph, seed: u64) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// The mate table pairs every port with the other end of its edge: an
-/// involution without fixed points that agrees with the port targets.
-fn check_mates(g: &PortGraph) -> Result<(), TestCaseError> {
-    prop_assert_eq!(g.mates().len(), g.total_ports());
-    for i in 0..g.total_ports() {
-        prop_assert_ne!(g.mate(i), i);
-        prop_assert_eq!(g.mate(g.mate(i)), i);
-    }
-    for v in 0..g.node_count() {
-        for (p, t) in g.ports(v).iter().enumerate() {
-            prop_assert_eq!(g.mate(g.port_offset(v) + p), g.port_offset(t.node_ix()) + t.port_ix());
+/// The flat index of the port at the far end of port `p` of `v`, as the
+/// streaming checker computes it: `port_offset(t.node) + t.port` for the
+/// port's target `t`.
+fn far_port(g: &PortGraph, v: usize, p: usize) -> usize {
+    let t = g.neighbor(v, p);
+    g.port_offset(t.node_ix()) + t.port_ix()
+}
+
+/// Far ports pair every flat port with the other end of its edge: an
+/// involution without fixed points that lands on the target's node and
+/// port. On a Δ-regular graph the far port is also `t.node · Δ + t.port`,
+/// the checker's shortcut.
+fn check_far_ports(g: &PortGraph) -> Result<(), TestCaseError> {
+    let flat: Vec<(usize, usize)> =
+        (0..g.node_count()).flat_map(|v| (0..g.degree(v)).map(move |p| (v, p))).collect();
+    prop_assert_eq!(flat.len(), g.total_ports());
+    let delta = g.max_degree();
+    let stride = g.is_regular(delta).then_some(delta);
+    for (i, &(v, p)) in flat.iter().enumerate() {
+        prop_assert_eq!(g.port_offset(v) + p, i);
+        let j = far_port(g, v, p);
+        prop_assert_ne!(j, i);
+        let (w, q) = flat[j];
+        let t = g.neighbor(v, p);
+        prop_assert_eq!((w, q), (t.node_ix(), t.port_ix()));
+        prop_assert_eq!(far_port(g, w, q), i);
+        if let Some(d) = stride {
+            prop_assert_eq!(t.node_ix() * d + t.port_ix(), j);
         }
     }
     Ok(())
+}
+
+/// `cycle` fills its CSR directly; it must give the ports that the edge
+/// list `(i, i + 1 mod n)` gets from `from_edge_pairs`.
+#[test]
+fn cycle_equals_its_edge_list_construction() {
+    for n in 3..=200usize {
+        let edges: Vec<(u32, u32)> = (0..n).map(|i| (i as u32, ((i + 1) % n) as u32)).collect();
+        assert_eq!(cycle(n), PortGraph::from_edge_pairs(n, &edges).unwrap(), "n = {n}");
+    }
 }
 
 /// Count `check()` violations by the categories the streaming report keeps.
@@ -753,12 +782,12 @@ proptest! {
         );
     }
 
-    /// Every constructor builds a consistent mate table: edge lists,
-    /// rings, regular trees, seeded random-regular graphs (the partner
-    /// table path for even `n`, the stub path for odd `n`), and their port
-    /// permutations.
+    /// Every constructor lays out ports so that far ports pair them up:
+    /// edge lists, rings, complete and complete bipartite graphs, regular
+    /// trees, seeded random-regular graphs (the partner table path for
+    /// even `n`, the stub path for odd `n`), and their port permutations.
     #[test]
-    fn mate_table_matches_port_targets(
+    fn far_ports_match_port_targets(
         (n, edges) in arb_edge_list(),
         ring in 3usize..=40,
         (depth, branching) in (0usize..=4, 2usize..=4),
@@ -767,6 +796,8 @@ proptest! {
         let mut graphs = vec![
             PortGraph::from_edges(n, &edges).expect("valid simple graph"),
             cycle(ring),
+            complete(ring.min(12)),
+            complete_bipartite(branching),
             regular_tree(depth, branching),
         ];
         // Odd n needs an even degree.
@@ -775,8 +806,8 @@ proptest! {
             graphs.extend(random_regular_seeded(n, d, 64, seed, 1));
         }
         for g in graphs {
-            check_mates(&g)?;
-            check_mates(&g.with_port_permutations(&lcg_perms(&g, seed)))?;
+            check_far_ports(&g)?;
+            check_far_ports(&g.with_port_permutations(&lcg_perms(&g, seed)))?;
         }
     }
 
