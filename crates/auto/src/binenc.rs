@@ -214,7 +214,7 @@ pub fn certificate_from_bytes(bytes: &[u8]) -> Result<Certificate> {
 }
 
 /// Encodes the cache counters (5 × u64).
-pub fn encode_cache_stats(s: &CacheStats, e: &mut Enc) {
+fn encode_cache_stats(s: &CacheStats, e: &mut Enc) {
     e.usize(s.classes);
     e.usize(s.dedup_hits);
     e.usize(s.iso_resolutions);
@@ -227,7 +227,7 @@ pub fn encode_cache_stats(s: &CacheStats, e: &mut Enc) {
 /// # Errors
 ///
 /// [`Error::Parse`] on truncation.
-pub fn decode_cache_stats(d: &mut Dec<'_>) -> Result<CacheStats> {
+fn decode_cache_stats(d: &mut Dec<'_>) -> Result<CacheStats> {
     Ok(CacheStats {
         classes: d.usize("classes")?,
         dedup_hits: d.usize("dedup_hits")?,

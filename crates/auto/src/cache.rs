@@ -28,15 +28,13 @@
 //! fingerprints, isomorphism checks, 0-round deciders, move generation
 //! ([`CanonCache::packed`]) — reads those rows;
 //! [`CanonCache::materialize`] attaches names for the callers that need
-//! them: step sources, certificates and snapshots, and the store encoder.
+//! them: step sources, certificates, and snapshots.
 //!
 //! Two entry points intern: [`CanonCache::intern_wave`] resolves a whole
 //! relaxation wave in parallel across pre-key shards, and
-//! [`CanonCache::intern`] takes one problem at a time (the search root, the
-//! daemon's proof store on insert). [`CanonCache::find`] answers "which
-//! class?" without creating one (the proof store's lookups). Step children
-//! go through
-//! [`CanonCache::record_step`] with a probe built on a worker.
+//! [`CanonCache::intern`] takes one problem at a time (the search root).
+//! Step children go through [`CanonCache::record_step`] with a probe built
+//! on a worker.
 //!
 //! Per node the cache also memoizes the two expensive per-problem queries
 //! the search repeats: the speedup successor (by node id, so a whole
@@ -230,20 +228,11 @@ impl CanonCache {
         (id, back.is_none())
     }
 
-    /// The class `p` belongs to, if one is interned: the bucket probe of
-    /// [`CanonCache::intern`] without the insert, so a miss creates
-    /// nothing. Its isomorphism checks count in `cache.iso_checks`, not in
-    /// [`CacheStats`], which counts interning.
-    pub fn find(&self, p: &Problem) -> Option<NodeId> {
-        let key = pre_key(p.packed(), &mut Vec::new());
-        self.probe_bucket(key, p.packed(), &mut None).0
-    }
-
     /// Interns `probe` under its pre-key: a miss in its bucket creates a
     /// class. On dedup the probe is handed back (`Some`); a new class
     /// consumes it (`None`).
     fn intern_probe(&mut self, mut probe: Probe) -> (NodeId, Option<Probe>) {
-        let (found, checks) = self.probe_bucket(probe.key, &probe.packed, &mut probe.refined);
+        let (found, checks) = self.probe_bucket(&mut probe);
         self.stats.iso_resolutions += checks;
         match found {
             Some(id) => {
@@ -254,19 +243,13 @@ impl CanonCache {
         }
     }
 
-    /// Checks the classes of pre-key bucket `key` against a problem's rows
+    /// Checks the classes of `probe`'s pre-key bucket against its rows
     /// (see [`first_isomorphic`]). An empty bucket refines nothing; a
-    /// bucket with members refines the problem (into `refined`, if not yet
-    /// done) and every member still lacking a refinement, in one
-    /// `search.fingerprint` span. Returns the first isomorphic class and
-    /// the number of checks made.
-    fn probe_bucket(
-        &self,
-        key: u64,
-        packed: &PackedProblem,
-        refined: &mut Option<Refined>,
-    ) -> (Option<NodeId>, usize) {
-        let Some(bucket) = self.keys.get(&key) else {
+    /// bucket with members refines the probe (if not yet done) and every
+    /// member still lacking a refinement, in one `search.fingerprint` span.
+    /// Returns the first isomorphic class and the number of checks made.
+    fn probe_bucket(&self, probe: &mut Probe) -> (Option<NodeId>, usize) {
+        let Some(bucket) = self.keys.get(&probe.key) else {
             return (None, 0);
         };
         let query = {
@@ -275,10 +258,10 @@ impl CanonCache {
             for &id in bucket {
                 self.refined(id, &mut refiner);
             }
-            refined.get_or_insert_with(|| refine(packed, &mut refiner))
+            probe.refined.get_or_insert_with(|| refine(&probe.packed, &mut refiner))
         };
         let members = bucket.iter().map(|&id| (id, self.class(id)));
-        first_isomorphic(members, packed, query)
+        first_isomorphic(members, &probe.packed, query)
     }
 
     /// The refinement of class `id`, computed with `refiner`'s buffers the
@@ -1096,10 +1079,6 @@ mod tests {
         assert!(is_refined(&cache, a));
         assert!(!is_refined(&cache, t) && !is_refined(&cache, w));
         assert_eq!(cache.stats.iso_resolutions, 1);
-        // A lookup miss refines nothing either.
-        let four = Problem::parse("name: f\nnode: A A B | B B B\nedge: A B | B B").unwrap();
-        assert_eq!(cache.find(&four), None);
-        assert!(!is_refined(&cache, t) && !is_refined(&cache, w));
     }
 
     #[test]

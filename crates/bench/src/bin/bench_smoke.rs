@@ -15,8 +15,8 @@
 //!   dedup)
 //! * `D1_daemon_warm_vs_cold` — coloring:3:3 solved cold (param 0, the
 //!   A2 search) vs served warm from a `roundelimd` proof store (param 1,
-//!   canonical lookup + stored certificate); asserts warm is ≥100× below
-//!   cold
+//!   pre-key lookup + isomorphism check + stored certificate); asserts
+//!   warm is ≥100× below cold
 //! * `O1_trace_overhead`     — the E3/9 full step with observability
 //!   probes disarmed (param 0; must stay within 2% + 250 µs of the bare
 //!   E3/9 number measured in the same run) and with a trace actively
@@ -266,8 +266,8 @@ fn main() {
 
     // The roundelimd proof cache: param 0 (cold) is the full coloring:3:3
     // search at the same budget as A2; param 1 (warm) is the same verdict
-    // served from a populated proof store — a canonical-form lookup plus
-    // the stored certificate, no search. The gap is the daemon's whole
+    // served from a populated proof store — a pre-key lookup, one
+    // isomorphism check, and the stored certificate, no search. The gap is the daemon's whole
     // reason to exist, so the harness pins it at ≥100× here (and CI's
     // acceptance flow re-checks it over TCP).
     {

@@ -40,7 +40,7 @@ pub fn problem_table(p: &Problem) -> String {
 
 /// Renders the label provenance of a half-step: each derived label with
 /// the set of base labels it denotes.
-pub fn provenance_table(hs: &HalfStep, base: &Problem) -> String {
+fn provenance_table(hs: &HalfStep, base: &Problem) -> String {
     let mut out = String::new();
     let width = hs.problem.alphabet().names().iter().map(|n| n.chars().count()).max().unwrap_or(1);
     for (ix, meaning) in hs.meanings.iter().enumerate() {

@@ -132,18 +132,6 @@ pub fn check_relaxation(from: &Problem, to: &Problem, map: &[Label]) -> bool {
     check(from.node(), to.node()) && check(from.edge(), to.edge())
 }
 
-/// Whether the two problems are mutually relaxable (0-round equivalent):
-/// each simulates the other by a label map. Weaker than isomorphism.
-pub fn are_zero_round_equivalent(a: &Problem, b: &Problem) -> bool {
-    is_relaxation_of(a, b) && is_relaxation_of(b, a)
-}
-
-/// Applies a relaxation map to per-port outputs (the 0-round translation an
-/// algorithm performs after solving `from`).
-pub fn translate_outputs(map: &[Label], outputs: &[Label]) -> Vec<Label> {
-    outputs.iter().map(|l| map[l.index()]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,23 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn zero_round_equivalence_detects_renaming_and_more() {
-        let p = Problem::parse("name: p\nnode: 1 0 0\nedge: 0 0 | 0 1").unwrap();
-        let q = Problem::parse("name: q\nnode: B A A\nedge: A A | A B").unwrap();
-        assert!(are_zero_round_equivalent(&p, &q));
-    }
-
-    #[test]
     fn delta_mismatch_rejected() {
         let c3a = coloring(3, 2);
         let c3b = coloring(3, 3);
         assert!(relaxation_map(&c3a, &c3b).is_none());
-    }
-
-    #[test]
-    fn translate_outputs_applies_map() {
-        let map = vec![Label::from_index(1), Label::from_index(0)];
-        let out = translate_outputs(&map, &[Label::from_index(0), Label::from_index(1)]);
-        assert_eq!(out, vec![Label::from_index(1), Label::from_index(0)]);
     }
 }

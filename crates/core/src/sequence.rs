@@ -141,11 +141,7 @@ pub fn iterate(p: &Problem, max_steps: usize) -> Result<SpeedupSequence> {
 /// # Errors
 ///
 /// Propagates speedup errors (e.g. alphabet overflow).
-pub fn iterate_with(
-    p: &Problem,
-    max_steps: usize,
-    model: ZeroRoundModel,
-) -> Result<SpeedupSequence> {
+fn iterate_with(p: &Problem, max_steps: usize, model: ZeroRoundModel) -> Result<SpeedupSequence> {
     let mut problems = vec![p.clone()];
     if is_zero_round(p, model) {
         return Ok(SpeedupSequence { problems, stop: StopReason::ZeroRound { index: 0 }, model });

@@ -10,9 +10,10 @@
 //!
 //! * [`store`] — an append-only proof store in the versioned
 //!   `roundelim-bin-v1` binary encoding (see [`roundelim_core::binenc`]),
-//!   indexed up to isomorphism through the search's own
-//!   [`CanonCache`](roundelim_auto::CanonCache), so a query that merely
-//!   renames the labels of a solved problem is a cache hit;
+//!   indexed up to isomorphism by
+//!   [`pre_key`](roundelim_core::iso::pre_key) and an isomorphism check,
+//!   so a query that merely renames the labels of a solved problem is a
+//!   cache hit;
 //! * [`proto`] — the line-delimited JSON request/response protocol
 //!   (`solve`, `status`, `stats`, `shutdown`, streamed `progress` events);
 //! * [`server`] — the TCP server: an accept loop, a worker pool running

@@ -2,11 +2,13 @@
 //!
 //! An append-only file of `roundelim-bin-v1` frames (kind `proof`), each
 //! holding one solved problem and the certificate backing its bound. The
-//! file is the store's only state on disk: open replays it into the
-//! search's own [`CanonCache`], so lookups resolve **up to isomorphism**:
-//! a query that renames the labels (or permutes the configurations) of a
-//! solved problem hits the cache and is served the stored representative
-//! with its certificate, no search.
+//! file is the store's only state on disk: open decodes its records and
+//! files each under its [`pre_key`], so lookups resolve **up to
+//! isomorphism**: a query's pre-key picks a bucket, and the first record
+//! there in the asked direction that [`isomorphism`] maps onto the query
+//! is served, stored representative and certificate, with no search. A
+//! query that renames the labels (or permutes the configurations) of a
+//! solved problem hits.
 //!
 //! ## Durability
 //!
@@ -29,9 +31,9 @@
 
 use roundelim_auto::binenc::{decode_certificate, encode_certificate};
 use roundelim_auto::certificate::{Certificate, Direction};
-use roundelim_auto::CanonCache;
 use roundelim_core::binenc::{decode_problem, encode_problem, frame, read_frame, Dec, Enc, MAGIC};
 use roundelim_core::error::{Error, Result};
+use roundelim_core::iso::{isomorphism, pre_key};
 use roundelim_core::problem::Problem;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -42,13 +44,6 @@ use std::path::{Path, PathBuf};
 pub const STORE_FILE: &str = "proofs.bin";
 
 const PROOF_KIND: &str = "proof";
-
-fn dir_tag(d: Direction) -> u8 {
-    match d {
-        Direction::Lower => 0,
-        Direction::Upper => 1,
-    }
-}
 
 fn io_err(path: &Path, what: &str, e: &std::io::Error) -> Error {
     Error::Io { path: path.display().to_string(), reason: format!("{what}: {e}") }
@@ -70,6 +65,11 @@ fn is_torn_tail(rest: &[u8]) -> bool {
         && !rest[1..].windows(head.len()).any(|w| w == head)
 }
 
+/// Whether `rec`'s problem is isomorphic to `p`.
+fn is_iso(rec: &Record, p: &Problem) -> bool {
+    isomorphism(rec.problem.packed(), p.packed()).is_some()
+}
+
 /// One stored proof: the problem as originally solved and its certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
@@ -85,11 +85,10 @@ pub struct ProofStore {
     /// The store file.
     path: PathBuf,
     records: Vec<Record>,
-    /// Interns every stored problem, giving each isomorphism class a
-    /// stable id. Lookups only probe it.
-    cache: CanonCache,
-    /// (class id, direction) → index into `records`.
-    index: HashMap<(u32, u8), usize>,
+    /// Pre-key → indices into `records`, in insertion order.
+    buckets: HashMap<u64, Vec<u32>>,
+    /// Distinct isomorphism classes among the records, both directions.
+    classes: usize,
 }
 
 impl ProofStore {
@@ -108,12 +107,8 @@ impl ProofStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(io_err(&path, "read", &e)),
         };
-        let mut store = ProofStore {
-            path,
-            records: Vec::new(),
-            cache: CanonCache::default(),
-            index: HashMap::new(),
-        };
+        let mut store =
+            ProofStore { path, records: Vec::new(), buckets: HashMap::new(), classes: 0 };
         let mut d = Dec::new(&bytes);
         while d.remaining() > 0 {
             let end = bytes.len() - d.remaining();
@@ -148,11 +143,15 @@ impl ProofStore {
         Ok(())
     }
 
-    /// Interns `problem` and records it under its class and direction.
-    /// The first record of a class and direction wins.
+    /// Files a record at the end of its pre-key bucket, counting a new
+    /// class if no record there is isomorphic to it.
     fn push(&mut self, problem: Problem, certificate: Certificate) {
-        let (id, _) = self.cache.intern(problem.clone());
-        self.index.entry((id.0, dir_tag(certificate.direction))).or_insert(self.records.len());
+        let bucket = self.buckets.entry(pre_key(problem.packed(), &mut Vec::new())).or_default();
+        let records = &self.records;
+        if !bucket.iter().any(|&ix| is_iso(&records[ix as usize], &problem)) {
+            self.classes += 1;
+        }
+        bucket.push(u32::try_from(records.len()).expect("under 2^32 records"));
         self.records.push(Record { problem, certificate });
     }
 
@@ -166,18 +165,22 @@ impl ProofStore {
         self.records.is_empty()
     }
 
-    /// Number of interned isomorphism classes: the classes of the stored
-    /// problems.
+    /// Number of distinct isomorphism classes among the stored problems,
+    /// across both directions.
     pub fn classes(&self) -> usize {
-        self.cache.len()
+        self.classes
     }
 
-    /// Looks up a proof for `p`'s isomorphism class in `direction`. A miss
-    /// leaves the store as it was: only [`ProofStore::insert`] adds a
-    /// class, so a query that never gets a proof costs no memory.
+    /// Looks up a proof for `p`'s isomorphism class in `direction`: the
+    /// first such record stored. A miss leaves the store as it was: only
+    /// [`ProofStore::insert`] adds a record, so a query that never gets a
+    /// proof costs no memory.
     pub fn lookup(&self, p: &Problem, direction: Direction) -> Option<&Record> {
-        let id = self.cache.find(p)?;
-        self.index.get(&(id.0, dir_tag(direction))).map(|&ix| &self.records[ix])
+        let bucket = self.buckets.get(&pre_key(p.packed(), &mut Vec::new()))?;
+        bucket
+            .iter()
+            .map(|&ix| &self.records[ix as usize])
+            .find(|rec| rec.certificate.direction == direction && is_iso(rec, p))
     }
 
     /// Appends a proof, unless its isomorphism class is already stored for
@@ -230,7 +233,7 @@ impl ProofStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use roundelim_auto::search::{autolb, SearchOptions};
+    use roundelim_auto::search::{autolb, autoub, SearchOptions};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -281,6 +284,55 @@ mod tests {
         // The other direction is a different key.
         assert!(store.lookup(&p, Direction::Upper).is_none());
         std::fs::remove_dir_all(dir.parent().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn one_class_in_both_directions_serves_each_its_own_certificate() {
+        let dir = tmp_dir("both-directions");
+        let p = Problem::parse("name: t\nnode: A A A\nedge: A A").unwrap();
+        let renamed = Problem::parse("name: t2\nnode: Z Z Z\nedge: Z Z").unwrap();
+        let opts = SearchOptions { threads: 1, ..SearchOptions::default() };
+        let lower = autolb(&p, &opts).unwrap().certificate.expect("lower certificate");
+        let upper = autoub(&p, &opts).unwrap().certificate.expect("upper certificate");
+        let check = |store: &ProofStore| {
+            assert_eq!((store.len(), store.classes()), (2, 1));
+            for (q, dir, cert) in
+                [(&p, Direction::Lower, &lower), (&renamed, Direction::Upper, &upper)]
+            {
+                let rec = store.lookup(q, dir).expect("hit");
+                assert_eq!((&rec.problem, &rec.certificate), (&p, cert));
+            }
+        };
+        let mut store = ProofStore::open(&dir).unwrap();
+        assert!(store.insert(p.clone(), lower.clone()).unwrap());
+        assert!(store.insert(p.clone(), upper.clone()).unwrap());
+        assert!(!store.insert(renamed.clone(), lower.clone()).unwrap(), "first write wins");
+        check(&store);
+        drop(store);
+        check(&ProofStore::open(&dir).unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_shared_pre_key_keeps_non_isomorphic_classes_apart() {
+        let dir = tmp_dir("shared-pre-key");
+        let p3 = Problem::parse("name: p3\nnode: C C | B C | A D\nedge: B D | A C | C D").unwrap();
+        let p4 = Problem::parse("name: p4\nnode: A D | A A | B C\nedge: B D | A C | A D").unwrap();
+        assert_eq!(pre_key(p3.packed(), &mut Vec::new()), pre_key(p4.packed(), &mut Vec::new()));
+        assert!(isomorphism(p3.packed(), p4.packed()).is_none());
+        let opts = SearchOptions { threads: 1, ..SearchOptions::default() };
+        let certify = |p: &Problem| autolb(p, &opts).unwrap().certificate.expect("certifies");
+        let (c3, c4) = (certify(&p3), certify(&p4));
+        assert_ne!(c3, c4);
+        let mut store = ProofStore::open(&dir).unwrap();
+        assert!(store.insert(p3.clone(), c3.clone()).unwrap());
+        assert!(store.insert(p4.clone(), c4.clone()).unwrap());
+        assert_eq!((store.len(), store.classes()), (2, 2));
+        for (p, cert) in [(&p3, &c3), (&p4, &c4)] {
+            let rec = store.lookup(p, Direction::Lower).expect("hit");
+            assert_eq!((&rec.problem, &rec.certificate), (p, cert));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl HistogramSnapshot {
     /// of the bucket containing that rank, clamped to the observed
     /// min/max; 0 for an empty histogram. Integer math throughout.
     #[must_use]
-    pub fn quantile_permille(&self, p: u64) -> u64 {
+    fn quantile_permille(&self, p: u64) -> u64 {
         if self.count == 0 {
             return 0;
         }

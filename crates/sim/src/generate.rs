@@ -100,7 +100,7 @@ pub fn regular_tree(depth: usize, d: usize) -> PortGraph {
 }
 
 /// Number of nodes of [`regular_tree`]`(depth, d)`.
-pub fn regular_tree_size(depth: usize, d: usize) -> usize {
+fn regular_tree_size(depth: usize, d: usize) -> usize {
     if depth == 0 {
         return 1;
     }
@@ -324,43 +324,6 @@ pub fn random_regular<R: Rng>(n: usize, d: usize, tries: usize, rng: &mut R) -> 
     random_regular_seeded(n, d, tries, rng.next_u64(), 0)
 }
 
-/// A random `d`-regular graph with girth at least `g` (by rejection).
-/// Impossible `(n, d)` parameters are rejected up front instead of burning
-/// every attempt. Expensive; intended for small test instances that
-/// exercise the girth hypotheses of Theorems 1–3.
-pub fn random_regular_girth<R: Rng>(
-    n: usize,
-    d: usize,
-    min_girth: usize,
-    tries: usize,
-    rng: &mut R,
-) -> Option<PortGraph> {
-    if !regular_params_ok(n, d) {
-        return None;
-    }
-    for _ in 0..tries {
-        if let Some(graph) = random_regular(n, d, 16, rng) {
-            if graph.girth().is_none_or(|gg| gg >= min_girth) {
-                return Some(graph);
-            }
-        }
-    }
-    None
-}
-
-/// Orientations for every edge (by the convention "oriented from the
-/// smaller to the larger endpoint" or uniformly at random) represented as,
-/// for each node and port, whether the edge points away.
-pub fn random_orientation<R: Rng>(g: &PortGraph, rng: &mut R) -> Vec<Vec<bool>> {
-    let mut out: Vec<Vec<bool>> = (0..g.node_count()).map(|v| vec![false; g.degree(v)]).collect();
-    for (u, pu, v, pv) in g.edges() {
-        let away_from_u = rng.gen_bool(0.5);
-        out[u][pu] = away_from_u;
-        out[v][pv] = !away_from_u;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,8 +483,6 @@ mod tests {
         assert!(random_regular(4, 4, 0, &mut rng).is_none());
         assert!(random_regular(4, 0, 0, &mut rng).is_none());
         assert!(random_regular_seeded(7, 3, 0, 1, 1).is_none());
-        assert!(random_regular_girth(5, 3, 4, 0, &mut rng).is_none());
-        assert!(random_regular_girth(3, 3, 4, 0, &mut rng).is_none());
         // Sanity: the legacy call sites still reject with a budget.
         assert!(random_regular(5, 3, 10, &mut rng).is_none());
         assert!(random_regular(4, 4, 10, &mut rng).is_none());
@@ -537,25 +498,6 @@ mod tests {
             }
             // A different seed gives a different graph (overwhelmingly).
             assert_ne!(random_regular_seeded(n, d, 64, seed ^ 0xDEAD_BEEF, 1).unwrap(), one);
-        }
-    }
-
-    #[test]
-    fn girth_rejection_works() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let g = random_regular_girth(30, 3, 5, 5000, &mut rng)
-            .expect("girth-5 cubic graph on 30 nodes");
-        assert!(g.girth().is_none_or(|x| x >= 5));
-        assert!(g.is_regular(3));
-    }
-
-    #[test]
-    fn orientations_are_consistent() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let g = cycle(9);
-        let o = random_orientation(&g, &mut rng);
-        for (u, pu, v, pv) in g.edges() {
-            assert_ne!(o[u][pu], o[v][pv], "each edge has exactly one 'away' endpoint");
         }
     }
 }

@@ -152,3 +152,100 @@ fn simulator_runs_allocate_nothing_per_node() {
     assert!(matching_peak <= 45 * n + slack, "matching peaks at {matching_peak} bytes");
     assert!(weak_peak <= 48 * n + slack, "weak 2-coloring peaks at {weak_peak} bytes");
 }
+
+/// An opened proof store holds its decoded records and, per record, only
+/// an entry in its pre-key index: at most 128 bytes beyond decoding the
+/// same frames. Another copy of each problem (say, interned into a
+/// `CanonCache` as well) crosses that bound. A lookup miss keeps nothing,
+/// also when it walks a bucket and runs an isomorphism check.
+#[test]
+fn the_proof_store_holds_its_records_and_a_small_index() {
+    use roundelim::auto::binenc::decode_certificate;
+    use roundelim::auto::certificate::Direction;
+    use roundelim::auto::search::{autolb, SearchOptions};
+    use roundelim::core::binenc::{decode_problem, read_frame, Dec};
+    use roundelim::core::iso::canonical_key;
+    use roundelim::daemon::store::{ProofStore, STORE_FILE};
+    const RECORDS: usize = 100;
+    let dir = std::env::temp_dir().join(format!("roundelim-store-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut store = ProofStore::open(&dir).unwrap();
+    // `p3` and `p4` share a pre-key but are not isomorphic: a lookup of
+    // `p4` walks `p3`'s bucket.
+    let p3 = Problem::parse("name: p3\nnode: C C | B C | A D\nedge: B D | A C | C D").unwrap();
+    let p4 = Problem::parse("name: p4\nnode: A D | A A | B C\nedge: B D | A C | A D").unwrap();
+    let one = SearchOptions { threads: 1, ..SearchOptions::default() };
+    assert!(store.insert(p3.clone(), autolb(&p3, &one).unwrap().certificate.unwrap()).unwrap());
+    // Fresh 3-label problems, one per isomorphism class, solved at a short
+    // budget; those that certify are stored.
+    let multisets = |len: usize| -> Vec<String> {
+        let mut all = vec![String::new()];
+        for _ in 0..len {
+            all = all
+                .iter()
+                .flat_map(|s| ["x", "y", "z"].map(|l| format!("{s} {l}")))
+                .filter(|s| s.split(' ').is_sorted())
+                .collect();
+        }
+        all
+    };
+    let pick = |all: &[String], bits: u64| -> String {
+        let picked: Vec<&str> = all
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| bits >> i & 1 == 1)
+            .map(|(_, s)| &s[1..])
+            .collect();
+        picked.join(" | ")
+    };
+    let short = SearchOptions {
+        max_steps: 3,
+        beam_width: 3,
+        max_labels: 8,
+        max_expansions: Some(3),
+        ..one.clone()
+    };
+    let mut seen = std::collections::HashSet::new();
+    let mut state = 1u64;
+    while store.len() < RECORDS {
+        state =
+            state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        let bits = state >> 20;
+        let node = pick(&multisets(2 + (bits & 1) as usize), bits >> 1);
+        let edge = pick(&multisets(2), bits >> 11);
+        let text = format!("name: f{}\nnode: {node}\nedge: {edge}", store.len());
+        let Ok(p) = Problem::parse(&text) else { continue };
+        if seen.insert(canonical_key(&p)) {
+            if let Some(cert) = autolb(&p, &short).unwrap().certificate {
+                assert!(store.insert(p, cert).unwrap(), "{text}");
+            }
+        }
+    }
+    drop(store);
+    let bytes = std::fs::read(dir.join(STORE_FILE)).unwrap();
+    let (decoded, decoded_bytes) = retained(|| {
+        let (mut d, mut pairs) = (Dec::new(&bytes), Vec::new());
+        while d.remaining() > 0 {
+            let mut pd = Dec::new(read_frame(&mut d, "proof").unwrap());
+            pairs.push((decode_problem(&mut pd).unwrap(), decode_certificate(&mut pd).unwrap()));
+        }
+        pairs
+    });
+    assert_eq!(decoded.len(), RECORDS);
+    let (store, store_bytes) = retained(|| ProofStore::open(&dir).unwrap());
+    let index_bytes = store_bytes - decoded_bytes;
+    assert!(index_bytes <= 128 * RECORDS + 1024, "the index holds {index_bytes} bytes");
+    // Misses: an empty bucket, a non-isomorphic bucket mate, and a stored
+    // class in the other direction.
+    let five = problem(["A", "B", "C", "D", "E"]);
+    let (hits, kept) = retained(|| {
+        [
+            store.lookup(&five, Direction::Lower).is_some(),
+            store.lookup(&p4, Direction::Lower).is_some(),
+            store.lookup(&p3, Direction::Upper).is_some(),
+        ]
+    });
+    assert_eq!((hits, kept), ([false; 3], 0));
+    assert!(store.lookup(&p3, Direction::Lower).is_some());
+    std::fs::remove_dir_all(&dir).unwrap();
+}
