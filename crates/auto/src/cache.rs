@@ -28,7 +28,9 @@
 //! fingerprints, isomorphism checks, 0-round deciders, move generation
 //! ([`CanonCache::packed`]) — reads those rows;
 //! [`CanonCache::materialize`] attaches names for the callers that need
-//! them: step sources, certificates, and snapshots.
+//! them: step sources and certificates. A checkpoint writes each class
+//! straight from its rows and name ids, and reading one back pushes each
+//! class into a new cache in id order (see [`crate::checkpoint`]).
 //!
 //! Two entry points intern: [`CanonCache::intern_wave`] resolves a whole
 //! relaxation wave in parallel across pre-key shards, and
@@ -41,9 +43,10 @@
 //! isomorphism class pays for one speedup computation) and 0-round
 //! solvability per model.
 
+use crate::binenc::encode_memos;
 use crate::failpoint;
 use crate::moves::MoveKind;
-use roundelim_core::error::{Error, Result};
+use roundelim_core::binenc::{encode_problem_parts, Enc};
 use roundelim_core::iso::{isomorphism_ranked, pre_key, Refiner};
 use roundelim_core::label::Label;
 use roundelim_core::packed::PackedProblem;
@@ -328,7 +331,7 @@ impl CanonCache {
     /// the frozen pre-wave bucket nor among its own earlier candidates has
     /// found a new class, and the dup/new decision for every item is
     /// independent of both the shard count and the schedule. So is what is
-    /// refined (see [`refine_collisions`]), and a frozen class is refined
+    /// refined (see `refine_collisions`), and a frozen class is refined
     /// by the one shard that owns its bucket. The commit pass then creates
     /// the new classes in item order, so the resulting cache — ids, bucket
     /// order, name ids, `cache-insert` failpoints, counters — is
@@ -488,54 +491,38 @@ impl CanonCache {
         (succ, back.is_none())
     }
 
-    /// A deep snapshot of the cache, for checkpointing. [`CanonCache::restore`]
-    /// rebuilds a behaviorally identical cache from it. Nothing is refined:
-    /// the pre-key index is derived data, recomputed on restore.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        let entries = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| {
-                let step = e.step.as_ref().map(|(succ, derived)| (*succ, (**derived).clone()));
-                (self.materialize(NodeId(i as u32)), step, e.zero_round)
-            })
-            .collect();
-        CacheSnapshot { entries, stats: self.stats }
+    /// Writes class `id`'s representative as [`encode_problem_parts`]
+    /// does, straight from its rows and name ids.
+    pub(crate) fn encode_class(&self, id: NodeId, e: &mut Enc) {
+        let entry = &self.entries[id.index()];
+        let name = |&n: &u32| self.names.get(n);
+        let labels = entry.names[1..].iter().map(name);
+        encode_problem_parts(name(&entry.names[0]), labels, &entry.packed, e);
     }
 
-    /// Rebuilds a cache from a snapshot: the entries and the counters are
-    /// restored verbatim, and every class is registered under its pre-key
-    /// in id order, so the result deduplicates, memoizes, and counts
-    /// exactly like the cache the snapshot was taken from. Nothing is
-    /// refined until a bucket collision needs it.
-    ///
-    /// # Errors
-    ///
-    /// Rejects snapshots with out-of-range node ids.
-    pub fn restore(snap: CacheSnapshot) -> Result<CanonCache> {
-        let n = snap.entries.len();
-        let bad = |reason: String| Error::Inconsistent { reason };
-        if u32::try_from(n).is_err() {
-            return Err(bad("cache snapshot: too many entries".into()));
-        }
-        let mut cache = CanonCache { stats: snap.stats, ..CanonCache::default() };
-        for (i, (problem, step, zero_round)) in snap.entries.into_iter().enumerate() {
-            if let Some((succ, _)) = &step {
-                if succ.index() >= n {
-                    return Err(bad(format!(
-                        "cache snapshot: entry {i} has step successor {} out of range",
-                        succ.0
-                    )));
-                }
-            }
-            let step = step.map(|(succ, derived)| (succ, Box::new(derived)));
-            let probe = Probe::new(problem);
-            let key = probe.key;
-            let id = cache.push_entry(probe, step, zero_round);
-            cache.keys.entry(key).or_default().push(id);
-        }
-        Ok(cache)
+    /// Writes class `id`'s memos (see [`encode_memos`]), the derived
+    /// problem of its step by reference.
+    pub(crate) fn encode_memos(&self, id: NodeId, e: &mut Enc) {
+        let entry = &self.entries[id.index()];
+        let step = entry.step.as_ref().map(|(succ, derived)| (succ.0, &**derived));
+        encode_memos(step, &entry.zero_round, e);
+    }
+
+    /// Appends a class read back from a checkpoint, memos included, and
+    /// registers its pre-key. Pushing a written cache's classes in id order
+    /// gives a cache that deduplicates and memoizes exactly like it; the
+    /// reader restores the counters. Nothing is refined until a bucket
+    /// collision needs it.
+    pub(crate) fn push_decoded(
+        &mut self,
+        rep: Problem,
+        step: Option<(NodeId, Problem)>,
+        zero_round: [Option<bool>; 2],
+    ) {
+        let probe = Probe::new(rep);
+        let key = probe.key;
+        let id = self.push_entry(probe, step.map(|(succ, d)| (succ, Box::new(d))), zero_round);
+        self.keys.entry(key).or_default().push(id);
     }
 }
 
@@ -705,21 +692,6 @@ fn resolve_wave_shard(
     (out, st)
 }
 
-/// One class in a [`CacheSnapshot`]: the representative problem, the step
-/// memo (successor class plus the concrete derived problem), and the
-/// per-model 0-round memos.
-pub type SnapshotEntry = (Problem, Option<(NodeId, Problem)>, [Option<bool>; 2]);
-
-/// A deep, serializable snapshot of a [`CanonCache`]
-/// (see [`CanonCache::snapshot`]).
-#[derive(Debug, Clone)]
-pub struct CacheSnapshot {
-    /// Per class, in id order (see [`SnapshotEntry`]).
-    pub entries: Vec<SnapshotEntry>,
-    /// The counters at snapshot time.
-    pub stats: CacheStats,
-}
-
 /// Registry handles for the cache probes, resolved once so the hot
 /// paths pay one relaxed `fetch_add` per event instead of a registry
 /// lock.
@@ -765,8 +737,12 @@ fn packed_bytes() -> &'static obs::metrics::Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::{decode_classes, encode_classes};
+    use crate::search::Meta;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
+    use roundelim_core::binenc::{encode_problem, Dec};
+    use roundelim_core::error::Result;
     use roundelim_core::iso::are_isomorphic;
     use roundelim_core::iso::fingerprint;
     use roundelim_core::speedup::full_step;
@@ -794,6 +770,21 @@ mod tests {
         let derived = full_step(&cache.materialize(id), 1)?.full.problem;
         let (succ, _) = cache.record_step(id, derived.clone(), Probe::new(derived.clone()));
         Ok((succ, derived))
+    }
+
+    /// `cache`'s classes written as a checkpoint's class table, each at
+    /// depth 0 with no parent.
+    fn table(cache: &CanonCache) -> Vec<u8> {
+        let meta: Vec<Meta> = (0..cache.len()).map(|_| Meta { depth: 0, parent: None }).collect();
+        let mut e = Enc::new();
+        encode_classes(cache, &meta, &mut e);
+        e.into_bytes()
+    }
+
+    /// Reads `cache`'s class table back the way a resume does.
+    fn reload(cache: &CanonCache) -> Result<CanonCache> {
+        let root = cache.materialize(NodeId(0));
+        Ok(decode_classes(&mut Dec::new(&table(cache)), &root, cache.stats)?.0)
     }
 
     /// Whether class `id` has been refined.
@@ -973,17 +964,20 @@ mod tests {
         // Reference: sequential interning into a pre-seeded cache (one
         // class interned before the waves, so frozen-vs-fresh dedup is
         // exercised too).
-        let mut reference = CanonCache::new();
-        reference.intern(sc());
-        let (expect, expect_snap) = {
-            let mut c = CanonCache::restore(reference.snapshot()).unwrap();
+        let seeded = || {
+            let mut c = CanonCache::new();
+            c.intern(sc());
+            c
+        };
+        let (expect, expect_table, expect_stats) = {
+            let mut c = seeded();
             let ids: Vec<Vec<(NodeId, bool)>> =
                 waves.iter().map(|w| w.iter().map(|p| c.intern(p.clone())).collect()).collect();
-            (ids, c.snapshot())
+            (ids, table(&c), c.stats)
         };
         for threads in [1, 2, 4] {
             for shards in [1, 4, 64] {
-                let mut c = CanonCache::restore(reference.snapshot()).unwrap();
+                let mut c = seeded();
                 for (w, (wave, want)) in waves.iter().zip(&expect).enumerate() {
                     let got: Vec<(NodeId, bool)> = c
                         .intern_wave(items(wave), threads, shards)
@@ -1001,9 +995,8 @@ mod tests {
                 assert_eq!(c.stats.classes, 5);
                 assert_eq!(c.stats.dedup_hits, 8);
                 // Same classes in the same order, same counters.
-                let snap = c.snapshot();
-                assert_eq!(snap.entries, expect_snap.entries);
-                assert_eq!(snap.stats, expect_snap.stats);
+                assert_eq!(table(&c), expect_table);
+                assert_eq!(c.stats, expect_stats);
             }
         }
     }
@@ -1092,7 +1085,8 @@ mod tests {
         let (child, new) = cache.record_step(t, two(), Probe::new(two()));
         assert!(new);
 
-        let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
+        let mut restored = reload(&cache).unwrap();
+        assert_eq!(table(&restored), table(&cache));
         assert_eq!(restored.len(), cache.len());
         assert_eq!(restored.stats, cache.stats);
         // Dedup still lands on the original ids through both intern paths,
@@ -1115,10 +1109,21 @@ mod tests {
     fn restore_rejects_out_of_range_ids() {
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(sc());
-        step(&mut cache, id).unwrap();
-        let mut snap = cache.snapshot();
-        snap.entries[0].1.as_mut().unwrap().0 = NodeId(99);
-        assert!(CanonCache::restore(snap).is_err());
+        let (_, derived) = step(&mut cache, id).unwrap();
+        // The one class with its step successor at 0, then at 99: a table
+        // of one class has no class 99.
+        let one_class = |succ: u32| {
+            let mut e = Enc::new();
+            e.u32(1);
+            encode_problem(&sc(), &mut e);
+            e.usize(0);
+            e.u8(0);
+            encode_memos(Some((succ, &derived)), &[None, None], &mut e);
+            e.into_bytes()
+        };
+        assert_eq!(one_class(0), table(&cache));
+        let err = decode_classes(&mut Dec::new(&one_class(99)), &sc(), cache.stats).unwrap_err();
+        assert!(err.to_string().contains("step successor 99 out of range"), "{err}");
     }
 
     #[test]

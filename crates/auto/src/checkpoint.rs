@@ -10,7 +10,13 @@
 //! (tested by `search.rs`'s
 //! `budget_cut_then_resume_matches_the_uninterrupted_run_exactly` and, for
 //! killed processes, by `tests/crash_recovery.rs`). The cache's pre-key
-//! index is not stored: restoring recomputes it from the classes.
+//! index is not stored: reading a snapshot recomputes it from the classes.
+//!
+//! The class table has one encoder and one decoder, and both work on the
+//! [`CanonCache`] directly: writing reads each class's packed rows, name
+//! ids and memos in place, and reading pushes each decoded class into a
+//! new cache, checking every id against the table as it goes. No class
+//! is copied into an intermediate form on either side.
 //!
 //! ## On-disk format
 //!
@@ -32,11 +38,12 @@
 
 use crate::binenc::{
     decode_direction, decode_edge, decode_memos, decode_model, decode_search_stats,
-    encode_direction, encode_edge, encode_memos, encode_model, encode_search_stats,
+    encode_direction, encode_edge, encode_model, encode_search_stats,
 };
-use crate::certificate::{Direction, Edge};
+use crate::cache::{CacheStats, CanonCache, NodeId};
+use crate::certificate::Direction;
 use crate::failpoint;
-use crate::search::SearchStats;
+use crate::search::{Meta, SearchStats};
 use roundelim_core::binenc::{
     decode_problem, encode_problem, frame, read_frame_kind, unframe, Dec, Enc, MIN_PROBLEM_BYTES,
 };
@@ -52,8 +59,8 @@ const FRAME_KIND: &str = "checkpoint-v3";
 /// Frame kind of older checkpoints: a v3 payload plus a fingerprint index.
 const FRAME_KIND_V2: &str = "checkpoint-v2";
 
-/// The fewest bytes an encoded [`CkEntry`] takes: a problem, the depth,
-/// the parent and step tags, and the two 0-round slots.
+/// The fewest bytes an encoded class takes: a problem, the depth, the
+/// parent and step tags, and the two 0-round slots.
 const ENTRY_MIN_BYTES: usize = MIN_PROBLEM_BYTES + 8 + 1 + 1 + 2;
 
 /// The snapshot file inside a checkpoint directory.
@@ -67,25 +74,8 @@ pub fn legacy_checkpoint_file(dir: &Path) -> PathBuf {
     dir.join("search.ckpt.json")
 }
 
-/// One interned isomorphism class: the cache entry plus its search
-/// metadata, serialized side by side (they are indexed in lockstep).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CkEntry {
-    /// Representative problem.
-    pub problem: Problem,
-    /// Step edges on the first-reach path from the root.
-    pub depth: usize,
-    /// First-reach parent id and connecting edge.
-    pub parent: Option<(u32, Edge)>,
-    /// Memoized speedup: successor class id and the concrete derived
-    /// problem.
-    pub step: Option<(u32, Problem)>,
-    /// Memoized 0-round verdicts, one slot per [`ZeroRoundModel`].
-    pub zero_round: [Option<bool>; 2],
-}
-
 /// A boundary snapshot of a bound search (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Checkpoint {
     /// Which search produced this (resume rejects a direction mismatch).
     pub direction: Direction,
@@ -104,17 +94,20 @@ pub struct Checkpoint {
     /// The depth-loop counter at the boundary.
     pub depth: usize,
     /// Frontier entering `depth`.
-    pub frontier: Vec<u32>,
+    pub frontier: Vec<NodeId>,
     /// 0-round endpoints found so far.
-    pub goals: Vec<u32>,
+    pub goals: Vec<NodeId>,
     /// Depth of the deepest non-goal chain endpoint.
     pub deepest_depth: usize,
     /// The deepest non-goal chain endpoint.
-    pub deepest_node: u32,
-    /// Effort counters at the boundary (cache counters included).
+    pub deepest_node: NodeId,
+    /// Effort counters at the boundary. Their cache part is written from
+    /// `cache.stats`.
     pub stats: SearchStats,
-    /// The interned classes, in id order.
-    pub entries: Vec<CkEntry>,
+    /// The interned classes with their memos and counters.
+    pub cache: CanonCache,
+    /// Each class's search metadata, in id order.
+    pub meta: Vec<Meta>,
 }
 
 impl Checkpoint {
@@ -158,47 +151,32 @@ impl Checkpoint {
         e.bool(self.use_relaxations);
         e.bool(self.prune_siblings);
         e.usize(self.depth);
-        e.u32(self.frontier.len() as u32);
-        for &id in &self.frontier {
-            e.u32(id);
-        }
-        e.u32(self.goals.len() as u32);
-        for &id in &self.goals {
-            e.u32(id);
+        for ids in [&self.frontier, &self.goals] {
+            e.u32(ids.len() as u32);
+            for id in ids {
+                e.u32(id.0);
+            }
         }
         e.usize(self.deepest_depth);
-        e.u32(self.deepest_node);
-        encode_search_stats(&self.stats, &mut e);
-        e.u32(self.entries.len() as u32);
-        for entry in &self.entries {
-            encode_problem(&entry.problem, &mut e);
-            e.usize(entry.depth);
-            match &entry.parent {
-                None => e.u8(0),
-                Some((pid, edge)) => {
-                    e.u8(1);
-                    e.u32(*pid);
-                    encode_edge(edge, &mut e);
-                }
-            }
-            let step = entry.step.as_ref().map(|(succ, derived)| (*succ, derived));
-            encode_memos(step, &entry.zero_round, &mut e);
-        }
+        e.u32(self.deepest_node.0);
+        encode_search_stats(&SearchStats { cache: self.cache.stats, ..self.stats }, &mut e);
+        encode_classes(&self.cache, &self.meta, &mut e);
         frame(FRAME_KIND, &e.into_bytes())
     }
 
-    /// Parses the framed v3 binary message written by
+    /// Parses and validates the framed v3 binary message written by
     /// [`Checkpoint::to_bin`], or a v2 one, whose fingerprint index is
-    /// parsed and dropped.
+    /// parsed and dropped. Each class is pushed into the snapshot's cache
+    /// as it is decoded.
     ///
     /// # Errors
     ///
-    /// Frame errors (bad magic/kind, truncation, checksum mismatch) and
-    /// codec errors. Structural validation against the search (id ranges,
-    /// ancestry) is done at restore time, not here.
+    /// Frame errors (bad magic/kind, truncation, checksum mismatch), codec
+    /// errors, and [`Error::Inconsistent`] for a snapshot no search wrote:
+    /// no classes, a first class that is not the root, a first-reach
+    /// parent that does not precede its child, or a step successor,
+    /// frontier, goal or deepest id outside the class table.
     pub fn from_bin(bytes: &[u8]) -> Result<Checkpoint> {
-        let bad =
-            |reason: String| Error::Parse { line: 0, reason: format!("checkpoint: {reason}") };
         let v2 = read_frame_kind(&mut Dec::new(bytes))? == FRAME_KIND_V2;
         let mut d = Dec::new(unframe(bytes, if v2 { FRAME_KIND_V2 } else { FRAME_KIND })?);
         let direction = decode_direction(&mut d)?;
@@ -218,19 +196,7 @@ impl Checkpoint {
         let deepest_depth = d.usize("deepest_depth")?;
         let deepest_node = d.u32("deepest_node")?;
         let stats = decode_search_stats(&mut d)?;
-        let n = d.count("entry count", ENTRY_MIN_BYTES)?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let problem = decode_problem(&mut d)?;
-            let depth = d.usize("entry depth")?;
-            let parent = match d.u8("parent tag")? {
-                0 => None,
-                1 => Some((d.u32("parent id")?, decode_edge(&mut d)?)),
-                t => return Err(bad(format!("unknown parent tag {t}"))),
-            };
-            let (step, zero_round) = decode_memos(&mut d)?;
-            entries.push(CkEntry { problem, depth, parent, step, zero_round });
-        }
+        let (cache, meta) = decode_classes(&mut d, &root, stats.cache)?;
         if v2 {
             for _ in 0..d.count("fps count", 12)? {
                 d.u64("fp")?;
@@ -240,6 +206,14 @@ impl Checkpoint {
             }
         }
         d.finish()?;
+        let n = cache.len();
+        let node = |id: u32, what: &str| -> Result<NodeId> {
+            if (id as usize) < n {
+                Ok(NodeId(id))
+            } else {
+                Err(inconsistent(format!("{what} id {id} out of range ({n} entries)")))
+            }
+        };
         Ok(Checkpoint {
             direction,
             model,
@@ -249,81 +223,234 @@ impl Checkpoint {
             use_relaxations,
             prune_siblings,
             depth,
-            frontier,
-            goals,
+            frontier: frontier.into_iter().map(|id| node(id, "frontier")).collect::<Result<_>>()?,
+            goals: goals.into_iter().map(|id| node(id, "goal")).collect::<Result<_>>()?,
             deepest_depth,
-            deepest_node,
+            deepest_node: node(deepest_node, "deepest")?,
             stats,
-            entries,
+            cache,
+            meta,
         })
     }
+}
+
+fn inconsistent(reason: String) -> Error {
+    Error::Inconsistent { reason: format!("checkpoint {reason}") }
+}
+
+/// Writes the class table: the class count, then per class its
+/// representative, its [`Meta`] and its memos, all read in place.
+pub(crate) fn encode_classes(cache: &CanonCache, meta: &[Meta], e: &mut Enc) {
+    debug_assert_eq!(cache.len(), meta.len(), "one meta per class");
+    e.u32(meta.len() as u32);
+    for (i, m) in meta.iter().enumerate() {
+        let id = NodeId(i as u32);
+        cache.encode_class(id, e);
+        e.usize(m.depth);
+        match &m.parent {
+            None => e.u8(0),
+            Some((pid, edge)) => {
+                e.u8(1);
+                e.u32(pid.0);
+                encode_edge(edge, e);
+            }
+        }
+        cache.encode_memos(id, e);
+    }
+}
+
+/// Reads the class table written by [`encode_classes`] into a new cache
+/// (with the counters `stats`) and its meta list, checking that there is
+/// a class, that the first one is `root`, that each parent precedes its
+/// child and that each step successor is a class of the table.
+pub(crate) fn decode_classes(
+    d: &mut Dec<'_>,
+    root: &Problem,
+    stats: CacheStats,
+) -> Result<(CanonCache, Vec<Meta>)> {
+    let n = d.count("entry count", ENTRY_MIN_BYTES)?;
+    if n == 0 {
+        return Err(inconsistent("has no interned problems".into()));
+    }
+    let mut cache = CanonCache::new();
+    cache.stats = stats;
+    let mut meta = Vec::with_capacity(n);
+    for i in 0..n {
+        let rep = decode_problem(d)?;
+        if i == 0 && rep != *root {
+            return Err(inconsistent("root is not its first entry".into()));
+        }
+        let depth = d.usize("entry depth")?;
+        let parent = match d.u8("parent tag")? {
+            0 => None,
+            1 => {
+                let pid = d.u32("parent id")?;
+                // First-reach parents strictly precede their children;
+                // anything else would let `is_ancestor` loop forever.
+                if pid as usize >= i {
+                    return Err(inconsistent(format!("entry {i} has non-ancestral parent {pid}")));
+                }
+                Some((NodeId(pid), decode_edge(d)?))
+            }
+            t => {
+                return Err(Error::Parse {
+                    line: 0,
+                    reason: format!("checkpoint: unknown parent tag {t}"),
+                })
+            }
+        };
+        let (step, zero_round) = decode_memos(d)?;
+        if let Some((succ, _)) = step.as_ref().filter(|(succ, _)| *succ as usize >= n) {
+            return Err(inconsistent(format!(
+                "entry {i} has step successor {succ} out of range ({n} entries)"
+            )));
+        }
+        cache.push_decoded(rep, step.map(|(succ, derived)| (NodeId(succ), derived)), zero_round);
+        meta.push(Meta { depth, parent });
+    }
+    Ok((cache, meta))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::binenc::encode_memos;
+    use crate::certificate::Edge;
     use roundelim_core::binenc::{fnv1a64, problem_to_bytes};
+    use roundelim_core::label::Label;
 
     fn prob(name: &str) -> Problem {
         Problem::parse(&format!("name: {name}\nnode: O O O | O O I | O I I\nedge: O I")).unwrap()
     }
 
-    fn sample() -> Checkpoint {
-        Checkpoint {
-            direction: Direction::Lower,
-            model: ZeroRoundModel::Oriented,
-            root: prob("root"),
-            beam_width: 8,
-            max_labels: 12,
-            use_relaxations: true,
-            prune_siblings: true,
-            depth: 2,
-            frontier: vec![3, 4],
-            goals: vec![5],
-            deepest_depth: 2,
-            deepest_node: 3,
-            stats: SearchStats {
-                expanded: 7,
-                step_failures: 1,
-                depth_reached: 2,
-                worker_panics: 0,
-                cache: crate::cache::CacheStats {
-                    classes: 6,
-                    dedup_hits: 4,
-                    iso_resolutions: 2,
-                    step_hits: 1,
-                    step_misses: 5,
-                },
+    fn stats() -> SearchStats {
+        SearchStats {
+            expanded: 7,
+            step_failures: 1,
+            depth_reached: 2,
+            worker_panics: 0,
+            cache: CacheStats {
+                classes: 6,
+                dedup_hits: 4,
+                iso_resolutions: 2,
+                step_hits: 1,
+                step_misses: 5,
             },
-            entries: (0..6)
-                .map(|i| CkEntry {
-                    problem: prob(&format!("p{i}")),
-                    depth: i / 3,
-                    parent: if i == 0 {
-                        None
-                    } else {
-                        Some((
-                            (i - 1) as u32,
-                            if i % 2 == 0 {
-                                Edge::Step
-                            } else {
-                                Edge::Relax {
-                                    map: vec![roundelim_core::label::Label::from_index(0)],
-                                }
-                            },
-                        ))
-                    },
-                    step: if i == 2 { Some((3, prob("pd"))) } else { None },
-                    zero_round: [Some(i == 5), None],
-                })
-                .collect(),
+        }
+    }
+
+    /// The ids and the class count a sample snapshot is written with. The
+    /// default is a valid snapshot of 6 classes; each rejection case
+    /// changes one field.
+    struct Sample {
+        classes: u32,
+        first: Problem,
+        parent_of_1: u32,
+        step_of_2: u32,
+        frontier: u32,
+        goal: u32,
+        deepest: u32,
+    }
+
+    impl Default for Sample {
+        fn default() -> Sample {
+            Sample {
+                classes: 6,
+                first: prob("root"),
+                parent_of_1: 0,
+                step_of_2: 3,
+                frontier: 3,
+                goal: 5,
+                deepest: 3,
+            }
+        }
+    }
+
+    impl Sample {
+        /// The snapshot as a framed v3 message, written field by field in
+        /// the layout of `docs/PROTOCOL.md` rather than by the encoder.
+        fn bytes(&self) -> Vec<u8> {
+            let mut e = Enc::new();
+            encode_direction(Direction::Lower, &mut e);
+            encode_model(ZeroRoundModel::Oriented, &mut e);
+            encode_problem(&prob("root"), &mut e);
+            e.usize(8); // beam width
+            e.usize(12); // max labels
+            e.bool(true); // relaxations
+            e.bool(true); // sibling pruning
+            e.usize(2); // depth
+            for ids in [&[self.frontier, 4][..], &[self.goal]] {
+                e.u32(ids.len() as u32);
+                ids.iter().for_each(|&id| e.u32(id));
+            }
+            e.usize(2);
+            e.u32(self.deepest);
+            encode_search_stats(&stats(), &mut e);
+            e.u32(self.classes);
+            for i in 0..self.classes {
+                let rep = if i == 0 { self.first.clone() } else { prob(&format!("p{i}")) };
+                encode_problem(&rep, &mut e);
+                e.usize(i as usize / 3);
+                if i == 0 {
+                    e.u8(0);
+                } else {
+                    e.u8(1);
+                    e.u32(if i == 1 { self.parent_of_1 } else { i - 1 });
+                    let map = vec![Label::from_index(0)];
+                    encode_edge(&if i % 2 == 0 { Edge::Step } else { Edge::Relax { map } }, &mut e);
+                }
+                let derived = prob("pd");
+                let step = (i == 2).then_some((self.step_of_2, &derived));
+                encode_memos(step, &[Some(i == 5), None], &mut e);
+            }
+            frame(FRAME_KIND, &e.into_bytes())
         }
     }
 
     #[test]
     fn bin_round_trip_preserves_everything() {
-        let ck = sample();
-        assert_eq!(Checkpoint::from_bin(&ck.to_bin()).unwrap(), ck);
+        let bytes = Sample::default().bytes();
+        let ck = Checkpoint::from_bin(&bytes).unwrap();
+        assert_eq!(ck.to_bin(), bytes);
+        assert_eq!((ck.direction, ck.model), (Direction::Lower, ZeroRoundModel::Oriented));
+        assert_eq!(ck.root, prob("root"));
+        assert_eq!((ck.beam_width, ck.max_labels), (8, 12));
+        assert!(ck.use_relaxations && ck.prune_siblings);
+        assert_eq!(ck.depth, 2);
+        assert_eq!(ck.frontier, [NodeId(3), NodeId(4)]);
+        assert_eq!(ck.goals, [NodeId(5)]);
+        assert_eq!((ck.deepest_depth, ck.deepest_node), (2, NodeId(3)));
+        assert_eq!(ck.stats, stats());
+        assert_eq!(ck.cache.stats, stats().cache);
+        assert_eq!(ck.cache.len(), 6);
+        assert_eq!(ck.cache.materialize(NodeId(0)), prob("root"));
+        assert_eq!(ck.cache.materialize(NodeId(4)), prob("p4"));
+        assert_eq!(ck.cache.step_derived(NodeId(2)), Some(&prob("pd")));
+        assert_eq!(ck.cache.step_derived(NodeId(3)), None);
+        let depths: Vec<usize> = ck.meta.iter().map(|m| m.depth).collect();
+        assert_eq!(depths, [0, 0, 0, 1, 1, 1]);
+        assert!(ck.meta[0].parent.is_none());
+        assert!(matches!(ck.meta[1].parent, Some((NodeId(0), Edge::Relax { .. }))));
+        assert!(matches!(ck.meta[4].parent, Some((NodeId(3), Edge::Step))));
+    }
+
+    #[test]
+    fn from_bin_rejects_ids_and_tables_no_search_writes() {
+        let cases = [
+            (Sample { classes: 0, ..Sample::default() }, "has no interned problems"),
+            (Sample { first: prob("other"), ..Sample::default() }, "root is not its first entry"),
+            (Sample { parent_of_1: 1, ..Sample::default() }, "entry 1 has non-ancestral parent 1"),
+            (Sample { parent_of_1: 9, ..Sample::default() }, "entry 1 has non-ancestral parent 9"),
+            (Sample { step_of_2: 6, ..Sample::default() }, "step successor 6 out of range"),
+            (Sample { frontier: 6, ..Sample::default() }, "frontier id 6 out of range"),
+            (Sample { goal: 99, ..Sample::default() }, "goal id 99 out of range"),
+            (Sample { deepest: 6, ..Sample::default() }, "deepest id 6 out of range"),
+        ];
+        for (sample, want) in cases {
+            let err = Checkpoint::from_bin(&sample.bytes()).unwrap_err();
+            assert!(matches!(err, Error::Inconsistent { .. }), "{want}: {err}");
+            assert!(err.to_string().contains(want), "{want}: {err}");
+        }
     }
 
     #[test]
@@ -331,9 +458,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("roundelim-ckpt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = checkpoint_file(&dir);
-        let ck = sample();
+        let ck = Checkpoint::from_bin(&Sample::default().bytes()).unwrap();
         ck.save(&path).unwrap();
-        assert_eq!(Checkpoint::load(&path).unwrap(), ck);
+        assert_eq!(Checkpoint::load(&path).unwrap().to_bin(), ck.to_bin());
         // Flip one payload byte: the checksum must catch it.
         let good = std::fs::read(&path).unwrap();
         let mut torn = good.clone();

@@ -37,9 +37,9 @@
 //! budget: a step stage running k speedup steps gives each one a
 //! [`share`] of it.
 
-use crate::cache::{CacheSnapshot, CacheStats, CanonCache, NodeId, Probe};
+use crate::cache::{CacheStats, CanonCache, NodeId, Probe};
 use crate::certificate::{CertVerdict, Certificate, Direction, Edge};
-use crate::checkpoint::{checkpoint_file, legacy_checkpoint_file, Checkpoint, CkEntry};
+use crate::checkpoint::{checkpoint_file, legacy_checkpoint_file, Checkpoint};
 use crate::failpoint;
 use crate::moves::{for_each_harden_move, for_each_relax_move, Move};
 use roundelim_core::error::{Error, Result};
@@ -331,6 +331,15 @@ pub struct Outcome {
     pub stats: SearchStats,
 }
 
+impl Outcome {
+    /// Whether the outcome is a partial result: its certificate (when
+    /// present) carries the `incomplete` marker, or the search stopped
+    /// before its natural end without producing one.
+    pub fn incomplete(&self) -> bool {
+        self.certificate.as_ref().map_or(self.stop != StopCause::Completed, |c| c.incomplete)
+    }
+}
+
 /// Pre-key shard count of the wave interner. A power of two
 /// comfortably above any sane thread count: shard skew is what limits the
 /// interner's parallelism, not shard count. Fixed independently of the
@@ -436,13 +445,14 @@ where
 
 /// Per-node search bookkeeping, indexed by [`NodeId`] in lockstep with the
 /// cache's class store.
-struct Meta {
+#[derive(Debug)]
+pub struct Meta {
     /// Step edges on the first-reach path from the root.
-    depth: usize,
+    pub depth: usize,
     /// First-reach parent and the edge that produced this node's
     /// representative from the parent's representative (verbatim — this is
     /// what makes certificate chains replay exactly).
-    parent: Option<(NodeId, Edge)>,
+    pub parent: Option<(NodeId, Edge)>,
 }
 
 struct Search {
@@ -552,23 +562,15 @@ impl Search {
             || self.opts.time_budget.is_some_and(|b| self.started.elapsed() >= b)
     }
 
-    /// Captures the complete search state at a depth boundary.
-    fn to_checkpoint(&self, st: &LoopState, direction: Direction, root: &Problem) -> Checkpoint {
-        let snap = self.cache.snapshot();
-        let entries = snap
-            .entries
-            .into_iter()
-            .zip(&self.meta)
-            .map(|((problem, step, zero_round), m)| CkEntry {
-                problem,
-                depth: m.depth,
-                parent: m.parent.as_ref().map(|(id, e)| (id.0, e.clone())),
-                step: step.map(|(succ, derived)| (succ.0, derived)),
-                zero_round,
-            })
-            .collect();
-        let mut stats = self.stats;
-        stats.cache = snap.stats;
+    /// Captures the complete search state at a depth boundary. The cache
+    /// and the meta list move into the checkpoint, which encodes them in
+    /// place; [`Search::write_checkpoint`] moves them back.
+    fn take_checkpoint(
+        &mut self,
+        st: &LoopState,
+        direction: Direction,
+        root: &Problem,
+    ) -> Checkpoint {
         Checkpoint {
             direction,
             model: self.opts.model,
@@ -578,31 +580,34 @@ impl Search {
             use_relaxations: self.opts.use_relaxations,
             prune_siblings: self.opts.prune_siblings,
             depth: st.depth,
-            frontier: st.frontier.iter().map(|n| n.0).collect(),
-            goals: st.goals.iter().map(|n| n.0).collect(),
+            frontier: st.frontier.clone(),
+            goals: st.goals.clone(),
             deepest_depth: st.deepest.0,
-            deepest_node: st.deepest.1 .0,
-            stats,
-            entries,
+            deepest_node: st.deepest.1,
+            stats: self.stats,
+            cache: std::mem::take(&mut self.cache),
+            meta: std::mem::take(&mut self.meta),
         }
     }
 
-    /// Rebuilds the boundary state captured by [`Search::to_checkpoint`].
-    /// The continuation is a pure function of this state and the options,
-    /// so the resumed search produces the verdict, certificate, and
-    /// counters of the uninterrupted run, bit for bit.
+    /// Rebuilds the boundary state captured by [`Search::take_checkpoint`].
+    /// [`Checkpoint::from_bin`] has checked the class table and its ids;
+    /// this checks that the snapshot belongs to this search. The
+    /// continuation is a pure function of this state and the options, so
+    /// the resumed search produces the verdict, certificate, and counters
+    /// of the uninterrupted run, bit for bit.
     fn from_checkpoint(
         ck: Checkpoint,
         opts: &SearchOptions,
         direction: Direction,
         root: &Problem,
     ) -> Result<(Search, LoopState)> {
-        let bad = |reason: String| Error::Inconsistent { reason };
+        let bad = |reason: &str| Err(Error::Inconsistent { reason: reason.into() });
         if ck.direction != direction {
-            return Err(bad("checkpoint direction does not match this search".into()));
+            return bad("checkpoint direction does not match this search");
         }
         if ck.root != *root {
-            return Err(bad("checkpoint was taken on a different input problem".into()));
+            return bad("checkpoint was taken on a different input problem");
         }
         if ck.model != opts.model
             || ck.beam_width != opts.beam_width
@@ -610,59 +615,13 @@ impl Search {
             || ck.use_relaxations != opts.use_relaxations
             || ck.prune_siblings != opts.prune_siblings
         {
-            return Err(bad("checkpoint was produced with different search options \
+            return bad("checkpoint was produced with different search options \
                  (model/beam/max-labels/relaxations/pruning must match; \
-                 steps, budgets and threads may differ)"
-                .into()));
+                 steps, budgets and threads may differ)");
         }
-        let n = ck.entries.len();
-        if n == 0 {
-            return Err(bad("checkpoint has no interned problems".into()));
-        }
-        let node = |id: u32, what: &str| -> Result<NodeId> {
-            if (id as usize) < n {
-                Ok(NodeId(id))
-            } else {
-                Err(bad(format!("checkpoint {what} id {id} out of range ({n} entries)")))
-            }
-        };
-        let mut entries = Vec::with_capacity(n);
-        let mut meta = Vec::with_capacity(n);
-        for (i, e) in ck.entries.into_iter().enumerate() {
-            let problem = e.problem;
-            let step = match e.step {
-                None => None,
-                Some((succ, derived)) => Some((node(succ, "step successor")?, derived)),
-            };
-            let parent = match e.parent {
-                None => None,
-                Some((pid, edge)) => {
-                    let pid = node(pid, "parent")?;
-                    // First-reach parents strictly precede their children;
-                    // anything else would let `is_ancestor` loop forever.
-                    if pid.index() >= i {
-                        return Err(bad(format!(
-                            "checkpoint entry {i} has non-ancestral parent {}",
-                            pid.0
-                        )));
-                    }
-                    Some((pid, edge))
-                }
-            };
-            entries.push((problem, step, e.zero_round));
-            meta.push(Meta { depth: e.depth, parent });
-        }
-        if entries[0].0 != ck.root {
-            return Err(bad("checkpoint root is not its first entry".into()));
-        }
-        let cache = CanonCache::restore(CacheSnapshot { entries, stats: ck.stats.cache })?;
-        let frontier =
-            ck.frontier.into_iter().map(|id| node(id, "frontier")).collect::<Result<Vec<_>>>()?;
-        let goals = ck.goals.into_iter().map(|id| node(id, "goal")).collect::<Result<Vec<_>>>()?;
-        let deepest = (ck.deepest_depth, node(ck.deepest_node, "deepest")?);
         let s = Search {
-            cache,
-            meta,
+            cache: ck.cache,
+            meta: ck.meta,
             opts: opts.clone(),
             threads: resolve_threads(opts.threads),
             stats: ck.stats,
@@ -670,7 +629,8 @@ impl Search {
             // Nothing new since the snapshot we just loaded.
             last_ckpt: Some(ck.stats.expanded),
         };
-        Ok((s, LoopState { depth: ck.depth, frontier, goals, deepest }))
+        let deepest = (ck.deepest_depth, ck.deepest_node);
+        Ok((s, LoopState { depth: ck.depth, frontier: ck.frontier, goals: ck.goals, deepest }))
     }
 
     /// Emits a depth-boundary progress event, if an observer is installed.
@@ -714,15 +674,17 @@ impl Search {
         direction: Direction,
         root: &Problem,
     ) -> Result<()> {
-        let Some(conf) = &self.opts.checkpoint else {
+        let Some(dir) = self.opts.checkpoint.as_ref().map(|conf| conf.dir.clone()) else {
             return Ok(());
         };
-        let path = checkpoint_file(&conf.dir);
         let _sp = obs::trace::span("search.checkpoint_write");
         let watch = obs::time::Stopwatch::start();
-        self.to_checkpoint(st, direction, root).save(&path)?;
+        let ck = self.take_checkpoint(st, direction, root);
+        let saved = ck.save(&checkpoint_file(&dir));
+        (self.cache, self.meta) = (ck.cache, ck.meta);
+        saved?;
         // A snapshot under the older name is stale from here on.
-        let _ = std::fs::remove_file(legacy_checkpoint_file(&conf.dir));
+        let _ = std::fs::remove_file(legacy_checkpoint_file(&dir));
         obs::metrics::histogram("search.checkpoint_write_ns").record(watch.elapsed_ns());
         obs::metrics::counter("search.checkpoint_writes").incr();
         self.last_ckpt = Some(self.stats.expanded);

@@ -364,7 +364,7 @@ pub mod collection {
         VecStrategy { element, size: size.into() }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

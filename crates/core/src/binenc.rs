@@ -30,6 +30,7 @@ use crate::config::Config;
 use crate::constraint::Constraint;
 use crate::error::{Error, Result};
 use crate::label::{Alphabet, Label};
+use crate::packed::PackedProblem;
 use crate::problem::Problem;
 
 /// Schema tag of the binary encoding (documented in `docs/PROTOCOL.md`).
@@ -345,13 +346,27 @@ pub const MIN_PROBLEM_BYTES: usize = 6 * 4;
 /// Encodes a problem: name, the alphabet as an ordered name list, then the
 /// node and edge constraints (see [`encode_constraint`]).
 pub fn encode_problem(p: &Problem, e: &mut Enc) {
-    e.str(p.name());
-    e.u32(p.alphabet().len() as u32);
-    for name in p.alphabet().names() {
-        e.str(name);
+    encode_problem_parts(p.name(), p.alphabet().names().iter().map(String::as_str), p.packed(), e);
+}
+
+/// Encodes a problem given as its parts: its name, its label names in
+/// index order (one per label of `packed`), and its constraints. The bytes
+/// are those [`encode_problem`] writes for the assembled problem, so a
+/// store of packed rows and name ids writes its problems without
+/// assembling them.
+pub fn encode_problem_parts<'a>(
+    name: &str,
+    labels: impl IntoIterator<Item = &'a str>,
+    packed: &PackedProblem,
+    e: &mut Enc,
+) {
+    e.str(name);
+    e.u32(packed.label_count() as u32);
+    for label in labels {
+        e.str(label);
     }
-    encode_constraint(p.node(), e);
-    encode_constraint(p.edge(), e);
+    encode_constraint(packed.node(), e);
+    encode_constraint(packed.edge(), e);
 }
 
 /// Decodes a problem encoded by [`encode_problem`].

@@ -38,7 +38,7 @@
 //! * **Trie-backed universal checks.** "Every choice of this line is in
 //!   `C`" ([`line_good`], and the `can_extend` probes of the componentwise
 //!   closure) runs as a set-branching DFS over the constraint's cached
-//!   [`ConfigTrie`](crate::trie::ConfigTrie): branch on the multiplicity of
+//!   [`ConfigTrie`]: branch on the multiplicity of
 //!   the smallest assignable label, advance the trie along the run of equal
 //!   labels, recurse. Choices sharing a sorted prefix share the walk, a
 //!   missing trie edge refutes a whole subtree of choices at once, and the

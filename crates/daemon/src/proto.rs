@@ -262,11 +262,11 @@ pub fn stats_line(s: &DaemonStats) -> String {
     .to_string_compact()
 }
 
-/// Renders the `metrics` response: every registry counter total, every
-/// histogram as `{count, sum, min, max, p50, p90, p99}` (latency metrics
-/// are in nanoseconds, `_ns` suffix), plus the same registry rendered as
-/// a Prometheus text exposition in the `prometheus` string field.
-pub fn metrics_line(snap: &obs::metrics::Snapshot) -> String {
+/// A registry snapshot as the `counters` and `histograms` fields: every
+/// counter total, and every histogram as `{count, sum, min, max, p50,
+/// p90, p99}` (latency metrics are in nanoseconds, `_ns` suffix). The
+/// `metrics` response carries them, and so does the CLI's `--json` output.
+pub fn registry_fields(snap: &obs::metrics::Snapshot) -> [(&'static str, Json); 2] {
     let counters =
         Json::Obj(snap.counters.iter().map(|(name, v)| (name.clone(), Json::Num(*v))).collect());
     let histograms = Json::Obj(
@@ -288,11 +288,19 @@ pub fn metrics_line(snap: &obs::metrics::Snapshot) -> String {
             })
             .collect(),
     );
+    [("counters", counters), ("histograms", histograms)]
+}
+
+/// Renders the `metrics` response: the registry's [`registry_fields`],
+/// plus the same registry rendered as a Prometheus text exposition in the
+/// `prometheus` string field.
+pub fn metrics_line(snap: &obs::metrics::Snapshot) -> String {
+    let [counters, histograms] = registry_fields(snap);
     Json::obj([
         ("ok", Json::Bool(true)),
         ("event", Json::Str("metrics".into())),
-        ("counters", counters),
-        ("histograms", histograms),
+        counters,
+        histograms,
         ("prometheus", Json::Str(obs::metrics::prometheus_text(snap))),
     ])
     .to_string_compact()

@@ -14,7 +14,7 @@
 use crate::proto::{self, Budget, DaemonStats, Request, SolveRequest};
 use crate::store::ProofStore;
 use roundelim_auto::certificate::Direction;
-use roundelim_auto::search::{autolb, autoub, CancelToken, ProgressHook, SearchOptions, StopCause};
+use roundelim_auto::search::{autolb, autoub, CancelToken, ProgressHook, SearchOptions};
 use roundelim_core::error::{Error, Result};
 use roundelim_core::problem::Problem;
 use roundelim_obs as obs;
@@ -343,8 +343,6 @@ fn run_job(shared: &Shared, job: &Job) {
             proto::error_line(&format!("search failed: {e}"))
         }
         Ok(out) => {
-            let incomplete =
-                out.certificate.as_ref().map_or(out.stop != StopCause::Completed, |c| c.incomplete);
             if let Some(cert) = &out.certificate {
                 let inserted = {
                     let mut store = shared.store.lock().expect("store poisoned");
@@ -367,7 +365,7 @@ fn run_job(shared: &Shared, job: &Job) {
                 &job.problem.to_text(),
                 proto::verdict_json(&out.verdict),
                 out.stop.as_str(),
-                incomplete,
+                out.incomplete(),
                 out.certificate.as_ref(),
             )
         }

@@ -6,8 +6,8 @@
 //! * [`graph`] — port-numbered graphs in a flat CSR layout (u32 ids) with
 //!   girth computation — sized for millions of nodes;
 //! * [`generate`] — rings, complete (bipartite) graphs, regular trees,
-//!   and deterministic seeded random regular graphs (bit-identical for
-//!   every thread count), plus girth rejection and random orientations;
+//!   deterministic seeded random regular graphs, and seeded permutations
+//!   (all bit-identical for every thread count);
 //! * [`runner`] — the synchronous message-passing executor (row-shaped
 //!   and flat/adaptive variants) and the [`runner::Distributed`] trait;
 //! * [`checker`] — validates outputs against a `Problem` ("A solves Π"):

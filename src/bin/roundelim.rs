@@ -64,7 +64,7 @@
 
 use roundelim::auto::json::Json;
 use roundelim::auto::search::{
-    autolb, autoub, CancelToken, CheckpointConf, Outcome, SearchOptions, StopCause, Verdict,
+    autolb, autoub, CancelToken, CheckpointConf, Outcome, SearchOptions, Verdict,
 };
 use roundelim::auto::Certificate;
 use roundelim::core::fmt::{problem_table, sequence_report, step_report};
@@ -76,6 +76,7 @@ use roundelim::core::relax::relaxation_map;
 use roundelim::core::sequence::{iterate, iterate_relaxed, StopReason, ZeroRoundModel};
 use roundelim::core::speedup::full_step;
 use roundelim::core::zero_round::{check_oriented_delta, zero_round_oriented, zero_round_pn};
+use roundelim::daemon::proto;
 use roundelim::obs;
 use roundelim::problems::registry::{families, family, sweep_specs};
 use std::process::ExitCode;
@@ -431,28 +432,6 @@ fn cmd_iterate(args: &[String]) -> CliResult {
     Ok(ExitCode::SUCCESS)
 }
 
-fn verdict_json(v: &Verdict) -> Json {
-    match v {
-        Verdict::Unbounded => Json::obj([("kind", Json::Str("unbounded".into()))]),
-        Verdict::LowerBound { rounds } => Json::obj([
-            ("kind", Json::Str("lower-bound".into())),
-            ("rounds", Json::Num(*rounds as u64)),
-        ]),
-        Verdict::UpperBound { rounds } => Json::obj([
-            ("kind", Json::Str("upper-bound".into())),
-            ("rounds", Json::Num(*rounds as u64)),
-        ]),
-        Verdict::Inconclusive => Json::obj([("kind", Json::Str("inconclusive".into()))]),
-    }
-}
-
-/// Whether the outcome is a partial result: its certificate (when present)
-/// carries the `incomplete` marker, or the search stopped before its
-/// natural end without producing one.
-fn outcome_incomplete(out: &Outcome) -> bool {
-    out.certificate.as_ref().map_or(out.stop != StopCause::Completed, |c| c.incomplete)
-}
-
 /// Exit code for an autolb/autoub outcome: 3 when the search was cut short
 /// by a budget or a signal, or the verdict is inconclusive; else 0. A
 /// depth-exhausted stop keeps code 0 — the requested `--steps` budget was
@@ -471,37 +450,15 @@ fn outcome_code(out: &Outcome) -> u8 {
 /// populated when timing was armed (`--profile` or `--trace`); structural
 /// histograms (beam occupancy, wave sizes) and counters record always.
 fn obs_json() -> Json {
-    let snap = obs::metrics::snapshot();
-    let counters =
-        Json::Obj(snap.counters.iter().map(|(n, v)| (n.clone(), Json::Num(*v))).collect());
-    let histograms = Json::Obj(
-        snap.histograms
-            .iter()
-            .map(|(n, h)| {
-                (
-                    n.clone(),
-                    Json::obj([
-                        ("count", Json::Num(h.count)),
-                        ("sum", Json::Num(h.sum)),
-                        ("min", Json::Num(h.min)),
-                        ("max", Json::Num(h.max)),
-                        ("p50", Json::Num(h.p50())),
-                        ("p90", Json::Num(h.p90())),
-                        ("p99", Json::Num(h.p99())),
-                    ]),
-                )
-            })
-            .collect(),
-    );
-    Json::obj([("counters", counters), ("histograms", histograms)])
+    Json::obj(proto::registry_fields(&obs::metrics::snapshot()))
 }
 
 fn outcome_json(name: &str, out: &Outcome) -> Json {
     Json::obj([
         ("problem", Json::Str(name.to_owned())),
-        ("verdict", verdict_json(&out.verdict)),
+        ("verdict", proto::verdict_json(&out.verdict)),
         ("stop", Json::Str(out.stop.as_str().to_owned())),
-        ("incomplete", Json::Bool(outcome_incomplete(out))),
+        ("incomplete", Json::Bool(out.incomplete())),
         ("certificate", out.certificate.as_ref().map_or(Json::Null, Certificate::json_value)),
         (
             "stats",
@@ -988,7 +945,6 @@ fn cmd_client(args: &[String]) -> CliResult {
         }
         Json::parse(line.trim()).map_err(|e| CliError::from(format!("bad response: {e}")))
     };
-    use roundelim::daemon::proto;
     match sub {
         "status" | "stats" | "shutdown" => {
             send(&proto::plain_request_line(sub))?;

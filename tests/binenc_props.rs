@@ -1,23 +1,23 @@
 //! Property-based tests of the `roundelim-bin-v1` binary encoding: every
 //! `Problem` and `Certificate` must round-trip **bit-identically** (decode
 //! ∘ encode = id on bytes, not just on values), including problems with
-//! ≥ 9 labels, where the canonical-form pipeline switches to
-//! signature-profile buckets. A `CanonCache` restored from its snapshot,
-//! as checkpoints restore it, must recognise every interned problem.
-//! Truncations and byte flips must be rejected by the frame checksum,
-//! mirroring the snapshot corruption coverage in
-//! `tests/crash_recovery.rs`.
+//! ≥ 9 labels. A `CanonCache` written into a checkpoint and read back
+//! must recognise every interned problem. Truncations and byte flips must
+//! be rejected by the frame checksum, mirroring the snapshot corruption
+//! coverage in `tests/crash_recovery.rs`.
 
 use proptest::prelude::*;
 use roundelim::auto::binenc::{certificate_from_bytes, certificate_to_bytes};
 use roundelim::auto::cache::{CanonCache, NodeId, Probe};
+use roundelim::auto::certificate::Direction;
 use roundelim::auto::checkpoint::Checkpoint;
-use roundelim::auto::search::{autolb, SearchOptions};
+use roundelim::auto::search::{autolb, Meta, SearchOptions, SearchStats};
 use roundelim::core::binenc::{frame, problem_from_bytes, problem_to_bytes, unframe};
 use roundelim::core::config::{all_multisets, Config};
 use roundelim::core::constraint::Constraint;
 use roundelim::core::label::Alphabet;
 use roundelim::core::problem::Problem;
+use roundelim::core::sequence::ZeroRoundModel;
 use roundelim::core::speedup::full_step;
 
 /// Steps class `id` the way the search does: the speedup step of its
@@ -28,6 +28,33 @@ fn record_full_step(cache: &mut CanonCache, id: NodeId) {
         let derived = step.full.problem;
         cache.record_step(id, derived.clone(), Probe::new(derived));
     }
+}
+
+/// `cache` written into a checkpoint (every class at depth 0 with no
+/// parent) and read back the way a resume reads it. Re-encoding the
+/// snapshot read back gives the bytes written.
+fn reload(cache: CanonCache) -> CanonCache {
+    let ck = Checkpoint {
+        direction: Direction::Lower,
+        model: ZeroRoundModel::PlainPn,
+        root: cache.materialize(NodeId(0)),
+        beam_width: 1,
+        max_labels: 1,
+        use_relaxations: false,
+        prune_siblings: false,
+        depth: 0,
+        frontier: vec![NodeId(0)],
+        goals: Vec::new(),
+        deepest_depth: 0,
+        deepest_node: NodeId(0),
+        stats: SearchStats::default(),
+        meta: (0..cache.len()).map(|_| Meta { depth: 0, parent: None }).collect(),
+        cache,
+    };
+    let bytes = ck.to_bin();
+    let back = Checkpoint::from_bin(&bytes).unwrap();
+    assert_eq!(back.to_bin(), bytes);
+    back.cache
 }
 
 /// A random problem with Δ and label count drawn from the given ranges
@@ -73,8 +100,7 @@ fn arb_problem() -> impl Strategy<Value = Problem> {
     arb_problem_sized(2..=3, 2..=4)
 }
 
-/// Problems big enough that canonicalisation uses signature-profile
-/// buckets rather than exhaustive permutations (≥ 9 labels).
+/// Problems with 9 or 10 labels, larger than any search here interns.
 fn arb_big_problem() -> impl Strategy<Value = Problem> {
     arb_problem_sized(2..=3, 9..=10)
 }
@@ -115,9 +141,9 @@ proptest! {
         prop_assert!(back.verify().is_ok(), "decoded certificate must replay green");
     }
 
-    /// A populated `CanonCache` snapshot (interned problems plus recorded
-    /// speedup steps) restores to a cache that recognises the same
-    /// problems without fresh interning.
+    /// A populated `CanonCache` (interned problems plus recorded speedup
+    /// steps), written into a checkpoint and read back, recognises the
+    /// same problems without fresh interning.
     #[test]
     fn restored_cache_recognises_every_interned_problem(ps in proptest::collection::vec(arb_problem(), 1..4)) {
         let mut cache = CanonCache::new();
@@ -125,10 +151,10 @@ proptest! {
         for p in &ps {
             let (id, _) = cache.intern(p.clone());
             ids.push(id);
-            // Recording a step exercises the succ/derived snapshot fields.
+            // Recording a step exercises the step memo's bytes.
             record_full_step(&mut cache, id);
         }
-        let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
+        let mut restored = reload(cache);
         for (p, id) in ps.iter().zip(&ids) {
             let (again, fresh) = restored.intern(p.clone());
             prop_assert_eq!(again, *id);
@@ -141,9 +167,9 @@ proptest! {
     // Big-alphabet cases are pricier; fewer cases keep the suite fast.
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Problems with ≥ 9 labels — the signature-profile bucket regime of
-    /// the canonical form — round-trip bit-identically, and a `CanonCache`
-    /// restored from its snapshot recognises them.
+    /// Problems with ≥ 9 labels round-trip bit-identically, and a
+    /// `CanonCache` written into a checkpoint and read back recognises
+    /// them.
     #[test]
     fn nine_plus_label_problems_round_trip_bit_identically(p in arb_big_problem()) {
         prop_assert!(p.alphabet().len() >= 9);
@@ -154,7 +180,7 @@ proptest! {
 
         let mut cache = CanonCache::new();
         let (id, _) = cache.intern(p.clone());
-        let mut restored = CanonCache::restore(cache.snapshot()).unwrap();
+        let mut restored = reload(cache);
         let (again, fresh) = restored.intern(p.clone());
         prop_assert_eq!(again, id);
         prop_assert!(!fresh);
@@ -174,9 +200,8 @@ fn truncations_and_byte_flips_are_rejected() {
     // The committed v2 checkpoint of an older build, and its v3 rewrite.
     let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/mm3-checkpoint");
     let v2 = std::fs::read(format!("{fixture}/search.ckpt.json")).unwrap();
-    let ck = Checkpoint::from_bin(&v2).unwrap();
-    let v3 = ck.to_bin();
-    assert_eq!(Checkpoint::from_bin(&v3).unwrap(), ck);
+    let v3 = Checkpoint::from_bin(&v2).unwrap().to_bin();
+    assert_eq!(Checkpoint::from_bin(&v3).unwrap().to_bin(), v3);
     let v3_payload = unframe(&v3, "checkpoint-v3").unwrap().to_vec();
 
     let blobs: Vec<(&str, Vec<u8>)> = vec![

@@ -1,9 +1,10 @@
 //! The search's per-class kernels allocate only their set-up: a warm label
 //! refinement or pre-key allocates nothing, and an isomorphism search
 //! allocates per label, never per configuration probe. A span opened with
-//! no trace installed allocates nothing either, and a simulator run
-//! allocates nothing per node. Allocations are counted per thread, so
-//! tests running alongside do not disturb the counts.
+//! no trace installed allocates nothing either, a simulator run allocates
+//! nothing per node, and a checkpoint write nothing per class.
+//! Allocations are counted per thread, so tests running alongside do not
+//! disturb the counts.
 
 use roundelim::core::iso::{fingerprint_and_ranks, isomorphism_ranked, pre_key, Refiner};
 use roundelim::core::problem::Problem;
@@ -151,6 +152,39 @@ fn simulator_runs_allocate_nothing_per_node() {
     let slack = 4096; // chunk and executor bookkeeping, independent of n
     assert!(matching_peak <= 45 * n + slack, "matching peaks at {matching_peak} bytes");
     assert!(weak_peak <= 48 * n + slack, "weak 2-coloring peaks at {weak_peak} bytes");
+}
+
+/// Writing a checkpoint allocates its output buffer and nothing per class:
+/// each class is encoded from the cache's packed rows and name ids in
+/// place. A budget-stopped `coloring:3:3` search leaves a snapshot of
+/// 1,491 classes (2.5 MB), which is rewritten bit for bit in at most 64
+/// allocations, the output `Vec`'s growth included; assembling a
+/// `Problem` per class would take thousands.
+#[test]
+fn writing_a_checkpoint_allocates_nothing_per_class() {
+    use roundelim::auto::checkpoint::{checkpoint_file, Checkpoint};
+    use roundelim::auto::search::{autolb, CheckpointConf, SearchOptions};
+    use roundelim::problems::registry::family;
+    let dir = std::env::temp_dir().join(format!("roundelim-ckpt-pin-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let c33 = family("coloring").unwrap().instantiate(3, 3).unwrap();
+    let opts = SearchOptions {
+        max_steps: 6,
+        beam_width: 6,
+        max_labels: 10,
+        max_expansions: Some(8),
+        threads: 1,
+        checkpoint: Some(CheckpointConf::new(&dir)),
+        ..SearchOptions::default()
+    };
+    autolb(&c33, &opts).unwrap();
+    let bytes = std::fs::read(checkpoint_file(&dir)).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let ck = Checkpoint::from_bin(&bytes).unwrap();
+    assert!(ck.cache.len() >= 1000, "{} classes", ck.cache.len());
+    assert!(ck.to_bin() == bytes, "the snapshot is rewritten bit for bit");
+    let n = allocations(|| ck.to_bin());
+    assert!(n <= 64, "{n} allocations to write {} classes", ck.cache.len());
 }
 
 /// An opened proof store holds its decoded records and, per record, only
