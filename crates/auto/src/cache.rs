@@ -1,4 +1,4 @@
-//! Canonical-form memo cache: the node store of the search graph.
+//! Pre-key + isomorphism class cache: the node store of the search graph.
 //!
 //! Every problem the search touches is interned here, deduplicated up to
 //! isomorphism so isomorphic problems share one node. The index is the
@@ -195,7 +195,7 @@ impl NameTable {
     }
 }
 
-/// The canonical-form cache (see module docs).
+/// The pre-key + isomorphism class cache (see module docs).
 #[derive(Debug, Default)]
 pub struct CanonCache {
     /// Pre-key index over every interned class, ids in creation order

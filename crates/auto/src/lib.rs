@@ -9,9 +9,9 @@
 //! fixed point (⇒ unbounded bound) or a 0-round problem (⇒ bound = the
 //! step count). This crate automates the recipe end to end:
 //!
-//! * [`cache`] — a canonical-form memo cache deduplicating the explored
-//!   problems up to isomorphism and memoizing speedup steps and 0-round
-//!   verdicts per class;
+//! * [`cache`] — a pre-key + isomorphism class cache deduplicating the
+//!   explored problems up to isomorphism and memoizing speedup steps and
+//!   0-round verdicts per class;
 //! * [`moves`] — candidate relaxations (label merges, label-set
 //!   coarsenings) and hardenings (label/configuration drops) generated
 //!   from the constraint structure, each carrying its witness label map;

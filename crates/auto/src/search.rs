@@ -61,8 +61,8 @@ use std::time::Duration;
 /// Two flavors cover the two callers:
 ///
 /// * [`CancelToken::new`] wraps a fresh atomic flag the owner flips with
-///   [`CancelToken::cancel`] — the daemon holds one per in-flight request
-///   and cancels it on client disconnect or shutdown;
+///   [`CancelToken::cancel`] — the daemon hands one to all its searches
+///   and cancels it on shutdown;
 /// * [`CancelToken::from_probe`] adapts a plain `fn() -> bool`, which is
 ///   what a signal handler can reach (the CLI's SIGTERM/SIGINT flag is a
 ///   `static AtomicBool` the handler stores to).
@@ -311,7 +311,7 @@ pub struct SearchStats {
     /// the panicking item's results (the beam degrades) but never the
     /// search.
     pub worker_panics: usize,
-    /// Canonical-form cache counters.
+    /// Class cache counters.
     pub cache: CacheStats,
 }
 

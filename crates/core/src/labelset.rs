@@ -116,12 +116,6 @@ impl LabelSet {
         self.words.iter().zip(&other.words).all(|(a, b)| a & !b == 0)
     }
 
-    /// Whether `self ⊂ other` strictly.
-    #[inline]
-    pub fn is_proper_subset(&self, other: &LabelSet) -> bool {
-        self != other && self.is_subset(other)
-    }
-
     /// Whether the two sets intersect.
     #[inline]
     pub fn intersects(&self, other: &LabelSet) -> bool {
@@ -168,11 +162,6 @@ impl LabelSet {
     /// Iterates over the labels in increasing index order.
     pub fn iter(&self) -> Iter {
         Iter { set: *self, word: 0, mask: self.words[0] }
-    }
-
-    /// The smallest label in the set, if any. (Named to avoid clashing with `Ord::min`.)
-    pub fn min_label(&self) -> Option<Label> {
-        self.iter().next()
     }
 
     /// The smallest label with index ≥ `from`, if any.
@@ -345,10 +334,8 @@ mod tests {
         let a = LabelSet::from_labels([l(1), l(2)]);
         let b = LabelSet::from_labels([l(1), l(2), l(3)]);
         assert!(a.is_subset(&b));
-        assert!(a.is_proper_subset(&b));
         assert!(!b.is_subset(&a));
         assert!(a.is_subset(&a));
-        assert!(!a.is_proper_subset(&a));
     }
 
     #[test]
@@ -369,7 +356,6 @@ mod tests {
         let s = LabelSet::from_labels([l(200), l(3), l(65)]);
         let v: Vec<usize> = s.iter().map(|x| x.index()).collect();
         assert_eq!(v, vec![3, 65, 200]);
-        assert_eq!(s.min_label(), Some(l(3)));
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   cache hit;
 //! * [`proto`] — the line-delimited JSON request/response protocol
 //!   (`solve`, `status`, `stats`, `shutdown`, streamed `progress` events);
-//! * [`server`] — the TCP server: an accept loop, a worker pool running
-//!   the real search with cooperative cancellation, and a graceful
-//!   shutdown path.
+//! * [`server`] — the TCP server: an accept loop, one thread per
+//!   connection that serves its requests itself (at most `--workers`
+//!   solves at once, each in a solve slot), the real search with
+//!   cooperative cancellation, and a graceful shutdown path.
 //!
 //! Every insert appends one individually checksummed frame to the store
 //! file and syncs it before the reply, and open truncates a torn final

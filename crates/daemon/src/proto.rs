@@ -48,8 +48,8 @@ pub enum Request {
     /// The full observability registry: counter totals plus latency
     /// histogram summaries, as JSON and as a Prometheus text exposition.
     Metrics,
-    /// Graceful shutdown: cancel in-flight searches, persist the cache
-    /// snapshot, exit.
+    /// Graceful shutdown: cancel in-flight searches, refuse solves waiting
+    /// for a slot, exit.
     Shutdown,
 }
 
@@ -100,23 +100,6 @@ impl Budget {
     }
 }
 
-/// Service counters, reported by the `stats` request.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DaemonStats {
-    /// `solve` requests received (well-formed ones).
-    pub requests: u64,
-    /// Served from the proof store without searching.
-    pub cache_hits: u64,
-    /// Required a fresh search.
-    pub cache_misses: u64,
-    /// Fresh searches that produced a certificate.
-    pub solved: u64,
-    /// Fresh searches that ended inconclusive.
-    pub inconclusive: u64,
-    /// Malformed requests and failed searches.
-    pub errors: u64,
-}
-
 fn direction_from_str(s: &str) -> Option<Direction> {
     match s {
         "lower" | "lower-bound" => Some(Direction::Lower),
@@ -126,7 +109,7 @@ fn direction_from_str(s: &str) -> Option<Direction> {
 }
 
 /// Stable name of a direction, as used on the wire.
-pub fn direction_str(d: Direction) -> &'static str {
+fn direction_str(d: Direction) -> &'static str {
     match d {
         Direction::Lower => "lower-bound",
         Direction::Upper => "upper-bound",
@@ -247,19 +230,16 @@ pub fn status_line(records: usize, classes: usize, active: usize, workers: usize
     .to_string_compact()
 }
 
-/// Renders the `stats` response.
-pub fn stats_line(s: &DaemonStats) -> String {
-    Json::obj([
-        ("ok", Json::Bool(true)),
-        ("event", Json::Str("stats".into())),
-        ("requests", Json::Num(s.requests)),
-        ("cache_hits", Json::Num(s.cache_hits)),
-        ("cache_misses", Json::Num(s.cache_misses)),
-        ("solved", Json::Num(s.solved)),
-        ("inconclusive", Json::Num(s.inconclusive)),
-        ("errors", Json::Num(s.errors)),
-    ])
-    .to_string_compact()
+/// Renders the `stats` response: the six `daemon.*` service counters of
+/// a registry snapshot, under their names without the prefix.
+pub fn stats_line(snap: &obs::metrics::Snapshot) -> String {
+    let mut fields = vec![("ok", Json::Bool(true)), ("event", Json::Str("stats".into()))];
+    for key in ["requests", "cache_hits", "cache_misses", "solved", "inconclusive", "errors"] {
+        let total =
+            snap.counters.iter().find(|(name, _)| name.strip_prefix("daemon.") == Some(key));
+        fields.push((key, Json::Num(total.map_or(0, |(_, v)| *v))));
+    }
+    Json::obj(fields).to_string_compact()
 }
 
 /// A registry snapshot as the `counters` and `histograms` fields: every

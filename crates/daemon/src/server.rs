@@ -1,31 +1,37 @@
 //! The `roundelimd` TCP server.
 //!
-//! One accept loop, one thread per connection, and a fixed pool of search
-//! workers. Connections parse requests ([`crate::proto`]) and enqueue
-//! `solve` jobs; workers consult the [`ProofStore`] first and only search
-//! on a miss, streaming `progress` events back through the requesting
-//! connection. Every in-flight search carries a
-//! [`CancelToken`], so `shutdown` (a request, or the process signal probe
-//! wired in by the CLI) stops the pool cooperatively: running searches
-//! wind down at their next poll point, and [`Server::run`] returns. Every
-//! insert is already durable in the store file, so shutdown writes
-//! nothing.
+//! One accept loop and one thread per connection. A connection thread
+//! parses its client's requests ([`crate::proto`]) and serves each one
+//! itself: a `solve` consults the [`ProofStore`] first and only searches
+//! on a miss, writing the search's `progress` events straight to the
+//! client. At most [`ServeConfig::workers`] solves run at once: each holds
+//! a solve slot while it runs, and a solve that finds every slot taken
+//! waits for one. All searches share one [`CancelToken`], so `shutdown`
+//! (a request, or the process signal probe wired in by the CLI) stops
+//! them cooperatively: running searches wind down at their next poll
+//! point, solves still waiting for a slot are refused, and
+//! [`Server::run`] returns once every slot is free. Every insert is
+//! already durable in the store file, so shutdown writes nothing.
 
-use crate::proto::{self, Budget, DaemonStats, Request, SolveRequest};
+use crate::proto::{self, Request, SolveRequest};
 use crate::store::ProofStore;
 use roundelim_auto::certificate::Direction;
 use roundelim_auto::search::{autolb, autoub, CancelToken, ProgressHook, SearchOptions};
 use roundelim_core::error::{Error, Result};
 use roundelim_core::problem::Problem;
 use roundelim_obs as obs;
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
+
+/// How long one write to a client may block. A client that stops reading
+/// while its solve streams output cannot stall the search (and with it
+/// shutdown) for longer: its connection stops receiving and is closed
+/// once the solve ends.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -34,10 +40,12 @@ pub struct ServeConfig {
     pub addr: String,
     /// Directory holding the proof store file, `proofs.bin`.
     pub store_dir: PathBuf,
-    /// Search worker threads (`0` means 2). Each worker runs one search at
-    /// a time; `threads` sets each search's own parallelism.
+    /// Solve slots (`0` means 2): at most this many `solve` requests, store
+    /// hits included, are served at once, each on its connection's thread;
+    /// the others wait for a slot. `threads` sets each search's own
+    /// parallelism.
     pub workers: usize,
-    /// Per-job search thread budget, resolved once when the server binds
+    /// Per-solve search thread budget, resolved once when the server binds
     /// (`0` means all cores) and handed to every search through the same
     /// [`SearchOptions::threads`] path the CLI uses.
     pub threads: usize,
@@ -48,8 +56,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with the given address and store directory, default pool,
-    /// no signal probe.
+    /// A config with the given address and store directory, default slot
+    /// and thread counts, no signal probe.
     pub fn new(addr: impl Into<String>, store_dir: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             addr: addr.into(),
@@ -70,12 +78,10 @@ pub enum Exit {
     Signalled,
 }
 
-/// The daemon's service counters, rebuilt on atomics: each cell is a
-/// `daemon.*` counter in the `roundelim-obs` registry, so the `stats`
-/// response, the `metrics` response, and trace counter trailers all read
-/// the same numbers — and a panicking worker can never poison the stats
-/// path (the old `Mutex<DaemonStats>` aborted unrelated connections once
-/// poisoned).
+/// Cached handles of the daemon's service counters: each is a `daemon.*`
+/// counter in the `roundelim-obs` registry, so the `stats` response, the
+/// `metrics` response, and trace counter trailers all read the same
+/// numbers, and a panicking solve can never poison the stats path.
 ///
 /// Registry counters are process-global; a server counts from whatever
 /// the process has accumulated (zero in the one-daemon-per-process
@@ -100,63 +106,70 @@ impl StatsCells {
             errors: obs::metrics::counter("daemon.errors"),
         }
     }
-
-    /// A point-in-time copy as the wire snapshot type.
-    fn snapshot(&self) -> DaemonStats {
-        DaemonStats {
-            requests: self.requests.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            solved: self.solved.get(),
-            inconclusive: self.inconclusive.get(),
-            errors: self.errors.get(),
-        }
-    }
 }
 
-/// State shared between the accept loop, connections, and workers.
+/// State shared between the accept loop and the connections.
 struct Shared {
     store: Mutex<ProofStore>,
     stats: StatsCells,
-    /// Cancellation tokens of in-flight searches, by job id.
-    active: Mutex<HashMap<u64, CancelToken>>,
-    next_job: AtomicU64,
+    /// Solve slots taken, at most `workers` (see [`Shared::take_slot`]).
+    busy: Mutex<usize>,
+    /// Signalled when a slot frees and when shutdown begins.
+    slot_freed: Condvar,
+    /// Handed to every search; cancelled when shutdown begins.
+    cancel: CancelToken,
     shutdown: AtomicBool,
     workers: usize,
-    /// Per-job search thread budget (see [`ServeConfig::threads`]).
+    /// Per-solve search thread budget (see [`ServeConfig::threads`]).
     search_threads: usize,
 }
 
 impl Shared {
     fn begin_shutdown(&self) {
+        // Set under the slot lock, so a solve waiting for a slot either
+        // reads the flag before it sleeps or is woken below.
+        let _busy = self.slots();
         self.shutdown.store(true, Ordering::SeqCst);
-        for token in self.active.lock().expect("active registry poisoned").values() {
-            token.cancel();
-        }
+        self.cancel.cancel();
+        self.slot_freed.notify_all();
     }
 
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
+
+    fn slots(&self) -> MutexGuard<'_, usize> {
+        self.busy.lock().expect("solve slots poisoned")
+    }
+
+    /// Waits for a free solve slot and takes it. Once shutdown has begun
+    /// the wait ends at once with a refused slot, taken past the cap so
+    /// that [`Server::run`] also waits for the refusal to be written.
+    fn take_slot(&self) -> Slot<'_> {
+        let busy = self.slots();
+        let mut busy = self
+            .slot_freed
+            .wait_while(busy, |busy| *busy >= self.workers && !self.shutting_down())
+            .expect("solve slots poisoned");
+        *busy += 1;
+        Slot { shared: self, refused: self.shutting_down() }
+    }
 }
 
-/// What a worker streams back to the requesting connection.
-enum Reply {
-    /// A `progress` event line.
-    Progress(String),
-    /// The terminal line of the request (result or error).
-    Done(String),
+/// A taken solve slot. Dropping it frees the slot (also when the solve
+/// panics) and wakes the solves waiting for one, and the drain in
+/// [`Server::run`].
+struct Slot<'a> {
+    shared: &'a Shared,
+    /// Shutdown had begun: the solve is refused, not run.
+    refused: bool,
 }
 
-/// A queued `solve` job.
-struct Job {
-    problem: Problem,
-    direction: Direction,
-    budget: Budget,
-    reply: Sender<Reply>,
-    /// `obs::time::monotonic_ns` at enqueue; the worker that dequeues the
-    /// job records the difference as `daemon.queue_wait_ns`.
-    enqueued_ns: u64,
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        *self.shared.slots() -= 1;
+        self.shared.slot_freed.notify_all();
+    }
 }
 
 /// A bound, not-yet-running `roundelimd` instance.
@@ -183,8 +196,9 @@ impl Server {
         let shared = Arc::new(Shared {
             store: Mutex::new(store),
             stats: StatsCells::new(),
-            active: Mutex::new(HashMap::new()),
-            next_job: AtomicU64::new(0),
+            busy: Mutex::new(0),
+            slot_freed: Condvar::new(),
+            cancel: CancelToken::new(),
             shutdown: AtomicBool::new(false),
             workers: if cfg.workers == 0 { 2 } else { cfg.workers },
             search_threads: roundelim_core::par::resolve_threads(cfg.threads),
@@ -203,22 +217,13 @@ impl Server {
             .map_err(|e| Error::Io { path: "listener".into(), reason: format!("local_addr: {e}") })
     }
 
-    /// Serves until shutdown, then waits for the workers to stop.
+    /// Serves until shutdown, then waits until no solve holds a slot.
     ///
     /// # Errors
     ///
     /// Accept-loop socket failures. Per-request failures are reported to
     /// the requesting client, not here.
     pub fn run(self) -> Result<Exit> {
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let workers: Vec<_> = (0..self.shared.workers)
-            .map(|_| {
-                let shared = Arc::clone(&self.shared);
-                let rx = Arc::clone(&job_rx);
-                std::thread::spawn(move || worker_loop(&shared, &rx))
-            })
-            .collect();
         let mut exit = Exit::Requested;
         loop {
             if self.shared.shutting_down() {
@@ -232,8 +237,7 @@ impl Server {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let shared = Arc::clone(&self.shared);
-                    let tx = job_tx.clone();
-                    std::thread::spawn(move || handle_connection(stream, &shared, &tx));
+                    std::thread::spawn(move || handle_connection(stream, &shared));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(15));
@@ -243,61 +247,34 @@ impl Server {
                 }
             }
         }
-        // Wake queued jobs' connections by draining the pool: workers exit
-        // on the shutdown flag, dropped jobs surface as errors client-side.
-        drop(job_tx);
-        for w in workers {
-            let _ = w.join();
-        }
+        // Searches are cancelled and waiting solves refused: wait for each
+        // to write its terminal line.
+        let busy = self.shared.slots();
+        drop(self.shared.slot_freed.wait_while(busy, |busy| *busy > 0));
         Ok(exit)
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
-    loop {
-        let job = {
-            let rx = rx.lock().expect("job queue poisoned");
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(job) => job,
-                Err(RecvTimeoutError::Timeout) => {
-                    if shared.shutting_down() {
-                        return;
-                    }
-                    continue;
-                }
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
-        };
-        if shared.shutting_down() {
-            let _ = job.reply.send(Reply::Done(proto::error_line("daemon is shutting down")));
-            continue;
-        }
-        run_job(shared, &job);
-    }
-}
-
-/// Serves one `solve` job: store hit, or a real search followed by a
-/// durable insert. The request is wrapped in a `daemon.request` trace
-/// span with `daemon.solve`/`daemon.encode` children, and its queue
-/// wait, solve, and encode latencies land in the `daemon.*_ns`
-/// histograms (always recorded — the `metrics` command must answer
-/// without a trace sink installed).
-fn run_job(shared: &Shared, job: &Job) {
-    let _request_span = obs::trace::span("daemon.request");
-    obs::metrics::histogram("daemon.queue_wait_ns")
-        .record(obs::time::monotonic_ns().saturating_sub(job.enqueued_ns));
+/// Serves one `solve` while holding a solve slot: a store hit, or a real
+/// search followed by a durable insert. Returns the terminal line; the
+/// search's progress lines go straight to `w`. The caller wraps this in
+/// the `daemon.request` trace span; `daemon.solve`/`daemon.encode`
+/// children wrap the search and the encoding, and their latencies land
+/// in the `daemon.*_ns` histograms (always recorded — the `metrics`
+/// command must answer without a trace sink installed).
+fn solve(shared: &Shared, w: &TcpStream, problem: &Problem, req: &SolveRequest) -> String {
     shared.stats.requests.incr();
     // Cache first: an isomorphic class solved in this direction is served
     // with its stored representative and certificate, no search.
     let hit = {
         let store = shared.store.lock().expect("store poisoned");
         store
-            .lookup(&job.problem, job.direction)
+            .lookup(problem, req.direction)
             .map(|rec| (rec.problem.to_text(), rec.certificate.clone()))
     };
     if let Some((problem_text, cert)) = hit {
         shared.stats.cache_hits.incr();
-        let encode_span = obs::trace::span("daemon.encode");
+        let _encode_span = obs::trace::span("daemon.encode");
         let encode_watch = obs::time::Stopwatch::start();
         let line = proto::result_line(
             true,
@@ -308,34 +285,31 @@ fn run_job(shared: &Shared, job: &Job) {
             Some(&cert),
         );
         obs::metrics::histogram("daemon.encode_ns").record(encode_watch.elapsed_ns());
-        drop(encode_span);
-        let _ = job.reply.send(Reply::Done(line));
-        obs::trace::flush_thread();
-        return;
+        return line;
     }
     shared.stats.cache_misses.incr();
     let mut opts = SearchOptions::default();
-    job.budget.apply(&mut opts);
+    req.budget.apply(&mut opts);
     opts.threads = shared.search_threads;
-    let token = CancelToken::new();
-    let job_id = shared.next_job.fetch_add(1, Ordering::SeqCst);
-    shared.active.lock().expect("active registry poisoned").insert(job_id, token.clone());
-    opts.cancel = Some(token);
-    let progress_tx = Mutex::new(job.reply.clone());
-    opts.progress = Some(ProgressHook::new(move |p| {
-        let tx = progress_tx.lock().expect("progress sender poisoned");
-        let _ = tx.send(Reply::Progress(proto::progress_line(p)));
-    }));
+    opts.cancel = Some(shared.cancel.clone());
+    opts.progress = w.try_clone().ok().map(|progress| {
+        ProgressHook::new(move |p| {
+            // A write that failed (or timed out) shuts the connection for
+            // writing, so no later write to it blocks again.
+            if !send_line(&progress, &proto::progress_line(p)) {
+                let _ = progress.shutdown(Shutdown::Write);
+            }
+        })
+    });
     let solve_span = obs::trace::span("daemon.solve");
     let solve_watch = obs::time::Stopwatch::start();
-    let outcome = match job.direction {
-        Direction::Lower => autolb(&job.problem, &opts),
-        Direction::Upper => autoub(&job.problem, &opts),
+    let outcome = match req.direction {
+        Direction::Lower => autolb(problem, &opts),
+        Direction::Upper => autoub(problem, &opts),
     };
     obs::metrics::histogram("daemon.solve_ns").record(solve_watch.elapsed_ns());
     drop(solve_span);
-    shared.active.lock().expect("active registry poisoned").remove(&job_id);
-    let encode_span = obs::trace::span("daemon.encode");
+    let _encode_span = obs::trace::span("daemon.encode");
     let encode_watch = obs::time::Stopwatch::start();
     let line = match outcome {
         Err(e) => {
@@ -346,15 +320,11 @@ fn run_job(shared: &Shared, job: &Job) {
             if let Some(cert) = &out.certificate {
                 let inserted = {
                     let mut store = shared.store.lock().expect("store poisoned");
-                    store.insert(job.problem.clone(), cert.clone())
+                    store.insert(problem.clone(), cert.clone())
                 };
                 if let Err(e) = inserted {
                     shared.stats.errors.incr();
-                    let _ = job.reply.send(Reply::Done(proto::error_line(&format!(
-                        "proof store write failed: {e}"
-                    ))));
-                    obs::trace::flush_thread();
-                    return;
+                    return proto::error_line(&format!("proof store write failed: {e}"));
                 }
                 shared.stats.solved.incr();
             } else {
@@ -362,7 +332,7 @@ fn run_job(shared: &Shared, job: &Job) {
             }
             proto::result_line(
                 false,
-                &job.problem.to_text(),
+                &problem.to_text(),
                 proto::verdict_json(&out.verdict),
                 out.stop.as_str(),
                 out.incomplete(),
@@ -371,23 +341,17 @@ fn run_job(shared: &Shared, job: &Job) {
         }
     };
     obs::metrics::histogram("daemon.encode_ns").record(encode_watch.elapsed_ns());
-    drop(encode_span);
-    let _ = job.reply.send(Reply::Done(line));
-    // Worker threads are long-lived: push this request's trace events to
-    // the sink now instead of waiting for thread exit.
-    obs::trace::flush_thread();
+    line
 }
 
 /// Writes one response line; returns whether the connection is still good.
-fn send_line(stream: &mut TcpStream, line: &str) -> bool {
-    stream.write_all(line.as_bytes()).is_ok()
-        && stream.write_all(b"\n").is_ok()
-        && stream.flush().is_ok()
+fn send_line(mut w: &TcpStream, line: &str) -> bool {
+    w.write_all(line.as_bytes()).is_ok() && w.write_all(b"\n").is_ok() && w.flush().is_ok()
 }
 
-fn handle_connection(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let mut w = stream;
+fn handle_connection(w: TcpStream, shared: &Shared) {
+    let _ = w.set_write_timeout(Some(WRITE_TIMEOUT));
+    let Ok(read_half) = w.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut buf = Vec::new();
     loop {
@@ -401,7 +365,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
         if buf.len() > proto::MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
             shared.stats.errors.incr();
             let msg = format!("request line exceeds {} bytes", proto::MAX_LINE_BYTES);
-            let _ = send_line(&mut w, &proto::error_line(&msg));
+            let _ = send_line(&w, &proto::error_line(&msg));
             break;
         }
         // The JSON parser skips the line's trailing `\n` (or `\r\n`).
@@ -413,7 +377,7 @@ fn handle_connection(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
             Ok(r) => r,
             Err(msg) => {
                 shared.stats.errors.incr();
-                if send_line(&mut w, &proto::error_line(&msg)) {
+                if send_line(&w, &proto::error_line(&msg)) {
                     continue;
                 }
                 break;
@@ -425,17 +389,17 @@ fn handle_connection(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
                     let store = shared.store.lock().expect("store poisoned");
                     (store.len(), store.classes())
                 };
-                let active = shared.active.lock().expect("active registry poisoned").len();
-                send_line(&mut w, &proto::status_line(records, classes, active, shared.workers))
+                let active = *shared.slots();
+                send_line(&w, &proto::status_line(records, classes, active, shared.workers))
             }
-            Request::Stats => send_line(&mut w, &proto::stats_line(&shared.stats.snapshot())),
-            Request::Metrics => send_line(&mut w, &proto::metrics_line(&obs::metrics::snapshot())),
+            Request::Stats => send_line(&w, &proto::stats_line(&obs::metrics::snapshot())),
+            Request::Metrics => send_line(&w, &proto::metrics_line(&obs::metrics::snapshot())),
             Request::Shutdown => {
-                let _ = send_line(&mut w, &proto::shutdown_line());
+                let _ = send_line(&w, &proto::shutdown_line());
                 shared.begin_shutdown();
                 false
             }
-            Request::Solve(req) => handle_solve(&mut w, shared, job_tx, req),
+            Request::Solve(req) => handle_solve(&w, shared, &req),
         };
         if !alive {
             break;
@@ -443,13 +407,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared, job_tx: &Sender<Job>) {
     }
 }
 
-/// Enqueues a `solve` and streams its replies back to the client.
-fn handle_solve(
-    w: &mut TcpStream,
-    shared: &Shared,
-    job_tx: &Sender<Job>,
-    req: SolveRequest,
-) -> bool {
+/// Serves a `solve` in a solve slot and writes its terminal line.
+fn handle_solve(w: &TcpStream, shared: &Shared, req: &SolveRequest) -> bool {
     let problem = match Problem::parse(&req.problem) {
         Ok(p) => p,
         Err(e) => {
@@ -457,30 +416,20 @@ fn handle_solve(
             return send_line(w, &proto::error_line(&format!("bad problem: {e}")));
         }
     };
-    if shared.shutting_down() {
+    let wait_watch = obs::time::Stopwatch::start();
+    let slot = shared.take_slot();
+    if slot.refused {
         return send_line(w, &proto::error_line("daemon is shutting down"));
     }
-    let (tx, rx) = mpsc::channel();
-    let job = Job {
-        problem,
-        direction: req.direction,
-        budget: req.budget,
-        reply: tx,
-        enqueued_ns: obs::time::monotonic_ns(),
+    let line = {
+        let _request_span = obs::trace::span("daemon.request");
+        obs::metrics::histogram("daemon.queue_wait_ns").record(wait_watch.elapsed_ns());
+        solve(shared, w, &problem, req)
     };
-    if job_tx.send(job).is_err() {
-        return send_line(w, &proto::error_line("daemon is shutting down"));
-    }
-    loop {
-        match rx.recv() {
-            Ok(Reply::Progress(line)) => {
-                if !send_line(w, &line) {
-                    return false;
-                }
-            }
-            Ok(Reply::Done(line)) => return send_line(w, &line),
-            // The worker pool died under us (shutdown drained the queue).
-            Err(_) => return send_line(w, &proto::error_line("daemon is shutting down")),
-        }
-    }
+    let alive = send_line(w, &line);
+    // Connection threads live as long as their client: push this
+    // request's trace events to the sink now instead of at thread exit.
+    obs::trace::flush_thread();
+    drop(slot);
+    alive
 }

@@ -75,11 +75,8 @@ impl Daemon {
     /// Sends one request line and reads response lines until the terminal
     /// event for that request (anything but a progress event).
     fn request(&self, line: &str) -> Vec<String> {
-        let mut stream = TcpStream::connect(&self.addr).unwrap();
-        stream.write_all(line.as_bytes()).unwrap();
-        stream.write_all(b"\n").unwrap();
         let mut lines = Vec::new();
-        for l in BufReader::new(stream).lines() {
+        for l in send_request(&self.addr, line).lines() {
             let l = l.unwrap();
             let done = !l.contains("\"event\": \"progress\"");
             lines.push(l);
@@ -106,6 +103,15 @@ impl Daemon {
         self.stdout.read_to_string(&mut rest).unwrap();
         rest
     }
+}
+
+/// Opens a connection and sends one request line on it; the replies are
+/// left for the caller to read.
+fn send_request(addr: &str, line: &str) -> BufReader<TcpStream> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.write_all(line.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    BufReader::new(stream)
 }
 
 /// Waits for the child with a deadline, SIGKILLing it on timeout so a
@@ -302,6 +308,41 @@ fn one_search_thread_per_worker_starts_no_executor_threads() {
     assert!(m.contains("\"exec.tasks\": "), "the searches ran executor calls: {m}");
     assert!(m.contains("\"exec.spawns\": 0,"), "{m}");
     d.shutdown();
+}
+
+/// `--workers 1` is one solve slot: while connection A's search holds it,
+/// connection B's solve waits and `status` counts one active solve. Then
+/// `shutdown` refuses B, cancels A, which still gets its terminal line,
+/// and the daemon exits 0 once the slot is free.
+#[test]
+fn one_solve_slot_queues_the_next_and_shutdown_drains_it() {
+    let store = tmp_dir("one-slot");
+    let mut d = Daemon::spawn(&store, &["--workers", "1", "--threads", "1"]);
+    let c33 = "name: c33\nnode: 1^3 | 2^3 | 3^3\nedge: 1 2 | 1 3 | 2 3";
+    let budget = ",\"budget\":{\"max_steps\":6,\"beam_width\":6,\"max_labels\":10}";
+    let mut a = send_request(&d.addr, &solve_line_with(c33, budget));
+    let mut first = String::new();
+    a.read_line(&mut first).unwrap();
+    assert!(first.contains("\"event\": \"progress\""), "A is searching: {first}");
+    let mut b = send_request(&d.addr, &solve_line(SO));
+    // Give B's connection thread time to read its line and wait for the slot.
+    std::thread::sleep(Duration::from_millis(50));
+    let status = d.response("{\"req\":\"status\"}");
+    assert!(status.contains("\"active\": 1,"), "{status}");
+    assert!(status.contains("\"workers\": 1}"), "{status}");
+    d.shutdown();
+
+    let mut refused = String::new();
+    b.read_line(&mut refused).unwrap();
+    assert!(refused.contains("\"ok\": false"), "{refused}");
+    assert!(refused.contains("daemon is shutting down"), "{refused}");
+    let last = a
+        .lines()
+        .map(Result::unwrap)
+        .find(|l| !l.contains("\"event\": \"progress\""))
+        .expect("A gets its terminal line before the daemon exits");
+    assert!(last.contains("\"event\": \"result\""), "{last}");
+    assert!(last.contains("\"stop\": \"interrupted\""), "A's search was cancelled: {last}");
 }
 
 /// A request line longer than the protocol's cap is refused before the
