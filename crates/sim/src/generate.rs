@@ -7,11 +7,14 @@
 //! order — so the result is bit-identical for every worker-thread count
 //! (`threads`), which the cross-validation CI job diffs.
 
-use crate::graph::{PortGraph, PortTarget, PAR_MIN_ITEMS};
+use crate::graph::{PortGraph, PortTarget};
 use rand::Rng;
 use roundelim_core::par;
-use std::collections::HashSet;
 use std::ops::Range;
+
+/// Below this many keys [`keyed_order`] runs inline: spawning costs more
+/// than the work it would offload.
+const PAR_MIN_ITEMS: usize = 4096;
 
 /// The n-cycle (Δ = 2, girth n) — the graph class of §4.5.
 ///
@@ -220,8 +223,9 @@ pub fn random_permutation(len: usize, seed: u64, threads: usize) -> Vec<u32> {
 /// A random `d`-regular graph on `n` nodes as a pure function of `seed`
 /// (see the module docs): deterministic, parallel, and identical for every
 /// `threads` value (`0` = all cores). Returns `None` if
-/// the parameters are impossible (odd `n·d`, `d ≥ n`, `d = 0`) or no
-/// simple pairing is found within `tries` attempts.
+/// the parameters are impossible (odd `n·d`, `d ≥ n`, `d = 0`), the `n·d`
+/// ports overflow `u32`, or no simple pairing is found within `tries`
+/// attempts. Nothing is allocated before those checks.
 pub fn random_regular_seeded(
     n: usize,
     d: usize,
@@ -229,88 +233,93 @@ pub fn random_regular_seeded(
     seed: u64,
     threads: usize,
 ) -> Option<PortGraph> {
-    if !regular_params_ok(n, d) {
+    if n.checked_mul(d).is_none_or(|ports| ports > u32::MAX as usize) || !regular_params_ok(n, d) {
         return None;
     }
     let threads = par::resolve_threads(threads);
-    if n.is_multiple_of(2) {
+    let targets = if n.is_multiple_of(2) {
         random_regular_matchings_seeded(n, d, tries, seed, threads)
     } else {
         random_regular_stubs_seeded(n, d, tries, seed, threads)
-    }
+    };
+    Some(PortGraph::from_regular_targets(n, d, targets?))
 }
 
 /// Even `n`: union of `d` random perfect matchings with per-matching
 /// retries — the rejection rate stays per-matching instead of compounding
 /// exponentially in d² as in the plain configuration model.
 ///
-/// `partners[m·n + v]` is `v`'s partner in matching `m`. A drawn matching
-/// repeats an edge iff some node has the same partner in it as in an
-/// earlier matching, so the duplicate check is one parallel scan of the
-/// table, and the graph is built straight from it (port `m` of every node
-/// is its matching-`m` edge).
+/// The matchings are drawn in place into the graph's port targets: port
+/// `m` of every node is its matching-`m` edge, so a drawn pair `(a, b)`
+/// sets `targets[a·d + m]` and `targets[b·d + m]`, and an attempt is
+/// retried iff [`clashes`] finds a repeated edge at port `m`.
 fn random_regular_matchings_seeded(
     n: usize,
     d: usize,
     tries: usize,
     seed: u64,
     threads: usize,
-) -> Option<PortGraph> {
-    /// Nodes per task of the duplicate scan.
-    const SCAN_CHUNK: usize = 1 << 16;
-    let mut partners: Vec<u32> = vec![0; n * d];
+) -> Option<Vec<PortTarget>> {
+    let mut targets = vec![PortTarget::default(); n * d];
     for m in 0..d {
-        let (earlier, rest) = partners.split_at_mut(m * n);
-        let (earlier, mine) = (&*earlier, &mut rest[..n]);
+        let port = m as u32;
         let placed = (0..tries).any(|attempt| {
             let stream = hash64(seed ^ hash64(((m as u64) << 32) | attempt as u64));
             for pair in keyed_order(n, stream, threads).chunks(2) {
-                mine[pair[0] as usize] = pair[1];
-                mine[pair[1] as usize] = pair[0];
+                targets[pair[0] as usize * d + m] = PortTarget { node: pair[1], port };
+                targets[pair[1] as usize * d + m] = PortTarget { node: pair[0], port };
             }
-            let mine = &*mine;
-            let clash = |c: usize| {
-                let nodes = c * SCAN_CHUNK..((c + 1) * SCAN_CHUNK).min(n);
-                earlier.chunks(n).any(|row| nodes.clone().any(|v| row[v] == mine[v]))
-            };
-            let scans = n.div_ceil(SCAN_CHUNK);
-            !par::par_chunks(scans, threads, 2, |_| 1, |mut cs| cs.any(clash)).contains(&true)
+            !clashes(&targets, d, m..m + 1, threads)
         });
         if !placed {
             return None;
         }
     }
-    PortGraph::from_matchings(n, d, &partners, threads)
+    Some(targets)
 }
 
 /// Odd `n` (with `n·d` even): configuration model over `n·d` stubs with
-/// whole-attempt retries.
+/// whole-attempt retries. Stub `s` is port `s mod d` of node `s / d`, so a
+/// drawn pair of stubs is written in place into both ports (each node's
+/// ports come in stub order), and an attempt is retried iff [`clashes`]
+/// finds a self-loop or a repeated edge at any port.
 fn random_regular_stubs_seeded(
     n: usize,
     d: usize,
     tries: usize,
     seed: u64,
     threads: usize,
-) -> Option<PortGraph> {
-    'attempt: for attempt in 0..tries {
+) -> Option<Vec<PortTarget>> {
+    let mut targets = vec![PortTarget::default(); n * d];
+    let port = |s: u32| PortTarget { node: s / d as u32, port: s % d as u32 };
+    for attempt in 0..tries {
         let stream = hash64(seed ^ hash64(0x5751_u64 << 32 | attempt as u64));
-        let order = keyed_order(n * d, stream, threads);
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n * d / 2);
-        let mut seen: HashSet<u64> = HashSet::with_capacity(n * d);
-        for pair in order.chunks(2) {
-            let (a, b) = (pair[0] / d as u32, pair[1] / d as u32);
-            if a == b {
-                continue 'attempt;
-            }
-            let (u, v) = (a.min(b), a.max(b));
-            if !seen.insert((u64::from(u) << 32) | u64::from(v)) {
-                continue 'attempt;
-            }
-            edges.push((u, v));
+        for pair in keyed_order(n * d, stream, threads).chunks(2) {
+            targets[pair[0] as usize] = port(pair[1]);
+            targets[pair[1] as usize] = port(pair[0]);
         }
-        return PortGraph::from_edge_pairs(n, &edges);
+        if !clashes(&targets, d, 0..d, threads) {
+            return Some(targets);
+        }
     }
     None
+}
+
+/// Whether some node's port in `ports` reaches a neighbour one of its
+/// earlier ports already reaches, in the `d`-regular port targets
+/// `targets` (node `v`'s at `v·d..v·d + d`): a repeated edge, or a
+/// self-loop, whose two ends are ports of one node that both reach it.
+/// The one parallel scan that decides both generators' retries.
+fn clashes(targets: &[PortTarget], d: usize, ports: Range<usize>, threads: usize) -> bool {
+    /// Nodes per task of the scan.
+    const SCAN_CHUNK: usize = 1 << 16;
+    let clash = |c: usize| {
+        let rows = &targets[c * SCAN_CHUNK * d..((c + 1) * SCAN_CHUNK * d).min(targets.len())];
+        rows.chunks(d)
+            .any(|row| ports.clone().any(|p| row[..p].iter().any(|t| t.node == row[p].node)))
+    };
+    let scans = (targets.len() / d).div_ceil(SCAN_CHUNK);
+    par::par_chunks(scans, threads, 2, |_| 1, |mut cs| cs.any(clash)).contains(&true)
 }
 
 /// A random `d`-regular graph on `n` nodes. Impossible parameters (odd
@@ -329,9 +338,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
-    /// The edge-list generator the partner table replaced: a hash set of
-    /// accepted edges and `from_edge_pairs`. Kept as the oracle.
+    /// The edge-list generator for even `n` that drawing into the port
+    /// arena replaced: a hash set of accepted edges and `from_edge_pairs`.
+    /// Kept as the oracle; its ports match the arena's exactly.
     fn matchings_oracle(
         n: usize,
         d: usize,
@@ -368,6 +379,40 @@ mod tests {
         PortGraph::from_edge_pairs(n, &edges)
     }
 
+    /// The edge-list generator for odd `n` that drawing into the port
+    /// arena replaced: the same stub pairing, checked with a hash set and
+    /// built by `from_edge_pairs`, so its ports come in edge-list order.
+    /// Kept as the oracle for the edge set and the retry decisions.
+    fn stubs_oracle(n: usize, d: usize, tries: usize, seed: u64) -> Option<PortGraph> {
+        'attempt: for attempt in 0..tries {
+            let stream = hash64(seed ^ hash64(0x5751_u64 << 32 | attempt as u64));
+            let order = keyed_order(n * d, stream, 1);
+            let mut edges: Vec<(u32, u32)> = Vec::with_capacity(n * d / 2);
+            let mut seen: HashSet<u64> = HashSet::with_capacity(n * d);
+            for pair in order.chunks(2) {
+                let (a, b) = (pair[0] / d as u32, pair[1] / d as u32);
+                if a == b {
+                    continue 'attempt;
+                }
+                let (u, v) = (a.min(b), a.max(b));
+                if !seen.insert((u64::from(u) << 32) | u64::from(v)) {
+                    continue 'attempt;
+                }
+                edges.push((u, v));
+            }
+            return PortGraph::from_edge_pairs(n, &edges);
+        }
+        None
+    }
+
+    /// A graph's edges as sorted `(min, max)` pairs: its edge set, blind
+    /// to port order.
+    fn edge_set(g: &PortGraph) -> Vec<(usize, usize)> {
+        let mut edges: Vec<_> = g.edges().map(|(u, _, v, _)| (u, v)).collect();
+        edges.sort_unstable();
+        edges
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -385,6 +430,26 @@ mod tests {
                 random_regular_seeded(n, d, tries, seed, 1),
                 matchings_oracle(n, d, tries, seed, 1)
             );
+        }
+
+        /// Odd `n`: the same edge sets and the same retry decisions as the
+        /// stub oracle, including `None` when `tries` runs out. Ports are
+        /// numbered in stub order, not the oracle's edge-list order.
+        #[test]
+        fn stubs_agree_with_the_hash_set_oracle(
+            half in 3usize..40,
+            d in (1usize..=3).prop_map(|k| 2 * k),
+            tries in 1usize..4,
+            seed in any::<u64>(),
+        ) {
+            let n = 2 * half + 1;
+            let got = random_regular_seeded(n, d, tries, seed, 1);
+            let oracle = stubs_oracle(n, d, tries, seed);
+            prop_assert_eq!(got.is_none(), oracle.is_none());
+            if let (Some(got), Some(oracle)) = (got, oracle) {
+                prop_assert!(got.is_regular(d));
+                prop_assert_eq!(edge_set(&got), edge_set(&oracle));
+            }
         }
     }
 
@@ -413,8 +478,7 @@ mod tests {
 
     #[test]
     fn matchings_agree_with_the_oracle_on_parallel_sizes() {
-        // Large enough that keyed sorts, the duplicate scan, and the CSR
-        // fill all run chunked on the executor.
+        // Large enough that the keyed sorts run chunked on the executor.
         for (d, seed) in [(3, 7u64), (4, 9)] {
             let oracle = matchings_oracle(20_000, d, 64, seed, 1).expect("a regular graph");
             assert_eq!(random_regular_seeded(20_000, d, 64, seed, 2), Some(oracle));

@@ -15,12 +15,7 @@
 //! edge-list order with reciprocal bookkeeping, a property
 //! `tests/properties.rs` pins against an edge-list oracle.
 
-use roundelim_core::par;
 use std::collections::VecDeque;
-
-/// Below this many items an in-place fill or sort of graph construction
-/// runs inline: spawning costs more than the work it would offload.
-pub(crate) const PAR_MIN_ITEMS: usize = 4096;
 
 /// One endpoint of an edge as seen from a node: the neighbor and the
 /// neighbor's port number for the connecting edge. Fields are `u32` so the
@@ -133,39 +128,6 @@ impl PortGraph {
             cursor[vi] += 1;
         }
         Some(PortGraph { offsets, targets })
-    }
-
-    /// Builds the union of `d` perfect matchings on `n` nodes from their
-    /// partner table: `partners[m·n + v]` is `v`'s partner in matching
-    /// `m`, reached through port `m` at both endpoints. That is the port
-    /// order [`PortGraph::from_edge_pairs`] assigns when the matchings'
-    /// edges are listed matching by matching. The caller guarantees that
-    /// every row is a perfect matching and that no edge repeats.
-    pub(crate) fn from_matchings(
-        n: usize,
-        d: usize,
-        partners: &[u32],
-        threads: usize,
-    ) -> Option<PortGraph> {
-        assert_eq!(partners.len(), n * d, "one partner per node and matching");
-        if n.checked_mul(d)? > u32::MAX as usize {
-            return None;
-        }
-        // The targets are filled in place, `threads · OVERSUB` chunks.
-        let len = n * d;
-        let chunk = if threads > 1 && len >= PAR_MIN_ITEMS {
-            len.div_ceil(threads * par::OVERSUB)
-        } else {
-            len.max(1)
-        };
-        let mut targets = vec![PortTarget::default(); len];
-        par::par_each(targets.chunks_mut(chunk).enumerate(), threads, |(c, part)| {
-            for (i, t) in (c * chunk..).zip(part) {
-                let (v, m) = (i / d, i % d);
-                *t = PortTarget { node: partners[m * n + v], port: m as u32 };
-            }
-        });
-        Some(PortGraph::from_regular_targets(n, d, targets))
     }
 
     /// A `d`-regular graph on `n` nodes from its port targets, node by

@@ -32,16 +32,6 @@ impl Bipartite {
         self.adj[l].push(r);
     }
 
-    /// Number of left vertices.
-    pub fn left_count(&self) -> usize {
-        self.left_count
-    }
-
-    /// Number of right vertices.
-    pub fn right_count(&self) -> usize {
-        self.right_count
-    }
-
     /// Neighbors of left vertex `l`.
     pub fn neighbors(&self, l: usize) -> &[usize] {
         &self.adj[l]
@@ -277,7 +267,7 @@ mod tests {
             let matching = maximum_matching(&g);
             // Brute-force maximum by backtracking.
             fn brute(g: &Bipartite, l: usize, used: &mut Vec<bool>) -> usize {
-                if l == g.left_count() {
+                if l == g.left_count {
                     return 0;
                 }
                 let mut best = brute(g, l + 1, used); // skip l

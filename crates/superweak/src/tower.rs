@@ -97,11 +97,6 @@ impl Tower {
         }
     }
 
-    /// The tower height of the normal form (0 for plain numbers).
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
     /// Checked addition of a small constant; only exact (hence only
     /// available) for plain numbers.
     pub fn checked_add(&self, c: u128) -> Option<Tower> {
@@ -172,7 +167,7 @@ mod tests {
         assert_eq!(t.as_u128(), Some(1 << 127));
         let t = Tower::from_u128(128).pow2();
         assert_eq!(t.as_u128(), None);
-        assert_eq!(t.height(), 1);
+        assert_eq!(t.height, 1);
     }
 
     #[test]
@@ -194,7 +189,7 @@ mod tests {
         assert_eq!(Tower::tower_of_twos(4).as_u128(), Some(65536));
         let t5 = Tower::tower_of_twos(5); // 2^65536
         assert_eq!(t5.as_u128(), None);
-        assert_eq!(t5.height(), 1);
+        assert_eq!(t5.height, 1);
     }
 
     #[test]

@@ -273,6 +273,10 @@ fn with_trace(args: &[String], f: impl FnOnce() -> CliResult) -> CliResult {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { return usage() };
+    if let Some(flag) = unknown_flag(&args[1..]) {
+        eprintln!("error: unknown flag `{flag}`");
+        return ExitCode::from(2);
+    }
     let result = match cmd.as_str() {
         "zoo" => cmd_zoo(),
         "show" => cmd_show(&args[1..]),
@@ -639,28 +643,49 @@ fn cmd_auto(args: &[String], lower: bool) -> CliResult {
     Ok(ExitCode::from(outcome_code(&out)))
 }
 
+/// Every flag the CLI reads, and whether it takes a value.
+const FLAGS: [(&str, bool); 25] = [
+    ("--addr", true),
+    ("--beam", true),
+    ("--cert", true),
+    ("--checkpoint", true),
+    ("--checkpoint-every", true),
+    ("--direction", true),
+    ("--family", true),
+    ("--fast", false),
+    ("--json", false),
+    ("--max-expansions", true),
+    ("--max-labels", true),
+    ("--n", true),
+    ("--no-relax", false),
+    ("--out", true),
+    ("--profile", false),
+    ("--relax", true),
+    ("--resume", false),
+    ("--seed", true),
+    ("--steps", true),
+    ("--store", true),
+    ("--sweep", false),
+    ("--threads", true),
+    ("--time-budget", true),
+    ("--trace", true),
+    ("--workers", true),
+];
+
 /// Whether `arg` is the value of some `--flag VALUE` pair (so positional
 /// scanning skips it).
 fn is_flag_value(args: &[String], arg: &String) -> bool {
-    const VALUED: [&str; 14] = [
-        "--steps",
-        "--beam",
-        "--max-labels",
-        "--threads",
-        "--cert",
-        "--time-budget",
-        "--max-expansions",
-        "--checkpoint",
-        "--checkpoint-every",
-        "--addr",
-        "--store",
-        "--workers",
-        "--direction",
-        "--trace",
-    ];
     args.iter()
         .zip(args.iter().skip(1))
-        .any(|(f, v)| VALUED.contains(&f.as_str()) && std::ptr::eq(v, arg))
+        .any(|(f, v)| FLAGS.contains(&(f.as_str(), true)) && std::ptr::eq(v, arg))
+}
+
+/// The first argument that looks like a flag (`--…`) but is neither one the
+/// CLI reads nor the value of a valued flag.
+fn unknown_flag(args: &[String]) -> Option<&String> {
+    args.iter().find(|a| {
+        a.starts_with("--") && !FLAGS.iter().any(|(f, _)| f == a) && !is_flag_value(args, a)
+    })
 }
 
 /// `roundelim trace`: read back a `--trace` recording — `summarize` for

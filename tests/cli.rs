@@ -346,7 +346,11 @@ fn exit_codes_follow_the_documented_contract() {
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
 
     // 2: usage errors and invalid input, diagnosed before any search runs.
+    // A misspelt flag is one too, named in the error, rather than ignored.
+    let sim_out = tmp_dir().join("misspelt.sim.json");
     let usage_cases: &[&[&str]] = &[
+        &["sim-vs-bound", "--n", "1000", "--famly", "coloring", "--out", sim_out.to_str().unwrap()],
+        &["autolb", "coloring:3:3", "--beam-widht", "2"],
         &["speedup", "no-such-family:9:9"],
         &["autolb", "coloring:3:3", "--beam", "0"],
         &["autolb", "coloring:3:3", "--max-labels", "0"],
@@ -362,6 +366,9 @@ fn exit_codes_follow_the_documented_contract() {
         assert_eq!(out.status.code(), Some(2), "expected usage exit for {args:?}");
         assert!(String::from_utf8_lossy(&out.stderr).contains("error"), "{args:?}");
     }
+    assert!(!sim_out.exists(), "a run with an unknown flag writes no artifact");
+    let out = cli().args(usage_cases[1]).output().unwrap();
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--beam-widht`"));
 
     // 3: a budget-exhausted search emits a verified partial certificate
     // marked incomplete, and says so machine-readably.

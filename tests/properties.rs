@@ -784,8 +784,8 @@ proptest! {
 
     /// Every constructor lays out ports so that far ports pair them up:
     /// edge lists, rings, complete and complete bipartite graphs, regular
-    /// trees, seeded random-regular graphs (the partner table path for
-    /// even `n`, the stub path for odd `n`), and their port permutations.
+    /// trees, seeded random-regular graphs (the matching path for even
+    /// `n`, the stub path for odd `n`), and their port permutations.
     #[test]
     fn far_ports_match_port_targets(
         (n, edges) in arb_edge_list(),
